@@ -32,10 +32,7 @@ def gl_panels(a: float, b: float, total_points: int, max_panel: float | None = N
         panels = max(1, int(np.ceil((b - a) / max_panel - 1e-12)))
     per = max(4, -(-int(total_points) // panels))
     edges = np.linspace(a, b, panels + 1)
-    xs = np.empty(panels * per)
-    ws = np.empty(panels * per)
-    for i in range(panels):
-        x, w = gl_nodes(edges[i], edges[i + 1], per)
-        xs[i * per:(i + 1) * per] = x
-        ws[i * per:(i + 1) * per] = w
-    return xs, ws
+    x, w = _leggauss(per)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]  # gl_nodes, one row per panel
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()

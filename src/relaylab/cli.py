@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
 import math
 import sys
 from fractions import Fraction
@@ -29,7 +27,7 @@ from .errors import ConfigError, NumericError
 from .mutualinfo import DelayConfig, SchemeId, _emaca_batch, i_af_pair
 from .outage import (ConditionalCase, analytic_curve, analytic_outage_parallel3,
                      analytic_outage_rtda2, analytic_outage_stc, mc_outage,
-                     slope_fit, write_outage_csv)
+                     slope_fit, write_csv, write_outage_csv)
 from .toeplitz import build_taps, convergence_study
 from .tradeoff import crossings, curve, rtda_band
 from .waveform import (certify_pd, correlations, load_waveform, rectangular,
@@ -42,16 +40,15 @@ def db_to_linear(db: float) -> float:
 
 def _parse_grid_db(text: str) -> list[float]:
     """Parse "LO:HI:STEP" (inclusive) or a single dB value."""
-    parts = str(text).split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            lo, hi, step = (float(p) for p in parts)
-        else:
-            raise ValueError
+        nums = [float(p) for p in str(text).split(":")]
     except ValueError:
+        nums = []
+    if len(nums) not in (1, 3) or not all(map(math.isfinite, nums)):
         raise ConfigError(f"snr grid must be 'LO:HI:STEP' or a single dB value, got {text!r}")
+    if len(nums) == 1:
+        return nums
+    lo, hi, step = nums
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad snr grid {text!r}: need step > 0 and hi >= lo")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -70,6 +67,22 @@ def _as_float(vals: dict, key: str) -> float:
         return float(vals[key])
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {vals[key]!r}")
+
+
+def _as_seed(vals: dict) -> int:
+    seed = _as_int(vals, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _as_choice(vals: dict, key: str, choices):
+    """vals[key] as a member of the string enum `choices`."""
+    try:
+        return choices(vals[key])
+    except ValueError:
+        names = ", ".join(c.value for c in choices)
+        raise ConfigError(f"{key} must be one of {names}, got {vals[key]!r}")
 
 
 def _as_bool(vals: dict, key: str) -> bool:
@@ -169,23 +182,10 @@ def _resolve(cmd: str, ns: argparse.Namespace) -> dict[str, str]:
     return vals
 
 
-def _open_out(vals: dict):
-    if vals.get("out"):
-        return open(vals["out"], "w", newline=""), True
-    return sys.stdout, False
-
-
-def _emit(dest, schema: str, cmd: str, vals: dict, columns, rows) -> None:
-    buf = io.StringIO()
-    buf.write(f"# schema={schema}\n")
-    buf.write(f"# command={cmd}\n")
-    for k in sorted(vals):
-        buf.write(f"# {k}={vals[k]}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    for row in rows:
-        w.writerow(row)
-    dest.write(buf.getvalue())
+def _write(cmd: str, vals: dict, columns, rows) -> None:
+    """A command's CSV: `command`, then the resolved configuration, then rows."""
+    header = {"command": cmd, **{k: vals[k] for k in sorted(vals)}}
+    write_csv(vals["out"] or sys.stdout, f"{cmd}-v1", header, columns, rows)
 
 
 def _build_pulse(vals: dict):
@@ -245,13 +245,7 @@ def _cmd_tradeoff(ns: argparse.Namespace) -> int:
                 continue
             rows.append([s, k, str(r), str(cs[0].d(r)), str(cs[1].d(r))])
 
-    dest, close = _open_out(vals)
-    try:
-        _emit(dest, "tradeoff-v1", "tradeoff", vals,
-              ("scheme", "k", "r", "d_low", "d_high"), rows)
-    finally:
-        if close:
-            dest.close()
+    _write("tradeoff", vals, ("scheme", "k", "r", "d_low", "d_high"), rows)
 
     cross = vals["cross"].strip()
     pairs: list[tuple[str, str]] = []
@@ -275,8 +269,8 @@ def _cmd_tradeoff(ns: argparse.Namespace) -> int:
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
     vals = _resolve("simulate", ns)
-    scheme = SchemeId(vals["scheme"])
-    cond = ConditionalCase(vals["cond"])
+    scheme = _as_choice(vals, "scheme", SchemeId)
+    cond = _as_choice(vals, "cond", ConditionalCase)
     mode = vals["mode"].strip().lower()
     r = _as_float(vals, "r")
     grid_db = _parse_grid_db(vals["snr_db"])
@@ -293,7 +287,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
     if mode == "mc":
         curve_ = mc_outage(scheme, r, snr, _as_int(vals, "trials"),
-                           _as_int(vals, "seed"), cond, cfg=cfg, corr=corr,
+                           _as_seed(vals), cond, cfg=cfg, corr=corr,
                            delays=delays, force_set=force,
                            workers=_as_int(vals, "workers"),
                            quad_points=_as_int(vals, "quad_points"))
@@ -317,18 +311,13 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
     meta = {k: vals[k] for k in sorted(vals)}
     meta["command"] = "simulate"
-    dest, close = _open_out(vals)
-    try:
-        write_outage_csv(dest, [curve_], meta)
-    finally:
-        if close:
-            dest.close()
+    write_outage_csv(vals["out"] or sys.stdout, [curve_], meta)
 
     if vals["fit_window_db"]:
         pts = vals["fit_window_db"].split(":")
         if len(pts) != 2:
             raise ConfigError("fit_window_db looks like LO:HI")
-        window = (float(pts[0]), float(pts[1]))
+        window = tuple(_as_float({"fit_window_db": p}, "fit_window_db") for p in pts)
         fit = slope_fit(curve_, window)
         print(f"fit scheme={curve_.scheme} cond={curve_.cond.value} r={curve_.r:g} "
               f"slope={fit.slope:.4f} stderr={fit.stderr:.4f} n_used={fit.n_used} "
@@ -366,12 +355,7 @@ def _cmd_waveform(ns: argparse.Namespace) -> int:
         ["pd", int(eig.pd)],
         ["trace_dev", repr(eig.trace_dev)],
     ]
-    dest, close = _open_out(vals)
-    try:
-        _emit(dest, "waveform-v1", "waveform", vals, ("metric", "value"), rows)
-    finally:
-        if close:
-            dest.close()
+    _write("waveform", vals, ("metric", "value"), rows)
     return 0
 
 
@@ -387,7 +371,7 @@ def _cmd_toeplitz(ns: argparse.Namespace) -> int:
         ns_list = tuple(int(x) for x in vals["n_list"].split(","))
     except ValueError:
         raise ConfigError(f"n_list must be comma-separated ints, got {vals['n_list']!r}")
-    rng = np.random.default_rng(_as_int(vals, "seed"))
+    rng = np.random.default_rng(_as_seed(vals))
     f = sample_fading(NetworkConfig(), rng)
     taps = build_taps(corr, f.r1d, f.r2d)
     study = convergence_study(taps, ns_list, rho0,
@@ -395,13 +379,7 @@ def _cmd_toeplitz(ns: argparse.Namespace) -> int:
                               quad_points=_as_int(vals, "quad_points"))
     rows = [[n, repr(v), repr(study.limit), repr(a), repr(e)]
             for n, v, a, e in zip(study.ns, study.mi, study.abs_err, study.rel_err)]
-    dest, close = _open_out(vals)
-    try:
-        _emit(dest, "toeplitz-v1", "toeplitz", vals,
-              ("n", "mi", "limit", "abs_err", "rel_err"), rows)
-    finally:
-        if close:
-            dest.close()
+    _write("toeplitz", vals, ("n", "mi", "limit", "abs_err", "rel_err"), rows)
     return 0
 
 
@@ -414,7 +392,7 @@ def _cmd_compare_capacity(ns: argparse.Namespace) -> int:
     if draws < 1:
         raise ConfigError("draws must be >= 1")
     qp = _as_int(vals, "quad_points")
-    rng = np.random.default_rng(_as_int(vals, "seed"))
+    rng = np.random.default_rng(_as_seed(vals))
     z = rng.standard_normal((draws, 4)) * math.sqrt(0.5)
     g1 = z[:, 0] ** 2 + z[:, 1] ** 2
     g2 = z[:, 2] ** 2 + z[:, 3] ** 2
@@ -427,14 +405,8 @@ def _cmd_compare_capacity(ns: argparse.Namespace) -> int:
         wins = int(np.count_nonzero(margin > 0.0))
         rows.append([repr(float(db)), draws, wins, repr(wins / draws),
                      repr(float(margin.min())), repr(float(margin.mean()))])
-    dest, close = _open_out(vals)
-    try:
-        _emit(dest, "compare-capacity-v1", "compare-capacity", vals,
-              ("snr_db", "draws", "wins", "win_rate", "min_margin_bits",
-               "mean_margin_bits"), rows)
-    finally:
-        if close:
-            dest.close()
+    _write("compare-capacity", vals, ("snr_db", "draws", "wins", "win_rate",
+                                      "min_margin_bits", "mean_margin_bits"), rows)
     return 0
 
 

@@ -4,9 +4,12 @@ Every evaluator conditions on the decoding set d (which relays got the
 source message in phase one) and on one fading realization.  rho0 is the
 normalized per-node snr.  All logarithms are base 2.
 
-Evaluators that average over a frequency or delay-phase variable return an
-MiBounds carrying per-realization analytic envelopes along with the value;
-closed-form evaluators return plain floats.
+Every scheme's value comes from one vectorized kernel, mi_batch, which takes
+arrays of destination-link gains and relay memberships; scheme_mi and the
+per-scheme evaluators (i_stc, i_tda, i_rtda, i_ltda, i_astc) are that kernel
+on a batch of one.  Evaluators that average over a frequency or delay-phase
+variable return an MiBounds carrying per-realization analytic envelopes
+along with the value; closed-form evaluators return plain floats.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .waveform import CorrelationSet, EigenBounds, certify_pd, spectral_entries
 
 _LN2 = math.log(2.0)
 _CHUNK = 2048  # rows per slice when batching (keeps node matrices ~10 MB)
+_ZERO_DELAY = "zero relative delay: relays collapse to one effective gain"
+_SUBUNIT = "t0*bandwidth < 1: whole-period lower bound degenerates to 0"
 
 
 def _log2_1p(x: float) -> float:
@@ -99,17 +104,129 @@ class DelayConfig:
         return math.floor(w) / math.ceil(w)
 
 
+def check_scheme(scheme, corr: CorrelationSet | None = None,
+                 delays: DelayConfig | None = None) -> SchemeId:
+    """The scheme as a SchemeId, once it has the inputs its kernel reads."""
+    scheme = SchemeId(scheme)
+    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION) and delays is None:
+        raise ConfigError(f"{scheme.value} needs delays (DelayConfig)")
+    if scheme in (SchemeId.TDA_LINMOD, SchemeId.ASTC, SchemeId.MIX_AF) and corr is None:
+        raise ConfigError(f"{scheme.value} needs a CorrelationSet")
+    if scheme == SchemeId.TDA_LINMOD:
+        if corr.span != 1:
+            raise ConfigError("TDA_LINMOD needs a single-period (span-1) pulse")
+        if abs(corr.rho12) >= 1.0:
+            raise ConfigError(f"|rho12| must be < 1, got {corr.rho12}")
+    return scheme
+
+
+def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
+             corr: CorrelationSet | None = None,
+             delays: DelayConfig | None = None,
+             quad_points: int = 512) -> np.ndarray:
+    """Conditional MI of one scheme for arrays of fading draws.
+
+    sd, r1d, r2d are the complex destination-link gains and m1, m2 the
+    boolean memberships of the decoding set, one entry per row.  The Monte
+    Carlo engine calls it per block; scheme_mi calls it on a batch of one.
+    """
+    scheme = check_scheme(scheme, corr, delays)
+    gsd = np.abs(sd) ** 2
+    g1 = np.abs(r1d) ** 2
+    g2 = np.abs(r2d) ** 2
+
+    if scheme == SchemeId.STC_SYNC:
+        relay = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)
+        return 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay)
+
+    both = m1 & m2
+    out = np.empty(gsd.size)
+
+    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        rep = scheme == SchemeId.TDA_REPETITION
+        relay_one = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)  # zero or one member
+        if rep:
+            out[:] = 0.5 * np.log2(1.0 + rho0 * (gsd + relay_one))
+        else:
+            out[:] = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay_one)
+        if both.any():
+            b = np.nonzero(both)[0]
+            nu = g1[b] + g2[b]
+            bc = 2.0 * rho0 * np.sqrt(g1[b] * g2[b])
+            psi = np.angle(r2d[b]) - np.angle(r1d[b])
+            w = delays.t0bw
+            if w == 0.0:
+                eff = np.abs(r1d[b] + r2d[b]) ** 2
+                if rep:
+                    out[b] = 0.5 * np.log2(1.0 + rho0 * (gsd[b] + eff))
+                else:
+                    out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * np.log2(1.0 + rho0 * eff)
+            else:
+                base = 1.0 + rho0 * ((gsd[b] + nu) if rep else nu)
+                mean = _mean_log2_cos(base, bc, psi, math.pi * w, quad_points)
+                if rep:
+                    out[b] = 0.5 * mean
+                else:
+                    out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * mean
+        return out
+
+    if scheme == SchemeId.TDA_LINMOD:
+        relay_one = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)
+        out[:] = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay_one)
+        if both.any():
+            b = np.nonzero(both)[0]
+            r1 = np.abs(r1d[b])
+            r2 = np.abs(r2d[b])
+            cth = np.cos(np.angle(r1d[b]) - np.angle(r2d[b]))
+            a = rho0 * (r1 * r1 + r2 * r2 + 2.0 * corr.rho12 * r1 * r2 * cth)
+            bb = 2.0 * rho0 * corr.rho21 * r1 * r2
+            i2 = np.log2(1.0 + a + np.sqrt(np.maximum((1.0 + a) ** 2 - bb * bb, 0.0))) - 1.0
+            out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * i2
+        return out
+
+    # ASTC and MIX_AF
+    a1 = corr.a1
+    own = _esd_from_gain(gsd, a1, rho0)
+    one1 = m1 & ~m2
+    one2 = m2 & ~m1
+    if scheme == SchemeId.ASTC:
+        out[:] = 0.5 * own
+        if one1.any():
+            out[one1] += 0.5 * _esd_from_gain(g1[one1], a1, rho0)
+        if one2.any():
+            out[one2] += 0.5 * _esd_from_gain(g2[one2], a1, rho0)
+    else:
+        # A lone decoded relay forwards its own stream; the direct link and
+        # the relay that failed form the amplify-forward pair.  With no relay
+        # decoded the amplify-forward path is bound to relay 1 by index.
+        af = np.log2(1.0 + rho0 * (gsd + np.where(one1, g2, g1)))
+        out[:] = 0.5 * af
+        one = one1 | one2
+        if one.any():
+            out[one] = 0.5 * (af[one] + np.log2(1.0 + rho0 * np.where(m1, g1, g2)[one]))
+    if both.any():
+        b = np.nonzero(both)[0]
+        maca = _emaca_batch(g1[b], g2[b], corr, rho0, quad_points)
+        out[b] = 0.5 * (own[b] + maca)
+    return out
+
+
+def scheme_mi(scheme: SchemeId, f: FadingRealization, d: DecodingSet, rho0: float,
+              corr: CorrelationSet | None = None,
+              delays: DelayConfig | None = None,
+              quad_points: int = 512) -> float:
+    """One scheme's conditional mutual information for one draw (value only)."""
+    return float(mi_batch(scheme, np.array([f.sd]), np.array([f.r1d]), np.array([f.r2d]),
+                          np.array([d.r1]), np.array([d.r2]), rho0, corr, delays,
+                          quad_points)[0])
+
+
 def i_stc(f: FadingRealization, d: DecodingSet, rho0: float) -> float:
     """Synchronous scheme: direct term plus the summed decoding-relay gains.
 
     I = 0.5*log2(1 + rho0 |a_sd|^2) + 0.5*log2(1 + rho0 * sum_{k in d} |a_rkd|^2)
     """
-    relay = 0.0
-    if d.r1:
-        relay += f.gain2("r1d")
-    if d.r2:
-        relay += f.gain2("r2d")
-    return 0.5 * _log2_1p(rho0 * f.gain2("sd")) + 0.5 * _log2_1p(rho0 * relay)
+    return scheme_mi(SchemeId.STC_SYNC, f, d, rho0)
 
 
 def closed_log_integral(a: float, b: float) -> float:
@@ -144,13 +261,6 @@ def _mean_log2_cos(A, B, psi, half_width: float, quad_points: int):
     return out / (2.0 * half_width)
 
 
-def _relay_pair(f: FadingRealization):
-    g1 = f.gain2("r1d")
-    g2 = f.gain2("r2d")
-    psi = cmath.phase(f.r2d) - cmath.phase(f.r1d)
-    return g1, g2, psi
-
-
 def i_tda(f: FadingRealization, d: DecodingSet, delays: DelayConfig, rho0: float,
           quad_points: int = 512) -> MiBounds:
     """Delay diversity with an independent codebook per relay.
@@ -165,27 +275,18 @@ def i_tda(f: FadingRealization, d: DecodingSet, delays: DelayConfig, rho0: float
     delta1 = floor(W)/ceil(W) (degenerate at W < 1).  With zero or one relay
     the scheme reduces to the synchronous evaluator exactly.
     """
-    direct = 0.5 * _log2_1p(rho0 * f.gain2("sd"))
+    value = scheme_mi(SchemeId.TDA_INDEP, f, d, rho0, delays=delays,
+                      quad_points=quad_points)
     if d.size <= 1:
-        v = i_stc(f, d, rho0)
-        return MiBounds(v, v, v)
-    g1, g2, psi = _relay_pair(f)
-    nu = g1 + g2
-    if delays.t0bw == 0.0 or delays.t0 == 0.0:
-        v = direct + 0.5 * _log2_1p(rho0 * abs(f.r1d + f.r2d) ** 2)
-        return MiBounds(v, min(0.0, v), 0.5 * _log2_1p(2.0 * rho0 * nu) + direct,
-                        warnings=("zero relative delay: relays collapse to one effective gain",))
-    w = delays.t0bw
-    warns = ()
-    if w < 1.0:
-        warns = ("t0*bandwidth < 1: whole-period lower bound degenerates to 0",)
-    mean = _mean_log2_cos(1.0 + rho0 * nu, 2.0 * rho0 * math.sqrt(g1 * g2), psi,
-                          math.pi * w, quad_points)
-    value = direct + 0.5 * float(mean[0])
+        return MiBounds(value, value, value)
+    direct = 0.5 * _log2_1p(rho0 * f.gain2("sd"))
+    nu = f.gain2("r1d") + f.gain2("r2d")
     upper = direct + 0.5 * _log2_1p(2.0 * rho0 * nu)
+    if delays.t0bw == 0.0:
+        return MiBounds(value, min(0.0, value), upper, (_ZERO_DELAY,))
     lower = 0.5 * delays.delta1 * (math.log2(0.5 * (1.0 + rho0 * nu))
                                    + _log2_1p(rho0 * f.gain2("sd")))
-    return MiBounds(value, lower, upper, warns)
+    return MiBounds(value, lower, upper, (_SUBUNIT,) if delays.t0bw < 1.0 else ())
 
 
 def tda_integer_period_value(f: FadingRealization, delays: DelayConfig,
@@ -198,7 +299,7 @@ def tda_integer_period_value(f: FadingRealization, delays: DelayConfig,
     w = delays.t0bw
     if abs(w - round(w)) > 1e-9 or round(w) == 0:
         raise ConfigError("closed form requires a positive integer t0*bandwidth")
-    g1, g2, _ = _relay_pair(f)
+    g1, g2 = f.gain2("r1d"), f.gain2("r2d")
     A = 1.0 + rho0 * (g1 + g2)
     B = 2.0 * rho0 * math.sqrt(g1 * g2)
     relay = math.log2(0.5 * (A + math.sqrt(max(A * A - B * B, 0.0))))
@@ -216,30 +317,17 @@ def i_rtda(f: FadingRealization, d: DecodingSet, delays: DelayConfig, rho0: floa
         |d| = 2: (1/(4 pi W)) integral log2(1 + rho0 |a_sd|^2
                                               + rho0 |a1 + a2 e^{ju}|^2) du
     """
+    value = scheme_mi(SchemeId.TDA_REPETITION, f, d, rho0, delays=delays,
+                      quad_points=quad_points)
+    if d.size <= 1:
+        return MiBounds(value, value, value)
     gd = f.gain2("sd")
-    if d.size == 0:
-        v = 0.5 * _log2_1p(rho0 * gd)
-        return MiBounds(v, v, v)
-    if d.size == 1:
-        lone = f.gain2("r1d") if d.r1 else f.gain2("r2d")
-        v = 0.5 * _log2_1p(rho0 * (gd + lone))
-        return MiBounds(v, v, v)
-    g1, g2, psi = _relay_pair(f)
-    nu = g1 + g2
-    if delays.t0bw == 0.0 or delays.t0 == 0.0:
-        v = 0.5 * _log2_1p(rho0 * (gd + abs(f.r1d + f.r2d) ** 2))
-        return MiBounds(v, min(0.0, v), 0.5 * _log2_1p(rho0 * (gd + 2.0 * nu)),
-                        warnings=("zero relative delay: relays collapse to one effective gain",))
-    w = delays.t0bw
-    warns = ()
-    if w < 1.0:
-        warns = ("t0*bandwidth < 1: whole-period lower bound degenerates to 0",)
-    mean = _mean_log2_cos(1.0 + rho0 * (gd + nu), 2.0 * rho0 * math.sqrt(g1 * g2), psi,
-                          math.pi * w, quad_points)
-    value = 0.5 * float(mean[0])
+    nu = f.gain2("r1d") + f.gain2("r2d")
     upper = 0.5 * _log2_1p(rho0 * (gd + 2.0 * nu))
+    if delays.t0bw == 0.0:
+        return MiBounds(value, min(0.0, value), upper, (_ZERO_DELAY,))
     lower = 0.5 * delays.delta1 * math.log2(0.5 * (1.0 + rho0 * (gd + nu)))
-    return MiBounds(value, lower, upper, warns)
+    return MiBounds(value, lower, upper, (_SUBUNIT,) if delays.t0bw < 1.0 else ())
 
 
 def rtda_integer_period_value(f: FadingRealization, delays: DelayConfig,
@@ -248,7 +336,7 @@ def rtda_integer_period_value(f: FadingRealization, delays: DelayConfig,
     w = delays.t0bw
     if abs(w - round(w)) > 1e-9 or round(w) == 0:
         raise ConfigError("closed form requires a positive integer t0*bandwidth")
-    g1, g2, _ = _relay_pair(f)
+    g1, g2 = f.gain2("r1d"), f.gain2("r2d")
     A = 1.0 + rho0 * (f.gain2("sd") + g1 + g2)
     B = 2.0 * rho0 * math.sqrt(g1 * g2)
     return 0.5 * math.log2(0.5 * (A + math.sqrt(max(A * A - B * B, 0.0))))
@@ -269,25 +357,15 @@ def i_ltda(f: FadingRealization, d: DecodingSet, corr: CorrelationSet,
     Cauchy-Schwarz gives |rho12| + |rho21| <= 1, which forces a >= |b| and
     keeps the sqrt argument nonnegative.
     """
-    if corr.span != 1:
-        raise ConfigError("matched-filter evaluator needs a single-period pulse")
-    rho12 = corr.rho12
-    rho21 = corr.rho21
-    if abs(rho12) >= 1.0:
-        raise ConfigError(f"|rho12| must be < 1, got {rho12}")
+    value = scheme_mi(SchemeId.TDA_LINMOD, f, d, rho0, corr=corr)
     if d.size <= 1:
-        v = i_stc(f, d, rho0)
-        return MiBounds(v, v, v)
+        return MiBounds(value, value, value)
     r1 = abs(f.r1d)
     r2 = abs(f.r2d)
     cth = math.cos(cmath.phase(f.r1d) - cmath.phase(f.r2d))
-    a = rho0 * (r1 * r1 + r2 * r2 + 2.0 * rho12 * r1 * r2 * cth)
-    b = 2.0 * rho0 * rho21 * r1 * r2
-    i2 = math.log2(1.0 + a + math.sqrt(max((1.0 + a) ** 2 - b * b, 0.0))) - 1.0
+    a = rho0 * (r1 * r1 + r2 * r2 + 2.0 * corr.rho12 * r1 * r2 * cth)
     direct = 0.5 * _log2_1p(rho0 * f.gain2("sd"))
-    return MiBounds(direct + 0.5 * i2,
-                    direct + 0.5 * (_log2_1p(a) - 1.0),
-                    direct + 0.5 * _log2_1p(a))
+    return MiBounds(value, direct + 0.5 * (_log2_1p(a) - 1.0), direct + 0.5 * _log2_1p(a))
 
 
 def _esd_from_gain(g, a1: float, rho0: float):
@@ -364,50 +442,9 @@ def i_astc(f: FadingRealization, d: DecodingSet, corr: CorrelationSet, rho0: flo
     Phase two sees the decoding relays as an ISI-coupled multiaccess channel;
     phase one always carries the source's own ISI-shaped stream.
     """
-    own = i_esd(f.sd, corr.a1, rho0)
-    if d.size == 0:
-        return 0.5 * own
-    if d.size == 1:
-        lone = f.r1d if d.r1 else f.r2d
-        return 0.5 * (own + i_esd(lone, corr.a1, rho0))
-    return 0.5 * (own + i_emaca_spectral(f, corr, rho0, quad_points).value)
+    return scheme_mi(SchemeId.ASTC, f, d, rho0, corr=corr, quad_points=quad_points)
 
 
 def i_af_pair(g1: float, g2: float, rho0: float) -> float:
     """Coherent-sum rate of one forwarded path pair: log2(1 + rho0 (g1 + g2))."""
     return _log2_1p(rho0 * (g1 + g2))
-
-
-def scheme_mi(scheme: SchemeId, f: FadingRealization, d: DecodingSet, rho0: float,
-              corr: CorrelationSet | None = None,
-              delays: DelayConfig | None = None,
-              quad_points: int = 512) -> float:
-    """Dispatch one scheme's conditional mutual information (value only)."""
-    scheme = SchemeId(scheme)
-    if scheme == SchemeId.STC_SYNC:
-        return i_stc(f, d, rho0)
-    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
-        if delays is None:
-            raise ConfigError(f"{scheme.value} needs a DelayConfig")
-        fn = i_tda if scheme == SchemeId.TDA_INDEP else i_rtda
-        return fn(f, d, delays, rho0, quad_points).value
-    if scheme == SchemeId.TDA_LINMOD:
-        if corr is None:
-            raise ConfigError("TDA_LINMOD needs a CorrelationSet")
-        return i_ltda(f, d, corr, rho0).value
-    if scheme == SchemeId.ASTC:
-        if corr is None:
-            raise ConfigError("ASTC needs a CorrelationSet")
-        return i_astc(f, d, corr, rho0, quad_points)
-    if scheme == SchemeId.MIX_AF:
-        if corr is None:
-            raise ConfigError("MIX_AF needs a CorrelationSet (for the both-relays branch)")
-        gsd = f.gain2("sd")
-        if d.size == 0:
-            # amplify-forward stand-in path bound to relay 1 by index
-            return 0.5 * i_af_pair(gsd, f.gain2("r1d"), rho0)
-        if d.size == 1:
-            return 0.5 * (i_af_pair(gsd, f.gain2("r1d"), rho0)
-                          + _log2_1p(rho0 * f.gain2("r2d")))
-        return i_astc(f, d, corr, rho0, quad_points)
-    raise ConfigError(f"unknown scheme {scheme!r}")

@@ -24,12 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mutualinfo as mi
 from ._quad import gl_nodes
 from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
                       RatePoint, decoding_set_probs)
 from .errors import ConfigError, NumericError
-from .mutualinfo import DelayConfig, SchemeId, scheme_mi
+from .mutualinfo import DelayConfig, SchemeId, check_scheme, mi_batch, scheme_mi
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
@@ -125,90 +124,6 @@ def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
     return out
 
 
-def _mi_block(task: _McTask, gains, m1, m2, rho0: float) -> np.ndarray:
-    """Vectorized conditional MI for one block, given relay memberships."""
-    gsd = np.abs(gains["sd"]) ** 2
-    g1 = np.abs(gains["r1d"]) ** 2
-    g2 = np.abs(gains["r2d"]) ** 2
-    n = gsd.size
-    scheme = task.scheme
-    qp = task.quad_points
-
-    if scheme == SchemeId.STC_SYNC:
-        relay = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)
-        return 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay)
-
-    both = m1 & m2
-    out = np.empty(n)
-
-    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
-        rep = scheme == SchemeId.TDA_REPETITION
-        relay_one = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)  # zero or one member
-        if rep:
-            out[:] = 0.5 * np.log2(1.0 + rho0 * (gsd + relay_one))
-        else:
-            out[:] = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay_one)
-        if np.any(both):
-            b = np.nonzero(both)[0]
-            nu = g1[b] + g2[b]
-            bc = 2.0 * rho0 * np.sqrt(g1[b] * g2[b])
-            psi = np.angle(gains["r2d"][b]) - np.angle(gains["r1d"][b])
-            w = task.delays.t0bw
-            if w == 0.0:
-                eff = np.abs(gains["r1d"][b] + gains["r2d"][b]) ** 2
-                if rep:
-                    out[b] = 0.5 * np.log2(1.0 + rho0 * (gsd[b] + eff))
-                else:
-                    out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * np.log2(1.0 + rho0 * eff)
-            else:
-                base = 1.0 + rho0 * ((gsd[b] + nu) if rep else nu)
-                mean = mi._mean_log2_cos(base, bc, psi, math.pi * w, qp)
-                if rep:
-                    out[b] = 0.5 * mean
-                else:
-                    out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * mean
-        return out
-
-    if scheme == SchemeId.TDA_LINMOD:
-        relay_one = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)
-        out[:] = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay_one)
-        if np.any(both):
-            b = np.nonzero(both)[0]
-            r1 = np.abs(gains["r1d"][b])
-            r2 = np.abs(gains["r2d"][b])
-            cth = np.cos(np.angle(gains["r1d"][b]) - np.angle(gains["r2d"][b]))
-            a = rho0 * (r1 * r1 + r2 * r2 + 2.0 * task.corr.rho12 * r1 * r2 * cth)
-            bb = 2.0 * rho0 * task.corr.rho21 * r1 * r2
-            i2 = np.log2(1.0 + a + np.sqrt(np.maximum((1.0 + a) ** 2 - bb * bb, 0.0))) - 1.0
-            out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * i2
-        return out
-
-    if scheme in (SchemeId.ASTC, SchemeId.MIX_AF):
-        a1 = task.corr.a1
-        own = mi._esd_from_gain(gsd, a1, rho0)
-        if scheme == SchemeId.ASTC:
-            out[:] = 0.5 * own
-            one1 = m1 & ~m2
-            one2 = m2 & ~m1
-            if np.any(one1):
-                out[one1] += 0.5 * mi._esd_from_gain(g1[one1], a1, rho0)
-            if np.any(one2):
-                out[one2] += 0.5 * mi._esd_from_gain(g2[one2], a1, rho0)
-        else:
-            af = np.log2(1.0 + rho0 * (gsd + g1))
-            out[:] = 0.5 * af
-            one = m1 ^ m2
-            if np.any(one):
-                out[one] = 0.5 * (af[one] + np.log2(1.0 + rho0 * g2[one]))
-        if np.any(both):
-            b = np.nonzero(both)[0]
-            maca = mi._emaca_batch(g1[b], g2[b], task.corr, rho0, task.quad_points)
-            out[b] = 0.5 * (own[b] + maca)
-        return out
-
-    raise ConfigError(f"scheme {scheme!r} has no Monte Carlo path")
-
-
 def _run_block(task: _McTask) -> np.ndarray:
     """Outage-and-case counts for one trial block at every grid snr."""
     gains = _draw_gains(task.cfg, task.seed, task.first_trial, task.count)
@@ -233,19 +148,10 @@ def _run_block(task: _McTask) -> np.ndarray:
             else:
                 sizes = m1.astype(np.int8) + m2.astype(np.int8)
                 case = sizes == want
-        vals = _mi_block(task, gains, m1, m2, rho0)
+        vals = mi_batch(task.scheme, gains["sd"], gains["r1d"], gains["r2d"], m1, m2, rho0,
+                        task.corr, task.delays, task.quad_points)
         counts[i] = int(np.count_nonzero((vals < rate) & case))
     return counts
-
-
-def _scheme_requirements(scheme: SchemeId, corr, delays):
-    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION) and delays is None:
-        raise ConfigError(f"{scheme.value} needs delays (DelayConfig)")
-    if scheme == SchemeId.TDA_LINMOD:
-        if corr is None or corr.span != 1:
-            raise ConfigError("TDA_LINMOD needs a span-1 CorrelationSet")
-    if scheme in (SchemeId.ASTC, SchemeId.MIX_AF) and corr is None:
-        raise ConfigError(f"{scheme.value} needs a CorrelationSet")
 
 
 def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
@@ -264,7 +170,7 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     probabilities.  Results are exactly reproducible from (seed, trials) and
     independent of the worker count.
     """
-    scheme = SchemeId(scheme)
+    scheme = check_scheme(scheme, corr, delays)
     cond = ConditionalCase(cond)
     cfg = cfg or NetworkConfig()
     if trials < 10 ** 4:
@@ -278,7 +184,6 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
         raise ConfigError("force_set requires a specific decoding-set case")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    _scheme_requirements(scheme, corr, delays)
 
     tasks = []
     first = 0
@@ -524,15 +429,13 @@ def analytic_curve(oracle, snr_grid, scheme: str, r: float,
 # Mixing protocol
 
 
-def mixing_protocol_mi(f, pt: RatePoint, corr: CorrelationSet,
-                       delays: DelayConfig | None = None) -> tuple[str, float]:
+def mixing_protocol_mi(f, pt: RatePoint, corr: CorrelationSet) -> tuple[str, float]:
     """Decode-forward with amplify-forward fallback: derive the decoding set,
-    then delegate to the per-branch evaluators.  delays is accepted for
-    interface uniformity; no branch of this protocol uses it."""
+    then delegate to the per-branch evaluators."""
     from .channel import derive_decoding_set
 
     d = derive_decoding_set(f, pt)
-    value = scheme_mi(SchemeId.MIX_AF, f, d, pt.rho0, corr=corr, delays=delays)
+    value = scheme_mi(SchemeId.MIX_AF, f, d, pt.rho0, corr=corr)
     label = {0: "d0-af-fallback", 1: "d1-mixed", 2: "d2-astc"}[d.size]
     return label, value
 
@@ -613,29 +516,33 @@ CSV_COLUMNS = ("scheme", "r", "cond", "snr_db", "outage", "ci_low", "ci_high",
                "trials", "censored")
 
 
-def write_outage_csv(dest, curves, meta: dict | None = None) -> None:
-    """Write curves as CSV with a commented key=value header block.
+def write_csv(dest, schema: str, header: dict, columns, rows) -> None:
+    """Write a `# schema=...` line, `# key=value` header lines in the order
+    given, then the CSV rows; dest is a path or a text stream.
 
     The header echoes the resolved configuration so a run can be reproduced
-    from its own output; rows use repr floats, so identical runs are
-    byte-identical.
+    from its own output.
     """
     buf = io.StringIO()
-    buf.write("# schema=outage-v1\n")
-    for k, v in (meta or {}).items():
+    buf.write(f"# schema={schema}\n")
+    for k, v in header.items():
         buf.write(f"# {k}={v}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for c in curves:
-        for i, s in enumerate(c.snr):
-            writer.writerow([
-                c.scheme, repr(float(c.r)), c.cond.value,
-                repr(10.0 * math.log10(s)), repr(float(c.outage[i])),
-                repr(float(c.ci_low[i])), repr(float(c.ci_high[i])),
-                c.trials, int(c.censored[i]),
-            ])
+    writer.writerow(columns)
+    writer.writerows(rows)
     text = buf.getvalue()
     if hasattr(dest, "write"):
         dest.write(text)
     else:
         Path(dest).write_text(text)
+
+
+def write_outage_csv(dest, curves, meta: dict | None = None) -> None:
+    """Write curves as outage-v1 CSV; rows use repr floats, so identical runs
+    are byte-identical."""
+    rows = [[c.scheme, repr(float(c.r)), c.cond.value,
+             repr(10.0 * math.log10(s)), repr(float(c.outage[i])),
+             repr(float(c.ci_low[i])), repr(float(c.ci_high[i])),
+             c.trials, int(c.censored[i])]
+            for c in curves for i, s in enumerate(c.snr)]
+    write_csv(dest, "outage-v1", meta or {}, CSV_COLUMNS, rows)

@@ -32,6 +32,15 @@ def _pl_energy(samples: np.ndarray, h: float) -> float:
     return float(np.sum(a * a + a * b + b * b) * h / 3.0)
 
 
+def _check_grid(span, samples_per_symbol) -> None:
+    if not (isinstance(span, int) and span >= 1):
+        raise ConfigError(f"span must be a positive integer, got {span!r}")
+    if not (isinstance(samples_per_symbol, int)
+            and samples_per_symbol >= MIN_SAMPLES_PER_SYMBOL):
+        raise ConfigError(
+            f"samples_per_symbol must be an integer >= {MIN_SAMPLES_PER_SYMBOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class Waveform:
     """Sampled unit-energy pulse spanning `span` whole symbol periods."""
@@ -42,12 +51,7 @@ class Waveform:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.span, int) and self.span >= 1):
-            raise ConfigError(f"span must be a positive integer, got {self.span!r}")
-        if not (isinstance(self.samples_per_symbol, int)
-                and self.samples_per_symbol >= MIN_SAMPLES_PER_SYMBOL):
-            raise ConfigError(
-                f"samples_per_symbol must be an integer >= {MIN_SAMPLES_PER_SYMBOL}")
+        _check_grid(self.span, self.samples_per_symbol)
         arr = np.asarray(self.samples, dtype=float).copy()
         expect = self.span * self.samples_per_symbol + 1
         if arr.ndim != 1 or arr.size != expect:
@@ -122,6 +126,7 @@ def rectangular(span: int = 1, samples_per_symbol: int = 256, duty: float = 1.0,
     the interpolant, so correlations with shifts beyond duty are O(1/spp)
     rather than exactly zero).
     """
+    _check_grid(span, samples_per_symbol)
     if not 0.0 < duty <= float(span):
         raise ConfigError(f"duty must lie in (0, span], got {duty!r}")
     t = np.linspace(0.0, float(span), span * samples_per_symbol + 1)
@@ -156,6 +161,7 @@ def srrc(rolloff: float, span: int = 2, samples_per_symbol: int = 256) -> Wavefo
     """
     if not 0.0 < rolloff <= 1.0:
         raise ConfigError(f"rolloff must lie in (0, 1], got {rolloff!r}")
+    _check_grid(span, samples_per_symbol)
     t = np.linspace(-0.5 * span, 0.5 * span, span * samples_per_symbol + 1)
     raw = _srrc_values(t, rolloff)
     return Waveform.from_samples(f"srrc{rolloff:g}-m{span}", span, samples_per_symbol, raw)

@@ -152,6 +152,17 @@ def test_criterion_3_slope_rows(record_criterion, case, target_fn, r):
     assert ok, detail
 
 
+def test_criterion_3_d2_astc_row_separates_from_stc():
+    # the d2-astc row must reject the synchronous both-relays curve: fitted the
+    # same way (log_order=2, 40-80 dB), STC misses 3-2r by more than the
+    # tolerance at r=0.2 (about -0.27); at r=0.1 it misses by only about -0.13
+    snr_grid = [10.0 ** (db / 10.0) for db in range(40, 81, 5)]
+    r = 0.2
+    fit = slope_fit(_row_curve("d2-stc", r, snr_grid), (40.0, 80.0),
+                    log_order=LOG_ORDER["d2-astc"])
+    assert fit.slope - (3 - 2 * r) < -0.15
+
+
 # ---------------------------------------------------------------------------
 # 4. circle-log integral vs adaptive quadrature
 

@@ -1,11 +1,13 @@
+import contextlib
 import csv
 import io
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relaylab.cli import main
+from relaylab.cli import _DEFAULTS, main
 from relaylab.waveform import save_waveform, srrc
 
 
@@ -217,3 +219,56 @@ def test_grid_parse_single_point(capsys):
     assert rc == 0
     _, rows = parse_rows(out)
     assert len(rows) == 1 and rows[0][3] == "10.0"
+
+
+# ---------------------------------------------------------------------------
+# bad input: exit 2 (config) or 3 (numeric), never a traceback
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--scheme", "BOGUS"),
+    ("simulate", "--cond", "d5"),
+    ("simulate", "--trials", "10000", "--snr-db", "0", "--fit-window-db", "a:b"),
+    ("simulate", "--trials", "10000", "--snr-db", "0", "--seed", "-1"),
+    ("toeplitz", "--seed", "-1", "--n-list", "1"),
+    ("compare-capacity", "--seed", "-1", "--draws", "1"),
+    ("waveform", "--pulse", "srrc", "--span", "-1"),
+    ("toeplitz", "--pulse", "srrc", "--span", "-1"),
+    ("compare-capacity", "--pulse", "srrc", "--span", "-1"),
+    ("toeplitz", "--snr-db", "nan"),
+], ids=lambda a: " ".join(a))
+def test_bad_input_is_config_error(capsys, args):
+    rc, _, err = run(capsys, *args)
+    assert rc == 2
+    assert err.startswith("config error:")
+
+
+# One cheap base call per command; of the two simulate bases, MIX_AF reads
+# the pulse keys and TDA_INDEP the delay key.
+FUZZ_BASES = (
+    ("tradeoff", ("--schemes", "stc,maf,ddf")),
+    ("simulate", ("--scheme", "MIX_AF", "--trials", "10000", "--snr-db", "0",
+                  "--samples-per-symbol", "64")),
+    ("simulate", ("--scheme", "TDA_INDEP", "--trials", "10000", "--snr-db", "0")),
+    ("waveform", ("--samples-per-symbol", "64", "--omega-points", "512")),
+    ("toeplitz", ("--n-list", "1,2", "--samples-per-symbol", "64")),
+    ("compare-capacity", ("--draws", "4", "--snr-db", "0", "--samples-per-symbol", "64")),
+)
+# Malformed tokens only, and no integer above 1, so no fuzzed trial count,
+# worker count, block length or grid can start a long run or a process.
+MALFORMED = ("", "a", "a:b", ":", "1:", "0:0:0", "1:0:1", "-1", "0", "1", "0.5",
+             "-0.5", "nan", "inf", "-inf", "1/0", "0/0", ",", "1,", "1,a", "d5")
+malformed = st.one_of(st.sampled_from(MALFORMED),
+                      st.text(alphabet="-+.:,/eEinfa ", max_size=4))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(base=st.sampled_from(FUZZ_BASES), data=st.data(), token=malformed)
+def test_fuzz_malformed_values_exit_cleanly(base, data, token):
+    cmd, args = base
+    keys = sorted(k for k in _DEFAULTS[cmd] if k not in ("out", "waveform_file"))
+    key = data.draw(st.sampled_from(keys))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([cmd, *args, f"--{key.replace('_', '-')}={token}"])
+    assert rc in (0, 2, 3), err.getvalue()

@@ -12,7 +12,7 @@ from relaylab.errors import ConfigError
 from relaylab.mutualinfo import (DelayConfig, SchemeId, closed_log_integral,
                                  i_af_pair, i_astc, i_emaca_spectral, i_esd,
                                  i_esd_bounds, i_ltda, i_rtda, i_stc, i_tda,
-                                 rtda_integer_period_value, scheme_mi,
+                                 mi_batch, rtda_integer_period_value, scheme_mi,
                                  tda_integer_period_value)
 from relaylab.outage import mixing_protocol_mi
 from relaylab.waveform import correlations, rectangular, spectral_entries, srrc
@@ -277,12 +277,28 @@ def test_mix_af_branches():
     gsd, g1, g2 = f.gain2("sd"), f.gain2("r1d"), f.gain2("r2d")
     v0 = scheme_mi(SchemeId.MIX_AF, f, D_NONE, rho0, corr=corr)
     np.testing.assert_allclose(v0, 0.5 * i_af_pair(gsd, g1, rho0), rtol=1e-14)
-    # one decoding relay: amplified pair plus the decoded stream, index-bound
+    # relay 2 decoded: its own stream, plus relay 1 amplified with the direct link
     v1 = scheme_mi(SchemeId.MIX_AF, f, D_R2, rho0, corr=corr)
     np.testing.assert_allclose(
         v1, 0.5 * (i_af_pair(gsd, g1, rho0) + math.log2(1 + rho0 * g2)), rtol=1e-14)
     v2 = scheme_mi(SchemeId.MIX_AF, f, D_BOTH, rho0, corr=corr)
     np.testing.assert_allclose(v2, i_astc(f, D_BOTH, corr, rho0), rtol=1e-14)
+
+
+def test_mix_af_lone_relay_identity():
+    # whichever relay decoded forwards its own stream; the one that failed is
+    # the amplify-forward partner of the direct link
+    corr = correlations(srrc(0.5, 1, 64), 0.5)
+    rho0, g1, g2 = 4.0, 2.0, 0.1
+    f = FadingRealization(1 + 0j, 0j, 0j, complex(math.sqrt(g1)), complex(math.sqrt(g2)))
+    v1 = scheme_mi(SchemeId.MIX_AF, f, D_R1, rho0, corr=corr)
+    v2 = scheme_mi(SchemeId.MIX_AF, f, D_R2, rho0, corr=corr)
+    np.testing.assert_allclose(
+        v1, 0.5 * (i_af_pair(1.0, g2, rho0) + math.log2(1 + rho0 * g1)), rtol=1e-14)
+    np.testing.assert_allclose(
+        v2, 0.5 * (i_af_pair(1.0, g1, rho0) + math.log2(1 + rho0 * g2)), rtol=1e-14)
+    assert v1 == pytest.approx(2.8014, abs=1e-4)
+    assert v2 == pytest.approx(2.0929, abs=1e-4)
 
 
 def test_mixing_protocol_labels():
@@ -330,3 +346,42 @@ def test_ltda_bounds_sandwich(g1, g2, gsd, p1, p2, rho0):
     b = i_ltda(f, D_BOTH, corr, rho0)
     assert b.lower <= b.value + 1e-9
     assert b.value <= b.upper + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel
+
+
+def _swap_cases():
+    rect = correlations(rectangular(1, 64), 0.5)
+    srrc2 = correlations(srrc(0.5, 2, 64), 0.3)
+    return [
+        (SchemeId.STC_SYNC, {}),
+        (SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(2.5)}),
+        (SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(0.0)}),
+        (SchemeId.TDA_REPETITION, {"delays": DelayConfig.from_t0bw(2.5)}),
+        (SchemeId.TDA_REPETITION, {"delays": DelayConfig.from_t0bw(0.0)}),
+        (SchemeId.TDA_LINMOD, {"corr": rect}),
+        (SchemeId.ASTC, {"corr": srrc2}),
+        (SchemeId.MIX_AF, {"corr": rect}),
+        (SchemeId.MIX_AF, {"corr": srrc2}),
+    ]
+
+
+def test_mi_batch_relay_swap():
+    # relabelling the relays (gain and membership together) changes no row;
+    # MIX_AF's no-relay rows are excluded: that fallback is bound to relay 1
+    rng = np.random.default_rng(11)
+    n = 2000
+    sd, r1d, r2d = ((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+                    * math.sqrt(s2) for s2 in (1.0, 3.0, 0.2))
+    m1 = rng.random(n) < 0.6
+    m2 = rng.random(n) < 0.4
+    for scheme, kw in _swap_cases():
+        for rho0 in (0.5, 20.0, 1e3):
+            a = mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
+            b = mi_batch(scheme, sd, r2d, r1d, m2, m1, rho0, **kw)
+            keep = (m1 | m2) if scheme == SchemeId.MIX_AF else np.ones(n, dtype=bool)
+            np.testing.assert_allclose(a[keep], b[keep], rtol=1e-12, atol=0,
+                                       err_msg=f"{scheme.value} {kw}")
+

@@ -13,7 +13,7 @@ from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              analytic_outage_parallel3, analytic_outage_rtda2,
                              analytic_outage_stc, direct_outage, mc_outage,
                              slope_fit, two_exp_pdf, wilson_interval,
-                             write_outage_csv)
+                             write_csv, write_outage_csv)
 from relaylab.waveform import correlations, srrc
 
 SNR_GRID = tuple(10.0 ** (db / 10.0) for db in (0, 5, 10, 15))
@@ -303,6 +303,18 @@ def test_csv_roundtrip_values(unit_cfg, tmp_path):
     assert len(rows) == len(SNR_GRID)
     got = [float(row[4]) for row in rows]
     np.testing.assert_allclose(got, curve.outage, rtol=0, atol=0)
+
+
+def test_write_csv_header_order_and_destinations(tmp_path):
+    header = {"command": "demo", "b": 2, "a": "x"}
+    rows = [["s", 1, "0.5"], ["t,u", 2, ""]]
+    buf = io.StringIO()
+    write_csv(buf, "demo-v1", header, ("name", "n", "v"), rows)
+    assert buf.getvalue() == ('# schema=demo-v1\n# command=demo\n# b=2\n# a=x\n'
+                              'name,n,v\ns,1,0.5\n"t,u",2,\n')
+    p = tmp_path / "demo.csv"
+    write_csv(p, "demo-v1", header, ("name", "n", "v"), rows)
+    assert p.read_bytes() == buf.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------
