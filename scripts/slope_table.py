@@ -9,13 +9,12 @@ prefactor divided out, and the log_order column shows the power used.
 """
 
 import argparse
-import csv
 import sys
 
 from relaylab.channel import NetworkConfig
 from relaylab.outage import (ConditionalCase, analytic_curve,
                              analytic_outage_parallel3, analytic_outage_stc,
-                             slope_fit)
+                             slope_fit, write_csv)
 
 # (case, nominal exponent, log_order of the fit)
 CASES = (
@@ -52,18 +51,16 @@ def main():
     snr_grid = [10.0 ** (d / 10.0) for d in grid_db]
     cfg = NetworkConfig(1.0, 1.0, 1.0, 1.0, 1.0)
 
-    dest = open(args.out, "w", newline="") if args.out else sys.stdout
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(("case", "r", "log_order", "nominal", "fitted", "stderr", "error"))
+    rows = []
     for r in args.r:
         for case, nominal, log_order in CASES:
             fit = slope_fit(row_curve(cfg, case, r, snr_grid), (lo_db, hi_db),
                             log_order=log_order)
             target = nominal(r)
-            w.writerow((case, r, log_order, f"{target:.3f}", f"{fit.slope:.4f}",
-                        f"{fit.stderr:.4f}", f"{fit.slope - target:+.4f}"))
-    if args.out:
-        dest.close()
+            rows.append((case, r, log_order, f"{target:.3f}", f"{fit.slope:.4f}",
+                         f"{fit.stderr:.4f}", f"{fit.slope - target:+.4f}"))
+    write_csv(args.out or sys.stdout, "slope_table-v1", vars(args),
+              ("case", "r", "log_order", "nominal", "fitted", "stderr", "error"), rows)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,12 @@ and its relative gap to the frequency-domain value.
 """
 
 import argparse
-import csv
 import math
 import sys
 
 import numpy as np
 
+from relaylab.outage import write_csv
 from relaylab.toeplitz import build_taps, convergence_study
 from relaylab.waveform import correlations, srrc
 
@@ -31,19 +31,17 @@ def main():
     ns = tuple(int(x) for x in args.n_list.split(","))
     rho0 = (2.0 / 3.0) * 10.0 ** (args.snr_db / 10.0)
 
-    dest = open(args.out, "w", newline="") if args.out else sys.stdout
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(("seed", "n", "mi", "limit", "rel_err"))
+    rows = []
     worst = 0.0
     for seed in range(args.seeds):
         g = np.random.default_rng(seed)
         a1, a2 = (g.standard_normal(2) + 1j * g.standard_normal(2)) / math.sqrt(2)
         st = convergence_study(build_taps(corr, a1, a2), ns, rho0, rel_tol=1.0)
         for n, mi, err in zip(st.ns, st.mi, st.rel_err):
-            w.writerow((seed, n, f"{mi:.10f}", f"{st.limit:.10f}", f"{err:.3e}"))
+            rows.append((seed, n, f"{mi:.10f}", f"{st.limit:.10f}", f"{err:.3e}"))
         worst = max(worst, st.rel_err[-1])
-    if args.out:
-        dest.close()
+    write_csv(args.out or sys.stdout, "toeplitz_convergence-v1", vars(args),
+              ("seed", "n", "mi", "limit", "rel_err"), rows)
     print(f"# worst final rel err over {args.seeds} seeds: {worst:.3e}",
           file=sys.stderr)
 

@@ -6,10 +6,10 @@ renders a figure when matplotlib is importable.
 """
 
 import argparse
-import csv
 import sys
 from fractions import Fraction
 
+from relaylab.outage import write_csv
 from relaylab.tradeoff import SCHEMES, crossings, curve, rtda_band
 
 
@@ -33,12 +33,8 @@ def main():
             r = lo + (hi - lo) * Fraction(i, args.points)
             rows.append((scheme, float(r), float(low.d(r)), float(high.d(r))))
 
-    dest = open(args.out, "w", newline="") if args.out else sys.stdout
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(("scheme", "r", "d_low", "d_high"))
-    w.writerows(rows)
-    if args.out:
-        dest.close()
+    write_csv(args.out or sys.stdout, "tradeoff_figure-v1", vars(args),
+              ("scheme", "r", "d_low", "d_high"), rows)
 
     for a, b in (("maf", "ddf"), ("maf", "naf"), ("stc", "naf")):
         rep = crossings(a, b, 2)

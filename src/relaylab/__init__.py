@@ -24,7 +24,7 @@ from .toeplitz import (ConvergenceStudy, IsiTapSet, block_matrix, build_taps,
 from .tradeoff import (CrossingReport, CrossPoint, TradeoffCurve, crossings,
                        curve, d_curve, rtda_band)
 from .waveform import (CorrelationSet, EigenBounds, Waveform, certify_pd,
-                       correlations, eigen2, load_waveform, overlap_integral,
-                       rectangular, save_waveform, spectral_matrix, srrc)
+                       correlations, load_waveform, overlap_integral,
+                       rectangular, save_waveform, srrc)
 
 __version__ = "0.1.0"

@@ -19,17 +19,14 @@ def gl_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def gl_panels(a: float, b: float, total_points: int, max_panel: float | None = None):
+def gl_panels(a: float, b: float, total_points: int, max_panel: float):
     """Composite Gauss-Legendre rule on [a, b].
 
     The interval is split into equal panels no wider than max_panel and the
     node budget is spread evenly, never dropping below 4 points per panel or
     total_points overall.
     """
-    if max_panel is None or max_panel <= 0:
-        panels = 1
-    else:
-        panels = max(1, int(np.ceil((b - a) / max_panel - 1e-12)))
+    panels = max(1, int(np.ceil((b - a) / max_panel - 1e-12)))
     per = max(4, -(-int(total_points) // panels))
     edges = np.linspace(a, b, panels + 1)
     x, w = _leggauss(per)

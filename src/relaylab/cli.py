@@ -120,7 +120,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "workers": "1",
         "cond": "overall",
         "force_set": "false",
-        "quad_points": "512",
         "sigma2_sd": "1", "sigma2_sr1": "1", "sigma2_sr2": "1",
         "sigma2_r1d": "1", "sigma2_r2d": "1",
         "pulse": "rect", "rolloff": "0.5", "span": "1", "duty": "1.0",
@@ -151,7 +150,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "snr_db": "0:30:10",
         "draws": "1000",
         "seed": "1",
-        "quad_points": "512",
         "out": "",
     },
 }
@@ -182,10 +180,25 @@ def _resolve(cmd: str, ns: argparse.Namespace) -> dict[str, str]:
     return vals
 
 
+def _write_out(vals: dict, write, *args) -> None:
+    """Call write(dest, *args) with dest the `out` path, or stdout when empty.
+
+    A path that cannot be written (missing directory, no permission) is a
+    configuration error.
+    """
+    if not vals["out"]:
+        write(sys.stdout, *args)
+        return
+    try:
+        write(vals["out"], *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write out={vals['out']!r}: {exc.strerror or exc}")
+
+
 def _write(cmd: str, vals: dict, columns, rows) -> None:
     """A command's CSV: `command`, then the resolved configuration, then rows."""
     header = {"command": cmd, **{k: vals[k] for k in sorted(vals)}}
-    write_csv(vals["out"] or sys.stdout, f"{cmd}-v1", header, columns, rows)
+    _write_out(vals, write_csv, f"{cmd}-v1", header, columns, rows)
 
 
 def _build_pulse(vals: dict):
@@ -289,8 +302,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         curve_ = mc_outage(scheme, r, snr, _as_int(vals, "trials"),
                            _as_seed(vals), cond, cfg=cfg, corr=corr,
                            delays=delays, force_set=force,
-                           workers=_as_int(vals, "workers"),
-                           quad_points=_as_int(vals, "quad_points"))
+                           workers=_as_int(vals, "workers"))
     elif mode == "analytic":
         if scheme == SchemeId.STC_SYNC:
             oracle = lambda s: analytic_outage_stc(cfg, r, s, cond, conditioned=force)
@@ -311,7 +323,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
     meta = {k: vals[k] for k in sorted(vals)}
     meta["command"] = "simulate"
-    write_outage_csv(vals["out"] or sys.stdout, [curve_], meta)
+    _write_out(vals, write_outage_csv, [curve_], meta)
 
     if vals["fit_window_db"]:
         pts = vals["fit_window_db"].split(":")
@@ -391,7 +403,6 @@ def _cmd_compare_capacity(ns: argparse.Namespace) -> int:
     draws = _as_int(vals, "draws")
     if draws < 1:
         raise ConfigError("draws must be >= 1")
-    qp = _as_int(vals, "quad_points")
     rng = np.random.default_rng(_as_seed(vals))
     z = rng.standard_normal((draws, 4)) * math.sqrt(0.5)
     g1 = z[:, 0] ** 2 + z[:, 1] ** 2
@@ -399,7 +410,7 @@ def _cmd_compare_capacity(ns: argparse.Namespace) -> int:
     rows = []
     for db in grid_db:
         rho0 = POWER_NORM * db_to_linear(db)
-        isi = _emaca_batch(g1, g2, corr, rho0, qp)
+        isi = _emaca_batch(g1, g2, corr, rho0)
         ref = np.array([i_af_pair(a, b, rho0) for a, b in zip(g1, g2)])
         margin = isi - ref
         wins = int(np.count_nonzero(margin > 0.0))

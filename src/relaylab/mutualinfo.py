@@ -122,8 +122,7 @@ def check_scheme(scheme, corr: CorrelationSet | None = None,
 
 def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
              corr: CorrelationSet | None = None,
-             delays: DelayConfig | None = None,
-             quad_points: int = 512) -> np.ndarray:
+             delays: DelayConfig | None = None) -> np.ndarray:
     """Conditional MI of one scheme for arrays of fading draws.
 
     sd, r1d, r2d are the complex destination-link gains and m1, m2 the
@@ -163,7 +162,7 @@ def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
                     out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * np.log2(1.0 + rho0 * eff)
             else:
                 base = 1.0 + rho0 * ((gsd[b] + nu) if rep else nu)
-                mean = _mean_log2_cos(base, bc, psi, math.pi * w, quad_points)
+                mean = _log2_cos_window_mean(base, bc, psi, math.pi * w)
                 if rep:
                     out[b] = 0.5 * mean
                 else:
@@ -206,19 +205,17 @@ def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
             out[one] = 0.5 * (af[one] + np.log2(1.0 + rho0 * np.where(m1, g1, g2)[one]))
     if both.any():
         b = np.nonzero(both)[0]
-        maca = _emaca_batch(g1[b], g2[b], corr, rho0, quad_points)
+        maca = _emaca_batch(g1[b], g2[b], corr, rho0)
         out[b] = 0.5 * (own[b] + maca)
     return out
 
 
 def scheme_mi(scheme: SchemeId, f: FadingRealization, d: DecodingSet, rho0: float,
               corr: CorrelationSet | None = None,
-              delays: DelayConfig | None = None,
-              quad_points: int = 512) -> float:
+              delays: DelayConfig | None = None) -> float:
     """One scheme's conditional mutual information for one draw (value only)."""
     return float(mi_batch(scheme, np.array([f.sd]), np.array([f.r1d]), np.array([f.r2d]),
-                          np.array([d.r1]), np.array([d.r2]), rho0, corr, delays,
-                          quad_points)[0])
+                          np.array([d.r1]), np.array([d.r2]), rho0, corr, delays)[0])
 
 
 def i_stc(f: FadingRealization, d: DecodingSet, rho0: float) -> float:
@@ -240,29 +237,30 @@ def closed_log_integral(a: float, b: float) -> float:
     return math.log2(0.5 * (1.0 + math.sqrt(1.0 - s2)))
 
 
-def _mean_log2_cos(A, B, psi, half_width: float, quad_points: int):
-    """Mean of log2(A + B cos(u + psi)) over u in [-half_width, half_width].
+def _log2_cos_window_mean(A, B, psi, h: float):
+    """Exact mean of log2(A + B cos(u + psi)) over u in [-h, h], for arrays
+    with A > |B| and h > 0.
 
-    A, B, psi may be scalars or equal-length arrays; requires A > |B|.
-    Composite Gauss-Legendre with panels no wider than one half-period.
+    With R = sqrt(A^2 - B^2) and c = B / (A + R), |c| < 1 and
+
+        log(A + B cos x) = log((A + R)/2) + 2 sum_k (-1)^(k+1) c^k cos(kx) / k.
+
+    Averaging the series over the window sums it to dilogarithms:
+
+        mean = [log((A + R)/2) - (F(h + psi) + F(h - psi)) / h] / ln 2,
+        F(x) = Im Li2(-c e^{ix}) = Im spence(1 + c e^{ix}).
     """
-    u, wts = gl_panels(-half_width, half_width, max(int(quad_points), 64),
-                       max_panel=math.pi)
-    A = np.atleast_1d(np.asarray(A, dtype=float))
-    B = np.atleast_1d(np.asarray(B, dtype=float))
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    n = max(A.size, B.size, psi.size)
-    A, B, psi = np.broadcast_to(A, (n,)), np.broadcast_to(B, (n,)), np.broadcast_to(psi, (n,))
-    out = np.empty(n)
-    for i in range(0, n, _CHUNK):
-        sl = slice(i, min(i + _CHUNK, n))
-        vals = np.log2(A[sl, None] + B[sl, None] * np.cos(u[None, :] + psi[sl, None]))
-        out[sl] = vals @ wts
-    return out / (2.0 * half_width)
+    from scipy.special import spence  # deferred: importing it slows every CLI start by tens of ms
+
+    r = np.sqrt((A - B) * (A + B))
+    c = B / (A + r)
+    f = spence(1.0 + c * np.exp(1j * (h + psi))).imag \
+        + spence(1.0 + c * np.exp(1j * (h - psi))).imag
+    return (np.log(0.5 * (A + r)) - f / h) / _LN2
 
 
-def i_tda(f: FadingRealization, d: DecodingSet, delays: DelayConfig, rho0: float,
-          quad_points: int = 512) -> MiBounds:
+def i_tda(f: FadingRealization, d: DecodingSet, delays: DelayConfig,
+          rho0: float) -> MiBounds:
     """Delay diversity with an independent codebook per relay.
 
     With both relays on, the destination resolves the pair over frequency:
@@ -275,8 +273,7 @@ def i_tda(f: FadingRealization, d: DecodingSet, delays: DelayConfig, rho0: float
     delta1 = floor(W)/ceil(W) (degenerate at W < 1).  With zero or one relay
     the scheme reduces to the synchronous evaluator exactly.
     """
-    value = scheme_mi(SchemeId.TDA_INDEP, f, d, rho0, delays=delays,
-                      quad_points=quad_points)
+    value = scheme_mi(SchemeId.TDA_INDEP, f, d, rho0, delays=delays)
     if d.size <= 1:
         return MiBounds(value, value, value)
     direct = 0.5 * _log2_1p(rho0 * f.gain2("sd"))
@@ -306,8 +303,8 @@ def tda_integer_period_value(f: FadingRealization, delays: DelayConfig,
     return 0.5 * _log2_1p(rho0 * f.gain2("sd")) + 0.5 * relay
 
 
-def i_rtda(f: FadingRealization, d: DecodingSet, delays: DelayConfig, rho0: float,
-           quad_points: int = 512) -> MiBounds:
+def i_rtda(f: FadingRealization, d: DecodingSet, delays: DelayConfig,
+           rho0: float) -> MiBounds:
     """Delay diversity where relays repeat the source codeword.
 
     Repetition makes the direct and relayed observations one joint codeword:
@@ -317,8 +314,7 @@ def i_rtda(f: FadingRealization, d: DecodingSet, delays: DelayConfig, rho0: floa
         |d| = 2: (1/(4 pi W)) integral log2(1 + rho0 |a_sd|^2
                                               + rho0 |a1 + a2 e^{ju}|^2) du
     """
-    value = scheme_mi(SchemeId.TDA_REPETITION, f, d, rho0, delays=delays,
-                      quad_points=quad_points)
+    value = scheme_mi(SchemeId.TDA_REPETITION, f, d, rho0, delays=delays)
     if d.size <= 1:
         return MiBounds(value, value, value)
     gd = f.gain2("sd")
@@ -393,7 +389,7 @@ def i_esd_bounds(alpha_sd: complex, rho0: float) -> tuple[float, float]:
     return _log2_1p(g) - 1.0, _log2_1p(g)
 
 
-def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float, quad_points: int):
+def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float, quad_points: int = 512):
     """Frequency-averaged two-stream rate for arrays of squared gains."""
     u, wts = gl_panels(-math.pi, math.pi, max(int(quad_points), 512),
                        max_panel=0.5 * math.pi)
@@ -435,14 +431,14 @@ def i_emaca_spectral(f: FadingRealization, corr: CorrelationSet, rho0: float,
     return MiBounds(value, lower, upper, warns)
 
 
-def i_astc(f: FadingRealization, d: DecodingSet, corr: CorrelationSet, rho0: float,
-           quad_points: int = 512) -> float:
+def i_astc(f: FadingRealization, d: DecodingSet, corr: CorrelationSet,
+           rho0: float) -> float:
     """Space-time coding under symbol-level asynchrony (ISI-aware decoding).
 
     Phase two sees the decoding relays as an ISI-coupled multiaccess channel;
     phase one always carries the source's own ISI-shaped stream.
     """
-    return scheme_mi(SchemeId.ASTC, f, d, rho0, corr=corr, quad_points=quad_points)
+    return scheme_mi(SchemeId.ASTC, f, d, rho0, corr=corr)
 
 
 def i_af_pair(g1: float, g2: float, rho0: float) -> float:

@@ -35,6 +35,15 @@ BLOCK_TRIALS = 32768
 _COUNTER_STRIDE = 64  # Philox counter words reserved per trial (>= draws used)
 _LN2 = math.log(2.0)
 
+# Gauss-Legendre node counts of the oracles
+_STC_NODES = 240        # analytic_outage_stc, per product-pair integral
+_PARALLEL3_NODES = 120  # analytic_outage_parallel3, per nested level
+_RTDA2_SCALE = 64       # analytic_outage_rtda2: log relay-sum scale,
+_RTDA2_SPLIT = 32       # split fraction between the relays,
+_RTDA2_PHASE = 12       # relative relay phase,
+_RTDA2_FREQ = 96        # frequency (fractional t0*bw only),
+_RTDA2_BISECT = 48      # and bisection steps on the direct-gain threshold
+
 
 class ConditionalCase(str, enum.Enum):
     OVERALL = "overall"
@@ -101,7 +110,6 @@ class _McTask:
     force_set: bool
     corr: CorrelationSet | None
     delays: DelayConfig | None
-    quad_points: int
     first_trial: int
     count: int
 
@@ -149,7 +157,7 @@ def _run_block(task: _McTask) -> np.ndarray:
                 sizes = m1.astype(np.int8) + m2.astype(np.int8)
                 case = sizes == want
         vals = mi_batch(task.scheme, gains["sd"], gains["r1d"], gains["r2d"], m1, m2, rho0,
-                        task.corr, task.delays, task.quad_points)
+                        task.corr, task.delays)
         counts[i] = int(np.count_nonzero((vals < rate) & case))
     return counts
 
@@ -160,8 +168,7 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
               corr: CorrelationSet | None = None,
               delays: DelayConfig | None = None,
               force_set: bool = False,
-              workers: int = 1,
-              quad_points: int = 512) -> OutageCurve:
+              workers: int = 1) -> OutageCurve:
     """Monte Carlo outage curve over an increasing grid of linear snr values.
 
     force_set=True conditions on the decoding set (the case is imposed on
@@ -190,8 +197,7 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     while first < trials:
         count = min(BLOCK_TRIALS, trials - first)
         tasks.append(_McTask(scheme, cfg, float(r), snr, int(seed), cond,
-                             bool(force_set), corr, delays, int(quad_points),
-                             first, count))
+                             bool(force_set), corr, delays, first, count))
         first += count
 
     if workers == 1 or len(tasks) == 1:
@@ -270,7 +276,7 @@ def _product_pair_outage(inner_cdf, relay_density, log_t, rho0: float, nodes: in
 
 def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
                         cond: ConditionalCase = ConditionalCase.OVERALL,
-                        conditioned: bool = False, nodes: int = 240) -> float:
+                        conditioned: bool = False) -> float:
     """Outage of the synchronous scheme by exact CDFs and 1-D quadrature.
 
     The direct-only case is an exponential CDF evaluated exactly; one- and
@@ -291,10 +297,10 @@ def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
 
     def p_d1(lam_rel):
         return float(_product_pair_outage(direct, lambda y: lam_rel * np.exp(-lam_rel * y),
-                                          log_t, rho0, nodes))
+                                          log_t, rho0, _STC_NODES))
 
     p_d2 = float(_product_pair_outage(direct, lambda y: two_exp_pdf(y, lam1, lam2),
-                                      log_t, rho0, nodes))
+                                      log_t, rho0, _STC_NODES))
 
     probs = decoding_set_probs(cfg, pt)
     if conditioned:
@@ -315,7 +321,7 @@ def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
 
 
 def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
-                              conditioned: bool = False, nodes: int = 120) -> float:
+                              conditioned: bool = False) -> float:
     """Both-relays outage of the three-independent-path product-rate reference.
 
     Pr[(1+rho0 X)(1+rho0 Y1)(1+rho0 Y2) < (1+snr)^{2r}]: the slope reference
@@ -332,19 +338,17 @@ def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
 
     def pair(log_rem):
         return _product_pair_outage(direct, lambda y: lam1 * np.exp(-lam1 * y),
-                                    log_rem, rho0, nodes)
+                                    log_rem, rho0, _PARALLEL3_NODES)
 
     p = float(_product_pair_outage(pair, lambda y: lam2 * np.exp(-lam2 * y),
-                                   2.0 * _LN2 * pt.rate, rho0, nodes))
+                                   2.0 * _LN2 * pt.rate, rho0, _PARALLEL3_NODES))
     if conditioned:
         return p
     return decoding_set_probs(cfg, pt)[D_BOTH] * p
 
 
 def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
-                          conditioned: bool = False, n_scale: int = 64,
-                          n_split: int = 32, n_phase: int = 12, n_freq: int = 96,
-                          bisect_iters: int = 48) -> float:
+                          conditioned: bool = False) -> float:
     """Both-relays outage of the repetition delay-diversity scheme.
 
     Quadrature over (log relay-sum, split fraction, relay phase) with the
@@ -368,9 +372,9 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     nu_hi = (2.0 * big_t ** (1.0 / delta1) - 1.0) / rho0
     nu_lo = 1e-8 * (big_t - 1.0) / rho0
 
-    t_nodes, t_w = gl_nodes(math.log(nu_lo), math.log(nu_hi), n_scale)
+    t_nodes, t_w = gl_nodes(math.log(nu_lo), math.log(nu_hi), _RTDA2_SCALE)
     nu = np.exp(t_nodes)                       # relay-sum scale, log-spaced
-    q_nodes, q_w = gl_nodes(0.0, 1.0, n_split)
+    q_nodes, q_w = gl_nodes(0.0, 1.0, _RTDA2_SPLIT)
     y1 = nu[:, None] * q_nodes[None, :]
     y2 = nu[:, None] * (1.0 - q_nodes[None, :])
     bc = 2.0 * rho0 * np.sqrt(y1 * y2)        # cosine swing of the pair gain
@@ -384,23 +388,23 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
         fx = _cdf_exp(x_star, lam_sd)
     else:
         w = float(t0bw)
-        u, u_wts = gl_nodes(-math.pi * w, math.pi * w, n_freq)
+        u, u_wts = gl_nodes(-math.pi * w, math.pi * w, _RTDA2_FREQ)
         u_wts = u_wts / (2.0 * math.pi * w)
-        phi, phi_w = gl_nodes(0.0, math.pi, n_phase)
+        phi, phi_w = gl_nodes(0.0, math.pi, _RTDA2_PHASE)
         phi_w = phi_w / math.pi
-        cosu = np.cos(u[None, :] + phi[:, None])       # (n_phase, n_freq)
-        base = 1.0 + rho0 * nu[:, None]                # (n_scale, 1)
+        cosu = np.cos(u[None, :] + phi[:, None])       # (phase, freq)
+        base = 1.0 + rho0 * nu[:, None]                # (scale, 1)
 
         def mean_rate(x):
-            # x shape (n_phase, n_scale, n_split); returns the frequency average
+            # x shape (phase, scale, split); returns the frequency average
             arg = (base[None, :, :] + rho0 * x)[..., None] \
                 + (bc[None, :, :, None] * cosu[:, None, None, :])
             return 0.5 * (np.log2(arg) @ u_wts)
 
-        lo = np.zeros((n_phase, n_scale, n_split))
-        hi = np.full((n_phase, n_scale, n_split), x_max)
+        lo = np.zeros((_RTDA2_PHASE,) + bc.shape)
+        hi = np.full_like(lo, x_max)
         feasible = mean_rate(lo) < pt.rate
-        for _ in range(bisect_iters):
+        for _ in range(_RTDA2_BISECT):
             mid = 0.5 * (lo + hi)
             below = mean_rate(mid) < pt.rate
             lo = np.where(below, mid, lo)

@@ -90,15 +90,15 @@ def block_matrix(taps: IsiTapSet, n: int) -> np.ndarray:
     return np.vstack([top, bot]).astype(complex)
 
 
-def finite_n_mi(taps: IsiTapSet, n: int, rho0: float, cap: int = DENSE_EIG_CAP) -> float:
+def finite_n_mi(taps: IsiTapSet, n: int, rho0: float) -> float:
     """Per-symbol rate of the length-n block via dense eigenvalues.
 
     The covariance is positive semidefinite by construction; eigenvalues
     below -1e-9 (relative to the largest) indicate a broken tap set and
     raise instead of being silently clipped.
     """
-    if n > cap:
-        raise ConfigError(f"n={n} exceeds the dense eigensolver cap {cap}")
+    if n > DENSE_EIG_CAP:
+        raise ConfigError(f"n={n} exceeds the dense eigensolver cap {DENSE_EIG_CAP}")
     m = block_matrix(taps, n)
     ev = np.linalg.eigvalsh(m)
     floor = -1e-9 * max(1.0, float(ev[-1]))

@@ -222,7 +222,7 @@ class CorrelationSet:
         g(m)      = integral s(t) s(t - tau - m) dt, m = -span .. span
 
     The named coefficients of the two-period model map onto g as
-    c0 = g(0), c1 = g(-1), c2 = g(-2), f1 = g(1), and a1 = d1 = r_taps[1].
+    c0 = g(0), c1 = g(-1), c2 = g(-2), f1 = g(1), and a1 = r_taps[1].
     """
 
     tau: float
@@ -242,10 +242,6 @@ class CorrelationSet:
 
     @property
     def a1(self) -> float:
-        return self.r(1)
-
-    @property
-    def d1(self) -> float:
         return self.r(1)
 
     @property
@@ -314,39 +310,6 @@ def spectral_entries(corr: CorrelationSet, omegas: np.ndarray):
     for m in range(-corr.span, corr.span + 1):
         t12 = t12 + corr.g(m) * np.exp(1j * m * om)
     return t11, t12
-
-
-@dataclass(frozen=True)
-class SpectralMatrix2:
-    """The 2x2 spectral density of the stacked relay streams at one frequency."""
-
-    omega: float
-    t11: float
-    t12: complex
-
-    @property
-    def t21(self) -> complex:
-        return np.conj(self.t12)
-
-    @property
-    def t22(self) -> float:
-        return self.t11
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.t11, self.t12], [self.t21, self.t22]], dtype=complex)
-
-
-def spectral_matrix(corr: CorrelationSet, omega: float) -> SpectralMatrix2:
-    t11, t12 = spectral_entries(corr, np.array([float(omega)]))
-    return SpectralMatrix2(float(omega), float(t11[0]), complex(t12[0]))
-
-
-def eigen2(mat: SpectralMatrix2) -> tuple[float, float]:
-    """Closed-form eigenvalue pair (low, high) of a Hermitian 2x2 matrix."""
-    center = 0.5 * (mat.t11 + mat.t22)
-    delta = math.hypot(0.5 * (mat.t11 - mat.t22), abs(mat.t12))
-    return center - delta, center + delta
 
 
 @dataclass(frozen=True)

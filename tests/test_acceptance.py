@@ -256,8 +256,7 @@ def test_criterion_7_bound_sandwiches(record_criterion):
     bad = 0
     for fn in (i_tda, i_rtda):
         for f, rho0, w in zip(draws, rhos, t0bws):
-            b = fn(f, D_BOTH, DelayConfig.from_t0bw(float(w)), float(rho0),
-                   quad_points=128)
+            b = fn(f, D_BOTH, DelayConfig.from_t0bw(float(w)), float(rho0))
             if not (b.lower <= b.value + tol and b.value <= b.upper + tol):
                 bad += 1
         violations[fn.__name__] = bad

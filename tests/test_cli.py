@@ -236,8 +236,11 @@ def test_grid_parse_single_point(capsys):
     ("toeplitz", "--pulse", "srrc", "--span", "-1"),
     ("compare-capacity", "--pulse", "srrc", "--span", "-1"),
     ("toeplitz", "--snr-db", "nan"),
+    ("waveform", "--samples-per-symbol", "64", "--out", "missing/x.csv"),
+    ("simulate", "--trials", "10000", "--snr-db", "0", "--out", "missing/x.csv"),
 ], ids=lambda a: " ".join(a))
-def test_bad_input_is_config_error(capsys, args):
+def test_bad_input_is_config_error(capsys, monkeypatch, tmp_path, args):
+    monkeypatch.chdir(tmp_path)  # so the --out directory "missing" does not exist
     rc, _, err = run(capsys, *args)
     assert rc == 2
     assert err.startswith("config error:")

@@ -122,6 +122,57 @@ def test_tda_subunit_bandwidth_warns():
     assert b.lower == 0.0
 
 
+def _graded_window_mean(f, h, dips, levels=40, points=20):
+    """Mean of f over [-h, h]: Gauss-Legendre on panels that halve in width
+    toward every cut (the window ends and the dips of f inside it), so a
+    near-singular dip is resolved at any depth."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    cuts = sorted({-h, h, *(d for d in dips if -h < d < h)})
+    frac = np.concatenate(([0.0], 0.5 ** np.arange(levels, -1, -1)))
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        for end in (a, b):
+            edges = end + (0.5 * (a + b) - end) * frac
+            half = 0.5 * np.diff(edges)[:, None]
+            centre = 0.5 * (edges[:-1] + edges[1:])[:, None]
+            total += np.sum(np.abs(half) * w * f(half * x + centre))
+    return total / (2.0 * h)
+
+
+def test_tda_window_mean_matches_graded_quadrature():
+    # Both-relays delay-diversity rates against the graded rule above, which
+    # integrates |a1 + a2 e^{ju}|^2 straight from the complex gains.  Half the
+    # rows have nearly equal relay gains: there A - B stays near 1 while A
+    # grows with rho0, and the integrand dips sharply at u = pi - psi.
+    rng = np.random.default_rng(23)
+    n = 12
+    g1 = rng.exponential(size=n)
+    g2 = np.concatenate([g1[:6] * (1.0 + np.array([0.0, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2])),
+                         rng.exponential(size=n - 6)])
+    r1d = np.sqrt(g1) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    r2d = np.sqrt(g2) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    sd = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+    both = np.ones(n, dtype=bool)
+    worst = 0.0
+    for db in (0.0, 30.0, 60.0):
+        rho0 = 10.0 ** (db / 10.0)
+        for t0bw in (1e-3, 0.3, 1.0, 1.7, 2.5, 6.0):
+            delays = DelayConfig.from_t0bw(t0bw)
+            for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+                got = mi_batch(scheme, sd, r1d, r2d, both, both, rho0, delays=delays)
+                rep = scheme == SchemeId.TDA_REPETITION
+                for i in range(n):
+                    direct = rho0 * abs(sd[i]) ** 2
+                    inside = 1.0 + (direct if rep else 0.0)
+                    psi = cmath.phase(r2d[i]) - cmath.phase(r1d[i])
+                    mean = _graded_window_mean(
+                        lambda u: np.log2(inside + rho0 * np.abs(r1d[i] + r2d[i] * np.exp(1j * u)) ** 2),
+                        math.pi * t0bw, [math.pi - psi + 2.0 * math.pi * k for k in range(-8, 9)])
+                    want = 0.5 * mean if rep else 0.5 * math.log2(1.0 + direct) + 0.5 * mean
+                    worst = max(worst, abs(got[i] - want))
+    assert worst <= 1e-11, worst
+
+
 # ---------------------------------------------------------------------------
 # repetition delay diversity
 

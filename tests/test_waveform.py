@@ -7,9 +7,9 @@ from scipy import integrate
 
 from relaylab.errors import ConfigError, NumericError
 from relaylab.waveform import (MIN_SAMPLES_PER_SYMBOL, Waveform, certify_pd,
-                               correlations, eigen2, load_waveform,
-                               overlap_integral, rectangular, save_waveform,
-                               spectral_matrix, srrc)
+                               correlations, load_waveform, overlap_integral,
+                               rectangular, save_waveform, spectral_entries,
+                               srrc)
 
 
 def quad_overlap(w, shift):
@@ -123,14 +123,20 @@ def test_swap_relays():
 
 
 def test_spectral_matrix_hermitian():
-    c = correlations(srrc(0.5, 2, 64), 0.3)
-    for omega in (-2.5, 0.0, 0.7, math.pi):
-        m = spectral_matrix(c, omega)
-        assert m.t21 == np.conj(m.t12)
-        assert m.t22 == m.t11
-        lo, hi = eigen2(m)
-        ref = np.linalg.eigvalsh(m.matrix)
-        np.testing.assert_allclose([lo, hi], ref, rtol=0, atol=1e-12)
+    # certify_pd's grid extremes (t11 -/+ |t12|) are the extreme eigenvalues of
+    # the Hermitian 2x2 spectral density [[t11, t12], [conj(t12), t11]]
+    n = 1024
+    om = np.linspace(-math.pi, math.pi, n)
+    for c in (correlations(srrc(0.5, 2, 64), 0.3), correlations(rectangular(1, 64), 0.5)):
+        t11, t12 = spectral_entries(c, om)
+        mats = np.empty((n, 2, 2), dtype=complex)
+        mats[:, 0, 0] = mats[:, 1, 1] = t11
+        mats[:, 0, 1] = t12
+        mats[:, 1, 0] = np.conj(t12)
+        ev = np.linalg.eigvalsh(mats)
+        e = certify_pd(c, omega_points=n)
+        np.testing.assert_allclose([e.lambda_min, e.lambda_max],
+                                   [ev[:, 0].min(), ev[:, 1].max()], rtol=0, atol=1e-12)
 
 
 def test_certify_pd_srrc_span2():
