@@ -141,7 +141,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "snr_db": "10",
         "seed": "1",
         "rel_tol": "0.05",
-        "quad_points": "2048",
         "out": "",
     },
     "compare-capacity": {
@@ -156,6 +155,8 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 
 
 def _resolve(cmd: str, ns: argparse.Namespace) -> dict[str, str]:
+    """Defaults, then the config file, then flags.  Every command calls it
+    first, so an `out` path in a missing directory fails before any work."""
     vals = dict(_DEFAULTS[cmd])
     cfg_path = getattr(ns, "config", None)
     if cfg_path:
@@ -177,6 +178,8 @@ def _resolve(cmd: str, ns: argparse.Namespace) -> dict[str, str]:
         cv = getattr(ns, k, None)
         if cv is not None:
             vals[k] = str(cv)
+    if vals["out"] and not Path(vals["out"]).parent.is_dir():
+        raise ConfigError(f"cannot write out={vals['out']!r}: no such directory")
     return vals
 
 
@@ -386,9 +389,7 @@ def _cmd_toeplitz(ns: argparse.Namespace) -> int:
     rng = np.random.default_rng(_as_seed(vals))
     f = sample_fading(NetworkConfig(), rng)
     taps = build_taps(corr, f.r1d, f.r2d)
-    study = convergence_study(taps, ns_list, rho0,
-                              rel_tol=_as_float(vals, "rel_tol"),
-                              quad_points=_as_int(vals, "quad_points"))
+    study = convergence_study(taps, ns_list, rho0, rel_tol=_as_float(vals, "rel_tol"))
     rows = [[n, repr(v), repr(study.limit), repr(a), repr(e)]
             for n, v, a, e in zip(study.ns, study.mi, study.abs_err, study.rel_err)]
     _write("toeplitz", vals, ("n", "mi", "limit", "abs_err", "rel_err"), rows)

@@ -21,13 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gl_panels
 from .channel import DecodingSet, FadingRealization
 from .errors import ConfigError
-from .waveform import CorrelationSet, EigenBounds, certify_pd, spectral_entries
+from .waveform import CorrelationSet, EigenBounds, certify_pd
 
 _LN2 = math.log(2.0)
-_CHUNK = 2048  # rows per slice when batching (keeps node matrices ~10 MB)
 _ZERO_DELAY = "zero relative delay: relays collapse to one effective gain"
 _SUBUNIT = "t0*bandwidth < 1: whole-period lower bound degenerates to 0"
 
@@ -389,27 +387,38 @@ def i_esd_bounds(alpha_sd: complex, rho0: float) -> tuple[float, float]:
     return _log2_1p(g) - 1.0, _log2_1p(g)
 
 
-def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float, quad_points: int = 512):
-    """Frequency-averaged two-stream rate for arrays of squared gains."""
-    u, wts = gl_panels(-math.pi, math.pi, max(int(quad_points), 512),
-                       max_panel=0.5 * math.pi)
-    t11, t12 = spectral_entries(corr, u)
-    sprod = np.maximum(t11 * t11 - np.abs(t12) ** 2, 0.0)  # psd: clip roundoff only
+def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float):
+    """Frequency-averaged two-stream rate for arrays of squared gains.
+
+    det(I + rho0 diag(g1, g2) T(w)) = 1 + a t11 + b (t11^2 - |t12|^2), with
+    a = rho0 (g1 + g2) and b = rho0^2 g1 g2, is a cosine series
+    c_0 + 2 sum_k c_k cos(kw) of degree d <= 2*span: a polynomial q in x = cos w
+    with q >= 1 on [-1, 1].  By Jensen's formula its mean log is exactly
+    log|c_d| + sum_j Re arccosh(x_j) over the roots x_j of q, found as the
+    eigenvalues of the Chebyshev colleague matrix; the principal arccosh is
+    the log of the larger-modulus branch of x_j +- sqrt(x_j^2 - 1).  A zero
+    gain or a zero top tap lowers d, so rows are grouped by degree.
+    """
     g1 = np.atleast_1d(np.asarray(g1, dtype=float))
     g2 = np.atleast_1d(np.asarray(g2, dtype=float))
-    out = np.empty(g1.size)
-    wn = wts / (2.0 * math.pi)
-    for i in range(0, g1.size, _CHUNK):
-        sl = slice(i, min(i + _CHUNK, g1.size))
-        arg = (1.0
-               + rho0 * (g1[sl, None] + g2[sl, None]) * t11[None, :]
-               + (rho0 * rho0) * (g1[sl, None] * g2[sl, None]) * sprod[None, :])
-        out[sl] = np.log2(np.maximum(arg, np.finfo(float).tiny)) @ wn
-    return out
+    s = corr.span
+    r = np.array([corr.r(m) for m in range(-s, s + 1)])
+    sprod = np.convolve(r, r) - np.correlate(corr.g_taps, corr.g_taps, "full")
+    c = (rho0 * (g1 + g2))[:, None] * np.pad(r[s:], (0, s)) \
+        + (rho0 * rho0 * g1 * g2)[:, None] * sprod[2 * s:]
+    c[:, 0] += 1.0
+    deg = np.max(np.where(c != 0.0, np.arange(2 * s + 1), 0), axis=1)
+    out = np.log(np.abs(np.take_along_axis(c, deg[:, None], axis=1)[:, 0]))
+    for d in np.unique(deg[deg > 0]):
+        rows = deg == d
+        m = np.tile(0.5 * (np.eye(d, k=1) + np.eye(d, k=-1)), (np.count_nonzero(rows), 1, 1))
+        m[:, 1:2, 0] = 1.0  # basis (T_0/2, T_1, ..., T_{d-1}): x T_1 = 1 (T_0/2) + T_2/2
+        m[:, -1, :] -= c[rows, :d] / (2.0 * c[rows, d:d + 1])
+        out[rows] += np.arccosh(np.linalg.eigvals(m).astype(complex)).real.sum(axis=1)
+    return out / _LN2
 
 
 def i_emaca_spectral(f: FadingRealization, corr: CorrelationSet, rho0: float,
-                     quad_points: int = 512,
                      eig: EigenBounds | None = None) -> MiBounds:
     """Both relays transmitting through the ISI coupling, spectral-domain rate.
 
@@ -420,7 +429,7 @@ def i_emaca_spectral(f: FadingRealization, corr: CorrelationSet, rho0: float,
     """
     g1 = f.gain2("r1d")
     g2 = f.gain2("r2d")
-    value = float(_emaca_batch(g1, g2, corr, rho0, quad_points)[0])
+    value = float(_emaca_batch(g1, g2, corr, rho0)[0])
     if eig is None:
         eig = certify_pd(corr)
     lower = _log2_1p(rho0 * g1 * eig.certified_min) + _log2_1p(rho0 * g2 * eig.certified_min)

@@ -283,7 +283,7 @@ def test_criterion_7_bound_sandwiches(record_criterion):
     eig = certify_pd(corr_pd)
     bad = 0
     for f, rho0 in zip(draws, rhos):
-        b = i_emaca_spectral(f, corr_pd, float(rho0), quad_points=512, eig=eig)
+        b = i_emaca_spectral(f, corr_pd, float(rho0), eig=eig)
         if not (b.lower <= b.value + tol and b.value <= b.upper + tol):
             bad += 1
     violations["i_emaca_spectral"] = bad

@@ -208,6 +208,15 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "bogus_knob" in err
 
 
+def test_toeplitz_takes_no_node_count(tmp_path, capsys):
+    # the spectral limit is exact, so quad_points is no longer a toeplitz key
+    ini = tmp_path / "old.ini"
+    ini.write_text("[toeplitz]\nquad_points = 2048\n")
+    rc, _, err = run(capsys, "toeplitz", "--config", str(ini))
+    assert rc == 2
+    assert "quad_points" in err
+
+
 def test_config_missing_file(capsys):
     rc, _, err = run(capsys, "simulate", "--config", "/does/not/exist.ini")
     assert rc == 2
@@ -244,6 +253,18 @@ def test_bad_input_is_config_error(capsys, monkeypatch, tmp_path, args):
     rc, _, err = run(capsys, *args)
     assert rc == 2
     assert err.startswith("config error:")
+
+
+def test_missing_out_directory_fails_before_the_run(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mc_outage ran before the --out directory was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("relaylab.cli.mc_outage", refuse)
+    rc, _, err = run(capsys, "simulate", "--trials", "10000", "--snr-db", "0",
+                     "--out", "missing/x.csv")
+    assert rc == 2
+    assert "missing/x.csv" in err
 
 
 # One cheap base call per command; of the two simulate bases, MIX_AF reads

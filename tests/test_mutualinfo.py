@@ -9,8 +9,9 @@ from scipy import integrate
 from relaylab.channel import (D_BOTH, D_NONE, D_R1, D_R2, FadingRealization,
                               RatePoint)
 from relaylab.errors import ConfigError
-from relaylab.mutualinfo import (DelayConfig, SchemeId, closed_log_integral,
-                                 i_af_pair, i_astc, i_emaca_spectral, i_esd,
+from relaylab.mutualinfo import (DelayConfig, SchemeId, _emaca_batch,
+                                 closed_log_integral, i_af_pair, i_astc,
+                                 i_emaca_spectral, i_esd,
                                  i_esd_bounds, i_ltda, i_rtda, i_stc, i_tda,
                                  mi_batch, rtda_integer_period_value, scheme_mi,
                                  tda_integer_period_value)
@@ -274,8 +275,59 @@ def test_i_emaca_matches_brute_quadrature():
     ref, _ = integrate.quad(integrand, -math.pi, math.pi, limit=400)
     ref /= 2 * math.pi
     f = FadingRealization(0j, 0j, 0j, complex(math.sqrt(g1)), complex(math.sqrt(g2)))
-    got = i_emaca_spectral(f, corr, rho0, quad_points=2048).value
+    got = i_emaca_spectral(f, corr, rho0).value
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+
+
+def test_emaca_batch_matches_graded_quadrature():
+    # The exact pair rate against the graded rule above, applied to the
+    # determinant built from spectral_entries.  The rect/half-delay pair is
+    # singular at w = 0 (t11 = 1, |t12| = cos(w/2)), where the integrand dips
+    # to log2(1 + a) from about log2(b) over a width of order rho0^-1/2.  The
+    # gain rows include zeros and near-zeros, where the degree of the
+    # determinant in cos w drops or its top coefficient nearly vanishes.
+    rng = np.random.default_rng(29)
+    draws = rng.exponential(size=(2, 8))
+    x = rng.exponential(size=6)
+    g1 = np.concatenate([draws[0], [0.0, 1e-12, 1e-9], x[:3], [0.0, 1e-12]])
+    g2 = np.concatenate([draws[1], x[3:], [0.0, 1e-12, 1e-9], [0.0, 1e-9]])
+    pulses = [(rectangular(1, 256), 0.5), (srrc(0.5, 1, 256), 0.5), (srrc(0.5, 2, 256), 0.3)]
+    worst = 0.0
+    for pulse, tau in pulses:
+        corr = correlations(pulse, tau)
+        grid = np.linspace(-np.pi, np.pi, 4097)
+        t11, t12 = spectral_entries(corr, grid)
+        dips = [0.0, float(grid[np.argmin(t11 * t11 - np.abs(t12) ** 2)])]
+        for db in (0.0, 20.0, 40.0, 60.0, 80.0):
+            rho0 = (2.0 / 3.0) * 10.0 ** (db / 10.0)
+            got = _emaca_batch(g1, g2, corr, rho0)
+            for i in range(g1.size):
+                a = rho0 * (g1[i] + g2[i])
+                b = rho0 * rho0 * g1[i] * g2[i]
+
+                def log_det(w):
+                    t11, t12 = spectral_entries(corr, w)
+                    return np.log2(1.0 + a * t11 + b * (t11 * t11 - np.abs(t12) ** 2))
+
+                want = _graded_window_mean(log_det, np.pi, dips)
+                worst = max(worst, abs(got[i] - want))
+    assert worst <= 1e-11, worst
+
+
+def test_emaca_batch_one_gain_is_single_stream():
+    # With one relay gain zero the determinant is 1 + rho0 g t11(w), of
+    # degree span (degree 1 for the truncated SRRC span 2, whose r(2) is 0),
+    # and its mean is the single-stream closed form i_esd.
+    g = np.array([0.04, 0.7, 1.0, 3.5, 20.0])
+    zero = np.zeros(g.size)
+    for pulse, tau in [(rectangular(1, 256), 0.5), (srrc(0.5, 1, 256), 0.5),
+                       (srrc(0.5, 2, 256), 0.3)]:
+        corr = correlations(pulse, tau)
+        for rho0 in (0.67, 50.0, 6.7e7):
+            want = [i_esd(math.sqrt(v), corr.a1, rho0) for v in g]
+            for pair in ((g, zero), (zero, g)):
+                got = _emaca_batch(*pair, corr, rho0)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_i_emaca_phase_invariant():
