@@ -17,8 +17,7 @@ from .mutualinfo import (DelayConfig, MiBounds, SchemeId, check_scheme,
 from .outage import (ConditionalCase, OutageCurve, SlopeFit,
                      analytic_outage_parallel3, analytic_outage_rtda2,
                      analytic_outage_stc, direct_outage, mc_outage,
-                     mixing_protocol_mi, slope_fit, wilson_interval, write_csv,
-                     write_outage_csv)
+                     slope_fit, wilson_interval, write_csv, write_outage_csv)
 from .toeplitz import (ConvergenceStudy, IsiTapSet, block_matrix, build_taps,
                        convergence_study, finite_n_mi)
 from .tradeoff import (CrossingReport, CrossPoint, TradeoffCurve, crossings,

@@ -261,8 +261,6 @@ def _cmd_tradeoff(ns: argparse.Namespace) -> int:
                 continue
             rows.append([s, k, str(r), str(cs[0].d(r)), str(cs[1].d(r))])
 
-    _write("tradeoff", vals, ("scheme", "k", "r", "d_low", "d_high"), rows)
-
     cross = vals["cross"].strip()
     pairs: list[tuple[str, str]] = []
     if cross == "auto":
@@ -274,8 +272,11 @@ def _cmd_tradeoff(ns: argparse.Namespace) -> int:
             if not b:
                 raise ConfigError(f"cross pairs look like a:b, got {item!r}")
             pairs.append((a.strip(), b.strip()))
-    for a, b in pairs:
-        rep = crossings(a, b, k)
+    reports = [crossings(a, b, k) for a, b in pairs]  # a bad pair fails before any output
+
+    _write("tradeoff", vals, ("scheme", "k", "r", "d_low", "d_high"), rows)
+    for rep in reports:
+        a, b = rep.scheme_a, rep.scheme_b
         for span_lo, span_hi in rep.coincident:
             print(f"coincident {a} {b}: r in [{span_lo}, {span_hi}]")
         for p in rep.points:

@@ -257,6 +257,19 @@ def _log2_cos_window_mean(A, B, psi, h: float):
     return (np.log(0.5 * (A + r)) - f / h) / _LN2
 
 
+def _inv_cos_window_mean(A, B, psi, h: float):
+    """Exact mean of 1 / (A + B cos(u + psi)) over u in [-h, h], the A-slope
+    of _log2_cos_window_mean times ln 2.  With the same R and c, the series
+    1/(A + B cos x) = (1 + 2 sum_k (-c)^k cos(kx)) / R sums over the window to
+
+        mean = [1 - (arg(1 + c e^{i(h+psi)}) + arg(1 + c e^{i(h-psi)})) / h] / R.
+    """
+    r = np.sqrt((A - B) * (A + B))
+    c = B / (A + r)
+    f = np.angle(1.0 + c * np.exp(1j * (h + psi))) + np.angle(1.0 + c * np.exp(1j * (h - psi)))
+    return (1.0 - f / h) / r
+
+
 def i_tda(f: FadingRealization, d: DecodingSet, delays: DelayConfig,
           rho0: float) -> MiBounds:
     """Delay diversity with an independent codebook per relay.
@@ -284,23 +297,6 @@ def i_tda(f: FadingRealization, d: DecodingSet, delays: DelayConfig,
     return MiBounds(value, lower, upper, (_SUBUNIT,) if delays.t0bw < 1.0 else ())
 
 
-def tda_integer_period_value(f: FadingRealization, delays: DelayConfig,
-                             rho0: float) -> float:
-    """Closed form of the both-relays delay-diversity rate at integer t0*bw.
-
-    Whole-period averaging admits log2((A + sqrt(A^2 - B^2))/2) with
-    A = 1 + rho0 (g1+g2), B = 2 rho0 sqrt(g1 g2).
-    """
-    w = delays.t0bw
-    if abs(w - round(w)) > 1e-9 or round(w) == 0:
-        raise ConfigError("closed form requires a positive integer t0*bandwidth")
-    g1, g2 = f.gain2("r1d"), f.gain2("r2d")
-    A = 1.0 + rho0 * (g1 + g2)
-    B = 2.0 * rho0 * math.sqrt(g1 * g2)
-    relay = math.log2(0.5 * (A + math.sqrt(max(A * A - B * B, 0.0))))
-    return 0.5 * _log2_1p(rho0 * f.gain2("sd")) + 0.5 * relay
-
-
 def i_rtda(f: FadingRealization, d: DecodingSet, delays: DelayConfig,
            rho0: float) -> MiBounds:
     """Delay diversity where relays repeat the source codeword.
@@ -322,18 +318,6 @@ def i_rtda(f: FadingRealization, d: DecodingSet, delays: DelayConfig,
         return MiBounds(value, min(0.0, value), upper, (_ZERO_DELAY,))
     lower = 0.5 * delays.delta1 * math.log2(0.5 * (1.0 + rho0 * (gd + nu)))
     return MiBounds(value, lower, upper, (_SUBUNIT,) if delays.t0bw < 1.0 else ())
-
-
-def rtda_integer_period_value(f: FadingRealization, delays: DelayConfig,
-                              rho0: float) -> float:
-    """Closed form of the both-relays repetition rate at integer t0*bw."""
-    w = delays.t0bw
-    if abs(w - round(w)) > 1e-9 or round(w) == 0:
-        raise ConfigError("closed form requires a positive integer t0*bandwidth")
-    g1, g2 = f.gain2("r1d"), f.gain2("r2d")
-    A = 1.0 + rho0 * (f.gain2("sd") + g1 + g2)
-    B = 2.0 * rho0 * math.sqrt(g1 * g2)
-    return 0.5 * math.log2(0.5 * (A + math.sqrt(max(A * A - B * B, 0.0))))
 
 
 def i_ltda(f: FadingRealization, d: DecodingSet, corr: CorrelationSet,

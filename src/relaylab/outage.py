@@ -28,7 +28,8 @@ from ._quad import gl_nodes
 from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
                       RatePoint, decoding_set_probs)
 from .errors import ConfigError, NumericError
-from .mutualinfo import DelayConfig, SchemeId, check_scheme, mi_batch, scheme_mi
+from .mutualinfo import (DelayConfig, SchemeId, _inv_cos_window_mean,
+                         _log2_cos_window_mean, check_scheme, mi_batch)
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
@@ -40,9 +41,9 @@ _STC_NODES = 240        # analytic_outage_stc, per product-pair integral
 _PARALLEL3_NODES = 120  # analytic_outage_parallel3, per nested level
 _RTDA2_SCALE = 64       # analytic_outage_rtda2: log relay-sum scale,
 _RTDA2_SPLIT = 32       # split fraction between the relays,
-_RTDA2_PHASE = 12       # relative relay phase,
-_RTDA2_FREQ = 96        # frequency (fractional t0*bw only),
-_RTDA2_BISECT = 48      # and bisection steps on the direct-gain threshold
+_RTDA2_PHASE = 12       # and relative relay phase (fractional t0*bw only)
+
+_RTDA2_NEWTON_CAP = 50  # step cap of rtda2's direct-gain threshold solve (9 seen)
 
 
 class ConditionalCase(str, enum.Enum):
@@ -203,7 +204,9 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     if workers == 1 or len(tasks) == 1:
         parts = [_run_block(t) for t in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at once: never more than there are blocks
+        pool_size = min(workers, len(tasks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_run_block, tasks, chunksize=1))
     counts = np.sum(parts, axis=0)
 
@@ -351,9 +354,10 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
                           conditioned: bool = False) -> float:
     """Both-relays outage of the repetition delay-diversity scheme.
 
-    Quadrature over (log relay-sum, split fraction, relay phase) with the
-    direct-gain threshold solved per node: in closed form when t0*bw is a
-    whole number of periods, by bisection on the frequency average otherwise.
+    Quadrature over (log relay-sum, split fraction) with the direct-gain
+    threshold solved per node: in closed form when t0*bw is a whole number
+    of periods; otherwise per relay phase as well, by Newton's method on the
+    exact window mean of the rate (NumericError if it does not converge).
     Joint by default (multiplied by Pr[|D| = 2]).
     """
     if t0bw < 1.0:
@@ -387,30 +391,34 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
         x_star = np.where(bc < big_c, x_star, 0.0)  # A + sqrt(A^2-B^2) >= B: no root past B >= C
         fx = _cdf_exp(x_star, lam_sd)
     else:
-        w = float(t0bw)
-        u, u_wts = gl_nodes(-math.pi * w, math.pi * w, _RTDA2_FREQ)
-        u_wts = u_wts / (2.0 * math.pi * w)
+        # Newton on mean log2(A + B cos(u + phi)) = log2 T over the window
+        # |u| <= h, in units of rho0 (A = 1/rho0 + nu + x, B = 2 sqrt(y1 y2))
+        # so that A^2 - B^2 stays finite at any snr.  The mean is increasing
+        # and concave in A, so Newton started below the root climbs to it
+        # without overshoot.  The start is the root of Jensen's upper bound
+        # log2(A + B sin(h) cos(phi) / h), or x = 0 when that lies lower.  A
+        # row stops at its first step that does not climb: it is at the root
+        # to rounding, or its x = 0 rate already meets the target.
+        h = math.pi * float(t0bw)
         phi, phi_w = gl_nodes(0.0, math.pi, _RTDA2_PHASE)
-        phi_w = phi_w / math.pi
-        cosu = np.cos(u[None, :] + phi[:, None])       # (phase, freq)
-        base = 1.0 + rho0 * nu[:, None]                # (scale, 1)
-
-        def mean_rate(x):
-            # x shape (phase, scale, split); returns the frequency average
-            arg = (base[None, :, :] + rho0 * x)[..., None] \
-                + (bc[None, :, :, None] * cosu[:, None, None, :])
-            return 0.5 * (np.log2(arg) @ u_wts)
-
-        lo = np.zeros((_RTDA2_PHASE,) + bc.shape)
-        hi = np.full_like(lo, x_max)
-        feasible = mean_rate(lo) < pt.rate
-        for _ in range(_RTDA2_BISECT):
-            mid = 0.5 * (lo + hi)
-            below = mean_rate(mid) < pt.rate
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        x_star = np.where(feasible, 0.5 * (lo + hi), 0.0)
-        fx = np.tensordot(phi_w, _cdf_exp(x_star, lam_sd), axes=(0, 0))
+        phi = phi[:, None, None]
+        base = 1.0 / rho0 + nu[None, :, None]
+        swing = bc / rho0
+        a = np.maximum(base, big_t / rho0 - swing * (math.sin(h) / h) * np.cos(phi))
+        target = math.log2(big_t / rho0)
+        done = np.zeros(a.shape, dtype=bool)
+        for _ in range(_RTDA2_NEWTON_CAP):
+            step = (target - _log2_cos_window_mean(a, swing, phi, h)) * _LN2 \
+                / _inv_cos_window_mean(a, swing, phi, h)
+            done |= step <= 1e-14 * a
+            if done.all():
+                break
+            a = np.where(done, a, a + step)
+        else:
+            raise NumericError(f"rtda2 threshold: Newton did not converge in "
+                               f"{_RTDA2_NEWTON_CAP} steps (snr={snr}, t0bw={t0bw})")
+        x_star = a - base
+        fx = np.tensordot(phi_w / math.pi, _cdf_exp(x_star, lam_sd), axes=(0, 0))
 
     dens = lam1 * lam2 * np.exp(-lam1 * y1 - lam2 * y2)
     jac = nu[:, None] ** 2                      # dy1 dy2 = nu dnu dq, dnu = nu dt
@@ -427,21 +435,6 @@ def analytic_curve(oracle, snr_grid, scheme: str, r: float,
     vals = tuple(float(oracle(s)) for s in snr)
     return OutageCurve(scheme, float(r), ConditionalCase(cond), bool(conditioned),
                        snr, vals, vals, vals, 0, tuple(v == 0.0 for v in vals))
-
-
-# ---------------------------------------------------------------------------
-# Mixing protocol
-
-
-def mixing_protocol_mi(f, pt: RatePoint, corr: CorrelationSet) -> tuple[str, float]:
-    """Decode-forward with amplify-forward fallback: derive the decoding set,
-    then delegate to the per-branch evaluators."""
-    from .channel import derive_decoding_set
-
-    d = derive_decoding_set(f, pt)
-    value = scheme_mi(SchemeId.MIX_AF, f, d, pt.rho0, corr=corr)
-    label = {0: "d0-af-fallback", 1: "d1-mixed", 2: "d2-astc"}[d.size]
-    return label, value
 
 
 # ---------------------------------------------------------------------------

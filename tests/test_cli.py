@@ -65,6 +65,17 @@ def test_tradeoff_rejects_bad_scheme(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("pair", ["stc", "stc:zzz", "stc:rtda"])
+def test_tradeoff_bad_cross_pair_writes_nothing(capsys, tmp_path, pair):
+    rc, out, err = run(capsys, "tradeoff", "--cross", pair)
+    assert (rc, out) == (2, "")
+    assert err.startswith("config error:")
+    dest = tmp_path / "t.csv"
+    rc, out, _ = run(capsys, "tradeoff", "--cross", pair, "--out", str(dest))
+    assert (rc, out) == (2, "")
+    assert not dest.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

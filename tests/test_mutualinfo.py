@@ -6,16 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from relaylab.channel import (D_BOTH, D_NONE, D_R1, D_R2, FadingRealization,
-                              RatePoint)
+from relaylab.channel import D_BOTH, D_NONE, D_R1, D_R2, FadingRealization
 from relaylab.errors import ConfigError
 from relaylab.mutualinfo import (DelayConfig, SchemeId, _emaca_batch,
                                  closed_log_integral, i_af_pair, i_astc,
                                  i_emaca_spectral, i_esd,
                                  i_esd_bounds, i_ltda, i_rtda, i_stc, i_tda,
-                                 mi_batch, rtda_integer_period_value, scheme_mi,
-                                 tda_integer_period_value)
-from relaylab.outage import mixing_protocol_mi
+                                 mi_batch, scheme_mi)
 from relaylab.waveform import correlations, rectangular, spectral_entries, srrc
 
 UNIT = FadingRealization(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
@@ -89,17 +86,33 @@ def test_delay_config_validation():
 # independent-codebook delay diversity
 
 
+# Closed forms of the both-relays delay-diversity rates at whole-period t0*bw:
+# the mean of log2(A + B cos u) over whole periods is log2((A + sqrt(A^2 - B^2))/2)
+# with A = inside + rho0 (g1+g2), B = 2 rho0 sqrt(g1 g2).
+
+
+def _whole_period_relay_rate(inside, g1, g2, rho0):
+    A = inside + rho0 * (g1 + g2)
+    B = 2.0 * rho0 * math.sqrt(g1 * g2)
+    return math.log2(0.5 * (A + math.sqrt(max(A * A - B * B, 0.0))))
+
+
+def _tda_integer_period_value(f, rho0):
+    relay = _whole_period_relay_rate(1.0, f.gain2("r1d"), f.gain2("r2d"), rho0)
+    return 0.5 * math.log2(1.0 + rho0 * f.gain2("sd")) + 0.5 * relay
+
+
+def _rtda_integer_period_value(f, rho0):
+    return 0.5 * _whole_period_relay_rate(1.0 + rho0 * f.gain2("sd"), f.gain2("r1d"),
+                                          f.gain2("r2d"), rho0)
+
+
 def test_tda_integer_period_matches_quadrature():
     delays = DelayConfig.from_t0bw(3.0)
     f = FadingRealization(0.5 + 0.2j, 0j, 0j, 1.1 + 0.3j, 0.4 - 0.8j)
-    closed = tda_integer_period_value(f, delays, 4.0)
+    closed = _tda_integer_period_value(f, 4.0)
     quad = i_tda(f, D_BOTH, delays, 4.0).value
     np.testing.assert_allclose(closed, quad, rtol=0, atol=1e-12)
-
-
-def test_tda_integer_period_guard():
-    with pytest.raises(ConfigError):
-        tda_integer_period_value(UNIT, DelayConfig.from_t0bw(2.5), 1.0)
 
 
 def test_tda_reduces_to_sync_for_small_sets():
@@ -185,7 +198,7 @@ def test_rtda_cases():
     np.testing.assert_allclose(b0.value, 0.5 * math.log2(1 + rho0), rtol=1e-14)
     b1 = i_rtda(UNIT, D_R2, delays, rho0)
     np.testing.assert_allclose(b1.value, 0.5 * math.log2(1 + 2 * rho0), rtol=1e-14)
-    closed = rtda_integer_period_value(UNIT, delays, rho0)
+    closed = _rtda_integer_period_value(UNIT, rho0)
     quad = i_rtda(UNIT, D_BOTH, delays, rho0).value
     np.testing.assert_allclose(closed, quad, rtol=0, atol=1e-12)
 
@@ -402,23 +415,6 @@ def test_mix_af_lone_relay_identity():
         v2, 0.5 * (i_af_pair(1.0, g1, rho0) + math.log2(1 + rho0 * g2)), rtol=1e-14)
     assert v1 == pytest.approx(2.8014, abs=1e-4)
     assert v2 == pytest.approx(2.0929, abs=1e-4)
-
-
-def test_mixing_protocol_labels():
-    corr = correlations(srrc(0.5, 1, 64), 0.5)
-    pt = RatePoint(15.0, 0.25, 1.0)
-    g_star = (4.0 ** pt.rate - 1.0) / pt.rho0
-    hi = complex(math.sqrt(4 * g_star))
-    lo = complex(math.sqrt(g_star / 4))
-    cases = [
-        (FadingRealization(1 + 0j, lo, lo, 1 + 0j, 1 + 0j), "d0-af-fallback"),
-        (FadingRealization(1 + 0j, hi, lo, 1 + 0j, 1 + 0j), "d1-mixed"),
-        (FadingRealization(1 + 0j, hi, hi, 1 + 0j, 1 + 0j), "d2-astc"),
-    ]
-    for f, want in cases:
-        label, value = mixing_protocol_mi(f, pt, corr)
-        assert label == want
-        assert value > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from relaylab.channel import NetworkConfig, RatePoint
+from relaylab import outage
+from relaylab._quad import gl_nodes
 from relaylab.errors import ConfigError, NumericError
-from relaylab.mutualinfo import DelayConfig, SchemeId
+from relaylab.mutualinfo import DelayConfig, SchemeId, _log2_cos_window_mean
 from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              analytic_outage_parallel3, analytic_outage_rtda2,
                              analytic_outage_stc, direct_outage, mc_outage,
@@ -125,6 +127,57 @@ def test_rtda2_domain_guard(unit_cfg):
         analytic_outage_rtda2(unit_cfg, 0.25, 10.0, t0bw=0.5)
 
 
+def _rtda2_by_bisection(cfg, r, snr, t0bw):
+    # The oracle's (scale, split, phase) rule with the direct-gain threshold
+    # found in gain units by 24 bisection steps on the exact window mean and
+    # a linear interpolation across the last bracket.
+    pt = RatePoint(snr, r, cfg.sigma2_sd)
+    rho0 = pt.rho0
+    big_t = 4.0 ** pt.rate
+    lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
+    x_max = (big_t - 1.0) / rho0
+    nu_hi = (2.0 * big_t ** (1.0 / DelayConfig.from_t0bw(t0bw).delta1) - 1.0) / rho0
+    t_nodes, t_w = gl_nodes(math.log(1e-8 * x_max), math.log(nu_hi), 64)
+    nu = np.exp(t_nodes)
+    q_nodes, q_w = gl_nodes(0.0, 1.0, 32)
+    y1 = nu[:, None] * q_nodes
+    y2 = nu[:, None] * (1.0 - q_nodes)
+    phi, phi_w = gl_nodes(0.0, math.pi, 12)
+    phi = phi[:, None, None]
+    base = 1.0 + rho0 * nu[:, None]
+    bc = 2.0 * rho0 * np.sqrt(y1 * y2)
+
+    def mean_rate(x):
+        return 0.5 * _log2_cos_window_mean(base + rho0 * x, bc, phi, math.pi * t0bw)
+
+    lo = np.zeros((12,) + bc.shape)
+    hi = np.full_like(lo, x_max)
+    f_lo, f_hi = mean_rate(lo), mean_rate(hi)
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        f_mid = mean_rate(mid)
+        below = f_mid < pt.rate
+        lo, f_lo = np.where(below, mid, lo), np.where(below, f_mid, f_lo)
+        hi, f_hi = np.where(below, hi, mid), np.where(below, f_hi, f_mid)
+    x_star = np.where(f_lo < pt.rate, lo + (hi - lo) * (pt.rate - f_lo) / (f_hi - f_lo), 0.0)
+    fx = np.tensordot(phi_w / math.pi, -np.expm1(-lam_sd * x_star), axes=(0, 0))
+    dens = lam1 * lam2 * np.exp(-lam1 * y1 - lam2 * y2)
+    return float(t_w @ ((fx * dens * nu[:, None] ** 2) @ q_w))
+
+
+def test_rtda2_matches_exact_bisection(unit_cfg):
+    # The Newton threshold against bisection on the same exact window mean;
+    # the old 96-node frequency rule missed these by up to 11% (t0bw 1e6+0.5).
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    for r, db, t0bw, cfg in ((0.25, 65, 2.5, unit_cfg), (0.2, 120, 2.5, unit_cfg),
+                             (0.25, 60, 1e6 + 0.5, unit_cfg),
+                             (0.25, 60, 2.0000001, unit_cfg), (0.25, 40, 1.7, asym)):
+        snr = 10.0 ** (db / 10.0)
+        got = analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=True)
+        np.testing.assert_allclose(got, _rtda2_by_bisection(cfg, r, snr, t0bw),
+                                   rtol=1e-10, atol=0, err_msg=f"r={r} {db} dB t0bw={t0bw}")
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo engine vs oracles
 
@@ -144,6 +197,19 @@ def test_mc_forced_set_conditional(unit_cfg):
     ana = [analytic_outage_stc(unit_cfg, 0.25, s, ConditionalCase.D2,
                                conditioned=True) for s in SNR_GRID]
     assert max(abs(z) for z in z_scores(curve, ana)) < 4.0
+
+
+def test_rtda2_agrees_with_mc(unit_cfg):
+    # forced-d2 repetition Monte Carlo against the conditioned oracle, on its
+    # closed-form (t0bw 2) and Newton (t0bw 2.5) branches
+    grid = [10.0 ** (db / 10.0) for db in (0, 10, 20)]
+    for t0bw in (2.0, 2.5):
+        curve = mc_outage(SchemeId.TDA_REPETITION, 0.25, grid, 2 ** 16, 44,
+                          ConditionalCase.D2, cfg=unit_cfg,
+                          delays=DelayConfig.from_t0bw(t0bw), force_set=True)
+        ana = [analytic_outage_rtda2(unit_cfg, 0.25, s, t0bw, conditioned=True) for s in grid]
+        zs = z_scores(curve, ana)
+        assert max(abs(z) for z in zs) <= 4.0, (t0bw, zs)
 
 
 def test_mc_joint_cases_partition_overall(unit_cfg):
@@ -172,6 +238,31 @@ def test_mc_workers_identical(unit_cfg):
                   workers=3)
     assert a.outage == b.outage
     assert a.ci_low == b.ci_low
+
+
+def test_mc_workers_capped_at_block_count(unit_cfg, monkeypatch):
+    # a pool never gets more workers than there are blocks to run
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(outage.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    trials = 2 * outage.BLOCK_TRIALS + 10_000  # three blocks
+    a = mc_outage(SchemeId.STC_SYNC, 0.1, SNR_GRID, trials, 5, cfg=unit_cfg, workers=10 ** 6)
+    b = mc_outage(SchemeId.STC_SYNC, 0.1, SNR_GRID, trials, 5, cfg=unit_cfg, workers=1)
+    assert seen and max(seen) <= 3
+    assert a.outage == b.outage
 
 
 def test_mc_async_schemes_run(unit_cfg):
