@@ -7,9 +7,12 @@ normalized per-node snr.  All logarithms are base 2.
 Every scheme's value comes from one vectorized kernel, mi_batch, which takes
 arrays of destination-link gains and relay memberships; scheme_mi and the
 per-scheme evaluators (i_stc, i_tda, i_rtda, i_ltda, i_astc) are that kernel
-on a batch of one.  Evaluators that average over a frequency or delay-phase
-variable return an MiBounds carrying per-realization analytic envelopes
-along with the value; closed-form evaluators return plain floats.
+on a batch of one.  The Monte Carlo engine only needs mi_batch(...) < rate,
+which mi_below returns while running the costly both-relays kernels only on
+rows that cheap bounds cannot settle.  Evaluators that average over a
+frequency or delay-phase variable return an MiBounds carrying
+per-realization analytic envelopes along with the value; closed-form
+evaluators return plain floats.
 """
 
 from __future__ import annotations
@@ -208,6 +211,104 @@ def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     return out
 
 
+def mi_below(scheme, sd, r1d, r2d, m1, m2, rho0: float, rate: float,
+             corr: CorrelationSet | None = None,
+             delays: DelayConfig | None = None) -> np.ndarray:
+    """mi_batch(...) < rate per row, running the both-relays kernel only
+    where its bounds leave the verdict in doubt.
+
+    For the both-relays rows of ASTC, MIX_AF and the windowed delay schemes,
+    _kernel_bounds gives the bits the kernel term needs to reach the rate
+    and bounds lower <= kernel <= upper.  A row with upper below the need is
+    an outage and a row with lower at or above it is not, each with a margin
+    above the kernel's roundoff.  Every other row, and every row with a
+    non-finite bound, goes through one mi_batch call, so the verdicts equal
+    mi_batch(...) < rate.
+    """
+    scheme = check_scheme(scheme, corr, delays)
+    both = m1 & m2
+    windowed = scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION) and delays.t0bw > 0.0
+    if not (scheme in (SchemeId.ASTC, SchemeId.MIX_AF) or windowed) or not both.any():
+        return mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, corr, delays) < rate
+
+    b = np.nonzero(both)[0]
+    with np.errstate(all="ignore"):  # a non-finite bound sends its row to the kernel
+        need, lower, upper, slack = _kernel_bounds(scheme, sd[b], r1d[b], r2d[b], rho0, rate,
+                                                   corr, delays)
+    finite = np.isfinite(need) & np.isfinite(lower) & np.isfinite(upper)
+    outage = finite & (upper + slack < need)
+    clear = finite & (lower - slack >= need)
+    below = np.zeros(both.size, dtype=bool)
+    below[b[outage]] = True
+    doubt = np.ones(both.size, dtype=bool)
+    doubt[b[outage | clear]] = False
+    k = np.nonzero(doubt)[0]
+    if k.size:
+        below[k] = mi_batch(scheme, sd[k], r1d[k], r2d[k], m1[k], m2[k], rho0,
+                            corr, delays) < rate
+    return below
+
+
+# Margin of the screen in mi_below, in bits per bit of rate: far above the
+# kernels' roundoff, which stays near 1e-14 bits but grows to about
+# 4e-14/t0bw bits for short delay windows, hence the 1/t0bw factor there.
+_SCREEN_SLACK = 1e-9
+
+
+def _kernel_bounds(scheme: SchemeId, sd, r1d, r2d, rho0: float, rate: float,
+                   corr: CorrelationSet | None, delays: DelayConfig | None):
+    """(need, lower, upper, slack) for the both-relays kernel term of each row.
+
+    The row is an outage iff kernel < need, where the kernel is the frequency
+    mean mi_batch computes from the same squared gains:
+
+    - ASTC/MIX_AF: mean log2 q(w), q = det(I + rho0 diag(g1, g2) T(w)) with
+      constant cosine coefficient c_0.  Jensen: mean log2 q <= log2 c_0.
+      With the diagonal t11(w) = r(0) + 2 a1 cos w, that is every tap r(m),
+      m >= 2, zero (span 1 and the truncated SRRC span 2), Hadamard's
+      inequality gives q <= (1 + rho0 g1 t11)(1 + rho0 g2 t11), so the kernel
+      is at most the sum of the two single-stream rates, and T(w) >= 0 gives
+      q >= 1 + tr = 1 + rho0 (g1 + g2) t11, the single-stream rate of g1 + g2.
+      For other pulses only q >= 1 bounds it below.
+    - TDA_INDEP/TDA_REPETITION: the mean of log2(A + B cos(u + psi)) over
+      |u| <= h = pi w.  Jensen with the window mean of the cosine gives
+      log2(A + B sin(h) cos(psi) / h) above.  Below, each of the floor(w)
+      whole periods averages exactly log2((A + R)/2), R = sqrt(A^2 - B^2),
+      and the rest of the window is at least log2(A - B) >= 0.
+    """
+    gsd = np.abs(sd) ** 2
+    g1 = np.abs(r1d) ** 2
+    g2 = np.abs(r2d) ** 2
+    slack = _SCREEN_SLACK * (1.0 + rate)
+
+    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        rep = scheme == SchemeId.TDA_REPETITION
+        w = delays.t0bw
+        h = math.pi * w
+        nu = g1 + g2
+        a = 1.0 + rho0 * ((gsd + nu) if rep else nu)
+        bc = 2.0 * rho0 * np.sqrt(g1 * g2)
+        psi = np.angle(r2d) - np.angle(r1d)
+        need = 2.0 * rate - (0.0 if rep else np.log2(1.0 + rho0 * gsd))
+        upper = np.log2(a + bc * (math.sin(h) / h) * np.cos(psi))
+        whole = math.floor(w)
+        lower = (whole * np.log2(0.5 * (a + np.sqrt((a - bc) * (a + bc))))
+                 + (w - whole) * np.log2(a - bc)) / w
+        return need, lower, upper, slack * (1.0 + 1.0 / w)
+
+    a1 = corr.a1
+    r0 = corr.r(0)
+    need = 2.0 * rate - _esd_from_gain(gsd, a1, rho0)
+    upper = np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
+    if any(corr.r_taps[2:]):
+        return need, np.zeros(gsd.size), upper, slack
+    # t11 = r0 (1 + 2 (a1/r0) cos w): a single-stream rate of gain r0 g
+    upper = np.minimum(upper, _esd_from_gain(r0 * g1, a1 / r0, rho0)
+                       + _esd_from_gain(r0 * g2, a1 / r0, rho0))
+    lower = _esd_from_gain(r0 * (g1 + g2), a1 / r0, rho0)
+    return need, lower, upper, slack
+
+
 def scheme_mi(scheme: SchemeId, f: FadingRealization, d: DecodingSet, rho0: float,
               corr: CorrelationSet | None = None,
               delays: DelayConfig | None = None) -> float:
@@ -371,6 +472,18 @@ def i_esd_bounds(alpha_sd: complex, rho0: float) -> tuple[float, float]:
     return _log2_1p(g) - 1.0, _log2_1p(g)
 
 
+def _det_coeffs(g1, g2, corr: CorrelationSet, rho0: float):
+    """Cosine coefficients c_0 .. c_2span of det(I + rho0 diag(g1, g2) T(w)),
+    one row per pair of squared-gain arrays g1, g2."""
+    s = corr.span
+    r = np.array([corr.r(m) for m in range(-s, s + 1)])
+    sprod = np.convolve(r, r) - np.correlate(corr.g_taps, corr.g_taps, "full")
+    c = (rho0 * (g1 + g2))[:, None] * np.pad(r[s:], (0, s)) \
+        + (rho0 * rho0 * g1 * g2)[:, None] * sprod[2 * s:]
+    c[:, 0] += 1.0
+    return c
+
+
 def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float):
     """Frequency-averaged two-stream rate for arrays of squared gains.
 
@@ -386,11 +499,7 @@ def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float):
     g1 = np.atleast_1d(np.asarray(g1, dtype=float))
     g2 = np.atleast_1d(np.asarray(g2, dtype=float))
     s = corr.span
-    r = np.array([corr.r(m) for m in range(-s, s + 1)])
-    sprod = np.convolve(r, r) - np.correlate(corr.g_taps, corr.g_taps, "full")
-    c = (rho0 * (g1 + g2))[:, None] * np.pad(r[s:], (0, s)) \
-        + (rho0 * rho0 * g1 * g2)[:, None] * sprod[2 * s:]
-    c[:, 0] += 1.0
+    c = _det_coeffs(g1, g2, corr, rho0)
     deg = np.max(np.where(c != 0.0, np.arange(2 * s + 1), 0), axis=1)
     out = np.log(np.abs(np.take_along_axis(c, deg[:, None], axis=1)[:, 0]))
     for d in np.unique(deg[deg > 0]):

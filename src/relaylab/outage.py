@@ -29,7 +29,7 @@ from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
                       RatePoint, decoding_set_probs)
 from .errors import ConfigError, NumericError
 from .mutualinfo import (DelayConfig, SchemeId, _inv_cos_window_mean,
-                         _log2_cos_window_mean, check_scheme, mi_batch)
+                         _log2_cos_window_mean, check_scheme, mi_below)
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
@@ -157,9 +157,9 @@ def _run_block(task: _McTask) -> np.ndarray:
             else:
                 sizes = m1.astype(np.int8) + m2.astype(np.int8)
                 case = sizes == want
-        vals = mi_batch(task.scheme, gains["sd"], gains["r1d"], gains["r2d"], m1, m2, rho0,
-                        task.corr, task.delays)
-        counts[i] = int(np.count_nonzero((vals < rate) & case))
+        below = mi_below(task.scheme, gains["sd"], gains["r1d"], gains["r2d"], m1, m2, rho0,
+                         rate, task.corr, task.delays)
+        counts[i] = int(np.count_nonzero(below & case))
     return counts
 
 
@@ -373,7 +373,11 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     lam1 = cfg.lam("r1d")
     lam2 = cfg.lam("r2d")
     x_max = (big_t - 1.0) / rho0
-    nu_hi = (2.0 * big_t ** (1.0 / delta1) - 1.0) / rho0
+    try:
+        nu_hi = (2.0 * big_t ** (1.0 / delta1) - 1.0) / rho0
+    except OverflowError:
+        raise NumericError(f"rtda2: the relay-sum range T^(1/delta1) passes the float range "
+                           f"(snr={snr}, r={r}, t0bw={t0bw})") from None
     nu_lo = 1e-8 * (big_t - 1.0) / rho0
 
     t_nodes, t_w = gl_nodes(math.log(nu_lo), math.log(nu_hi), _RTDA2_SCALE)

@@ -127,6 +127,17 @@ def test_simulate_fit_refusal_is_numeric_failure(capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("t0bw, db", [("2.5", "3000"), ("1.0000001", "2000")])
+def test_rtda2_past_the_float_range_is_numeric_failure(capsys, t0bw, db):
+    # T^(1/delta1) of the relay-sum range passes 1e308; main must not raise
+    rc, out, err = run(capsys, "simulate", "--mode", "analytic", "--scheme",
+                       "TDA_REPETITION", "--cond", "d2", "--t0bw", t0bw, "--r", "0.49",
+                       "--snr-db", db)
+    assert rc in (2, 3)
+    assert err.startswith(("numeric failure:", "config error:"))
+    assert "Traceback" not in err
+
+
 def test_simulate_rejects_out_of_range_rate(capsys):
     rc, _, err = run(capsys, "simulate", "--scheme", "STC_SYNC", "--r", "0.8",
                      "--trials", "10000", "--snr-db", "0:10:5")

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from relaylab.channel import D_BOTH, D_NONE, D_R1, D_R2, FadingRealization
+from relaylab import mutualinfo
 from relaylab.errors import ConfigError
-from relaylab.mutualinfo import (DelayConfig, SchemeId, _emaca_batch,
-                                 closed_log_integral, i_af_pair, i_astc,
-                                 i_emaca_spectral, i_esd,
+from relaylab.mutualinfo import (DelayConfig, SchemeId, _emaca_batch, _kernel_bounds,
+                                 _log2_cos_window_mean, closed_log_integral, i_af_pair,
+                                 i_astc, i_emaca_spectral, i_esd,
                                  i_esd_bounds, i_ltda, i_rtda, i_stc, i_tda,
-                                 mi_batch, scheme_mi)
+                                 mi_batch, mi_below, scheme_mi)
 from relaylab.waveform import correlations, rectangular, spectral_entries, srrc
 
 UNIT = FadingRealization(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
@@ -483,4 +484,104 @@ def test_mi_batch_relay_swap():
             keep = (m1 | m2) if scheme == SchemeId.MIX_AF else np.ones(n, dtype=bool)
             np.testing.assert_allclose(a[keep], b[keep], rtol=1e-12, atol=0,
                                        err_msg=f"{scheme.value} {kw}")
+            # the screened verdicts swap with them, at a rate splitting the rows
+            rate = float(np.median(a))
+            below = mi_below(scheme, sd, r1d, r2d, m1, m2, rho0, rate, **kw)
+            np.testing.assert_array_equal(below, a < rate)
+            np.testing.assert_array_equal(
+                below[keep], mi_below(scheme, sd, r2d, r1d, m2, m1, rho0, rate, **kw)[keep])
 
+
+# ---------------------------------------------------------------------------
+# the screen's kernel bounds
+
+
+def _screen_rows(rng, n):
+    # Exp(1) gains with exact zeros, 1e-12 and 1e-9 relay gains and
+    # equal-gain pairs (where A - B is smallest) mixed in
+    sd, r1d, r2d = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) / math.sqrt(2)
+    k = n // 8
+    r1d[:k] = 0.0
+    r2d[k:2 * k] *= math.sqrt(1e-12) / np.abs(r2d[k:2 * k])
+    r1d[2 * k:3 * k] *= math.sqrt(1e-9) / np.abs(r1d[2 * k:3 * k])
+    r2d[3 * k:4 * k] = r1d[3 * k:4 * k] * np.exp(1j * rng.uniform(-math.pi, math.pi, k))
+    return sd, r1d, r2d
+
+
+SANDWICH_DB = (0, 10, 20, 30, 40, 60, 80)
+
+
+def test_isi_kernel_bounds_sandwich():
+    # lower <= mean log2 det <= upper, to the slack, for the PD and singular
+    # span-1 pairs, the truncated SRRC span 2 and a span-3 pulse (r(2) != 0,
+    # where only q >= 1 bounds the kernel below)
+    rng = np.random.default_rng(41)
+    pulses = {"rect1": correlations(rectangular(1, 64), 0.5),
+              "srrc1": correlations(srrc(0.5, 1, 64), 0.5),
+              "srrc2": correlations(srrc(0.5, 2, 64), 0.3),
+              "srrc3": correlations(srrc(0.3, 3, 64), 0.7)}
+    for name, corr in pulses.items():
+        for db in SANDWICH_DB:
+            rho0 = 10.0 ** (db / 10.0)
+            sd, r1d, r2d = _screen_rows(rng, 2000)
+            rate = 0.45 * math.log2(1.0 + rho0)
+            need, lower, upper, slack = _kernel_bounds(SchemeId.ASTC, sd, r1d, r2d, rho0,
+                                                       rate, corr, None)
+            kernel = _emaca_batch(np.abs(r1d) ** 2, np.abs(r2d) ** 2, corr, rho0)
+            assert np.all(np.isfinite(lower) & np.isfinite(upper)), (name, db)
+            assert np.all(lower - slack <= kernel), (name, db)
+            assert np.all(kernel <= upper + slack), (name, db)
+            if name == "srrc3":
+                assert np.all(lower == 0.0)
+
+
+@pytest.mark.parametrize("t0bw", (1e-6, 0.3, 1.7, 2.0, 2.5, 6.0))
+def test_window_kernel_bounds_sandwich(t0bw):
+    rng = np.random.default_rng(43)
+    delays = DelayConfig.from_t0bw(t0bw)
+    for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        for db in SANDWICH_DB:
+            rho0 = 10.0 ** (db / 10.0)
+            sd, r1d, r2d = _screen_rows(rng, 2000)
+            rate = 0.45 * math.log2(1.0 + rho0)
+            need, lower, upper, slack = _kernel_bounds(scheme, sd, r1d, r2d, rho0, rate,
+                                                       None, delays)
+            gsd, g1, g2 = (np.abs(z) ** 2 for z in (sd, r1d, r2d))
+            nu = g1 + g2
+            a = 1.0 + rho0 * ((gsd + nu) if scheme == SchemeId.TDA_REPETITION else nu)
+            kernel = _log2_cos_window_mean(a, 2.0 * rho0 * np.sqrt(g1 * g2),
+                                           np.angle(r2d) - np.angle(r1d), math.pi * t0bw)
+            assert np.all(np.isfinite(lower) & np.isfinite(upper)), (scheme, db)
+            assert np.all(lower - slack <= kernel), (scheme, db)
+            assert np.all(kernel <= upper + slack), (scheme, db)
+
+
+def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
+    # with equal relay gains at 200 dB, A = 1 + rho0 (g1 + g2) rounds to
+    # B = 2 rho0 sqrt(g1 g2), so the window lower bound log2(A - B) is -inf
+    # while the kernel stays finite
+    kernel_rows = []
+
+    def spy(scheme, sd, *args, **kwargs):
+        kernel_rows.append(sd)
+        return mi_batch(scheme, sd, *args, **kwargs)
+
+    rng = np.random.default_rng(47)
+    sd, r1d, _ = _screen_rows(rng, 400)
+    r1d[:50] = 1.0 + 0.5j  # rows that are not all zero gain
+    r2d = r1d.copy()
+    m = np.ones(sd.size, dtype=bool)
+    delays = DelayConfig.from_t0bw(2.5)
+    rho0 = 1e20
+    rate = 0.25 * math.log2(1.0 + rho0)
+    with np.errstate(divide="ignore"):
+        need, lower, upper, _ = _kernel_bounds(SchemeId.TDA_INDEP, sd, r1d, r2d, rho0, rate,
+                                               None, delays)
+    bad = ~(np.isfinite(need) & np.isfinite(lower) & np.isfinite(upper))
+    assert np.count_nonzero(bad[:50]) == 50
+    monkeypatch.setattr(mutualinfo, "mi_batch", spy)
+    got = mi_below(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, rate, delays=delays)
+    assert len(kernel_rows) == 1 and np.all(np.isin(sd[bad], kernel_rows[0]))
+    want = mi_batch(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, delays=delays)
+    assert np.all(np.isfinite(want))
+    np.testing.assert_array_equal(got, want < rate)

@@ -10,13 +10,13 @@ from relaylab.channel import NetworkConfig, RatePoint
 from relaylab import outage
 from relaylab._quad import gl_nodes
 from relaylab.errors import ConfigError, NumericError
-from relaylab.mutualinfo import DelayConfig, SchemeId, _log2_cos_window_mean
+from relaylab.mutualinfo import DelayConfig, SchemeId, _log2_cos_window_mean, mi_batch
 from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              analytic_outage_parallel3, analytic_outage_rtda2,
                              analytic_outage_stc, direct_outage, mc_outage,
                              slope_fit, two_exp_pdf, wilson_interval,
                              write_csv, write_outage_csv)
-from relaylab.waveform import correlations, srrc
+from relaylab.waveform import correlations, rectangular, srrc
 
 SNR_GRID = tuple(10.0 ** (db / 10.0) for db in (0, 5, 10, 15))
 
@@ -289,6 +289,73 @@ def test_mc_validation(unit_cfg):
                   ConditionalCase.OVERALL, cfg=unit_cfg, force_set=True)
     with pytest.raises(ConfigError):
         mc_outage(SchemeId.TDA_INDEP, 0.1, SNR_GRID, 10_000, 1, cfg=unit_cfg)
+
+
+# ---------------------------------------------------------------------------
+# bound screening: the engine's counts are the kernel's counts
+
+
+def _kernel_verdicts(scheme, sd, r1d, r2d, m1, m2, rho0, rate, corr=None, delays=None):
+    return mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, corr, delays) < rate
+
+
+# (r, cond, forced): every case at r=0.25 jointly, the forced sets at r=0.45;
+# the delay sweep runs the overall and forced-d2 curves
+ALL_CURVES = ((0.25, ConditionalCase.OVERALL, False), (0.25, ConditionalCase.D0, False),
+              (0.25, ConditionalCase.D1, False), (0.25, ConditionalCase.D2, False),
+              (0.45, ConditionalCase.OVERALL, False), (0.45, ConditionalCase.D1, True),
+              (0.45, ConditionalCase.D2, True))
+WINDOW_CURVES = ((0.25, ConditionalCase.OVERALL, False), (0.45, ConditionalCase.OVERALL, False),
+                 (0.45, ConditionalCase.D2, True))
+SCREEN_GRID = tuple(10.0 ** (db / 10.0) for db in range(0, 61, 15))
+
+
+def _screen_cases():
+    rect1 = correlations(rectangular(1, 64), 0.5)
+    srrc1 = correlations(srrc(0.5, 1, 64), 0.5)
+    srrc2 = correlations(srrc(0.5, 2, 64), 0.3)
+    cases = [pytest.param(SchemeId.STC_SYNC, {}, ALL_CURVES, id="STC_SYNC"),
+             pytest.param(SchemeId.TDA_LINMOD, {"corr": rect1}, ALL_CURVES,
+                          id="TDA_LINMOD-rect1")]
+    for scheme in (SchemeId.ASTC, SchemeId.MIX_AF):
+        for name, corr in (("rect1", rect1), ("srrc1", srrc1), ("srrc2", srrc2)):
+            cases.append(pytest.param(scheme, {"corr": corr}, ALL_CURVES,
+                                      id=f"{scheme.value}-{name}"))
+    for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        for t0bw in (0.0, 1e-6, 0.3, 2.0, 2.5, 6.0):
+            cases.append(pytest.param(scheme, {"delays": DelayConfig.from_t0bw(t0bw)},
+                                      ALL_CURVES if t0bw == 2.5 else WINDOW_CURVES,
+                                      id=f"{scheme.value}-t0bw{t0bw:g}"))
+    return cases
+
+
+@pytest.mark.parametrize("scheme, kw, which", _screen_cases())
+def test_screened_counts_equal_kernel_counts(unit_cfg, monkeypatch, scheme, kw, which):
+    def curves():
+        return [mc_outage(scheme, r, SCREEN_GRID, 10_000, 21, cond, cfg=unit_cfg,
+                          force_set=forced, **kw).outage
+                for r, cond, forced in which]
+
+    screened = curves()
+    monkeypatch.setattr(outage, "mi_below", _kernel_verdicts)
+    assert screened == curves()
+
+
+@pytest.mark.parametrize("scheme, kw", [
+    pytest.param(SchemeId.ASTC, {"corr": correlations(srrc(0.5, 2, 64), 0.3)}, id="ASTC-srrc2"),
+    pytest.param(SchemeId.MIX_AF, {"corr": correlations(rectangular(1, 64), 0.5)},
+                 id="MIX_AF-rect1"),
+    pytest.param(SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(2.5)},
+                 id="TDA_INDEP-t0bw2.5")])
+def test_screened_counts_across_workers(unit_cfg, monkeypatch, scheme, kw):
+    # two blocks: counts depend only on (seed, trial index), never on the workers
+    grid = tuple(10.0 ** (db / 10.0) for db in (0, 20, 40))
+    trials = outage.BLOCK_TRIALS + 10_000
+    runs = [mc_outage(scheme, 0.45, grid, trials, 22, cfg=unit_cfg, workers=w, **kw).outage
+            for w in (1, 2, 1)]
+    monkeypatch.setattr(outage, "mi_below", _kernel_verdicts)
+    kernel = mc_outage(scheme, 0.45, grid, trials, 22, cfg=unit_cfg, **kw).outage
+    assert runs == [kernel] * 3
 
 
 # ---------------------------------------------------------------------------
