@@ -18,8 +18,8 @@ from .outage import (ConditionalCase, OutageCurve, SlopeFit,
                      analytic_outage_parallel3, analytic_outage_rtda2,
                      analytic_outage_stc, direct_outage, mc_outage,
                      slope_fit, wilson_interval, write_csv, write_outage_csv)
-from .toeplitz import (ConvergenceStudy, IsiTapSet, block_matrix, build_taps,
-                       convergence_study, finite_n_mi)
+from .toeplitz import (ConvergenceStudy, IsiTapSet, build_taps, convergence_study,
+                       finite_n_mi)
 from .tradeoff import (CrossingReport, CrossPoint, TradeoffCurve, crossings,
                        curve, d_curve, rtda_band)
 from .waveform import (CorrelationSet, EigenBounds, Waveform, certify_pd,

@@ -35,7 +35,10 @@ from .waveform import (certify_pd, correlations, load_waveform, rectangular,
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"snr of {db!r} dB is past the float range") from None
 
 
 def _parse_grid_db(text: str) -> list[float]:

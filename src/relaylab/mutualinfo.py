@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DecodingSet, FadingRealization
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .waveform import CorrelationSet, EigenBounds, certify_pd
 
 _LN2 = math.log(2.0)
@@ -348,6 +348,15 @@ def _log2_cos_window_mean(A, B, psi, h: float):
 
         mean = [log((A + R)/2) - (F(h + psi) + F(h - psi)) / h] / ln 2,
         F(x) = Im Li2(-c e^{ix}) = Im spence(1 + c e^{ix}).
+
+    The F terms cancel to roundoff (eps / h) in short windows, so a row with
+    h max(1, |q|) < _SHORT_WINDOW, q = z / (1 + z), z = c e^{i psi}, takes
+    the Taylor expansion in h about the limit log2(A + B cos psi) instead;
+    the x-derivatives of log(1 + c e^{ix}) are polynomials in q.  With
+    p = q (1 - q) and A + B cos psi as (A - B) + 2B cos^2(psi/2) (B >= 0):
+
+        mean = [log(A + B cos psi) - Re(p h^2 (1/3 - (1 - 6p) h^2/60
+                + (1 - 30p + 120p^2) h^4/2520))] / ln 2.
     """
     from scipy.special import spence  # deferred: importing it slows every CLI start by tens of ms
 
@@ -355,7 +364,22 @@ def _log2_cos_window_mean(A, B, psi, h: float):
     c = B / (A + r)
     f = spence(1.0 + c * np.exp(1j * (h + psi))).imag \
         + spence(1.0 + c * np.exp(1j * (h - psi))).imag
-    return (np.log(0.5 * (A + r)) - f / h) / _LN2
+    mean = (np.log(0.5 * (A + r)) - f / h) / _LN2
+    if h < _SHORT_WINDOW:
+        z = c * np.exp(1j * psi)
+        q = z / (1.0 + z)
+        p = q * (1.0 - q)
+        h2 = h * h
+        poly = 1 / 3 - h2 * ((1 - 6 * p) / 60 - h2 * (1 - 30 * p + 120 * p * p) / 2520)
+        near = np.log((A - B) + 2.0 * B * np.cos(0.5 * psi) ** 2) - (p * h2 * poly).real
+        mean = np.where(h * np.maximum(1.0, np.abs(q)) < _SHORT_WINDOW, near / _LN2, mean)
+    return mean
+
+
+# The expansion's first omitted term is of order (h |q|)^8 and the dilogarithm
+# form's roundoff of order eps |q| / (h |q|); switching at h |q| = 0.05 keeps
+# both near 1e-11 bits.  Every t0*bw >= 1/(20 pi) keeps the dilogarithm form.
+_SHORT_WINDOW = 5e-2
 
 
 def _inv_cos_window_mean(A, B, psi, h: float):
@@ -494,12 +518,16 @@ def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float):
     log|c_d| + sum_j Re arccosh(x_j) over the roots x_j of q, found as the
     eigenvalues of the Chebyshev colleague matrix; the principal arccosh is
     the log of the larger-modulus branch of x_j +- sqrt(x_j^2 - 1).  A zero
-    gain or a zero top tap lowers d, so rows are grouped by degree.
+    gain or a zero top tap lowers d, so rows are grouped by degree.  A
+    non-finite coefficient (rho0^2 g1 g2 overflowing) raises NumericError.
     """
     g1 = np.atleast_1d(np.asarray(g1, dtype=float))
     g2 = np.atleast_1d(np.asarray(g2, dtype=float))
     s = corr.span
-    c = _det_coeffs(g1, g2, corr, rho0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _det_coeffs(g1, g2, corr, rho0)
+    if not np.all(np.isfinite(c)):
+        raise NumericError(f"pair-rate coefficients are not finite (rho0={rho0!r})")
     deg = np.max(np.where(c != 0.0, np.arange(2 * s + 1), 0), axis=1)
     out = np.log(np.abs(np.take_along_axis(c, deg[:, None], axis=1)[:, 0]))
     for d in np.unique(deg[deg > 0]):

@@ -1,14 +1,15 @@
 """Finite-block rates of the ISI-coupled relay pair and their spectral limit.
 
 Sampling the matched-filter bank over n symbol periods per relay gives a
-2n x 2n banded block-Toeplitz covariance; the per-symbol rate
+2n x 2n block-Toeplitz covariance M_n; the per-symbol rate
 
-    I(n) = (1/n) * sum_k log2(1 + rho0 * eig_k)
+    I(n) = (1/n) * log2 det(I + rho0 * M_n)
 
-converges to the frequency-domain evaluator as n grows.  The block matrix is
-assembled relay-major (all of relay 1's symbols, then relay 2's), which is a
-permutation of the symbol-interleaved ordering and therefore has the same
-eigenvalues.
+converges to the frequency-domain evaluator as n grows (Szego; Gray,
+"Toeplitz and Circulant Matrices: A Review").  In symbol-interleaved order
+block (i, j) of M_n is the lag block h(j - i), so M_n has scalar bandwidth
+2*span + 1 and log det is twice the summed log2 of a banded Cholesky
+factor's diagonal.  M_m leads M_n, so one factor serves every n <= n_max.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz as _toeplitz
+from scipy.linalg import LinAlgError, cholesky_banded
 
 from .errors import ConfigError, NumericError
 from .mutualinfo import _emaca_batch
 from .waveform import CorrelationSet
 
-DENSE_EIG_CAP = 4096
+# Largest block size: the band of M_n at span 2 is 6 x 2n complex entries,
+# about 25 MB per copy at this n.
+MAX_BLOCK_N = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -73,39 +76,52 @@ def build_taps(corr: CorrelationSet, alpha_r1d: complex, alpha_r2d: complex) -> 
     return IsiTapSet(corr, complex(alpha_r1d), complex(alpha_r2d))
 
 
-def block_matrix(taps: IsiTapSet, n: int) -> np.ndarray:
-    """Dense 2n x 2n covariance of n symbols per relay, relay-major order."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    c = taps.corr
-    lags = np.arange(n)
-    same = np.array([c.r(int(m)) for m in lags])
-    t_same = _toeplitz(same)
-    col = np.array([c.g(-int(m)) for m in lags])
-    row = np.array([c.g(int(m)) for m in lags])
-    t_cross = _toeplitz(col, row)
-    x = taps.cross
-    top = np.hstack([taps.g1 * t_same, x * t_cross])
-    bot = np.hstack([np.conj(x) * t_cross.conj().T, taps.g2 * t_same])
-    return np.vstack([top, bot]).astype(complex)
+def _upper_band(taps: IsiTapSet, n: int) -> np.ndarray:
+    """Upper band of M_n in LAPACK storage ((i, j) at [u + i - j, j], u =
+    2*span + 1): entry (2i + a, 2(i + k) + b) is h(k)[a, b] for every i."""
+    s = taps.corr.span
+    u = 2 * s + 1
+    band = np.zeros((u + 1, 2 * n), dtype=complex)
+    for k in range(s + 1):
+        for (a, b), v in np.ndenumerate(taps.h(k)):
+            if 2 * k + b - a >= 0:
+                band[u - 2 * k - b + a, 2 * k + b::2] = v
+    return band
+
+
+def _rate_ladder(taps: IsiTapSet, ns: tuple[int, ...], rho0: float) -> np.ndarray:
+    """I(n) for each n of the strictly increasing ns, from one factor at ns[-1].
+
+    A broken tap set (M_n with an eigenvalue below -delta, delta = 1e-9 *
+    max(1, max diag M_n) <= 1e-9 * max(1, lambda_max)) fails the Cholesky of
+    M_n + delta I and raises; by interlacing, the check at ns[-1] covers every
+    smaller section.  So does an M_n that passes it but makes I + rho0 M_n
+    indefinite.
+    """
+    if not ns or any(v < 1 for v in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError("block sizes must be strictly increasing positive ints")
+    if ns[-1] > MAX_BLOCK_N:
+        raise ConfigError(f"n={ns[-1]} exceeds the block size cap {MAX_BLOCK_N}")
+    band = _upper_band(taps, ns[-1])
+    if not math.isfinite(rho0 * float(np.abs(band).max())):
+        raise NumericError(f"rho0 * covariance is not finite (rho0={rho0!r})")
+    work = band.copy(order="F")  # Fortran order: LAPACK factors it in place
+    work[-1] += 1e-9 * max(1.0, float(band[-1].real.max()))
+    try:
+        cholesky_banded(work, overwrite_ab=True, check_finite=False)
+        np.multiply(band, rho0, out=work)
+        work[-1] += 1.0
+        diag = cholesky_banded(work, overwrite_ab=True, check_finite=False)[-1].real
+    except LinAlgError:
+        raise NumericError("covariance is not positive semidefinite (broken tap set)") from None
+    logdiag = np.cumsum(np.log2(diag))
+    n = np.asarray(ns)
+    return 2.0 * logdiag[2 * n - 1] / n
 
 
 def finite_n_mi(taps: IsiTapSet, n: int, rho0: float) -> float:
-    """Per-symbol rate of the length-n block via dense eigenvalues.
-
-    The covariance is positive semidefinite by construction; eigenvalues
-    below -1e-9 (relative to the largest) indicate a broken tap set and
-    raise instead of being silently clipped.
-    """
-    if n > DENSE_EIG_CAP:
-        raise ConfigError(f"n={n} exceeds the dense eigensolver cap {DENSE_EIG_CAP}")
-    m = block_matrix(taps, n)
-    ev = np.linalg.eigvalsh(m)
-    floor = -1e-9 * max(1.0, float(ev[-1]))
-    if ev[0] < floor:
-        raise NumericError(f"covariance eigenvalue {ev[0]!r} is significantly negative")
-    ev = np.maximum(ev, 0.0)
-    return float(np.sum(np.log2(1.0 + rho0 * ev)) / n)
+    """Per-symbol rate of the length-n block, (1/n) log2 det(I + rho0 M_n)."""
+    return float(_rate_ladder(taps, (int(n),), rho0)[0])
 
 
 @dataclass(frozen=True)
@@ -130,10 +146,8 @@ def convergence_study(taps: IsiTapSet, ns, rho0: float, rel_tol: float = 0.01,
     (the benchmark's layer probe).
     """
     ns = tuple(int(v) for v in ns)
-    if not ns or any(v < 1 for v in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError("ns must be a strictly increasing tuple of positive ints")
+    vals = tuple(float(v) for v in _rate_ladder(taps, ns, rho0))
     limit = float(_emaca_batch(taps.g1, taps.g2, taps.corr, rho0)[0])
-    vals = tuple(finite_n_mi(taps, n, rho0) for n in ns)
     abs_err = tuple(abs(v - limit) for v in vals)
     denom = max(abs(limit), 1e-300)
     rel_err = tuple(e / denom for e in abs_err)

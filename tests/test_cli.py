@@ -138,6 +138,17 @@ def test_rtda2_past_the_float_range_is_numeric_failure(capsys, t0bw, db):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ("toeplitz", "--snr-db", "3000", "--n-list", "1,2"),
+    ("compare-capacity", "--snr-db", "3000", "--draws", "4"),
+], ids=lambda a: " ".join(a))
+def test_pair_rate_overflow_is_numeric_failure(capsys, args):
+    # rho0^2 g1 g2 passes 1e308 in the pair rate's cosine coefficients
+    rc, _, err = run(capsys, *args)
+    assert rc == 3
+    assert "numeric failure" in err
+
+
 def test_simulate_rejects_out_of_range_rate(capsys):
     rc, _, err = run(capsys, "simulate", "--scheme", "STC_SYNC", "--r", "0.8",
                      "--trials", "10000", "--snr-db", "0:10:5")
@@ -183,6 +194,16 @@ def test_toeplitz_convergence_rows(capsys):
     errs = [float(r[4]) for r in rows]
     assert errs[-1] < 0.05
     assert errs[0] >= errs[-1]
+
+
+def test_toeplitz_reaches_large_blocks(capsys):
+    # the banded factor makes n = 10^5 a fraction of a second
+    rc, out, _ = run(capsys, "toeplitz", "--n-list", "64,1024,100000",
+                     "--samples-per-symbol", "64")
+    assert rc == 0
+    _, rows = parse_rows(out)
+    assert [r[0] for r in rows] == ["64", "1024", "100000"]
+    assert float(rows[-1][4]) < 1e-5
 
 
 def test_toeplitz_unreachable_tolerance(capsys):
@@ -267,6 +288,8 @@ def test_grid_parse_single_point(capsys):
     ("toeplitz", "--pulse", "srrc", "--span", "-1"),
     ("compare-capacity", "--pulse", "srrc", "--span", "-1"),
     ("toeplitz", "--snr-db", "nan"),
+    ("toeplitz", "--snr-db", "1e6"),
+    ("toeplitz", "--n-list", "64,131073"),
     ("waveform", "--samples-per-symbol", "64", "--out", "missing/x.csv"),
     ("simulate", "--trials", "10000", "--snr-db", "0", "--out", "missing/x.csv"),
 ], ids=lambda a: " ".join(a))

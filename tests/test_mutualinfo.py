@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +187,43 @@ def test_tda_window_mean_matches_graded_quadrature():
                     want = 0.5 * mean if rep else 0.5 * math.log2(1.0 + direct) + 0.5 * mean
                     worst = max(worst, abs(got[i] - want))
     assert worst <= 1e-11, worst
+
+
+def _mp_window_mean(a, b, psi, h):
+    """mean of log2(a + b cos(u + psi)) over |u| <= h by mpmath quad, split
+    where the integrand dips (u + psi = pi mod 2 pi)."""
+    with mpmath.workdps(40):
+        a, b, psi, h = (mpmath.mpf(float(v)) for v in (a, b, psi, h))
+        cuts = {mpmath.mpf(-1), mpmath.mpf(0), mpmath.mpf(1)}
+        for k in range(-2, 3):
+            t = (mpmath.pi - psi + 2 * mpmath.pi * k) / h
+            if -1 < t < 1:
+                cuts.add(t)
+        f = lambda t: mpmath.log(a + b * mpmath.cos(psi + h * t), 2)
+        return float(mpmath.quad(f, sorted(cuts)) / 2)
+
+
+@pytest.mark.parametrize("t0bw", (1e-300, 1e-12, 1e-8, 1e-6, 1e-3))
+def test_short_window_mean_matches_mpmath(t0bw):
+    # The dilogarithm form cancels like eps / h in short windows (3.6 bits off
+    # at t0bw = 1e-300 for A = 101, B = 99); the short-window expansion takes
+    # over there.  Rows pair near-equal relay gains with phases near pi,
+    # where A + B cos dips to A - B.
+    rng = np.random.default_rng(31)
+    rows = [(101.0, 99.0, 0.3), (101.0, 99.0, math.pi - 1e-3), (3.0, 1.0, 1.0)]
+    for db in (20.0, 40.0, 60.0, 80.0):
+        rho0 = 10.0 ** (db / 10.0)
+        for rel in (0.0, 1e-6, 1e-3, 1e-1):
+            g1 = rng.exponential()
+            g2 = g1 * (1.0 + rel)
+            psi = math.pi - 10.0 ** rng.uniform(-4.0, -1.0) if rel < 1e-2 \
+                else rng.uniform(-math.pi, math.pi)
+            rows.append((1.0 + rho0 * (g1 + g2), 2.0 * rho0 * math.sqrt(g1 * g2), psi))
+    a, b, psi = (np.array(col) for col in zip(*rows))
+    h = math.pi * t0bw
+    got = _log2_cos_window_mean(a, b, psi, h)
+    want = [_mp_window_mean(*row, h) for row in rows]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
