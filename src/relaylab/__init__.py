@@ -7,13 +7,10 @@ tradeoff curves.
 """
 
 from .channel import (DecodingSet, FadingRealization, NetworkConfig, RatePoint,
-                      decoding_set_probs, derive_decoding_set, rate_target,
-                      relay_decodes, sample_fading)
+                      decoding_set_probs, rate_target, sample_fading)
 from .errors import ConfigError, NumericError
-from .mutualinfo import (DelayConfig, MiBounds, SchemeId, check_scheme,
-                         closed_log_integral, i_af_pair, i_astc,
-                         i_emaca_spectral, i_esd, i_esd_bounds, i_ltda, i_rtda,
-                         i_stc, i_tda, mi_batch, scheme_mi)
+from .mutualinfo import (DelayConfig, SchemeId, check_scheme, closed_log_integral,
+                         i_af_pair, i_esd, i_esd_bounds, mi_batch, mi_envelope)
 from .outage import (ConditionalCase, OutageCurve, SlopeFit,
                      analytic_outage_parallel3, analytic_outage_rtda2,
                      analytic_outage_stc, direct_outage, mc_outage,

@@ -103,6 +103,12 @@ class RatePoint:
     def rho0(self) -> float:
         return POWER_NORM * self.snr
 
+    @property
+    def decode_threshold(self) -> float:
+        """Squared source-relay gain a relay needs to decode in phase one:
+        0.5*log2(1 + rho0 |alpha|^2) >= R iff |alpha|^2 >= (4^R - 1)/rho0."""
+        return (4.0 ** self.rate - 1.0) / self.rho0
+
 
 @dataclass(frozen=True)
 class FadingRealization:
@@ -113,10 +119,6 @@ class FadingRealization:
     sr2: complex
     r1d: complex
     r2d: complex
-
-    def gain2(self, link: str) -> float:
-        """Squared magnitude of one link gain."""
-        return abs(getattr(self, link)) ** 2
 
 
 def sample_fading(cfg: NetworkConfig, rng: np.random.Generator) -> FadingRealization:
@@ -140,35 +142,17 @@ class DecodingSet:
     def size(self) -> int:
         return int(self.r1) + int(self.r2)
 
-    @property
-    def members(self) -> tuple[str, ...]:
-        return tuple(n for n, b in (("r1", self.r1), ("r2", self.r2)) if b)
-
 
 D_NONE = DecodingSet(False, False)
 D_R1 = DecodingSet(True, False)
 D_R2 = DecodingSet(False, True)
 D_BOTH = DecodingSet(True, True)
-ALL_SETS = (D_NONE, D_R1, D_R2, D_BOTH)
-
-
-def relay_decodes(alpha_sr: complex, pt: RatePoint) -> bool:
-    """First-hop success test: 0.5*log2(1 + rho0 |alpha|^2) >= R."""
-    return 0.5 * math.log2(1.0 + pt.rho0 * abs(alpha_sr) ** 2) >= pt.rate
-
-
-def derive_decoding_set(f: FadingRealization, pt: RatePoint) -> DecodingSet:
-    return DecodingSet(relay_decodes(f.sr1, pt), relay_decodes(f.sr2, pt))
 
 
 def relay_failure_prob(lam_sr: float, pt: RatePoint) -> float:
-    """Exact Pr[0.5*log2(1 + rho0 |alpha|^2) < R] for an Exp(lam) squared gain.
-
-    The decode threshold on the squared gain is (2^(2R) - 1)/rho0, so the
-    failure probability is 1 - exp(-lam * threshold).
-    """
-    thr = (4.0 ** pt.rate - 1.0) / pt.rho0
-    return -math.expm1(-lam_sr * thr)
+    """Exact Pr[0.5*log2(1 + rho0 |alpha|^2) < R] for an Exp(lam) squared gain:
+    1 - exp(-lam * pt.decode_threshold)."""
+    return -math.expm1(-lam_sr * pt.decode_threshold)
 
 
 def decoding_set_probs(cfg: NetworkConfig, pt: RatePoint) -> dict[DecodingSet, float]:

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import outage as _outage
 from . import tradeoff as _tradeoff
 from .channel import NetworkConfig, POWER_NORM, sample_fading
 from .errors import ConfigError, NumericError
@@ -30,8 +29,7 @@ from .outage import (ConditionalCase, analytic_curve, analytic_outage_parallel3,
                      slope_fit, write_csv, write_outage_csv)
 from .toeplitz import build_taps, convergence_study
 from .tradeoff import crossings, curve, rtda_band
-from .waveform import (certify_pd, correlations, load_waveform, rectangular,
-                       save_waveform, srrc)
+from .waveform import certify_pd, correlations, load_waveform, rectangular, srrc
 
 
 def db_to_linear(db: float) -> float:
@@ -67,9 +65,12 @@ def _as_int(vals: dict, key: str) -> int:
 
 def _as_float(vals: dict, key: str) -> float:
     try:
-        return float(vals[key])
+        v = float(vals[key])
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {vals[key]!r}")
+        v = math.nan
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be a finite number, got {vals[key]!r}")
+    return v
 
 
 def _as_seed(vals: dict) -> int:

@@ -1,40 +1,31 @@
 """Conditional mutual information of the relaying schemes, in bits/s/Hz.
 
-Every evaluator conditions on the decoding set d (which relays got the
-source message in phase one) and on one fading realization.  rho0 is the
+Every value conditions on the decoding set (which relays got the source
+message in phase one) and on one fading realization.  rho0 is the
 normalized per-node snr.  All logarithms are base 2.
 
-Every scheme's value comes from one vectorized kernel, mi_batch, which takes
-arrays of destination-link gains and relay memberships; scheme_mi and the
-per-scheme evaluators (i_stc, i_tda, i_rtda, i_ltda, i_astc) are that kernel
-on a batch of one.  The Monte Carlo engine only needs mi_batch(...) < rate,
-which mi_below returns while running the costly both-relays kernels only on
-rows that cheap bounds cannot settle.  Evaluators that average over a
-frequency or delay-phase variable return an MiBounds carrying
-per-realization analytic envelopes along with the value; closed-form
-evaluators return plain floats.
+The evaluators take arrays, one row per draw, and a single draw is a batch
+of one.  mi_batch is each scheme's one MI kernel: it takes the complex
+destination-link gains and the relay memberships.  The Monte Carlo engine
+only needs mi_batch(...) < rate, which mi_below returns while running the
+costly both-relays kernels only on rows that cheap bounds cannot settle.
+mi_envelope returns mi_batch's value with its analytic envelope: the
+delta1-scaled whole-period and coherent-combining bounds of the delay
+schemes, and the certified-eigenvalue bounds of the ISI-aware pair rate.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DecodingSet, FadingRealization
 from .errors import ConfigError, NumericError
 from .waveform import CorrelationSet, EigenBounds, certify_pd
 
 _LN2 = math.log(2.0)
-_ZERO_DELAY = "zero relative delay: relays collapse to one effective gain"
-_SUBUNIT = "t0*bandwidth < 1: whole-period lower bound degenerates to 0"
-
-
-def _log2_1p(x: float) -> float:
-    return math.log1p(x) / _LN2
 
 
 class SchemeId(str, enum.Enum):
@@ -46,16 +37,6 @@ class SchemeId(str, enum.Enum):
     TDA_LINMOD = "TDA_LINMOD"        # delayed overlapping pulses, matched-filter front end
     ASTC = "ASTC"                    # space-time code under symbol-level asynchrony
     MIX_AF = "MIX_AF"                # decode-forward with amplify-forward fallback
-
-
-@dataclass(frozen=True)
-class MiBounds:
-    """Mutual information value with its per-realization analytic envelope."""
-
-    value: float
-    lower: float
-    upper: float
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -128,7 +109,7 @@ def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
 
     sd, r1d, r2d are the complex destination-link gains and m1, m2 the
     boolean memberships of the decoding set, one entry per row.  The Monte
-    Carlo engine calls it per block; scheme_mi calls it on a batch of one.
+    Carlo engine calls it per block; a single draw is a batch of one.
     """
     scheme = check_scheme(scheme, corr, delays)
     gsd = np.abs(sd) ** 2
@@ -209,6 +190,70 @@ def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
         maca = _emaca_batch(g1[b], g2[b], corr, rho0)
         out[b] = 0.5 * (own[b] + maca)
     return out
+
+
+def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
+                corr: CorrelationSet | None = None,
+                delays: DelayConfig | None = None,
+                eig: EigenBounds | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, lower, upper) arrays: mi_batch's value and its analytic envelope.
+
+    Rows with a closed form (STC_SYNC, and every row with fewer than two
+    relays) get lower = upper = value.  On the both-relays rows, with
+    direct = 0.5 log2(1 + rho0 g_sd) and nu = g1 + g2:
+
+    - TDA_INDEP: the window mean of log2(1 + rho0 |a1 + a2 e^{ju}|^2) lies
+      between delta1 times its whole-period lower bound log2((1 + rho0 nu)/2)
+      and the coherent-combining log2(1 + 2 rho0 nu), delta1 =
+      floor(t0 bw)/ceil(t0 bw) (0 below one period).  TDA_REPETITION puts
+      rho0 g_sd inside that logarithm instead of the direct term.  At
+      t0 bw = 0 the lower bound is min(0, value).
+    - TDA_LINMOD: the matched-filter pair term
+      log2(1 + a + sqrt((1 + a)^2 - b^2)) - 1, a = rho0 (r1^2 + r2^2
+      + 2 rho12 r1 r2 cos(th1 - th2)), b = 2 rho0 rho21 r1 r2, lies in
+      [log2(1 + a) - 1, log2(1 + a)]: |rho12| + |rho21| <= 1 (Cauchy-Schwarz)
+      gives |b| <= a.
+    - ASTC/MIX_AF: the pair rate mean log2 det(I + rho0 diag(g1, g2) T(w))
+      lies between sum_k log2(1 + rho0 g_k lambda) at the certified minimum
+      and maximum eigenvalue of T(w); eig passes a certify_pd(corr) result
+      already computed.  The lower bound is slack unless eig.pd.
+    """
+    scheme = check_scheme(scheme, corr, delays)
+    value = mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, corr, delays)
+    lower = value.copy()
+    upper = value.copy()
+    both = m1 & m2
+    if scheme == SchemeId.STC_SYNC or not both.any():
+        return value, lower, upper
+    b = np.nonzero(both)[0]
+    gsd = np.abs(sd[b]) ** 2
+    g1 = np.abs(r1d[b]) ** 2
+    g2 = np.abs(r2d[b]) ** 2
+
+    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        rep = scheme == SchemeId.TDA_REPETITION
+        inside = 1.0 + (rho0 * gsd if rep else 0.0)
+        direct = 0.0 if rep else 0.5 * np.log2(1.0 + rho0 * gsd)
+        upper[b] = direct + 0.5 * np.log2(inside + 2.0 * rho0 * (g1 + g2))
+        if delays.t0bw == 0.0:
+            lower[b] = np.minimum(0.0, value[b])
+        else:
+            lower[b] = delays.delta1 * (direct + 0.5 * np.log2(0.5 * (inside + rho0 * (g1 + g2))))
+    elif scheme == SchemeId.TDA_LINMOD:
+        r1 = np.abs(r1d[b])
+        r2 = np.abs(r2d[b])
+        cth = np.cos(np.angle(r1d[b]) - np.angle(r2d[b]))
+        a = rho0 * (r1 * r1 + r2 * r2 + 2.0 * corr.rho12 * r1 * r2 * cth)
+        upper[b] = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + a)
+        lower[b] = upper[b] - 0.5
+    else:
+        eig = eig or certify_pd(corr)
+        own = _esd_from_gain(gsd, corr.a1, rho0)
+        lower[b] = 0.5 * (own + np.log2(1.0 + rho0 * g1 * eig.certified_min)
+                          + np.log2(1.0 + rho0 * g2 * eig.certified_min))
+        upper[b] = 0.5 * (own + np.log2(1.0 + rho0 * g1 * eig.certified_max)
+                          + np.log2(1.0 + rho0 * g2 * eig.certified_max))
+    return value, lower, upper
 
 
 def mi_below(scheme, sd, r1d, r2d, m1, m2, rho0: float, rate: float,
@@ -309,22 +354,6 @@ def _kernel_bounds(scheme: SchemeId, sd, r1d, r2d, rho0: float, rate: float,
     return need, lower, upper, slack
 
 
-def scheme_mi(scheme: SchemeId, f: FadingRealization, d: DecodingSet, rho0: float,
-              corr: CorrelationSet | None = None,
-              delays: DelayConfig | None = None) -> float:
-    """One scheme's conditional mutual information for one draw (value only)."""
-    return float(mi_batch(scheme, np.array([f.sd]), np.array([f.r1d]), np.array([f.r2d]),
-                          np.array([d.r1]), np.array([d.r2]), rho0, corr, delays)[0])
-
-
-def i_stc(f: FadingRealization, d: DecodingSet, rho0: float) -> float:
-    """Synchronous scheme: direct term plus the summed decoding-relay gains.
-
-    I = 0.5*log2(1 + rho0 |a_sd|^2) + 0.5*log2(1 + rho0 * sum_{k in d} |a_rkd|^2)
-    """
-    return scheme_mi(SchemeId.STC_SYNC, f, d, rho0)
-
-
 def closed_log_integral(a: float, b: float) -> float:
     """Full-period average of log2(1 + a sin x + b cos x).
 
@@ -366,13 +395,10 @@ def _log2_cos_window_mean(A, B, psi, h: float):
         + spence(1.0 + c * np.exp(1j * (h - psi))).imag
     mean = (np.log(0.5 * (A + r)) - f / h) / _LN2
     if h < _SHORT_WINDOW:
-        z = c * np.exp(1j * psi)
-        q = z / (1.0 + z)
-        p = q * (1.0 - q)
+        near, at_psi, q, p = _short_window(A, B, psi, c, h)
         h2 = h * h
         poly = 1 / 3 - h2 * ((1 - 6 * p) / 60 - h2 * (1 - 30 * p + 120 * p * p) / 2520)
-        near = np.log((A - B) + 2.0 * B * np.cos(0.5 * psi) ** 2) - (p * h2 * poly).real
-        mean = np.where(h * np.maximum(1.0, np.abs(q)) < _SHORT_WINDOW, near / _LN2, mean)
+        mean = np.where(near, (np.log(at_psi) - (p * h2 * poly).real) / _LN2, mean)
     return mean
 
 
@@ -382,93 +408,38 @@ def _log2_cos_window_mean(A, B, psi, h: float):
 _SHORT_WINDOW = 5e-2
 
 
+def _short_window(A, B, psi, c, h: float):
+    """(near, A + B cos psi, q, p) for the short-window expansions of the
+    window means: near marks the rows with h max(1, |q|) < _SHORT_WINDOW."""
+    z = c * np.exp(1j * psi)
+    q = z / (1.0 + z)
+    near = h * np.maximum(1.0, np.abs(q)) < _SHORT_WINDOW
+    return near, (A - B) + 2.0 * B * np.cos(0.5 * psi) ** 2, q, q * (1.0 - q)
+
+
 def _inv_cos_window_mean(A, B, psi, h: float):
     """Exact mean of 1 / (A + B cos(u + psi)) over u in [-h, h], the A-slope
     of _log2_cos_window_mean times ln 2.  With the same R and c, the series
     1/(A + B cos x) = (1 + 2 sum_k (-c)^k cos(kx)) / R sums over the window to
 
         mean = [1 - (arg(1 + c e^{i(h+psi)}) + arg(1 + c e^{i(h-psi)})) / h] / R.
+
+    The arg terms cancel like the dilogarithms do, so short windows take the
+    A-derivative of that expansion instead; with dp/dA = -(1 - 2q) p / R:
+
+        mean = 1 / (A + B cos psi) + Re((1 - 2q) p h^2 (1/3 - (1 - 12p) h^2/60
+               + (1 - 60p + 360p^2) h^4/2520)) / R.
     """
     r = np.sqrt((A - B) * (A + B))
     c = B / (A + r)
     f = np.angle(1.0 + c * np.exp(1j * (h + psi))) + np.angle(1.0 + c * np.exp(1j * (h - psi)))
-    return (1.0 - f / h) / r
-
-
-def i_tda(f: FadingRealization, d: DecodingSet, delays: DelayConfig,
-          rho0: float) -> MiBounds:
-    """Delay diversity with an independent codebook per relay.
-
-    With both relays on, the destination resolves the pair over frequency:
-
-        I = 0.5*log2(1 + rho0 |a_sd|^2)
-          + (1 / (4 pi W)) * integral_{-pi W}^{pi W} log2(1 + rho0 |a1 + a2 e^{ju}|^2) du
-
-    with W = t0 * bandwidth.  Bounds: coherent-combining upper
-    0.5*log2(1 + 2 rho0 (g1+g2)); whole-period lower scaled by
-    delta1 = floor(W)/ceil(W) (degenerate at W < 1).  With zero or one relay
-    the scheme reduces to the synchronous evaluator exactly.
-    """
-    value = scheme_mi(SchemeId.TDA_INDEP, f, d, rho0, delays=delays)
-    if d.size <= 1:
-        return MiBounds(value, value, value)
-    direct = 0.5 * _log2_1p(rho0 * f.gain2("sd"))
-    nu = f.gain2("r1d") + f.gain2("r2d")
-    upper = direct + 0.5 * _log2_1p(2.0 * rho0 * nu)
-    if delays.t0bw == 0.0:
-        return MiBounds(value, min(0.0, value), upper, (_ZERO_DELAY,))
-    lower = 0.5 * delays.delta1 * (math.log2(0.5 * (1.0 + rho0 * nu))
-                                   + _log2_1p(rho0 * f.gain2("sd")))
-    return MiBounds(value, lower, upper, (_SUBUNIT,) if delays.t0bw < 1.0 else ())
-
-
-def i_rtda(f: FadingRealization, d: DecodingSet, delays: DelayConfig,
-           rho0: float) -> MiBounds:
-    """Delay diversity where relays repeat the source codeword.
-
-    Repetition makes the direct and relayed observations one joint codeword:
-
-        |d| = 0: 0.5*log2(1 + rho0 |a_sd|^2)
-        |d| = 1: 0.5*log2(1 + rho0 (|a_sd|^2 + |a_rjd|^2))
-        |d| = 2: (1/(4 pi W)) integral log2(1 + rho0 |a_sd|^2
-                                              + rho0 |a1 + a2 e^{ju}|^2) du
-    """
-    value = scheme_mi(SchemeId.TDA_REPETITION, f, d, rho0, delays=delays)
-    if d.size <= 1:
-        return MiBounds(value, value, value)
-    gd = f.gain2("sd")
-    nu = f.gain2("r1d") + f.gain2("r2d")
-    upper = 0.5 * _log2_1p(rho0 * (gd + 2.0 * nu))
-    if delays.t0bw == 0.0:
-        return MiBounds(value, min(0.0, value), upper, (_ZERO_DELAY,))
-    lower = 0.5 * delays.delta1 * math.log2(0.5 * (1.0 + rho0 * (gd + nu)))
-    return MiBounds(value, lower, upper, (_SUBUNIT,) if delays.t0bw < 1.0 else ())
-
-
-def i_ltda(f: FadingRealization, d: DecodingSet, corr: CorrelationSet,
-           rho0: float) -> MiBounds:
-    """Delay diversity with overlapping linearly modulated pulses.
-
-    The destination matched-filters both relay pulse trains; the resulting
-    still-synchronous pair channel has the closed form
-
-        I2 = log2(1 + a + sqrt((1+a)^2 - b^2)) - 1
-        a  = rho0 (r1^2 + r2^2 + 2 rho12 r1 r2 cos(th1 - th2))
-        b  = 2 rho0 rho21 r1 r2
-
-    where rho12, rho21 are the one-period pulse overlaps at delay tau.
-    Cauchy-Schwarz gives |rho12| + |rho21| <= 1, which forces a >= |b| and
-    keeps the sqrt argument nonnegative.
-    """
-    value = scheme_mi(SchemeId.TDA_LINMOD, f, d, rho0, corr=corr)
-    if d.size <= 1:
-        return MiBounds(value, value, value)
-    r1 = abs(f.r1d)
-    r2 = abs(f.r2d)
-    cth = math.cos(cmath.phase(f.r1d) - cmath.phase(f.r2d))
-    a = rho0 * (r1 * r1 + r2 * r2 + 2.0 * corr.rho12 * r1 * r2 * cth)
-    direct = 0.5 * _log2_1p(rho0 * f.gain2("sd"))
-    return MiBounds(value, direct + 0.5 * (_log2_1p(a) - 1.0), direct + 0.5 * _log2_1p(a))
+    mean = (1.0 - f / h) / r
+    if h < _SHORT_WINDOW:
+        near, at_psi, q, p = _short_window(A, B, psi, c, h)
+        h2 = h * h
+        poly = 1 / 3 - h2 * ((1 - 12 * p) / 60 - h2 * (1 - 60 * p + 360 * p * p) / 2520)
+        mean = np.where(near, 1.0 / at_psi + ((1.0 - 2.0 * q) * p * h2 * poly).real / r, mean)
+    return mean
 
 
 def _esd_from_gain(g, a1: float, rho0: float):
@@ -478,22 +449,24 @@ def _esd_from_gain(g, a1: float, rho0: float):
     return np.log2(1.0 + s) + np.log2(1.0 + np.sqrt(np.maximum(1.0 - x * x, 0.0))) - 1.0
 
 
-def i_esd(alpha_sd: complex, a1: float, rho0: float) -> float:
-    """Single transmitter with adjacent-symbol correlation a1, |a1| < 1/2.
+def i_esd(alpha_sd, a1, rho0):
+    """Single transmitter with adjacent-symbol correlation a1, |a1| < 1/2,
+    elementwise over broadcast arrays.
 
     Frequency-averaging log2(1 + rho0 g (1 + 2 a1 cos w)) gives the closed
     form log2(1 + rho0 g) + log2(1 + sqrt(1 - x^2)) - 1 with
     x = 2 a1 rho0 g / (1 + rho0 g).
     """
-    if not abs(a1) < 0.5:
-        raise ConfigError(f"|a1| must be < 1/2, got {a1}")
-    return float(_esd_from_gain(abs(alpha_sd) ** 2, a1, rho0)[()])
+    a1 = np.asarray(a1, dtype=float)
+    if not np.all(np.abs(a1) < 0.5):
+        raise ConfigError(f"|a1| must be < 1/2, got max |a1| = {np.max(np.abs(a1))}")
+    return _esd_from_gain(np.abs(alpha_sd) ** 2, a1, rho0)
 
 
-def i_esd_bounds(alpha_sd: complex, rho0: float) -> tuple[float, float]:
+def i_esd_bounds(alpha_sd, rho0):
     """Envelope of i_esd over all admissible a1: (log2(1+g) - 1, log2(1+g)]."""
-    g = rho0 * abs(alpha_sd) ** 2
-    return _log2_1p(g) - 1.0, _log2_1p(g)
+    top = np.log1p(rho0 * np.abs(alpha_sd) ** 2) / _LN2
+    return top - 1.0, top
 
 
 def _det_coeffs(g1, g2, corr: CorrelationSet, rho0: float):
@@ -539,38 +512,6 @@ def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float):
     return out / _LN2
 
 
-def i_emaca_spectral(f: FadingRealization, corr: CorrelationSet, rho0: float,
-                     eig: EigenBounds | None = None) -> MiBounds:
-    """Both relays transmitting through the ISI coupling, spectral-domain rate.
-
-    value = (1/2pi) integral log2 det(I + rho0 diag(g1, g2) T(w)) dw where
-    T(w) is the normalized 2x2 spectral density of the stacked pulse trains.
-    Bounds replace T(w) by certified scalar multiples of the identity:
-    sum_k log2(1 + rho0 g_k lambda) at the certified min/max eigenvalue.
-    """
-    g1 = f.gain2("r1d")
-    g2 = f.gain2("r2d")
-    value = float(_emaca_batch(g1, g2, corr, rho0)[0])
-    if eig is None:
-        eig = certify_pd(corr)
-    lower = _log2_1p(rho0 * g1 * eig.certified_min) + _log2_1p(rho0 * g2 * eig.certified_min)
-    upper = _log2_1p(rho0 * g1 * eig.certified_max) + _log2_1p(rho0 * g2 * eig.certified_max)
-    warns = ()
-    if not eig.pd:
-        warns = ("spectral density not certified positive definite; lower bound is slack",)
-    return MiBounds(value, lower, upper, warns)
-
-
-def i_astc(f: FadingRealization, d: DecodingSet, corr: CorrelationSet,
-           rho0: float) -> float:
-    """Space-time coding under symbol-level asynchrony (ISI-aware decoding).
-
-    Phase two sees the decoding relays as an ISI-coupled multiaccess channel;
-    phase one always carries the source's own ISI-shaped stream.
-    """
-    return scheme_mi(SchemeId.ASTC, f, d, rho0, corr=corr)
-
-
 def i_af_pair(g1: float, g2: float, rho0: float) -> float:
     """Coherent-sum rate of one forwarded path pair: log2(1 + rho0 (g1 + g2))."""
-    return _log2_1p(rho0 * (g1 + g2))
+    return math.log1p(rho0 * (g1 + g2)) / _LN2

@@ -142,14 +142,12 @@ def _run_block(task: _McTask) -> np.ndarray:
     want = task.cond.size
     for i, snr in enumerate(task.snr):
         pt = RatePoint(snr, task.r, task.cfg.sigma2_sd)
-        rho0 = pt.rho0
-        rate = pt.rate
         if task.force_set:
             m1 = np.full(task.count, want >= 1)
             m2 = np.full(task.count, want >= 2)
             case = np.ones(task.count, dtype=bool)
         else:
-            thr = (4.0 ** rate - 1.0) / rho0
+            thr = pt.decode_threshold
             m1 = gsr1 >= thr
             m2 = gsr2 >= thr
             if want is None:
@@ -157,8 +155,8 @@ def _run_block(task: _McTask) -> np.ndarray:
             else:
                 sizes = m1.astype(np.int8) + m2.astype(np.int8)
                 case = sizes == want
-        below = mi_below(task.scheme, gains["sd"], gains["r1d"], gains["r2d"], m1, m2, rho0,
-                         rate, task.corr, task.delays)
+        below = mi_below(task.scheme, gains["sd"], gains["r1d"], gains["r2d"], m1, m2, pt.rho0,
+                         pt.rate, task.corr, task.delays)
         counts[i] = int(np.count_nonzero(below & case))
     return counts
 

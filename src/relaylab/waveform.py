@@ -345,6 +345,8 @@ def certify_pd(corr: CorrelationSet, omega_points: int = 4096,
     """
     if omega_points < 256:
         raise ConfigError("omega_points must be >= 256 for certification")
+    if not pd_tol >= 0:
+        raise ConfigError(f"pd_tol must be >= 0, got {pd_tol!r}")
     om = np.linspace(-math.pi, math.pi, int(omega_points))
     t11, t12 = spectral_entries(corr, om)
     absoff = np.abs(t12)

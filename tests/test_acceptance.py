@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from relaylab.channel import D_BOTH, FadingRealization, NetworkConfig
+from relaylab.channel import NetworkConfig
 from relaylab.cli import main
 from relaylab.mutualinfo import (DelayConfig, SchemeId, closed_log_integral,
-                                 i_af_pair, i_emaca_spectral, i_esd,
-                                 i_esd_bounds, i_ltda, i_rtda, i_tda)
+                                 i_af_pair, i_esd, i_esd_bounds, mi_batch,
+                                 mi_envelope)
 from relaylab.outage import (ConditionalCase, analytic_curve,
                              analytic_outage_parallel3, analytic_outage_stc,
                              mc_outage, slope_fit)
@@ -33,8 +33,8 @@ UNIT_CFG = NetworkConfig(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def _fading(rng, n=1):
-    z = (rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))) / math.sqrt(2)
-    return [FadingRealization(*map(complex, row)) for row in z]
+    """n draws of the five link gains, one column per link (sd, sr1, sr2, r1d, r2d)."""
+    return ((rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))) / math.sqrt(2)).T
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +222,19 @@ def test_criterion_6_strict_dominance(record_criterion):
     rng = np.random.default_rng(606)
     wins = total = 0
     min_margin = math.inf
+    both = np.ones(1000, dtype=bool)
     for snr_db in (0, 10, 20, 30):
         rho0 = (2.0 / 3.0) * 10.0 ** (snr_db / 10.0)
         g1 = rng.exponential(size=1000)
         g2 = rng.exponential(size=1000)
-        for a, b in zip(g1, g2):
-            f = FadingRealization(0j, 0j, 0j, complex(math.sqrt(a)),
-                                  complex(math.sqrt(b)))
-            margin = (i_emaca_spectral(f, corr, rho0, eig=eig).value
-                      - i_af_pair(a, b, rho0))
-            min_margin = min(min_margin, margin)
-            wins += margin > 0.0
-            total += 1
+        # with no direct link the both-relays ASTC rate is half the pair rate
+        pair = 2.0 * mi_batch(SchemeId.ASTC, np.zeros(1000, dtype=complex),
+                              np.sqrt(g1) + 0j, np.sqrt(g2) + 0j, both, both, rho0,
+                              corr=corr)
+        margin = pair - np.array([i_af_pair(a, b, rho0) for a, b in zip(g1, g2)])
+        min_margin = min(min_margin, float(margin.min()))
+        wins += int(np.count_nonzero(margin > 0.0))
+        total += margin.size
     ok = wins == total
     record_criterion(6, title, ok,
                      f"{wins}/{total} wins, min margin {min_margin:.2e} bits")
@@ -250,43 +251,36 @@ def test_criterion_7_bound_sandwiches(record_criterion):
     tol = 1e-9
     violations = {}
 
-    draws = _fading(rng, 10_000)
+    sd, _, _, r1d, r2d = _fading(rng, 10_000)
     rhos = rng.uniform(0.05, 200.0, size=10_000)
     t0bws = rng.uniform(0.2, 6.0, size=10_000)
-    bad = 0
-    for fn in (i_tda, i_rtda):
-        for f, rho0, w in zip(draws, rhos, t0bws):
-            b = fn(f, D_BOTH, DelayConfig.from_t0bw(float(w)), float(rho0))
-            if not (b.lower <= b.value + tol and b.value <= b.upper + tol):
-                bad += 1
-        violations[fn.__name__] = bad
+    one = np.ones(1, dtype=bool)
+
+    def sandwich_violations(scheme, windowed=False, **kw):
+        # one batch-of-one envelope per draw: rho0 (and t0bw) vary by draw
         bad = 0
+        for i, rho0 in enumerate(rhos):
+            if windowed:
+                kw["delays"] = DelayConfig.from_t0bw(float(t0bws[i]))
+            value, lower, upper = mi_envelope(scheme, sd[i:i + 1], r1d[i:i + 1], r2d[i:i + 1],
+                                              one, one, float(rho0), **kw)
+            bad += int(not (lower[0] <= value[0] + tol and value[0] <= upper[0] + tol))
+        return bad
 
-    corr1 = correlations(rectangular(1, 64), 0.5)
-    bad = 0
-    for f, rho0 in zip(draws, rhos):
-        b = i_ltda(f, D_BOTH, corr1, float(rho0))
-        if not (b.lower <= b.value + tol and b.value <= b.upper + tol):
-            bad += 1
-    violations["i_ltda"] = bad
+    violations["TDA_INDEP"] = sandwich_violations(SchemeId.TDA_INDEP, windowed=True)
+    violations["TDA_REPETITION"] = sandwich_violations(SchemeId.TDA_REPETITION, windowed=True)
+    violations["TDA_LINMOD"] = sandwich_violations(SchemeId.TDA_LINMOD,
+                                                   corr=correlations(rectangular(1, 64), 0.5))
 
+    # the single-stream rate over all (draw, a1, rho0) triples in one call
     a1s = rng.uniform(-0.499, 0.499, size=10_000)
-    bad = 0
-    for f, rho0, a1 in zip(draws, rhos, a1s):
-        v = i_esd(f.sd, float(a1), float(rho0))
-        lo, hi = i_esd_bounds(f.sd, float(rho0))
-        if not (lo <= v + tol and v <= hi + tol):
-            bad += 1
-    violations["i_esd"] = bad
+    v = i_esd(sd, a1s, rhos)
+    lo, hi = i_esd_bounds(sd, rhos)
+    violations["single-stream"] = int(np.count_nonzero(~((lo <= v + tol) & (v <= hi + tol))))
 
     corr_pd = correlations(srrc(0.5, 1, 64), 0.5)
-    eig = certify_pd(corr_pd)
-    bad = 0
-    for f, rho0 in zip(draws, rhos):
-        b = i_emaca_spectral(f, corr_pd, float(rho0), eig=eig)
-        if not (b.lower <= b.value + tol and b.value <= b.upper + tol):
-            bad += 1
-    violations["i_emaca_spectral"] = bad
+    violations["ASTC"] = sandwich_violations(SchemeId.ASTC, corr=corr_pd,
+                                             eig=certify_pd(corr_pd))
 
     total_bad = sum(violations.values())
     ok = total_bad == 0

@@ -292,6 +292,10 @@ def test_grid_parse_single_point(capsys):
     ("toeplitz", "--n-list", "64,131073"),
     ("waveform", "--samples-per-symbol", "64", "--out", "missing/x.csv"),
     ("simulate", "--trials", "10000", "--snr-db", "0", "--out", "missing/x.csv"),
+    # a tolerance that would switch a check off or flip its verdict
+    ("waveform", "--pulse", "rect", "--span", "1", "--tau", "0.5", "--pd-tol", "-1"),
+    ("waveform", "--pd-tol", "nan"),
+    ("toeplitz", "--rel-tol", "nan", "--n-list", "1,2"),
 ], ids=lambda a: " ".join(a))
 def test_bad_input_is_config_error(capsys, monkeypatch, tmp_path, args):
     monkeypatch.chdir(tmp_path)  # so the --out directory "missing" does not exist

@@ -10,12 +10,11 @@ from scipy import integrate
 from relaylab.channel import D_BOTH, D_NONE, D_R1, D_R2, FadingRealization
 from relaylab import mutualinfo
 from relaylab.errors import ConfigError
-from relaylab.mutualinfo import (DelayConfig, SchemeId, _emaca_batch, _kernel_bounds,
-                                 _log2_cos_window_mean, closed_log_integral, i_af_pair,
-                                 i_astc, i_emaca_spectral, i_esd,
-                                 i_esd_bounds, i_ltda, i_rtda, i_stc, i_tda,
-                                 mi_batch, mi_below, scheme_mi)
-from relaylab.waveform import correlations, rectangular, spectral_entries, srrc
+from relaylab.mutualinfo import (DelayConfig, SchemeId, _emaca_batch, _inv_cos_window_mean,
+                                 _kernel_bounds, _log2_cos_window_mean, closed_log_integral,
+                                 i_af_pair, i_esd, i_esd_bounds, mi_batch, mi_below,
+                                 mi_envelope)
+from relaylab.waveform import certify_pd, correlations, rectangular, spectral_entries, srrc
 
 UNIT = FadingRealization(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
 
@@ -29,21 +28,39 @@ def random_fading(rng):
     return FadingRealization(*map(complex, z))
 
 
+def envelope(scheme, f, d, rho0, **kw):
+    """mi_envelope on a batch of one draw f and decoding set d, as floats."""
+    rows = mi_envelope(scheme, np.array([f.sd]), np.array([f.r1d]), np.array([f.r2d]),
+                       np.array([d.r1]), np.array([d.r2]), rho0, **kw)
+    return tuple(float(x[0]) for x in rows)
+
+
+def mi(scheme, f, d, rho0, **kw):
+    """mi_batch on a batch of one, as a float."""
+    return float(mi_batch(scheme, np.array([f.sd]), np.array([f.r1d]), np.array([f.r2d]),
+                          np.array([d.r1]), np.array([d.r2]), rho0, **kw)[0])
+
+
+def gains2(f):
+    return abs(f.sd) ** 2, abs(f.r1d) ** 2, abs(f.r2d) ** 2
+
+
 # ---------------------------------------------------------------------------
 # synchronous evaluator and the circle-log integral
 
 
 def test_i_stc_reference_point():
-    # 0.5*log2(2) + 0.5*log2(3) at unit gains, rho0 = 1
-    v = i_stc(UNIT, D_BOTH, 1.0)
-    np.testing.assert_allclose(v, 1.2924812503605778, rtol=1e-15)
-    np.testing.assert_allclose(i_stc(UNIT, D_NONE, 1.0), 0.5, rtol=1e-15)
-    np.testing.assert_allclose(i_stc(UNIT, D_R1, 1.0), 1.0, rtol=1e-15)
+    # 0.5*log2(2) + 0.5*log2(3) at unit gains, rho0 = 1; a closed form, so
+    # the envelope is the value itself
+    v = envelope(SchemeId.STC_SYNC, UNIT, D_BOTH, 1.0)
+    np.testing.assert_allclose(v, [1.2924812503605778] * 3, rtol=1e-15)
+    np.testing.assert_allclose(mi(SchemeId.STC_SYNC, UNIT, D_NONE, 1.0), 0.5, rtol=1e-15)
+    np.testing.assert_allclose(mi(SchemeId.STC_SYNC, UNIT, D_R1, 1.0), 1.0, rtol=1e-15)
 
 
 def test_i_stc_set_monotone():
     f = FadingRealization(0.3 + 0.4j, 0j, 0j, 1.2 - 0.1j, 0.2 + 0.9j)
-    vals = [i_stc(f, d, 5.0) for d in (D_NONE, D_R1, D_R2, D_BOTH)]
+    vals = [mi(SchemeId.STC_SYNC, f, d, 5.0) for d in (D_NONE, D_R1, D_R2, D_BOTH)]
     assert vals[0] <= vals[1] <= vals[3]
     assert vals[0] <= vals[2] <= vals[3]
 
@@ -100,42 +117,46 @@ def _whole_period_relay_rate(inside, g1, g2, rho0):
 
 
 def _tda_integer_period_value(f, rho0):
-    relay = _whole_period_relay_rate(1.0, f.gain2("r1d"), f.gain2("r2d"), rho0)
-    return 0.5 * math.log2(1.0 + rho0 * f.gain2("sd")) + 0.5 * relay
+    gsd, g1, g2 = gains2(f)
+    return 0.5 * math.log2(1.0 + rho0 * gsd) + 0.5 * _whole_period_relay_rate(1.0, g1, g2, rho0)
 
 
 def _rtda_integer_period_value(f, rho0):
-    return 0.5 * _whole_period_relay_rate(1.0 + rho0 * f.gain2("sd"), f.gain2("r1d"),
-                                          f.gain2("r2d"), rho0)
+    gsd, g1, g2 = gains2(f)
+    return 0.5 * _whole_period_relay_rate(1.0 + rho0 * gsd, g1, g2, rho0)
 
 
 def test_tda_integer_period_matches_quadrature():
     delays = DelayConfig.from_t0bw(3.0)
     f = FadingRealization(0.5 + 0.2j, 0j, 0j, 1.1 + 0.3j, 0.4 - 0.8j)
     closed = _tda_integer_period_value(f, 4.0)
-    quad = i_tda(f, D_BOTH, delays, 4.0).value
+    quad = mi(SchemeId.TDA_INDEP, f, D_BOTH, 4.0, delays=delays)
     np.testing.assert_allclose(closed, quad, rtol=0, atol=1e-12)
 
 
 def test_tda_reduces_to_sync_for_small_sets():
     delays = DelayConfig.from_t0bw(2.0)
     for d in (D_NONE, D_R1, D_R2):
-        b = i_tda(UNIT, d, delays, 3.0)
-        assert b.value == b.lower == b.upper == i_stc(UNIT, d, 3.0)
+        value, lower, upper = envelope(SchemeId.TDA_INDEP, UNIT, d, 3.0, delays=delays)
+        assert value == lower == upper == mi(SchemeId.STC_SYNC, UNIT, d, 3.0)
 
 
 def test_tda_zero_delay_collapses():
+    # zero relative delay: the relays collapse to one effective gain, and
+    # the envelope's lower bound is min(0, value)
     delays = DelayConfig(0.0, 0.0, 2.0)
     f = FadingRealization(1 + 0j, 0j, 0j, 1 + 0j, -1 + 0j)  # opposite phases cancel
-    b = i_tda(f, D_BOTH, delays, 1.0)
-    np.testing.assert_allclose(b.value, 0.5, rtol=1e-12)  # direct term only
-    assert b.warnings
+    value, lower, upper = envelope(SchemeId.TDA_INDEP, f, D_BOTH, 1.0, delays=delays)
+    np.testing.assert_allclose(value, 0.5, rtol=1e-12)  # direct term only
+    assert lower == 0.0 and upper == pytest.approx(0.5 + 0.5 * math.log2(5.0), rel=1e-15)
 
 
-def test_tda_subunit_bandwidth_warns():
-    b = i_tda(UNIT, D_BOTH, DelayConfig.from_t0bw(0.5), 1.0)
-    assert b.warnings
-    assert b.lower == 0.0
+def test_tda_subunit_bandwidth_lower_is_zero():
+    # below one period delta1 = 0, so the whole-period lower bound is 0
+    for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        value, lower, upper = envelope(scheme, UNIT, D_BOTH, 1.0,
+                                       delays=DelayConfig.from_t0bw(0.5))
+        assert lower == 0.0 < value <= upper
 
 
 def _graded_window_mean(f, h, dips, levels=40, points=20):
@@ -189,9 +210,9 @@ def test_tda_window_mean_matches_graded_quadrature():
     assert worst <= 1e-11, worst
 
 
-def _mp_window_mean(a, b, psi, h):
-    """mean of log2(a + b cos(u + psi)) over |u| <= h by mpmath quad, split
-    where the integrand dips (u + psi = pi mod 2 pi)."""
+def _mp_window_mean(f, a, b, psi, h):
+    """mean of f(a + b cos(u + psi)) over |u| <= h by mpmath quad, split
+    where the argument dips (u + psi = pi mod 2 pi)."""
     with mpmath.workdps(40):
         a, b, psi, h = (mpmath.mpf(float(v)) for v in (a, b, psi, h))
         cuts = {mpmath.mpf(-1), mpmath.mpf(0), mpmath.mpf(1)}
@@ -199,16 +220,12 @@ def _mp_window_mean(a, b, psi, h):
             t = (mpmath.pi - psi + 2 * mpmath.pi * k) / h
             if -1 < t < 1:
                 cuts.add(t)
-        f = lambda t: mpmath.log(a + b * mpmath.cos(psi + h * t), 2)
-        return float(mpmath.quad(f, sorted(cuts)) / 2)
+        return float(mpmath.quad(lambda t: f(a + b * mpmath.cos(psi + h * t)), sorted(cuts)) / 2)
 
 
-@pytest.mark.parametrize("t0bw", (1e-300, 1e-12, 1e-8, 1e-6, 1e-3))
-def test_short_window_mean_matches_mpmath(t0bw):
-    # The dilogarithm form cancels like eps / h in short windows (3.6 bits off
-    # at t0bw = 1e-300 for A = 101, B = 99); the short-window expansion takes
-    # over there.  Rows pair near-equal relay gains with phases near pi,
-    # where A + B cos dips to A - B.
+def _short_window_rows():
+    # Rows pair near-equal relay gains with phases near pi, where
+    # A + B cos dips to A - B.
     rng = np.random.default_rng(31)
     rows = [(101.0, 99.0, 0.3), (101.0, 99.0, math.pi - 1e-3), (3.0, 1.0, 1.0)]
     for db in (20.0, 40.0, 60.0, 80.0):
@@ -219,11 +236,34 @@ def test_short_window_mean_matches_mpmath(t0bw):
             psi = math.pi - 10.0 ** rng.uniform(-4.0, -1.0) if rel < 1e-2 \
                 else rng.uniform(-math.pi, math.pi)
             rows.append((1.0 + rho0 * (g1 + g2), 2.0 * rho0 * math.sqrt(g1 * g2), psi))
+    return rows
+
+
+@pytest.mark.parametrize("t0bw", (1e-300, 1e-12, 1e-8, 1e-6, 1e-3))
+def test_short_window_mean_matches_mpmath(t0bw):
+    # The dilogarithm form cancels like eps / h in short windows (3.6 bits off
+    # at t0bw = 1e-300 for A = 101, B = 99); the short-window expansion takes
+    # over there.
+    rows = _short_window_rows()
     a, b, psi = (np.array(col) for col in zip(*rows))
     h = math.pi * t0bw
     got = _log2_cos_window_mean(a, b, psi, h)
-    want = [_mp_window_mean(*row, h) for row in rows]
+    want = [_mp_window_mean(lambda x: mpmath.log(x, 2), *row, h) for row in rows]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("t0bw", (1e-300, 1e-12, 1e-8, 1e-6, 1e-3))
+def test_short_window_inverse_mean_matches_mpmath(t0bw):
+    # The mean of 1/(A + B cos), the Newton slope of the rtda2 oracle, has the
+    # same eps / h cancellation (8.8 relative off at t0bw = 1e-300 for
+    # A = 101, B = 99, psi = 0.3) and takes the A-derivative of the same
+    # expansion.
+    rows = _short_window_rows()
+    a, b, psi = (np.array(col) for col in zip(*rows))
+    h = math.pi * t0bw
+    got = _inv_cos_window_mean(a, b, psi, h)
+    want = [_mp_window_mean(lambda x: 1 / x, *row, h) for row in rows]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +273,12 @@ def test_short_window_mean_matches_mpmath(t0bw):
 def test_rtda_cases():
     delays = DelayConfig.from_t0bw(2.0)
     rho0 = 3.0
-    b0 = i_rtda(UNIT, D_NONE, delays, rho0)
-    np.testing.assert_allclose(b0.value, 0.5 * math.log2(1 + rho0), rtol=1e-14)
-    b1 = i_rtda(UNIT, D_R2, delays, rho0)
-    np.testing.assert_allclose(b1.value, 0.5 * math.log2(1 + 2 * rho0), rtol=1e-14)
+    v0 = mi(SchemeId.TDA_REPETITION, UNIT, D_NONE, rho0, delays=delays)
+    np.testing.assert_allclose(v0, 0.5 * math.log2(1 + rho0), rtol=1e-14)
+    v1 = mi(SchemeId.TDA_REPETITION, UNIT, D_R2, rho0, delays=delays)
+    np.testing.assert_allclose(v1, 0.5 * math.log2(1 + 2 * rho0), rtol=1e-14)
     closed = _rtda_integer_period_value(UNIT, rho0)
-    quad = i_rtda(UNIT, D_BOTH, delays, rho0).value
+    quad = mi(SchemeId.TDA_REPETITION, UNIT, D_BOTH, rho0, delays=delays)
     np.testing.assert_allclose(closed, quad, rtol=0, atol=1e-12)
 
 
@@ -248,8 +288,8 @@ def test_rtda_below_tda():
     delays = DelayConfig.from_t0bw(2.0)
     for _ in range(50):
         f = random_fading(rng)
-        vt = i_tda(f, D_BOTH, delays, 5.0).value
-        vr = i_rtda(f, D_BOTH, delays, 5.0).value
+        vt = mi(SchemeId.TDA_INDEP, f, D_BOTH, 5.0, delays=delays)
+        vr = mi(SchemeId.TDA_REPETITION, f, D_BOTH, 5.0, delays=delays)
         assert vr <= vt + 1e-12
 
 
@@ -263,21 +303,22 @@ def test_ltda_disjoint_support_reference():
     corr = correlations(rectangular(1, 64, duty=0.4), 0.5)
     assert corr.rho12 == 0.0 and corr.rho21 == 0.0
     f = FadingRealization(1 + 0j, 0j, 0j, complex(math.sqrt(2)), 1 + 0j)
-    b = i_ltda(f, D_BOTH, corr, 1.0)
+    v = mi(SchemeId.TDA_LINMOD, f, D_BOTH, 1.0, corr=corr)
     # a = 3: i2 = log2(8) - 1 = 2, plus the direct half-bit
-    np.testing.assert_allclose(b.value, 0.5 * math.log2(2.0) + 0.5 * 2.0, rtol=1e-12)
+    np.testing.assert_allclose(v, 0.5 * math.log2(2.0) + 0.5 * 2.0, rtol=1e-12)
 
 
 def test_ltda_span_guard():
     corr = correlations(srrc(0.5, 2, 64), 0.3)
     with pytest.raises(ConfigError):
-        i_ltda(UNIT, D_BOTH, corr, 1.0)
+        envelope(SchemeId.TDA_LINMOD, UNIT, D_BOTH, 1.0, corr=corr)
 
 
 def test_ltda_small_sets():
     corr = correlations(rectangular(1, 64), 0.5)
     for d in (D_NONE, D_R1):
-        assert i_ltda(UNIT, d, corr, 2.0).value == i_stc(UNIT, d, 2.0)
+        value, lower, upper = envelope(SchemeId.TDA_LINMOD, UNIT, d, 2.0, corr=corr)
+        assert value == lower == upper == mi(SchemeId.STC_SYNC, UNIT, d, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +326,8 @@ def test_ltda_small_sets():
 
 
 def test_i_esd_zero_isi():
-    for g in (0.1, 1.0, 7.5):
-        a = complex(math.sqrt(g))
-        np.testing.assert_allclose(i_esd(a, 0.0, 1.0), math.log2(1 + g), rtol=1e-14)
+    g = np.array([0.1, 1.0, 7.5])
+    np.testing.assert_allclose(i_esd(np.sqrt(g) + 0j, 0.0, 1.0), np.log2(1 + g), rtol=1e-14)
 
 
 def test_i_esd_matches_quadrature():
@@ -303,14 +343,24 @@ def test_i_esd_matches_quadrature():
 def test_i_esd_domain():
     with pytest.raises(ConfigError):
         i_esd(1 + 0j, 0.5, 1.0)
+    # every element is checked, NaN included
+    for bad in (0.5, -0.5, math.nan):
+        with pytest.raises(ConfigError):
+            i_esd(np.ones(3, dtype=complex), np.array([0.1, bad, 0.2]), 1.0)
 
 
 def test_i_esd_bounds_sandwich():
-    for g, a1 in ((0.5, 0.1), (2.0, -0.45), (10.0, 0.3)):
-        a = complex(math.sqrt(g))
-        lo, hi = i_esd_bounds(a, 2.0)
-        v = i_esd(a, a1, 2.0)
-        assert lo < v <= hi + 1e-15
+    # elementwise over (gain, a1, rho0) triples, scalars broadcasting
+    a = np.sqrt([0.5, 2.0, 10.0]) + 0j
+    a1 = np.array([0.1, -0.45, 0.3])
+    rho0 = np.array([2.0, 0.3, 50.0])
+    lo, hi = i_esd_bounds(a, rho0)
+    v = i_esd(a, a1, rho0)
+    assert v.shape == lo.shape == hi.shape == (3,)
+    assert np.all(lo < v) and np.all(v <= hi + 1e-15)
+    for i in range(3):
+        assert i_esd(a[i], a1[i], rho0[i]) == v[i]
+        assert i_esd_bounds(a[i], rho0[i]) == (lo[i], hi[i])
 
 
 def test_i_emaca_matches_brute_quadrature():
@@ -326,8 +376,7 @@ def test_i_emaca_matches_brute_quadrature():
 
     ref, _ = integrate.quad(integrand, -math.pi, math.pi, limit=400)
     ref /= 2 * math.pi
-    f = FadingRealization(0j, 0j, 0j, complex(math.sqrt(g1)), complex(math.sqrt(g2)))
-    got = i_emaca_spectral(f, corr, rho0).value
+    got = _emaca_batch(g1, g2, corr, rho0)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
 
 
@@ -376,7 +425,7 @@ def test_emaca_batch_one_gain_is_single_stream():
                        (srrc(0.5, 2, 256), 0.3)]:
         corr = correlations(pulse, tau)
         for rho0 in (0.67, 50.0, 6.7e7):
-            want = [i_esd(math.sqrt(v), corr.a1, rho0) for v in g]
+            want = i_esd(np.sqrt(g), corr.a1, rho0)
             for pair in ((g, zero), (zero, g)):
                 got = _emaca_batch(*pair, corr, rho0)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -386,16 +435,37 @@ def test_i_emaca_phase_invariant():
     corr = correlations(srrc(0.5, 1, 64), 0.5)
     f1 = FadingRealization(0j, 0j, 0j, 1.2 + 0j, 0.7 + 0j)
     f2 = FadingRealization(0j, 0j, 0j, 1.2 * cmath.exp(0.9j), 0.7 * cmath.exp(-2.1j))
-    a = i_emaca_spectral(f1, corr, 4.0).value
-    b = i_emaca_spectral(f2, corr, 4.0).value
+    a = envelope(SchemeId.ASTC, f1, D_BOTH, 4.0, corr=corr)
+    b = envelope(SchemeId.ASTC, f2, D_BOTH, 4.0, corr=corr)
     np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
-def test_i_emaca_non_pd_warns():
-    corr = correlations(rectangular(1, 64), 0.5)
-    b = i_emaca_spectral(UNIT, corr, 1.0)
-    assert b.warnings
-    assert b.lower <= b.value <= b.upper + 1e-12
+def test_isi_envelope_certified_eigenvalues():
+    # The pair term of ASTC and MIX_AF lies between sum_k log2(1 + rho0 g_k
+    # lambda) at the certified eigenvalue extremes; on the singular rect pair
+    # the certified minimum is 0, so the lower bound drops to the direct term.
+    rng = np.random.default_rng(5)
+    n = 200
+    sd, r1d, r2d = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) / math.sqrt(2)
+    both = np.ones(n, dtype=bool)
+    for corr in (correlations(rectangular(1, 64), 0.5), correlations(srrc(0.5, 2, 64), 0.3)):
+        eig = certify_pd(corr)
+        for rho0 in (0.5, 30.0, 1e4):
+            for scheme in (SchemeId.ASTC, SchemeId.MIX_AF):
+                value, lower, upper = mi_envelope(scheme, sd, r1d, r2d, both, both, rho0,
+                                                  corr=corr)
+                np.testing.assert_array_equal(
+                    value, mi_batch(scheme, sd, r1d, r2d, both, both, rho0, corr=corr))
+                again = mi_envelope(scheme, sd, r1d, r2d, both, both, rho0, corr=corr, eig=eig)
+                np.testing.assert_array_equal(again[1], lower)
+                assert np.all(lower <= value + 1e-12) and np.all(value <= upper + 1e-12)
+                own = i_esd(sd, corr.a1, rho0)
+                pair_hi = sum(np.log2(1.0 + rho0 * np.abs(r) ** 2 * eig.certified_max)
+                              for r in (r1d, r2d))
+                np.testing.assert_allclose(upper, 0.5 * (own + pair_hi), rtol=1e-14)
+                if not eig.pd:
+                    assert eig.certified_min == 0.0
+                    np.testing.assert_allclose(lower, 0.5 * own, rtol=1e-14, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -407,37 +477,36 @@ def test_i_astc_case_structure():
     rho0 = 4.0
     f = FadingRealization(0.9 + 0.1j, 0j, 0j, 1.1 - 0.4j, 0.3 + 0.6j)
     own = i_esd(f.sd, corr.a1, rho0)
-    np.testing.assert_allclose(i_astc(f, D_NONE, corr, rho0), 0.5 * own, rtol=1e-14)
-    np.testing.assert_allclose(
-        i_astc(f, D_R2, corr, rho0),
-        0.5 * (own + i_esd(f.r2d, corr.a1, rho0)), rtol=1e-14)
-    both = i_astc(f, D_BOTH, corr, rho0)
-    pair = i_emaca_spectral(f, corr, rho0).value
-    np.testing.assert_allclose(both, 0.5 * (own + pair), rtol=1e-14)
+    got = mi_batch(SchemeId.ASTC, np.full(3, f.sd), np.full(3, f.r1d), np.full(3, f.r2d),
+                   np.array([False, False, True]), np.array([False, True, True]), rho0,
+                   corr=corr)
+    np.testing.assert_allclose(got[0], 0.5 * own, rtol=1e-14)
+    np.testing.assert_allclose(got[1], 0.5 * (own + i_esd(f.r2d, corr.a1, rho0)), rtol=1e-14)
+    pair = _emaca_batch(abs(f.r1d) ** 2, abs(f.r2d) ** 2, corr, rho0)[0]
+    np.testing.assert_allclose(got[2], 0.5 * (own + pair), rtol=1e-14)
 
 
 def test_scheme_mi_requirements():
-    with pytest.raises(ConfigError):
-        scheme_mi(SchemeId.TDA_INDEP, UNIT, D_BOTH, 1.0)
-    with pytest.raises(ConfigError):
-        scheme_mi(SchemeId.ASTC, UNIT, D_BOTH, 1.0)
-    with pytest.raises(ConfigError):
-        scheme_mi(SchemeId.MIX_AF, UNIT, D_BOTH, 1.0)
+    for scheme in (SchemeId.TDA_INDEP, SchemeId.ASTC, SchemeId.MIX_AF):
+        for fn in (mi, envelope):
+            with pytest.raises(ConfigError):
+                fn(scheme, UNIT, D_BOTH, 1.0)
 
 
 def test_mix_af_branches():
     corr = correlations(srrc(0.5, 1, 64), 0.5)
     rho0 = 2.0
     f = FadingRealization(1.0 + 0j, 0j, 0j, 0.8 + 0.1j, 1.4 - 0.2j)
-    gsd, g1, g2 = f.gain2("sd"), f.gain2("r1d"), f.gain2("r2d")
-    v0 = scheme_mi(SchemeId.MIX_AF, f, D_NONE, rho0, corr=corr)
+    gsd, g1, g2 = gains2(f)
+    v0 = mi(SchemeId.MIX_AF, f, D_NONE, rho0, corr=corr)
     np.testing.assert_allclose(v0, 0.5 * i_af_pair(gsd, g1, rho0), rtol=1e-14)
     # relay 2 decoded: its own stream, plus relay 1 amplified with the direct link
-    v1 = scheme_mi(SchemeId.MIX_AF, f, D_R2, rho0, corr=corr)
+    v1 = mi(SchemeId.MIX_AF, f, D_R2, rho0, corr=corr)
     np.testing.assert_allclose(
         v1, 0.5 * (i_af_pair(gsd, g1, rho0) + math.log2(1 + rho0 * g2)), rtol=1e-14)
-    v2 = scheme_mi(SchemeId.MIX_AF, f, D_BOTH, rho0, corr=corr)
-    np.testing.assert_allclose(v2, i_astc(f, D_BOTH, corr, rho0), rtol=1e-14)
+    v2 = envelope(SchemeId.MIX_AF, f, D_BOTH, rho0, corr=corr)
+    np.testing.assert_allclose(v2, envelope(SchemeId.ASTC, f, D_BOTH, rho0, corr=corr),
+                               rtol=1e-14)
 
 
 def test_mix_af_lone_relay_identity():
@@ -446,8 +515,8 @@ def test_mix_af_lone_relay_identity():
     corr = correlations(srrc(0.5, 1, 64), 0.5)
     rho0, g1, g2 = 4.0, 2.0, 0.1
     f = FadingRealization(1 + 0j, 0j, 0j, complex(math.sqrt(g1)), complex(math.sqrt(g2)))
-    v1 = scheme_mi(SchemeId.MIX_AF, f, D_R1, rho0, corr=corr)
-    v2 = scheme_mi(SchemeId.MIX_AF, f, D_R2, rho0, corr=corr)
+    v1 = mi(SchemeId.MIX_AF, f, D_R1, rho0, corr=corr)
+    v2 = mi(SchemeId.MIX_AF, f, D_R2, rho0, corr=corr)
     np.testing.assert_allclose(
         v1, 0.5 * (i_af_pair(1.0, g2, rho0) + math.log2(1 + rho0 * g1)), rtol=1e-14)
     np.testing.assert_allclose(
@@ -468,10 +537,10 @@ def test_tda_bounds_sandwich(g1, g2, gsd, p1, p2, rho0, t0bw):
                           cmath.rect(math.sqrt(g1), p1),
                           cmath.rect(math.sqrt(g2), p2))
     delays = DelayConfig.from_t0bw(t0bw)
-    for fn in (i_tda, i_rtda):
-        b = fn(f, D_BOTH, delays, rho0)
-        assert b.lower <= b.value + 1e-9
-        assert b.value <= b.upper + 1e-9
+    for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        value, lower, upper = envelope(scheme, f, D_BOTH, rho0, delays=delays)
+        assert lower <= value + 1e-9
+        assert value <= upper + 1e-9
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -481,9 +550,9 @@ def test_ltda_bounds_sandwich(g1, g2, gsd, p1, p2, rho0):
     f = FadingRealization(complex(math.sqrt(gsd)), 0j, 0j,
                           cmath.rect(math.sqrt(g1), p1),
                           cmath.rect(math.sqrt(g2), p2))
-    b = i_ltda(f, D_BOTH, corr, rho0)
-    assert b.lower <= b.value + 1e-9
-    assert b.value <= b.upper + 1e-9
+    value, lower, upper = envelope(SchemeId.TDA_LINMOD, f, D_BOTH, rho0, corr=corr)
+    assert lower <= value + 1e-9
+    assert value <= upper + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +576,9 @@ def _swap_cases():
 
 
 def test_mi_batch_relay_swap():
-    # relabelling the relays (gain and membership together) changes no row;
-    # MIX_AF's no-relay rows are excluded: that fallback is bound to relay 1
+    # relabelling the relays (gain and membership together) changes no row,
+    # value or envelope bound; MIX_AF's no-relay rows are excluded: that
+    # fallback is bound to relay 1
     rng = np.random.default_rng(11)
     n = 2000
     sd, r1d, r2d = ((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
@@ -528,6 +598,12 @@ def test_mi_batch_relay_swap():
             np.testing.assert_array_equal(below, a < rate)
             np.testing.assert_array_equal(
                 below[keep], mi_below(scheme, sd, r2d, r1d, m2, m1, rho0, rate, **kw)[keep])
+            # and so do the envelope's bounds
+            env_a = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
+            env_b = mi_envelope(scheme, sd, r2d, r1d, m2, m1, rho0, **kw)
+            for x, y in zip(env_a[1:], env_b[1:]):
+                np.testing.assert_allclose(x[keep], y[keep], rtol=1e-12, atol=0,
+                                           err_msg=f"{scheme.value} {kw} envelope")
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,11 @@ def test_certify_pd_grid_floor():
     c = correlations(rectangular(1, 64), 0.5)
     with pytest.raises(ConfigError):
         certify_pd(c, omega_points=16)
+    # a negative or NaN pd_tol would certify the singular pair PD or nothing
+    for tol in (-1.0, math.nan):
+        with pytest.raises(ConfigError):
+            certify_pd(c, pd_tol=tol)
+    assert certify_pd(c, pd_tol=0.0).pd is False
 
 
 def test_save_load_round_trip(tmp_path):
