@@ -39,30 +39,6 @@ class NetworkConfig:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"sigma2_{link} must be a positive finite number, got {v!r}")
 
-    @classmethod
-    def from_geometry(cls, distances: dict[str, float], mu: float = 3.0,
-                      scale: float = 1.0) -> "NetworkConfig":
-        """Variances from the path-loss law sigma^2 = scale / d^mu.
-
-        Parameters
-        ----------
-        distances : dict
-            Link distances keyed by "sd", "sr1", "sr2", "r1d", "r2d".
-        mu : float
-            Path-loss exponent, restricted to [2, 5].
-        scale : float
-            Reference variance at unit distance.
-        """
-        if not 2.0 <= mu <= 5.0:
-            raise ConfigError(f"path-loss exponent must lie in [2, 5], got {mu}")
-        missing = [k for k in LINKS if k not in distances]
-        if missing:
-            raise ConfigError(f"missing link distances: {missing}")
-        for k in LINKS:
-            if not distances[k] > 0:
-                raise ConfigError(f"distance for {k} must be positive")
-        return cls(**{f"sigma2_{k}": scale * distances[k] ** (-mu) for k in LINKS})
-
     def lam(self, link: str) -> float:
         """Exponential rate of |alpha|^2 for one link (equals 1/sigma^2)."""
         if link not in LINKS:

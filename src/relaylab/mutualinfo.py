@@ -6,12 +6,15 @@ normalized per-node snr.  All logarithms are base 2.
 
 The evaluators take arrays, one row per draw, and a single draw is a batch
 of one.  mi_batch is each scheme's one MI kernel: it takes the complex
-destination-link gains and the relay memberships.  The Monte Carlo engine
-only needs mi_batch(...) < rate, which mi_below returns while running the
-costly both-relays kernels only on rows that cheap bounds cannot settle.
-mi_envelope returns mi_batch's value with its analytic envelope: the
-delta1-scaled whole-period and coherent-combining bounds of the delay
-schemes, and the certified-eigenvalue bounds of the ISI-aware pair rate.
+destination-link gains and the relay memberships.  Rows with fewer than two
+relays have closed forms; on the both-relays rows every scheme's MI is
+(direct + kernel)/2, a direct-link term plus a relay-pair term, split once
+by _both_split.  The Monte Carlo engine only needs mi_batch(...) < rate,
+which mi_below returns while running the costly pair kernels only on rows
+that cheap bounds on the same split cannot settle.  mi_envelope returns
+mi_batch's value with its analytic envelope: the delta1-scaled whole-period
+and coherent-combining bounds of the delay schemes, and the
+certified-eigenvalue bounds of the ISI-aware pair rate.
 """
 
 from __future__ import annotations
@@ -109,86 +112,45 @@ def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
 
     sd, r1d, r2d are the complex destination-link gains and m1, m2 the
     boolean memberships of the decoding set, one entry per row.  The Monte
-    Carlo engine calls it per block; a single draw is a batch of one.
+    Carlo engine calls it per block; a single draw is a batch of one.  Rows
+    with fewer than two relays are closed forms in the members' summed gain
+    relay; both-relays rows are (direct + kernel)/2 over _both_split.
     """
     scheme = check_scheme(scheme, corr, delays)
     gsd = np.abs(sd) ** 2
     g1 = np.abs(r1d) ** 2
     g2 = np.abs(r2d) ** 2
-
-    if scheme == SchemeId.STC_SYNC:
-        relay = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)
-        return 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay)
-
-    both = m1 & m2
-    out = np.empty(gsd.size)
-
-    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
-        rep = scheme == SchemeId.TDA_REPETITION
-        relay_one = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)  # zero or one member
-        if rep:
-            out[:] = 0.5 * np.log2(1.0 + rho0 * (gsd + relay_one))
-        else:
-            out[:] = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay_one)
-        if both.any():
-            b = np.nonzero(both)[0]
-            nu = g1[b] + g2[b]
-            bc = 2.0 * rho0 * np.sqrt(g1[b] * g2[b])
-            psi = np.angle(r2d[b]) - np.angle(r1d[b])
-            w = delays.t0bw
-            if w == 0.0:
-                eff = np.abs(r1d[b] + r2d[b]) ** 2
-                if rep:
-                    out[b] = 0.5 * np.log2(1.0 + rho0 * (gsd[b] + eff))
-                else:
-                    out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * np.log2(1.0 + rho0 * eff)
-            else:
-                base = 1.0 + rho0 * ((gsd[b] + nu) if rep else nu)
-                mean = _log2_cos_window_mean(base, bc, psi, math.pi * w)
-                if rep:
-                    out[b] = 0.5 * mean
-                else:
-                    out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * mean
-        return out
-
-    if scheme == SchemeId.TDA_LINMOD:
-        relay_one = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)
-        out[:] = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay_one)
-        if both.any():
-            b = np.nonzero(both)[0]
-            r1 = np.abs(r1d[b])
-            r2 = np.abs(r2d[b])
-            cth = np.cos(np.angle(r1d[b]) - np.angle(r2d[b]))
-            a = rho0 * (r1 * r1 + r2 * r2 + 2.0 * corr.rho12 * r1 * r2 * cth)
-            bb = 2.0 * rho0 * corr.rho21 * r1 * r2
-            i2 = np.log2(1.0 + a + np.sqrt(np.maximum((1.0 + a) ** 2 - bb * bb, 0.0))) - 1.0
-            out[b] = 0.5 * np.log2(1.0 + rho0 * gsd[b]) + 0.5 * i2
-        return out
-
-    # ASTC and MIX_AF
-    a1 = corr.a1
-    own = _esd_from_gain(gsd, a1, rho0)
-    one1 = m1 & ~m2
-    one2 = m2 & ~m1
-    if scheme == SchemeId.ASTC:
-        out[:] = 0.5 * own
-        if one1.any():
-            out[one1] += 0.5 * _esd_from_gain(g1[one1], a1, rho0)
-        if one2.any():
-            out[one2] += 0.5 * _esd_from_gain(g2[one2], a1, rho0)
-    else:
+    relay = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)
+    if scheme == SchemeId.TDA_REPETITION:
+        out = 0.5 * np.log2(1.0 + rho0 * (gsd + relay))
+    elif scheme == SchemeId.ASTC:
+        out = 0.5 * (_esd_from_gain(gsd, corr.a1, rho0) + _esd_from_gain(relay, corr.a1, rho0))
+    elif scheme == SchemeId.MIX_AF:
         # A lone decoded relay forwards its own stream; the direct link and
         # the relay that failed form the amplify-forward pair.  With no relay
         # decoded the amplify-forward path is bound to relay 1 by index.
-        af = np.log2(1.0 + rho0 * (gsd + np.where(one1, g2, g1)))
-        out[:] = 0.5 * af
-        one = one1 | one2
-        if one.any():
-            out[one] = 0.5 * (af[one] + np.log2(1.0 + rho0 * np.where(m1, g1, g2)[one]))
-    if both.any():
-        b = np.nonzero(both)[0]
-        maca = _emaca_batch(g1[b], g2[b], corr, rho0)
-        out[b] = 0.5 * (own[b] + maca)
+        af = np.log2(1.0 + rho0 * (gsd + np.where(m1 & ~m2, g2, g1)))
+        out = 0.5 * (af + np.log2(1.0 + rho0 * relay))
+    else:  # STC_SYNC for every row, TDA_INDEP and TDA_LINMOD below two relays
+        out = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay)
+
+    both = m1 & m2
+    if scheme == SchemeId.STC_SYNC or not both.any():
+        return out
+    b = np.nonzero(both)[0]
+    direct, terms = _both_split(scheme, gsd[b], g1[b], g2[b], r1d[b], r2d[b], rho0, corr)
+    if scheme == SchemeId.TDA_LINMOD:
+        a, bb = terms
+        kernel = np.log2(1.0 + a + np.sqrt(np.maximum((1.0 + a) ** 2 - bb * bb, 0.0))) - 1.0
+    elif scheme in (SchemeId.ASTC, SchemeId.MIX_AF):
+        kernel = _emaca_batch(*terms, corr, rho0)
+    elif delays.t0bw > 0.0:
+        kernel = _log2_cos_window_mean(*terms, math.pi * delays.t0bw)
+    else:  # no delay window: the relays add coherently
+        eff = np.abs(r1d[b] + r2d[b]) ** 2
+        kernel = np.log2(1.0 + rho0 * ((gsd[b] + eff) if scheme == SchemeId.TDA_REPETITION
+                                       else eff))
+    out[b] = 0.5 * (direct + kernel)
     return out
 
 
@@ -199,15 +161,14 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     """(value, lower, upper) arrays: mi_batch's value and its analytic envelope.
 
     Rows with a closed form (STC_SYNC, and every row with fewer than two
-    relays) get lower = upper = value.  On the both-relays rows, with
-    direct = 0.5 log2(1 + rho0 g_sd) and nu = g1 + g2:
+    relays) get lower = upper = value.  The both-relays rows bound the
+    kernel of _both_split's (direct + kernel)/2, with nu = g1 + g2:
 
-    - TDA_INDEP: the window mean of log2(1 + rho0 |a1 + a2 e^{ju}|^2) lies
-      between delta1 times its whole-period lower bound log2((1 + rho0 nu)/2)
-      and the coherent-combining log2(1 + 2 rho0 nu), delta1 =
-      floor(t0 bw)/ceil(t0 bw) (0 below one period).  TDA_REPETITION puts
-      rho0 g_sd inside that logarithm instead of the direct term.  At
-      t0 bw = 0 the lower bound is min(0, value).
+    - TDA_INDEP/TDA_REPETITION: the window mean of log2(A + B cos(u + psi))
+      lies between delta1 times its whole-period lower bound log2(A/2) and
+      the coherent-combining log2(A + rho0 nu) >= log2(A + B), delta1 =
+      floor(t0 bw)/ceil(t0 bw) (0 below one period); delta1 scales the
+      direct term with it.  At t0 bw = 0 the lower bound is min(0, value).
     - TDA_LINMOD: the matched-filter pair term
       log2(1 + a + sqrt((1 + a)^2 - b^2)) - 1, a = rho0 (r1^2 + r2^2
       + 2 rho12 r1 r2 cos(th1 - th2)), b = 2 rho0 rho21 r1 r2, lies in
@@ -226,33 +187,25 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     if scheme == SchemeId.STC_SYNC or not both.any():
         return value, lower, upper
     b = np.nonzero(both)[0]
-    gsd = np.abs(sd[b]) ** 2
     g1 = np.abs(r1d[b]) ** 2
     g2 = np.abs(r2d[b]) ** 2
+    direct, terms = _both_split(scheme, np.abs(sd[b]) ** 2, g1, g2, r1d[b], r2d[b], rho0, corr)
 
     if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
-        rep = scheme == SchemeId.TDA_REPETITION
-        inside = 1.0 + (rho0 * gsd if rep else 0.0)
-        direct = 0.0 if rep else 0.5 * np.log2(1.0 + rho0 * gsd)
-        upper[b] = direct + 0.5 * np.log2(inside + 2.0 * rho0 * (g1 + g2))
+        a = terms[0]
+        upper[b] = 0.5 * (direct + np.log2(a + rho0 * (g1 + g2)))
         if delays.t0bw == 0.0:
             lower[b] = np.minimum(0.0, value[b])
         else:
-            lower[b] = delays.delta1 * (direct + 0.5 * np.log2(0.5 * (inside + rho0 * (g1 + g2))))
+            lower[b] = delays.delta1 * 0.5 * (direct + np.log2(0.5 * a))
     elif scheme == SchemeId.TDA_LINMOD:
-        r1 = np.abs(r1d[b])
-        r2 = np.abs(r2d[b])
-        cth = np.cos(np.angle(r1d[b]) - np.angle(r2d[b]))
-        a = rho0 * (r1 * r1 + r2 * r2 + 2.0 * corr.rho12 * r1 * r2 * cth)
-        upper[b] = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + a)
+        upper[b] = 0.5 * (direct + np.log2(1.0 + terms[0]))
         lower[b] = upper[b] - 0.5
     else:
         eig = eig or certify_pd(corr)
-        own = _esd_from_gain(gsd, corr.a1, rho0)
-        lower[b] = 0.5 * (own + np.log2(1.0 + rho0 * g1 * eig.certified_min)
-                          + np.log2(1.0 + rho0 * g2 * eig.certified_min))
-        upper[b] = 0.5 * (own + np.log2(1.0 + rho0 * g1 * eig.certified_max)
-                          + np.log2(1.0 + rho0 * g2 * eig.certified_max))
+        lower[b], upper[b] = (0.5 * (direct + np.log2(1.0 + rho0 * g1 * lam)
+                                     + np.log2(1.0 + rho0 * g2 * lam))
+                              for lam in (eig.certified_min, eig.certified_max))
     return value, lower, upper
 
 
@@ -321,37 +274,57 @@ def _kernel_bounds(scheme: SchemeId, sd, r1d, r2d, rho0: float, rate: float,
       whole periods averages exactly log2((A + R)/2), R = sqrt(A^2 - B^2),
       and the rest of the window is at least log2(A - B) >= 0.
     """
-    gsd = np.abs(sd) ** 2
     g1 = np.abs(r1d) ** 2
     g2 = np.abs(r2d) ** 2
+    direct, terms = _both_split(scheme, np.abs(sd) ** 2, g1, g2, r1d, r2d, rho0, corr)
+    need = 2.0 * rate - direct
     slack = _SCREEN_SLACK * (1.0 + rate)
 
     if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
-        rep = scheme == SchemeId.TDA_REPETITION
+        a, bc, psi = terms
         w = delays.t0bw
         h = math.pi * w
-        nu = g1 + g2
-        a = 1.0 + rho0 * ((gsd + nu) if rep else nu)
-        bc = 2.0 * rho0 * np.sqrt(g1 * g2)
-        psi = np.angle(r2d) - np.angle(r1d)
-        need = 2.0 * rate - (0.0 if rep else np.log2(1.0 + rho0 * gsd))
         upper = np.log2(a + bc * (math.sin(h) / h) * np.cos(psi))
         whole = math.floor(w)
         lower = (whole * np.log2(0.5 * (a + np.sqrt((a - bc) * (a + bc))))
                  + (w - whole) * np.log2(a - bc)) / w
         return need, lower, upper, slack * (1.0 + 1.0 / w)
 
-    a1 = corr.a1
-    r0 = corr.r(0)
-    need = 2.0 * rate - _esd_from_gain(gsd, a1, rho0)
     upper = np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
     if any(corr.r_taps[2:]):
-        return need, np.zeros(gsd.size), upper, slack
+        return need, np.zeros(g1.size), upper, slack
     # t11 = r0 (1 + 2 (a1/r0) cos w): a single-stream rate of gain r0 g
+    a1, r0 = corr.a1, corr.r(0)
     upper = np.minimum(upper, _esd_from_gain(r0 * g1, a1 / r0, rho0)
                        + _esd_from_gain(r0 * g2, a1 / r0, rho0))
     lower = _esd_from_gain(r0 * (g1 + g2), a1 / r0, rho0)
     return need, lower, upper, slack
+
+
+def _both_split(scheme: SchemeId, gsd, g1, g2, r1d, r2d, rho0: float,
+                corr: CorrelationSet | None):
+    """(direct, terms) of both-relays rows, whose MI is (direct + kernel)/2
+    with the relay-pair kernel built from terms; gsd, g1, g2 are squared gains.
+
+    TDA_INDEP and TDA_REPETITION average log2(A + B cos(u + psi)) over the
+    delay window: terms (A, B, psi), and the repetition code puts rho0 g_sd
+    into A, so its direct term is 0.  TDA_LINMOD gives the matched-filter
+    pair's (a, b), and ASTC and MIX_AF give (g1, g2) for _emaca_batch with
+    the single-stream ISI rate of g_sd as the direct term.
+    """
+    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        nu = g1 + g2
+        if scheme == SchemeId.TDA_REPETITION:
+            direct, a = 0.0, 1.0 + rho0 * (gsd + nu)
+        else:
+            direct, a = np.log2(1.0 + rho0 * gsd), 1.0 + rho0 * nu
+        return direct, (a, 2.0 * rho0 * np.sqrt(g1 * g2), np.angle(r2d) - np.angle(r1d))
+    if scheme == SchemeId.TDA_LINMOD:
+        r1, r2 = np.abs(r1d), np.abs(r2d)
+        cth = np.cos(np.angle(r1d) - np.angle(r2d))
+        a = rho0 * (g1 + g2 + 2.0 * corr.rho12 * r1 * r2 * cth)
+        return np.log2(1.0 + rho0 * gsd), (a, 2.0 * rho0 * corr.rho21 * r1 * r2)
+    return _esd_from_gain(gsd, corr.a1, rho0), (g1, g2)
 
 
 def closed_log_integral(a: float, b: float) -> float:

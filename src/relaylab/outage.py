@@ -17,6 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -100,21 +101,6 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 # Monte Carlo engine
 
 
-@dataclass(frozen=True)
-class _McTask:
-    scheme: SchemeId
-    cfg: NetworkConfig
-    r: float
-    snr: tuple[float, ...]
-    seed: int
-    cond: ConditionalCase
-    force_set: bool
-    corr: CorrelationSet | None
-    delays: DelayConfig | None
-    first_trial: int
-    count: int
-
-
 def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
     """Complex link gains for trials [first_trial, first_trial+count).
 
@@ -133,30 +119,34 @@ def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
     return out
 
 
-def _run_block(task: _McTask) -> np.ndarray:
-    """Outage-and-case counts for one trial block at every grid snr."""
-    gains = _draw_gains(task.cfg, task.seed, task.first_trial, task.count)
+def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float, ...],
+               seed: int, cond: ConditionalCase, force_set: bool,
+               corr: CorrelationSet | None, delays: DelayConfig | None,
+               block: tuple[int, int]) -> np.ndarray:
+    """Outage-and-case counts for one (first trial, count) block at every grid snr."""
+    first_trial, count = block
+    gains = _draw_gains(cfg, seed, first_trial, count)
     gsr1 = np.abs(gains["sr1"]) ** 2
     gsr2 = np.abs(gains["sr2"]) ** 2
-    counts = np.zeros(len(task.snr), dtype=np.int64)
-    want = task.cond.size
-    for i, snr in enumerate(task.snr):
-        pt = RatePoint(snr, task.r, task.cfg.sigma2_sd)
-        if task.force_set:
-            m1 = np.full(task.count, want >= 1)
-            m2 = np.full(task.count, want >= 2)
-            case = np.ones(task.count, dtype=bool)
+    counts = np.zeros(len(snr), dtype=np.int64)
+    want = cond.size
+    for i, s in enumerate(snr):
+        pt = RatePoint(s, r, cfg.sigma2_sd)
+        if force_set:
+            m1 = np.full(count, want >= 1)
+            m2 = np.full(count, want >= 2)
+            case = np.ones(count, dtype=bool)
         else:
             thr = pt.decode_threshold
             m1 = gsr1 >= thr
             m2 = gsr2 >= thr
             if want is None:
-                case = np.ones(task.count, dtype=bool)
+                case = np.ones(count, dtype=bool)
             else:
                 sizes = m1.astype(np.int8) + m2.astype(np.int8)
                 case = sizes == want
-        below = mi_below(task.scheme, gains["sd"], gains["r1d"], gains["r2d"], m1, m2, pt.rho0,
-                         pt.rate, task.corr, task.delays)
+        below = mi_below(scheme, gains["sd"], gains["r1d"], gains["r2d"], m1, m2, pt.rho0,
+                         pt.rate, corr, delays)
         counts[i] = int(np.count_nonzero(below & case))
     return counts
 
@@ -191,21 +181,17 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
-    tasks = []
-    first = 0
-    while first < trials:
-        count = min(BLOCK_TRIALS, trials - first)
-        tasks.append(_McTask(scheme, cfg, float(r), snr, int(seed), cond,
-                             bool(force_set), corr, delays, first, count))
-        first += count
-
-    if workers == 1 or len(tasks) == 1:
-        parts = [_run_block(t) for t in tasks]
+    run = functools.partial(_run_block, scheme, cfg, float(r), snr, int(seed), cond,
+                            bool(force_set), corr, delays)
+    blocks = [(first, min(BLOCK_TRIALS, trials - first))
+              for first in range(0, trials, BLOCK_TRIALS)]
+    if workers == 1 or len(blocks) == 1:
+        parts = [run(block) for block in blocks]
     else:
         # the pool forks all its workers at once: never more than there are blocks
-        pool_size = min(workers, len(tasks))
+        pool_size = min(workers, len(blocks))
         with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_run_block, tasks, chunksize=1))
+            parts = list(pool.map(run, blocks, chunksize=1))
     counts = np.sum(parts, axis=0)
 
     outage, lo, hi, cens = [], [], [], []

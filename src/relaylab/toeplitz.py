@@ -153,5 +153,6 @@ def convergence_study(taps: IsiTapSet, ns, rho0: float, rel_tol: float = 0.01,
     rel_err = tuple(e / denom for e in abs_err)
     if rel_err[-1] > rel_tol:
         raise NumericError(
-            f"finite-n rate at n={ns[-1]} is {rel_err[-1]:.3%} from the limit (tol {rel_tol:.1%})")
+            f"finite-n rate at n={ns[-1]} has relative error {rel_err[-1]:.3g} from the limit"
+            f" (rel_tol {rel_tol:.3g})")
     return ConvergenceStudy(ns, vals, limit, abs_err, rel_err)

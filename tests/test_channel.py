@@ -28,20 +28,6 @@ def test_config_rejects_nonpositive_variance():
         NetworkConfig(sigma2_sr1=math.inf)
 
 
-def test_from_geometry_path_loss():
-    d = {"sd": 2.0, "sr1": 1.0, "sr2": 1.0, "r1d": 1.0, "r2d": 1.0}
-    cfg = NetworkConfig.from_geometry(d, mu=3.0, scale=1.0)
-    assert cfg.sigma2_sd == pytest.approx(2.0 ** -3, rel=1e-15)
-    assert cfg.sigma2_sr1 == 1.0
-    assert cfg.lam("sd") == pytest.approx(8.0, rel=1e-15)
-    with pytest.raises(ConfigError):
-        NetworkConfig.from_geometry(d, mu=1.5)
-    with pytest.raises(ConfigError):
-        NetworkConfig.from_geometry(d, mu=5.5)
-    with pytest.raises(ConfigError):
-        NetworkConfig.from_geometry({"sd": 1.0}, mu=3.0)
-
-
 def test_lam_unknown_link():
     with pytest.raises(ConfigError):
         NetworkConfig().lam("dd")

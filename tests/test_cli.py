@@ -212,6 +212,7 @@ def test_toeplitz_unreachable_tolerance(capsys):
                      "--samples-per-symbol", "64")
     assert rc == 3
     assert "numeric failure" in err
+    assert "(rel_tol 1e-09)" in err  # the stated tolerance, not a rounded percentage
 
 
 def test_compare_capacity_all_wins(capsys):

@@ -606,6 +606,36 @@ def test_mi_batch_relay_swap():
                                            err_msg=f"{scheme.value} {kw} envelope")
 
 
+def test_rows_equal_their_batch_of_one():
+    # a scalar call is a batch of one: each row of a mixed batch gets, bit for
+    # bit, the value, verdict and envelope bounds it gets alone, for every
+    # membership (row i has m1 = i & 1, m2 = i & 2) and for gains of 0 and 1e-12
+    rng = np.random.default_rng(53)
+    n = 64
+    sd, r1d, r2d = _screen_rows(rng, n)
+    r2d[:4] = 0.0  # both relay gains zero
+    sd[40:44] = 0.0
+    sd[44:48] *= 1e-6 / np.abs(sd[44:48])
+    m1 = np.arange(n) % 2 == 1
+    m2 = np.arange(n) % 4 >= 2
+    for scheme, kw in _swap_cases():
+        env_kw = dict(kw, eig=certify_pd(kw["corr"])) if "corr" in kw else kw
+        for rho0 in (0.5, 1e3):
+            value = mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
+            rate = float(np.median(value))
+            below = mi_below(scheme, sd, r1d, r2d, m1, m2, rho0, rate, **kw)
+            env = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **env_kw)
+            for i in range(n):
+                row = (sd[i:i + 1], r1d[i:i + 1], r2d[i:i + 1], m1[i:i + 1], m2[i:i + 1], rho0)
+                msg = f"{scheme.value} {kw} rho0={rho0} row {i}"
+                np.testing.assert_array_equal(mi_batch(scheme, *row, **kw), value[i:i + 1],
+                                              err_msg=msg)
+                np.testing.assert_array_equal(mi_below(scheme, *row, rate, **kw),
+                                              below[i:i + 1], err_msg=msg)
+                for got, want in zip(mi_envelope(scheme, *row, **env_kw), env):
+                    np.testing.assert_array_equal(got, want[i:i + 1], err_msg=msg)
+
+
 # ---------------------------------------------------------------------------
 # the screen's kernel bounds
 
