@@ -431,12 +431,18 @@ def _cmd_compare_capacity(ns: argparse.Namespace) -> int:
 # parser plumbing
 
 
+# argparse reads a value that starts with '-' and is not a plain number as an option
+_SNR_DB_HELP = ("LO:HI:STEP or one value, in dB; a grid from a negative dB needs the "
+                "= form, --snr-db=-20:40:10; ")
+
+
 def _add_common(p: argparse.ArgumentParser, cmd: str) -> None:
     p.add_argument("--config", help="INI file; section [%s] applies" % cmd)
     for key in _DEFAULTS[cmd]:
         flag = "--" + key.replace("_", "-")
+        note = _SNR_DB_HELP if key == "snr_db" else ""
         p.add_argument(flag, dest=key, default=None,
-                       help=f"default: {_DEFAULTS[cmd][key]!r}")
+                       help=f"{note}default: {_DEFAULTS[cmd][key]!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -247,9 +247,9 @@ def mi_below(scheme, sd, r1d, r2d, m1, m2, rho0: float, rate: float,
     return below
 
 
-# Margin of the screen in mi_below, in bits per bit of rate: far above the
-# kernels' roundoff, which stays near 1e-14 bits but grows to about
-# 4e-14/t0bw bits for short delay windows, hence the 1/t0bw factor there.
+# Margin of the screens in mi_below and rtda2's x = 0 check, in bits per bit:
+# far above the kernels' roundoff, which stays near 1e-14 bits but grows to
+# about 4e-14/t0bw bits for short delay windows, hence mi_below's 1/t0bw.
 _SCREEN_SLACK = 1e-9
 
 
@@ -270,9 +270,7 @@ def _kernel_bounds(scheme: SchemeId, sd, r1d, r2d, rho0: float, rate: float,
       For other pulses only q >= 1 bounds it below.
     - TDA_INDEP/TDA_REPETITION: the mean of log2(A + B cos(u + psi)) over
       |u| <= h = pi w.  Jensen with the window mean of the cosine gives
-      log2(A + B sin(h) cos(psi) / h) above.  Below, each of the floor(w)
-      whole periods averages exactly log2((A + R)/2), R = sqrt(A^2 - B^2),
-      and the rest of the window is at least log2(A - B) >= 0.
+      log2(A + B sin(h) cos(psi) / h) above, and _window_mean_lower below.
     """
     g1 = np.abs(r1d) ** 2
     g2 = np.abs(r2d) ** 2
@@ -285,10 +283,7 @@ def _kernel_bounds(scheme: SchemeId, sd, r1d, r2d, rho0: float, rate: float,
         w = delays.t0bw
         h = math.pi * w
         upper = np.log2(a + bc * (math.sin(h) / h) * np.cos(psi))
-        whole = math.floor(w)
-        lower = (whole * np.log2(0.5 * (a + np.sqrt((a - bc) * (a + bc))))
-                 + (w - whole) * np.log2(a - bc)) / w
-        return need, lower, upper, slack * (1.0 + 1.0 / w)
+        return need, _window_mean_lower(a, bc, w), upper, slack * (1.0 + 1.0 / w)
 
     upper = np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
     if any(corr.r_taps[2:]):
@@ -336,6 +331,15 @@ def closed_log_integral(a: float, b: float) -> float:
     if not s2 < 1.0:
         raise ConfigError(f"closed form needs a^2 + b^2 < 1, got {s2}")
     return math.log2(0.5 * (1.0 + math.sqrt(1.0 - s2)))
+
+
+def _window_mean_lower(A, B, w: float):
+    """Lower bound on _log2_cos_window_mean(A, B, psi, pi w) for any psi:
+    each of the floor(w) whole periods averages exactly log2((A + R)/2),
+    R = sqrt(A^2 - B^2), and the rest of the window is at least log2(A - B)."""
+    whole = math.floor(w)
+    return (whole * np.log2(0.5 * (A + np.sqrt((A - B) * (A + B))))
+            + (w - whole) * np.log2(A - B)) / w
 
 
 def _log2_cos_window_mean(A, B, psi, h: float):

@@ -29,8 +29,8 @@ from ._quad import gl_nodes
 from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
                       RatePoint, decoding_set_probs)
 from .errors import ConfigError, NumericError
-from .mutualinfo import (DelayConfig, SchemeId, _inv_cos_window_mean,
-                         _log2_cos_window_mean, check_scheme, mi_below)
+from .mutualinfo import (_SCREEN_SLACK, DelayConfig, SchemeId, _inv_cos_window_mean,
+                         _log2_cos_window_mean, _window_mean_lower, check_scheme, mi_below)
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
@@ -44,7 +44,7 @@ _RTDA2_SCALE = 64       # analytic_outage_rtda2: log relay-sum scale,
 _RTDA2_SPLIT = 32       # split fraction between the relays,
 _RTDA2_PHASE = 12       # and relative relay phase (fractional t0*bw only)
 
-_RTDA2_NEWTON_CAP = 50  # step cap of rtda2's direct-gain threshold solve (9 seen)
+_RTDA2_NEWTON_CAP = 50  # rtda2 threshold step cap (9 seen at -20..1000 dB, t0*bw 1+1e-6..12.3)
 
 
 class ConditionalCase(str, enum.Enum):
@@ -379,33 +379,9 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
         x_star = np.where(bc < big_c, x_star, 0.0)  # A + sqrt(A^2-B^2) >= B: no root past B >= C
         fx = _cdf_exp(x_star, lam_sd)
     else:
-        # Newton on mean log2(A + B cos(u + phi)) = log2 T over the window
-        # |u| <= h, in units of rho0 (A = 1/rho0 + nu + x, B = 2 sqrt(y1 y2))
-        # so that A^2 - B^2 stays finite at any snr.  The mean is increasing
-        # and concave in A, so Newton started below the root climbs to it
-        # without overshoot.  The start is the root of Jensen's upper bound
-        # log2(A + B sin(h) cos(phi) / h), or x = 0 when that lies lower.  A
-        # row stops at its first step that does not climb: it is at the root
-        # to rounding, or its x = 0 rate already meets the target.
-        h = math.pi * float(t0bw)
         phi, phi_w = gl_nodes(0.0, math.pi, _RTDA2_PHASE)
-        phi = phi[:, None, None]
-        base = 1.0 / rho0 + nu[None, :, None]
-        swing = bc / rho0
-        a = np.maximum(base, big_t / rho0 - swing * (math.sin(h) / h) * np.cos(phi))
-        target = math.log2(big_t / rho0)
-        done = np.zeros(a.shape, dtype=bool)
-        for _ in range(_RTDA2_NEWTON_CAP):
-            step = (target - _log2_cos_window_mean(a, swing, phi, h)) * _LN2 \
-                / _inv_cos_window_mean(a, swing, phi, h)
-            done |= step <= 1e-14 * a
-            if done.all():
-                break
-            a = np.where(done, a, a + step)
-        else:
-            raise NumericError(f"rtda2 threshold: Newton did not converge in "
-                               f"{_RTDA2_NEWTON_CAP} steps (snr={snr}, t0bw={t0bw})")
-        x_star = a - base
+        x_star = _rtda2_threshold(1.0 / rho0 + nu[None, :, None], bc / rho0, phi[:, None, None],
+                                  big_t / rho0, float(t0bw), snr)
         fx = np.tensordot(phi_w / math.pi, _cdf_exp(x_star, lam_sd), axes=(0, 0))
 
     dens = lam1 * lam2 * np.exp(-lam1 * y1 - lam2 * y2)
@@ -414,6 +390,48 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     if conditioned:
         return p
     return decoding_set_probs(cfg, pt)[D_BOTH] * p
+
+
+def _rtda2_threshold(base, swing, phi, level: float, t0bw: float, snr: float):
+    """Direct gain x = a - base, per (phase, scale, split) node, at which
+    mean log2(a + swing cos(u + phi)) over |u| <= h = pi t0bw meets log2 level.
+
+    The caller works in units of rho0 (a = 1/rho0 + nu + x, swing =
+    2 sqrt(y1 y2)) so that a^2 - swing^2 stays finite at any snr.  The mean
+    is increasing and concave in a, so Newton started below the root climbs
+    to it without overshoot.  The start is the root of Jensen's upper bound
+    log2(a + swing sin(h) cos(phi) / h), or x = 0 when that lies lower.  A
+    node stops at its first step that does not climb: it is at the root to
+    rounding, or its x = 0 rate already meets the target.  Each step runs the
+    window means on the nodes still moving only, and a node starting at x = 0
+    whose whole-period lower bound clears the target by a margin far above
+    the mean's roundoff stops before the first step, as Newton would.
+    """
+    h = math.pi * t0bw
+    a = np.maximum(base, level - swing * (math.sin(h) / h) * np.cos(phi))
+    shape = a.shape
+    a = a.ravel()
+    base, swing, phi = (np.broadcast_to(v, shape).ravel() for v in (base, swing, phi))
+    target = math.log2(level)
+    with np.errstate(all="ignore"):  # a non-finite bound leaves its node moving
+        low = _window_mean_lower(base, swing, t0bw)
+    settled = (a == base) & np.isfinite(low) & (low - _SCREEN_SLACK * (1.0 + abs(target)) >= target)
+    live = np.flatnonzero(~settled)
+    for _ in range(_RTDA2_NEWTON_CAP):
+        al, bl, pl = a[live], swing[live], phi[live]
+        step = (target - _log2_cos_window_mean(al, bl, pl, h)) * _LN2 \
+            / _inv_cos_window_mean(al, bl, pl, h)
+        moving = ~(step <= 1e-14 * al)  # a NaN step keeps its node moving
+        live, step = live[moving], step[moving]
+        if not live.size:
+            break
+        a[live] = al[moving] + step
+    else:
+        raise NumericError(f"rtda2 threshold: Newton did not converge in {_RTDA2_NEWTON_CAP} "
+                           f"steps (snr={snr}, t0bw={t0bw}; {live.size} of {a.size} nodes "
+                           f"still moving, largest relative step "
+                           f"{np.max(step / al[moving]):.3g})")
+    return (a - base).reshape(shape)
 
 
 def analytic_curve(oracle, snr_grid, scheme: str, r: float,

@@ -1,12 +1,16 @@
 import contextlib
 import csv
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relaylab
 from relaylab.cli import _DEFAULTS, main
 from relaylab.waveform import save_waveform, srrc
 
@@ -106,6 +110,21 @@ def test_simulate_analytic_to_file_with_fit(tmp_path, capsys):
     vals = [float(r[4]) for r in rows]
     assert vals == sorted(vals, reverse=True)
     assert "slope=2.38" in out
+
+
+def test_negative_snr_grid_needs_the_equals_form(capsys):
+    # argparse reads "-20:40:10" after a space as an option, not as a value
+    rc, out, _ = run(capsys, "simulate", "--mode", "analytic", "--r", "0.1",
+                     "--snr-db=-20:40:10")
+    assert rc == 0
+    assert len(body_lines(out)) == 1 + 7
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "relaylab.cli", "simulate", "--mode", "analytic",
+                           "--r", "0.1", "--snr-db", "-20:40:10"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "--snr-db: expected one argument" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_simulate_analytic_requires_known_oracle(capsys):

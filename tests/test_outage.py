@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from relaylab.channel import NetworkConfig, RatePoint
+from relaylab.channel import D_BOTH, NetworkConfig, RatePoint, decoding_set_probs
 from relaylab import outage
 from relaylab._quad import gl_nodes
 from relaylab.errors import ConfigError, NumericError
-from relaylab.mutualinfo import DelayConfig, SchemeId, _log2_cos_window_mean, mi_batch
+from relaylab.mutualinfo import (DelayConfig, SchemeId, _inv_cos_window_mean,
+                                 _log2_cos_window_mean, mi_batch)
 from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              analytic_outage_parallel3, analytic_outage_rtda2,
                              analytic_outage_stc, direct_outage, mc_outage,
@@ -176,6 +177,75 @@ def test_rtda2_matches_exact_bisection(unit_cfg):
         got = analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=True)
         np.testing.assert_allclose(got, _rtda2_by_bisection(cfg, r, snr, t0bw),
                                    rtol=1e-10, atol=0, err_msg=f"r={r} {db} dB t0bw={t0bw}")
+
+
+def _rtda2_threshold_full_grid(base, swing, phi, level, t0bw, snr):
+    # outage._rtda2_threshold without the active set or the x = 0 screen:
+    # every Newton step evaluates the window means on the whole grid.
+    h = math.pi * t0bw
+    a = np.maximum(base, level - swing * (math.sin(h) / h) * np.cos(phi))
+    target = math.log2(level)
+    done = np.zeros(a.shape, dtype=bool)
+    for _ in range(outage._RTDA2_NEWTON_CAP):
+        step = (target - _log2_cos_window_mean(a, swing, phi, h)) * math.log(2.0) \
+            / _inv_cos_window_mean(a, swing, phi, h)
+        done |= step <= 1e-14 * a
+        if done.all():
+            break
+        a = np.where(done, a, a + step)
+    else:
+        raise NumericError(f"full-grid Newton did not converge (snr={snr}, t0bw={t0bw})")
+    return a - base
+
+
+def _rtda2_outcome(cfg, r, snr, t0bw, conditioned):
+    try:
+        return analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=conditioned)
+    except (NumericError, ArithmeticError) as exc:  # the two solves must fail alike
+        return type(exc)
+
+
+def test_rtda2_active_set_equals_full_grid(unit_cfg, monkeypatch):
+    # Same float operations per node in the same order: equal to the last bit
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    for cfg, r, db, t0bw in ((unit_cfg, 0.25, 60, 2.5), (asym, 0.1, 0, 1 + 1e-6),
+                             (unit_cfg, 0.4, 40, 1.5), (asym, 0.25, 160, 3.7),
+                             (unit_cfg, 0.1, 80, 12.3), (asym, 0.4, 120, 1e6 + 0.5),
+                             (asym, 0.4, 0, 3.7), (unit_cfg, 0.25, 40, 12.3),
+                             (asym, 0.1, 140, 1 + 1e-6), (unit_cfg, 0.4, 3000, 2.5)):
+        snr = 10.0 ** (db / 10.0)
+        got = _rtda2_outcome(cfg, r, snr, t0bw, True)
+        joint = _rtda2_outcome(cfg, r, snr, t0bw, False)
+        with monkeypatch.context() as m:
+            m.setattr(outage, "_rtda2_threshold", _rtda2_threshold_full_grid)
+            want = _rtda2_outcome(cfg, r, snr, t0bw, True)
+        assert got == want, f"r={r} {db} dB t0bw={t0bw}"
+        if isinstance(want, float):
+            pt = RatePoint(snr, r, cfg.sigma2_sd)
+            assert joint == decoding_set_probs(cfg, pt)[D_BOTH] * want
+        else:
+            assert joint == want
+
+
+def test_rtda2_screen_settles_only_rows_newton_leaves():
+    # Nodes at x = 0 whose target log2(level) = 0 lies within 1e-3 bits of
+    # the whole-period lower bound, many of them between it and the mean:
+    # the screen may settle only the ones the full-grid loop leaves at x = 0.
+    base = 2.0 ** np.linspace(-1e-3, 1e-3, 64)[None, :, None]
+    swing = base[0] * np.geomspace(1e-6, 1e-2, 32)
+    phi = gl_nodes(0.0, math.pi, 12)[0][:, None, None]
+    for t0bw in (1.5, 2.5, 12.3):
+        got = outage._rtda2_threshold(base, swing, phi, 1.0, t0bw, 0.0)
+        want = _rtda2_threshold_full_grid(base, swing, phi, 1.0, t0bw, 0.0)
+        assert np.array_equal(got, want), t0bw
+        assert 0 < np.count_nonzero(want) < want.size
+
+
+def test_rtda2_step_cap_reports_the_nodes_still_moving(unit_cfg, monkeypatch):
+    monkeypatch.setattr(outage, "_RTDA2_NEWTON_CAP", 2)
+    with pytest.raises(NumericError, match=r"did not converge in 2 steps .*; \d+ of 24576 "
+                                           r"nodes still moving, largest relative step \S+\)"):
+        analytic_outage_rtda2(unit_cfg, 0.25, 1e6, 2.5)
 
 
 # ---------------------------------------------------------------------------
