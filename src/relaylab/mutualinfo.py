@@ -5,12 +5,16 @@ message in phase one) and on one fading realization.  rho0 is the
 normalized per-node snr.  All logarithms are base 2.
 
 The evaluators take arrays, one row per draw, and a single draw is a batch
-of one.  mi_batch is each scheme's one MI kernel: it takes the complex
-destination-link gains and the relay memberships.  Rows with fewer than two
-relays have closed forms; on the both-relays rows every scheme's MI is
-(direct + kernel)/2, a direct-link term plus a relay-pair term, split once
-by _both_split.  The Monte Carlo engine only needs mi_batch(...) < rate,
-which mi_below returns while running the costly pair kernels only on rows
+of one.  A LinkRecord holds the destination links of a batch with the
+snr-free terms the kernels read (squared gains, magnitudes, the relay phase
+difference), each computed once, so the Monte Carlo engine builds one per
+block and every snr point reads it.  record_mi is each scheme's one MI
+kernel: it takes a record and the relay memberships, and mi_batch is it on
+complex gains.  Rows with fewer than two relays have closed forms; on the
+both-relays rows every scheme's MI is (direct + kernel)/2, a direct-link
+term plus a relay-pair term, split once by _both_split.  The Monte Carlo
+engine only needs record_mi(...) < rate, which record_below (mi_below on
+complex gains) returns while running the costly pair kernels only on rows
 that cheap bounds on the same split cannot settle.  mi_envelope returns
 mi_batch's value with its analytic envelope: the delta1-scaled whole-period
 and coherent-combining bounds of the delay schemes, and the
@@ -29,6 +33,7 @@ from .errors import ConfigError, NumericError
 from .waveform import CorrelationSet, EigenBounds, certify_pd
 
 _LN2 = math.log(2.0)
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 class SchemeId(str, enum.Enum):
@@ -105,22 +110,75 @@ def check_scheme(scheme, corr: CorrelationSet | None = None,
     return scheme
 
 
+class LinkRecord:
+    """The destination links of a batch of draws, one row per draw, with the
+    snr-free terms the MI kernels read.
+
+    The squared gains g_sd, g1, g2 are computed on construction; the relay
+    magnitudes r1, r2, the phase difference psi = arg r2d - arg r1d and any
+    other term(key, make) on first use, then kept.  rows(idx) is the record
+    of a subset of the rows: it indexes the squared gains and takes every
+    other term from its parent, which computes it once over all its rows.
+    Only a record built from gains holds the complex gains sd, r1d, r2d.
+    """
+
+    def __init__(self, sd, r1d, r2d):
+        self.sd, self.r1d, self.r2d = (np.asarray(z) for z in (sd, r1d, r2d))
+        self.g_sd, self.g1, self.g2 = (np.abs(z) ** 2 for z in (self.sd, self.r1d, self.r2d))
+        self._parent, self._idx, self._terms = None, None, {}
+
+    def rows(self, idx) -> "LinkRecord":
+        """The record of rows idx, sorted distinct row indices (the record
+        itself when they are all its rows)."""
+        if len(idx) == len(self.g_sd):
+            return self
+        sub = object.__new__(LinkRecord)
+        sub.sd = sub.r1d = sub.r2d = None
+        sub.g_sd, sub.g1, sub.g2 = self.g_sd[idx], self.g1[idx], self.g2[idx]
+        sub._parent, sub._idx, sub._terms = self, idx, {}
+        return sub
+
+    def term(self, key, make):
+        """make(record) on the record built from gains, at these rows, cached under key."""
+        if key not in self._terms:
+            self._terms[key] = (make(self) if self._parent is None
+                                else self._parent.term(key, make)[self._idx])
+        return self._terms[key]
+
+    @property
+    def r1(self):
+        return self.term("r1", lambda s: np.abs(s.r1d))
+
+    @property
+    def r2(self):
+        return self.term("r2", lambda s: np.abs(s.r2d))
+
+    @property
+    def psi(self):
+        return self.term("psi", lambda s: np.angle(s.r2d) - np.angle(s.r1d))
+
+
 def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
              corr: CorrelationSet | None = None,
              delays: DelayConfig | None = None) -> np.ndarray:
-    """Conditional MI of one scheme for arrays of fading draws.
+    """record_mi on the complex destination-link gains sd, r1d, r2d."""
+    return record_mi(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, corr, delays)
 
-    sd, r1d, r2d are the complex destination-link gains and m1, m2 the
-    boolean memberships of the decoding set, one entry per row.  The Monte
-    Carlo engine calls it per block; a single draw is a batch of one.  Rows
-    with fewer than two relays are closed forms in the members' summed gain
-    relay; both-relays rows are (direct + kernel)/2 over _both_split.
+
+def record_mi(scheme, links: LinkRecord, m1, m2, rho0: float,
+              corr: CorrelationSet | None = None,
+              delays: DelayConfig | None = None) -> np.ndarray:
+    """Conditional MI of one scheme for a record of fading draws.
+
+    m1, m2 are the boolean memberships of the decoding set, one entry per
+    row.  The Monte Carlo engine calls it per block and snr point; a single
+    draw is a batch of one.  Rows with fewer than two relays are closed
+    forms in the members' summed gain relay; both-relays rows are
+    (direct + kernel)/2 over _both_split.
     """
     scheme = check_scheme(scheme, corr, delays)
-    gsd = np.abs(sd) ** 2
-    g1 = np.abs(r1d) ** 2
-    g2 = np.abs(r2d) ** 2
-    relay = np.where(m1, g1, 0.0) + np.where(m2, g2, 0.0)
+    gsd, g1, g2 = links.g_sd, links.g1, links.g2
+    relay = g1 * m1 + g2 * m2  # np.where(m, g, 0.0) for finite g >= 0
     if scheme == SchemeId.TDA_REPETITION:
         out = 0.5 * np.log2(1.0 + rho0 * (gsd + relay))
     elif scheme == SchemeId.ASTC:
@@ -138,7 +196,8 @@ def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     if scheme == SchemeId.STC_SYNC or not both.any():
         return out
     b = np.nonzero(both)[0]
-    direct, terms = _both_split(scheme, gsd[b], g1[b], g2[b], r1d[b], r2d[b], rho0, corr)
+    pair = links.rows(b)
+    direct, terms = _both_split(scheme, pair, rho0, corr)
     if scheme == SchemeId.TDA_LINMOD:
         a, bb = terms
         kernel = np.log2(1.0 + a + np.sqrt(np.maximum((1.0 + a) ** 2 - bb * bb, 0.0))) - 1.0
@@ -147,8 +206,8 @@ def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     elif delays.t0bw > 0.0:
         kernel = _log2_cos_window_mean(*terms, math.pi * delays.t0bw)
     else:  # no delay window: the relays add coherently
-        eff = np.abs(r1d[b] + r2d[b]) ** 2
-        kernel = np.log2(1.0 + rho0 * ((gsd[b] + eff) if scheme == SchemeId.TDA_REPETITION
+        eff = pair.term("coherent", lambda s: np.abs(s.r1d + s.r2d) ** 2)
+        kernel = np.log2(1.0 + rho0 * ((pair.g_sd + eff) if scheme == SchemeId.TDA_REPETITION
                                        else eff))
     out[b] = 0.5 * (direct + kernel)
     return out
@@ -180,16 +239,17 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
       already computed.  The lower bound is slack unless eig.pd.
     """
     scheme = check_scheme(scheme, corr, delays)
-    value = mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, corr, delays)
+    links = LinkRecord(sd, r1d, r2d)
+    value = record_mi(scheme, links, m1, m2, rho0, corr, delays)
     lower = value.copy()
     upper = value.copy()
     both = m1 & m2
     if scheme == SchemeId.STC_SYNC or not both.any():
         return value, lower, upper
     b = np.nonzero(both)[0]
-    g1 = np.abs(r1d[b]) ** 2
-    g2 = np.abs(r2d[b]) ** 2
-    direct, terms = _both_split(scheme, np.abs(sd[b]) ** 2, g1, g2, r1d[b], r2d[b], rho0, corr)
+    pair = links.rows(b)
+    g1, g2 = pair.g1, pair.g2
+    direct, terms = _both_split(scheme, pair, rho0, corr)
 
     if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
         a = terms[0]
@@ -212,7 +272,14 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
 def mi_below(scheme, sd, r1d, r2d, m1, m2, rho0: float, rate: float,
              corr: CorrelationSet | None = None,
              delays: DelayConfig | None = None) -> np.ndarray:
-    """mi_batch(...) < rate per row, running the both-relays kernel only
+    """record_below on the complex destination-link gains sd, r1d, r2d."""
+    return record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, corr, delays)
+
+
+def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
+                 corr: CorrelationSet | None = None,
+                 delays: DelayConfig | None = None) -> np.ndarray:
+    """record_mi(...) < rate per row, running the both-relays kernel only
     where its bounds leave the verdict in doubt.
 
     For the both-relays rows of ASTC, MIX_AF and the windowed delay schemes,
@@ -220,18 +287,18 @@ def mi_below(scheme, sd, r1d, r2d, m1, m2, rho0: float, rate: float,
     and bounds lower <= kernel <= upper.  A row with upper below the need is
     an outage and a row with lower at or above it is not, each with a margin
     above the kernel's roundoff.  Every other row, and every row with a
-    non-finite bound, goes through one mi_batch call, so the verdicts equal
-    mi_batch(...) < rate.
+    non-finite bound, goes through one record_mi call, so the verdicts equal
+    record_mi(...) < rate.
     """
     scheme = check_scheme(scheme, corr, delays)
     both = m1 & m2
     windowed = scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION) and delays.t0bw > 0.0
     if not (scheme in (SchemeId.ASTC, SchemeId.MIX_AF) or windowed) or not both.any():
-        return mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, corr, delays) < rate
+        return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
 
     b = np.nonzero(both)[0]
     with np.errstate(all="ignore"):  # a non-finite bound sends its row to the kernel
-        need, lower, upper, slack = _kernel_bounds(scheme, sd[b], r1d[b], r2d[b], rho0, rate,
+        need, lower, upper, slack = _kernel_bounds(scheme, links.rows(b), rho0, rate,
                                                    corr, delays)
     finite = np.isfinite(need) & np.isfinite(lower) & np.isfinite(upper)
     outage = finite & (upper + slack < need)
@@ -242,23 +309,23 @@ def mi_below(scheme, sd, r1d, r2d, m1, m2, rho0: float, rate: float,
     doubt[b[outage | clear]] = False
     k = np.nonzero(doubt)[0]
     if k.size:
-        below[k] = mi_batch(scheme, sd[k], r1d[k], r2d[k], m1[k], m2[k], rho0,
-                            corr, delays) < rate
+        below[k] = record_mi(scheme, links.rows(k), m1[k], m2[k], rho0, corr, delays) < rate
     return below
 
 
-# Margin of the screens in mi_below and rtda2's x = 0 check, in bits per bit:
+# Margin of the screens in record_below and rtda2's x = 0 check, in bits per bit:
 # far above the kernels' roundoff, which stays near 1e-14 bits but grows to
-# about 4e-14/t0bw bits for short delay windows, hence mi_below's 1/t0bw.
+# about 4e-14/t0bw bits for short delay windows, hence record_below's 1/t0bw.
 _SCREEN_SLACK = 1e-9
 
 
-def _kernel_bounds(scheme: SchemeId, sd, r1d, r2d, rho0: float, rate: float,
+def _kernel_bounds(scheme: SchemeId, links: LinkRecord, rho0: float, rate: float,
                    corr: CorrelationSet | None, delays: DelayConfig | None):
-    """(need, lower, upper, slack) for the both-relays kernel term of each row.
+    """(need, lower, upper, slack) for the both-relays kernel term of each
+    row of a record.
 
     The row is an outage iff kernel < need, where the kernel is the frequency
-    mean mi_batch computes from the same squared gains:
+    mean record_mi computes from the same squared gains:
 
     - ASTC/MIX_AF: mean log2 q(w), q = det(I + rho0 diag(g1, g2) T(w)) with
       constant cosine coefficient c_0.  Jensen: mean log2 q <= log2 c_0.
@@ -272,17 +339,17 @@ def _kernel_bounds(scheme: SchemeId, sd, r1d, r2d, rho0: float, rate: float,
       |u| <= h = pi w.  Jensen with the window mean of the cosine gives
       log2(A + B sin(h) cos(psi) / h) above, and _window_mean_lower below.
     """
-    g1 = np.abs(r1d) ** 2
-    g2 = np.abs(r2d) ** 2
-    direct, terms = _both_split(scheme, np.abs(sd) ** 2, g1, g2, r1d, r2d, rho0, corr)
+    g1, g2 = links.g1, links.g2
+    direct, terms = _both_split(scheme, links, rho0, corr)
     need = 2.0 * rate - direct
     slack = _SCREEN_SLACK * (1.0 + rate)
 
     if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
-        a, bc, psi = terms
+        a, bc, _ = terms
         w = delays.t0bw
         h = math.pi * w
-        upper = np.log2(a + bc * (math.sin(h) / h) * np.cos(psi))
+        cos_psi = links.term("cos_psi", lambda s: np.cos(s.psi))
+        upper = np.log2(a + bc * (math.sin(h) / h) * cos_psi)
         return need, _window_mean_lower(a, bc, w), upper, slack * (1.0 + 1.0 / w)
 
     upper = np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
@@ -296,29 +363,31 @@ def _kernel_bounds(scheme: SchemeId, sd, r1d, r2d, rho0: float, rate: float,
     return need, lower, upper, slack
 
 
-def _both_split(scheme: SchemeId, gsd, g1, g2, r1d, r2d, rho0: float,
+def _both_split(scheme: SchemeId, links: LinkRecord, rho0: float,
                 corr: CorrelationSet | None):
-    """(direct, terms) of both-relays rows, whose MI is (direct + kernel)/2
-    with the relay-pair kernel built from terms; gsd, g1, g2 are squared gains.
+    """(direct, terms) of a record of both-relays rows, whose MI is
+    (direct + kernel)/2 with the relay-pair kernel built from terms.
 
     TDA_INDEP and TDA_REPETITION average log2(A + B cos(u + psi)) over the
     delay window: terms (A, B, psi), and the repetition code puts rho0 g_sd
     into A, so its direct term is 0.  TDA_LINMOD gives the matched-filter
     pair's (a, b), and ASTC and MIX_AF give (g1, g2) for _emaca_batch with
-    the single-stream ISI rate of g_sd as the direct term.
+    the single-stream ISI rate of g_sd as the direct term.  The snr-free
+    parts are the record's terms, computed once per record.
     """
+    gsd, g1, g2 = links.g_sd, links.g1, links.g2
     if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
         nu = g1 + g2
         if scheme == SchemeId.TDA_REPETITION:
             direct, a = 0.0, 1.0 + rho0 * (gsd + nu)
         else:
             direct, a = np.log2(1.0 + rho0 * gsd), 1.0 + rho0 * nu
-        return direct, (a, 2.0 * rho0 * np.sqrt(g1 * g2), np.angle(r2d) - np.angle(r1d))
+        return direct, (a, 2.0 * rho0 * np.sqrt(g1 * g2), links.psi)
     if scheme == SchemeId.TDA_LINMOD:
-        r1, r2 = np.abs(r1d), np.abs(r2d)
-        cth = np.cos(np.angle(r1d) - np.angle(r2d))
-        a = rho0 * (g1 + g2 + 2.0 * corr.rho12 * r1 * r2 * cth)
-        return np.log2(1.0 + rho0 * gsd), (a, 2.0 * rho0 * corr.rho21 * r1 * r2)
+        rho12 = corr.rho12  # a / rho0 is snr-free
+        a = links.term(("linmod_a", rho12), lambda s: s.g1 + s.g2 + 2.0 * rho12 * s.r1 * s.r2
+                       * np.cos(np.angle(s.r1d) - np.angle(s.r2d)))
+        return np.log2(1.0 + rho0 * gsd), (rho0 * a, 2.0 * rho0 * corr.rho21 * links.r1 * links.r2)
     return _esd_from_gain(gsd, corr.a1, rho0), (g1, g2)
 
 
@@ -338,8 +407,21 @@ def _window_mean_lower(A, B, w: float):
     each of the floor(w) whole periods averages exactly log2((A + R)/2),
     R = sqrt(A^2 - B^2), and the rest of the window is at least log2(A - B)."""
     whole = math.floor(w)
-    return (whole * np.log2(0.5 * (A + np.sqrt((A - B) * (A + B))))
+    return (whole * np.log2(0.5 * (A + _root_product(A - B, A + B)))
             + (w - whole) * np.log2(A - B)) / w
+
+
+def _root_product(x, y):
+    """sqrt(x y) for x, y >= 0, such as R = sqrt((A - B)(A + B)) of the window
+    means.  Where the product underflows (below about 2e-308, as in the rtda2
+    oracle's units of rho0 at extreme snr) the two factors are rooted apart;
+    every other entry keeps the plain form."""
+    p = x * y
+    r = np.sqrt(p)
+    under = p < _TINY
+    if np.any(under):
+        r = np.where(under, np.sqrt(x) * np.sqrt(y), r)
+    return r
 
 
 def _log2_cos_window_mean(A, B, psi, h: float):
@@ -366,7 +448,7 @@ def _log2_cos_window_mean(A, B, psi, h: float):
     """
     from scipy.special import spence  # deferred: importing it slows every CLI start by tens of ms
 
-    r = np.sqrt((A - B) * (A + B))
+    r = _root_product(A - B, A + B)
     c = B / (A + r)
     f = spence(1.0 + c * np.exp(1j * (h + psi))).imag \
         + spence(1.0 + c * np.exp(1j * (h - psi))).imag
@@ -407,7 +489,7 @@ def _inv_cos_window_mean(A, B, psi, h: float):
         mean = 1 / (A + B cos psi) + Re((1 - 2q) p h^2 (1/3 - (1 - 12p) h^2/60
                + (1 - 60p + 360p^2) h^4/2520)) / R.
     """
-    r = np.sqrt((A - B) * (A + B))
+    r = _root_product(A - B, A + B)
     c = B / (A + r)
     f = np.angle(1.0 + c * np.exp(1j * (h + psi))) + np.angle(1.0 + c * np.exp(1j * (h - psi)))
     mean = (1.0 - f / h) / r

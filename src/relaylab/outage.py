@@ -29,8 +29,9 @@ from ._quad import gl_nodes
 from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
                       RatePoint, decoding_set_probs)
 from .errors import ConfigError, NumericError
-from .mutualinfo import (_SCREEN_SLACK, DelayConfig, SchemeId, _inv_cos_window_mean,
-                         _log2_cos_window_mean, _window_mean_lower, check_scheme, mi_below)
+from .mutualinfo import (_SCREEN_SLACK, DelayConfig, LinkRecord, SchemeId,
+                         _inv_cos_window_mean, _log2_cos_window_mean, _root_product,
+                         _window_mean_lower, check_scheme, record_below)
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
@@ -102,52 +103,50 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 
 def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
-    """Complex link gains for trials [first_trial, first_trial+count).
+    """Complex link gains for trials [first_trial, first_trial+count), as
+    columns of one (count, len(LINKS)) array keyed by link.
 
     The Philox counter is pinned to the first trial index times a stride
     comfortably above the words one trial consumes, so draws depend only on
-    (seed, trial index).
+    (seed, trial index).  Each trial's normals pair up as (re, im) per link.
     """
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     bitgen = np.random.Philox(key=key, counter=int(first_trial) * _COUNTER_STRIDE)
     rng = np.random.Generator(bitgen)
-    z = rng.standard_normal((count, 2 * len(LINKS)))
-    out = {}
-    for i, link in enumerate(LINKS):
-        scale = math.sqrt(0.5 * getattr(cfg, "sigma2_" + link))
-        out[link] = (z[:, 2 * i] + 1j * z[:, 2 * i + 1]) * scale
-    return out
+    scales = np.sqrt(0.5 * np.array([getattr(cfg, "sigma2_" + link) for link in LINKS]))
+    z = rng.standard_normal((count, 2 * len(LINKS))).view(np.complex128) * scales
+    return dict(zip(LINKS, z.T))
 
 
 def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float, ...],
                seed: int, cond: ConditionalCase, force_set: bool,
                corr: CorrelationSet | None, delays: DelayConfig | None,
                block: tuple[int, int]) -> np.ndarray:
-    """Outage-and-case counts for one (first trial, count) block at every grid snr."""
+    """Outage-and-case counts for one (first trial, count) block at every grid snr.
+
+    The block's draws and their snr-free terms (one LinkRecord) are computed
+    once; every grid point reads them.
+    """
     first_trial, count = block
     gains = _draw_gains(cfg, seed, first_trial, count)
+    links = LinkRecord(gains["sd"], gains["r1d"], gains["r2d"])
     gsr1 = np.abs(gains["sr1"]) ** 2
     gsr2 = np.abs(gains["sr2"]) ** 2
     counts = np.zeros(len(snr), dtype=np.int64)
     want = cond.size
+    if force_set:
+        m1 = np.full(count, want >= 1)
+        m2 = np.full(count, want >= 2)
     for i, s in enumerate(snr):
         pt = RatePoint(s, r, cfg.sigma2_sd)
-        if force_set:
-            m1 = np.full(count, want >= 1)
-            m2 = np.full(count, want >= 2)
-            case = np.ones(count, dtype=bool)
-        else:
+        if not force_set:
             thr = pt.decode_threshold
             m1 = gsr1 >= thr
             m2 = gsr2 >= thr
-            if want is None:
-                case = np.ones(count, dtype=bool)
-            else:
-                sizes = m1.astype(np.int8) + m2.astype(np.int8)
-                case = sizes == want
-        below = mi_below(scheme, gains["sd"], gains["r1d"], gains["r2d"], m1, m2, pt.rho0,
-                         pt.rate, corr, delays)
-        counts[i] = int(np.count_nonzero(below & case))
+        below = record_below(scheme, links, m1, m2, pt.rho0, pt.rate, corr, delays)
+        if want is not None and not force_set:
+            below &= (m1.astype(np.int8) + m2.astype(np.int8)) == want
+        counts[i] = int(np.count_nonzero(below))
     return counts
 
 
@@ -369,12 +368,15 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     q_nodes, q_w = gl_nodes(0.0, 1.0, _RTDA2_SPLIT)
     y1 = nu[:, None] * q_nodes[None, :]
     y2 = nu[:, None] * (1.0 - q_nodes[None, :])
-    bc = 2.0 * rho0 * np.sqrt(y1 * y2)        # cosine swing of the pair gain
+    bc = 2.0 * rho0 * _root_product(y1, y2)   # cosine swing of the pair gain
 
     integer_w = abs(t0bw - round(t0bw)) < 1e-9
     if integer_w:
         big_c = 2.0 * big_t
-        a_star = (big_c * big_c + bc * bc) / (2.0 * big_c)
+        with np.errstate(over="ignore"):
+            a_star = (big_c * big_c + bc * bc) / (2.0 * big_c)
+        # where C^2 + B^2 overflows (C past about 1e154): C/2 + B (B/C)/2, finite as B < C
+        a_star = np.where(np.isfinite(a_star), a_star, 0.5 * big_c + bc * (0.5 * bc / big_c))
         x_star = np.clip((a_star - 1.0 - rho0 * nu[:, None]) / rho0, 0.0, x_max)
         x_star = np.where(bc < big_c, x_star, 0.0)  # A + sqrt(A^2-B^2) >= B: no root past B >= C
         fx = _cdf_exp(x_star, lam_sd)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -96,6 +97,42 @@ def test_simulate_mc_deterministic_body(tmp_path, capsys):
     assert [r[3] for r in rows] == ["0.0", "5.0", "10.0"]
 
 
+# sha256 of the outage-v1 body (column row plus data rows, joined by "\n") of
+# `simulate --trials 75536 --snr-db 0:30:10` (two full Monte Carlo blocks and
+# a partial one, seed 1, r 0.25), recorded before the engine read one link
+# record per block; a change to the draws, the decoding sets or any MI
+# kernel's float operations moves them
+GOLDEN_MC_BODIES = {
+    "STC_SYNC": (("--scheme", "STC_SYNC"),
+                 "bb3b92ad17dbd8ec3599b8f5665d0de0f1779cb52f5bf1ca3003a9e7926e189f"),
+    "STC_SYNC-d2": (("--scheme", "STC_SYNC", "--cond", "d2", "--force-set", "true"),
+                    "8ec15bf3f9a10c2251d7591ab9c515d6127e5fad0ad64d3e151e962dda1f0018"),
+    "TDA_LINMOD-rect1": (("--scheme", "TDA_LINMOD", "--pulse", "rect", "--span", "1",
+                          "--tau", "0.5"),
+                         "e09f78fb472cd17fa3e484306a496dbcf44aa718da15affb695449741e6a097f"),
+    "ASTC-srrc2": (("--scheme", "ASTC", "--pulse", "srrc", "--span", "2", "--tau", "0.3"),
+                   "9b07946f275b2bc54b5c9086d88293a65597e5cdf9bb6ebcf5f531699dfb9e57"),
+    "MIX_AF-rect1": (("--scheme", "MIX_AF", "--pulse", "rect", "--span", "1", "--tau", "0.5"),
+                     "c73ef6d25ec867a21e3a13ac8a6520cbd44fc2d4abc81672d4951f4b74b7f13a"),
+    "TDA_INDEP-t0bw2.5": (("--scheme", "TDA_INDEP", "--t0bw", "2.5"),
+                          "5d5cd84a98b238b040385f1ad6432e025a86cb9228798727a642ccd8f3adde40"),
+    "TDA_INDEP-t0bw0": (("--scheme", "TDA_INDEP", "--t0bw", "0"),
+                        "e8bee20da43334039b035bc583b3d09ecc850dd087c6af6878b846baf84903f0"),
+    "TDA_REPETITION-t0bw2.5": (("--scheme", "TDA_REPETITION", "--t0bw", "2.5"),
+                               "9872d35a4c54678698f5579b4fa5b20b8fa170ce1285f4b3160f3399a7751cf9"),
+}
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_MC_BODIES.values(), ids=GOLDEN_MC_BODIES.keys())
+def test_simulate_mc_bodies_match_pinned_hashes(capsys, args, digest):
+    rc, out, _ = run(capsys, "simulate", "--trials", str(2 * 32768 + 10 ** 4),
+                     "--snr-db", "0:30:10", *args)
+    assert rc == 0
+    body = body_lines(out)
+    assert len(body) == 1 + 4
+    assert hashlib.sha256("\n".join(body).encode()).hexdigest() == digest
+
+
 def test_simulate_analytic_to_file_with_fit(tmp_path, capsys):
     dest = tmp_path / "stc.csv"
     rc, out, _ = run(capsys, "simulate", "--scheme", "STC_SYNC", "--mode",
@@ -125,6 +162,35 @@ def test_negative_snr_grid_needs_the_equals_form(capsys):
     assert proc.returncode == 2
     assert "--snr-db: expected one argument" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("--r", "0.49", "--snr-db", "3000"),
+    ("--sigma2-sr1", "0.8", "--sigma2-sr2", "1.3", "--sigma2-r1d", "0.6", "--sigma2-r2d", "2.0",
+     "--r", "0.1", "--snr-db", "3000", "--t0bw", "2.5")], ids=["whole-period", "fractional"])
+def test_rtda2_extreme_snr_prints_no_warning(args):
+    # C^2 overflowing (whole period) and (A - B)(A + B) underflowing
+    # (fractional t0bw) once printed numpy RuntimeWarnings on a run that exits 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "relaylab.cli", "simulate",
+                           "--mode", "analytic", "--scheme", "TDA_REPETITION", "--cond", "d2",
+                           *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(body_lines(proc.stdout)) == 1 + 1
+
+
+def test_mc_throughput_script_rows():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "mc_throughput.py")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
+    proc = subprocess.run([sys.executable, script, "--trials", "10000"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    header, rows = parse_rows(proc.stdout)
+    assert header == ["scheme", "trials", "snr_points", "wall_s", "mtrial_snr_per_s"]
+    assert [r[0] for r in rows] == ["STC_SYNC", "TDA_LINMOD rect1", "ASTC srrc2",
+                                    "MIX_AF rect1", "TDA_INDEP t0bw2.5"]
+    assert all(r[1:3] == ["10000", "7"] and float(r[4]) > 0.0 for r in rows)
 
 
 def test_simulate_analytic_requires_known_oracle(capsys):

@@ -10,10 +10,10 @@ from scipy import integrate
 from relaylab.channel import D_BOTH, D_NONE, D_R1, D_R2, FadingRealization
 from relaylab import mutualinfo
 from relaylab.errors import ConfigError
-from relaylab.mutualinfo import (DelayConfig, SchemeId, _emaca_batch, _inv_cos_window_mean,
-                                 _kernel_bounds, _log2_cos_window_mean, closed_log_integral,
-                                 i_af_pair, i_esd, i_esd_bounds, mi_batch, mi_below,
-                                 mi_envelope)
+from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _emaca_batch,
+                                 _inv_cos_window_mean, _kernel_bounds, _log2_cos_window_mean,
+                                 closed_log_integral, i_af_pair, i_esd, i_esd_bounds, mi_batch,
+                                 mi_below, mi_envelope, record_mi)
 from relaylab.waveform import certify_pd, correlations, rectangular, spectral_entries, srrc
 
 UNIT = FadingRealization(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
@@ -585,6 +585,14 @@ def test_mi_batch_relay_swap():
                     * math.sqrt(s2) for s2 in (1.0, 3.0, 0.2))
     m1 = rng.random(n) < 0.6
     m2 = rng.random(n) < 0.4
+    # the link record swaps its relay terms and negates the phase difference,
+    # on all rows and on a subset
+    idx = np.flatnonzero(m1)
+    for a, b in ((LinkRecord(sd, r1d, r2d), LinkRecord(sd, r2d, r1d)),
+                 (LinkRecord(sd, r1d, r2d).rows(idx), LinkRecord(sd, r2d, r1d).rows(idx))):
+        for x, y in ((a.g_sd, b.g_sd), (a.g1, b.g2), (a.g2, b.g1), (a.r1, b.r2),
+                     (a.r2, b.r1), (a.psi, -b.psi)):
+            np.testing.assert_array_equal(x, y)
     for scheme, kw in _swap_cases():
         for rho0 in (0.5, 20.0, 1e3):
             a = mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
@@ -669,8 +677,8 @@ def test_isi_kernel_bounds_sandwich():
             rho0 = 10.0 ** (db / 10.0)
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
-            need, lower, upper, slack = _kernel_bounds(SchemeId.ASTC, sd, r1d, r2d, rho0,
-                                                       rate, corr, None)
+            need, lower, upper, slack = _kernel_bounds(SchemeId.ASTC, LinkRecord(sd, r1d, r2d),
+                                                       rho0, rate, corr, None)
             kernel = _emaca_batch(np.abs(r1d) ** 2, np.abs(r2d) ** 2, corr, rho0)
             assert np.all(np.isfinite(lower) & np.isfinite(upper)), (name, db)
             assert np.all(lower - slack <= kernel), (name, db)
@@ -688,8 +696,8 @@ def test_window_kernel_bounds_sandwich(t0bw):
             rho0 = 10.0 ** (db / 10.0)
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
-            need, lower, upper, slack = _kernel_bounds(scheme, sd, r1d, r2d, rho0, rate,
-                                                       None, delays)
+            need, lower, upper, slack = _kernel_bounds(scheme, LinkRecord(sd, r1d, r2d), rho0,
+                                                       rate, None, delays)
             gsd, g1, g2 = (np.abs(z) ** 2 for z in (sd, r1d, r2d))
             nu = g1 + g2
             a = 1.0 + rho0 * ((gsd + nu) if scheme == SchemeId.TDA_REPETITION else nu)
@@ -706,9 +714,9 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
     # while the kernel stays finite
     kernel_rows = []
 
-    def spy(scheme, sd, *args, **kwargs):
-        kernel_rows.append(sd)
-        return mi_batch(scheme, sd, *args, **kwargs)
+    def spy(scheme, links, *args, **kwargs):
+        kernel_rows.append(links.g_sd)
+        return record_mi(scheme, links, *args, **kwargs)
 
     rng = np.random.default_rng(47)
     sd, r1d, _ = _screen_rows(rng, 400)
@@ -719,13 +727,13 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
     rho0 = 1e20
     rate = 0.25 * math.log2(1.0 + rho0)
     with np.errstate(divide="ignore"):
-        need, lower, upper, _ = _kernel_bounds(SchemeId.TDA_INDEP, sd, r1d, r2d, rho0, rate,
-                                               None, delays)
+        need, lower, upper, _ = _kernel_bounds(SchemeId.TDA_INDEP, LinkRecord(sd, r1d, r2d),
+                                               rho0, rate, None, delays)
     bad = ~(np.isfinite(need) & np.isfinite(lower) & np.isfinite(upper))
     assert np.count_nonzero(bad[:50]) == 50
-    monkeypatch.setattr(mutualinfo, "mi_batch", spy)
+    monkeypatch.setattr(mutualinfo, "record_mi", spy)
     got = mi_below(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, rate, delays=delays)
-    assert len(kernel_rows) == 1 and np.all(np.isin(sd[bad], kernel_rows[0]))
+    assert len(kernel_rows) == 1 and np.all(np.isin(np.abs(sd[bad]) ** 2, kernel_rows[0]))
     want = mi_batch(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, delays=delays)
     assert np.all(np.isfinite(want))
     np.testing.assert_array_equal(got, want < rate)

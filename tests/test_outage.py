@@ -248,6 +248,43 @@ def test_rtda2_step_cap_reports_the_nodes_still_moving(unit_cfg, monkeypatch):
         analytic_outage_rtda2(unit_cfg, 0.25, 1e6, 2.5)
 
 
+def test_rtda2_whole_period_past_the_float_range_of_c_squared(unit_cfg):
+    # From about 1570 dB at r = 0.49, C^2 = (2T)^2 overflows: the closed-form
+    # threshold then takes C/2 + B (B/C)/2, so the curve keeps falling by the
+    # same factor per 100 dB (it rose 2x at 1600 dB when the overflowed
+    # threshold was clipped to its top)
+    vals = [analytic_outage_rtda2(unit_cfg, 0.49, 10.0 ** (db / 10.0), 2.0, conditioned=True)
+            for db in (1400, 1500, 1600, 1700, 3000)]
+    ratios = [a / b for a, b in zip(vals, vals[1:4])]
+    assert max(ratios) / min(ratios) < 1.01, ratios
+    assert 0.0 < vals[-1] < vals[3]
+
+
+@pytest.mark.parametrize("t0bw", (2.5, 12.3))
+def test_rtda2_threshold_meets_the_target_when_r_underflows(monkeypatch, t0bw):
+    # At 3000 dB the relay sums are near 1e-250 in units of rho0, so y1 y2
+    # and (A - B)(A + B) underflow; with B and R from the rooted factors
+    # every node Newton moves ends on the root
+    solve = outage._rtda2_threshold
+    residuals = []
+
+    def checked(base, swing, phi, level, t0bw_, snr):
+        x = solve(base, swing, phi, level, t0bw_, snr)
+        a, b, ph = np.broadcast_arrays(base + x, swing, phi)
+        mean = _log2_cos_window_mean(a.ravel(), b.ravel(), ph.ravel(), math.pi * t0bw_)
+        target = math.log2(level)
+        moved = x.ravel() > 0.0
+        residuals.append(np.max(np.abs(mean[moved] - target)) / abs(target))
+        assert np.all(mean[~moved] >= target)
+        return x
+
+    monkeypatch.setattr(outage, "_rtda2_threshold", checked)
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        p = analytic_outage_rtda2(asym, 0.1, 1e300, t0bw, conditioned=True)
+    assert p == 0.0 and residuals[0] < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo engine vs oracles
 
@@ -365,8 +402,9 @@ def test_mc_validation(unit_cfg):
 # bound screening: the engine's counts are the kernel's counts
 
 
-def _kernel_verdicts(scheme, sd, r1d, r2d, m1, m2, rho0, rate, corr=None, delays=None):
-    return mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, corr, delays) < rate
+def _kernel_verdicts(scheme, links, m1, m2, rho0, rate, corr=None, delays=None):
+    # the unscreened verdicts on the block's complex gains, one snr point per call
+    return mi_batch(scheme, links.sd, links.r1d, links.r2d, m1, m2, rho0, corr, delays) < rate
 
 
 # (r, cond, forced): every case at r=0.25 jointly, the forced sets at r=0.45;
@@ -407,7 +445,7 @@ def test_screened_counts_equal_kernel_counts(unit_cfg, monkeypatch, scheme, kw, 
                 for r, cond, forced in which]
 
     screened = curves()
-    monkeypatch.setattr(outage, "mi_below", _kernel_verdicts)
+    monkeypatch.setattr(outage, "record_below", _kernel_verdicts)
     assert screened == curves()
 
 
@@ -423,7 +461,7 @@ def test_screened_counts_across_workers(unit_cfg, monkeypatch, scheme, kw):
     trials = outage.BLOCK_TRIALS + 10_000
     runs = [mc_outage(scheme, 0.45, grid, trials, 22, cfg=unit_cfg, workers=w, **kw).outage
             for w in (1, 2, 1)]
-    monkeypatch.setattr(outage, "mi_below", _kernel_verdicts)
+    monkeypatch.setattr(outage, "record_below", _kernel_verdicts)
     kernel = mc_outage(scheme, 0.45, grid, trials, 22, cfg=unit_cfg, **kw).outage
     assert runs == [kernel] * 3
 
