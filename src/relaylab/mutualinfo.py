@@ -204,7 +204,7 @@ def record_mi(scheme, links: LinkRecord, m1, m2, rho0: float,
     elif scheme in (SchemeId.ASTC, SchemeId.MIX_AF):
         kernel = _emaca_batch(*terms, corr, rho0)
     elif delays.t0bw > 0.0:
-        kernel = _log2_cos_window_mean(*terms, math.pi * delays.t0bw)
+        kernel = _cos_window_means(*terms, math.pi * delays.t0bw)[0]
     else:  # no delay window: the relays add coherently
         eff = pair.term("coherent", lambda s: np.abs(s.r1d + s.r2d) ** 2)
         kernel = np.log2(1.0 + rho0 * ((pair.g_sd + eff) if scheme == SchemeId.TDA_REPETITION
@@ -403,7 +403,7 @@ def closed_log_integral(a: float, b: float) -> float:
 
 
 def _window_mean_lower(A, B, w: float):
-    """Lower bound on _log2_cos_window_mean(A, B, psi, pi w) for any psi:
+    """Lower bound on the log2 mean of _cos_window_means(A, B, psi, pi w) for any psi:
     each of the floor(w) whole periods averages exactly log2((A + R)/2),
     R = sqrt(A^2 - B^2), and the rest of the window is at least log2(A - B)."""
     whole = math.floor(w)
@@ -424,46 +424,66 @@ def _root_product(x, y):
     return r
 
 
-def _log2_cos_window_mean(A, B, psi, h: float):
-    """Exact mean of log2(A + B cos(u + psi)) over u in [-h, h], for arrays
-    with A > |B| and h > 0.
+def _cos_window_means(A, B, psi, h: float):
+    """Exact means of log2(A + B cos(u + psi)) and of its A-slope times ln 2,
+    1 / (A + B cos(u + psi)), over u in [-h, h], for arrays with A > |B|, h > 0.
 
     With R = sqrt(A^2 - B^2) and c = B / (A + R), |c| < 1 and
 
-        log(A + B cos x) = log((A + R)/2) + 2 sum_k (-1)^(k+1) c^k cos(kx) / k.
+        log(A + B cos x) = log((A + R)/2) + 2 sum_k (-1)^(k+1) c^k cos(kx) / k,
+        1 / (A + B cos x) = (1 + 2 sum_k (-c)^k cos(kx)) / R.
 
-    Averaging the series over the window sums it to dilogarithms:
+    Averaging the series over the window sums them to
 
-        mean = [log((A + R)/2) - (F(h + psi) + F(h - psi)) / h] / ln 2,
-        F(x) = Im Li2(-c e^{ix}) = Im spence(1 + c e^{ix}).
+        log2 mean = [log((A + R)/2) - (F(h + psi) + F(h - psi)) / h] / ln 2,
+        inverse mean = [1 - (alpha(h + psi) + alpha(h - psi)) / h] / R,
 
-    The F terms cancel to roundoff (eps / h) in short windows, so a row with
-    h max(1, |q|) < _SHORT_WINDOW, q = z / (1 + z), z = c e^{i psi}, takes
-    the Taylor expansion in h about the limit log2(A + B cos psi) instead;
-    the x-derivatives of log(1 + c e^{ix}) are polynomials in q.  With
-    p = q (1 - q) and A + B cos psi as (A - B) + 2B cos^2(psi/2) (B >= 0):
+    alpha(x) = arg(1 + c e^{ix}) and F(x) = Im Li2(-c e^{ix}).  Lewin's
+    identity, Im Li2(r e^{it}) = w ln r + [Cl2(2t) + Cl2(2w) - Cl2(2w + 2t)] / 2
+    with w = -arg(1 - r e^{it}), taken at t = x + pi, where w = -alpha,
+    turns F into real Clausen functions (_clausen2):
 
-        mean = [log(A + B cos psi) - Re(p h^2 (1/3 - (1 - 6p) h^2/60
-                + (1 - 30p + 120p^2) h^4/2520))] / ln 2.
+        F(x) = -alpha ln|c| + [Cl2(2x) - Cl2(2 alpha) - Cl2(2x - 2 alpha)] / 2,
+
+    which is 0 at c = 0.  The F and alpha terms cancel to roundoff (eps / h)
+    in short windows, so a row with h max(1, |q|) < _SHORT_WINDOW,
+    q = z / (1 + z), z = c e^{i psi}, takes the Taylor expansions in h about
+    the limits instead; the x-derivatives of log(1 + c e^{ix}) are
+    polynomials in q.  With p = q (1 - q), dp/dA = -(1 - 2q) p / R and
+    A + B cos psi as (A - B) + 2B cos^2(psi/2) (B >= 0):
+
+        log2 mean = [log(A + B cos psi) - Re(p h^2 (1/3 - (1 - 6p) h^2/60
+                    + (1 - 30p + 120p^2) h^4/2520))] / ln 2,
+        inverse mean = 1 / (A + B cos psi) + Re((1 - 2q) p h^2 (1/3
+                    - (1 - 12p) h^2/60 + (1 - 60p + 360p^2) h^4/2520)) / R.
     """
-    from scipy.special import spence  # deferred: importing it slows every CLI start by tens of ms
-
+    A, B, psi = np.broadcast_arrays(A, B, psi)
     r = _root_product(A - B, A + B)
     c = B / (A + r)
-    f = spence(1.0 + c * np.exp(1j * (h + psi))).imag \
-        + spence(1.0 + c * np.exp(1j * (h - psi))).imag
+    x = np.stack((h + psi, h - psi))
+    alpha = np.angle(1.0 + c * np.exp(1j * x))
+    two_x = _wrap_angle(2.0 * x)  # 2 alpha is in (-pi, pi) already, as Re(1 + c e^{ix}) > 0
+    cl = _clausen2(np.stack((two_x, 2.0 * alpha, _wrap_angle(two_x - 2.0 * alpha))))
+    arg_sum = alpha[0] + alpha[1]
+    f = 0.5 * (cl[0] - cl[1] - cl[2]).sum(axis=0) \
+        - arg_sum * np.log(np.where(c == 0.0, 1.0, np.abs(c)))
     mean = (np.log(0.5 * (A + r)) - f / h) / _LN2
+    with np.errstate(divide="ignore"):  # A = B to rounding: R = 0 and the mean is inf
+        inv_mean = (1.0 - arg_sum / h) / r
     if h < _SHORT_WINDOW:
         near, at_psi, q, p = _short_window(A, B, psi, c, h)
         h2 = h * h
         poly = 1 / 3 - h2 * ((1 - 6 * p) / 60 - h2 * (1 - 30 * p + 120 * p * p) / 2520)
         mean = np.where(near, (np.log(at_psi) - (p * h2 * poly).real) / _LN2, mean)
-    return mean
+        poly = 1 / 3 - h2 * ((1 - 12 * p) / 60 - h2 * (1 - 60 * p + 360 * p * p) / 2520)
+        inv_mean = np.where(near, 1.0 / at_psi + ((1.0 - 2.0 * q) * p * h2 * poly).real / r,
+                            inv_mean)
+    return mean, inv_mean
 
 
-# The expansion's first omitted term is of order (h |q|)^8 and the dilogarithm
+# The expansion's first omitted term is of order (h |q|)^8 and the Clausen
 # form's roundoff of order eps |q| / (h |q|); switching at h |q| = 0.05 keeps
-# both near 1e-11 bits.  Every t0*bw >= 1/(20 pi) keeps the dilogarithm form.
+# both near 1e-11 bits.  Every t0*bw >= 1/(20 pi) keeps the Clausen form.
 _SHORT_WINDOW = 5e-2
 
 
@@ -476,29 +496,47 @@ def _short_window(A, B, psi, c, h: float):
     return near, (A - B) + 2.0 * B * np.cos(0.5 * psi) ** 2, q, q * (1.0 - q)
 
 
-def _inv_cos_window_mean(A, B, psi, h: float):
-    """Exact mean of 1 / (A + B cos(u + psi)) over u in [-h, h], the A-slope
-    of _log2_cos_window_mean times ln 2.  With the same R and c, the series
-    1/(A + B cos x) = (1 + 2 sum_k (-c)^k cos(kx)) / R sums over the window to
+def _clausen2_coeffs(n: int):
+    """a_k = zeta(2k) / (k (2k+1) (2 pi)^(2k)), k = n .. 1 (Horner order).
+    b_k = zeta(2k) / (2 pi)^(2k) starts at b_1 = 1/24 and follows the
+    all-positive recurrence (k + 1/2) b_k = sum_{j=1}^{k-1} b_j b_{k-j}."""
+    b = [1.0 / 24.0]
+    for k in range(2, n + 1):
+        b.append(sum(b[j] * b[k - 2 - j] for j in range(k - 1)) / (k + 0.5))
+    return tuple(bk / (k * (2 * k + 1)) for k, bk in enumerate(b, 1))[::-1]
 
-        mean = [1 - (arg(1 + c e^{i(h+psi)}) + arg(1 + c e^{i(h-psi)})) / h] / R.
 
-    The arg terms cancel like the dilogarithms do, so short windows take the
-    A-derivative of that expansion instead; with dp/dA = -(1 - 2q) p / R:
+# The series' k-th term is about pi 4^-k / (2 k^2) at |t| = pi: 1e-17 at k = 24.
+_CL2_COEFFS = _clausen2_coeffs(24)
+# 2 pi = P1 + P2 + P3 with P1 and P2 short enough that k P1 and k P2 are exact for
+# |k| < 2^22: up to |t| of about 2.6e7 a reduced angle is off by its own rounding
+# and by under 3e-29 k, where one subtraction of float 2 pi is off by 2.4e-16 k.
+_TWO_PI_PARTS = (6.28125, 0.001935307179337542, 2.4893488687586454e-13)
 
-        mean = 1 / (A + B cos psi) + Re((1 - 2q) p h^2 (1/3 - (1 - 12p) h^2/60
-               + (1 - 60p + 360p^2) h^4/2520)) / R.
-    """
-    r = _root_product(A - B, A + B)
-    c = B / (A + r)
-    f = np.angle(1.0 + c * np.exp(1j * (h + psi))) + np.angle(1.0 + c * np.exp(1j * (h - psi)))
-    mean = (1.0 - f / h) / r
-    if h < _SHORT_WINDOW:
-        near, at_psi, q, p = _short_window(A, B, psi, c, h)
-        h2 = h * h
-        poly = 1 / 3 - h2 * ((1 - 12 * p) / 60 - h2 * (1 - 60 * p + 360 * p * p) / 2520)
-        mean = np.where(near, 1.0 / at_psi + ((1.0 - 2.0 * q) * p * h2 * poly).real / r, mean)
-    return mean
+
+def _wrap_angle(t):
+    """t - 2 pi k in [-pi, pi], k the nearest integer to t / (2 pi)."""
+    k = np.rint(t * (0.5 / math.pi))
+    p1, p2, p3 = _TWO_PI_PARTS
+    return ((t - k * p1) - k * p2) - k * p3
+
+
+def _clausen2(t):
+    """Clausen function Cl2(t) = -int_0^t log|2 sin(s/2)| ds, elementwise
+    for t in [-pi, pi] (reduce other angles with _wrap_angle first): with
+    u = |t|, Cl2 = sign(t) u (1 - ln u + u^2 P(u^2)) and P(v) = sum_k a_k v^(k-1),
+    the Bernoulli series (Lewin, Polylogarithms and Associated Functions, 1981)."""
+    u = np.abs(t)
+    v = u * u
+    p = v * _CL2_COEFFS[0]
+    for a in _CL2_COEFFS[1:-1]:
+        p += a
+        p *= v
+    p += _CL2_COEFFS[-1]
+    p *= v
+    p += 1.0
+    p -= np.log(np.where(u > 0.0, u, 1.0))
+    return np.copysign(u * p, t)
 
 
 def _esd_from_gain(g, a1: float, rho0: float):

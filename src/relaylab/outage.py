@@ -30,8 +30,8 @@ from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
                       RatePoint, decoding_set_probs)
 from .errors import ConfigError, NumericError
 from .mutualinfo import (_SCREEN_SLACK, DelayConfig, LinkRecord, SchemeId,
-                         _inv_cos_window_mean, _log2_cos_window_mean, _root_product,
-                         _window_mean_lower, check_scheme, record_below)
+                         _cos_window_means, _root_product, _window_mean_lower,
+                         check_scheme, record_below)
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
@@ -41,11 +41,12 @@ _LN2 = math.log(2.0)
 # Gauss-Legendre node counts of the oracles
 _STC_NODES = 240        # analytic_outage_stc, per product-pair integral
 _PARALLEL3_NODES = 120  # analytic_outage_parallel3, per nested level
-_RTDA2_SCALE = 64       # analytic_outage_rtda2: log relay-sum scale,
+_RTDA2_SCALE = 64       # analytic_outage_rtda2: log relay-sum scale, per panel,
 _RTDA2_SPLIT = 32       # split fraction between the relays,
 _RTDA2_PHASE = 12       # and relative relay phase (fractional t0*bw only)
+_RTDA2_PANEL_EFOLDS = 32  # rtda2 scale panel width in e-folds (one at t0*bw 2.5, 40-80 dB)
 
-_RTDA2_NEWTON_CAP = 50  # rtda2 threshold step cap (9 seen at -20..1000 dB, t0*bw 1+1e-6..12.3)
+_RTDA2_NEWTON_CAP = 50  # rtda2 step cap: 9 seen at -20..1000 dB, r 0.1-0.49, t0*bw 1+1e-6..12.3
 
 
 class ConditionalCase(str, enum.Enum):
@@ -363,7 +364,11 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
                            f"(snr={snr}, r={r}, t0bw={t0bw})") from None
     nu_lo = 1e-8 * (big_t - 1.0) / rho0
 
-    t_nodes, t_w = gl_nodes(math.log(nu_lo), math.log(nu_hi), _RTDA2_SCALE)
+    t_lo, t_hi = math.log(nu_lo), math.log(nu_hi)
+    panels = math.ceil((t_hi - t_lo) / _RTDA2_PANEL_EFOLDS)
+    edges = [t_lo + (t_hi - t_lo) * k / panels for k in range(panels)] + [t_hi]
+    t_nodes, t_w = map(np.concatenate, zip(*(gl_nodes(lo, hi, _RTDA2_SCALE)
+                                              for lo, hi in zip(edges, edges[1:]))))
     nu = np.exp(t_nodes)                       # relay-sum scale, log-spaced
     q_nodes, q_w = gl_nodes(0.0, 1.0, _RTDA2_SPLIT)
     y1 = nu[:, None] * q_nodes[None, :]
@@ -421,8 +426,8 @@ def _rtda2_threshold(base, swing, phi, level: float, t0bw: float, snr: float):
     live = np.flatnonzero(~settled)
     for _ in range(_RTDA2_NEWTON_CAP):
         al, bl, pl = a[live], swing[live], phi[live]
-        step = (target - _log2_cos_window_mean(al, bl, pl, h)) * _LN2 \
-            / _inv_cos_window_mean(al, bl, pl, h)
+        mean, inv_mean = _cos_window_means(al, bl, pl, h)
+        step = (target - mean) * _LN2 / inv_mean
         moving = ~(step <= 1e-14 * al)  # a NaN step keeps its node moving
         live, step = live[moving], step[moving]
         if not live.size:

@@ -180,6 +180,24 @@ def test_rtda2_extreme_snr_prints_no_warning(args):
     assert len(body_lines(proc.stdout)) == 1 + 1
 
 
+def test_delay_runs_load_no_scipy_special():
+    # The window means take real Clausen functions, not scipy.special.spence:
+    # a Monte Carlo TDA_INDEP curve and a fractional-t0bw rtda2 point in a
+    # fresh interpreter leave scipy.special unloaded
+    code = ("import contextlib, io, sys\n"
+            "from relaylab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rcs = (main(['simulate', '--scheme', 'TDA_INDEP', '--t0bw', '2.5',\n"
+            "                 '--trials', '10000', '--snr-db', '0:20:10']),\n"
+            "           main(['simulate', '--mode', 'analytic', '--scheme', 'TDA_REPETITION',\n"
+            "                 '--cond', 'd2', '--t0bw', '2.5', '--snr-db', '40']))\n"
+            "print(rcs, 'scipy.special' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["(0,", "0)", "False"]
+
+
 def test_mc_throughput_script_rows():
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "mc_throughput.py")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import spence
 
 from relaylab.channel import D_BOTH, D_NONE, D_R1, D_R2, FadingRealization
 from relaylab import mutualinfo
 from relaylab.errors import ConfigError
-from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _emaca_batch,
-                                 _inv_cos_window_mean, _kernel_bounds, _log2_cos_window_mean,
-                                 closed_log_integral, i_af_pair, i_esd, i_esd_bounds, mi_batch,
-                                 mi_below, mi_envelope, record_mi)
+from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _clausen2,
+                                 _cos_window_means, _emaca_batch, _kernel_bounds,
+                                 _wrap_angle, closed_log_integral, i_af_pair, i_esd, i_esd_bounds,
+                                 mi_batch, mi_below, mi_envelope, record_mi)
 from relaylab.waveform import certify_pd, correlations, rectangular, spectral_entries, srrc
 
 UNIT = FadingRealization(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
@@ -247,7 +248,7 @@ def test_short_window_mean_matches_mpmath(t0bw):
     rows = _short_window_rows()
     a, b, psi = (np.array(col) for col in zip(*rows))
     h = math.pi * t0bw
-    got = _log2_cos_window_mean(a, b, psi, h)
+    got = _cos_window_means(a, b, psi, h)[0]
     want = [_mp_window_mean(lambda x: mpmath.log(x, 2), *row, h) for row in rows]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
@@ -261,9 +262,81 @@ def test_short_window_inverse_mean_matches_mpmath(t0bw):
     rows = _short_window_rows()
     a, b, psi = (np.array(col) for col in zip(*rows))
     h = math.pi * t0bw
-    got = _inv_cos_window_mean(a, b, psi, h)
+    got = _cos_window_means(a, b, psi, h)[1]
     want = [_mp_window_mean(lambda x: 1 / x, *row, h) for row in rows]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def test_clausen2_matches_mpmath():
+    # A grid over several periods plus the points where the argument
+    # reduction matters most: the zeros at multiples of pi (the slope
+    # -ln|2 sin(t/2)| is unbounded at even multiples) and 1e-9 beside them
+    k = np.arange(-6, 7) * math.pi
+    t = np.concatenate((np.linspace(-20.0, 20.0, 321), k, k + 1e-9, k - 1e-9,
+                        [1e-300, 5e-324, -1e-15, 0.0]))
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.clsin(2, mpmath.mpf(float(v)))) for v in t])
+    np.testing.assert_allclose(_clausen2(_wrap_angle(t)), want, rtol=0, atol=4e-15)
+
+
+def _spence_window_mean(A, B, psi, h):
+    """The window mean with F(x) = Im Li2(-c e^{ix}) taken from complex
+    scipy.special.spence (Li2(z) = spence(1 - z)), the form the real Clausen
+    functions replaced."""
+    r = np.sqrt((A - B) * (A + B))
+    c = B / (A + r)
+    f = sum(spence(1.0 + c * np.exp(1j * x)).imag for x in (h + psi, h - psi))
+    return (np.log(0.5 * (A + r)) - f / h) / math.log(2.0)
+
+
+def _mp_window_means(A, B, psi, h):
+    """Both window means at 40 digits from the same sums, with Li2 and arg in
+    mpmath on the exact float inputs."""
+    with mpmath.workdps(40):
+        A, B, psi, h = (mpmath.mpf(float(v)) for v in (A, B, psi, h))
+        r = mpmath.sqrt((A - B) * (A + B))
+        c = B / (A + r)
+        zs = [c * mpmath.expj(h + psi), c * mpmath.expj(h - psi)]
+        f = sum(mpmath.im(mpmath.polylog(2, -z)) for z in zs)
+        arg = sum(mpmath.arg(1 + z) for z in zs)
+        return float((mpmath.log((A + r) / 2) - f / h) / mpmath.log(2)), float((1 - arg / h) / r)
+
+
+def _clausen_rows():
+    # (A, B, psi): c = 0; c near 1 (A - B = 1e-12 A); h +- psi at multiples
+    # of pi for h = 2.5 pi and h = pi (1e6 + 0.5); psi at and beside +-pi
+    pi = math.pi
+    rows = [(3.0, 0.0, 0.7), (1.0, 0.0, -2.0), (1e6, 1e6 * (1.0 - 1e-12), 0.3),
+            (1e6, 1e6 * (1.0 - 1e-12), pi - 1e-3), (2.0, 1.0, 0.5 * pi), (2.0, 1.0, -0.5 * pi),
+            (5.0, 4.0, pi), (5.0, 4.0, -pi), (1e4, 9999.0, pi - 1e-9), (1e4, 9999.0, 1e-9 - pi)]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+@pytest.mark.parametrize("t0bw", (1.0 + 1e-6, 2.5, 12.3, 1e6 + 0.5))
+def test_window_means_match_spence_and_mpmath(t0bw):
+    # The Clausen form against 40-digit sums on edge rows, and against the
+    # complex-spence form on the edge rows and on 4096 random rows (A up to
+    # 1e10, B / A up to 1 - 1e-12, any psi), to 1e-12 bits.  Spence is left
+    # out where h +- psi is within 1e-3 of a multiple of 2 pi: there
+    # 1 + c e^{ix} lies just off the real axis past 1, and scipy's complex
+    # spence misses Im Li2 by 0.026 at c = 2 - sqrt(3) (A = 2, B = 1) on the
+    # axis and by 3e-11 at 1e-6 beside it, while the Clausen form matches
+    # mpmath
+    h = math.pi * t0bw
+    a, b, psi = _clausen_rows()
+    got, got_inv = _cos_window_means(a, b, psi, h)
+    want = [_mp_window_means(*row, h) for row in zip(a, b, psi)]
+    np.testing.assert_allclose(got, [w[0] for w in want], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_inv, [w[1] for w in want], rtol=1e-12, atol=0)
+    off_axis = np.all(np.abs(np.angle(np.exp(1j * np.stack((h + psi, h - psi))))) > 1e-3, axis=0)
+    np.testing.assert_allclose(got[off_axis], _spence_window_mean(a, b, psi, h)[off_axis],
+                               rtol=0, atol=1e-12)
+    rng = np.random.default_rng(53)
+    a = 1.0 + 10.0 ** rng.uniform(-3.0, 10.0, 4096)
+    b = a * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, a.size))
+    psi = rng.uniform(-math.pi, math.pi, a.size)
+    np.testing.assert_allclose(_cos_window_means(a, b, psi, h)[0],
+                               _spence_window_mean(a, b, psi, h), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +774,8 @@ def test_window_kernel_bounds_sandwich(t0bw):
             gsd, g1, g2 = (np.abs(z) ** 2 for z in (sd, r1d, r2d))
             nu = g1 + g2
             a = 1.0 + rho0 * ((gsd + nu) if scheme == SchemeId.TDA_REPETITION else nu)
-            kernel = _log2_cos_window_mean(a, 2.0 * rho0 * np.sqrt(g1 * g2),
-                                           np.angle(r2d) - np.angle(r1d), math.pi * t0bw)
+            kernel = _cos_window_means(a, 2.0 * rho0 * np.sqrt(g1 * g2),
+                                           np.angle(r2d) - np.angle(r1d), math.pi * t0bw)[0]
             assert np.all(np.isfinite(lower) & np.isfinite(upper)), (scheme, db)
             assert np.all(lower - slack <= kernel), (scheme, db)
             assert np.all(kernel <= upper + slack), (scheme, db)

@@ -10,8 +10,7 @@ from relaylab.channel import D_BOTH, NetworkConfig, RatePoint, decoding_set_prob
 from relaylab import outage
 from relaylab._quad import gl_nodes
 from relaylab.errors import ConfigError, NumericError
-from relaylab.mutualinfo import (DelayConfig, SchemeId, _inv_cos_window_mean,
-                                 _log2_cos_window_mean, mi_batch)
+from relaylab.mutualinfo import DelayConfig, SchemeId, _cos_window_means, mi_batch
 from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              analytic_outage_parallel3, analytic_outage_rtda2,
                              analytic_outage_stc, direct_outage, mc_outage,
@@ -149,7 +148,7 @@ def _rtda2_by_bisection(cfg, r, snr, t0bw):
     bc = 2.0 * rho0 * np.sqrt(y1 * y2)
 
     def mean_rate(x):
-        return 0.5 * _log2_cos_window_mean(base + rho0 * x, bc, phi, math.pi * t0bw)
+        return 0.5 * _cos_window_means(base + rho0 * x, bc, phi, math.pi * t0bw)[0]
 
     lo = np.zeros((12,) + bc.shape)
     hi = np.full_like(lo, x_max)
@@ -187,8 +186,8 @@ def _rtda2_threshold_full_grid(base, swing, phi, level, t0bw, snr):
     target = math.log2(level)
     done = np.zeros(a.shape, dtype=bool)
     for _ in range(outage._RTDA2_NEWTON_CAP):
-        step = (target - _log2_cos_window_mean(a, swing, phi, h)) * math.log(2.0) \
-            / _inv_cos_window_mean(a, swing, phi, h)
+        mean, inv_mean = _cos_window_means(a, swing, phi, h)
+        step = (target - mean) * math.log(2.0) / inv_mean
         done |= step <= 1e-14 * a
         if done.all():
             break
@@ -260,6 +259,47 @@ def test_rtda2_whole_period_past_the_float_range_of_c_squared(unit_cfg):
     assert 0.0 < vals[-1] < vals[3]
 
 
+def test_rtda2_newton_steps_stay_well_under_the_cap(unit_cfg, monkeypatch):
+    # Window-mean evaluations per oracle call, one per Newton step.  The
+    # Clausen form errs by about 1e-15 in absolute, not relative, terms, and
+    # the step <= 1e-14 a stop must still fire: the full sweep (-20..1000 dB
+    # every 10 dB, r 0.1-0.49, two configs, t0bw 1 + 1e-6, 2.5 and 12.3)
+    # takes at most 9, and so does this subset of it and the deep-analytic
+    # curve (t0bw 2.5, r 0.25, 40-80 dB)
+    evals = []
+    means = outage._cos_window_means
+
+    def counted(*args):
+        evals[-1] += 1
+        return means(*args)
+
+    monkeypatch.setattr(outage, "_cos_window_means", counted)
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    cases = [(unit_cfg, 0.25, db, 2.5) for db in range(40, 81, 5)]
+    cases += [(cfg, r, db, t0bw) for cfg in (unit_cfg, asym) for r in (0.1, 0.49)
+              for t0bw in (1.0 + 1e-6, 2.5, 12.3) for db in range(-20, 1001, 170)]
+    for cfg, r, db, t0bw in cases:
+        evals.append(0)
+        analytic_outage_rtda2(cfg, r, 10.0 ** (db / 10.0), t0bw, conditioned=True)
+    assert max(evals[:9]) <= outage._RTDA2_NEWTON_CAP // 5, evals[:9]
+    assert max(evals) <= 9, evals
+
+
+def test_rtda2_scale_panels_hold_the_curve_at_extreme_snr(unit_cfg, monkeypatch):
+    # At t0bw = 1 + 1e-6 (delta1 = 1/2) the relay-sum range spans 65-74
+    # e-folds at 1000-1200 dB; one 64-node rule over it read outage x snr^2.4
+    # 1.00, 0.82 and 0.52 there.  Panels of at most 32 e-folds stay within 2%
+    # of one 256-node rule, which reads 0.842-0.847.
+    def curve():
+        return [analytic_outage_rtda2(unit_cfg, 0.1, 10.0 ** (db / 10.0), 1.0 + 1e-6,
+                                      conditioned=True) for db in (1000, 1100, 1200)]
+
+    got = curve()
+    monkeypatch.setattr(outage, "_RTDA2_SCALE", 256)
+    monkeypatch.setattr(outage, "_RTDA2_PANEL_EFOLDS", 1e9)
+    np.testing.assert_allclose(got, curve(), rtol=0.02, atol=0)
+
+
 @pytest.mark.parametrize("t0bw", (2.5, 12.3))
 def test_rtda2_threshold_meets_the_target_when_r_underflows(monkeypatch, t0bw):
     # At 3000 dB the relay sums are near 1e-250 in units of rho0, so y1 y2
@@ -271,7 +311,7 @@ def test_rtda2_threshold_meets_the_target_when_r_underflows(monkeypatch, t0bw):
     def checked(base, swing, phi, level, t0bw_, snr):
         x = solve(base, swing, phi, level, t0bw_, snr)
         a, b, ph = np.broadcast_arrays(base + x, swing, phi)
-        mean = _log2_cos_window_mean(a.ravel(), b.ravel(), ph.ravel(), math.pi * t0bw_)
+        mean = _cos_window_means(a.ravel(), b.ravel(), ph.ravel(), math.pi * t0bw_)[0]
         target = math.log2(level)
         moved = x.ravel() > 0.0
         residuals.append(np.max(np.abs(mean[moved] - target)) / abs(target))
