@@ -135,7 +135,7 @@ _DEFAULTS: dict[str, dict[str, str]] = {
     "waveform": {
         "pulse": "srrc", "rolloff": "0.5", "span": "2", "duty": "1.0",
         "samples_per_symbol": "256", "waveform_file": "", "tau": "0.3",
-        "omega_points": "4096", "pd_tol": "1e-6",
+        "pd_tol": "1e-6",
         "out": "",
     },
     "toeplitz": {
@@ -202,10 +202,10 @@ def _write_out(vals: dict, write, *args) -> None:
         raise ConfigError(f"cannot write out={vals['out']!r}: {exc.strerror or exc}")
 
 
-def _write(cmd: str, vals: dict, columns, rows) -> None:
+def _write(cmd: str, vals: dict, columns, rows, version: int = 1) -> None:
     """A command's CSV: `command`, then the resolved configuration, then rows."""
     header = {"command": cmd, **{k: vals[k] for k in sorted(vals)}}
-    _write_out(vals, write_csv, f"{cmd}-v1", header, columns, rows)
+    _write_out(vals, write_csv, f"{cmd}-v{version}", header, columns, rows)
 
 
 def _build_pulse(vals: dict):
@@ -350,8 +350,7 @@ def _cmd_waveform(ns: argparse.Namespace) -> int:
     w = _build_pulse(vals)
     tau = _as_float(vals, "tau")
     corr = correlations(w, tau)
-    eig = certify_pd(corr, omega_points=_as_int(vals, "omega_points"),
-                     pd_tol=_as_float(vals, "pd_tol"))
+    eig = certify_pd(corr, pd_tol=_as_float(vals, "pd_tol"))
     rows = [
         ["label", w.label],
         ["span", w.span],
@@ -368,14 +367,11 @@ def _cmd_waveform(ns: argparse.Namespace) -> int:
     rows += [
         ["lambda_min", repr(eig.lambda_min)],
         ["lambda_max", repr(eig.lambda_max)],
-        ["certified_min", repr(eig.certified_min)],
-        ["certified_max", repr(eig.certified_max)],
-        ["margin", repr(eig.margin)],
         ["omega_at_min", repr(eig.omega_at_min)],
         ["pd", int(eig.pd)],
         ["trace_dev", repr(eig.trace_dev)],
     ]
-    _write("waveform", vals, ("metric", "value"), rows)
+    _write("waveform", vals, ("metric", "value"), rows, version=2)
     return 0
 
 

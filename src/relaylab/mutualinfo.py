@@ -18,7 +18,7 @@ complex gains) returns while running the costly pair kernels only on rows
 that cheap bounds on the same split cannot settle.  mi_envelope returns
 mi_batch's value with its analytic envelope: the delta1-scaled whole-period
 and coherent-combining bounds of the delay schemes, and the
-certified-eigenvalue bounds of the ISI-aware pair rate.
+exact-eigenvalue bounds of the ISI-aware pair rate.
 """
 
 from __future__ import annotations
@@ -47,42 +47,30 @@ class SchemeId(str, enum.Enum):
     MIX_AF = "MIX_AF"                # decode-forward with amplify-forward fallback
 
 
+# _wrap_angle reduces the window angles 2 (pi t0bw +- psi) exactly while they
+# span fewer than 2^22 periods; t0 * bw stays at half that.
+_MAX_T0BW = 2.0 ** 21
+
+
 @dataclass(frozen=True)
 class DelayConfig:
-    """Relay arrival offsets at the destination plus the receiver bandwidth.
+    """The delay-bandwidth product t0 * bw of the two relays' arrivals.
 
-    Only the relative delay t0 = |tau2 - tau1| enters the rate expressions;
-    the product t0 * bandwidth controls how much of a frequency period the
-    receiver averages over (and is all the delay evaluators look at).
+    Only the relative delay t0 enters the rate expressions, and only through
+    t0 * bw: how much of a frequency period the receiver averages over.
     """
 
-    tau1: float
-    tau2: float
-    bandwidth: float
+    t0bw: float
 
     def __post_init__(self):
-        for name in ("tau1", "tau2"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise ConfigError(f"{name} must be a finite nonnegative number, got {v!r}")
-        if not (isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0
-                and math.isfinite(self.bandwidth)):
-            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
+        if not (isinstance(self.t0bw, (int, float)) and 0.0 <= self.t0bw <= _MAX_T0BW):
+            raise ConfigError(f"t0 * bandwidth must lie in [0, {_MAX_T0BW:.0f}], "
+                              f"got {self.t0bw!r}")
 
     @classmethod
     def from_t0bw(cls, t0bw: float) -> "DelayConfig":
-        """Convenience constructor pinning the delay-bandwidth product."""
-        if t0bw < 0:
-            raise ConfigError("t0 * bandwidth cannot be negative")
-        return cls(0.0, float(t0bw), 1.0)
-
-    @property
-    def t0(self) -> float:
-        return abs(self.tau2 - self.tau1)
-
-    @property
-    def t0bw(self) -> float:
-        return self.t0 * self.bandwidth
+        """The delays with delay-bandwidth product t0bw (any real number type)."""
+        return cls(float(t0bw))
 
     @property
     def delta1(self) -> float:
@@ -234,8 +222,8 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
       [log2(1 + a) - 1, log2(1 + a)]: |rho12| + |rho21| <= 1 (Cauchy-Schwarz)
       gives |b| <= a.
     - ASTC/MIX_AF: the pair rate mean log2 det(I + rho0 diag(g1, g2) T(w))
-      lies between sum_k log2(1 + rho0 g_k lambda) at the certified minimum
-      and maximum eigenvalue of T(w); eig passes a certify_pd(corr) result
+      lies between sum_k log2(1 + rho0 g_k lambda) at the minimum and
+      maximum eigenvalue of T(w); eig passes a certify_pd(corr) result
       already computed.  The lower bound is slack unless eig.pd.
     """
     scheme = check_scheme(scheme, corr, delays)
@@ -265,7 +253,7 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
         eig = eig or certify_pd(corr)
         lower[b], upper[b] = (0.5 * (direct + np.log2(1.0 + rho0 * g1 * lam)
                                      + np.log2(1.0 + rho0 * g2 * lam))
-                              for lam in (eig.certified_min, eig.certified_max))
+                              for lam in (eig.lambda_min, eig.lambda_max))
     return value, lower, upper
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .errors import ConfigError, NumericError
 
@@ -269,10 +270,6 @@ class CorrelationSet:
     def rho21(self) -> float | None:
         return self.c1 if self.span == 1 else None
 
-    def swap_relays(self) -> "CorrelationSet":
-        """Correlations with the relay roles exchanged (g(m) -> g(-m))."""
-        return CorrelationSet(self.tau, self.span, self.r_taps, self.g_taps[::-1])
-
 
 def correlations(w: Waveform, tau: float) -> CorrelationSet:
     """All same-pulse and cross-delay correlation taps for relative delay tau.
@@ -299,79 +296,63 @@ def correlations(w: Waveform, tau: float) -> CorrelationSet:
     return cs
 
 
-def spectral_entries(corr: CorrelationSet, omegas: np.ndarray):
-    """Diagonal (real) and upper cross (complex) entries of the normalized
-    2x2 spectral density at each frequency in omegas."""
-    om = np.asarray(omegas, dtype=float)
-    t11 = np.full_like(om, corr.r_taps[0])
-    for m in range(1, corr.span + 1):
-        t11 = t11 + 2.0 * corr.r_taps[m] * np.cos(m * om)
-    t12 = np.zeros(om.shape, dtype=complex)
-    for m in range(-corr.span, corr.span + 1):
-        t12 = t12 + corr.g(m) * np.exp(1j * m * om)
-    return t11, t12
-
-
 @dataclass(frozen=True)
 class EigenBounds:
-    """Certified eigenvalue range of the spectral density over omega.
+    """Exact eigenvalue range of the spectral density over omega.
 
-    lambda_min / lambda_max are grid extremes; the certified values subtract
-    or add the Lipschitz margin so they bound the true extremes over the
-    whole frequency interval (clipped to the always-valid [0, trace] range).
-    pd is true when the certified minimum clears pd_tol.
+    lambda_min / lambda_max are the extremes of t11 -/+ |t12| over the whole
+    frequency interval, omega_at_min in [0, pi] is where the minimum sits
+    (the density is even in omega), and pd is true when lambda_min clears
+    pd_tol.
     """
 
     lambda_min: float
     lambda_max: float
     omega_at_min: float
-    margin: float
-    certified_min: float
-    certified_max: float
     pd: bool
     trace_dev: float
-    omega_points: int
     pd_tol: float
 
 
-def certify_pd(corr: CorrelationSet, omega_points: int = 4096,
-               pd_tol: float = 1e-6) -> EigenBounds:
-    """Eigenvalue range of the 2x2 spectral density with a grid-gap certificate.
+def certify_pd(corr: CorrelationSet, pd_tol: float = 1e-6) -> EigenBounds:
+    """Eigenvalue range of the 2x2 spectral density T(w), from its stationary points.
 
-    Entries are trigonometric polynomials of degree <= span, so both
-    eigenvalue branches are Lipschitz in omega with constant at most
-    2*sum(m |r(m)|) + sum(|m| |g(m)|); the grid minimum minus half a grid
-    step times that constant certifies (non)definiteness between grid points.
+    T has equal diagonals, so its eigenvalues are t11 +/- |t12|, where t11 and
+    q = |t12|^2 are cosine polynomials of degree span and 2 span: Chebyshev
+    series in x = cos w (Dumitrescu, Positive Trigonometric Polynomials and
+    Signal Processing Applications, 2007).  Off the ends x = +-1 both branches
+    are stationary where 4 t11'^2 q = q'^2, and the trace where t11' = 0.  The
+    real part of every root of either, clipped to [-1, 1], is a candidate
+    alongside the ends: a spurious candidate is still a true frequency, so
+    none can pull an extreme past the true one.  Where t12 = 0 the kinks are
+    maxima of the lower branch and minima of the upper, so they need none.
+    The branches are evaluated from the taps at w = arccos(x), because q
+    cancels where |t12| is small.
     """
-    if omega_points < 256:
-        raise ConfigError("omega_points must be >= 256 for certification")
     if not pd_tol >= 0:
         raise ConfigError(f"pd_tol must be >= 0, got {pd_tol!r}")
-    om = np.linspace(-math.pi, math.pi, int(omega_points))
-    t11, t12 = spectral_entries(corr, om)
-    absoff = np.abs(t12)
-    lo = t11 - absoff
-    hi = t11 + absoff
+    s = corr.span
+    r = np.asarray(corr.r_taps)
+    g = np.asarray(corr.g_taps)
+    t11 = np.concatenate(([r[0]], 2.0 * r[1:]))
+    q = 2.0 * np.correlate(g, g, "full")[2 * s:]
+    q[0] *= 0.5
+    d11, dq = cheb.chebder(t11), cheb.chebder(q)
+    stationary = cheb.chebsub(4.0 * cheb.chebmul(cheb.chebmul(d11, d11), q),
+                              cheb.chebmul(dq, dq))
+    x = np.concatenate([cheb.chebroots(cheb.chebtrim(p)).real for p in (stationary, d11)]
+                       + [[-1.0, 1.0]])
+    om = np.arccos(np.clip(x, -1.0, 1.0))
+    e = np.exp(1j * np.outer(om, np.arange(-s, s + 1)))
+    diag = (e @ np.concatenate((r[:0:-1], r))).real
+    off = np.abs(e @ g)
+    lo = diag - off
     i_min = int(np.argmin(lo))
-    lam_min = float(lo[i_min])
-    lam_max = float(np.max(hi))
-    lips = 2.0 * sum(m * abs(corr.r_taps[m]) for m in range(1, corr.span + 1)) \
-        + sum(abs(m) * abs(corr.g(m)) for m in range(-corr.span, corr.span + 1))
-    h = om[1] - om[0]
-    margin = 0.5 * lips * h
-    trace_cap = 2.0 * (corr.r_taps[0] + 2.0 * sum(abs(corr.r_taps[m])
-                                                  for m in range(1, corr.span + 1)))
-    certified_min = float(max(lam_min - margin, 0.0))
-    certified_max = float(min(lam_max + margin, trace_cap))
     return EigenBounds(
-        lambda_min=lam_min,
-        lambda_max=lam_max,
+        lambda_min=float(lo[i_min]),
+        lambda_max=float(np.max(diag + off)),
         omega_at_min=float(om[i_min]),
-        margin=float(margin),
-        certified_min=certified_min,
-        certified_max=certified_max,
-        pd=bool(certified_min > pd_tol),
-        trace_dev=float(np.max(np.abs(2.0 * t11 - 2.0))),
-        omega_points=int(omega_points),
+        pd=bool(lo[i_min] > pd_tol),
+        trace_dev=float(np.max(np.abs(2.0 * diag - 2.0))),
         pd_tol=float(pd_tol),
     )

@@ -282,9 +282,12 @@ def test_waveform_from_file(tmp_path, capsys):
     rc, out, _ = run(capsys, "waveform", "--pulse", "file", "--waveform-file",
                      str(p), "--tau", "0.5")
     assert rc == 0
+    assert out.startswith("# schema=waveform-v2\n")
     m = dict(parse_rows(out)[1])
+    assert list(m) == ["label", "span", "tau", "energy", "a1", "c0", "c1", "c2", "f1",
+                       "cs_sum", "lambda_min", "lambda_max", "omega_at_min", "pd", "trace_dev"]
     assert m["pd"] == "1"
-    assert float(m["certified_min"]) > 0.05
+    assert float(m["lambda_min"]) > 0.05
 
 
 def test_toeplitz_convergence_rows(capsys):
@@ -364,6 +367,18 @@ def test_toeplitz_takes_no_node_count(tmp_path, capsys):
     assert "quad_points" in err
 
 
+def test_waveform_takes_no_node_count(tmp_path, capsys):
+    # the eigenvalue extremes are exact, so omega_points is no longer a waveform key
+    with pytest.raises(SystemExit) as exc:
+        main(["waveform", "--omega-points", "4096"])
+    assert exc.value.code == 2
+    ini = tmp_path / "old.ini"
+    ini.write_text("[waveform]\nomega_points = 4096\n")
+    rc, _, err = run(capsys, "waveform", "--config", str(ini))
+    assert rc == 2
+    assert "omega_points" in err
+
+
 def test_config_missing_file(capsys):
     rc, _, err = run(capsys, "simulate", "--config", "/does/not/exist.ini")
     assert rc == 2
@@ -400,6 +415,11 @@ def test_grid_parse_single_point(capsys):
     ("waveform", "--pulse", "rect", "--span", "1", "--tau", "0.5", "--pd-tol", "-1"),
     ("waveform", "--pd-tol", "nan"),
     ("toeplitz", "--rel-tol", "nan", "--n-list", "1,2"),
+    # a delay past the exact range of the window-angle reduction
+    ("simulate", "--scheme", "TDA_INDEP", "--trials", "10000", "--snr-db", "0",
+     "--t0bw", "1e308"),
+    ("simulate", "--scheme", "TDA_INDEP", "--trials", "10000", "--snr-db", "0",
+     "--t0bw", "1e300"),
 ], ids=lambda a: " ".join(a))
 def test_bad_input_is_config_error(capsys, monkeypatch, tmp_path, args):
     monkeypatch.chdir(tmp_path)  # so the --out directory "missing" does not exist
@@ -427,7 +447,7 @@ FUZZ_BASES = (
     ("simulate", ("--scheme", "MIX_AF", "--trials", "10000", "--snr-db", "0",
                   "--samples-per-symbol", "64")),
     ("simulate", ("--scheme", "TDA_INDEP", "--trials", "10000", "--snr-db", "0")),
-    ("waveform", ("--samples-per-symbol", "64", "--omega-points", "512")),
+    ("waveform", ("--samples-per-symbol", "64")),
     ("toeplitz", ("--n-list", "1,2", "--samples-per-symbol", "64")),
     ("compare-capacity", ("--draws", "4", "--snr-db", "0", "--samples-per-symbol", "64")),
 )

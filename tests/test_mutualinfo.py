@@ -15,7 +15,8 @@ from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _clausen2,
                                  _cos_window_means, _emaca_batch, _kernel_bounds,
                                  _wrap_angle, closed_log_integral, i_af_pair, i_esd, i_esd_bounds,
                                  mi_batch, mi_below, mi_envelope, record_mi)
-from relaylab.waveform import certify_pd, correlations, rectangular, spectral_entries, srrc
+from relaylab.waveform import certify_pd, correlations, rectangular, srrc
+from test_waveform import spectral_entries
 
 UNIT = FadingRealization(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
 
@@ -98,8 +99,11 @@ def test_delay_config_delta1():
 
 
 def test_delay_config_validation():
-    with pytest.raises(ConfigError):
-        DelayConfig.from_t0bw(-1.0)
+    for t0bw in (-1.0, math.nan, math.inf, 2.0 ** 21 + 1.0, 1e300, 1e308):
+        with pytest.raises(ConfigError):
+            DelayConfig.from_t0bw(t0bw)
+    for t0bw in (0, 2.5, 1e6 + 0.5, 2.0 ** 21):
+        assert DelayConfig.from_t0bw(t0bw).t0bw == float(t0bw)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +149,7 @@ def test_tda_reduces_to_sync_for_small_sets():
 def test_tda_zero_delay_collapses():
     # zero relative delay: the relays collapse to one effective gain, and
     # the envelope's lower bound is min(0, value)
-    delays = DelayConfig(0.0, 0.0, 2.0)
+    delays = DelayConfig.from_t0bw(0.0)
     f = FadingRealization(1 + 0j, 0j, 0j, 1 + 0j, -1 + 0j)  # opposite phases cancel
     value, lower, upper = envelope(SchemeId.TDA_INDEP, f, D_BOTH, 1.0, delays=delays)
     np.testing.assert_allclose(value, 0.5, rtol=1e-12)  # direct term only
@@ -515,8 +519,8 @@ def test_i_emaca_phase_invariant():
 
 def test_isi_envelope_certified_eigenvalues():
     # The pair term of ASTC and MIX_AF lies between sum_k log2(1 + rho0 g_k
-    # lambda) at the certified eigenvalue extremes; on the singular rect pair
-    # the certified minimum is 0, so the lower bound drops to the direct term.
+    # lambda) at the eigenvalue extremes; on the singular rect pair the
+    # minimum is 0, so the lower bound drops to the direct term.
     rng = np.random.default_rng(5)
     n = 200
     sd, r1d, r2d = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) / math.sqrt(2)
@@ -533,11 +537,11 @@ def test_isi_envelope_certified_eigenvalues():
                 np.testing.assert_array_equal(again[1], lower)
                 assert np.all(lower <= value + 1e-12) and np.all(value <= upper + 1e-12)
                 own = i_esd(sd, corr.a1, rho0)
-                pair_hi = sum(np.log2(1.0 + rho0 * np.abs(r) ** 2 * eig.certified_max)
+                pair_hi = sum(np.log2(1.0 + rho0 * np.abs(r) ** 2 * eig.lambda_max)
                               for r in (r1d, r2d))
                 np.testing.assert_allclose(upper, 0.5 * (own + pair_hi), rtol=1e-14)
                 if not eig.pd:
-                    assert eig.certified_min == 0.0
+                    assert eig.lambda_min == 0.0
                     np.testing.assert_allclose(lower, 0.5 * own, rtol=1e-14, atol=1e-15)
 
 
