@@ -407,14 +407,25 @@ def _root_product(x, y):
     p = x * y
     r = np.sqrt(p)
     under = p < _TINY
-    if np.any(under):
+    if under.any():
         r = np.where(under, np.sqrt(x) * np.sqrt(y), r)
     return r
 
 
-def _cos_window_means(A, B, psi, h: float):
+def _window_phase(psi, h: float, clausen: bool = True):
+    """The terms of _cos_window_means that depend on psi and h alone: e^{ix},
+    2x reduced to [-pi, pi] and Cl2(2x) (None without clausen) at x = h + psi
+    and h - psi, stacked on a new first axis."""
+    x = np.stack((h + psi, h - psi))
+    two_x = _wrap_angle(2.0 * x)
+    return np.exp(1j * x), two_x, (_clausen2(two_x) if clausen else None)
+
+
+def _cos_window_means(A, B, psi, h: float, phase=None):
     """Exact means of log2(A + B cos(u + psi)) and of its A-slope times ln 2,
     1 / (A + B cos(u + psi)), over u in [-h, h], for arrays with A > |B|, h > 0.
+    phase is _window_phase(psi, h) at these rows, for a caller that meets few
+    distinct psi; without it the rows' own psi terms are computed here.
 
     With R = sqrt(A^2 - B^2) and c = B / (A + R), |c| < 1 and
 
@@ -448,13 +459,18 @@ def _cos_window_means(A, B, psi, h: float):
     A, B, psi = np.broadcast_arrays(A, B, psi)
     r = _root_product(A - B, A + B)
     c = B / (A + r)
-    x = np.stack((h + psi, h - psi))
-    alpha = np.angle(1.0 + c * np.exp(1j * x))
-    two_x = _wrap_angle(2.0 * x)  # 2 alpha is in (-pi, pi) already, as Re(1 + c e^{ix}) > 0
-    cl = _clausen2(np.stack((two_x, 2.0 * alpha, _wrap_angle(two_x - 2.0 * alpha))))
+    e_x, two_x, cl_x = _window_phase(psi, h, clausen=False) if phase is None else phase
+    alpha = np.angle(1.0 + c * e_x)
+    del e_x  # 2n complex: freed before the Clausen stack is allocated
+    # 2 alpha is in (-pi, pi) already, as Re(1 + c e^{ix}) > 0
+    angles = (2.0 * alpha, _wrap_angle(two_x - 2.0 * alpha))
+    if cl_x is None:  # one Clausen call: its fixed cost dominates small batches
+        cl_x, *cl = _clausen2(np.stack((two_x,) + angles))
+    else:
+        cl = _clausen2(np.stack(angles))
     arg_sum = alpha[0] + alpha[1]
-    f = 0.5 * (cl[0] - cl[1] - cl[2]).sum(axis=0) \
-        - arg_sum * np.log(np.where(c == 0.0, 1.0, np.abs(c)))
+    cl_diff = cl_x - cl[0] - cl[1]
+    f = 0.5 * (cl_diff[0] + cl_diff[1]) - arg_sum * np.log(np.where(c == 0.0, 1.0, np.abs(c)))
     mean = (np.log(0.5 * (A + r)) - f / h) / _LN2
     with np.errstate(divide="ignore"):  # A = B to rounding: R = 0 and the mean is inf
         inv_mean = (1.0 - arg_sum / h) / r

@@ -31,7 +31,7 @@ from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
 from .errors import ConfigError, NumericError
 from .mutualinfo import (_SCREEN_SLACK, DelayConfig, LinkRecord, SchemeId,
                          _cos_window_means, _root_product, _window_mean_lower,
-                         check_scheme, record_below)
+                         _window_phase, check_scheme, record_below)
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
@@ -42,7 +42,7 @@ _LN2 = math.log(2.0)
 _STC_NODES = 240        # analytic_outage_stc, per product-pair integral
 _PARALLEL3_NODES = 120  # analytic_outage_parallel3, per nested level
 _RTDA2_SCALE = 64       # analytic_outage_rtda2: log relay-sum scale, per panel,
-_RTDA2_SPLIT = 32       # split fraction between the relays,
+_RTDA2_SPLIT = 32       # split fraction between the relays (folded onto its nodes below 1/2),
 _RTDA2_PHASE = 12       # and relative relay phase (fractional t0*bw only)
 _RTDA2_PANEL_EFOLDS = 32  # rtda2 scale panel width in e-folds (one at t0*bw 2.5, 40-80 dB)
 
@@ -131,13 +131,14 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
     first_trial, count = block
     gains = _draw_gains(cfg, seed, first_trial, count)
     links = LinkRecord(gains["sd"], gains["r1d"], gains["r2d"])
-    gsr1 = np.abs(gains["sr1"]) ** 2
-    gsr2 = np.abs(gains["sr2"]) ** 2
     counts = np.zeros(len(snr), dtype=np.int64)
     want = cond.size
     if force_set:
         m1 = np.full(count, want >= 1)
         m2 = np.full(count, want >= 2)
+    else:
+        gsr1 = np.abs(gains["sr1"]) ** 2
+        gsr2 = np.abs(gains["sr2"]) ** 2
     for i, s in enumerate(snr):
         pt = RatePoint(s, r, cfg.sigma2_sd)
         if not force_set:
@@ -342,6 +343,9 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     threshold solved per node: in closed form when t0*bw is a whole number
     of periods; otherwise per relay phase as well, by Newton's method on the
     exact window mean of the rate (NumericError if it does not converge).
+    The threshold depends on the split q only through y1 y2, so it is the
+    same at q and 1 - q, and so is the split rule: it is solved on the
+    nodes q < 1/2, each weighted by the relay density at both splits.
     Joint by default (multiplied by Pr[|D| = 2]).
     """
     if t0bw < 1.0:
@@ -370,7 +374,7 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     t_nodes, t_w = map(np.concatenate, zip(*(gl_nodes(lo, hi, _RTDA2_SCALE)
                                               for lo, hi in zip(edges, edges[1:]))))
     nu = np.exp(t_nodes)                       # relay-sum scale, log-spaced
-    q_nodes, q_w = gl_nodes(0.0, 1.0, _RTDA2_SPLIT)
+    q_nodes, q_w = (v[:_RTDA2_SPLIT // 2] for v in gl_nodes(0.0, 1.0, _RTDA2_SPLIT))
     y1 = nu[:, None] * q_nodes[None, :]
     y2 = nu[:, None] * (1.0 - q_nodes[None, :])
     bc = 2.0 * rho0 * _root_product(y1, y2)   # cosine swing of the pair gain
@@ -391,7 +395,7 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
                                   big_t / rho0, float(t0bw), snr)
         fx = np.tensordot(phi_w / math.pi, _cdf_exp(x_star, lam_sd), axes=(0, 0))
 
-    dens = lam1 * lam2 * np.exp(-lam1 * y1 - lam2 * y2)
+    dens = lam1 * lam2 * (np.exp(-lam1 * y1 - lam2 * y2) + np.exp(-lam1 * y2 - lam2 * y1))
     jac = nu[:, None] ** 2                      # dy1 dy2 = nu dnu dq, dnu = nu dt
     p = float(t_w @ ((fx * dens * jac) @ q_w))
     if conditioned:
@@ -412,12 +416,15 @@ def _rtda2_threshold(base, swing, phi, level: float, t0bw: float, snr: float):
     rounding, or its x = 0 rate already meets the target.  Each step runs the
     window means on the nodes still moving only, and a node starting at x = 0
     whose whole-period lower bound clears the target by a margin far above
-    the mean's roundoff stops before the first step, as Newton would.
+    the mean's roundoff stops before the first step, as Newton would.  The
+    psi-only window terms are computed once per element of phi.
     """
     h = math.pi * t0bw
     a = np.maximum(base, level - swing * (math.sin(h) / h) * np.cos(phi))
     shape = a.shape
     a = a.ravel()
+    phase = _window_phase(phi.ravel(), h)
+    which = np.broadcast_to(np.arange(phi.size).reshape(phi.shape), shape).ravel()
     base, swing, phi = (np.broadcast_to(v, shape).ravel() for v in (base, swing, phi))
     target = math.log2(level)
     with np.errstate(all="ignore"):  # a non-finite bound leaves its node moving
@@ -426,7 +433,8 @@ def _rtda2_threshold(base, swing, phi, level: float, t0bw: float, snr: float):
     live = np.flatnonzero(~settled)
     for _ in range(_RTDA2_NEWTON_CAP):
         al, bl, pl = a[live], swing[live], phi[live]
-        mean, inv_mean = _cos_window_means(al, bl, pl, h)
+        mean, inv_mean = _cos_window_means(al, bl, pl, h,
+                                           tuple(v[:, which[live]] for v in phase))
         step = (target - mean) * _LN2 / inv_mean
         moving = ~(step <= 1e-14 * al)  # a NaN step keeps its node moving
         live, step = live[moving], step[moving]

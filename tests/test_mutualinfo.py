@@ -343,6 +343,23 @@ def test_window_means_match_spence_and_mpmath(t0bw):
                                _spence_window_mean(a, b, psi, h), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("t0bw", (0.01, 1.0 + 1e-6, 2.5, 12.3, 1e6 + 0.5))
+def test_window_means_on_shared_phase_terms_are_bitwise_equal(t0bw):
+    # The rtda2 threshold computes the psi-only terms once per phase node and
+    # indexes them per row: the same float operations per row as the means'
+    # own per-row terms, short windows (t0bw 0.01) and B = 0 rows included
+    rng = np.random.default_rng(59)
+    phases = rng.uniform(-math.pi, math.pi, 12)
+    which = rng.integers(0, phases.size, 4096)
+    a = 1.0 + 10.0 ** rng.uniform(-3.0, 10.0, which.size)
+    b = a * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, a.size)) * (rng.random(a.size) > 0.1)
+    h = math.pi * t0bw
+    shared = tuple(v[:, which] for v in mutualinfo._window_phase(phases, h))
+    got = _cos_window_means(a, b, phases[which], h, shared)
+    want = _cos_window_means(a, b, phases[which], h)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # repetition delay diversity
 

@@ -165,6 +165,37 @@ def _rtda2_by_bisection(cfg, r, snr, t0bw):
     return float(t_w @ ((fx * dens * nu[:, None] ** 2) @ q_w))
 
 
+def _rtda2_unfolded(cfg, r, snr, t0bw):
+    # The oracle's integral on the whole 32-node split rule: the threshold
+    # solved at q and at 1 - q alike, and the relay density at (y1, y2) alone.
+    pt = RatePoint(snr, r, cfg.sigma2_sd)
+    rho0, big_t = pt.rho0, 4.0 ** pt.rate
+    lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
+    x_max = (big_t - 1.0) / rho0
+    nu_hi = (2.0 * big_t ** (1.0 / DelayConfig.from_t0bw(t0bw).delta1) - 1.0) / rho0
+    t_lo, t_hi = math.log(1e-8 * (big_t - 1.0) / rho0), math.log(nu_hi)
+    panels = math.ceil((t_hi - t_lo) / outage._RTDA2_PANEL_EFOLDS)
+    edges = [t_lo + (t_hi - t_lo) * k / panels for k in range(panels)] + [t_hi]
+    t_nodes, t_w = map(np.concatenate, zip(*(gl_nodes(lo, hi, 64)
+                                              for lo, hi in zip(edges, edges[1:]))))
+    nu = np.exp(t_nodes)
+    q_nodes, q_w = gl_nodes(0.0, 1.0, 32)
+    y1, y2 = nu[:, None] * q_nodes, nu[:, None] * (1.0 - q_nodes)
+    bc = 2.0 * rho0 * outage._root_product(y1, y2)
+    if t0bw == round(t0bw):
+        big_c = 2.0 * big_t
+        a_star = (big_c * big_c + bc * bc) / (2.0 * big_c)
+        x_star = np.clip((a_star - 1.0 - rho0 * nu[:, None]) / rho0, 0.0, x_max)
+        fx = -np.expm1(-lam_sd * np.where(bc < big_c, x_star, 0.0))
+    else:
+        phi, phi_w = gl_nodes(0.0, math.pi, 12)
+        x_star = outage._rtda2_threshold(1.0 / rho0 + nu[None, :, None], bc / rho0,
+                                         phi[:, None, None], big_t / rho0, t0bw, snr)
+        fx = np.tensordot(phi_w / math.pi, -np.expm1(-lam_sd * x_star), axes=(0, 0))
+    dens = lam1 * lam2 * np.exp(-lam1 * y1 - lam2 * y2)
+    return float(t_w @ ((fx * dens * nu[:, None] ** 2) @ q_w))
+
+
 def test_rtda2_matches_exact_bisection(unit_cfg):
     # The Newton threshold against bisection on the same exact window mean;
     # the old 96-node frequency rule missed these by up to 11% (t0bw 1e6+0.5).
@@ -226,6 +257,45 @@ def test_rtda2_active_set_equals_full_grid(unit_cfg, monkeypatch):
             assert joint == want
 
 
+def test_rtda2_folded_split_matches_the_whole_rule(unit_cfg):
+    # Solving the split rule's nodes q < 1/2 only changes rounding: 7 of the
+    # 32 nodes are not exact float mirrors, and the two densities add first.
+    # The largest gap is 3 ulps (t0bw 1 + 1e-6, 1100 dB), 4.4e-16 relative.
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    cases = [(unit_cfg, 0.25, 60, 2.5), (asym, 0.1, 0, 1 + 1e-6), (unit_cfg, 0.4, 40, 1.5),
+             (asym, 0.25, 160, 3.7), (unit_cfg, 0.1, 80, 12.3), (asym, 0.4, 120, 1e6 + 0.5),
+             (asym, 0.4, 0, 3.7), (unit_cfg, 0.25, 40, 12.3), (asym, 0.1, 140, 1 + 1e-6),
+             (unit_cfg, 0.4, 3000, 2.5)]
+    cases += [(cfg, r, db, 2.0) for cfg in (unit_cfg, asym) for r in (0.1, 0.4)
+              for db in (0, 60, 160)]
+    cases += [(unit_cfg, 0.1, db, 1.0 + 1e-6) for db in (1000, 1100, 1200)]
+    for cfg, r, db, t0bw in cases:
+        snr = 10.0 ** (db / 10.0)
+        got = _rtda2_outcome(cfg, r, snr, t0bw, True)
+        try:
+            want = _rtda2_unfolded(cfg, r, snr, t0bw)
+        except (NumericError, OverflowError):  # the oracle raises an overflow as NumericError
+            want = NumericError
+        if isinstance(want, float):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0,
+                                       err_msg=f"r={r} {db} dB t0bw={t0bw}")
+        else:
+            assert got == want, f"r={r} {db} dB t0bw={t0bw}"
+
+
+@pytest.mark.parametrize("t0bw", (2.0, 2.5, 1.7, 12.3))
+def test_rtda2_is_exactly_symmetric_under_a_relay_swap(t0bw):
+    cfg = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    swapped = NetworkConfig(cfg.sigma2_sd, cfg.sigma2_sr2, cfg.sigma2_sr1,
+                            cfg.sigma2_r2d, cfg.sigma2_r1d)
+    for db in range(0, 161, 20):
+        snr = 10.0 ** (db / 10.0)
+        for conditioned in (True, False):
+            assert (analytic_outage_rtda2(cfg, 0.25, snr, t0bw, conditioned)
+                    == analytic_outage_rtda2(swapped, 0.25, snr, t0bw, conditioned)), \
+                (db, conditioned)
+
+
 def test_rtda2_screen_settles_only_rows_newton_leaves():
     # Nodes at x = 0 whose target log2(level) = 0 lies within 1e-3 bits of
     # the whole-period lower bound, many of them between it and the mean:
@@ -242,7 +312,7 @@ def test_rtda2_screen_settles_only_rows_newton_leaves():
 
 def test_rtda2_step_cap_reports_the_nodes_still_moving(unit_cfg, monkeypatch):
     monkeypatch.setattr(outage, "_RTDA2_NEWTON_CAP", 2)
-    with pytest.raises(NumericError, match=r"did not converge in 2 steps .*; \d+ of 24576 "
+    with pytest.raises(NumericError, match=r"did not converge in 2 steps .*; \d+ of 12288 "
                                            r"nodes still moving, largest relative step \S+\)"):
         analytic_outage_rtda2(unit_cfg, 0.25, 1e6, 2.5)
 
