@@ -412,13 +412,13 @@ def _root_product(x, y):
     return r
 
 
-def _window_phase(psi, h: float, clausen: bool = True):
+def _window_phase(psi, h: float):
     """The terms of _cos_window_means that depend on psi and h alone: e^{ix},
-    2x reduced to [-pi, pi] and Cl2(2x) (None without clausen) at x = h + psi
-    and h - psi, stacked on a new first axis."""
+    2x reduced to [-pi, pi] and Cl2(2x) at x = h + psi and h - psi, stacked
+    on a new first axis."""
     x = np.stack((h + psi, h - psi))
     two_x = _wrap_angle(2.0 * x)
-    return np.exp(1j * x), two_x, (_clausen2(two_x) if clausen else None)
+    return np.exp(1j * x), two_x, _clausen2(two_x)
 
 
 def _cos_window_means(A, B, psi, h: float, phase=None):
@@ -459,15 +459,11 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
     A, B, psi = np.broadcast_arrays(A, B, psi)
     r = _root_product(A - B, A + B)
     c = B / (A + r)
-    e_x, two_x, cl_x = _window_phase(psi, h, clausen=False) if phase is None else phase
+    e_x, two_x, cl_x = _window_phase(psi, h) if phase is None else phase
     alpha = np.angle(1.0 + c * e_x)
-    del e_x  # 2n complex: freed before the Clausen stack is allocated
+    del phase, e_x  # 2n complex: freed before the Clausen stack is allocated
     # 2 alpha is in (-pi, pi) already, as Re(1 + c e^{ix}) > 0
-    angles = (2.0 * alpha, _wrap_angle(two_x - 2.0 * alpha))
-    if cl_x is None:  # one Clausen call: its fixed cost dominates small batches
-        cl_x, *cl = _clausen2(np.stack((two_x,) + angles))
-    else:
-        cl = _clausen2(np.stack(angles))
+    cl = _clausen2(np.stack((2.0 * alpha, _wrap_angle(two_x - 2.0 * alpha))))
     arg_sum = alpha[0] + alpha[1]
     cl_diff = cl_x - cl[0] - cl[1]
     f = 0.5 * (cl_diff[0] + cl_diff[1]) - arg_sum * np.log(np.where(c == 0.0, 1.0, np.abs(c)))
