@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from relaylab.channel import POWER_NORM
 from relaylab.outage import write_csv
 from relaylab.toeplitz import build_taps, convergence_study
 from relaylab.waveform import correlations, srrc
@@ -29,7 +30,7 @@ def main():
 
     corr = correlations(srrc(args.rolloff, args.span, 64), args.tau)
     ns = tuple(int(x) for x in args.n_list.split(","))
-    rho0 = (2.0 / 3.0) * 10.0 ** (args.snr_db / 10.0)
+    rho0 = POWER_NORM * 10.0 ** (args.snr_db / 10.0)
 
     rows = []
     worst = 0.0

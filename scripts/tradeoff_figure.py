@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from relaylab.outage import write_csv
-from relaylab.tradeoff import SCHEMES, crossings, curve, rtda_band
+from relaylab.tradeoff import SCHEMES, band, crossings
 
 
 def main():
@@ -24,10 +24,7 @@ def main():
 
     rows = []
     for scheme in SCHEMES:
-        if scheme == "rtda":
-            low, high = rtda_band(2, args.delta1)
-        else:
-            low = high = curve(scheme, 2)
+        low, high = band(scheme, 2, args.delta1)
         lo, hi = low.domain
         for i in range(args.points):
             r = lo + (hi - lo) * Fraction(i, args.points)

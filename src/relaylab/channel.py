@@ -114,10 +114,6 @@ class DecodingSet:
     r1: bool
     r2: bool
 
-    @property
-    def size(self) -> int:
-        return int(self.r1) + int(self.r2)
-
 
 D_NONE = DecodingSet(False, False)
 D_R1 = DecodingSet(True, False)

@@ -28,7 +28,7 @@ from .outage import (ConditionalCase, analytic_curve, analytic_outage_parallel3,
                      analytic_outage_rtda2, analytic_outage_stc, mc_outage,
                      slope_fit, write_csv, write_outage_csv)
 from .toeplitz import build_taps, convergence_study
-from .tradeoff import crossings, curve, rtda_band
+from .tradeoff import band, crossings
 from .waveform import certify_pd, correlations, load_waveform, rectangular, srrc
 
 
@@ -37,6 +37,19 @@ def db_to_linear(db: float) -> float:
         return 10.0 ** (db / 10.0)
     except OverflowError:
         raise ConfigError(f"snr of {db!r} dB is past the float range") from None
+
+
+_MAX_GRID_POINTS = 10 ** 5  # most points of an snr or r grid (the largest in use has 26)
+
+
+def _grid_span(lo, hi, step, what: str):
+    """(hi - lo)/step of a grid from lo to hi by step > 0, checked before the
+    grid is built: ConfigError when it is infinite or the grid would pass
+    _MAX_GRID_POINTS points."""
+    span = (hi - lo) / step
+    if not span < _MAX_GRID_POINTS:
+        raise ConfigError(f"{what} makes a grid of more than {_MAX_GRID_POINTS} points")
+    return span
 
 
 def _parse_grid_db(text: str) -> list[float]:
@@ -52,7 +65,7 @@ def _parse_grid_db(text: str) -> list[float]:
     lo, hi, step = nums
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad snr grid {text!r}: need step > 0 and hi >= lo")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    n = int(math.floor(_grid_span(lo, hi, step, f"snr grid {text!r}") + 1e-9)) + 1
     return [lo + i * step for i in range(n)]
 
 
@@ -252,18 +265,15 @@ def _cmd_tradeoff(ns: argparse.Namespace) -> int:
 
     rows = []
     for s in schemes:
-        if s == "rtda":
-            low, high = rtda_band(k, delta1)
-            cs = [low, high]
-        else:
-            cs = [curve(s, k), curve(s, k)]
-        lo, hi = cs[0].domain
-        grid = {lo + step * i for i in range(int((hi - lo) / step) + 1)}
-        grid |= set(cs[0].breakpoints) | set(cs[1].breakpoints)
+        low, high = band(s, k, delta1)
+        lo, hi = low.domain
+        n = int(_grid_span(lo, hi, step, f"r_step {vals['r_step']}")) + 1
+        grid = {lo + step * i for i in range(n)}
+        grid |= set(low.breakpoints) | set(high.breakpoints)
         for r in sorted(g for g in grid if lo <= g <= hi):
-            if cs[0].open_right and r >= hi:
+            if low.open_right and r >= hi:
                 continue
-            rows.append([s, k, str(r), str(cs[0].d(r)), str(cs[1].d(r))])
+            rows.append([s, k, str(r), str(low.d(r)), str(high.d(r))])
 
     cross = vals["cross"].strip()
     pairs: list[tuple[str, str]] = []

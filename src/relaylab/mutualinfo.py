@@ -13,12 +13,12 @@ kernel: it takes a record and the relay memberships, and mi_batch is it on
 complex gains.  Rows with fewer than two relays have closed forms; on the
 both-relays rows every scheme's MI is (direct + kernel)/2, a direct-link
 term plus a relay-pair term, split once by _both_split.  The Monte Carlo
-engine only needs record_mi(...) < rate, which record_below (mi_below on
-complex gains) returns while running the costly pair kernels only on rows
-that cheap bounds on the same split cannot settle.  mi_envelope returns
-mi_batch's value with its analytic envelope: the delta1-scaled whole-period
-and coherent-combining bounds of the delay schemes, and the
-exact-eigenvalue bounds of the ISI-aware pair rate.
+engine only needs record_mi(...) < rate, which record_below returns while
+running the costly pair kernels only on rows that cheap bounds on the same
+split cannot settle.  mi_envelope returns mi_batch's value with its
+analytic envelope: the delta1-scaled whole-period and coherent-combining
+bounds of the delay schemes, and the exact-eigenvalue bounds of the
+ISI-aware pair rate.
 """
 
 from __future__ import annotations
@@ -103,10 +103,11 @@ class LinkRecord:
     snr-free terms the MI kernels read.
 
     The squared gains g_sd, g1, g2 are computed on construction; the relay
-    magnitudes r1, r2, the phase difference psi = arg r2d - arg r1d and any
-    other term(key, make) on first use, then kept.  rows(idx) is the record
-    of a subset of the rows: it indexes the squared gains and takes every
-    other term from its parent, which computes it once over all its rows.
+    magnitudes r1, r2, the phase difference psi = arg r2d - arg r1d, its
+    cosine cos_psi and any other term(key, make) on first use, then kept.
+    rows(idx) is the record of a subset of the rows: it indexes the squared
+    gains and takes every other term from its parent, which computes it once
+    over all its rows.
     Only a record built from gains holds the complex gains sd, r1d, r2d.
     """
 
@@ -144,6 +145,10 @@ class LinkRecord:
     @property
     def psi(self):
         return self.term("psi", lambda s: np.angle(s.r2d) - np.angle(s.r1d))
+
+    @property
+    def cos_psi(self):
+        return self.term("cos_psi", lambda s: np.cos(s.psi))
 
 
 def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
@@ -257,13 +262,6 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     return value, lower, upper
 
 
-def mi_below(scheme, sd, r1d, r2d, m1, m2, rho0: float, rate: float,
-             corr: CorrelationSet | None = None,
-             delays: DelayConfig | None = None) -> np.ndarray:
-    """record_below on the complex destination-link gains sd, r1d, r2d."""
-    return record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, corr, delays)
-
-
 def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
                  corr: CorrelationSet | None = None,
                  delays: DelayConfig | None = None) -> np.ndarray:
@@ -336,8 +334,7 @@ def _kernel_bounds(scheme: SchemeId, links: LinkRecord, rho0: float, rate: float
         a, bc, _ = terms
         w = delays.t0bw
         h = math.pi * w
-        cos_psi = links.term("cos_psi", lambda s: np.cos(s.psi))
-        upper = np.log2(a + bc * (math.sin(h) / h) * cos_psi)
+        upper = np.log2(a + bc * (math.sin(h) / h) * links.cos_psi)
         return need, _window_mean_lower(a, bc, w), upper, slack * (1.0 + 1.0 / w)
 
     upper = np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
@@ -373,8 +370,8 @@ def _both_split(scheme: SchemeId, links: LinkRecord, rho0: float,
         return direct, (a, 2.0 * rho0 * np.sqrt(g1 * g2), links.psi)
     if scheme == SchemeId.TDA_LINMOD:
         rho12 = corr.rho12  # a / rho0 is snr-free
-        a = links.term(("linmod_a", rho12), lambda s: s.g1 + s.g2 + 2.0 * rho12 * s.r1 * s.r2
-                       * np.cos(np.angle(s.r1d) - np.angle(s.r2d)))
+        a = links.term(("linmod_a", rho12),
+                       lambda s: s.g1 + s.g2 + 2.0 * rho12 * s.r1 * s.r2 * s.cos_psi)
         return np.log2(1.0 + rho0 * gsd), (rho0 * a, 2.0 * rho0 * corr.rho21 * links.r1 * links.r2)
     return _esd_from_gain(gsd, corr.a1, rho0), (g1, g2)
 

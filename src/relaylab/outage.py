@@ -27,7 +27,7 @@ import numpy as np
 
 from ._quad import gl_nodes
 from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
-                      RatePoint, decoding_set_probs)
+                      RatePoint, decoding_set_probs, relay_failure_prob)
 from .errors import ConfigError, NumericError
 from .mutualinfo import (_SCREEN_SLACK, DelayConfig, LinkRecord, SchemeId,
                          _cos_window_means, _root_product, _window_mean_lower,
@@ -37,6 +37,8 @@ from .waveform import CorrelationSet
 BLOCK_TRIALS = 32768
 _COUNTER_STRIDE = 64  # Philox counter words reserved per trial (>= draws used)
 _LN2 = math.log(2.0)
+_WILSON_Z = 1.96        # two-sided 95% normal quantile of wilson_interval
+_FIT_REL_CI_MAX = 0.3   # slope_fit drops points whose interval is wider than this share
 
 # Gauss-Legendre node counts of the oracles
 _STC_NODES = 240        # analytic_outage_stc, per product-pair integral
@@ -85,13 +87,14 @@ class OutageCurve:
         return tuple(10.0 * math.log10(s) for s in self.snr)
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval; zero counts get the rule-of-three [0, 3/n]."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval; zero counts get the rule-of-three [0, 3/n]."""
     if n <= 0:
         raise ConfigError("n must be positive")
     if k == 0:
         return 0.0, 3.0 / n
     ph = k / n
+    z = _WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (ph + z2 / (2.0 * n)) / denom
@@ -230,17 +233,6 @@ def _cdf_exp(x, lam: float):
     return -np.expm1(-lam * np.maximum(x, 0.0))
 
 
-def direct_outage(lam: float, rho0: float, rate: float) -> float:
-    """Exact Pr[0.5*log2(1 + rho0 X) < rate] for X ~ Exp(lam).
-
-    The squared-gain threshold is (2^(2*rate) - 1)/rho0, so the probability
-    is 1 - exp(-lam * threshold).
-    """
-    if lam <= 0 or rho0 <= 0 or rate < 0:
-        raise ConfigError("need lam > 0, rho0 > 0, rate >= 0")
-    return float(_cdf_exp((4.0 ** rate - 1.0) / rho0, lam))
-
-
 def _exp_cdf_scaled(lam: float, rho0: float):
     """s -> Pr[1 + rho0 X < e^s] for X ~ Exp(lam)."""
     return lambda s: _cdf_exp(np.expm1(s) / rho0, lam)
@@ -281,7 +273,7 @@ def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
     lam2 = cfg.lam("r2d")
     direct = _exp_cdf_scaled(lam_sd, rho0)
 
-    p_d0 = direct_outage(lam_sd, rho0, pt.rate)
+    p_d0 = relay_failure_prob(lam_sd, pt)  # Pr[0.5 log2(1 + rho0 g_sd) < R]: the decode rule
 
     def p_d1(lam_rel):
         return float(_product_pair_outage(direct, lambda y: lam_rel * np.exp(-lam_rel * y),
@@ -360,7 +352,7 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     lam_sd = cfg.lam("sd")
     lam1 = cfg.lam("r1d")
     lam2 = cfg.lam("r2d")
-    x_max = (big_t - 1.0) / rho0
+    x_max = pt.decode_threshold
     try:
         nu_hi = (2.0 * big_t ** (1.0 / delta1) - 1.0) / rho0
     except OverflowError:
@@ -379,8 +371,7 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     y2 = nu[:, None] * (1.0 - q_nodes[None, :])
     bc = 2.0 * rho0 * _root_product(y1, y2)   # cosine swing of the pair gain
 
-    integer_w = abs(t0bw - round(t0bw)) < 1e-9
-    if integer_w:
+    if delta1 == 1.0:  # a whole number of periods
         big_c = 2.0 * big_t
         with np.errstate(over="ignore"):
             a_star = (big_c * big_c + bc * bc) / (2.0 * big_c)
@@ -475,13 +466,13 @@ class SlopeFit:
 
 
 def slope_fit(curve: OutageCurve, window_db: tuple[float, float] | None = None,
-              rel_ci_max: float = 0.3, log_order: int = 0) -> SlopeFit:
+              log_order: int = 0) -> SlopeFit:
     """Fit the decay slope of an outage curve over a dB window.
 
     Censored points never enter the fit; a window dominated by censored
     points, fewer than 4 usable points, or a usable span under 15 dB raise
     NumericError instead of returning a junk slope.  Points whose confidence
-    interval is wider than rel_ci_max of the estimate are dropped as noise.
+    interval is wider than 0.3 of the estimate are dropped as noise.
 
     A diversity order is an exponent up to polylog factors: outage
     c snr^-d (ln snr)^k has order d, yet its raw log-log slope over a finite
@@ -497,7 +488,7 @@ def slope_fit(curve: OutageCurve, window_db: tuple[float, float] | None = None,
         window_db = (float(db.min()), float(db.max()))
     in_win = (db >= window_db[0] - 1e-9) & (db <= window_db[1] + 1e-9)
     usable = in_win & ~cens & (out > 0.0)
-    noisy = usable & ((hi - lo) > rel_ci_max * out)
+    noisy = usable & ((hi - lo) > _FIT_REL_CI_MAX * out)
     usable &= ~noisy
     n_cens = int(np.count_nonzero(in_win & cens))
     n_use = int(np.count_nonzero(usable))
@@ -518,11 +509,9 @@ def slope_fit(curve: OutageCurve, window_db: tuple[float, float] | None = None,
         y += log_order * np.log10(np.log(snr))
     coef, res = np.polyfit(x, y, 1, full=True)[:2]
     slope, intercept = float(coef[0]), float(coef[1])
-    if n_use > 2 and res.size:
-        sigma2 = float(res[0]) / (n_use - 2)
-        stderr = math.sqrt(sigma2 / float(np.sum((x - x.mean()) ** 2)))
-    else:
-        stderr = 0.0
+    # n_use >= 4 points at two or more distinct x: one residual, n_use - 2 dof
+    sigma2 = float(res[0]) / (n_use - 2)
+    stderr = math.sqrt(sigma2 / float(np.sum((x - x.mean()) ** 2)))
     return SlopeFit(slope, stderr, intercept, n_use, (float(window_db[0]), float(window_db[1])))
 
 

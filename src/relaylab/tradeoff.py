@@ -80,10 +80,7 @@ class TradeoffCurve:
             end = ")" if self.open_right else "]"
             raise ConfigError(
                 f"r={r!r} outside the domain [{lo}, {hi}{end} of scheme {self.scheme}")
-        for p in self.pieces:
-            if rv <= p.hi:
-                return p.at(rv)
-        return self.pieces[-1].at(rv)  # unreachable; domain checked above
+        return next(p.at(rv) for p in self.pieces if rv <= p.hi)
 
 
 def _lin(lo, hi, c0, c1) -> Piece:
@@ -95,14 +92,14 @@ def curve(scheme: str, k: int = 2) -> TradeoffCurve:
 
     The synchronous, delay-diversity and asynchronous space-time curves all
     equal (k+1)(1-2r): asynchrony costs nothing in overall tradeoff.  The
-    repetition scheme is a band; use rtda_band for it.
+    repetition scheme is a band; use band or rtda_band for it.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if not (isinstance(k, int) and k >= 1):
         raise ConfigError("k must be a positive integer relay count")
     if scheme == "rtda":
-        raise ConfigError("rtda is a band; use rtda_band(k, delta1)")
+        raise ConfigError("rtda is a band; use band('rtda', k, delta1)")
     if scheme in ("stc", "tda", "astc", "ltda"):
         if scheme == "ltda" and k != 2:
             raise ConfigError("the matched-filter analysis covers k=2 only")
@@ -150,14 +147,13 @@ def rtda_band(k: int = 2, delta1=_F(1)) -> tuple[TradeoffCurve, TradeoffCurve]:
     return lower, upper
 
 
-def d_curve(scheme: str, k: int, r, delta1=None):
-    """Diversity order of one scheme at r; rtda returns a (lower, upper) pair."""
+def band(scheme: str, k: int = 2, delta1=_F(1)) -> tuple[TradeoffCurve, TradeoffCurve]:
+    """(lower, upper) curves of one scheme: rtda's band, the same curve twice
+    for every other scheme (delta1 is read by rtda only)."""
     if scheme == "rtda":
-        if delta1 is None:
-            raise ConfigError("rtda needs delta1 = floor(t0*bw)/ceil(t0*bw)")
-        low, high = rtda_band(k, delta1)
-        return low.d(r), high.d(r)
-    return curve(scheme, k).d(r)
+        return rtda_band(k, delta1)
+    c = curve(scheme, k)
+    return c, c
 
 
 @dataclass(frozen=True)
@@ -213,14 +209,9 @@ def crossings(scheme_a: str, scheme_b: str, k: int = 2) -> CrossingReport:
     points: list[CrossPoint] = []
     spans: list[tuple[Fraction, Fraction]] = []
 
-    def admit(rv, exact: bool):
-        if rv < lo or rv > hi:
-            return
+    def admit(rv, exact: bool):  # rv in [lo, hi]; span points go after the loop
         if open_right and rv >= hi:
             return
-        for a, b in spans:
-            if a <= rv <= b:
-                return
         for p in points:
             if p.r == rv:
                 return

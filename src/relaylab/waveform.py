@@ -119,8 +119,7 @@ def overlap_integral(w: Waveform, shift: float) -> float:
     return float(np.dot(wts, vals))
 
 
-def rectangular(span: int = 1, samples_per_symbol: int = 256, duty: float = 1.0,
-                label: str | None = None) -> Waveform:
+def rectangular(span: int = 1, samples_per_symbol: int = 256, duty: float = 1.0) -> Waveform:
     """Flat unit-energy pulse over [0, duty] symbol periods.
 
     duty < 1 shortens the support (the trailing grid cell carries the ramp of
@@ -132,7 +131,7 @@ def rectangular(span: int = 1, samples_per_symbol: int = 256, duty: float = 1.0,
         raise ConfigError(f"duty must lie in (0, span], got {duty!r}")
     t = np.linspace(0.0, float(span), span * samples_per_symbol + 1)
     raw = np.where(t <= duty + 1e-12, 1.0, 0.0)
-    name = label or (f"rect" if duty == span else f"rect-duty{duty:g}")
+    name = "rect" if duty == span else f"rect-duty{duty:g}"
     return Waveform.from_samples(name, span, samples_per_symbol, raw)
 
 

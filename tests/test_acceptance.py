@@ -26,7 +26,7 @@ from relaylab.outage import (ConditionalCase, analytic_curve,
                              analytic_outage_parallel3, analytic_outage_stc,
                              mc_outage, slope_fit)
 from relaylab.toeplitz import build_taps, convergence_study
-from relaylab.tradeoff import crossings, curve, d_curve
+from relaylab.tradeoff import crossings, curve
 from relaylab.waveform import certify_pd, correlations, rectangular, srrc
 
 UNIT_CFG = NetworkConfig(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -47,7 +47,7 @@ def test_criterion_1_tradeoff_exact(record_criterion):
     # the synchronous / delay-diversity / ISI-aware family: (k+1)(1-2r)
     for scheme in ("stc", "tda", "astc"):
         for r in (F(0), F(1, 8), F(1, 4), F(2, 5)):
-            checks.append(d_curve(scheme, 2, r) == 3 * (1 - 2 * r))
+            checks.append(curve(scheme, 2).d(r) == 3 * (1 - 2 * r))
     # reference schemes at both relay counts
     for k in (1, 2):
         c = curve("naf", k)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relaylab
-from relaylab.cli import _DEFAULTS, main
+from relaylab.cli import _DEFAULTS, _MAX_GRID_POINTS, _parse_grid_db, main
+from relaylab.errors import ConfigError
 from relaylab.waveform import save_waveform, srrc
 
 
@@ -53,6 +54,21 @@ def test_tradeoff_exact_rows_and_crossings(capsys):
     # the two headline equalities, exact
     assert "crossing ddf maf: r=1/5 d=12/5 exact=True" in out
     assert "crossing naf maf: r=1/3 d=4/3 exact=True" in out
+
+
+# sha256 of every line of `tradeoff --k 2` but the `#` header: the CSV body,
+# then the coincident and crossing lines; recorded before tradeoff.band
+# took over rtda's band and crossings' admit lost its redundant checks
+GOLDEN_TRADEOFF_K2 = "5dcc8f7e35d8f829a1d7c931de3753a0cba66625a2379505c010bdad7b098711"
+
+
+def test_tradeoff_k2_matches_pinned_hash(capsys):
+    rc, out, _ = run(capsys, "tradeoff", "--k", "2")
+    assert rc == 0
+    lines = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+    assert lines[0] == "scheme,k,r,d_low,d_high"
+    assert "crossing ddf maf: r=1/5 d=12/5 exact=True" in lines
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_TRADEOFF_K2
 
 
 def test_tradeoff_rtda_band_rows(capsys):
@@ -384,6 +400,12 @@ def test_config_missing_file(capsys):
     assert rc == 2
 
 
+def test_grid_cap_is_exact():
+    assert len(_parse_grid_db(f"0:{_MAX_GRID_POINTS - 1}:1")) == _MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="more than"):
+        _parse_grid_db(f"0:{_MAX_GRID_POINTS}:1")
+
+
 def test_grid_parse_single_point(capsys):
     rc, out, _ = run(capsys, "simulate", "--scheme", "STC_SYNC", "--mode",
                      "analytic", "--r", "0.1", "--snr-db", "10")
@@ -420,6 +442,10 @@ def test_grid_parse_single_point(capsys):
      "--t0bw", "1e308"),
     ("simulate", "--scheme", "TDA_INDEP", "--trials", "10000", "--snr-db", "0",
      "--t0bw", "1e300"),
+    # a grid counted before it is built: an infinite span, 10^18 points, 5x10^11 Fractions
+    ("simulate", "--snr-db", "0:1e300:1e-300"),
+    ("simulate", "--snr-db", "0:1e9:1e-9"),
+    ("tradeoff", "--r-step", "1/1000000000000"),
 ], ids=lambda a: " ".join(a))
 def test_bad_input_is_config_error(capsys, monkeypatch, tmp_path, args):
     monkeypatch.chdir(tmp_path)  # so the --out directory "missing" does not exist

@@ -14,7 +14,7 @@ from relaylab.errors import ConfigError
 from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _clausen2,
                                  _cos_window_means, _emaca_batch, _kernel_bounds,
                                  _wrap_angle, closed_log_integral, i_af_pair, i_esd, i_esd_bounds,
-                                 mi_batch, mi_below, mi_envelope, record_mi)
+                                 mi_batch, mi_envelope, record_below, record_mi)
 from relaylab.waveform import certify_pd, correlations, rectangular, srrc
 from test_waveform import spectral_entries
 
@@ -680,12 +680,12 @@ def test_mi_batch_relay_swap():
     m1 = rng.random(n) < 0.6
     m2 = rng.random(n) < 0.4
     # the link record swaps its relay terms and negates the phase difference,
-    # on all rows and on a subset
+    # bit for bit its cosine too, on all rows and on a subset
     idx = np.flatnonzero(m1)
     for a, b in ((LinkRecord(sd, r1d, r2d), LinkRecord(sd, r2d, r1d)),
                  (LinkRecord(sd, r1d, r2d).rows(idx), LinkRecord(sd, r2d, r1d).rows(idx))):
         for x, y in ((a.g_sd, b.g_sd), (a.g1, b.g2), (a.g2, b.g1), (a.r1, b.r2),
-                     (a.r2, b.r1), (a.psi, -b.psi)):
+                     (a.r2, b.r1), (a.psi, -b.psi), (a.cos_psi, b.cos_psi)):
             np.testing.assert_array_equal(x, y)
     for scheme, kw in _swap_cases():
         for rho0 in (0.5, 20.0, 1e3):
@@ -696,10 +696,10 @@ def test_mi_batch_relay_swap():
                                        err_msg=f"{scheme.value} {kw}")
             # the screened verdicts swap with them, at a rate splitting the rows
             rate = float(np.median(a))
-            below = mi_below(scheme, sd, r1d, r2d, m1, m2, rho0, rate, **kw)
+            below = record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
             np.testing.assert_array_equal(below, a < rate)
-            np.testing.assert_array_equal(
-                below[keep], mi_below(scheme, sd, r2d, r1d, m2, m1, rho0, rate, **kw)[keep])
+            np.testing.assert_array_equal(below[keep], record_below(
+                scheme, LinkRecord(sd, r2d, r1d), m2, m1, rho0, rate, **kw)[keep])
             # and so do the envelope's bounds
             env_a = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
             env_b = mi_envelope(scheme, sd, r2d, r1d, m2, m1, rho0, **kw)
@@ -725,15 +725,16 @@ def test_rows_equal_their_batch_of_one():
         for rho0 in (0.5, 1e3):
             value = mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
             rate = float(np.median(value))
-            below = mi_below(scheme, sd, r1d, r2d, m1, m2, rho0, rate, **kw)
+            below = record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
             env = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **env_kw)
             for i in range(n):
                 row = (sd[i:i + 1], r1d[i:i + 1], r2d[i:i + 1], m1[i:i + 1], m2[i:i + 1], rho0)
                 msg = f"{scheme.value} {kw} rho0={rho0} row {i}"
                 np.testing.assert_array_equal(mi_batch(scheme, *row, **kw), value[i:i + 1],
                                               err_msg=msg)
-                np.testing.assert_array_equal(mi_below(scheme, *row, rate, **kw),
-                                              below[i:i + 1], err_msg=msg)
+                np.testing.assert_array_equal(
+                    record_below(scheme, LinkRecord(*row[:3]), *row[3:], rate, **kw),
+                    below[i:i + 1], err_msg=msg)
                 for got, want in zip(mi_envelope(scheme, *row, **env_kw), env):
                     np.testing.assert_array_equal(got, want[i:i + 1], err_msg=msg)
 
@@ -826,7 +827,8 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
     bad = ~(np.isfinite(need) & np.isfinite(lower) & np.isfinite(upper))
     assert np.count_nonzero(bad[:50]) == 50
     monkeypatch.setattr(mutualinfo, "record_mi", spy)
-    got = mi_below(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, rate, delays=delays)
+    got = record_below(SchemeId.TDA_INDEP, LinkRecord(sd, r1d, r2d), m, m, rho0, rate,
+                       delays=delays)
     assert len(kernel_rows) == 1 and np.all(np.isin(np.abs(sd[bad]) ** 2, kernel_rows[0]))
     want = mi_batch(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, delays=delays)
     assert np.all(np.isfinite(want))

@@ -13,9 +13,9 @@ from relaylab.errors import ConfigError, NumericError
 from relaylab.mutualinfo import DelayConfig, SchemeId, _cos_window_means, mi_batch
 from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              analytic_outage_parallel3, analytic_outage_rtda2,
-                             analytic_outage_stc, direct_outage, mc_outage,
-                             slope_fit, two_exp_pdf, wilson_interval,
-                             write_csv, write_outage_csv)
+                             analytic_outage_stc, mc_outage, slope_fit,
+                             two_exp_pdf, wilson_interval, write_csv,
+                             write_outage_csv)
 from relaylab.waveform import correlations, rectangular, srrc
 
 SNR_GRID = tuple(10.0 ** (db / 10.0) for db in (0, 5, 10, 15))
@@ -52,16 +52,6 @@ def test_two_exp_pdf_normalizes_and_limits():
     b = float(two_exp_pdf(0.7, 1.0, 1.0 + 1e-7))
     np.testing.assert_allclose(a, b, rtol=1e-6)
     np.testing.assert_allclose(a, 0.7 * math.exp(-0.7), rtol=1e-12)
-
-
-def test_direct_outage_reference():
-    # unit-rate link, rho0 = 1, one bit target: 1 - e^{-3}
-    got = direct_outage(1.0, 1.0, 1.0)
-    np.testing.assert_allclose(got, 1.0 - math.exp(-3.0), rtol=0, atol=1e-16)
-    np.testing.assert_allclose(got, 0.950212931632136, rtol=1e-15)
-    assert direct_outage(1.0, 1.0, 0.0) == 0.0
-    with pytest.raises(ConfigError):
-        direct_outage(-1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relaylab.errors import ConfigError
-from relaylab.tradeoff import (SCHEMES, CrossPoint, TradeoffCurve, crossings,
-                               curve, d_curve, rtda_band)
+from relaylab.tradeoff import (SCHEMES, CrossPoint, TradeoffCurve, band,
+                               crossings, curve, rtda_band)
 
 
 def test_equal_family_curves():
@@ -70,15 +70,21 @@ def test_rtda_band():
         rtda_band(3, F(1, 2))
 
 
-def test_d_curve_dispatch():
-    assert d_curve("stc", 2, 0) == 3
-    assert d_curve("maf", 2, F(1, 6)) == F(8, 3)
-    assert d_curve("ddf", 2, F(1, 4)) == F(9, 4)
-    assert d_curve("naf", 2, F(1, 4)) == F(7, 4)
-    pair = d_curve("rtda", 2, F(1, 10), delta1=F(2, 3))
-    assert pair == (F(21, 10), F(12, 5))
+def test_band_dispatch():
+    assert curve("stc", 2).d(0) == 3
+    assert curve("maf", 2).d(F(1, 6)) == F(8, 3)
+    assert curve("ddf", 2).d(F(1, 4)) == F(9, 4)
+    assert curve("naf", 2).d(F(1, 4)) == F(7, 4)
+    for scheme in SCHEMES:
+        low, high = band(scheme, 2, F(2, 3))
+        if scheme == "rtda":
+            assert (low.d(F(1, 10)), high.d(F(1, 10))) == (F(21, 10), F(12, 5))
+        else:
+            assert low is high and low == curve(scheme, 2)
     with pytest.raises(ConfigError):
-        d_curve("rtda", 2, F(1, 10))
+        band("rtda", 2, 0)
+    with pytest.raises(ConfigError):
+        band("bogus", 2)
 
 
 def test_curve_validation():
