@@ -78,11 +78,6 @@ def test_relay_failure_prob_exact():
     pt = RatePoint(15.0, 0.25, 1.0)  # R = 1, threshold 3/10
     expect = 1.0 - math.exp(-0.3)
     assert relay_failure_prob(1.0, pt) == pytest.approx(expect, rel=1e-14)
-    # rate 10 against the same threshold: 1 - e^{-3}
-    got = relay_failure_prob(10.0, pt)
-    np.testing.assert_allclose(got, 1.0 - math.exp(-3.0), rtol=0, atol=1e-16)
-    np.testing.assert_allclose(got, 0.950212931632136, rtol=1e-15)
-    assert relay_failure_prob(1.0, RatePoint(15.0, 0.0, 1.0)) == 0.0  # zero rate
 
 
 def test_sample_fading_statistics(unit_cfg, rng):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from relaylab.channel import D_BOTH, NetworkConfig, RatePoint, decoding_set_probs
+from relaylab.channel import (D_BOTH, NetworkConfig, RatePoint, decoding_set_probs,
+                              relay_failure_prob)
 from relaylab import outage
 from relaylab._quad import gl_nodes
 from relaylab.errors import ConfigError, NumericError
@@ -52,6 +53,21 @@ def test_two_exp_pdf_normalizes_and_limits():
     b = float(two_exp_pdf(0.7, 1.0, 1.0 + 1e-7))
     np.testing.assert_allclose(a, b, rtol=1e-6)
     np.testing.assert_allclose(a, 0.7 * math.exp(-0.7), rtol=1e-12)
+
+
+def test_direct_outage_reference():
+    # the direct-link outage term of the oracles: R = 1, threshold 3/10, and a
+    # link with sigma2_sd = 1/10 puts lam * threshold at 3, so 1 - e^{-3}
+    pt = RatePoint(15.0, 0.25, 1.0)
+    cfg = NetworkConfig(sigma2_sd=0.1)
+    got = relay_failure_prob(cfg.lam("sd"), pt)
+    np.testing.assert_allclose(got, 1.0 - math.exp(-3.0), rtol=0, atol=1e-16)
+    np.testing.assert_allclose(got, 0.950212931632136, rtol=1e-15)
+    assert relay_failure_prob(cfg.lam("sd"), RatePoint(15.0, 0.0, 1.0)) == 0.0
+    with pytest.raises(ConfigError):
+        NetworkConfig(sigma2_sd=-1.0)
+    with pytest.raises(ConfigError):
+        RatePoint(15.0, -0.25, 1.0)
 
 
 # ---------------------------------------------------------------------------
