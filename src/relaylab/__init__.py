@@ -11,7 +11,7 @@ from .channel import (DecodingSet, FadingRealization, NetworkConfig, RatePoint,
 from .errors import ConfigError, NumericError
 from .mutualinfo import (DelayConfig, SchemeId, check_scheme, closed_log_integral,
                          i_af_pair, i_esd, i_esd_bounds, mi_batch, mi_envelope)
-from .outage import (ConditionalCase, OutageCurve, SlopeFit,
+from .outage import (ConditionalCase, OutageCurve, SlopeFit, analytic_outage_curve,
                      analytic_outage_parallel3, analytic_outage_rtda2,
                      analytic_outage_stc, mc_outage, slope_fit,
                      wilson_interval, write_csv, write_outage_csv)

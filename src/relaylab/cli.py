@@ -24,9 +24,8 @@ from . import tradeoff as _tradeoff
 from .channel import NetworkConfig, POWER_NORM, sample_fading
 from .errors import ConfigError, NumericError
 from .mutualinfo import DelayConfig, SchemeId, _emaca_batch, i_af_pair
-from .outage import (ConditionalCase, analytic_curve, analytic_outage_parallel3,
-                     analytic_outage_rtda2, analytic_outage_stc, mc_outage,
-                     slope_fit, write_csv, write_outage_csv)
+from .outage import (ConditionalCase, analytic_outage_curve, mc_outage, slope_fit,
+                     write_csv, write_outage_csv)
 from .toeplitz import build_taps, convergence_study
 from .tradeoff import band, crossings
 from .waveform import certify_pd, correlations, load_waveform, rectangular, srrc
@@ -265,7 +264,13 @@ def _cmd_tradeoff(ns: argparse.Namespace) -> int:
 
     rows = []
     for s in schemes:
-        low, high = band(s, k, delta1)
+        try:
+            low, high = band(s, k, delta1)
+        except ConfigError as exc:
+            if k < 1 or k == 2:  # a bad k or delta1, not a k the scheme lacks
+                raise
+            raise ConfigError(f"scheme {s} has no k={k} curve ({exc}); narrow --schemes, "
+                              f"whose default list needs k=2") from None
         lo, hi = low.domain
         n = int(_grid_span(lo, hi, step, f"r_step {vals['r_step']}")) + 1
         grid = {lo + step * i for i in range(n)}
@@ -322,20 +327,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
                            delays=delays, force_set=force,
                            workers=_as_int(vals, "workers"))
     elif mode == "analytic":
-        if scheme == SchemeId.STC_SYNC:
-            oracle = lambda s: analytic_outage_stc(cfg, r, s, cond, conditioned=force)
-        elif scheme == SchemeId.ASTC:
-            if cond != ConditionalCase.D2:
-                raise ConfigError("analytic ASTC reference covers cond=d2 only")
-            oracle = lambda s: analytic_outage_parallel3(cfg, r, s, conditioned=force)
-        elif scheme == SchemeId.TDA_REPETITION:
-            if cond != ConditionalCase.D2:
-                raise ConfigError("analytic TDA_REPETITION oracle covers cond=d2 only")
-            t0bw = _as_float(vals, "t0bw")
-            oracle = lambda s: analytic_outage_rtda2(cfg, r, s, t0bw, conditioned=force)
-        else:
-            raise ConfigError(f"no analytic oracle for scheme {scheme.value}")
-        curve_ = analytic_curve(oracle, snr, scheme.value, r, cond, force)
+        curve_ = analytic_outage_curve(scheme, r, snr, cond, cfg=cfg, delays=delays,
+                                       conditioned=force)
     else:
         raise ConfigError(f"mode must be mc or analytic, got {mode!r}")
 
@@ -437,16 +430,20 @@ def _cmd_compare_capacity(ns: argparse.Namespace) -> int:
 # parser plumbing
 
 
-# argparse reads a value that starts with '-' and is not a plain number as an option
-_SNR_DB_HELP = ("LO:HI:STEP or one value, in dB; a grid from a negative dB needs the "
-                "= form, --snr-db=-20:40:10; ")
+_HELP_NOTES = {
+    # argparse reads a value that starts with '-' and is not a plain number as an option
+    "snr_db": "LO:HI:STEP or one value, in dB; a grid from a negative dB needs the "
+              "= form, --snr-db=-20:40:10; ",
+    "k": "relay count; the default --schemes list needs k=2 (rtda and ltda are known "
+         "for k=2 only, maf for k=1 and 2); ",
+}
 
 
 def _add_common(p: argparse.ArgumentParser, cmd: str) -> None:
     p.add_argument("--config", help="INI file; section [%s] applies" % cmd)
     for key in _DEFAULTS[cmd]:
         flag = "--" + key.replace("_", "-")
-        note = _SNR_DB_HELP if key == "snr_db" else ""
+        note = _HELP_NOTES.get(key, "")
         p.add_argument(flag, dest=key, default=None,
                        help=f"{note}default: {_DEFAULTS[cmd][key]!r}")
 

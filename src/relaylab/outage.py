@@ -62,6 +62,11 @@ class ConditionalCase(str, enum.Enum):
         return {"overall": None, "d0": 0, "d1": 1, "d2": 2}[self.value]
 
 
+# the decoding sets of each case; a forced case is its first set, so a forced d1 is relay 1
+_CASE_SETS = {ConditionalCase.D0: (D_NONE,), ConditionalCase.D1: (D_R1, D_R2),
+              ConditionalCase.D2: (D_BOTH,)}
+
+
 @dataclass(frozen=True)
 class OutageCurve:
     """One outage-vs-snr curve with confidence intervals.
@@ -137,8 +142,9 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
     counts = np.zeros(len(snr), dtype=np.int64)
     want = cond.size
     if force_set:
-        m1 = np.full(count, want >= 1)
-        m2 = np.full(count, want >= 2)
+        forced = _CASE_SETS[cond][0]
+        m1 = np.full(count, forced.r1)
+        m2 = np.full(count, forced.r2)
     else:
         gsr1 = np.abs(gains["sr1"]) ** 2
         gsr2 = np.abs(gains["sr2"]) ** 2
@@ -254,6 +260,26 @@ def _product_pair_outage(inner_cdf, relay_density, log_t, rho0: float, nodes: in
     return (vals @ w) * log_t[..., 0]
 
 
+def _compose(p_out, cfg: NetworkConfig, pt: RatePoint, cond: ConditionalCase,
+             conditioned: bool) -> float:
+    """One case's outage from p_out, Pr[out | D] for each decoding set D an
+    oracle covers: the forced set's value if conditioned, else the joint sum
+    of Pr[D] Pr[out | D] over the case's sets (overall: d0 + d1 + d2).
+    ConfigError for a set p_out lacks, or conditioned with the overall case.
+    """
+    cond = ConditionalCase(cond)
+    if conditioned and cond == ConditionalCase.OVERALL:
+        raise ConfigError("force_set requires a specific decoding-set case")
+    cases = tuple(_CASE_SETS) if cond == ConditionalCase.OVERALL else (cond,)
+    if any(d not in p_out for c in cases for d in _CASE_SETS[c]):
+        covered = [c.value for c, sets in _CASE_SETS.items() if all(d in p_out for d in sets)]
+        raise ConfigError(f"the analytic oracle covers cond={','.join(covered)} only")
+    if conditioned:
+        return p_out[_CASE_SETS[cond][0]]
+    probs = decoding_set_probs(cfg, pt)
+    return sum(sum(probs[d] * p_out[d] for d in _CASE_SETS[c]) for c in cases)
+
+
 def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
                         cond: ConditionalCase = ConditionalCase.OVERALL,
                         conditioned: bool = False) -> float:
@@ -264,7 +290,6 @@ def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
     density.  Per-case results are joint probabilities unless conditioned.
     The forced single-relay case refers to relay 1.
     """
-    cond = ConditionalCase(cond)
     pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
     rho0 = pt.rho0
     log_t = 2.0 * _LN2 * pt.rate
@@ -273,31 +298,16 @@ def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
     lam2 = cfg.lam("r2d")
     direct = _exp_cdf_scaled(lam_sd, rho0)
 
-    p_d0 = relay_failure_prob(lam_sd, pt)  # Pr[0.5 log2(1 + rho0 g_sd) < R]: the decode rule
+    def pair(density):
+        return float(_product_pair_outage(direct, density, log_t, rho0, _STC_NODES))
 
-    def p_d1(lam_rel):
-        return float(_product_pair_outage(direct, lambda y: lam_rel * np.exp(-lam_rel * y),
-                                          log_t, rho0, _STC_NODES))
-
-    p_d2 = float(_product_pair_outage(direct, lambda y: two_exp_pdf(y, lam1, lam2),
-                                      log_t, rho0, _STC_NODES))
-
-    probs = decoding_set_probs(cfg, pt)
-    if conditioned:
-        if cond == ConditionalCase.D0:
-            return p_d0
-        if cond == ConditionalCase.D1:
-            return p_d1(lam1)
-        if cond == ConditionalCase.D2:
-            return p_d2
-    joint = {
-        ConditionalCase.D0: probs[D_NONE] * p_d0,
-        ConditionalCase.D1: probs[D_R1] * p_d1(lam1) + probs[D_R2] * p_d1(lam2),
-        ConditionalCase.D2: probs[D_BOTH] * p_d2,
+    p_out = {
+        D_NONE: relay_failure_prob(lam_sd, pt),  # Pr[0.5 log2(1 + rho0 g_sd) < R]: the decode rule
+        D_R1: pair(lambda y: lam1 * np.exp(-lam1 * y)),
+        D_R2: pair(lambda y: lam2 * np.exp(-lam2 * y)),
+        D_BOTH: pair(lambda y: two_exp_pdf(y, lam1, lam2)),
     }
-    if cond == ConditionalCase.OVERALL:
-        return sum(joint.values())
-    return joint[cond]
+    return _compose(p_out, cfg, pt, cond, conditioned)
 
 
 def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
@@ -309,6 +319,12 @@ def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
     corrections shift the curve, not its decay exponent).  Joint by default
     (multiplied by Pr[|D| = 2]).
     """
+    return _parallel3(cfg, r, snr, ConditionalCase.D2, conditioned)
+
+
+def _parallel3(cfg: NetworkConfig, r: float, snr: float, cond: ConditionalCase,
+               conditioned: bool) -> float:
+    """analytic_outage_parallel3 for any case cond (it covers d2 only)."""
     pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
     rho0 = pt.rho0
     lam_sd = cfg.lam("sd")
@@ -322,9 +338,7 @@ def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
 
     p = float(_product_pair_outage(pair, lambda y: lam2 * np.exp(-lam2 * y),
                                    2.0 * _LN2 * pt.rate, rho0, _PARALLEL3_NODES))
-    if conditioned:
-        return p
-    return decoding_set_probs(cfg, pt)[D_BOTH] * p
+    return _compose({D_BOTH: p}, cfg, pt, cond, conditioned)
 
 
 def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
@@ -340,13 +354,19 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     nodes q < 1/2, each weighted by the relay density at both splits.
     Joint by default (multiplied by Pr[|D| = 2]).
     """
+    return _rtda2(cfg, r, snr, t0bw, ConditionalCase.D2, conditioned)
+
+
+def _rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float, cond: ConditionalCase,
+           conditioned: bool) -> float:
+    """analytic_outage_rtda2 for any case cond (it covers d2 only)."""
     if t0bw < 1.0:
         raise ConfigError("oracle needs t0*bw >= 1 (whole-period lower bound finite)")
     pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
     rho0 = pt.rho0
     big_t = 4.0 ** pt.rate
     if big_t <= 1.0:
-        return 0.0
+        return _compose({D_BOTH: 0.0}, cfg, pt, cond, conditioned)
     delays = DelayConfig.from_t0bw(float(t0bw))
     delta1 = delays.delta1
     lam_sd = cfg.lam("sd")
@@ -389,9 +409,7 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     dens = lam1 * lam2 * (np.exp(-lam1 * y1 - lam2 * y2) + np.exp(-lam1 * y2 - lam2 * y1))
     jac = nu[:, None] ** 2                      # dy1 dy2 = nu dnu dq, dnu = nu dt
     p = float(t_w @ ((fx * dens * jac) @ q_w))
-    if conditioned:
-        return p
-    return decoding_set_probs(cfg, pt)[D_BOTH] * p
+    return _compose({D_BOTH: p}, cfg, pt, cond, conditioned)
 
 
 def _rtda2_threshold(base, swing, phi, level: float, t0bw: float, snr: float):
@@ -447,6 +465,30 @@ def analytic_curve(oracle, snr_grid, scheme: str, r: float,
     vals = tuple(float(oracle(s)) for s in snr)
     return OutageCurve(scheme, float(r), ConditionalCase(cond), bool(conditioned),
                        snr, vals, vals, vals, 0, tuple(v == 0.0 for v in vals))
+
+
+def analytic_outage_curve(scheme, r: float, snr_grid,
+                          cond: ConditionalCase = ConditionalCase.OVERALL, *,
+                          cfg: NetworkConfig | None = None,
+                          delays: DelayConfig | None = None,
+                          conditioned: bool = False) -> OutageCurve:
+    """Semi-analytic outage curve of a scheme, the counterpart of mc_outage
+    (conditioned is its force_set): STC_SYNC by the exact-CDF oracle for every
+    case, ASTC by the three-path reference and TDA_REPETITION by the rtda2
+    oracle at delays.t0bw for d2 only.  ConfigError for any other scheme or case.
+    """
+    scheme = SchemeId(scheme)
+    cfg = cfg or NetworkConfig()
+    if scheme == SchemeId.TDA_REPETITION:
+        check_scheme(scheme, delays=delays)
+    oracle = {
+        SchemeId.STC_SYNC: lambda s: analytic_outage_stc(cfg, r, s, cond, conditioned),
+        SchemeId.ASTC: lambda s: _parallel3(cfg, r, s, cond, conditioned),
+        SchemeId.TDA_REPETITION: lambda s: _rtda2(cfg, r, s, delays.t0bw, cond, conditioned),
+    }.get(scheme)
+    if oracle is None:
+        raise ConfigError(f"no analytic oracle for scheme {scheme.value}")
+    return analytic_curve(oracle, snr_grid, scheme.value, r, cond, conditioned)
 
 
 # ---------------------------------------------------------------------------

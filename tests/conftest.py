@@ -1,5 +1,9 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
+import os
+import runpy
+import sys
+
 import numpy as np
 import pytest
 
@@ -52,3 +56,18 @@ def unit_cfg():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def run_script(capsys, monkeypatch):
+    """Run scripts/NAME in-process as __main__ with the given arguments;
+    returns its captured (stdout, stderr)."""
+    scripts = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+    def run(name: str, *args: str):
+        monkeypatch.setattr(sys, "argv", [name, *args])
+        runpy.run_path(os.path.join(scripts, name), run_name="__main__")
+        out = capsys.readouterr()
+        return out.out, out.err
+
+    return run

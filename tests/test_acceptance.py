@@ -22,8 +22,7 @@ from relaylab.cli import main
 from relaylab.mutualinfo import (DelayConfig, SchemeId, closed_log_integral,
                                  i_af_pair, i_esd, i_esd_bounds, mi_batch,
                                  mi_envelope)
-from relaylab.outage import (ConditionalCase, analytic_curve,
-                             analytic_outage_parallel3, analytic_outage_stc,
+from relaylab.outage import (ConditionalCase, analytic_outage_curve, analytic_outage_stc,
                              mc_outage, slope_fit)
 from relaylab.toeplitz import build_taps, convergence_study
 from relaylab.tradeoff import crossings, curve
@@ -120,14 +119,14 @@ def test_criterion_2_mc_vs_analytic(record_criterion):
 LOG_ORDER = {"d2-astc": 2}
 
 
+# (scheme, cond) of each row
+ROWS = {"d0": ("STC_SYNC", "d0"), "d1": ("STC_SYNC", "d1"), "d2-stc": ("STC_SYNC", "d2"),
+        "d2-astc": ("ASTC", "d2"), "overall": ("STC_SYNC", "overall")}
+
+
 def _row_curve(case, r, snr_grid):
-    if case == "d2-astc":
-        oracle = lambda s: analytic_outage_parallel3(UNIT_CFG, r, s)
-        return analytic_curve(oracle, snr_grid, "ASTC", r, ConditionalCase.D2)
-    cond = {"d0": ConditionalCase.D0, "d1": ConditionalCase.D1,
-            "d2-stc": ConditionalCase.D2, "overall": ConditionalCase.OVERALL}[case]
-    oracle = lambda s: analytic_outage_stc(UNIT_CFG, r, s, cond)
-    return analytic_curve(oracle, snr_grid, "STC_SYNC", r, cond)
+    scheme, cond = ROWS[case]
+    return analytic_outage_curve(scheme, r, snr_grid, cond, cfg=UNIT_CFG)
 
 
 @pytest.mark.parametrize("case,target_fn", [
@@ -150,6 +149,22 @@ def test_criterion_3_slope_rows(record_criterion, case, target_fn, r):
               f"vs {target:.2f} (err {err:+.4f})")
     record_criterion(3, title, ok, detail)
     assert ok, detail
+
+
+def test_slope_table_script_matches_criterion_3(run_script):
+    # the script's fitted column is criterion 3's fit of the same rows
+    out, _ = run_script("slope_table.py", "--r", "0.1", "0.2")
+    assert out.startswith("# schema=slope_table-v1\n")
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert lines[0] == "case,r,log_order,nominal,fitted,stderr,error"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [(c, float(r)) for c, r, *_ in rows] == [(c, r) for r in (0.1, 0.2) for c in ROWS]
+    snr_grid = [10.0 ** (db / 10.0) for db in range(40, 81, 5)]
+    for case, r, log_order, _, fitted, *_ in rows:
+        assert int(log_order) == LOG_ORDER.get(case, 0)
+        fit = slope_fit(_row_curve(case, float(r), snr_grid), (40.0, 80.0),
+                        log_order=int(log_order))
+        assert fitted == f"{fit.slope:.4f}"
 
 
 def test_criterion_3_d2_astc_row_separates_from_stc():

@@ -71,6 +71,25 @@ def test_tradeoff_k2_matches_pinned_hash(capsys):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_TRADEOFF_K2
 
 
+def test_tradeoff_k_other_than_2_needs_narrowed_schemes(capsys):
+    # the default --schemes list holds rtda and ltda, known for k=2 only
+    rc, out, err = run(capsys, "tradeoff", "--k", "1")
+    assert (rc, out) == (2, "")
+    assert err.startswith("config error: scheme rtda has no k=1 curve")
+    assert "narrow --schemes" in err
+    rc, _, err = run(capsys, "tradeoff", "--k", "3", "--schemes", "stc,maf")
+    assert rc == 2
+    assert "scheme maf has no k=3 curve" in err
+    rc, out, _ = run(capsys, "tradeoff", "--k", "3", "--schemes", "stc,naf,ddf")
+    assert rc == 0
+    _, rows = parse_rows(out)
+    assert {r[0] for r in rows} == {"stc", "naf", "ddf"}
+    assert all(r[1] == "3" for r in rows)
+    with pytest.raises(SystemExit):
+        main(["tradeoff", "--help"])
+    assert "the default --schemes list needs k=2" in " ".join(capsys.readouterr().out.split())
+
+
 def test_tradeoff_rtda_band_rows(capsys):
     rc, out, _ = run(capsys, "tradeoff", "--schemes", "rtda", "--delta1", "2/3",
                      "--cross", "")
@@ -149,6 +168,49 @@ def test_simulate_mc_bodies_match_pinned_hashes(capsys, args, digest):
     assert hashlib.sha256("\n".join(body).encode()).hexdigest() == digest
 
 
+# sha256 of the outage-v1 body of `simulate --mode analytic --r 0.25
+# --snr-db 40:80:5`: the four oracle curves of the benchmark's deep-analytic
+# workload and one forced single-relay curve, recorded before the oracles
+# composed their cases from Pr[out | D]; a change to an oracle's float
+# operations or to the order of its sum over decoding sets moves them
+GOLDEN_ANALYTIC_BODIES = {
+    "STC_SYNC": (("--scheme", "STC_SYNC"),
+                 "0fab7eb393934c57ee4b977dcc46e05bbc0fd0f16d4d240204b9a63ab1278422"),
+    "ASTC-srrc2-d2": (("--scheme", "ASTC", "--pulse", "srrc", "--span", "2", "--tau", "0.3",
+                       "--cond", "d2"),
+                      "f8684413aa4dee4377ab273809c5883c337e719980c8c8289f0ac787b1444ed8"),
+    "TDA_REPETITION-d2-t0bw2.5": (
+        ("--scheme", "TDA_REPETITION", "--cond", "d2", "--t0bw", "2.5"),
+        "05149fb596034bc15445d3245b44cd17ae7fbb7d35ba999b9a6d89fecd134fa2"),
+    "TDA_REPETITION-d2-t0bw2": (
+        ("--scheme", "TDA_REPETITION", "--cond", "d2", "--t0bw", "2"),
+        "deead6a2ce744c626959bb50a5a738812f6868b84bffa97de9a82f81272cbc84"),
+    "STC_SYNC-d1-forced": (("--scheme", "STC_SYNC", "--cond", "d1", "--force-set", "true"),
+                           "a690508c227f457e586d1ef12219a2bb9fc7cd5955569071818ef2df3a113020"),
+}
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_ANALYTIC_BODIES.values(),
+                         ids=GOLDEN_ANALYTIC_BODIES.keys())
+def test_simulate_analytic_bodies_match_pinned_hashes(capsys, args, digest):
+    rc, out, _ = run(capsys, "simulate", "--mode", "analytic", "--r", "0.25",
+                     "--snr-db", "40:80:5", *args)
+    assert rc == 0
+    body = body_lines(out)
+    assert len(body) == 1 + 9
+    assert hashlib.sha256("\n".join(body).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", ["mc", "analytic"])
+def test_force_set_overall_is_config_error(capsys, mode):
+    # a forced decoding set needs a specific case in both modes
+    rc, out, err = run(capsys, "simulate", "--mode", mode, "--force-set", "true",
+                       "--trials", "10000", "--snr-db", "10")
+    assert (rc, out) == (2, "")
+    assert err.startswith("config error:")
+    assert "force_set requires a specific decoding-set case" in err
+
+
 def test_simulate_analytic_to_file_with_fit(tmp_path, capsys):
     dest = tmp_path / "stc.csv"
     rc, out, _ = run(capsys, "simulate", "--scheme", "STC_SYNC", "--mode",
@@ -225,6 +287,25 @@ def test_mc_throughput_script_rows():
     assert [r[0] for r in rows] == ["STC_SYNC", "TDA_LINMOD rect1", "ASTC srrc2",
                                     "MIX_AF rect1", "TDA_INDEP t0bw2.5"]
     assert all(r[1:3] == ["10000", "7"] and float(r[4]) > 0.0 for r in rows)
+
+
+def test_tradeoff_figure_script_rows(run_script):
+    out, err = run_script("tradeoff_figure.py", "--points", "3")
+    assert out.startswith("# schema=tradeoff_figure-v1\n")
+    header, rows = parse_rows(out)
+    assert header == ["scheme", "r", "d_low", "d_high"]
+    assert [r[0] for r in rows] == [s for s in ("stc", "tda", "rtda", "ltda", "astc", "naf",
+                                                "ddf", "maf") for _ in range(3)]
+    assert "# crossing maf/ddf: r=1/5 d=12/5 exact=True" in err
+
+
+def test_toeplitz_convergence_script_rows(run_script):
+    out, err = run_script("toeplitz_convergence.py", "--seeds", "2", "--n-list", "4,16")
+    assert out.startswith("# schema=toeplitz_convergence-v1\n")
+    header, rows = parse_rows(out)
+    assert header == ["seed", "n", "mi", "limit", "rel_err"]
+    assert [r[:2] for r in rows] == [["0", "4"], ["0", "16"], ["1", "4"], ["1", "16"]]
+    assert err.startswith("# worst final rel err over 2 seeds:")
 
 
 def test_simulate_analytic_requires_known_oracle(capsys):

@@ -13,8 +13,8 @@ from relaylab._quad import gl_nodes
 from relaylab.errors import ConfigError, NumericError
 from relaylab.mutualinfo import DelayConfig, SchemeId, _cos_window_means, mi_batch
 from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
-                             analytic_outage_parallel3, analytic_outage_rtda2,
-                             analytic_outage_stc, mc_outage, slope_fit,
+                             analytic_outage_curve, analytic_outage_parallel3,
+                             analytic_outage_rtda2, analytic_outage_stc, mc_outage, slope_fit,
                              two_exp_pdf, wilson_interval, write_csv,
                              write_outage_csv)
 from relaylab.waveform import correlations, rectangular, srrc
@@ -126,6 +126,44 @@ def test_product_oracles_leading_order(unit_cfg):
         np.testing.assert_allclose(
             d1, (big_t * (ln_t - 1) + 1) / pt.rho0 ** 2, rtol=1e-3,
             err_msg=f"stc d1 r={r} {db} dB")
+
+
+def test_stc_conditioned_overall_is_config_error(unit_cfg):
+    # a forced decoding set needs a specific case, as mc_outage's force_set does
+    with pytest.raises(ConfigError, match="specific decoding-set case"):
+        analytic_outage_stc(unit_cfg, 0.25, 10.0, ConditionalCase.OVERALL, conditioned=True)
+
+
+def test_analytic_outage_curve_serves_each_oracle():
+    cfg = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    snr = (10.0, 1e4)
+    for cond in ConditionalCase:
+        for forced in (False, True) if cond != ConditionalCase.OVERALL else (False,):
+            c = analytic_outage_curve("STC_SYNC", 0.2, snr, cond, cfg=cfg, conditioned=forced)
+            assert (c.scheme, c.cond, c.conditioned, c.trials) == ("STC_SYNC", cond, forced, 0)
+            assert c.outage == tuple(analytic_outage_stc(cfg, 0.2, s, cond, forced) for s in snr)
+    for forced in (False, True):
+        c = analytic_outage_curve(SchemeId.ASTC, 0.2, snr, "d2", cfg=cfg, conditioned=forced)
+        assert c.outage == tuple(analytic_outage_parallel3(cfg, 0.2, s, forced) for s in snr)
+        c = analytic_outage_curve(SchemeId.TDA_REPETITION, 0.2, snr, "d2", cfg=cfg,
+                                  delays=DelayConfig.from_t0bw(2.5), conditioned=forced)
+        assert c.outage == tuple(analytic_outage_rtda2(cfg, 0.2, s, 2.5, forced) for s in snr)
+    # joint d2 is Pr[D_BOTH] times the forced value
+    pt = RatePoint(1e4, 0.2, cfg.sigma2_sd)
+    assert analytic_outage_parallel3(cfg, 0.2, 1e4) == (
+        decoding_set_probs(cfg, pt)[D_BOTH] * analytic_outage_parallel3(cfg, 0.2, 1e4, True))
+
+
+@pytest.mark.parametrize("scheme, cond, kw, match", [
+    ("ASTC", "d1", {}, "covers cond=d2 only"),
+    ("ASTC", "overall", {}, "covers cond=d2 only"),
+    ("TDA_REPETITION", "d0", {"delays": DelayConfig.from_t0bw(2.0)}, "covers cond=d2 only"),
+    ("TDA_REPETITION", "d2", {}, "needs delays"),
+    ("TDA_LINMOD", "d2", {}, "no analytic oracle"),
+])
+def test_analytic_outage_curve_coverage(scheme, cond, kw, match):
+    with pytest.raises(ConfigError, match=match):
+        analytic_outage_curve(scheme, 0.2, (100.0,), cond, **kw)
 
 
 def test_rtda2_domain_guard(unit_cfg):
