@@ -23,7 +23,8 @@ import numpy as np
 from . import tradeoff as _tradeoff
 from .channel import NetworkConfig, POWER_NORM, sample_fading
 from .errors import ConfigError, NumericError
-from .mutualinfo import DelayConfig, SchemeId, _emaca_batch, i_af_pair
+from .mutualinfo import (_CORR_SCHEMES, _DELAY_SCHEMES, DelayConfig, SchemeId, _emaca_batch,
+                         i_af_pair)
 from .outage import (ConditionalCase, analytic_outage_curve, mc_outage, slope_fit,
                      write_csv, write_outage_csv)
 from .toeplitz import build_taps, convergence_study
@@ -314,12 +315,9 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = _network(vals)
     force = _as_bool(vals, "force_set")
 
-    corr = None
-    delays = None
-    if scheme in (SchemeId.TDA_LINMOD, SchemeId.ASTC, SchemeId.MIX_AF):
-        corr = correlations(_build_pulse(vals), _as_float(vals, "tau"))
-    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
-        delays = DelayConfig.from_t0bw(_as_float(vals, "t0bw"))
+    corr = (correlations(_build_pulse(vals), _as_float(vals, "tau"))
+            if scheme in _CORR_SCHEMES else None)
+    delays = DelayConfig.from_t0bw(_as_float(vals, "t0bw")) if scheme in _DELAY_SCHEMES else None
 
     if mode == "mc":
         curve_ = mc_outage(scheme, r, snr, _as_int(vals, "trials"),

@@ -47,6 +47,11 @@ class SchemeId(str, enum.Enum):
     MIX_AF = "MIX_AF"                # decode-forward with amplify-forward fallback
 
 
+# the one input each scheme's kernel reads besides the gains; STC_SYNC reads neither
+_DELAY_SCHEMES = frozenset((SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION))
+_CORR_SCHEMES = frozenset((SchemeId.TDA_LINMOD, SchemeId.ASTC, SchemeId.MIX_AF))
+
+
 # _wrap_angle reduces the window angles 2 (pi t0bw +- psi) exactly while they
 # span fewer than 2^22 periods; t0 * bw stays at half that.
 _MAX_T0BW = 2.0 ** 21
@@ -86,9 +91,9 @@ def check_scheme(scheme, corr: CorrelationSet | None = None,
                  delays: DelayConfig | None = None) -> SchemeId:
     """The scheme as a SchemeId, once it has the inputs its kernel reads."""
     scheme = SchemeId(scheme)
-    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION) and delays is None:
+    if scheme in _DELAY_SCHEMES and delays is None:
         raise ConfigError(f"{scheme.value} needs delays (DelayConfig)")
-    if scheme in (SchemeId.TDA_LINMOD, SchemeId.ASTC, SchemeId.MIX_AF) and corr is None:
+    if scheme in _CORR_SCHEMES and corr is None:
         raise ConfigError(f"{scheme.value} needs a CorrelationSet")
     if scheme == SchemeId.TDA_LINMOD:
         if corr.span != 1:
@@ -244,7 +249,7 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     g1, g2 = pair.g1, pair.g2
     direct, terms = _both_split(scheme, pair, rho0, corr)
 
-    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+    if scheme in _DELAY_SCHEMES:
         a = terms[0]
         upper[b] = 0.5 * (direct + np.log2(a + rho0 * (g1 + g2)))
         if delays.t0bw == 0.0:
@@ -278,7 +283,7 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     """
     scheme = check_scheme(scheme, corr, delays)
     both = m1 & m2
-    windowed = scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION) and delays.t0bw > 0.0
+    windowed = scheme in _DELAY_SCHEMES and delays.t0bw > 0.0
     if not (scheme in (SchemeId.ASTC, SchemeId.MIX_AF) or windowed) or not both.any():
         return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
 
@@ -330,7 +335,7 @@ def _kernel_bounds(scheme: SchemeId, links: LinkRecord, rho0: float, rate: float
     need = 2.0 * rate - direct
     slack = _SCREEN_SLACK * (1.0 + rate)
 
-    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+    if scheme in _DELAY_SCHEMES:
         a, bc, _ = terms
         w = delays.t0bw
         h = math.pi * w
@@ -361,7 +366,7 @@ def _both_split(scheme: SchemeId, links: LinkRecord, rho0: float,
     parts are the record's terms, computed once per record.
     """
     gsd, g1, g2 = links.g_sd, links.g1, links.g2
-    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+    if scheme in _DELAY_SCHEMES:
         nu = g1 + g2
         if scheme == SchemeId.TDA_REPETITION:
             direct, a = 0.0, 1.0 + rho0 * (gsd + nu)

@@ -57,14 +57,27 @@ class ConditionalCase(str, enum.Enum):
     D1 = "d1"
     D2 = "d2"
 
-    @property
-    def size(self) -> int | None:
-        return {"overall": None, "d0": 0, "d1": 1, "d2": 2}[self.value]
-
 
 # the decoding sets of each case; a forced case is its first set, so a forced d1 is relay 1
 _CASE_SETS = {ConditionalCase.D0: (D_NONE,), ConditionalCase.D1: (D_R1, D_R2),
               ConditionalCase.D2: (D_BOTH,)}
+
+
+def _check_grid(snr_grid) -> tuple[float, ...]:
+    """The snr grid of a request as a tuple of floats; ConfigError unless it
+    is non-empty, finite-positive and strictly increasing."""
+    snr = tuple(float(s) for s in np.atleast_1d(np.asarray(snr_grid, dtype=float)))
+    if not snr or not all(0.0 < s < math.inf for s in snr):
+        raise ConfigError("snr grid must be positive")
+    if any(b <= a for a, b in zip(snr, snr[1:])):
+        raise ConfigError("snr grid must be strictly increasing")
+    return snr
+
+
+def _check_forced(cond: ConditionalCase, forced: bool) -> None:
+    """ConfigError for a request that forces the decoding set of the overall case."""
+    if forced and cond == ConditionalCase.OVERALL:
+        raise ConfigError("force_set requires a specific decoding-set case")
 
 
 @dataclass(frozen=True)
@@ -140,11 +153,10 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
     gains = _draw_gains(cfg, seed, first_trial, count)
     links = LinkRecord(gains["sd"], gains["r1d"], gains["r2d"])
     counts = np.zeros(len(snr), dtype=np.int64)
-    want = cond.size
+    case = None if cond == ConditionalCase.OVERALL else _CASE_SETS[cond][0]
     if force_set:
-        forced = _CASE_SETS[cond][0]
-        m1 = np.full(count, forced.r1)
-        m2 = np.full(count, forced.r2)
+        m1 = np.full(count, case.r1)
+        m2 = np.full(count, case.r2)
     else:
         gsr1 = np.abs(gains["sr1"]) ** 2
         gsr2 = np.abs(gains["sr2"]) ** 2
@@ -155,8 +167,8 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
             m1 = gsr1 >= thr
             m2 = gsr2 >= thr
         below = record_below(scheme, links, m1, m2, pt.rho0, pt.rate, corr, delays)
-        if want is not None and not force_set:
-            below &= (m1.astype(np.int8) + m2.astype(np.int8)) == want
+        if case is not None and not force_set:
+            below &= (m1.astype(np.int8) + m2.astype(np.int8)) == case.r1 + case.r2
         counts[i] = int(np.count_nonzero(below))
     return counts
 
@@ -181,13 +193,8 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     cfg = cfg or NetworkConfig()
     if trials < 10 ** 4:
         raise ConfigError(f"trials must be >= 10^4, got {trials}")
-    snr = tuple(float(s) for s in np.atleast_1d(np.asarray(snr_grid, dtype=float)))
-    if len(snr) == 0 or any(s <= 0 for s in snr):
-        raise ConfigError("snr grid must be positive")
-    if any(b <= a for a, b in zip(snr, snr[1:])):
-        raise ConfigError("snr grid must be strictly increasing")
-    if force_set and cond == ConditionalCase.OVERALL:
-        raise ConfigError("force_set requires a specific decoding-set case")
+    snr = _check_grid(snr_grid)
+    _check_forced(cond, force_set)
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
@@ -268,8 +275,7 @@ def _compose(p_out, cfg: NetworkConfig, pt: RatePoint, cond: ConditionalCase,
     ConfigError for a set p_out lacks, or conditioned with the overall case.
     """
     cond = ConditionalCase(cond)
-    if conditioned and cond == ConditionalCase.OVERALL:
-        raise ConfigError("force_set requires a specific decoding-set case")
+    _check_forced(cond, conditioned)
     cases = tuple(_CASE_SETS) if cond == ConditionalCase.OVERALL else (cond,)
     if any(d not in p_out for c in cases for d in _CASE_SETS[c]):
         covered = [c.value for c, sets in _CASE_SETS.items() if all(d in p_out for d in sets)]
@@ -460,8 +466,9 @@ def _rtda2_threshold(base, swing, phi, level: float, t0bw: float, snr: float):
 
 def analytic_curve(oracle, snr_grid, scheme: str, r: float,
                    cond: ConditionalCase, conditioned: bool = False) -> OutageCurve:
-    """Wrap a pointwise oracle (snr -> probability) as an OutageCurve."""
-    snr = tuple(float(s) for s in np.atleast_1d(np.asarray(snr_grid, dtype=float)))
+    """Wrap a pointwise oracle (snr -> probability) as an OutageCurve over a
+    grid checked as mc_outage checks it."""
+    snr = _check_grid(snr_grid)
     vals = tuple(float(oracle(s)) for s in snr)
     return OutageCurve(scheme, float(r), ConditionalCase(cond), bool(conditioned),
                        snr, vals, vals, vals, 0, tuple(v == 0.0 for v in vals))

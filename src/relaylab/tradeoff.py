@@ -20,16 +20,11 @@ _F = Fraction
 
 
 def _coerce(r):
-    """Fractions, ints and numeric strings stay exact; floats stay float."""
+    """Fractions and ints stay exact; floats stay float."""
     if isinstance(r, bool):
         raise ConfigError("r must be a number")
     if isinstance(r, (Fraction, int)):
         return _F(r)
-    if isinstance(r, str):
-        try:
-            return _F(r)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse multiplexing gain {r!r}") from exc
     if isinstance(r, float):
         if not math.isfinite(r):
             raise ConfigError("r must be finite")
@@ -128,7 +123,6 @@ def curve(scheme: str, k: int = 2) -> TradeoffCurve:
                 _lin(_F(1, 6), _F(1, 2), 4, -8),
             ), True)
         raise ConfigError("mixed amplify-forward curve is known for k in {1, 2}")
-    raise ConfigError(f"unhandled scheme {scheme!r}")
 
 
 def rtda_band(k: int = 2, delta1=_F(1)) -> tuple[TradeoffCurve, TradeoffCurve]:
@@ -171,11 +165,8 @@ class CrossingReport:
     coincident: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _piece_at(c: TradeoffCurve, r: Fraction) -> Piece:
-    for p in c.pieces:
-        if p.lo <= r <= p.hi:
-            return p
-    raise ConfigError(f"r={r} outside {c.scheme} domain")
+def _piece_at(c: TradeoffCurve, r: Fraction) -> Piece:  # r in c's domain
+    return next(p for p in c.pieces if p.lo <= r <= p.hi)
 
 
 def _exact_sqrt(x: Fraction) -> Fraction | None:
@@ -202,8 +193,6 @@ def crossings(scheme_a: str, scheme_b: str, k: int = 2) -> CrossingReport:
     hi = min(ca.domain[1], cb.domain[1])
     open_right = (ca.open_right and hi == ca.domain[1]) or \
                  (cb.open_right and hi == cb.domain[1])
-    if hi < lo:
-        return CrossingReport(scheme_a, scheme_b, (), ())
     cuts = sorted({p for p in ca.breakpoints + cb.breakpoints if lo <= p <= hi}
                   | {lo, hi})
     points: list[CrossPoint] = []

@@ -106,9 +106,6 @@ def overlap_integral(w: Waveform, shift: float) -> float:
     cuts = np.concatenate(([lo], cuts, [hi]))
     a = cuts[:-1]
     b = cuts[1:]
-    keep = b > a
-    a = a[keep]
-    b = b[keep]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = np.concatenate((mid - half * _INV_SQRT3, mid + half * _INV_SQRT3))

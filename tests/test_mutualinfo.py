@@ -13,8 +13,9 @@ from relaylab import mutualinfo
 from relaylab.errors import ConfigError
 from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _clausen2,
                                  _cos_window_means, _emaca_batch, _kernel_bounds,
-                                 _wrap_angle, closed_log_integral, i_af_pair, i_esd, i_esd_bounds,
-                                 mi_batch, mi_envelope, record_below, record_mi)
+                                 _wrap_angle, check_scheme, closed_log_integral, i_af_pair,
+                                 i_esd, i_esd_bounds, mi_batch, mi_envelope, record_below,
+                                 record_mi)
 from relaylab.waveform import certify_pd, correlations, rectangular, srrc
 from test_waveform import spectral_entries
 
@@ -104,6 +105,24 @@ def test_delay_config_validation():
             DelayConfig.from_t0bw(t0bw)
     for t0bw in (0, 2.5, 1e6 + 0.5, 2.0 ** 21):
         assert DelayConfig.from_t0bw(t0bw).t0bw == float(t0bw)
+
+
+def test_scheme_input_sets():
+    # every scheme but STC_SYNC reads one input besides the gains, and check_scheme asks for it
+    for scheme in SchemeId:
+        reads = (scheme in mutualinfo._DELAY_SCHEMES) + (scheme in mutualinfo._CORR_SCHEMES)
+        assert reads == (scheme != SchemeId.STC_SYNC), scheme
+    corr = correlations(rectangular(1, 64), 0.5)
+    delays = DelayConfig.from_t0bw(2.0)
+    for scheme in mutualinfo._DELAY_SCHEMES:
+        with pytest.raises(ConfigError, match="needs delays"):
+            check_scheme(scheme, corr=corr)
+        assert check_scheme(scheme, delays=delays) == scheme
+    for scheme in mutualinfo._CORR_SCHEMES:
+        with pytest.raises(ConfigError, match="needs a CorrelationSet"):
+            check_scheme(scheme, delays=delays)
+        assert check_scheme(scheme, corr=corr) == scheme
+    assert check_scheme(SchemeId.STC_SYNC) == SchemeId.STC_SYNC
 
 
 # ---------------------------------------------------------------------------

@@ -544,12 +544,25 @@ def test_mc_validation(unit_cfg):
     with pytest.raises(ConfigError):
         mc_outage(SchemeId.STC_SYNC, 0.1, SNR_GRID, 5_000, 1, cfg=unit_cfg)
     with pytest.raises(ConfigError):
-        mc_outage(SchemeId.STC_SYNC, 0.1, (10.0, 1.0), 10_000, 1, cfg=unit_cfg)
-    with pytest.raises(ConfigError):
-        mc_outage(SchemeId.STC_SYNC, 0.1, SNR_GRID, 10_000, 1,
-                  ConditionalCase.OVERALL, cfg=unit_cfg, force_set=True)
-    with pytest.raises(ConfigError):
         mc_outage(SchemeId.TDA_INDEP, 0.1, SNR_GRID, 10_000, 1, cfg=unit_cfg)
+
+
+@pytest.mark.parametrize("engine", ("mc", "analytic"))
+@pytest.mark.parametrize("grid, cond, forced, match", [
+    pytest.param((), "d2", False, "snr grid must be positive", id="empty"),
+    pytest.param((1e6, 10.0), "d2", False, "strictly increasing", id="decreasing"),
+    pytest.param((0.0, 10.0), "d2", False, "snr grid must be positive", id="zero"),
+    pytest.param((math.nan,), "d2", False, "snr grid must be positive", id="nan"),
+    pytest.param(SNR_GRID, "overall", True, "requires a specific", id="forced-overall"),
+])
+def test_request_rule_both_engines(engine, grid, cond, forced, match, unit_cfg):
+    # one request rule: both engines refuse the same grids and forced case alike
+    with pytest.raises(ConfigError, match=match):
+        if engine == "mc":
+            mc_outage("STC_SYNC", 0.1, grid, 10_000, 1, cond, cfg=unit_cfg, force_set=forced)
+        else:
+            analytic_outage_curve("STC_SYNC", 0.1, grid, cond, cfg=unit_cfg,
+                                  conditioned=forced)
 
 
 # ---------------------------------------------------------------------------

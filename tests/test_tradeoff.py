@@ -30,6 +30,12 @@ def test_domain_is_open_right():
     assert curve("ddf", 2).d(1) == 0
 
 
+def test_string_gain_is_config_error():
+    # r is a number: the command line parses rationals before they reach a curve
+    with pytest.raises(ConfigError):
+        curve("stc").d("1/4")
+
+
 def test_exact_values_are_fractions():
     v = curve("ddf", 2).d(F(1, 4))
     assert isinstance(v, F) and v == F(9, 4)
