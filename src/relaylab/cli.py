@@ -40,6 +40,7 @@ def db_to_linear(db: float) -> float:
 
 
 _MAX_GRID_POINTS = 10 ** 5  # most points of an snr or r grid (the largest in use has 26)
+_MAX_DRAWS = 10 ** 6  # most compare-capacity draws (the largest in use is 4000)
 
 
 def _grid_span(lo, hi, step, what: str):
@@ -318,6 +319,14 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     corr = (correlations(_build_pulse(vals), _as_float(vals, "tau"))
             if scheme in _CORR_SCHEMES else None)
     delays = DelayConfig.from_t0bw(_as_float(vals, "t0bw")) if scheme in _DELAY_SCHEMES else None
+    window = None
+    if vals["fit_window_db"]:
+        pts = vals["fit_window_db"].split(":")
+        if len(pts) != 2:
+            raise ConfigError("fit_window_db looks like LO:HI")
+        window = tuple(_as_float({"fit_window_db": p}, "fit_window_db") for p in pts)
+        if not window[0] < window[1]:
+            raise ConfigError(f"fit_window_db needs LO < HI, got {vals['fit_window_db']!r}")
 
     if mode == "mc":
         curve_ = mc_outage(scheme, r, snr, _as_int(vals, "trials"),
@@ -334,11 +343,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     meta["command"] = "simulate"
     _write_out(vals, write_outage_csv, [curve_], meta)
 
-    if vals["fit_window_db"]:
-        pts = vals["fit_window_db"].split(":")
-        if len(pts) != 2:
-            raise ConfigError("fit_window_db looks like LO:HI")
-        window = tuple(_as_float({"fit_window_db": p}, "fit_window_db") for p in pts)
+    if window:
         fit = slope_fit(curve_, window)
         print(f"fit scheme={curve_.scheme} cond={curve_.cond.value} r={curve_.r:g} "
               f"slope={fit.slope:.4f} stderr={fit.stderr:.4f} n_used={fit.n_used} "
@@ -404,8 +409,8 @@ def _cmd_compare_capacity(ns: argparse.Namespace) -> int:
     corr = correlations(w, _as_float(vals, "tau"))
     grid_db = _parse_grid_db(vals["snr_db"])
     draws = _as_int(vals, "draws")
-    if draws < 1:
-        raise ConfigError("draws must be >= 1")
+    if not 1 <= draws <= _MAX_DRAWS:
+        raise ConfigError(f"draws must lie in [1, {_MAX_DRAWS}], got {draws}")
     rng = np.random.default_rng(_as_seed(vals))
     z = rng.standard_normal((draws, 4)) * math.sqrt(0.5)
     g1 = z[:, 0] ** 2 + z[:, 1] ** 2

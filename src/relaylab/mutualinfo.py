@@ -15,10 +15,8 @@ both-relays rows every scheme's MI is (direct + kernel)/2, a direct-link
 term plus a relay-pair term, split once by _both_split.  The Monte Carlo
 engine only needs record_mi(...) < rate, which record_below returns while
 running the costly pair kernels only on rows that cheap bounds on the same
-split cannot settle.  mi_envelope returns mi_batch's value with its
-analytic envelope: the delta1-scaled whole-period and coherent-combining
-bounds of the delay schemes, and the exact-eigenvalue bounds of the
-ISI-aware pair rate.
+split cannot settle.  mi_envelope returns mi_batch's value with those
+same bounds, the one bound set of each both-relays kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .waveform import CorrelationSet, EigenBounds, certify_pd
+from .waveform import CorrelationSet
 
 _LN2 = math.log(2.0)
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -213,28 +211,13 @@ def record_mi(scheme, links: LinkRecord, m1, m2, rho0: float,
 
 def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
                 corr: CorrelationSet | None = None,
-                delays: DelayConfig | None = None,
-                eig: EigenBounds | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, lower, upper) arrays: mi_batch's value and its analytic envelope.
+                delays: DelayConfig | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, lower, upper) arrays: mi_batch's value and the bounds
+    record_below screens it with, (direct + bound)/2 over _kernel_bounds.
 
-    Rows with a closed form (STC_SYNC, and every row with fewer than two
-    relays) get lower = upper = value.  The both-relays rows bound the
-    kernel of _both_split's (direct + kernel)/2, with nu = g1 + g2:
-
-    - TDA_INDEP/TDA_REPETITION: the window mean of log2(A + B cos(u + psi))
-      lies between delta1 times its whole-period lower bound log2(A/2) and
-      the coherent-combining log2(A + rho0 nu) >= log2(A + B), delta1 =
-      floor(t0 bw)/ceil(t0 bw) (0 below one period); delta1 scales the
-      direct term with it.  At t0 bw = 0 the lower bound is min(0, value).
-    - TDA_LINMOD: the matched-filter pair term
-      log2(1 + a + sqrt((1 + a)^2 - b^2)) - 1, a = rho0 (r1^2 + r2^2
-      + 2 rho12 r1 r2 cos(th1 - th2)), b = 2 rho0 rho21 r1 r2, lies in
-      [log2(1 + a) - 1, log2(1 + a)]: |rho12| + |rho21| <= 1 (Cauchy-Schwarz)
-      gives |b| <= a.
-    - ASTC/MIX_AF: the pair rate mean log2 det(I + rho0 diag(g1, g2) T(w))
-      lies between sum_k log2(1 + rho0 g_k lambda) at the minimum and
-      maximum eigenvalue of T(w); eig passes a certify_pd(corr) result
-      already computed.  The lower bound is slack unless eig.pd.
+    A row with a non-finite bound, which the screen sends to the kernel, gets
+    the vacuous -inf and +inf.  Rows with a closed form (STC_SYNC, fewer than
+    two relays, the delay schemes at t0 bw = 0) get lower = upper = value.
     """
     scheme = check_scheme(scheme, corr, delays)
     links = LinkRecord(sd, r1d, r2d)
@@ -242,28 +225,14 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     lower = value.copy()
     upper = value.copy()
     both = m1 & m2
-    if scheme == SchemeId.STC_SYNC or not both.any():
+    if not _bounded(scheme, delays) or not both.any():
         return value, lower, upper
     b = np.nonzero(both)[0]
-    pair = links.rows(b)
-    g1, g2 = pair.g1, pair.g2
-    direct, terms = _both_split(scheme, pair, rho0, corr)
-
-    if scheme in _DELAY_SCHEMES:
-        a = terms[0]
-        upper[b] = 0.5 * (direct + np.log2(a + rho0 * (g1 + g2)))
-        if delays.t0bw == 0.0:
-            lower[b] = np.minimum(0.0, value[b])
-        else:
-            lower[b] = delays.delta1 * 0.5 * (direct + np.log2(0.5 * a))
-    elif scheme == SchemeId.TDA_LINMOD:
-        upper[b] = 0.5 * (direct + np.log2(1.0 + terms[0]))
-        lower[b] = upper[b] - 0.5
-    else:
-        eig = eig or certify_pd(corr)
-        lower[b], upper[b] = (0.5 * (direct + np.log2(1.0 + rho0 * g1 * lam)
-                                     + np.log2(1.0 + rho0 * g2 * lam))
-                              for lam in (eig.lambda_min, eig.lambda_max))
+    with np.errstate(all="ignore"):
+        direct, low, high = _kernel_bounds(scheme, links.rows(b), rho0, corr, delays)
+        finite = np.isfinite(direct) & np.isfinite(low) & np.isfinite(high)
+        lower[b] = np.where(finite, 0.5 * (direct + low), -np.inf)
+        upper[b] = np.where(finite, 0.5 * (direct + high), np.inf)
     return value, lower, upper
 
 
@@ -274,23 +243,25 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     where its bounds leave the verdict in doubt.
 
     For the both-relays rows of ASTC, MIX_AF and the windowed delay schemes,
-    _kernel_bounds gives the bits the kernel term needs to reach the rate
-    and bounds lower <= kernel <= upper.  A row with upper below the need is
-    an outage and a row with lower at or above it is not, each with a margin
-    above the kernel's roundoff.  Every other row, and every row with a
-    non-finite bound, goes through one record_mi call, so the verdicts equal
-    record_mi(...) < rate.
+    _kernel_bounds bounds the kernel term, lower <= kernel <= upper, and the
+    row reaches the rate iff the kernel reaches need = 2 rate - direct.  A row
+    with upper below the need is an outage and a row with lower at or above
+    it is not, each with a margin above the kernel's roundoff.  Every other
+    row, and every row with a non-finite bound, goes through one record_mi
+    call, so the verdicts equal record_mi(...) < rate.
     """
     scheme = check_scheme(scheme, corr, delays)
     both = m1 & m2
-    windowed = scheme in _DELAY_SCHEMES and delays.t0bw > 0.0
-    if not (scheme in (SchemeId.ASTC, SchemeId.MIX_AF) or windowed) or not both.any():
+    if not _bounded(scheme, delays) or scheme == SchemeId.TDA_LINMOD or not both.any():
         return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
 
     b = np.nonzero(both)[0]
     with np.errstate(all="ignore"):  # a non-finite bound sends its row to the kernel
-        need, lower, upper, slack = _kernel_bounds(scheme, links.rows(b), rho0, rate,
-                                                   corr, delays)
+        direct, lower, upper = _kernel_bounds(scheme, links.rows(b), rho0, corr, delays)
+        need = 2.0 * rate - direct
+    slack = _SCREEN_SLACK * (1.0 + rate)
+    if scheme in _DELAY_SCHEMES:
+        slack = slack * (1.0 + 1.0 / delays.t0bw)
     finite = np.isfinite(need) & np.isfinite(lower) & np.isfinite(upper)
     outage = finite & (upper + slack < need)
     clear = finite & (lower - slack >= need)
@@ -310,13 +281,17 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
 _SCREEN_SLACK = 1e-9
 
 
-def _kernel_bounds(scheme: SchemeId, links: LinkRecord, rho0: float, rate: float,
-                   corr: CorrelationSet | None, delays: DelayConfig | None):
-    """(need, lower, upper, slack) for the both-relays kernel term of each
-    row of a record.
+def _bounded(scheme: SchemeId, delays: DelayConfig | None) -> bool:
+    """Whether _kernel_bounds bounds the scheme's both-relays kernel: every
+    kernel but STC_SYNC's and the delay schemes' coherent sum at t0 bw = 0."""
+    return scheme in _CORR_SCHEMES or (scheme in _DELAY_SCHEMES and delays.t0bw > 0.0)
 
-    The row is an outage iff kernel < need, where the kernel is the frequency
-    mean record_mi computes from the same squared gains:
+
+def _kernel_bounds(scheme: SchemeId, links: LinkRecord, rho0: float,
+                   corr: CorrelationSet | None, delays: DelayConfig | None):
+    """(direct, lower, upper) for the both-relays rows of a record: the direct
+    term of _both_split and lower <= kernel <= upper, the kernel record_mi
+    computes from the same squared gains.
 
     - ASTC/MIX_AF: mean log2 q(w), q = det(I + rho0 diag(g1, g2) T(w)) with
       constant cosine coefficient c_0.  Jensen: mean log2 q <= log2 c_0.
@@ -326,31 +301,35 @@ def _kernel_bounds(scheme: SchemeId, links: LinkRecord, rho0: float, rate: float
       is at most the sum of the two single-stream rates, and T(w) >= 0 gives
       q >= 1 + tr = 1 + rho0 (g1 + g2) t11, the single-stream rate of g1 + g2.
       For other pulses only q >= 1 bounds it below.
-    - TDA_INDEP/TDA_REPETITION: the mean of log2(A + B cos(u + psi)) over
-      |u| <= h = pi w.  Jensen with the window mean of the cosine gives
+    - TDA_LINMOD: the matched-filter pair term log2(1 + a + sqrt((1 + a)^2
+      - b^2)) - 1 lies in [log2(1 + a) - 1, log2(1 + a)], as |rho12| + |rho21|
+      <= 1 (Cauchy-Schwarz) gives |b| <= a.
+    - TDA_INDEP/TDA_REPETITION at t0 bw > 0: the mean of log2(A + B cos(u + psi))
+      over |u| <= h = pi w.  Jensen with the window mean of the cosine gives
       log2(A + B sin(h) cos(psi) / h) above, and _window_mean_lower below.
     """
     g1, g2 = links.g1, links.g2
     direct, terms = _both_split(scheme, links, rho0, corr)
-    need = 2.0 * rate - direct
-    slack = _SCREEN_SLACK * (1.0 + rate)
 
     if scheme in _DELAY_SCHEMES:
         a, bc, _ = terms
         w = delays.t0bw
         h = math.pi * w
         upper = np.log2(a + bc * (math.sin(h) / h) * links.cos_psi)
-        return need, _window_mean_lower(a, bc, w), upper, slack * (1.0 + 1.0 / w)
+        return direct, _window_mean_lower(a, bc, w), upper
+    if scheme == SchemeId.TDA_LINMOD:
+        upper = np.log2(1.0 + terms[0])
+        return direct, upper - 1.0, upper
 
     upper = np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
     if any(corr.r_taps[2:]):
-        return need, np.zeros(g1.size), upper, slack
+        return direct, np.zeros(g1.size), upper
     # t11 = r0 (1 + 2 (a1/r0) cos w): a single-stream rate of gain r0 g
     a1, r0 = corr.a1, corr.r(0)
     upper = np.minimum(upper, _esd_from_gain(r0 * g1, a1 / r0, rho0)
                        + _esd_from_gain(r0 * g2, a1 / r0, rho0))
     lower = _esd_from_gain(r0 * (g1 + g2), a1 / r0, rho0)
-    return need, lower, upper, slack
+    return direct, lower, upper
 
 
 def _both_split(scheme: SchemeId, links: LinkRecord, rho0: float,

@@ -23,6 +23,7 @@ from numpy.polynomial import chebyshev as cheb
 from .errors import ConfigError, NumericError
 
 MIN_SAMPLES_PER_SYMBOL = 64
+_MAX_GRID_SAMPLES = 2 ** 20  # most span * samples_per_symbol (the largest in use is 3 * 256)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
@@ -40,6 +41,9 @@ def _check_grid(span, samples_per_symbol) -> None:
             and samples_per_symbol >= MIN_SAMPLES_PER_SYMBOL):
         raise ConfigError(
             f"samples_per_symbol must be an integer >= {MIN_SAMPLES_PER_SYMBOL}")
+    if span * samples_per_symbol > _MAX_GRID_SAMPLES:
+        raise ConfigError(f"span * samples_per_symbol must be <= {_MAX_GRID_SAMPLES}, "
+                          f"got {span} * {samples_per_symbol}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -294,8 +294,7 @@ def test_criterion_7_bound_sandwiches(record_criterion):
     violations["single-stream"] = int(np.count_nonzero(~((lo <= v + tol) & (v <= hi + tol))))
 
     corr_pd = correlations(srrc(0.5, 1, 64), 0.5)
-    violations["ASTC"] = sandwich_violations(SchemeId.ASTC, corr=corr_pd,
-                                             eig=certify_pd(corr_pd))
+    violations["ASTC"] = sandwich_violations(SchemeId.ASTC, corr=corr_pd)
 
     total_bad = sum(violations.values())
     ok = total_bad == 0

@@ -527,6 +527,12 @@ def test_grid_parse_single_point(capsys):
     ("simulate", "--snr-db", "0:1e300:1e-300"),
     ("simulate", "--snr-db", "0:1e9:1e-9"),
     ("tradeoff", "--r-step", "1/1000000000000"),
+    # a pulse grid or a draw count counted before it is allocated
+    ("waveform", "--samples-per-symbol", "1000000000000000"),
+    ("waveform", "--span", "1000000000000000", "--samples-per-symbol", "64"),
+    ("compare-capacity", "--draws", "1000000000000000"),
+    # a reversed fit window
+    ("simulate", "--snr-db", "40:80:5", "--mode", "analytic", "--fit-window-db", "80:40"),
 ], ids=lambda a: " ".join(a))
 def test_bad_input_is_config_error(capsys, monkeypatch, tmp_path, args):
     monkeypatch.chdir(tmp_path)  # so the --out directory "missing" does not exist
@@ -545,6 +551,22 @@ def test_missing_out_directory_fails_before_the_run(capsys, monkeypatch, tmp_pat
                      "--out", "missing/x.csv")
     assert rc == 2
     assert "missing/x.csv" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("--trials", "10000", "--fit-window-db", "40"),
+    ("--snr-db", "40:80:5", "--mode", "analytic", "--fit-window-db", "80:40"),
+    ("--trials", "10000", "--fit-window-db", "0:inf"),
+], ids=lambda a: " ".join(a))
+def test_bad_fit_window_fails_before_the_run(capsys, monkeypatch, args):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the curve ran before the fit window was checked")
+
+    monkeypatch.setattr("relaylab.cli.mc_outage", refuse)
+    monkeypatch.setattr("relaylab.cli.analytic_outage_curve", refuse)
+    rc, out, err = run(capsys, "simulate", *args)
+    assert rc == 2 and out == ""
+    assert err.startswith("config error:") and "fit_window_db" in err
 
 
 # One cheap base call per command; of the two simulate bases, MIX_AF reads

@@ -166,21 +166,25 @@ def test_tda_reduces_to_sync_for_small_sets():
 
 
 def test_tda_zero_delay_collapses():
-    # zero relative delay: the relays collapse to one effective gain, and
-    # the envelope's lower bound is min(0, value)
+    # zero relative delay: the relays collapse to one effective gain, a closed
+    # form, so the envelope is the value itself
     delays = DelayConfig.from_t0bw(0.0)
     f = FadingRealization(1 + 0j, 0j, 0j, 1 + 0j, -1 + 0j)  # opposite phases cancel
     value, lower, upper = envelope(SchemeId.TDA_INDEP, f, D_BOTH, 1.0, delays=delays)
     np.testing.assert_allclose(value, 0.5, rtol=1e-12)  # direct term only
-    assert lower == 0.0 and upper == pytest.approx(0.5 + 0.5 * math.log2(5.0), rel=1e-15)
+    assert lower == value == upper
 
 
 def test_tda_subunit_bandwidth_lower_is_zero():
-    # below one period delta1 = 0, so the whole-period lower bound is 0
+    # below one period the window holds no whole period, so the lower bound
+    # is log2(A - B), 0 at unit relay gains with no direct link (A = 3,
+    # B = 2); Jensen's upper bound at psi = 0 is log2(A + B sin(h)/h), h = pi/2
+    f = FadingRealization(0j, 0j, 0j, 1 + 0j, 1 + 0j)
     for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
-        value, lower, upper = envelope(scheme, UNIT, D_BOTH, 1.0,
+        value, lower, upper = envelope(scheme, f, D_BOTH, 1.0,
                                        delays=DelayConfig.from_t0bw(0.5))
         assert lower == 0.0 < value <= upper
+        assert upper == pytest.approx(0.5 * math.log2(3.0 + 4.0 / math.pi), rel=1e-15)
 
 
 def _graded_window_mean(f, h, dips, levels=40, points=20):
@@ -554,31 +558,28 @@ def test_i_emaca_phase_invariant():
 
 
 def test_isi_envelope_certified_eigenvalues():
-    # The pair term of ASTC and MIX_AF lies between sum_k log2(1 + rho0 g_k
-    # lambda) at the eigenvalue extremes; on the singular rect pair the
-    # minimum is 0, so the lower bound drops to the direct term.
+    # The parallel-channel sandwich: the pair term of ASTC and MIX_AF lies
+    # between sum_k log2(1 + rho0 g_k lambda) at certify_pd's eigenvalue
+    # extremes; on the singular rect pair the minimum is 0, so the lower sum
+    # is 0 and the lower bound is the direct term.
     rng = np.random.default_rng(5)
     n = 200
     sd, r1d, r2d = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) / math.sqrt(2)
     both = np.ones(n, dtype=bool)
     for corr in (correlations(rectangular(1, 64), 0.5), correlations(srrc(0.5, 2, 64), 0.3)):
         eig = certify_pd(corr)
+        if not eig.pd:
+            assert eig.lambda_min == 0.0
         for rho0 in (0.5, 30.0, 1e4):
+            own = i_esd(sd, corr.a1, rho0)
+            lower, upper = (0.5 * (own + sum(np.log2(1.0 + rho0 * np.abs(r) ** 2 * lam)
+                                             for r in (r1d, r2d)))
+                            for lam in (eig.lambda_min, eig.lambda_max))
             for scheme in (SchemeId.ASTC, SchemeId.MIX_AF):
-                value, lower, upper = mi_envelope(scheme, sd, r1d, r2d, both, both, rho0,
-                                                  corr=corr)
+                value = mi_envelope(scheme, sd, r1d, r2d, both, both, rho0, corr=corr)[0]
                 np.testing.assert_array_equal(
                     value, mi_batch(scheme, sd, r1d, r2d, both, both, rho0, corr=corr))
-                again = mi_envelope(scheme, sd, r1d, r2d, both, both, rho0, corr=corr, eig=eig)
-                np.testing.assert_array_equal(again[1], lower)
                 assert np.all(lower <= value + 1e-12) and np.all(value <= upper + 1e-12)
-                own = i_esd(sd, corr.a1, rho0)
-                pair_hi = sum(np.log2(1.0 + rho0 * np.abs(r) ** 2 * eig.lambda_max)
-                              for r in (r1d, r2d))
-                np.testing.assert_allclose(upper, 0.5 * (own + pair_hi), rtol=1e-14)
-                if not eig.pd:
-                    assert eig.lambda_min == 0.0
-                    np.testing.assert_allclose(lower, 0.5 * own, rtol=1e-14, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -740,12 +741,11 @@ def test_rows_equal_their_batch_of_one():
     m1 = np.arange(n) % 2 == 1
     m2 = np.arange(n) % 4 >= 2
     for scheme, kw in _swap_cases():
-        env_kw = dict(kw, eig=certify_pd(kw["corr"])) if "corr" in kw else kw
         for rho0 in (0.5, 1e3):
             value = mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
             rate = float(np.median(value))
             below = record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
-            env = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **env_kw)
+            env = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
             for i in range(n):
                 row = (sd[i:i + 1], r1d[i:i + 1], r2d[i:i + 1], m1[i:i + 1], m2[i:i + 1], rho0)
                 msg = f"{scheme.value} {kw} rho0={rho0} row {i}"
@@ -754,7 +754,7 @@ def test_rows_equal_their_batch_of_one():
                 np.testing.assert_array_equal(
                     record_below(scheme, LinkRecord(*row[:3]), *row[3:], rate, **kw),
                     below[i:i + 1], err_msg=msg)
-                for got, want in zip(mi_envelope(scheme, *row, **env_kw), env):
+                for got, want in zip(mi_envelope(scheme, *row, **kw), env):
                     np.testing.assert_array_equal(got, want[i:i + 1], err_msg=msg)
 
 
@@ -791,8 +791,9 @@ def test_isi_kernel_bounds_sandwich():
             rho0 = 10.0 ** (db / 10.0)
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
-            need, lower, upper, slack = _kernel_bounds(SchemeId.ASTC, LinkRecord(sd, r1d, r2d),
-                                                       rho0, rate, corr, None)
+            _, lower, upper = _kernel_bounds(SchemeId.ASTC, LinkRecord(sd, r1d, r2d),
+                                             rho0, corr, None)
+            slack = mutualinfo._SCREEN_SLACK * (1.0 + rate)
             kernel = _emaca_batch(np.abs(r1d) ** 2, np.abs(r2d) ** 2, corr, rho0)
             assert np.all(np.isfinite(lower) & np.isfinite(upper)), (name, db)
             assert np.all(lower - slack <= kernel), (name, db)
@@ -810,8 +811,9 @@ def test_window_kernel_bounds_sandwich(t0bw):
             rho0 = 10.0 ** (db / 10.0)
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
-            need, lower, upper, slack = _kernel_bounds(scheme, LinkRecord(sd, r1d, r2d), rho0,
-                                                       rate, None, delays)
+            _, lower, upper = _kernel_bounds(scheme, LinkRecord(sd, r1d, r2d), rho0,
+                                             None, delays)
+            slack = mutualinfo._SCREEN_SLACK * (1.0 + rate) * (1.0 + 1.0 / t0bw)
             gsd, g1, g2 = (np.abs(z) ** 2 for z in (sd, r1d, r2d))
             nu = g1 + g2
             a = 1.0 + rho0 * ((gsd + nu) if scheme == SchemeId.TDA_REPETITION else nu)
@@ -822,16 +824,23 @@ def test_window_kernel_bounds_sandwich(t0bw):
             assert np.all(kernel <= upper + slack), (scheme, db)
 
 
-def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
-    # with equal relay gains at 200 dB, A = 1 + rho0 (g1 + g2) rounds to
-    # B = 2 rho0 sqrt(g1 g2), so the window lower bound log2(A - B) is -inf
-    # while the kernel stays finite
+def _spy_kernel_rows(monkeypatch):
+    """Patch record_mi to log the direct-link squared gains of each record it
+    gets; returns the log."""
     kernel_rows = []
 
     def spy(scheme, links, *args, **kwargs):
         kernel_rows.append(links.g_sd)
         return record_mi(scheme, links, *args, **kwargs)
 
+    monkeypatch.setattr(mutualinfo, "record_mi", spy)
+    return kernel_rows
+
+
+def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
+    # with equal relay gains at 200 dB, A = 1 + rho0 (g1 + g2) rounds to
+    # B = 2 rho0 sqrt(g1 g2), so the window lower bound log2(A - B) is -inf
+    # while the kernel stays finite
     rng = np.random.default_rng(47)
     sd, r1d, _ = _screen_rows(rng, 400)
     r1d[:50] = 1.0 + 0.5j  # rows that are not all zero gain
@@ -841,14 +850,75 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
     rho0 = 1e20
     rate = 0.25 * math.log2(1.0 + rho0)
     with np.errstate(divide="ignore"):
-        need, lower, upper, _ = _kernel_bounds(SchemeId.TDA_INDEP, LinkRecord(sd, r1d, r2d),
-                                               rho0, rate, None, delays)
-    bad = ~(np.isfinite(need) & np.isfinite(lower) & np.isfinite(upper))
+        direct, lower, upper = _kernel_bounds(SchemeId.TDA_INDEP, LinkRecord(sd, r1d, r2d),
+                                              rho0, None, delays)
+    bad = ~(np.isfinite(direct) & np.isfinite(lower) & np.isfinite(upper))
     assert np.count_nonzero(bad[:50]) == 50
-    monkeypatch.setattr(mutualinfo, "record_mi", spy)
+    # the envelope reports those bounds as vacuous
+    _, env_lo, env_hi = mi_envelope(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, delays=delays)
+    assert np.all(env_lo[bad] == -np.inf) and np.all(env_hi[bad] == np.inf)
+    kernel_rows = _spy_kernel_rows(monkeypatch)
     got = record_below(SchemeId.TDA_INDEP, LinkRecord(sd, r1d, r2d), m, m, rho0, rate,
                        delays=delays)
     assert len(kernel_rows) == 1 and np.all(np.isin(np.abs(sd[bad]) ** 2, kernel_rows[0]))
     want = mi_batch(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, delays=delays)
     assert np.all(np.isfinite(want))
     np.testing.assert_array_equal(got, want < rate)
+
+
+def test_envelope_is_the_screen(monkeypatch):
+    # mi_envelope reports the bounds record_below screens with: at a rate
+    # splitting the rows, no both-relays row whose finite envelope settles
+    # its verdict by more than the slack reaches record_mi
+    rng = np.random.default_rng(59)
+    n = 2000
+    sd, r1d, r2d = _screen_rows(rng, n)
+    m1 = rng.random(n) < 0.8
+    m2 = rng.random(n) < 0.8
+    cases = [(scheme, {"corr": correlations(pulse, tau)}, 1.0)
+             for scheme in (SchemeId.ASTC, SchemeId.MIX_AF)
+             for pulse, tau in ((rectangular(1, 64), 0.5), (srrc(0.5, 2, 64), 0.3),
+                                (srrc(0.3, 3, 64), 0.7))]
+    cases += [(scheme, {"delays": DelayConfig.from_t0bw(t0bw)}, 1.0 + 1.0 / t0bw)
+              for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION)
+              for t0bw in (0.3, 2.5)]
+    kernel_rows = _spy_kernel_rows(monkeypatch)
+    for scheme, kw, window in cases:
+        for db in (0, 20, 40):
+            rho0 = 10.0 ** (db / 10.0)
+            value, lower, upper = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
+            rate = float(np.median(value))
+            slack = mutualinfo._SCREEN_SLACK * (1.0 + rate) * window
+            settled = (m1 & m2) & np.isfinite(lower) & np.isfinite(upper) & (
+                (upper < rate - slack) | (lower >= rate + slack))
+            assert np.count_nonzero(settled) > np.count_nonzero(m1 & m2) // 4, (scheme, kw, db)
+            kernel_rows.clear()
+            below = record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
+            assert len(kernel_rows) == 1, (scheme, kw, db)
+            assert not np.any(np.isin(np.abs(sd[settled]) ** 2, kernel_rows[0])), (scheme, kw, db)
+            np.testing.assert_array_equal(
+                below, mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw) < rate)
+
+
+@pytest.mark.parametrize("t0bw", (1e-6, 0.3, 1.7, 2.0, 2.5, 6.0))
+def test_window_envelope_nests_in_the_delta1_envelope(t0bw):
+    # The delay-window envelope lies inside the paper's delta1-scaled and
+    # coherent-combining envelope, delta1 (direct + log2(A/2))/2 below and
+    # (direct + log2(A + rho0 nu))/2 above: floor(w)/w >= delta1,
+    # log2((A + R)/2) >= max(0, log2(A/2)) and log2(A - B) >= 0, and Jensen's
+    # log2(A + B sin(h) cos(psi)/h) <= log2(A + B) <= log2(A + rho0 nu).
+    rng = np.random.default_rng(61)
+    delays = DelayConfig.from_t0bw(t0bw)
+    both = np.ones(2000, dtype=bool)
+    for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        for db in SANDWICH_DB:
+            rho0 = 10.0 ** (db / 10.0)
+            sd, r1d, r2d = _screen_rows(rng, 2000)
+            _, lower, upper = mi_envelope(scheme, sd, r1d, r2d, both, both, rho0, delays=delays)
+            gsd, nu = np.abs(sd) ** 2, np.abs(r1d) ** 2 + np.abs(r2d) ** 2
+            if scheme == SchemeId.TDA_REPETITION:
+                direct, a = 0.0, 1.0 + rho0 * (gsd + nu)
+            else:
+                direct, a = np.log2(1.0 + rho0 * gsd), 1.0 + rho0 * nu
+            assert np.all(lower >= delays.delta1 * 0.5 * (direct + np.log2(0.5 * a))), (scheme, db)
+            assert np.all(upper <= 0.5 * (direct + np.log2(a + rho0 * nu))), (scheme, db)
