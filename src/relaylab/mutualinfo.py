@@ -15,8 +15,9 @@ both-relays rows every scheme's MI is (direct + kernel)/2, a direct-link
 term plus a relay-pair term, split once by _both_split.  The Monte Carlo
 engine only needs record_mi(...) < rate, which record_below returns while
 running the costly pair kernels only on rows that cheap bounds on the same
-split cannot settle.  mi_envelope returns mi_batch's value with those
-same bounds, the one bound set of each both-relays kernel.
+split cannot settle: the lower bound first, the upper bound only on the
+rows it leaves.  mi_envelope returns mi_batch's value with those same
+bounds, the one bound set of each both-relays kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -213,7 +215,8 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
                 corr: CorrelationSet | None = None,
                 delays: DelayConfig | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(value, lower, upper) arrays: mi_batch's value and the bounds
-    record_below screens it with, (direct + bound)/2 over _kernel_bounds.
+    record_below screens it with, (direct + bound)/2 over _kernel_lower and
+    _kernel_upper on every both-relays row.
 
     A row with a non-finite bound, which the screen sends to the kernel, gets
     the vacuous -inf and +inf.  Rows with a closed form (STC_SYNC, fewer than
@@ -228,8 +231,10 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     if not _bounded(scheme, delays) or not both.any():
         return value, lower, upper
     b = np.nonzero(both)[0]
+    pair = links.rows(b)
     with np.errstate(all="ignore"):
-        direct, low, high = _kernel_bounds(scheme, links.rows(b), rho0, corr, delays)
+        direct, low = _kernel_lower(scheme, pair, rho0, corr, delays)
+        high = _kernel_upper(scheme, pair, rho0, corr, delays)
         finite = np.isfinite(direct) & np.isfinite(low) & np.isfinite(high)
         lower[b] = np.where(finite, 0.5 * (direct + low), -np.inf)
         upper[b] = np.where(finite, 0.5 * (direct + high), np.inf)
@@ -243,12 +248,16 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     where its bounds leave the verdict in doubt.
 
     For the both-relays rows of ASTC, MIX_AF and the windowed delay schemes,
-    _kernel_bounds bounds the kernel term, lower <= kernel <= upper, and the
-    row reaches the rate iff the kernel reaches need = 2 rate - direct.  A row
-    with upper below the need is an outage and a row with lower at or above
-    it is not, each with a margin above the kernel's roundoff.  Every other
-    row, and every row with a non-finite bound, goes through one record_mi
-    call, so the verdicts equal record_mi(...) < rate.
+    lower <= kernel <= upper bound the kernel term (_kernel_lower,
+    _kernel_upper), and the row reaches the rate iff the kernel reaches need
+    = 2 rate - direct.  A row with lower at or above the need is not an
+    outage and a row with upper below it is, each with a margin above the
+    kernel's roundoff.  The lower bound runs first and settles nearly every
+    row; the upper bound runs only on the rows it leaves, unless
+    _upper_follows_lower cannot promise that a cleared row's upper bound is
+    finite.  Every other row, and every row with a non-finite bound or need,
+    goes through one record_mi call, so the verdicts equal
+    record_mi(...) < rate.
     """
     scheme = check_scheme(scheme, corr, delays)
     both = m1 & m2
@@ -256,15 +265,24 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
         return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
 
     b = np.nonzero(both)[0]
-    with np.errstate(all="ignore"):  # a non-finite bound sends its row to the kernel
-        direct, lower, upper = _kernel_bounds(scheme, links.rows(b), rho0, corr, delays)
-        need = 2.0 * rate - direct
+    pair = links.rows(b)
     slack = _SCREEN_SLACK * (1.0 + rate)
     if scheme in _DELAY_SCHEMES:
         slack = slack * (1.0 + 1.0 / delays.t0bw)
-    finite = np.isfinite(need) & np.isfinite(lower) & np.isfinite(upper)
-    outage = finite & (upper + slack < need)
-    clear = finite & (lower - slack >= need)
+    with np.errstate(all="ignore"):  # a non-finite bound sends its row to the kernel
+        direct, lower = _kernel_lower(scheme, pair, rho0, corr, delays)
+        need = np.broadcast_to(2.0 * rate - direct, b.shape)
+        finite = np.isfinite(need) & np.isfinite(lower)
+        clear = finite & (lower - slack >= need)
+        if _upper_follows_lower(scheme, pair, rho0, corr):
+            rest = np.nonzero(~clear)[0]
+        else:
+            rest = np.arange(b.size)
+        upper = _kernel_upper(scheme, pair.rows(rest), rho0, corr, delays)
+    finite[rest] &= np.isfinite(upper)
+    clear &= finite
+    outage = np.zeros(b.size, dtype=bool)
+    outage[rest] = finite[rest] & (upper + slack < need[rest])
     below = np.zeros(both.size, dtype=bool)
     below[b[outage]] = True
     doubt = np.ones(both.size, dtype=bool)
@@ -282,54 +300,93 @@ _SCREEN_SLACK = 1e-9
 
 
 def _bounded(scheme: SchemeId, delays: DelayConfig | None) -> bool:
-    """Whether _kernel_bounds bounds the scheme's both-relays kernel: every
-    kernel but STC_SYNC's and the delay schemes' coherent sum at t0 bw = 0."""
+    """Whether _kernel_lower and _kernel_upper bound the scheme's both-relays
+    kernel: every kernel but STC_SYNC's and the delay schemes' coherent sum
+    at t0 bw = 0."""
     return scheme in _CORR_SCHEMES or (scheme in _DELAY_SCHEMES and delays.t0bw > 0.0)
 
 
-def _kernel_bounds(scheme: SchemeId, links: LinkRecord, rho0: float,
-                   corr: CorrelationSet | None, delays: DelayConfig | None):
-    """(direct, lower, upper) for the both-relays rows of a record: the direct
-    term of _both_split and lower <= kernel <= upper, the kernel record_mi
-    computes from the same squared gains.
+def _kernel_lower(scheme: SchemeId, links: LinkRecord, rho0: float,
+                  corr: CorrelationSet | None, delays: DelayConfig | None):
+    """(direct, lower) for the both-relays rows of a record: the direct term
+    of _both_split and lower <= kernel, the kernel record_mi computes from
+    the same squared gains.  _kernel_upper bounds the kernel above.
 
-    - ASTC/MIX_AF: mean log2 q(w), q = det(I + rho0 diag(g1, g2) T(w)) with
-      constant cosine coefficient c_0.  Jensen: mean log2 q <= log2 c_0.
-      With the diagonal t11(w) = r(0) + 2 a1 cos w, that is every tap r(m),
-      m >= 2, zero (span 1 and the truncated SRRC span 2), Hadamard's
-      inequality gives q <= (1 + rho0 g1 t11)(1 + rho0 g2 t11), so the kernel
-      is at most the sum of the two single-stream rates, and T(w) >= 0 gives
-      q >= 1 + tr = 1 + rho0 (g1 + g2) t11, the single-stream rate of g1 + g2.
+    - ASTC/MIX_AF: mean log2 q(w), q = det(I + rho0 diag(g1, g2) T(w)).
+      T(w) >= 0 gives q >= 1 + tr = 1 + rho0 (g1 + g2) t11, the single-stream
+      rate of g1 + g2 when the diagonal is t11(w) = r(0) + 2 a1 cos w, that is
+      every tap r(m), m >= 2, zero (span 1 and the truncated SRRC span 2).
       For other pulses only q >= 1 bounds it below.
     - TDA_LINMOD: the matched-filter pair term log2(1 + a + sqrt((1 + a)^2
-      - b^2)) - 1 lies in [log2(1 + a) - 1, log2(1 + a)], as |rho12| + |rho21|
-      <= 1 (Cauchy-Schwarz) gives |b| <= a.
+      - b^2)) - 1 is at least log2(1 + a) - 1.
     - TDA_INDEP/TDA_REPETITION at t0 bw > 0: the mean of log2(A + B cos(u + psi))
-      over |u| <= h = pi w.  Jensen with the window mean of the cosine gives
-      log2(A + B sin(h) cos(psi) / h) above, and _window_mean_lower below.
+      over |u| <= h = pi w is at least _window_mean_lower.
     """
-    g1, g2 = links.g1, links.g2
     direct, terms = _both_split(scheme, links, rho0, corr)
-
     if scheme in _DELAY_SCHEMES:
         a, bc, _ = terms
-        w = delays.t0bw
-        h = math.pi * w
-        upper = np.log2(a + bc * (math.sin(h) / h) * links.cos_psi)
-        return direct, _window_mean_lower(a, bc, w), upper
+        return direct, _window_mean_lower(a, bc, delays.t0bw)
     if scheme == SchemeId.TDA_LINMOD:
-        upper = np.log2(1.0 + terms[0])
-        return direct, upper - 1.0, upper
-
-    upper = np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
+        return direct, np.log2(1.0 + terms[0]) - 1.0
+    g1, g2 = terms
     if any(corr.r_taps[2:]):
-        return direct, np.zeros(g1.size), upper
+        return direct, np.zeros(g1.size)
     # t11 = r0 (1 + 2 (a1/r0) cos w): a single-stream rate of gain r0 g
     a1, r0 = corr.a1, corr.r(0)
-    upper = np.minimum(upper, _esd_from_gain(r0 * g1, a1 / r0, rho0)
-                       + _esd_from_gain(r0 * g2, a1 / r0, rho0))
-    lower = _esd_from_gain(r0 * (g1 + g2), a1 / r0, rho0)
-    return direct, lower, upper
+    return direct, _esd_from_gain(r0 * (g1 + g2), a1 / r0, rho0)
+
+
+def _kernel_upper(scheme: SchemeId, links: LinkRecord, rho0: float,
+                  corr: CorrelationSet | None, delays: DelayConfig | None):
+    """upper >= kernel for the both-relays rows of a record, the kernel of
+    _kernel_lower.
+
+    - ASTC/MIX_AF: Jensen gives mean log2 q <= log2 c_0 (_det_c0).  When
+      every tap r(m), m >= 2, is zero, Hadamard's inequality gives
+      q <= (1 + rho0 g1 t11)(1 + rho0 g2 t11), so the kernel is also at most
+      the sum of the two single-stream rates.
+    - TDA_LINMOD: log2(1 + a), as |rho12| + |rho21| <= 1 (Cauchy-Schwarz)
+      gives |b| <= a.
+    - TDA_INDEP/TDA_REPETITION at t0 bw > 0: Jensen with the window mean of
+      the cosine, log2(A + B sin(h) cos(psi) / h).
+    """
+    _, terms = _both_split(scheme, links, rho0, corr)
+    if scheme in _DELAY_SCHEMES:
+        a, bc, _ = terms
+        h = math.pi * delays.t0bw
+        return np.log2(a + bc * (math.sin(h) / h) * links.cos_psi)
+    if scheme == SchemeId.TDA_LINMOD:
+        return np.log2(1.0 + terms[0])
+    g1, g2 = terms
+    upper = np.log2(_det_c0(g1, g2, corr, rho0))
+    if any(corr.r_taps[2:]):
+        return upper
+    a1, r0 = corr.a1, corr.r(0)
+    return np.minimum(upper, _esd_from_gain(r0 * g1, a1 / r0, rho0)
+                      + _esd_from_gain(r0 * g2, a1 / r0, rho0))
+
+
+def _upper_follows_lower(scheme: SchemeId, links: LinkRecord, rho0: float,
+                         corr: CorrelationSet | None) -> bool:
+    """Whether every row of a record whose lower bound is finite has a finite
+    upper bound, so that record_below may clear a row on its lower bound alone.
+
+    - Delay window, always: a finite lower bound has log2((A + R)/2) finite
+      (its weight floor(w) may be 0, but 0 * inf is NaN), so R and A + B are
+      finite, and log2(A - B) finite (weight w - floor(w), likewise), so
+      A > B.  A + B sin(h) cos(psi)/h then rounds into [A - B, A + B], which
+      is positive and finite.
+    - ISI pair: the lower bound's gain r0 (g1 + g2) is at least each
+      single-stream gain of the Hadamard bound, so a finite lower bound makes
+      that bound finite.  log2 c_0 is finite on every row when c_0 is finite
+      at the largest g1 and g2 (each product and sum rounds monotonically, as
+      r0 >= 0) and its constant s_0 >= 0 keeps c_0 >= 1.  Past about 1540 dB
+      rho0^2 overflows, this fails and the upper bound runs on every row.
+    """
+    if scheme in _DELAY_SCHEMES:
+        return True
+    s0 = _det_taps(corr)[1][2 * corr.span]
+    return s0 >= 0.0 and math.isfinite(_det_c0(links.g1.max(), links.g2.max(), corr, rho0))
 
 
 def _both_split(scheme: SchemeId, links: LinkRecord, rho0: float,
@@ -547,16 +604,37 @@ def i_esd_bounds(alpha_sd, rho0):
     return top - 1.0, top
 
 
+@lru_cache(maxsize=128)
+def _det_taps(corr: CorrelationSet):
+    """(r, sprod), the snr-free constants of the pair determinant, read-only
+    and computed once per pulse pair: the taps r(-span) .. r(span), the
+    cosine coefficients of t11, and the coefficients r * r - g * g of
+    t11^2 - |t12|^2, whose constant term s_0 is sprod[2 span]."""
+    s = corr.span
+    r = np.array([corr.r(m) for m in range(-s, s + 1)])
+    sprod = np.convolve(r, r) - np.correlate(corr.g_taps, corr.g_taps, "full")
+    r.flags.writeable = False
+    sprod.flags.writeable = False
+    return r, sprod
+
+
 def _det_coeffs(g1, g2, corr: CorrelationSet, rho0: float):
     """Cosine coefficients c_0 .. c_2span of det(I + rho0 diag(g1, g2) T(w)),
     one row per pair of squared-gain arrays g1, g2."""
     s = corr.span
-    r = np.array([corr.r(m) for m in range(-s, s + 1)])
-    sprod = np.convolve(r, r) - np.correlate(corr.g_taps, corr.g_taps, "full")
+    r, sprod = _det_taps(corr)
     c = (rho0 * (g1 + g2))[:, None] * np.pad(r[s:], (0, s)) \
         + (rho0 * rho0 * g1 * g2)[:, None] * sprod[2 * s:]
     c[:, 0] += 1.0
     return c
+
+
+def _det_c0(g1, g2, corr: CorrelationSet, rho0: float):
+    """Column c_0 of _det_coeffs, (rho0 (g1 + g2)) r(0) + (rho0^2 g1 g2) s_0 + 1,
+    in its float order, so bit for bit, without the other columns."""
+    s = corr.span
+    r, sprod = _det_taps(corr)
+    return (rho0 * (g1 + g2)) * r[s] + (rho0 * rho0 * g1 * g2) * sprod[2 * s] + 1.0
 
 
 def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float):

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded
 
 from .errors import ConfigError, NumericError
 from .mutualinfo import _emaca_batch
@@ -98,6 +97,10 @@ def _rate_ladder(taps: IsiTapSet, ns: tuple[int, ...], rho0: float) -> np.ndarra
     smaller section.  So does an M_n that passes it but makes I + rho0 M_n
     indefinite.
     """
+    # imported here, not at module level: scipy.linalg is most of the
+    # package's import time, and only this function reads it
+    from scipy.linalg import LinAlgError, cholesky_banded
+
     if not ns or any(v < 1 for v in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError("block sizes must be strictly increasing positive ints")
     if ns[-1] > MAX_BLOCK_N:

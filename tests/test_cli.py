@@ -259,21 +259,26 @@ def test_rtda2_extreme_snr_prints_no_warning(args):
 
 
 def test_delay_runs_load_no_scipy_special():
-    # The window means take real Clausen functions, not scipy.special.spence:
-    # a Monte Carlo TDA_INDEP curve and a fractional-t0bw rtda2 point in a
-    # fresh interpreter leave scipy.special unloaded
+    # The window means take real Clausen functions, not scipy.special.spence,
+    # and only the Toeplitz ladder reads scipy.linalg: in a fresh interpreter
+    # a Monte Carlo TDA_INDEP curve, a fractional-t0bw rtda2 point, tradeoff
+    # and waveform leave scipy.special and scipy.linalg unloaded, and toeplitz
+    # then loads scipy.linalg and runs
     code = ("import contextlib, io, sys\n"
             "from relaylab.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rcs = (main(['simulate', '--scheme', 'TDA_INDEP', '--t0bw', '2.5',\n"
             "                 '--trials', '10000', '--snr-db', '0:20:10']),\n"
             "           main(['simulate', '--mode', 'analytic', '--scheme', 'TDA_REPETITION',\n"
-            "                 '--cond', 'd2', '--t0bw', '2.5', '--snr-db', '40']))\n"
-            "print(rcs, 'scipy.special' in sys.modules)\n")
+            "                 '--cond', 'd2', '--t0bw', '2.5', '--snr-db', '40']),\n"
+            "           main(['tradeoff', '--k', '2']), main(['waveform']))\n"
+            "    loaded = ['scipy.special' in sys.modules, 'scipy.linalg' in sys.modules]\n"
+            "    rcs += (main(['toeplitz']),)\n"
+            "print(rcs, *loaded, 'scipy.linalg' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["(0,", "0)", "False"]
+    assert proc.stdout.split() == ["(0,", "0,", "0,", "0,", "0)", "False", "False", "True"]
 
 
 def test_mc_throughput_script_rows():

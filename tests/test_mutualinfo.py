@@ -10,12 +10,12 @@ from scipy.special import spence
 
 from relaylab.channel import D_BOTH, D_NONE, D_R1, D_R2, FadingRealization
 from relaylab import mutualinfo
-from relaylab.errors import ConfigError
+from relaylab.errors import ConfigError, NumericError
 from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _clausen2,
-                                 _cos_window_means, _emaca_batch, _kernel_bounds,
-                                 _wrap_angle, check_scheme, closed_log_integral, i_af_pair,
-                                 i_esd, i_esd_bounds, mi_batch, mi_envelope, record_below,
-                                 record_mi)
+                                 _cos_window_means, _emaca_batch, _kernel_lower,
+                                 _kernel_upper, _wrap_angle, check_scheme,
+                                 closed_log_integral, i_af_pair, i_esd, i_esd_bounds,
+                                 mi_batch, mi_envelope, record_below)
 from relaylab.waveform import certify_pd, correlations, rectangular, srrc
 from test_waveform import spectral_entries
 
@@ -791,8 +791,9 @@ def test_isi_kernel_bounds_sandwich():
             rho0 = 10.0 ** (db / 10.0)
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
-            _, lower, upper = _kernel_bounds(SchemeId.ASTC, LinkRecord(sd, r1d, r2d),
-                                             rho0, corr, None)
+            links = LinkRecord(sd, r1d, r2d)
+            lower = _kernel_lower(SchemeId.ASTC, links, rho0, corr, None)[1]
+            upper = _kernel_upper(SchemeId.ASTC, links, rho0, corr, None)
             slack = mutualinfo._SCREEN_SLACK * (1.0 + rate)
             kernel = _emaca_batch(np.abs(r1d) ** 2, np.abs(r2d) ** 2, corr, rho0)
             assert np.all(np.isfinite(lower) & np.isfinite(upper)), (name, db)
@@ -811,8 +812,9 @@ def test_window_kernel_bounds_sandwich(t0bw):
             rho0 = 10.0 ** (db / 10.0)
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
-            _, lower, upper = _kernel_bounds(scheme, LinkRecord(sd, r1d, r2d), rho0,
-                                             None, delays)
+            links = LinkRecord(sd, r1d, r2d)
+            lower = _kernel_lower(scheme, links, rho0, None, delays)[1]
+            upper = _kernel_upper(scheme, links, rho0, None, delays)
             slack = mutualinfo._SCREEN_SLACK * (1.0 + rate) * (1.0 + 1.0 / t0bw)
             gsd, g1, g2 = (np.abs(z) ** 2 for z in (sd, r1d, r2d))
             nu = g1 + g2
@@ -824,17 +826,18 @@ def test_window_kernel_bounds_sandwich(t0bw):
             assert np.all(kernel <= upper + slack), (scheme, db)
 
 
-def _spy_kernel_rows(monkeypatch):
-    """Patch record_mi to log the direct-link squared gains of each record it
-    gets; returns the log."""
-    kernel_rows = []
+def _spy_rows(monkeypatch, name):
+    """Patch mutualinfo's function name, which takes (scheme, links, ...), to
+    log the direct-link squared gains of each record it gets; returns the log."""
+    rows = []
+    real = getattr(mutualinfo, name)
 
     def spy(scheme, links, *args, **kwargs):
-        kernel_rows.append(links.g_sd)
-        return record_mi(scheme, links, *args, **kwargs)
+        rows.append(links.g_sd)
+        return real(scheme, links, *args, **kwargs)
 
-    monkeypatch.setattr(mutualinfo, "record_mi", spy)
-    return kernel_rows
+    monkeypatch.setattr(mutualinfo, name, spy)
+    return rows
 
 
 def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
@@ -849,15 +852,16 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
     delays = DelayConfig.from_t0bw(2.5)
     rho0 = 1e20
     rate = 0.25 * math.log2(1.0 + rho0)
+    links = LinkRecord(sd, r1d, r2d)
     with np.errstate(divide="ignore"):
-        direct, lower, upper = _kernel_bounds(SchemeId.TDA_INDEP, LinkRecord(sd, r1d, r2d),
-                                              rho0, None, delays)
+        direct, lower = _kernel_lower(SchemeId.TDA_INDEP, links, rho0, None, delays)
+        upper = _kernel_upper(SchemeId.TDA_INDEP, links, rho0, None, delays)
     bad = ~(np.isfinite(direct) & np.isfinite(lower) & np.isfinite(upper))
     assert np.count_nonzero(bad[:50]) == 50
     # the envelope reports those bounds as vacuous
     _, env_lo, env_hi = mi_envelope(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, delays=delays)
     assert np.all(env_lo[bad] == -np.inf) and np.all(env_hi[bad] == np.inf)
-    kernel_rows = _spy_kernel_rows(monkeypatch)
+    kernel_rows = _spy_rows(monkeypatch, "record_mi")
     got = record_below(SchemeId.TDA_INDEP, LinkRecord(sd, r1d, r2d), m, m, rho0, rate,
                        delays=delays)
     assert len(kernel_rows) == 1 and np.all(np.isin(np.abs(sd[bad]) ** 2, kernel_rows[0]))
@@ -869,12 +873,14 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
 def test_envelope_is_the_screen(monkeypatch):
     # mi_envelope reports the bounds record_below screens with: at a rate
     # splitting the rows, no both-relays row whose finite envelope settles
-    # its verdict by more than the slack reaches record_mi
+    # its verdict by more than the slack reaches record_mi, and the upper
+    # bound runs on exactly the both-relays rows the lower bound leaves
     rng = np.random.default_rng(59)
     n = 2000
     sd, r1d, r2d = _screen_rows(rng, n)
     m1 = rng.random(n) < 0.8
     m2 = rng.random(n) < 0.8
+    b = np.flatnonzero(m1 & m2)
     cases = [(scheme, {"corr": correlations(pulse, tau)}, 1.0)
              for scheme in (SchemeId.ASTC, SchemeId.MIX_AF)
              for pulse, tau in ((rectangular(1, 64), 0.5), (srrc(0.5, 2, 64), 0.3),
@@ -882,7 +888,8 @@ def test_envelope_is_the_screen(monkeypatch):
     cases += [(scheme, {"delays": DelayConfig.from_t0bw(t0bw)}, 1.0 + 1.0 / t0bw)
               for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION)
               for t0bw in (0.3, 2.5)]
-    kernel_rows = _spy_kernel_rows(monkeypatch)
+    kernel_rows = _spy_rows(monkeypatch, "record_mi")
+    upper_rows = _spy_rows(monkeypatch, "_kernel_upper")
     for scheme, kw, window in cases:
         for db in (0, 20, 40):
             rho0 = 10.0 ** (db / 10.0)
@@ -892,12 +899,71 @@ def test_envelope_is_the_screen(monkeypatch):
             settled = (m1 & m2) & np.isfinite(lower) & np.isfinite(upper) & (
                 (upper < rate - slack) | (lower >= rate + slack))
             assert np.count_nonzero(settled) > np.count_nonzero(m1 & m2) // 4, (scheme, kw, db)
+            direct, low = _kernel_lower(scheme, LinkRecord(sd, r1d, r2d).rows(b), rho0,
+                                        kw.get("corr"), kw.get("delays"))
+            need = 2.0 * rate - direct
+            left = b[~(np.isfinite(need) & np.isfinite(low) & (low - slack >= need))]
             kernel_rows.clear()
+            upper_rows.clear()
             below = record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
             assert len(kernel_rows) == 1, (scheme, kw, db)
             assert not np.any(np.isin(np.abs(sd[settled]) ** 2, kernel_rows[0])), (scheme, kw, db)
+            assert len(upper_rows) == 1, (scheme, kw, db)
+            np.testing.assert_array_equal(np.sort(upper_rows[0]), np.sort(np.abs(sd[left]) ** 2),
+                                          err_msg=f"{scheme.value} {kw} {db} dB")
             np.testing.assert_array_equal(
                 below, mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw) < rate)
+    # at the benchmark's rate on plain Exp(1) gains the upper bound runs on
+    # under 1% of the both-relays rows
+    snr = 100.0
+    n = 32768
+    sd, r1d, r2d = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) / math.sqrt(2)
+    m = np.ones(n, dtype=bool)
+    for scheme, corr in ((SchemeId.ASTC, correlations(srrc(0.5, 2, 64), 0.3)),
+                         (SchemeId.MIX_AF, correlations(rectangular(1, 64), 0.5))):
+        upper_rows.clear()
+        record_below(scheme, LinkRecord(sd, r1d, r2d), m, m, 2.0 / 3.0 * snr,
+                     0.25 * math.log2(1.0 + snr), corr=corr)
+        assert len(upper_rows) == 1 and upper_rows[0].size < 0.01 * n, (scheme, upper_rows[0].size)
+
+
+def test_screen_keeps_the_overflow_edge():
+    # Past rho0^2's float range c_0 is inf * 0 = NaN on a row with a zero
+    # gain: its upper bound is not finite, so that row goes to the kernel,
+    # which raises, even though its lower bound alone would clear it.  With
+    # every gain nonzero c_0 is inf, the Hadamard bound stays finite and both
+    # rows clear.
+    corr = correlations(srrc(0.5, 2, 64), 0.3)
+    rho0 = 2.0 / 3.0 * 1e160
+    rate = 0.25 * math.log2(1.0 + 1e160)
+    m = np.ones(2, dtype=bool)
+    sd = np.array([1.0 + 0.5j, 0.3 - 1.0j])
+    r1d = np.array([0.8 + 0.1j, -1.2 + 0.4j])
+    with pytest.raises(NumericError):
+        record_below(SchemeId.ASTC, LinkRecord(sd, r1d, np.array([0.5 - 0.7j, 0.0])),
+                     m, m, rho0, rate, corr=corr)
+    got = record_below(SchemeId.ASTC, LinkRecord(sd, r1d, np.array([0.5 - 0.7j, 0.9j])),
+                       m, m, rho0, rate, corr=corr)
+    np.testing.assert_array_equal(got, [False, False])
+    # the delay window needs no such test: a finite lower bound has A > B and
+    # A + B finite, so its upper bound is finite too; at 1e154 (A - B)(A + B)
+    # overflows on some rows, at 1e300 on all
+    rng = np.random.default_rng(67)
+    sd, r1d, r2d = _screen_rows(rng, 400)
+    m = np.ones(sd.size, dtype=bool)
+    for t0bw in (0.3, 2.0, 2.5):
+        delays = DelayConfig.from_t0bw(t0bw)
+        for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+            for rho0 in (1e20, 1e150, 1e154, 1e300):
+                with np.errstate(all="ignore"):
+                    links = LinkRecord(sd, r1d, r2d)
+                    lower = _kernel_lower(scheme, links, rho0, None, delays)[1]
+                    upper = _kernel_upper(scheme, links, rho0, None, delays)
+                    assert np.all(np.isfinite(upper[np.isfinite(lower)])), (scheme, t0bw, rho0)
+                    rate = 0.25 * math.log2(1.0 + rho0)
+                    np.testing.assert_array_equal(
+                        record_below(scheme, links, m, m, rho0, rate, delays=delays),
+                        mi_batch(scheme, sd, r1d, r2d, m, m, rho0, delays=delays) < rate)
 
 
 @pytest.mark.parametrize("t0bw", (1e-6, 0.3, 1.7, 2.0, 2.5, 6.0))
