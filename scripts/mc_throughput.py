@@ -6,8 +6,20 @@ r = 0.25, one worker) at the benchmark's pulse and delay settings: the
 rect/half-delay pair for TDA_LINMOD and MIX_AF, the SRRC span-2 pair at
 tau 0.3 for ASTC, and t0*bw = 2.5 for TDA_INDEP.  One line per scheme gives
 the median wall time of the repeats (seed 1) and the throughput it implies.
-To compare two commits, run the script alternately in a checkout of each.
+BLAS is held to one thread, as in perfbench/run.py.
+
+The figures are raw wall time, not calibrated against the host's speed, so
+they move with machine load and cannot resolve a change under about 20%.
+To compare two commits, use perfbench instead: `perfbench/run.py --workload
+mc-quadrature --trace 1` (or mc-closed) reports the calibrated
+outage.mc_overall_ns.<SCHEME> per scheme; run it alternately in a checkout
+of each commit.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads
 
 import argparse
 import statistics

@@ -12,12 +12,13 @@ block and every snr point reads it.  record_mi is each scheme's one MI
 kernel: it takes a record and the relay memberships, and mi_batch is it on
 complex gains.  Rows with fewer than two relays have closed forms; on the
 both-relays rows every scheme's MI is (direct + kernel)/2, a direct-link
-term plus a relay-pair term, split once by _both_split.  The Monte Carlo
-engine only needs record_mi(...) < rate, which record_below returns while
-running the costly pair kernels only on rows that cheap bounds on the same
-split cannot settle: the lower bound first, the upper bound only on the
-rows it leaves.  mi_envelope returns mi_batch's value with those same
-bounds, the one bound set of each both-relays kernel.
+term plus a relay-pair term, which _both_split builds for the kernel and
+for its bounds _kernel_lower and _kernel_upper alike.  The Monte Carlo
+engine only needs record_mi(...) < rate.  record_below returns it with the
+lower bound on every both-relays row, the upper bound on the rows the lower
+bound does not clear, and the costly pair kernel, in one record_mi call,
+on the rows neither settles.  mi_envelope returns mi_batch's value with
+those same bounds, the one bound set of each both-relays kernel.
 """
 
 from __future__ import annotations
@@ -218,9 +219,9 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     record_below screens it with, (direct + bound)/2 over _kernel_lower and
     _kernel_upper on every both-relays row.
 
-    A row with a non-finite bound, which the screen sends to the kernel, gets
-    the vacuous -inf and +inf.  Rows with a closed form (STC_SYNC, fewer than
-    two relays, the delay schemes at t0 bw = 0) get lower = upper = value.
+    A row with a non-finite bound gets the vacuous -inf and +inf.  Rows with
+    a closed form (STC_SYNC, fewer than two relays, the delay schemes at
+    t0 bw = 0) get lower = upper = value.
     """
     scheme = check_scheme(scheme, corr, delays)
     links = LinkRecord(sd, r1d, r2d)
@@ -250,14 +251,15 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     For the both-relays rows of ASTC, MIX_AF and the windowed delay schemes,
     lower <= kernel <= upper bound the kernel term (_kernel_lower,
     _kernel_upper), and the row reaches the rate iff the kernel reaches need
-    = 2 rate - direct.  A row with lower at or above the need is not an
-    outage and a row with upper below it is, each with a margin above the
-    kernel's roundoff.  The lower bound runs first and settles nearly every
-    row; the upper bound runs only on the rows it leaves, unless
-    _upper_follows_lower cannot promise that a cleared row's upper bound is
-    finite.  Every other row, and every row with a non-finite bound or need,
-    goes through one record_mi call, so the verdicts equal
-    record_mi(...) < rate.
+    = 2 rate - direct.  Each test keeps a margin above the kernel's roundoff.
+    The lower bound runs first: a row whose finite lower bound reaches the
+    finite need is cleared, whatever its upper bound.  The upper bound runs
+    on the rows it leaves, and a row whose finite upper bound falls below
+    the need is an outage.  Every other row, and every row with a non-finite
+    bound or need, goes through one record_mi call.  So the verdicts equal
+    record_mi(...) < rate wherever record_mi returns.  Where it would raise,
+    because the pair kernel's coefficients pass the float range, a row that
+    the lower bound clears gets the lower bound's verdict.
     """
     scheme = check_scheme(scheme, corr, delays)
     both = m1 & m2
@@ -274,15 +276,10 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
         need = np.broadcast_to(2.0 * rate - direct, b.shape)
         finite = np.isfinite(need) & np.isfinite(lower)
         clear = finite & (lower - slack >= need)
-        if _upper_follows_lower(scheme, pair, rho0, corr):
-            rest = np.nonzero(~clear)[0]
-        else:
-            rest = np.arange(b.size)
+        rest = np.nonzero(~clear)[0]
         upper = _kernel_upper(scheme, pair.rows(rest), rho0, corr, delays)
-    finite[rest] &= np.isfinite(upper)
-    clear &= finite
     outage = np.zeros(b.size, dtype=bool)
-    outage[rest] = finite[rest] & (upper + slack < need[rest])
+    outage[rest] = finite[rest] & np.isfinite(upper) & (upper + slack < need[rest])
     below = np.zeros(both.size, dtype=bool)
     below[b[outage]] = True
     doubt = np.ones(both.size, dtype=bool)
@@ -341,7 +338,8 @@ def _kernel_upper(scheme: SchemeId, links: LinkRecord, rho0: float,
     """upper >= kernel for the both-relays rows of a record, the kernel of
     _kernel_lower.
 
-    - ASTC/MIX_AF: Jensen gives mean log2 q <= log2 c_0 (_det_c0).  When
+    - ASTC/MIX_AF: Jensen gives mean log2 q <= log2 c_0, the constant
+      cosine coefficient of q (column 0 of _det_coeffs).  When
       every tap r(m), m >= 2, is zero, Hadamard's inequality gives
       q <= (1 + rho0 g1 t11)(1 + rho0 g2 t11), so the kernel is also at most
       the sum of the two single-stream rates.
@@ -358,35 +356,12 @@ def _kernel_upper(scheme: SchemeId, links: LinkRecord, rho0: float,
     if scheme == SchemeId.TDA_LINMOD:
         return np.log2(1.0 + terms[0])
     g1, g2 = terms
-    upper = np.log2(_det_c0(g1, g2, corr, rho0))
+    upper = np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
     if any(corr.r_taps[2:]):
         return upper
     a1, r0 = corr.a1, corr.r(0)
     return np.minimum(upper, _esd_from_gain(r0 * g1, a1 / r0, rho0)
                       + _esd_from_gain(r0 * g2, a1 / r0, rho0))
-
-
-def _upper_follows_lower(scheme: SchemeId, links: LinkRecord, rho0: float,
-                         corr: CorrelationSet | None) -> bool:
-    """Whether every row of a record whose lower bound is finite has a finite
-    upper bound, so that record_below may clear a row on its lower bound alone.
-
-    - Delay window, always: a finite lower bound has log2((A + R)/2) finite
-      (its weight floor(w) may be 0, but 0 * inf is NaN), so R and A + B are
-      finite, and log2(A - B) finite (weight w - floor(w), likewise), so
-      A > B.  A + B sin(h) cos(psi)/h then rounds into [A - B, A + B], which
-      is positive and finite.
-    - ISI pair: the lower bound's gain r0 (g1 + g2) is at least each
-      single-stream gain of the Hadamard bound, so a finite lower bound makes
-      that bound finite.  log2 c_0 is finite on every row when c_0 is finite
-      at the largest g1 and g2 (each product and sum rounds monotonically, as
-      r0 >= 0) and its constant s_0 >= 0 keeps c_0 >= 1.  Past about 1540 dB
-      rho0^2 overflows, this fails and the upper bound runs on every row.
-    """
-    if scheme in _DELAY_SCHEMES:
-        return True
-    s0 = _det_taps(corr)[1][2 * corr.span]
-    return s0 >= 0.0 and math.isfinite(_det_c0(links.g1.max(), links.g2.max(), corr, rho0))
 
 
 def _both_split(scheme: SchemeId, links: LinkRecord, rho0: float,
@@ -606,35 +581,26 @@ def i_esd_bounds(alpha_sd, rho0):
 
 @lru_cache(maxsize=128)
 def _det_taps(corr: CorrelationSet):
-    """(r, sprod), the snr-free constants of the pair determinant, read-only
-    and computed once per pulse pair: the taps r(-span) .. r(span), the
-    cosine coefficients of t11, and the coefficients r * r - g * g of
-    t11^2 - |t12|^2, whose constant term s_0 is sprod[2 span]."""
+    """(t, p), the snr-free constants of the pair determinant, read-only and
+    computed once per pulse pair: the cosine coefficients 0 .. 2 span of
+    t11 (the taps r(0) .. r(span), then zeros) and of t11^2 - |t12|^2
+    (r * r - g * g over the taps r(-span) .. r(span))."""
     s = corr.span
     r = np.array([corr.r(m) for m in range(-s, s + 1)])
-    sprod = np.convolve(r, r) - np.correlate(corr.g_taps, corr.g_taps, "full")
-    r.flags.writeable = False
-    sprod.flags.writeable = False
-    return r, sprod
+    t = np.pad(r[s:], (0, s))
+    p = (np.convolve(r, r) - np.correlate(corr.g_taps, corr.g_taps, "full"))[2 * s:]
+    t.flags.writeable = False
+    p.flags.writeable = False
+    return t, p
 
 
 def _det_coeffs(g1, g2, corr: CorrelationSet, rho0: float):
     """Cosine coefficients c_0 .. c_2span of det(I + rho0 diag(g1, g2) T(w)),
     one row per pair of squared-gain arrays g1, g2."""
-    s = corr.span
-    r, sprod = _det_taps(corr)
-    c = (rho0 * (g1 + g2))[:, None] * np.pad(r[s:], (0, s)) \
-        + (rho0 * rho0 * g1 * g2)[:, None] * sprod[2 * s:]
+    t, p = _det_taps(corr)
+    c = (rho0 * (g1 + g2))[:, None] * t + (rho0 * rho0 * g1 * g2)[:, None] * p
     c[:, 0] += 1.0
     return c
-
-
-def _det_c0(g1, g2, corr: CorrelationSet, rho0: float):
-    """Column c_0 of _det_coeffs, (rho0 (g1 + g2)) r(0) + (rho0^2 g1 g2) s_0 + 1,
-    in its float order, so bit for bit, without the other columns."""
-    s = corr.span
-    r, sprod = _det_taps(corr)
-    return (rho0 * (g1 + g2)) * r[s] + (rho0 * rho0 * g1 * g2) * sprod[2 * s] + 1.0
 
 
 def _emaca_batch(g1, g2, corr: CorrelationSet, rho0: float):

@@ -317,20 +317,16 @@ def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
 
 
 def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
-                              conditioned: bool = False) -> float:
+                              conditioned: bool = False, *,
+                              cond: ConditionalCase = ConditionalCase.D2) -> float:
     """Both-relays outage of the three-independent-path product-rate reference.
 
     Pr[(1+rho0 X)(1+rho0 Y1)(1+rho0 Y2) < (1+snr)^{2r}]: the slope reference
     for ISI-aware space-time decoding with both relays on (pulse-shape
     corrections shift the curve, not its decay exponent).  Joint by default
-    (multiplied by Pr[|D| = 2]).
+    (multiplied by Pr[|D| = 2]).  It covers cond d2 only: ConfigError for
+    any other case.
     """
-    return _parallel3(cfg, r, snr, ConditionalCase.D2, conditioned)
-
-
-def _parallel3(cfg: NetworkConfig, r: float, snr: float, cond: ConditionalCase,
-               conditioned: bool) -> float:
-    """analytic_outage_parallel3 for any case cond (it covers d2 only)."""
     pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
     rho0 = pt.rho0
     lam_sd = cfg.lam("sd")
@@ -348,7 +344,8 @@ def _parallel3(cfg: NetworkConfig, r: float, snr: float, cond: ConditionalCase,
 
 
 def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
-                          conditioned: bool = False) -> float:
+                          conditioned: bool = False, *,
+                          cond: ConditionalCase = ConditionalCase.D2) -> float:
     """Both-relays outage of the repetition delay-diversity scheme.
 
     Quadrature over (log relay-sum, split fraction) with the direct-gain
@@ -358,14 +355,9 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     The threshold depends on the split q only through y1 y2, so it is the
     same at q and 1 - q, and so is the split rule: it is solved on the
     nodes q < 1/2, each weighted by the relay density at both splits.
-    Joint by default (multiplied by Pr[|D| = 2]).
+    Joint by default (multiplied by Pr[|D| = 2]).  It covers cond d2 only:
+    ConfigError for any other case.
     """
-    return _rtda2(cfg, r, snr, t0bw, ConditionalCase.D2, conditioned)
-
-
-def _rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float, cond: ConditionalCase,
-           conditioned: bool) -> float:
-    """analytic_outage_rtda2 for any case cond (it covers d2 only)."""
     if t0bw < 1.0:
         raise ConfigError("oracle needs t0*bw >= 1 (whole-period lower bound finite)")
     pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
@@ -490,8 +482,9 @@ def analytic_outage_curve(scheme, r: float, snr_grid,
         check_scheme(scheme, delays=delays)
     oracle = {
         SchemeId.STC_SYNC: lambda s: analytic_outage_stc(cfg, r, s, cond, conditioned),
-        SchemeId.ASTC: lambda s: _parallel3(cfg, r, s, cond, conditioned),
-        SchemeId.TDA_REPETITION: lambda s: _rtda2(cfg, r, s, delays.t0bw, cond, conditioned),
+        SchemeId.ASTC: lambda s: analytic_outage_parallel3(cfg, r, s, conditioned, cond=cond),
+        SchemeId.TDA_REPETITION: lambda s: analytic_outage_rtda2(cfg, r, s, delays.t0bw,
+                                                                 conditioned, cond=cond),
     }.get(scheme)
     if oracle is None:
         raise ConfigError(f"no analytic oracle for scheme {scheme.value}")

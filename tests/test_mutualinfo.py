@@ -15,7 +15,7 @@ from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _clausen2,
                                  _cos_window_means, _emaca_batch, _kernel_lower,
                                  _kernel_upper, _wrap_angle, check_scheme,
                                  closed_log_integral, i_af_pair, i_esd, i_esd_bounds,
-                                 mi_batch, mi_envelope, record_below)
+                                 mi_batch, mi_envelope, record_below, record_mi)
 from relaylab.waveform import certify_pd, correlations, rectangular, srrc
 from test_waveform import spectral_entries
 
@@ -928,26 +928,25 @@ def test_envelope_is_the_screen(monkeypatch):
 
 
 def test_screen_keeps_the_overflow_edge():
-    # Past rho0^2's float range c_0 is inf * 0 = NaN on a row with a zero
-    # gain: its upper bound is not finite, so that row goes to the kernel,
-    # which raises, even though its lower bound alone would clear it.  With
-    # every gain nonzero c_0 is inf, the Hadamard bound stays finite and both
-    # rows clear.
+    # Past rho0^2's float range the pair kernel's coefficients are not
+    # finite, so record_mi raises whatever the second row's gain: c_0 is
+    # inf, or inf * 0 = NaN on a zero gain.  The screen's lower bound, a
+    # single-stream rate, stays finite and clears both rows in each case.
     corr = correlations(srrc(0.5, 2, 64), 0.3)
     rho0 = 2.0 / 3.0 * 1e160
     rate = 0.25 * math.log2(1.0 + 1e160)
     m = np.ones(2, dtype=bool)
     sd = np.array([1.0 + 0.5j, 0.3 - 1.0j])
     r1d = np.array([0.8 + 0.1j, -1.2 + 0.4j])
-    with pytest.raises(NumericError):
-        record_below(SchemeId.ASTC, LinkRecord(sd, r1d, np.array([0.5 - 0.7j, 0.0])),
-                     m, m, rho0, rate, corr=corr)
-    got = record_below(SchemeId.ASTC, LinkRecord(sd, r1d, np.array([0.5 - 0.7j, 0.9j])),
-                       m, m, rho0, rate, corr=corr)
-    np.testing.assert_array_equal(got, [False, False])
-    # the delay window needs no such test: a finite lower bound has A > B and
-    # A + B finite, so its upper bound is finite too; at 1e154 (A - B)(A + B)
-    # overflows on some rows, at 1e300 on all
+    for last in (0.0, 1e-150, 0.9j):
+        links = LinkRecord(sd, r1d, np.array([0.5 - 0.7j, last]))
+        got = record_below(SchemeId.ASTC, links, m, m, rho0, rate, corr=corr)
+        np.testing.assert_array_equal(got, [False, False])
+        with pytest.raises(NumericError):
+            record_mi(SchemeId.ASTC, links, m, m, rho0, corr=corr)
+    # in the delay window a finite lower bound has A > B and A + B finite, so
+    # its upper bound is finite too; at 1e154 (A - B)(A + B) overflows on
+    # some rows, at 1e300 on all
     rng = np.random.default_rng(67)
     sd, r1d, r2d = _screen_rows(rng, 400)
     m = np.ones(sd.size, dtype=bool)

@@ -144,10 +144,19 @@ def test_analytic_outage_curve_serves_each_oracle():
             assert c.outage == tuple(analytic_outage_stc(cfg, 0.2, s, cond, forced) for s in snr)
     for forced in (False, True):
         c = analytic_outage_curve(SchemeId.ASTC, 0.2, snr, "d2", cfg=cfg, conditioned=forced)
-        assert c.outage == tuple(analytic_outage_parallel3(cfg, 0.2, s, forced) for s in snr)
+        for kw in ({}, {"cond": "d2"}):
+            assert c.outage == tuple(analytic_outage_parallel3(cfg, 0.2, s, forced, **kw)
+                                     for s in snr)
         c = analytic_outage_curve(SchemeId.TDA_REPETITION, 0.2, snr, "d2", cfg=cfg,
                                   delays=DelayConfig.from_t0bw(2.5), conditioned=forced)
-        assert c.outage == tuple(analytic_outage_rtda2(cfg, 0.2, s, 2.5, forced) for s in snr)
+        for kw in ({}, {"cond": "d2"}):
+            assert c.outage == tuple(analytic_outage_rtda2(cfg, 0.2, s, 2.5, forced, **kw)
+                                     for s in snr)
+    for cond in ("d0", "d1", "overall"):
+        with pytest.raises(ConfigError, match="covers cond=d2 only"):
+            analytic_outage_parallel3(cfg, 0.2, 1e4, cond=cond)
+        with pytest.raises(ConfigError, match="covers cond=d2 only"):
+            analytic_outage_rtda2(cfg, 0.2, 1e4, 2.5, cond=cond)
     # joint d2 is Pr[D_BOTH] times the forced value
     pt = RatePoint(1e4, 0.2, cfg.sigma2_sd)
     assert analytic_outage_parallel3(cfg, 0.2, 1e4) == (
