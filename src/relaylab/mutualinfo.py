@@ -108,18 +108,18 @@ class LinkRecord:
     """The destination links of a batch of draws, one row per draw, with the
     snr-free terms the MI kernels read.
 
-    The squared gains g_sd, g1, g2 are computed on construction; the relay
-    magnitudes r1, r2, the phase difference psi = arg r2d - arg r1d, its
-    cosine cos_psi and any other term(key, make) on first use, then kept.
+    It is built from the squared direct gain g_sd and the complex relay
+    gains r1d, r2d.  Their squares g1, g2 are computed on construction; the
+    relay magnitudes r1, r2, the phase difference psi = arg r2d - arg r1d,
+    its cosine cos_psi and any other term(key, make) on first use, then kept.
     rows(idx) is the record of a subset of the rows: it indexes the squared
     gains and takes every other term from its parent, which computes it once
-    over all its rows.
-    Only a record built from gains holds the complex gains sd, r1d, r2d.
+    over all its rows.  Only a record built from gains holds r1d, r2d.
     """
 
-    def __init__(self, sd, r1d, r2d):
-        self.sd, self.r1d, self.r2d = (np.asarray(z) for z in (sd, r1d, r2d))
-        self.g_sd, self.g1, self.g2 = (np.abs(z) ** 2 for z in (self.sd, self.r1d, self.r2d))
+    def __init__(self, g_sd, r1d, r2d):
+        self.g_sd, self.r1d, self.r2d = (np.asarray(z) for z in (g_sd, r1d, r2d))
+        self.g1, self.g2 = np.abs(self.r1d) ** 2, np.abs(self.r2d) ** 2
         self._parent, self._idx, self._terms = None, None, {}
 
     def rows(self, idx) -> "LinkRecord":
@@ -128,7 +128,7 @@ class LinkRecord:
         if len(idx) == len(self.g_sd):
             return self
         sub = object.__new__(LinkRecord)
-        sub.sd = sub.r1d = sub.r2d = None
+        sub.r1d = sub.r2d = None
         sub.g_sd, sub.g1, sub.g2 = self.g_sd[idx], self.g1[idx], self.g2[idx]
         sub._parent, sub._idx, sub._terms = self, idx, {}
         return sub
@@ -161,7 +161,7 @@ def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
              corr: CorrelationSet | None = None,
              delays: DelayConfig | None = None) -> np.ndarray:
     """record_mi on the complex destination-link gains sd, r1d, r2d."""
-    return record_mi(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, corr, delays)
+    return record_mi(scheme, LinkRecord(np.abs(sd) ** 2, r1d, r2d), m1, m2, rho0, corr, delays)
 
 
 def record_mi(scheme, links: LinkRecord, m1, m2, rho0: float,
@@ -224,7 +224,7 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     t0 bw = 0) get lower = upper = value.
     """
     scheme = check_scheme(scheme, corr, delays)
-    links = LinkRecord(sd, r1d, r2d)
+    links = LinkRecord(np.abs(sd) ** 2, r1d, r2d)
     value = record_mi(scheme, links, m1, m2, rho0, corr, delays)
     lower = value.copy()
     upper = value.copy()

@@ -7,9 +7,9 @@ sum to the overall outage); conditional probabilities are available either
 analytically or by forcing the decoding set in the simulator.
 
 Monte Carlo determinism: trials are grouped into fixed blocks of 32768 and
-the Philox counter of each block is derived from its first trial index, so
-the draws for trial t depend only on (seed, t).  Workers split whole blocks
-and results merge by summation; worker count can never change the numbers.
+the Philox counters of each block's two streams derive from its first trial
+index, so the draws for trial t depend only on (seed, t).  Workers split whole
+blocks and results merge by summation; worker count can never change the numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .mutualinfo import (_SCREEN_SLACK, DelayConfig, LinkRecord, SchemeId,
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
-_COUNTER_STRIDE = 64  # Philox counter words reserved per trial (>= draws used)
+_MIN_TRIALS, _MAX_TRIALS = 10 ** 4, 2 ** 34  # the cap lists 2^19 blocks, hours of work
+_COUNTER_STRIDE = 64  # Philox counters (4 words each) reserved per trial, which uses 7 variates
 _LN2 = math.log(2.0)
 _WILSON_Z = 1.96        # two-sided 95% normal quantile of wilson_interval
 _FIT_REL_CI_MAX = 0.3   # slope_fit drops points whose interval is wider than this share
@@ -125,19 +126,22 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 
 def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
-    """Complex link gains for trials [first_trial, first_trial+count), as
-    columns of one (count, len(LINKS)) array keyed by link.
+    """(g_sd, g_sr1, g_sr2, r1d, r2d) for trials [first_trial, first_trial+count).
 
-    The Philox counter is pinned to the first trial index times a stride
-    comfortably above the words one trial consumes, so draws depend only on
-    (seed, trial index).  Each trial's normals pair up as (re, im) per link.
+    sd, sr1 and sr2 come as squared gains, each sigma^2 Exp(1), since the
+    engine reads no phase of theirs; only r1d, r2d are complex normals.  The
+    two are trial-major Philox streams on one key, the normals' counter 2^128
+    up, from the first trial index times a stride above what a trial uses.
     """
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
-    bitgen = np.random.Philox(key=key, counter=int(first_trial) * _COUNTER_STRIDE)
-    rng = np.random.Generator(bitgen)
-    scales = np.sqrt(0.5 * np.array([getattr(cfg, "sigma2_" + link) for link in LINKS]))
-    z = rng.standard_normal((count, 2 * len(LINKS))).view(np.complex128) * scales
-    return dict(zip(LINKS, z.T))
+    sigma2 = np.array([getattr(cfg, "sigma2_" + link) for link in LINKS])
+    exp, nrm = (np.random.Generator(np.random.Philox(
+        key=key, counter=c + int(first_trial) * _COUNTER_STRIDE)) for c in (0, 2 ** 128))
+    g = exp.standard_exponential((count, 3))
+    g *= sigma2[:3]
+    z = nrm.standard_normal((count, 4))
+    z *= np.sqrt(0.5 * sigma2[[3, 3, 4, 4]])
+    return (*g.T, *z.view(np.complex128).T)
 
 
 def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float, ...],
@@ -150,16 +154,13 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
     once; every grid point reads them.
     """
     first_trial, count = block
-    gains = _draw_gains(cfg, seed, first_trial, count)
-    links = LinkRecord(gains["sd"], gains["r1d"], gains["r2d"])
+    g_sd, gsr1, gsr2, r1d, r2d = _draw_gains(cfg, seed, first_trial, count)
+    links = LinkRecord(g_sd, r1d, r2d)
     counts = np.zeros(len(snr), dtype=np.int64)
     case = None if cond == ConditionalCase.OVERALL else _CASE_SETS[cond][0]
     if force_set:
         m1 = np.full(count, case.r1)
         m2 = np.full(count, case.r2)
-    else:
-        gsr1 = np.abs(gains["sr1"]) ** 2
-        gsr2 = np.abs(gains["sr2"]) ** 2
     for i, s in enumerate(snr):
         pt = RatePoint(s, r, cfg.sigma2_sd)
         if not force_set:
@@ -191,8 +192,8 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     scheme = check_scheme(scheme, corr, delays)
     cond = ConditionalCase(cond)
     cfg = cfg or NetworkConfig()
-    if trials < 10 ** 4:
-        raise ConfigError(f"trials must be >= 10^4, got {trials}")
+    if not _MIN_TRIALS <= trials <= _MAX_TRIALS:
+        raise ConfigError(f"trials must lie in [10^4, 2^34], got {trials}")
     snr = _check_grid(snr_grid)
     _check_forced(cond, force_set)
     if workers < 1:

@@ -1,4 +1,5 @@
-"""Shared fixtures and the acceptance-criteria summary hook."""
+"""Shared fixtures, the earlier Monte Carlo sampler and the acceptance-criteria
+summary hook."""
 
 import os
 import runpy
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from relaylab.channel import NetworkConfig
+from relaylab import outage
+from relaylab.channel import LINKS, NetworkConfig
 
 # Records appended by the acceptance tests: (criterion number, title, ok, detail).
 # The terminal summary prints one aggregated pass/fail line per criterion.
@@ -45,6 +47,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" :: {detail}"
         terminalreporter.write_line(line)
+
+
+def normal_draw_gains(cfg, seed, first_trial, count):
+    """The Monte Carlo engine's earlier sampler, kept as a test oracle: ten
+    normals per trial on one Philox stream, viewed as the five complex gains,
+    with the squared magnitudes taken where the engine reads them."""
+    key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=int(first_trial) * 64))
+    scales = np.sqrt(0.5 * np.array([getattr(cfg, "sigma2_" + link) for link in LINKS]))
+    sd, sr1, sr2, r1d, r2d = (rng.standard_normal((count, 10)).view(np.complex128) * scales).T
+    return np.abs(sd) ** 2, np.abs(sr1) ** 2, np.abs(sr2) ** 2, r1d, r2d
+
+
+@pytest.fixture
+def normal_sampler(monkeypatch):
+    """Run the Monte Carlo engine on normal_draw_gains."""
+    monkeypatch.setattr(outage, "_draw_gains", normal_draw_gains)
 
 
 @pytest.fixture(scope="session")

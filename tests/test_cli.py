@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -134,38 +135,62 @@ def test_simulate_mc_deterministic_body(tmp_path, capsys):
 
 # sha256 of the outage-v1 body (column row plus data rows, joined by "\n") of
 # `simulate --trials 75536 --snr-db 0:30:10` (two full Monte Carlo blocks and
-# a partial one, seed 1, r 0.25), recorded before the engine read one link
-# record per block; a change to the draws, the decoding sets or any MI
-# kernel's float operations moves them
+# a partial one, seed 1, r 0.25), recorded when the engine first drew
+# exponential squared gains for sd, sr1, sr2 and complex normals only for
+# r1d, r2d; a change to the draws, the decoding sets or any MI kernel's float
+# operations moves them
 GOLDEN_MC_BODIES = {
     "STC_SYNC": (("--scheme", "STC_SYNC"),
-                 "bb3b92ad17dbd8ec3599b8f5665d0de0f1779cb52f5bf1ca3003a9e7926e189f"),
+                 "7b934769bcc0acb5e88faf5b3fb40bf609f6838535b46d220edf1eaa2751af49"),
     "STC_SYNC-d2": (("--scheme", "STC_SYNC", "--cond", "d2", "--force-set", "true"),
-                    "8ec15bf3f9a10c2251d7591ab9c515d6127e5fad0ad64d3e151e962dda1f0018"),
+                    "5b05a2e92f178d8f8548823c749627e721154a4f30476e5d314e52604382f5fe"),
     "TDA_LINMOD-rect1": (("--scheme", "TDA_LINMOD", "--pulse", "rect", "--span", "1",
                           "--tau", "0.5"),
-                         "e09f78fb472cd17fa3e484306a496dbcf44aa718da15affb695449741e6a097f"),
+                         "4a2f27e8d5c0a613ab25bde12c77d14d22863715ef1b536dc4f47b69156c8a43"),
     "ASTC-srrc2": (("--scheme", "ASTC", "--pulse", "srrc", "--span", "2", "--tau", "0.3"),
-                   "9b07946f275b2bc54b5c9086d88293a65597e5cdf9bb6ebcf5f531699dfb9e57"),
+                   "e690edace4ca8cf67230e3682687d07905ec5379b7d43eb746d6113f98249aaf"),
     "MIX_AF-rect1": (("--scheme", "MIX_AF", "--pulse", "rect", "--span", "1", "--tau", "0.5"),
-                     "c73ef6d25ec867a21e3a13ac8a6520cbd44fc2d4abc81672d4951f4b74b7f13a"),
+                     "2c8207d018fb4038ed6402e1bdd0bb83b971a6af52688df3da81e4b95bd9622e"),
     "TDA_INDEP-t0bw2.5": (("--scheme", "TDA_INDEP", "--t0bw", "2.5"),
-                          "5d5cd84a98b238b040385f1ad6432e025a86cb9228798727a642ccd8f3adde40"),
+                          "407f603554b4ec593bb1a472e9ce70dc702d8a3c710fcc41e825b0c5803bf8a1"),
     "TDA_INDEP-t0bw0": (("--scheme", "TDA_INDEP", "--t0bw", "0"),
-                        "e8bee20da43334039b035bc583b3d09ecc850dd087c6af6878b846baf84903f0"),
+                        "26afe53c68e6ca09dfd667d09836c331e8460b4b3f376ae125abe458cee407cd"),
     "TDA_REPETITION-t0bw2.5": (("--scheme", "TDA_REPETITION", "--t0bw", "2.5"),
-                               "9872d35a4c54678698f5579b4fa5b20b8fa170ce1285f4b3160f3399a7751cf9"),
+                               "dc373146482282ed96e1366a821f2d19853e3cdd8c5e7aec26db502ed46334db"),
+}
+
+# the same bodies on the earlier all-normal sampler (conftest.normal_draw_gains),
+# recorded before the engine read one link record per block: the engine
+# downstream of the draws still reproduces them bit for bit
+NORMAL_SAMPLER_MC_BODIES = {
+    "STC_SYNC": "bb3b92ad17dbd8ec3599b8f5665d0de0f1779cb52f5bf1ca3003a9e7926e189f",
+    "STC_SYNC-d2": "8ec15bf3f9a10c2251d7591ab9c515d6127e5fad0ad64d3e151e962dda1f0018",
+    "TDA_LINMOD-rect1": "e09f78fb472cd17fa3e484306a496dbcf44aa718da15affb695449741e6a097f",
+    "ASTC-srrc2": "9b07946f275b2bc54b5c9086d88293a65597e5cdf9bb6ebcf5f531699dfb9e57",
+    "MIX_AF-rect1": "c73ef6d25ec867a21e3a13ac8a6520cbd44fc2d4abc81672d4951f4b74b7f13a",
+    "TDA_INDEP-t0bw2.5": "5d5cd84a98b238b040385f1ad6432e025a86cb9228798727a642ccd8f3adde40",
+    "TDA_INDEP-t0bw0": "e8bee20da43334039b035bc583b3d09ecc850dd087c6af6878b846baf84903f0",
+    "TDA_REPETITION-t0bw2.5": "9872d35a4c54678698f5579b4fa5b20b8fa170ce1285f4b3160f3399a7751cf9",
 }
 
 
-@pytest.mark.parametrize("args, digest", GOLDEN_MC_BODIES.values(), ids=GOLDEN_MC_BODIES.keys())
-def test_simulate_mc_bodies_match_pinned_hashes(capsys, args, digest):
+def mc_body_digest(capsys, args):
     rc, out, _ = run(capsys, "simulate", "--trials", str(2 * 32768 + 10 ** 4),
                      "--snr-db", "0:30:10", *args)
     assert rc == 0
     body = body_lines(out)
     assert len(body) == 1 + 4
-    assert hashlib.sha256("\n".join(body).encode()).hexdigest() == digest
+    return hashlib.sha256("\n".join(body).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_MC_BODIES.values(), ids=GOLDEN_MC_BODIES.keys())
+def test_simulate_mc_bodies_match_pinned_hashes(capsys, args, digest):
+    assert mc_body_digest(capsys, args) == digest
+
+
+@pytest.mark.parametrize("case", NORMAL_SAMPLER_MC_BODIES)
+def test_simulate_mc_bodies_on_the_normal_sampler(capsys, normal_sampler, case):
+    assert mc_body_digest(capsys, GOLDEN_MC_BODIES[case][0]) == NORMAL_SAMPLER_MC_BODIES[case]
 
 
 # sha256 of the outage-v1 body of `simulate --mode analytic --r 0.25
@@ -544,6 +569,15 @@ def test_bad_input_is_config_error(capsys, monkeypatch, tmp_path, args):
     rc, _, err = run(capsys, *args)
     assert rc == 2
     assert err.startswith("config error:")
+
+
+def test_huge_trial_count_fails_at_once(capsys):
+    # the count is checked before the engine lists its blocks
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "simulate", "--trials", "1000000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "trials must lie in [10^4, 2^34]" in err
 
 
 def test_missing_out_directory_fails_before_the_run(capsys, monkeypatch, tmp_path):

@@ -48,6 +48,11 @@ def gains2(f):
     return abs(f.sd) ** 2, abs(f.r1d) ** 2, abs(f.r2d) ** 2
 
 
+def _record(sd, r1d, r2d):
+    """The link record of complex destination gains, as mi_batch builds it."""
+    return LinkRecord(np.abs(sd) ** 2, r1d, r2d)
+
+
 # ---------------------------------------------------------------------------
 # synchronous evaluator and the circle-log integral
 
@@ -702,8 +707,8 @@ def test_mi_batch_relay_swap():
     # the link record swaps its relay terms and negates the phase difference,
     # bit for bit its cosine too, on all rows and on a subset
     idx = np.flatnonzero(m1)
-    for a, b in ((LinkRecord(sd, r1d, r2d), LinkRecord(sd, r2d, r1d)),
-                 (LinkRecord(sd, r1d, r2d).rows(idx), LinkRecord(sd, r2d, r1d).rows(idx))):
+    for a, b in ((_record(sd, r1d, r2d), _record(sd, r2d, r1d)),
+                 (_record(sd, r1d, r2d).rows(idx), _record(sd, r2d, r1d).rows(idx))):
         for x, y in ((a.g_sd, b.g_sd), (a.g1, b.g2), (a.g2, b.g1), (a.r1, b.r2),
                      (a.r2, b.r1), (a.psi, -b.psi), (a.cos_psi, b.cos_psi)):
             np.testing.assert_array_equal(x, y)
@@ -716,10 +721,10 @@ def test_mi_batch_relay_swap():
                                        err_msg=f"{scheme.value} {kw}")
             # the screened verdicts swap with them, at a rate splitting the rows
             rate = float(np.median(a))
-            below = record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
+            below = record_below(scheme, _record(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
             np.testing.assert_array_equal(below, a < rate)
             np.testing.assert_array_equal(below[keep], record_below(
-                scheme, LinkRecord(sd, r2d, r1d), m2, m1, rho0, rate, **kw)[keep])
+                scheme, _record(sd, r2d, r1d), m2, m1, rho0, rate, **kw)[keep])
             # and so do the envelope's bounds
             env_a = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
             env_b = mi_envelope(scheme, sd, r2d, r1d, m2, m1, rho0, **kw)
@@ -744,7 +749,7 @@ def test_rows_equal_their_batch_of_one():
         for rho0 in (0.5, 1e3):
             value = mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
             rate = float(np.median(value))
-            below = record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
+            below = record_below(scheme, _record(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
             env = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
             for i in range(n):
                 row = (sd[i:i + 1], r1d[i:i + 1], r2d[i:i + 1], m1[i:i + 1], m2[i:i + 1], rho0)
@@ -752,7 +757,7 @@ def test_rows_equal_their_batch_of_one():
                 np.testing.assert_array_equal(mi_batch(scheme, *row, **kw), value[i:i + 1],
                                               err_msg=msg)
                 np.testing.assert_array_equal(
-                    record_below(scheme, LinkRecord(*row[:3]), *row[3:], rate, **kw),
+                    record_below(scheme, _record(*row[:3]), *row[3:], rate, **kw),
                     below[i:i + 1], err_msg=msg)
                 for got, want in zip(mi_envelope(scheme, *row, **kw), env):
                     np.testing.assert_array_equal(got, want[i:i + 1], err_msg=msg)
@@ -791,7 +796,7 @@ def test_isi_kernel_bounds_sandwich():
             rho0 = 10.0 ** (db / 10.0)
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
-            links = LinkRecord(sd, r1d, r2d)
+            links = _record(sd, r1d, r2d)
             lower = _kernel_lower(SchemeId.ASTC, links, rho0, corr, None)[1]
             upper = _kernel_upper(SchemeId.ASTC, links, rho0, corr, None)
             slack = mutualinfo._SCREEN_SLACK * (1.0 + rate)
@@ -812,7 +817,7 @@ def test_window_kernel_bounds_sandwich(t0bw):
             rho0 = 10.0 ** (db / 10.0)
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
-            links = LinkRecord(sd, r1d, r2d)
+            links = _record(sd, r1d, r2d)
             lower = _kernel_lower(scheme, links, rho0, None, delays)[1]
             upper = _kernel_upper(scheme, links, rho0, None, delays)
             slack = mutualinfo._SCREEN_SLACK * (1.0 + rate) * (1.0 + 1.0 / t0bw)
@@ -852,7 +857,7 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
     delays = DelayConfig.from_t0bw(2.5)
     rho0 = 1e20
     rate = 0.25 * math.log2(1.0 + rho0)
-    links = LinkRecord(sd, r1d, r2d)
+    links = _record(sd, r1d, r2d)
     with np.errstate(divide="ignore"):
         direct, lower = _kernel_lower(SchemeId.TDA_INDEP, links, rho0, None, delays)
         upper = _kernel_upper(SchemeId.TDA_INDEP, links, rho0, None, delays)
@@ -862,7 +867,7 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
     _, env_lo, env_hi = mi_envelope(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, delays=delays)
     assert np.all(env_lo[bad] == -np.inf) and np.all(env_hi[bad] == np.inf)
     kernel_rows = _spy_rows(monkeypatch, "record_mi")
-    got = record_below(SchemeId.TDA_INDEP, LinkRecord(sd, r1d, r2d), m, m, rho0, rate,
+    got = record_below(SchemeId.TDA_INDEP, _record(sd, r1d, r2d), m, m, rho0, rate,
                        delays=delays)
     assert len(kernel_rows) == 1 and np.all(np.isin(np.abs(sd[bad]) ** 2, kernel_rows[0]))
     want = mi_batch(SchemeId.TDA_INDEP, sd, r1d, r2d, m, m, rho0, delays=delays)
@@ -899,13 +904,13 @@ def test_envelope_is_the_screen(monkeypatch):
             settled = (m1 & m2) & np.isfinite(lower) & np.isfinite(upper) & (
                 (upper < rate - slack) | (lower >= rate + slack))
             assert np.count_nonzero(settled) > np.count_nonzero(m1 & m2) // 4, (scheme, kw, db)
-            direct, low = _kernel_lower(scheme, LinkRecord(sd, r1d, r2d).rows(b), rho0,
+            direct, low = _kernel_lower(scheme, _record(sd, r1d, r2d).rows(b), rho0,
                                         kw.get("corr"), kw.get("delays"))
             need = 2.0 * rate - direct
             left = b[~(np.isfinite(need) & np.isfinite(low) & (low - slack >= need))]
             kernel_rows.clear()
             upper_rows.clear()
-            below = record_below(scheme, LinkRecord(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
+            below = record_below(scheme, _record(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
             assert len(kernel_rows) == 1, (scheme, kw, db)
             assert not np.any(np.isin(np.abs(sd[settled]) ** 2, kernel_rows[0])), (scheme, kw, db)
             assert len(upper_rows) == 1, (scheme, kw, db)
@@ -922,7 +927,7 @@ def test_envelope_is_the_screen(monkeypatch):
     for scheme, corr in ((SchemeId.ASTC, correlations(srrc(0.5, 2, 64), 0.3)),
                          (SchemeId.MIX_AF, correlations(rectangular(1, 64), 0.5))):
         upper_rows.clear()
-        record_below(scheme, LinkRecord(sd, r1d, r2d), m, m, 2.0 / 3.0 * snr,
+        record_below(scheme, _record(sd, r1d, r2d), m, m, 2.0 / 3.0 * snr,
                      0.25 * math.log2(1.0 + snr), corr=corr)
         assert len(upper_rows) == 1 and upper_rows[0].size < 0.01 * n, (scheme, upper_rows[0].size)
 
@@ -939,7 +944,7 @@ def test_screen_keeps_the_overflow_edge():
     sd = np.array([1.0 + 0.5j, 0.3 - 1.0j])
     r1d = np.array([0.8 + 0.1j, -1.2 + 0.4j])
     for last in (0.0, 1e-150, 0.9j):
-        links = LinkRecord(sd, r1d, np.array([0.5 - 0.7j, last]))
+        links = _record(sd, r1d, np.array([0.5 - 0.7j, last]))
         got = record_below(SchemeId.ASTC, links, m, m, rho0, rate, corr=corr)
         np.testing.assert_array_equal(got, [False, False])
         with pytest.raises(NumericError):
@@ -955,7 +960,7 @@ def test_screen_keeps_the_overflow_edge():
         for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
             for rho0 in (1e20, 1e150, 1e154, 1e300):
                 with np.errstate(all="ignore"):
-                    links = LinkRecord(sd, r1d, r2d)
+                    links = _record(sd, r1d, r2d)
                     lower = _kernel_lower(scheme, links, rho0, None, delays)[1]
                     upper = _kernel_upper(scheme, links, rho0, None, delays)
                     assert np.all(np.isfinite(upper[np.isfinite(lower)])), (scheme, t0bw, rho0)

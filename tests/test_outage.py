@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, stats
+
+from conftest import normal_draw_gains
 
 from relaylab.channel import (D_BOTH, NetworkConfig, RatePoint, decoding_set_probs,
                               relay_failure_prob)
 from relaylab import outage
 from relaylab._quad import gl_nodes
 from relaylab.errors import ConfigError, NumericError
-from relaylab.mutualinfo import DelayConfig, SchemeId, _cos_window_means, mi_batch
+from relaylab.mutualinfo import DelayConfig, SchemeId, _cos_window_means, record_mi
 from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              analytic_outage_curve, analytic_outage_parallel3,
                              analytic_outage_rtda2, analytic_outage_stc, mc_outage, slope_fit,
@@ -550,10 +552,64 @@ def test_mc_async_schemes_run(unit_cfg):
 
 
 def test_mc_validation(unit_cfg):
-    with pytest.raises(ConfigError):
-        mc_outage(SchemeId.STC_SYNC, 0.1, SNR_GRID, 5_000, 1, cfg=unit_cfg)
+    for trials in (5_000, 2 ** 34 + 1):
+        with pytest.raises(ConfigError, match=r"trials must lie in \[10\^4, 2\^34\]"):
+            mc_outage(SchemeId.STC_SYNC, 0.1, SNR_GRID, trials, 1, cfg=unit_cfg)
     with pytest.raises(ConfigError):
         mc_outage(SchemeId.TDA_INDEP, 0.1, SNR_GRID, 10_000, 1, cfg=unit_cfg)
+
+
+# ---------------------------------------------------------------------------
+# fading draws: exponential squared gains, complex normals for the relay pair
+
+UNEQUAL_CFG = NetworkConfig(0.5, 1.0, 2.0, 3.0, 4.0)
+
+
+def test_draws_are_row_prefixes_and_blocks_differ():
+    # trial t's draws depend only on (seed, t): a shorter block is a row
+    # prefix of a longer one from the same first trial, in every array
+    short = outage._draw_gains(UNEQUAL_CFG, 3, 32768, 1000)
+    long = outage._draw_gains(UNEQUAL_CFG, 3, 32768, 20000)
+    for a, b in zip(short, long):
+        np.testing.assert_array_equal(a, b[:1000])
+    # and blocks at other first trials, or of another seed, share no value
+    for other in (outage._draw_gains(UNEQUAL_CFG, 3, 0, 1000),
+                  outage._draw_gains(UNEQUAL_CFG, 3, 65536, 1000),
+                  outage._draw_gains(UNEQUAL_CFG, 4, 32768, 1000)):
+        for a, b in zip(short, other):
+            assert not np.any(np.isin(a, b))
+
+
+def test_squared_gains_follow_the_normal_sampler():
+    # each link's squared gain against |z|^2 of the all-normal oracle sampler,
+    # on an independent seed: two-sample Kolmogorov-Smirnov, rejected at p < 1e-6
+    n = 2 ** 17
+    g_sd, g_sr1, g_sr2, r1d, r2d = outage._draw_gains(UNEQUAL_CFG, 31, 0, n)
+    ref = normal_draw_gains(UNEQUAL_CFG, 32, 0, n)
+    ref = (*ref[:3], np.abs(ref[3]) ** 2, np.abs(ref[4]) ** 2)
+    for got, want, s2 in zip((g_sd, g_sr1, g_sr2, np.abs(r1d) ** 2, np.abs(r2d) ** 2), ref,
+                             (0.5, 1.0, 2.0, 3.0, 4.0)):
+        assert stats.ks_2samp(got, want).pvalue >= 1e-6, s2
+        assert np.mean(got) == pytest.approx(s2, rel=0.02)
+
+
+@pytest.mark.parametrize("scheme, kw", [
+    pytest.param(SchemeId.STC_SYNC, {}, id="STC_SYNC"),
+    pytest.param(SchemeId.TDA_LINMOD, {"corr": correlations(rectangular(1, 64), 0.5)},
+                 id="TDA_LINMOD-rect1"),
+    pytest.param(SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(2.5)},
+                 id="TDA_INDEP-t0bw2.5")])
+def test_mc_counts_follow_the_normal_sampler(monkeypatch, scheme, kw):
+    # the engine's counts on the two samplers, independent seeds, at 0:30:10 dB:
+    # a two-sample binomial |z| <= 4.9 (two-sided p about 1e-6) at every point
+    n = 2 ** 17
+    grid = tuple(10.0 ** (db / 10.0) for db in (0, 10, 20, 30))
+    got = mc_outage(scheme, 0.25, grid, n, 41, cfg=UNEQUAL_CFG, **kw).outage
+    monkeypatch.setattr(outage, "_draw_gains", normal_draw_gains)
+    want = mc_outage(scheme, 0.25, grid, n, 42, cfg=UNEQUAL_CFG, **kw).outage
+    for p1, p2 in zip(got, want):
+        pool = 0.5 * (p1 + p2)
+        assert abs(p1 - p2) <= 4.9 * math.sqrt(pool * (1.0 - pool) * 2.0 / n), (p1, p2)
 
 
 @pytest.mark.parametrize("engine", ("mc", "analytic"))
@@ -579,8 +635,8 @@ def test_request_rule_both_engines(engine, grid, cond, forced, match, unit_cfg):
 
 
 def _kernel_verdicts(scheme, links, m1, m2, rho0, rate, corr=None, delays=None):
-    # the unscreened verdicts on the block's complex gains, one snr point per call
-    return mi_batch(scheme, links.sd, links.r1d, links.r2d, m1, m2, rho0, corr, delays) < rate
+    # the unscreened verdicts on the block's record, one snr point per call
+    return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
 
 
 # (r, cond, forced): every case at r=0.25 jointly, the forced sets at r=0.45;
