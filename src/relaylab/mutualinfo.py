@@ -12,13 +12,14 @@ block and every snr point reads it.  record_mi is each scheme's one MI
 kernel: it takes a record and the relay memberships, and mi_batch is it on
 complex gains.  Rows with fewer than two relays have closed forms; on the
 both-relays rows every scheme's MI is (direct + kernel)/2, a direct-link
-term plus a relay-pair term, which _both_split builds for the kernel and
-for its bounds _kernel_lower and _kernel_upper alike.  The Monte Carlo
-engine only needs record_mi(...) < rate.  record_below returns it with the
-lower bound on every both-relays row, the upper bound on the rows the lower
-bound does not clear, and the costly pair kernel, in one record_mi call,
-on the rows neither settles.  mi_envelope returns mi_batch's value with
-those same bounds, the one bound set of each both-relays kernel.
+term plus a relay-pair term.  _both_relays is the one place per scheme for
+those rows: it returns the direct term with the kernel and its two bounds
+as callables, which record_mi, record_below and mi_envelope all read.  The
+Monte Carlo engine only needs record_mi(...) < rate.  record_below returns
+it with the lower bound on every both-relays row, the upper bound on the
+rows the lower bound does not clear, and the costly pair kernel, in one
+record_mi call, on the rows neither settles.  mi_envelope returns
+mi_batch's value with those same bounds.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def record_mi(scheme, links: LinkRecord, m1, m2, rho0: float,
     row.  The Monte Carlo engine calls it per block and snr point; a single
     draw is a batch of one.  Rows with fewer than two relays are closed
     forms in the members' summed gain relay; both-relays rows are
-    (direct + kernel)/2 over _both_split.
+    (direct + kernel)/2 over _both_relays.
     """
     scheme = check_scheme(scheme, corr, delays)
     gsd, g1, g2 = links.g_sd, links.g1, links.g2
@@ -195,20 +196,8 @@ def record_mi(scheme, links: LinkRecord, m1, m2, rho0: float,
     if scheme == SchemeId.STC_SYNC or not both.any():
         return out
     b = np.nonzero(both)[0]
-    pair = links.rows(b)
-    direct, terms = _both_split(scheme, pair, rho0, corr)
-    if scheme == SchemeId.TDA_LINMOD:
-        a, bb = terms
-        kernel = np.log2(1.0 + a + np.sqrt(np.maximum((1.0 + a) ** 2 - bb * bb, 0.0))) - 1.0
-    elif scheme in (SchemeId.ASTC, SchemeId.MIX_AF):
-        kernel = _emaca_batch(*terms, corr, rho0)
-    elif delays.t0bw > 0.0:
-        kernel = _cos_window_means(*terms, math.pi * delays.t0bw)[0]
-    else:  # no delay window: the relays add coherently
-        eff = pair.term("coherent", lambda s: np.abs(s.r1d + s.r2d) ** 2)
-        kernel = np.log2(1.0 + rho0 * ((pair.g_sd + eff) if scheme == SchemeId.TDA_REPETITION
-                                       else eff))
-    out[b] = 0.5 * (direct + kernel)
+    direct, kernel, _, _ = _both_relays(scheme, links.rows(b), rho0, corr, delays)
+    out[b] = 0.5 * (direct + kernel())
     return out
 
 
@@ -216,8 +205,8 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
                 corr: CorrelationSet | None = None,
                 delays: DelayConfig | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(value, lower, upper) arrays: mi_batch's value and the bounds
-    record_below screens it with, (direct + bound)/2 over _kernel_lower and
-    _kernel_upper on every both-relays row.
+    record_below screens it with, (direct + bound)/2 over _both_relays's
+    bounds on every both-relays row.
 
     A row with a non-finite bound gets the vacuous -inf and +inf.  Rows with
     a closed form (STC_SYNC, fewer than two relays, the delay schemes at
@@ -229,13 +218,14 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     lower = value.copy()
     upper = value.copy()
     both = m1 & m2
-    if not _bounded(scheme, delays) or not both.any():
+    if scheme == SchemeId.STC_SYNC or not both.any():
         return value, lower, upper
     b = np.nonzero(both)[0]
-    pair = links.rows(b)
     with np.errstate(all="ignore"):
-        direct, low = _kernel_lower(scheme, pair, rho0, corr, delays)
-        high = _kernel_upper(scheme, pair, rho0, corr, delays)
+        direct, _, low, high = _both_relays(scheme, links.rows(b), rho0, corr, delays)
+        if low is None:
+            return value, lower, upper
+        low, high = low(), high()
         finite = np.isfinite(direct) & np.isfinite(low) & np.isfinite(high)
         lower[b] = np.where(finite, 0.5 * (direct + low), -np.inf)
         upper[b] = np.where(finite, 0.5 * (direct + high), np.inf)
@@ -249,35 +239,40 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     where its bounds leave the verdict in doubt.
 
     For the both-relays rows of ASTC, MIX_AF and the windowed delay schemes,
-    lower <= kernel <= upper bound the kernel term (_kernel_lower,
-    _kernel_upper), and the row reaches the rate iff the kernel reaches need
-    = 2 rate - direct.  Each test keeps a margin above the kernel's roundoff.
-    The lower bound runs first: a row whose finite lower bound reaches the
-    finite need is cleared, whatever its upper bound.  The upper bound runs
-    on the rows it leaves, and a row whose finite upper bound falls below
-    the need is an outage.  Every other row, and every row with a non-finite
-    bound or need, goes through one record_mi call.  So the verdicts equal
+    _both_relays's lower <= kernel <= upper bound the kernel term, and the
+    row reaches the rate iff the kernel reaches need = 2 rate - direct.  Each
+    test keeps a margin above the kernel's roundoff.  The lower bound runs
+    first: a row whose finite lower bound reaches the finite need is
+    cleared, whatever its upper bound.  The upper bound runs on the rows it
+    leaves, and a row whose finite upper bound falls below the need is an
+    outage.  Every other row, and every row with a non-finite bound or need,
+    goes through one record_mi call.  So the verdicts equal
     record_mi(...) < rate wherever record_mi returns.  Where it would raise,
     because the pair kernel's coefficients pass the float range, a row that
-    the lower bound clears gets the lower bound's verdict.
+    the lower bound clears gets the lower bound's verdict.  STC_SYNC and
+    TDA_LINMOD, whose kernels are closed forms, are not screened, nor are
+    the delay schemes at t0 bw = 0, whose bounds are None.
     """
     scheme = check_scheme(scheme, corr, delays)
     both = m1 & m2
-    if not _bounded(scheme, delays) or scheme == SchemeId.TDA_LINMOD or not both.any():
+    if scheme in (SchemeId.STC_SYNC, SchemeId.TDA_LINMOD) or not both.any():
         return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
 
     b = np.nonzero(both)[0]
     pair = links.rows(b)
+    direct, _, lower, _ = _both_relays(scheme, pair, rho0, corr, delays)
+    if lower is None:
+        return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
     slack = _SCREEN_SLACK * (1.0 + rate)
     if scheme in _DELAY_SCHEMES:
         slack = slack * (1.0 + 1.0 / delays.t0bw)
     with np.errstate(all="ignore"):  # a non-finite bound sends its row to the kernel
-        direct, lower = _kernel_lower(scheme, pair, rho0, corr, delays)
+        lower = lower()
         need = np.broadcast_to(2.0 * rate - direct, b.shape)
         finite = np.isfinite(need) & np.isfinite(lower)
         clear = finite & (lower - slack >= need)
         rest = np.nonzero(~clear)[0]
-        upper = _kernel_upper(scheme, pair.rows(rest), rho0, corr, delays)
+        upper = _both_relays(scheme, pair.rows(rest), rho0, corr, delays)[3]()
     outage = np.zeros(b.size, dtype=bool)
     outage[rest] = finite[rest] & np.isfinite(upper) & (upper + slack < need[rest])
     below = np.zeros(both.size, dtype=bool)
@@ -296,100 +291,79 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
 _SCREEN_SLACK = 1e-9
 
 
-def _bounded(scheme: SchemeId, delays: DelayConfig | None) -> bool:
-    """Whether _kernel_lower and _kernel_upper bound the scheme's both-relays
-    kernel: every kernel but STC_SYNC's and the delay schemes' coherent sum
-    at t0 bw = 0."""
-    return scheme in _CORR_SCHEMES or (scheme in _DELAY_SCHEMES and delays.t0bw > 0.0)
+def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
+                 corr: CorrelationSet | None, delays: DelayConfig | None):
+    """(direct, kernel, lower, upper) of a record of both-relays rows, whose
+    MI is (direct + kernel())/2: a direct-link term and the relay-pair
+    kernel, with lower() <= kernel() <= upper().  kernel, lower and upper
+    are zero-argument callables, so a caller pays only for the parts it
+    runs; the snr-free parts are the record's terms, computed once per
+    record.  STC_SYNC has no pair kernel and is not taken here.
 
-
-def _kernel_lower(scheme: SchemeId, links: LinkRecord, rho0: float,
-                  corr: CorrelationSet | None, delays: DelayConfig | None):
-    """(direct, lower) for the both-relays rows of a record: the direct term
-    of _both_split and lower <= kernel, the kernel record_mi computes from
-    the same squared gains.  _kernel_upper bounds the kernel above.
-
-    - ASTC/MIX_AF: mean log2 q(w), q = det(I + rho0 diag(g1, g2) T(w)).
-      T(w) >= 0 gives q >= 1 + tr = 1 + rho0 (g1 + g2) t11, the single-stream
-      rate of g1 + g2 when the diagonal is t11(w) = r(0) + 2 a1 cos w, that is
-      every tap r(m), m >= 2, zero (span 1 and the truncated SRRC span 2).
-      For other pulses only q >= 1 bounds it below.
+    - TDA_INDEP/TDA_REPETITION average log2(A + B cos(u + psi)) over the
+      delay window |u| <= h = pi t0 bw, with B = 2 rho0 sqrt(g1 g2); the
+      repetition code puts rho0 g_sd into A, so its direct term is 0.  At
+      t0 bw = 0 the relays add coherently and lower, upper are None.
+      Otherwise the mean is at least _window_mean_lower, and Jensen with
+      the window mean of the cosine gives log2(A + B sin(h) cos(psi) / h)
+      above.
     - TDA_LINMOD: the matched-filter pair term log2(1 + a + sqrt((1 + a)^2
-      - b^2)) - 1 is at least log2(1 + a) - 1.
-    - TDA_INDEP/TDA_REPETITION at t0 bw > 0: the mean of log2(A + B cos(u + psi))
-      over |u| <= h = pi w is at least _window_mean_lower.
-    """
-    direct, terms = _both_split(scheme, links, rho0, corr)
-    if scheme in _DELAY_SCHEMES:
-        a, bc, _ = terms
-        return direct, _window_mean_lower(a, bc, delays.t0bw)
-    if scheme == SchemeId.TDA_LINMOD:
-        return direct, np.log2(1.0 + terms[0]) - 1.0
-    g1, g2 = terms
-    if any(corr.r_taps[2:]):
-        return direct, np.zeros(g1.size)
-    # t11 = r0 (1 + 2 (a1/r0) cos w): a single-stream rate of gain r0 g
-    a1, r0 = corr.a1, corr.r(0)
-    return direct, _esd_from_gain(r0 * (g1 + g2), a1 / r0, rho0)
-
-
-def _kernel_upper(scheme: SchemeId, links: LinkRecord, rho0: float,
-                  corr: CorrelationSet | None, delays: DelayConfig | None):
-    """upper >= kernel for the both-relays rows of a record, the kernel of
-    _kernel_lower.
-
-    - ASTC/MIX_AF: Jensen gives mean log2 q <= log2 c_0, the constant
-      cosine coefficient of q (column 0 of _det_coeffs).  When
-      every tap r(m), m >= 2, is zero, Hadamard's inequality gives
-      q <= (1 + rho0 g1 t11)(1 + rho0 g2 t11), so the kernel is also at most
-      the sum of the two single-stream rates.
-    - TDA_LINMOD: log2(1 + a), as |rho12| + |rho21| <= 1 (Cauchy-Schwarz)
-      gives |b| <= a.
-    - TDA_INDEP/TDA_REPETITION at t0 bw > 0: Jensen with the window mean of
-      the cosine, log2(A + B sin(h) cos(psi) / h).
-    """
-    _, terms = _both_split(scheme, links, rho0, corr)
-    if scheme in _DELAY_SCHEMES:
-        a, bc, _ = terms
-        h = math.pi * delays.t0bw
-        return np.log2(a + bc * (math.sin(h) / h) * links.cos_psi)
-    if scheme == SchemeId.TDA_LINMOD:
-        return np.log2(1.0 + terms[0])
-    g1, g2 = terms
-    upper = np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
-    if any(corr.r_taps[2:]):
-        return upper
-    a1, r0 = corr.a1, corr.r(0)
-    return np.minimum(upper, _esd_from_gain(r0 * g1, a1 / r0, rho0)
-                      + _esd_from_gain(r0 * g2, a1 / r0, rho0))
-
-
-def _both_split(scheme: SchemeId, links: LinkRecord, rho0: float,
-                corr: CorrelationSet | None):
-    """(direct, terms) of a record of both-relays rows, whose MI is
-    (direct + kernel)/2 with the relay-pair kernel built from terms.
-
-    TDA_INDEP and TDA_REPETITION average log2(A + B cos(u + psi)) over the
-    delay window: terms (A, B, psi), and the repetition code puts rho0 g_sd
-    into A, so its direct term is 0.  TDA_LINMOD gives the matched-filter
-    pair's (a, b), and ASTC and MIX_AF give (g1, g2) for _emaca_batch with
-    the single-stream ISI rate of g_sd as the direct term.  The snr-free
-    parts are the record's terms, computed once per record.
+      - b^2)) - 1 lies between log2(1 + a) - 1 and log2(1 + a), as
+      |rho12| + |rho21| <= 1 (Cauchy-Schwarz) gives |b| <= a.  Where the
+      square passes the float range (rho0 g past about 1e154) the root is
+      taken as sqrt(1 + a - b) sqrt(1 + a + b).
+    - ASTC/MIX_AF: the single-stream ISI rate of g_sd is the direct term
+      and the kernel is _emaca_batch's mean log2 q(w),
+      q = det(I + rho0 diag(g1, g2) T(w)).  Jensen gives mean log2 q <=
+      log2 c_0, the constant cosine coefficient of q (column 0 of
+      _det_coeffs).  When the diagonal is t11(w) = r(0) + 2 a1 cos w, that
+      is every tap r(m), m >= 2, zero (span 1 and the truncated SRRC
+      span 2), T(w) >= 0 gives q >= 1 + tr = 1 + rho0 (g1 + g2) t11, the
+      single-stream rate of g1 + g2, and Hadamard's inequality gives
+      q <= (1 + rho0 g1 t11)(1 + rho0 g2 t11), so the kernel is also at
+      most the sum of the two single-stream rates.  For other pulses only
+      q >= 1 bounds it below.
     """
     gsd, g1, g2 = links.g_sd, links.g1, links.g2
     if scheme in _DELAY_SCHEMES:
-        nu = g1 + g2
-        if scheme == SchemeId.TDA_REPETITION:
-            direct, a = 0.0, 1.0 + rho0 * (gsd + nu)
-        else:
-            direct, a = np.log2(1.0 + rho0 * gsd), 1.0 + rho0 * nu
-        return direct, (a, 2.0 * rho0 * np.sqrt(g1 * g2), links.psi)
+        rep = scheme == SchemeId.TDA_REPETITION
+        direct = 0.0 if rep else np.log2(1.0 + rho0 * gsd)
+        w = delays.t0bw
+        if w == 0.0:  # no delay window: the relays add coherently
+            eff = links.term("coherent", lambda s: np.abs(s.r1d + s.r2d) ** 2)
+            return direct, lambda: np.log2(1.0 + rho0 * ((gsd + eff) if rep else eff)), None, None
+        a = 1.0 + rho0 * ((gsd + (g1 + g2)) if rep else (g1 + g2))
+        bc = 2.0 * rho0 * np.sqrt(g1 * g2)
+        h = math.pi * w
+        return (direct, lambda: _cos_window_means(a, bc, links.psi, h)[0],
+                lambda: _window_mean_lower(a, bc, w),
+                lambda: np.log2(a + bc * (math.sin(h) / h) * links.cos_psi))
     if scheme == SchemeId.TDA_LINMOD:
         rho12 = corr.rho12  # a / rho0 is snr-free
-        a = links.term(("linmod_a", rho12),
-                       lambda s: s.g1 + s.g2 + 2.0 * rho12 * s.r1 * s.r2 * s.cos_psi)
-        return np.log2(1.0 + rho0 * gsd), (rho0 * a, 2.0 * rho0 * corr.rho21 * links.r1 * links.r2)
-    return _esd_from_gain(gsd, corr.a1, rho0), (g1, g2)
+        a = rho0 * links.term(("linmod_a", rho12),
+                              lambda s: s.g1 + s.g2 + 2.0 * rho12 * s.r1 * s.r2 * s.cos_psi)
+        bc = 2.0 * rho0 * corr.rho21 * links.r1 * links.r2
+
+        def kernel():
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = (1.0 + a) ** 2 - bc * bc
+            root = np.sqrt(np.maximum(d, 0.0))
+            big = ~np.isfinite(d)
+            if big.any():
+                root = np.where(big, np.sqrt(np.maximum(1.0 + a - bc, 0.0)) * np.sqrt(1.0 + a + bc),
+                                root)
+            return np.log2(1.0 + a + root) - 1.0
+
+        return (np.log2(1.0 + rho0 * gsd), kernel, lambda: np.log2(1.0 + a) - 1.0,
+                lambda: np.log2(1.0 + a))
+    direct = _esd_from_gain(gsd, corr.a1, rho0)
+    jensen = lambda: np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
+    kernel = lambda: _emaca_batch(g1, g2, corr, rho0)
+    if any(corr.r_taps[2:]):
+        return direct, kernel, lambda: np.zeros(g1.size), jensen
+    r0 = corr.r(0)  # t11 = r0 (1 + 2 (a1/r0) cos w): a single-stream rate of gain r0 g
+    esd = lambda g: _esd_from_gain(r0 * g, corr.a1 / r0, rho0)
+    return direct, kernel, lambda: esd(g1 + g2), lambda: np.minimum(jensen(), esd(g1) + esd(g2))
 
 
 def closed_log_integral(a: float, b: float) -> float:

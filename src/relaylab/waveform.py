@@ -74,6 +74,7 @@ class Waveform:
     def from_samples(cls, label: str, span: int, samples_per_symbol: int,
                      samples) -> "Waveform":
         """Build a waveform from raw samples, normalizing to unit energy."""
+        _check_grid(span, samples_per_symbol)  # the energy divides by samples_per_symbol
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 1:
             raise ConfigError("samples must be one-dimensional")

@@ -415,6 +415,15 @@ def test_waveform_from_file(tmp_path, capsys):
                        "cs_sum", "lambda_min", "lambda_max", "omega_at_min", "pd", "trace_dev"]
     assert m["pd"] == "1"
     assert float(m["lambda_min"]) > 0.05
+    # a header grid below the minimum is a config error, checked before the
+    # energy divides by it (0 used to raise ZeroDivisionError, -64 "zero energy")
+    text = p.read_text()
+    for spp in ("0", "-64"):
+        p.write_text(text.replace("# samples_per_symbol=64\n", f"# samples_per_symbol={spp}\n"))
+        rc, _, err = run(capsys, "waveform", "--pulse", "file", "--waveform-file",
+                         str(p), "--tau", "0.5")
+        assert rc == 2, spp
+        assert "samples_per_symbol must be an integer >= 64" in err, spp
 
 
 def test_toeplitz_convergence_rows(capsys):

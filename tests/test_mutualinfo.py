@@ -11,9 +11,8 @@ from scipy.special import spence
 from relaylab.channel import D_BOTH, D_NONE, D_R1, D_R2, FadingRealization
 from relaylab import mutualinfo
 from relaylab.errors import ConfigError, NumericError
-from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _clausen2,
-                                 _cos_window_means, _emaca_batch, _kernel_lower,
-                                 _kernel_upper, _wrap_angle, check_scheme,
+from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _both_relays, _clausen2,
+                                 _cos_window_means, _emaca_batch, _wrap_angle, check_scheme,
                                  closed_log_integral, i_af_pair, i_esd, i_esd_bounds,
                                  mi_batch, mi_envelope, record_below, record_mi)
 from relaylab.waveform import certify_pd, correlations, rectangular, srrc
@@ -783,33 +782,44 @@ SANDWICH_DB = (0, 10, 20, 30, 40, 60, 80)
 
 
 def test_isi_kernel_bounds_sandwich():
-    # lower <= mean log2 det <= upper, to the slack, for the PD and singular
-    # span-1 pairs, the truncated SRRC span 2 and a span-3 pulse (r(2) != 0,
-    # where only q >= 1 bounds the kernel below)
+    # lower <= pair kernel <= upper, to the slack: the ISI pair's mean log2 det
+    # for the PD and singular span-1 pairs, the truncated SRRC span 2 and a
+    # span-3 pulse (r(2) != 0, where only q >= 1 bounds the kernel below),
+    # and the matched-filter pair on the span-1 pulses out to rho0 = 1e300,
+    # past 1e154, where its (1 + a)^2 leaves the float range
     rng = np.random.default_rng(41)
     pulses = {"rect1": correlations(rectangular(1, 64), 0.5),
               "srrc1": correlations(srrc(0.5, 1, 64), 0.5),
               "srrc2": correlations(srrc(0.5, 2, 64), 0.3),
               "srrc3": correlations(srrc(0.3, 3, 64), 0.7)}
-    for name, corr in pulses.items():
-        for db in SANDWICH_DB:
+    cases = [(SchemeId.ASTC, name, SANDWICH_DB) for name in pulses]
+    cases += [(SchemeId.TDA_LINMOD, name, SANDWICH_DB + (1540, 1600, 3000))
+              for name in ("rect1", "srrc1")]
+    for scheme, name, dbs in cases:
+        corr = pulses[name]
+        for db in dbs:
             rho0 = 10.0 ** (db / 10.0)
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
-            links = _record(sd, r1d, r2d)
-            lower = _kernel_lower(SchemeId.ASTC, links, rho0, corr, None)[1]
-            upper = _kernel_upper(SchemeId.ASTC, links, rho0, corr, None)
+            _, kernel, lower, upper = _both_relays(scheme, _record(sd, r1d, r2d), rho0, corr, None)
+            lower, upper = lower(), upper()
             slack = mutualinfo._SCREEN_SLACK * (1.0 + rate)
-            kernel = _emaca_batch(np.abs(r1d) ** 2, np.abs(r2d) ** 2, corr, rho0)
-            assert np.all(np.isfinite(lower) & np.isfinite(upper)), (name, db)
-            assert np.all(lower - slack <= kernel), (name, db)
-            assert np.all(kernel <= upper + slack), (name, db)
+            if scheme == SchemeId.ASTC:
+                kernel = _emaca_batch(np.abs(r1d) ** 2, np.abs(r2d) ** 2, corr, rho0)
+            else:
+                kernel = kernel()
+            msg = (scheme.value, name, db)
+            assert np.all(np.isfinite(lower) & np.isfinite(upper) & np.isfinite(kernel)), msg
+            assert np.all(lower - slack <= kernel), msg
+            assert np.all(kernel <= upper + slack), msg
             if name == "srrc3":
                 assert np.all(lower == 0.0)
 
 
-@pytest.mark.parametrize("t0bw", (1e-6, 0.3, 1.7, 2.0, 2.5, 6.0))
+@pytest.mark.parametrize("t0bw", (0.0, 1e-6, 0.3, 1.7, 2.0, 2.5, 6.0))
 def test_window_kernel_bounds_sandwich(t0bw):
+    # at t0 bw = 0 the relays add coherently, a closed form with no bounds:
+    # mi_envelope reports lower = upper = value, and record_below runs the kernel
     rng = np.random.default_rng(43)
     delays = DelayConfig.from_t0bw(t0bw)
     for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
@@ -818,8 +828,18 @@ def test_window_kernel_bounds_sandwich(t0bw):
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
             links = _record(sd, r1d, r2d)
-            lower = _kernel_lower(scheme, links, rho0, None, delays)[1]
-            upper = _kernel_upper(scheme, links, rho0, None, delays)
+            _, _, lower, upper = _both_relays(scheme, links, rho0, None, delays)
+            if t0bw == 0.0:
+                assert lower is None and upper is None
+                both = np.ones(sd.size, dtype=bool)
+                value, lower, upper = mi_envelope(scheme, sd, r1d, r2d, both, both, rho0,
+                                                  delays=delays)
+                assert np.array_equal(lower, value) and np.array_equal(upper, value)
+                np.testing.assert_array_equal(
+                    record_below(scheme, links, both, both, rho0, rate, delays=delays),
+                    value < rate)
+                continue
+            lower, upper = lower(), upper()
             slack = mutualinfo._SCREEN_SLACK * (1.0 + rate) * (1.0 + 1.0 / t0bw)
             gsd, g1, g2 = (np.abs(z) ** 2 for z in (sd, r1d, r2d))
             nu = g1 + g2
@@ -859,8 +879,8 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
     rate = 0.25 * math.log2(1.0 + rho0)
     links = _record(sd, r1d, r2d)
     with np.errstate(divide="ignore"):
-        direct, lower = _kernel_lower(SchemeId.TDA_INDEP, links, rho0, None, delays)
-        upper = _kernel_upper(SchemeId.TDA_INDEP, links, rho0, None, delays)
+        direct, _, lower, upper = _both_relays(SchemeId.TDA_INDEP, links, rho0, None, delays)
+        lower, upper = lower(), upper()
     bad = ~(np.isfinite(direct) & np.isfinite(lower) & np.isfinite(upper))
     assert np.count_nonzero(bad[:50]) == 50
     # the envelope reports those bounds as vacuous
@@ -878,8 +898,10 @@ def test_screen_sends_non_finite_bounds_to_the_kernel(monkeypatch):
 def test_envelope_is_the_screen(monkeypatch):
     # mi_envelope reports the bounds record_below screens with: at a rate
     # splitting the rows, no both-relays row whose finite envelope settles
-    # its verdict by more than the slack reaches record_mi, and the upper
-    # bound runs on exactly the both-relays rows the lower bound leaves
+    # its verdict by more than the slack reaches record_mi, and _both_relays
+    # runs on every both-relays row for the lower bound, then on exactly the
+    # rows the lower bound leaves for the upper bound (and from record_mi on
+    # the rows still in doubt)
     rng = np.random.default_rng(59)
     n = 2000
     sd, r1d, r2d = _screen_rows(rng, n)
@@ -894,7 +916,7 @@ def test_envelope_is_the_screen(monkeypatch):
               for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION)
               for t0bw in (0.3, 2.5)]
     kernel_rows = _spy_rows(monkeypatch, "record_mi")
-    upper_rows = _spy_rows(monkeypatch, "_kernel_upper")
+    pair_rows = _spy_rows(monkeypatch, "_both_relays")
     for scheme, kw, window in cases:
         for db in (0, 20, 40):
             rho0 = 10.0 ** (db / 10.0)
@@ -904,17 +926,19 @@ def test_envelope_is_the_screen(monkeypatch):
             settled = (m1 & m2) & np.isfinite(lower) & np.isfinite(upper) & (
                 (upper < rate - slack) | (lower >= rate + slack))
             assert np.count_nonzero(settled) > np.count_nonzero(m1 & m2) // 4, (scheme, kw, db)
-            direct, low = _kernel_lower(scheme, _record(sd, r1d, r2d).rows(b), rho0,
-                                        kw.get("corr"), kw.get("delays"))
+            direct, _, low, _ = _both_relays(scheme, _record(sd, r1d, r2d).rows(b), rho0,
+                                             kw.get("corr"), kw.get("delays"))
+            low = low()
             need = 2.0 * rate - direct
             left = b[~(np.isfinite(need) & np.isfinite(low) & (low - slack >= need))]
             kernel_rows.clear()
-            upper_rows.clear()
+            pair_rows.clear()
             below = record_below(scheme, _record(sd, r1d, r2d), m1, m2, rho0, rate, **kw)
             assert len(kernel_rows) == 1, (scheme, kw, db)
             assert not np.any(np.isin(np.abs(sd[settled]) ** 2, kernel_rows[0])), (scheme, kw, db)
-            assert len(upper_rows) == 1, (scheme, kw, db)
-            np.testing.assert_array_equal(np.sort(upper_rows[0]), np.sort(np.abs(sd[left]) ** 2),
+            assert len(pair_rows) in (2, 3), (scheme, kw, db)
+            np.testing.assert_array_equal(pair_rows[0], np.abs(sd[b]) ** 2)
+            np.testing.assert_array_equal(np.sort(pair_rows[1]), np.sort(np.abs(sd[left]) ** 2),
                                           err_msg=f"{scheme.value} {kw} {db} dB")
             np.testing.assert_array_equal(
                 below, mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw) < rate)
@@ -926,10 +950,10 @@ def test_envelope_is_the_screen(monkeypatch):
     m = np.ones(n, dtype=bool)
     for scheme, corr in ((SchemeId.ASTC, correlations(srrc(0.5, 2, 64), 0.3)),
                          (SchemeId.MIX_AF, correlations(rectangular(1, 64), 0.5))):
-        upper_rows.clear()
+        pair_rows.clear()
         record_below(scheme, _record(sd, r1d, r2d), m, m, 2.0 / 3.0 * snr,
                      0.25 * math.log2(1.0 + snr), corr=corr)
-        assert len(upper_rows) == 1 and upper_rows[0].size < 0.01 * n, (scheme, upper_rows[0].size)
+        assert len(pair_rows) in (2, 3) and pair_rows[1].size < 0.01 * n, (scheme, pair_rows[1].size)
 
 
 def test_screen_keeps_the_overflow_edge():
@@ -961,8 +985,8 @@ def test_screen_keeps_the_overflow_edge():
             for rho0 in (1e20, 1e150, 1e154, 1e300):
                 with np.errstate(all="ignore"):
                     links = _record(sd, r1d, r2d)
-                    lower = _kernel_lower(scheme, links, rho0, None, delays)[1]
-                    upper = _kernel_upper(scheme, links, rho0, None, delays)
+                    _, _, lower, upper = _both_relays(scheme, links, rho0, None, delays)
+                    lower, upper = lower(), upper()
                     assert np.all(np.isfinite(upper[np.isfinite(lower)])), (scheme, t0bw, rho0)
                     rate = 0.25 * math.log2(1.0 + rho0)
                     np.testing.assert_array_equal(
