@@ -57,6 +57,8 @@ def rate_target(snr: float, r: float, sigma2_sd: float = 1.0) -> float:
         raise ConfigError(f"snr must be positive and finite, got {snr!r}")
     if not 0.0 <= r < 0.5:
         raise ConfigError(f"multiplexing gain must lie in [0, 1/2), got {r!r}")
+    if not math.isfinite(snr * sigma2_sd):
+        raise ConfigError(f"snr * sigma2_sd = {snr!r} * {sigma2_sd!r} passes the float range")
     return r * math.log2(1.0 + snr * sigma2_sd)
 
 

@@ -35,7 +35,6 @@ from .errors import ConfigError, NumericError
 from .waveform import CorrelationSet
 
 _LN2 = math.log(2.0)
-_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 class SchemeId(str, enum.Enum):
@@ -285,9 +284,9 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     return below
 
 
-# Margin of the screens in record_below and rtda2's x = 0 check, in bits per bit:
-# far above the kernels' roundoff, which stays near 1e-14 bits but grows to
-# about 4e-14/t0bw bits for short delay windows, hence record_below's 1/t0bw.
+# Margin of record_below's screens, in bits per bit: far above the kernels'
+# roundoff, which stays near 1e-14 bits but grows to about 4e-14/t0bw bits for
+# short delay windows, hence record_below's 1/t0bw.
 _SCREEN_SLACK = 1e-9
 
 
@@ -382,21 +381,8 @@ def _window_mean_lower(A, B, w: float):
     each of the floor(w) whole periods averages exactly log2((A + R)/2),
     R = sqrt(A^2 - B^2), and the rest of the window is at least log2(A - B)."""
     whole = math.floor(w)
-    return (whole * np.log2(0.5 * (A + _root_product(A - B, A + B)))
+    return (whole * np.log2(0.5 * (A + np.sqrt((A - B) * (A + B))))
             + (w - whole) * np.log2(A - B)) / w
-
-
-def _root_product(x, y):
-    """sqrt(x y) for x, y >= 0, such as R = sqrt((A - B)(A + B)) of the window
-    means.  Where the product underflows (below about 2e-308, as in the rtda2
-    oracle's units of rho0 at extreme snr) the two factors are rooted apart;
-    every other entry keeps the plain form."""
-    p = x * y
-    r = np.sqrt(p)
-    under = p < _TINY
-    if under.any():
-        r = np.where(under, np.sqrt(x) * np.sqrt(y), r)
-    return r
 
 
 def _window_phase(psi, h: float):
@@ -444,7 +430,7 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
                     - (1 - 12p) h^2/60 + (1 - 60p + 360p^2) h^4/2520)) / R.
     """
     A, B, psi = np.broadcast_arrays(A, B, psi)
-    r = _root_product(A - B, A + B)
+    r = np.sqrt((A - B) * (A + B))
     c = B / (A + r)
     e_x, two_x, cl_x = _window_phase(psi, h) if phase is None else phase
     alpha = np.angle(1.0 + c * e_x)

@@ -29,8 +29,7 @@ from ._quad import gl_nodes
 from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
                       RatePoint, decoding_set_probs, relay_failure_prob)
 from .errors import ConfigError, NumericError
-from .mutualinfo import (_SCREEN_SLACK, DelayConfig, LinkRecord, SchemeId,
-                         _cos_window_means, _root_product, _window_mean_lower,
+from .mutualinfo import (DelayConfig, LinkRecord, SchemeId, _cos_window_means,
                          _window_phase, check_scheme, record_below)
 from .waveform import CorrelationSet
 
@@ -44,12 +43,12 @@ _FIT_REL_CI_MAX = 0.3   # slope_fit drops points whose interval is wider than th
 # Gauss-Legendre node counts of the oracles
 _STC_NODES = 240        # analytic_outage_stc, per product-pair integral
 _PARALLEL3_NODES = 120  # analytic_outage_parallel3, per nested level
-_RTDA2_SCALE = 64       # analytic_outage_rtda2: log relay-sum scale, per panel,
-_RTDA2_SPLIT = 32       # split fraction between the relays (folded onto its nodes below 1/2),
-_RTDA2_PHASE = 12       # and relative relay phase (fractional t0*bw only)
-_RTDA2_PANEL_EFOLDS = 32  # rtda2 scale panel width in e-folds (one at t0*bw 2.5, 40-80 dB)
+_RTDA2_DIRECT = 24      # analytic_outage_rtda2: direct-gain deficit, as 1 - e^(-s/2),
+_RTDA2_SPLIT = 16       # split angle on [0, pi/4] (the split rule folded at q = 1/2),
+_RTDA2_PHASE = 12       # and relative relay phase, by midpoints (fractional t0*bw only)
+_RTDA2_JENSEN_KEEP = math.log(1e9)  # Jensen roots with N = 1/y below 1e-9 are kept
 
-_RTDA2_NEWTON_CAP = 50  # rtda2 step cap: 9 seen at -20..1000 dB, r 0.1-0.49, t0*bw 1+1e-6..12.3
+_RTDA2_NEWTON_CAP = 50  # rtda2 step cap: 5 seen at -20..3000 dB, r 0.1-0.49, t0*bw 1+1e-6..12.3
 
 
 class ConditionalCase(str, enum.Enum):
@@ -349,112 +348,100 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
                           cond: ConditionalCase = ConditionalCase.D2) -> float:
     """Both-relays outage of the repetition delay-diversity scheme.
 
-    Quadrature over (log relay-sum, split fraction) with the direct-gain
-    threshold solved per node: in closed form when t0*bw is a whole number
-    of periods; otherwise per relay phase as well, by Newton's method on the
-    exact window mean of the rate (NumericError if it does not converge).
-    The threshold depends on the split q only through y1 y2, so it is the
-    same at q and 1 - q, and so is the split rule: it is solved on the
-    nodes q < 1/2, each weighted by the relay density at both splits.
-    Joint by default (multiplied by Pr[|D| = 2]).  It covers cond d2 only:
+    With 1 + rho0 g_sd = T e^-s (T = 4^R) the rate misses the target iff
+    the relay sum nu = g1 + g2 lies below (T / rho0) L, where the level L
+    (_rtda2_relay_level) depends on s, the split q = g1 / nu and the relay
+    phase only.  So the direct gain is the outer variable, s over [0, ln T],
+    and the relay sum's mass below the level is exact: with c = lam1 q +
+    lam2 (1 - q), Pr[nu < m, q in dq] = lam1 lam2 G(c m) / c^2 dq
+    (_gamma2_cdf).  L is the same at q and 1 - q, so the split rule, on
+    q = sin^2(theta), is solved on theta < pi/4 and weighted by the mass at
+    both splits.  A fractional t0*bw adds a phase axis and solves L by
+    Newton's method (NumericError if it does not converge).  Joint by
+    default (multiplied by Pr[|D| = 2]).  It covers cond d2 only:
     ConfigError for any other case.
     """
     if t0bw < 1.0:
         raise ConfigError("oracle needs t0*bw >= 1 (whole-period lower bound finite)")
     pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
     rho0 = pt.rho0
-    big_t = 4.0 ** pt.rate
-    if big_t <= 1.0:
+    log_t = 2.0 * _LN2 * pt.rate
+    if log_t <= 0.0:
         return _compose({D_BOTH: 0.0}, cfg, pt, cond, conditioned)
-    delays = DelayConfig.from_t0bw(float(t0bw))
-    delta1 = delays.delta1
     lam_sd = cfg.lam("sd")
     lam1 = cfg.lam("r1d")
     lam2 = cfg.lam("r2d")
-    x_max = pt.decode_threshold
-    try:
-        nu_hi = (2.0 * big_t ** (1.0 / delta1) - 1.0) / rho0
-    except OverflowError:
-        raise NumericError(f"rtda2: the relay-sum range T^(1/delta1) passes the float range "
-                           f"(snr={snr}, r={r}, t0bw={t0bw})") from None
-    nu_lo = 1e-8 * (big_t - 1.0) / rho0
-
-    t_lo, t_hi = math.log(nu_lo), math.log(nu_hi)
-    panels = math.ceil((t_hi - t_lo) / _RTDA2_PANEL_EFOLDS)
-    edges = [t_lo + (t_hi - t_lo) * k / panels for k in range(panels)] + [t_hi]
-    t_nodes, t_w = map(np.concatenate, zip(*(gl_nodes(lo, hi, _RTDA2_SCALE)
-                                              for lo, hi in zip(edges, edges[1:]))))
-    nu = np.exp(t_nodes)                       # relay-sum scale, log-spaced
-    q_nodes, q_w = (v[:_RTDA2_SPLIT // 2] for v in gl_nodes(0.0, 1.0, _RTDA2_SPLIT))
-    y1 = nu[:, None] * q_nodes[None, :]
-    y2 = nu[:, None] * (1.0 - q_nodes[None, :])
-    bc = 2.0 * rho0 * _root_product(y1, y2)   # cosine swing of the pair gain
-
-    if delta1 == 1.0:  # a whole number of periods
-        big_c = 2.0 * big_t
-        with np.errstate(over="ignore"):
-            a_star = (big_c * big_c + bc * bc) / (2.0 * big_c)
-        # where C^2 + B^2 overflows (C past about 1e154): C/2 + B (B/C)/2, finite as B < C
-        a_star = np.where(np.isfinite(a_star), a_star, 0.5 * big_c + bc * (0.5 * bc / big_c))
-        x_star = np.clip((a_star - 1.0 - rho0 * nu[:, None]) / rho0, 0.0, x_max)
-        x_star = np.where(bc < big_c, x_star, 0.0)  # A + sqrt(A^2-B^2) >= B: no root past B >= C
-        fx = _cdf_exp(x_star, lam_sd)
-    else:
-        phi, phi_w = gl_nodes(0.0, math.pi, _RTDA2_PHASE)
-        x_star = _rtda2_threshold(1.0 / rho0 + nu[None, :, None], bc / rho0, phi[:, None, None],
-                                  big_t / rho0, float(t0bw), snr)
-        fx = np.tensordot(phi_w / math.pi, _cdf_exp(x_star, lam_sd), axes=(0, 0))
-
-    dens = lam1 * lam2 * (np.exp(-lam1 * y1 - lam2 * y2) + np.exp(-lam1 * y2 - lam2 * y1))
-    jac = nu[:, None] ** 2                      # dy1 dy2 = nu dnu dq, dnu = nu dt
-    p = float(t_w @ ((fx * dens * jac) @ q_w))
-    return _compose({D_BOTH: p}, cfg, pt, cond, conditioned)
+    u, u_w = gl_nodes(0.0, -math.expm1(-0.5 * log_t), _RTDA2_DIRECT)
+    s, s_w = -2.0 * np.log1p(-u), 2.0 * u_w / (1.0 - u)  # u = 1 - e^(-s/2): s over [0, ln T]
+    theta, theta_w = gl_nodes(0.0, 0.25 * math.pi, _RTDA2_SPLIT)
+    sigma = np.sin(2.0 * theta)                 # 2 sqrt(q (1 - q)), and dq = sigma dtheta
+    q, p = np.sin(theta) ** 2, np.cos(theta) ** 2  # q and 1 - q
+    cq, cp = lam1 * q + lam2 * p, lam1 * p + lam2 * q
+    m = (4.0 ** pt.rate / rho0) * _rtda2_relay_level(s[:, None], sigma, float(t0bw), snr)
+    mass = lam1 * lam2 * (_gamma2_cdf(cq * m) / (cq * cq) + _gamma2_cdf(cp * m) / (cp * cp))
+    dens = lam_sd * np.exp(-lam_sd * np.expm1(log_t - s) / rho0) * np.exp(log_t - s) / rho0
+    p_out = float(s_w @ (dens * ((mass.mean(axis=0) * sigma) @ theta_w)))
+    return _compose({D_BOTH: p_out}, cfg, pt, cond, conditioned)
 
 
-def _rtda2_threshold(base, swing, phi, level: float, t0bw: float, snr: float):
-    """Direct gain x = a - base, per (phase, scale, split) node, at which
-    mean log2(a + swing cos(u + phi)) over |u| <= h = pi t0bw meets log2 level.
+def _gamma2_cdf(u):
+    """G(u) = Pr[E1 + E2 < u] = 1 - e^-u (1 + u) for unit exponentials; below
+    u = 0.1, where that cancels, u^2 times its Taylor series
+    sum_k (k + 1) (-u)^k / (k + 2)!."""
+    small = u < 0.1
+    us = np.where(small, u, 0.0)
+    return np.where(small, us * us * np.polyval(_GAMMA2_TAYLOR, us), -np.expm1(-u) - u * np.exp(-u))
 
-    The caller works in units of rho0 (a = 1/rho0 + nu + x, swing =
-    2 sqrt(y1 y2)) so that a^2 - swing^2 stays finite at any snr.  The mean
-    is increasing and concave in a, so Newton started below the root climbs
-    to it without overshoot.  The start is the root of Jensen's upper bound
-    log2(a + swing sin(h) cos(phi) / h), or x = 0 when that lies lower.  A
-    node stops at its first step that does not climb: it is at the root to
-    rounding, or its x = 0 rate already meets the target.  Each step runs the
-    window means on the nodes still moving only, and a node starting at x = 0
-    whose whole-period lower bound clears the target by a margin far above
-    the mean's roundoff stops before the first step, as Newton would.  The
-    psi-only window terms are computed once per element of phi.
+
+_GAMMA2_TAYLOR = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(10))[::-1]
+
+
+def _rtda2_relay_level(s, sigma, t0bw: float, snr: float):
+    """The level L = e^-s N per node, where N solves mean log(1 + N (1 +
+    sigma cos(u + phi))) = s over |u| <= h = pi t0bw, on a leading phase axis.
+
+    Whole periods: the mean is log((1 + N + R)/2), R^2 = (1 + N)^2 -
+    N^2 sigma^2, so N = 2 expm1(s) / (1 + sqrt(1 + sigma^2 expm1(-s))), and
+    the phase axis has length 1.  Otherwise it holds _RTDA2_PHASE midpoints
+    on [0, pi] (the mean is even and 2 pi-periodic in phi), and Newton's
+    method runs on ln y, y = 1/N, for mean log(1 + y + sigma cos) - ln y = s.
+    That left side is decreasing and convex in y, with slope y mean 1/(1 + y
+    + sigma cos) - 1.  From Jensen's root y = (1 + sigma sinc(h) cos phi) /
+    expm1(s) the first step lands below the root and every later step
+    climbs; a node stops at its first later step that does not climb by
+    more than the residual's roundoff, which grows like eps y.  A node whose
+    Jensen root has N < 1e-9 keeps it, exact to O(N): there y times the
+    inverse mean can round to 1.  Each step runs the window means on the
+    nodes still moving only, with the phi-only terms computed once.
     """
+    if DelayConfig(t0bw).delta1 == 1.0:
+        return (-2.0 * np.expm1(-s) / (1.0 + np.sqrt(1.0 + sigma * sigma * np.expm1(-s))))[None]
     h = math.pi * t0bw
-    a = np.maximum(base, level - swing * (math.sin(h) / h) * np.cos(phi))
-    shape = a.shape
-    a = a.ravel()
-    phase = _window_phase(phi.ravel(), h)
-    which = np.broadcast_to(np.arange(phi.size).reshape(phi.shape), shape).ravel()
-    base, swing, phi = (np.broadcast_to(v, shape).ravel() for v in (base, swing, phi))
-    target = math.log2(level)
-    with np.errstate(all="ignore"):  # a non-finite bound leaves its node moving
-        low = _window_mean_lower(base, swing, t0bw)
-    settled = (a == base) & np.isfinite(low) & (low - _SCREEN_SLACK * (1.0 + abs(target)) >= target)
-    live = np.flatnonzero(~settled)
-    for _ in range(_RTDA2_NEWTON_CAP):
-        al, bl, pl = a[live], swing[live], phi[live]
-        mean, inv_mean = _cos_window_means(al, bl, pl, h,
+    phi = (np.arange(_RTDA2_PHASE) + 0.5) * (math.pi / _RTDA2_PHASE)
+    t = np.log((1.0 + sigma * (math.sin(h) / h) * np.cos(phi)[:, None, None]) / np.expm1(s))
+    shape = t.shape
+    t = t.ravel()
+    phase = _window_phase(phi, h)
+    which = np.broadcast_to(np.arange(phi.size)[:, None, None], shape).ravel()
+    s, sigma = (np.broadcast_to(v, shape).ravel() for v in (s, sigma))
+    live = np.flatnonzero(t <= _RTDA2_JENSEN_KEEP)
+    for k in range(_RTDA2_NEWTON_CAP):
+        tl = t[live]
+        y = np.exp(tl)
+        mean, inv_mean = _cos_window_means(1.0 + y, sigma[live], phi[which[live]], h,
                                            tuple(v[:, which[live]] for v in phase))
-        step = (target - mean) * _LN2 / inv_mean
-        moving = ~(step <= 1e-14 * al)  # a NaN step keeps its node moving
-        live, step = live[moving], step[moving]
+        step = (mean * _LN2 - tl - s[live]) / (1.0 - y * inv_mean)
+        if k:
+            moving = ~(step <= 1e-13 * (1.0 + y))  # a NaN step keeps its node moving
+            live, tl, step = live[moving], tl[moving], step[moving]
         if not live.size:
             break
-        a[live] = al[moving] + step
+        t[live] = tl + step
     else:
         raise NumericError(f"rtda2 threshold: Newton did not converge in {_RTDA2_NEWTON_CAP} "
-                           f"steps (snr={snr}, t0bw={t0bw}; {live.size} of {a.size} nodes "
-                           f"still moving, largest relative step "
-                           f"{np.max(step / al[moving]):.3g})")
-    return (a - base).reshape(shape)
+                           f"steps (snr={snr}, t0bw={t0bw}; {live.size} of {t.size} nodes "
+                           f"still moving, largest relative step {np.max(step):.3g})")
+    return np.exp(-(t + s)).reshape(shape)
 
 
 def analytic_curve(oracle, snr_grid, scheme: str, r: float,

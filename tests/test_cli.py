@@ -206,10 +206,10 @@ GOLDEN_ANALYTIC_BODIES = {
                       "f8684413aa4dee4377ab273809c5883c337e719980c8c8289f0ac787b1444ed8"),
     "TDA_REPETITION-d2-t0bw2.5": (
         ("--scheme", "TDA_REPETITION", "--cond", "d2", "--t0bw", "2.5"),
-        "05149fb596034bc15445d3245b44cd17ae7fbb7d35ba999b9a6d89fecd134fa2"),
+        "dbeda0cc96e2650280d0fe07b590697427748c0b28326044d0bad75936888ccd"),
     "TDA_REPETITION-d2-t0bw2": (
         ("--scheme", "TDA_REPETITION", "--cond", "d2", "--t0bw", "2"),
-        "deead6a2ce744c626959bb50a5a738812f6868b84bffa97de9a82f81272cbc84"),
+        "7d45451a6dff5e639770352f22c2c32f8ad8d1cdbbca496d490c35649b15700f"),
     "STC_SYNC-d1-forced": (("--scheme", "STC_SYNC", "--cond", "d1", "--force-set", "true"),
                            "a690508c227f457e586d1ef12219a2bb9fc7cd5955569071818ef2df3a113020"),
 }
@@ -270,10 +270,20 @@ def test_negative_snr_grid_needs_the_equals_form(capsys):
 @pytest.mark.parametrize("args", [
     ("--r", "0.49", "--snr-db", "3000"),
     ("--sigma2-sr1", "0.8", "--sigma2-sr2", "1.3", "--sigma2-r1d", "0.6", "--sigma2-r2d", "2.0",
-     "--r", "0.1", "--snr-db", "3000", "--t0bw", "2.5")], ids=["whole-period", "fractional"])
+     "--r", "0.1", "--snr-db", "3000", "--t0bw", "2.5"),
+    ("--t0bw", "2.5", "--r", "0.49", "--snr-db", "3000"),
+    ("--t0bw", "1.0000001", "--r", "0.49", "--snr-db", "2000"),
+    ("--t0bw", "2.5", "--r", "0.25", "--snr-db=-100"),
+    ("--t0bw", "2.5", "--r", "0.25", "--sigma2-sd", "1e-6", "--snr-db=-40"),
+    ("--t0bw", "2.5", "--r", "0.25", "--snr-db=-150"),
+], ids=["whole-period", "fractional", "fractional-r0.49", "near-whole-2000dB",
+        "fractional-minus100dB", "fractional-weak-direct", "fractional-minus150dB"])
 def test_rtda2_extreme_snr_prints_no_warning(args):
-    # C^2 overflowing (whole period) and (A - B)(A + B) underflowing
-    # (fractional t0bw) once printed numpy RuntimeWarnings on a run that exits 0
+    # At 2000-3000 dB (2T)^2, T^2 and T^(1/delta1) pass the float range and
+    # T / rho0 is down to 1e-240.  At -100 dB, and at -40 dB with a weak
+    # direct link, ln T is near 5e-11, and at -150 dB near 5e-16: there the
+    # relay level is below 1e-9 and keeps its Jensen root, as a Newton step
+    # would divide by zero.  Each runs without a warning.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "relaylab.cli", "simulate",
                            "--mode", "analytic", "--scheme", "TDA_REPETITION", "--cond", "d2",
@@ -281,6 +291,24 @@ def test_rtda2_extreme_snr_prints_no_warning(args):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert len(body_lines(proc.stdout)) == 1 + 1
+
+
+@pytest.mark.parametrize("args", [
+    ("--mode", "analytic", "--scheme", "TDA_REPETITION", "--cond", "d2"),
+    ("--mode", "analytic", "--scheme", "STC_SYNC"),
+    ("--mode", "analytic", "--scheme", "ASTC", "--cond", "d2"),
+    ("--mode", "mc", "--scheme", "STC_SYNC", "--trials", "10000"),
+], ids=lambda a: " ".join(a[1:4:2]))
+def test_rate_target_past_the_float_range_is_config_error(args):
+    # snr * sigma2_sd = 1e308 * 1e6 is inf, and so would be the rate target:
+    # every mode refuses it before it runs
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "relaylab.cli", "simulate", *args,
+                           "--r", "0.1", "--sigma2-sd", "1e6", "--snr-db", "3080"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("config error: snr * sigma2_sd")
+    assert "Traceback" not in proc.stderr
 
 
 def test_delay_runs_load_no_scipy_special():
@@ -355,17 +383,6 @@ def test_simulate_fit_refusal_is_numeric_failure(capsys):
                      "--fit-window-db", "40:50")
     assert rc == 3
     assert "numeric failure" in err
-
-
-@pytest.mark.parametrize("t0bw, db", [("2.5", "3000"), ("1.0000001", "2000")])
-def test_rtda2_past_the_float_range_is_numeric_failure(capsys, t0bw, db):
-    # T^(1/delta1) of the relay-sum range passes 1e308; main must not raise
-    rc, out, err = run(capsys, "simulate", "--mode", "analytic", "--scheme",
-                       "TDA_REPETITION", "--cond", "d2", "--t0bw", t0bw, "--r", "0.49",
-                       "--snr-db", db)
-    assert rc in (2, 3)
-    assert err.startswith(("numeric failure:", "config error:"))
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [

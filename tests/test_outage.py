@@ -183,104 +183,82 @@ def test_rtda2_domain_guard(unit_cfg):
 
 
 def _rtda2_by_bisection(cfg, r, snr, t0bw):
-    # The oracle's (scale, split, phase) rule with the direct-gain threshold
-    # found in gain units by 24 bisection steps on the exact window mean and
-    # a linear interpolation across the last bracket.
+    # The opposite order of integration: per (split, phase) node the relay sum
+    # is outermost, on ln nu over [ln nu_b - 18, ln nu_b] below the boundary
+    # nu_b at which the relays alone meet the target (the integrand falls
+    # like nu^2 below it), and the direct-gain threshold x* < (T - 1)/rho0 of
+    # each node gives F_sd(x*).  nu_b and x* come from 50 bisection steps on
+    # the exact window mean.  The split q = sin^2(theta) runs over both
+    # halves of [0, pi/2], unfolded; the integrand is nearly kinked at
+    # theta = pi/4 (equal gains) at high snr, so each half has its own rule.
+    # The phase takes the oracle's 12 midpoints: that rule's own error, up
+    # to 3.1e-7, is test_rtda2_node_refinement's to bound.
     pt = RatePoint(snr, r, cfg.sigma2_sd)
-    rho0 = pt.rho0
-    big_t = 4.0 ** pt.rate
+    rho0, target = pt.rho0, 2.0 * pt.rate
+    big_t = 2.0 ** target
     lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
-    x_max = (big_t - 1.0) / rho0
-    nu_hi = (2.0 * big_t ** (1.0 / DelayConfig.from_t0bw(t0bw).delta1) - 1.0) / rho0
-    t_nodes, t_w = gl_nodes(math.log(1e-8 * x_max), math.log(nu_hi), 64)
-    nu = np.exp(t_nodes)
-    q_nodes, q_w = gl_nodes(0.0, 1.0, 32)
-    y1 = nu[:, None] * q_nodes
-    y2 = nu[:, None] * (1.0 - q_nodes)
-    phi, phi_w = gl_nodes(0.0, math.pi, 12)
-    phi = phi[:, None, None]
-    base = 1.0 + rho0 * nu[:, None]
-    bc = 2.0 * rho0 * np.sqrt(y1 * y2)
+    h = math.pi * t0bw
+    half, half_w = gl_nodes(0.0, 0.25 * math.pi, 16)
+    theta, theta_w = np.concatenate((half, 0.5 * math.pi - half)), np.concatenate((half_w, half_w))
+    sigma = np.sin(2.0 * theta)[:, None]
+    phi = ((np.arange(12) + 0.5) * (math.pi / 12))[:, None, None]
 
-    def mean_rate(x):
-        return 0.5 * _cos_window_means(base + rho0 * x, bc, phi, math.pi * t0bw)[0]
+    def rate(x, nu):
+        return _cos_window_means(1.0 + rho0 * (x + nu), rho0 * nu * sigma, phi, h)[0]
 
-    lo = np.zeros((12,) + bc.shape)
-    hi = np.full_like(lo, x_max)
-    f_lo, f_hi = mean_rate(lo), mean_rate(hi)
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        f_mid = mean_rate(mid)
-        below = f_mid < pt.rate
-        lo, f_lo = np.where(below, mid, lo), np.where(below, f_mid, f_lo)
-        hi, f_hi = np.where(below, hi, mid), np.where(below, f_hi, f_mid)
-    x_star = np.where(f_lo < pt.rate, lo + (hi - lo) * (pt.rate - f_lo) / (f_hi - f_lo), 0.0)
-    fx = np.tensordot(phi_w / math.pi, -np.expm1(-lam_sd * x_star), axes=(0, 0))
-    dens = lam1 * lam2 * np.exp(-lam1 * y1 - lam2 * y2)
-    return float(t_w @ ((fx * dens * nu[:, None] ** 2) @ q_w))
+    def bisect(rate_at, lo, hi):
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            below = rate_at(mid) < target
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
 
-
-def _rtda2_unfolded(cfg, r, snr, t0bw):
-    # The oracle's integral on the whole 32-node split rule: the threshold
-    # solved at q and at 1 - q alike, and the relay density at (y1, y2) alone.
-    pt = RatePoint(snr, r, cfg.sigma2_sd)
-    rho0, big_t = pt.rho0, 4.0 ** pt.rate
-    lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
-    x_max = (big_t - 1.0) / rho0
-    nu_hi = (2.0 * big_t ** (1.0 / DelayConfig.from_t0bw(t0bw).delta1) - 1.0) / rho0
-    t_lo, t_hi = math.log(1e-8 * (big_t - 1.0) / rho0), math.log(nu_hi)
-    panels = math.ceil((t_hi - t_lo) / outage._RTDA2_PANEL_EFOLDS)
-    edges = [t_lo + (t_hi - t_lo) * k / panels for k in range(panels)] + [t_hi]
-    t_nodes, t_w = map(np.concatenate, zip(*(gl_nodes(lo, hi, 64)
-                                              for lo, hi in zip(edges, edges[1:]))))
-    nu = np.exp(t_nodes)
-    q_nodes, q_w = gl_nodes(0.0, 1.0, 32)
-    y1, y2 = nu[:, None] * q_nodes, nu[:, None] * (1.0 - q_nodes)
-    bc = 2.0 * rho0 * outage._root_product(y1, y2)
-    if t0bw == round(t0bw):
-        big_c = 2.0 * big_t
-        a_star = (big_c * big_c + bc * bc) / (2.0 * big_c)
-        x_star = np.clip((a_star - 1.0 - rho0 * nu[:, None]) / rho0, 0.0, x_max)
-        fx = -np.expm1(-lam_sd * np.where(bc < big_c, x_star, 0.0))
-    else:
-        phi, phi_w = gl_nodes(0.0, math.pi, 12)
-        x_star = outage._rtda2_threshold(1.0 / rho0 + nu[None, :, None], bc / rho0,
-                                         phi[:, None, None], big_t / rho0, t0bw, snr)
-        fx = np.tensordot(phi_w / math.pi, -np.expm1(-lam_sd * x_star), axes=(0, 0))
-    dens = lam1 * lam2 * np.exp(-lam1 * y1 - lam2 * y2)
-    return float(t_w @ ((fx * dens * nu[:, None] ** 2) @ q_w))
+    # the mean is at least log2((1 + rho0 nu)/2) / 2: nu_b lies below 2 T^2 / rho0
+    top = np.full((12, 32, 1), math.log(2.0 * big_t * big_t / rho0))
+    ln_nu_b = bisect(lambda t: rate(0.0, np.exp(t)), top - 80.0, top)
+    t, t_w = gl_nodes(-18.0, 0.0, 32)
+    nu = np.exp(ln_nu_b + t)
+    x_star = bisect(lambda x: rate(x, nu), np.zeros(nu.shape),
+                    np.full(nu.shape, (big_t - 1.0) / rho0))
+    c = (lam1 * np.sin(theta) ** 2 + lam2 * np.cos(theta) ** 2)[:, None]
+    f = -np.expm1(-lam_sd * x_star) * lam1 * lam2 * np.exp(-c * nu) * nu * nu
+    return float(np.mean(f @ t_w, axis=0) @ (sigma[:, 0] * theta_w))
 
 
 def test_rtda2_matches_exact_bisection(unit_cfg):
-    # The Newton threshold against bisection on the same exact window mean;
-    # the old 96-node frequency rule missed these by up to 11% (t0bw 1e6+0.5).
+    # The oracle against the opposite order of integration with both
+    # thresholds bisected: they differ by at most 3.8e-9
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
     for r, db, t0bw, cfg in ((0.25, 65, 2.5, unit_cfg), (0.2, 120, 2.5, unit_cfg),
-                             (0.25, 60, 1e6 + 0.5, unit_cfg),
-                             (0.25, 60, 2.0000001, unit_cfg), (0.25, 40, 1.7, asym)):
+                             (0.25, 60, 1e6 + 0.5, unit_cfg), (0.25, 40, 1.7, asym),
+                             (0.49, -20, 12.3, asym), (0.1, 20, 2.0, asym),
+                             (0.1, -40, 2.0, unit_cfg)):
         snr = 10.0 ** (db / 10.0)
         got = analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=True)
         np.testing.assert_allclose(got, _rtda2_by_bisection(cfg, r, snr, t0bw),
-                                   rtol=1e-10, atol=0, err_msg=f"r={r} {db} dB t0bw={t0bw}")
+                                   rtol=1e-8, atol=0, err_msg=f"r={r} {db} dB t0bw={t0bw}")
 
 
-def _rtda2_threshold_full_grid(base, swing, phi, level, t0bw, snr):
-    # outage._rtda2_threshold without the active set or the x = 0 screen:
-    # every Newton step evaluates the window means on the whole grid.
+def _rtda2_level_full_grid(s, sigma, t0bw, snr):
+    # outage._rtda2_relay_level without the active set: every Newton step
+    # evaluates the window means on the whole grid, each row's own phase terms
     h = math.pi * t0bw
-    a = np.maximum(base, level - swing * (math.sin(h) / h) * np.cos(phi))
-    target = math.log2(level)
-    done = np.zeros(a.shape, dtype=bool)
-    for _ in range(outage._RTDA2_NEWTON_CAP):
-        mean, inv_mean = _cos_window_means(a, swing, phi, h)
-        step = (target - mean) * math.log(2.0) / inv_mean
-        done |= step <= 1e-14 * a
+    phi = ((np.arange(outage._RTDA2_PHASE) + 0.5) * (math.pi / outage._RTDA2_PHASE))[:, None, None]
+    t = np.log((1.0 + sigma * (math.sin(h) / h) * np.cos(phi)) / np.expm1(s))
+    done = t > outage._RTDA2_JENSEN_KEEP
+    for k in range(outage._RTDA2_NEWTON_CAP):
+        y = np.exp(t)
+        mean, inv_mean = _cos_window_means(1.0 + y, sigma, phi, h)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the kept Jensen roots
+            step = (mean * math.log(2.0) - t - s) / (1.0 - y * inv_mean)
+        if k:
+            done |= step <= 1e-13 * (1.0 + y)
         if done.all():
             break
-        a = np.where(done, a, a + step)
+        t = np.where(done, t, t + step)
     else:
         raise NumericError(f"full-grid Newton did not converge (snr={snr}, t0bw={t0bw})")
-    return a - base
+    return np.exp(-(t + s))
 
 
 def _rtda2_outcome(cfg, r, snr, t0bw, conditioned):
@@ -290,19 +268,24 @@ def _rtda2_outcome(cfg, r, snr, t0bw, conditioned):
         return type(exc)
 
 
+# fractional t0bw from 1 + 1e-6 to 1e6 + 0.5, 0 to 3000 dB, both link configurations
+RTDA2_FRACTIONAL_CASES = (
+    (False, 0.25, 60, 2.5), (True, 0.1, 0, 1 + 1e-6), (False, 0.4, 40, 1.5),
+    (True, 0.25, 160, 3.7), (False, 0.1, 80, 12.3), (True, 0.4, 120, 1e6 + 0.5),
+    (True, 0.4, 0, 3.7), (False, 0.25, 40, 12.3), (True, 0.1, 140, 1 + 1e-6),
+    (False, 0.4, 3000, 2.5), (True, 0.25, -100, 2.5))
+
+
 def test_rtda2_active_set_equals_full_grid(unit_cfg, monkeypatch):
     # Same float operations per node in the same order: equal to the last bit
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
-    for cfg, r, db, t0bw in ((unit_cfg, 0.25, 60, 2.5), (asym, 0.1, 0, 1 + 1e-6),
-                             (unit_cfg, 0.4, 40, 1.5), (asym, 0.25, 160, 3.7),
-                             (unit_cfg, 0.1, 80, 12.3), (asym, 0.4, 120, 1e6 + 0.5),
-                             (asym, 0.4, 0, 3.7), (unit_cfg, 0.25, 40, 12.3),
-                             (asym, 0.1, 140, 1 + 1e-6), (unit_cfg, 0.4, 3000, 2.5)):
+    for is_asym, r, db, t0bw in RTDA2_FRACTIONAL_CASES:
+        cfg = asym if is_asym else unit_cfg
         snr = 10.0 ** (db / 10.0)
         got = _rtda2_outcome(cfg, r, snr, t0bw, True)
         joint = _rtda2_outcome(cfg, r, snr, t0bw, False)
         with monkeypatch.context() as m:
-            m.setattr(outage, "_rtda2_threshold", _rtda2_threshold_full_grid)
+            m.setattr(outage, "_rtda2_relay_level", _rtda2_level_full_grid)
             want = _rtda2_outcome(cfg, r, snr, t0bw, True)
         assert got == want, f"r={r} {db} dB t0bw={t0bw}"
         if isinstance(want, float):
@@ -312,30 +295,39 @@ def test_rtda2_active_set_equals_full_grid(unit_cfg, monkeypatch):
             assert joint == want
 
 
+def _rtda2_unfolded(cfg, r, snr, t0bw):
+    # The oracle's integral on the whole split, theta on [0, pi/2]: its 16
+    # nodes and their mirrors pi/2 - theta, the threshold solved at each and
+    # the relay-sum mass taken at each node's own split only.
+    pt = RatePoint(snr, r, cfg.sigma2_sd)
+    rho0, log_t = pt.rho0, 2.0 * math.log(2.0) * pt.rate
+    lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
+    u, u_w = gl_nodes(0.0, -math.expm1(-0.5 * log_t), outage._RTDA2_DIRECT)
+    s, s_w = -2.0 * np.log1p(-u), 2.0 * u_w / (1.0 - u)
+    half, half_w = gl_nodes(0.0, 0.25 * math.pi, outage._RTDA2_SPLIT)
+    theta = np.concatenate((half, 0.5 * math.pi - half))
+    sigma = np.sin(2.0 * theta)
+    m = (4.0 ** pt.rate / rho0) * outage._rtda2_relay_level(s[:, None], sigma, t0bw, snr)
+    c = lam1 * np.sin(theta) ** 2 + lam2 * np.cos(theta) ** 2
+    mass = (lam1 * lam2 * outage._gamma2_cdf(c * m) / (c * c)).mean(axis=0)
+    dens = lam_sd * np.exp(-lam_sd * np.expm1(log_t - s) / rho0) * np.exp(log_t - s) / rho0
+    return float(s_w @ (dens * ((mass * sigma) @ np.concatenate((half_w, half_w)))))
+
+
 def test_rtda2_folded_split_matches_the_whole_rule(unit_cfg):
-    # Solving the split rule's nodes q < 1/2 only changes rounding: 7 of the
-    # 32 nodes are not exact float mirrors, and the two densities add first.
-    # The largest gap is 3 ulps (t0bw 1 + 1e-6, 1100 dB), 4.4e-16 relative.
+    # The threshold at the mirrored splits differs by rounding only (the
+    # mirrors' sin 2 theta are not exact float copies): 3.3e-16 relative at most
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
-    cases = [(unit_cfg, 0.25, 60, 2.5), (asym, 0.1, 0, 1 + 1e-6), (unit_cfg, 0.4, 40, 1.5),
-             (asym, 0.25, 160, 3.7), (unit_cfg, 0.1, 80, 12.3), (asym, 0.4, 120, 1e6 + 0.5),
-             (asym, 0.4, 0, 3.7), (unit_cfg, 0.25, 40, 12.3), (asym, 0.1, 140, 1 + 1e-6),
-             (unit_cfg, 0.4, 3000, 2.5)]
+    cases = [(asym if is_asym else unit_cfg, r, db, t0bw)
+             for is_asym, r, db, t0bw in RTDA2_FRACTIONAL_CASES]
     cases += [(cfg, r, db, 2.0) for cfg in (unit_cfg, asym) for r in (0.1, 0.4)
               for db in (0, 60, 160)]
     cases += [(unit_cfg, 0.1, db, 1.0 + 1e-6) for db in (1000, 1100, 1200)]
     for cfg, r, db, t0bw in cases:
         snr = 10.0 ** (db / 10.0)
-        got = _rtda2_outcome(cfg, r, snr, t0bw, True)
-        try:
-            want = _rtda2_unfolded(cfg, r, snr, t0bw)
-        except (NumericError, OverflowError):  # the oracle raises an overflow as NumericError
-            want = NumericError
-        if isinstance(want, float):
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0,
-                                       err_msg=f"r={r} {db} dB t0bw={t0bw}")
-        else:
-            assert got == want, f"r={r} {db} dB t0bw={t0bw}"
+        got = analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=True)
+        np.testing.assert_allclose(got, _rtda2_unfolded(cfg, r, snr, t0bw), rtol=1e-14,
+                                   atol=0, err_msg=f"r={r} {db} dB t0bw={t0bw}")
 
 
 @pytest.mark.parametrize("t0bw", (2.0, 2.5, 1.7, 12.3))
@@ -351,32 +343,16 @@ def test_rtda2_is_exactly_symmetric_under_a_relay_swap(t0bw):
                 (db, conditioned)
 
 
-def test_rtda2_screen_settles_only_rows_newton_leaves():
-    # Nodes at x = 0 whose target log2(level) = 0 lies within 1e-3 bits of
-    # the whole-period lower bound, many of them between it and the mean:
-    # the screen may settle only the ones the full-grid loop leaves at x = 0.
-    base = 2.0 ** np.linspace(-1e-3, 1e-3, 64)[None, :, None]
-    swing = base[0] * np.geomspace(1e-6, 1e-2, 32)
-    phi = gl_nodes(0.0, math.pi, 12)[0][:, None, None]
-    for t0bw in (1.5, 2.5, 12.3):
-        got = outage._rtda2_threshold(base, swing, phi, 1.0, t0bw, 0.0)
-        want = _rtda2_threshold_full_grid(base, swing, phi, 1.0, t0bw, 0.0)
-        assert np.array_equal(got, want), t0bw
-        assert 0 < np.count_nonzero(want) < want.size
-
-
 def test_rtda2_step_cap_reports_the_nodes_still_moving(unit_cfg, monkeypatch):
     monkeypatch.setattr(outage, "_RTDA2_NEWTON_CAP", 2)
-    with pytest.raises(NumericError, match=r"did not converge in 2 steps .*; \d+ of 12288 "
+    with pytest.raises(NumericError, match=r"did not converge in 2 steps .*; \d+ of 4608 "
                                            r"nodes still moving, largest relative step \S+\)"):
         analytic_outage_rtda2(unit_cfg, 0.25, 1e6, 2.5)
 
 
 def test_rtda2_whole_period_past_the_float_range_of_c_squared(unit_cfg):
-    # From about 1570 dB at r = 0.49, C^2 = (2T)^2 overflows: the closed-form
-    # threshold then takes C/2 + B (B/C)/2, so the curve keeps falling by the
-    # same factor per 100 dB (it rose 2x at 1600 dB when the overflowed
-    # threshold was clipped to its top)
+    # At r = 0.49 the whole-period curve keeps falling by the same factor per
+    # 100 dB past about 1570 dB, where C^2 = (2T)^2 leaves the float range
     vals = [analytic_outage_rtda2(unit_cfg, 0.49, 10.0 ** (db / 10.0), 2.0, conditioned=True)
             for db in (1400, 1500, 1600, 1700, 3000)]
     ratios = [a / b for a, b in zip(vals, vals[1:4])]
@@ -386,11 +362,10 @@ def test_rtda2_whole_period_past_the_float_range_of_c_squared(unit_cfg):
 
 def test_rtda2_newton_steps_stay_well_under_the_cap(unit_cfg, monkeypatch):
     # Window-mean evaluations per oracle call, one per Newton step.  The
-    # Clausen form errs by about 1e-15 in absolute, not relative, terms, and
-    # the step <= 1e-14 a stop must still fire: the full sweep (-20..1000 dB
-    # every 10 dB, r 0.1-0.49, two configs, t0bw 1 + 1e-6, 2.5 and 12.3)
-    # takes at most 9, and so does this subset of it and the deep-analytic
-    # curve (t0bw 2.5, r 0.25, 40-80 dB)
+    # full sweep (-20..1000 dB every 10 dB, r 0.1 and 0.49, two configs,
+    # t0bw 1 + 1e-6, 2.5 and 12.3) takes at most 5, and so do this subset
+    # of it, the deep-analytic curve (t0bw 2.5, r 0.25, 40-80 dB) and
+    # 3000 dB
     evals = []
     means = outage._cos_window_means
 
@@ -402,52 +377,66 @@ def test_rtda2_newton_steps_stay_well_under_the_cap(unit_cfg, monkeypatch):
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
     cases = [(unit_cfg, 0.25, db, 2.5) for db in range(40, 81, 5)]
     cases += [(cfg, r, db, t0bw) for cfg in (unit_cfg, asym) for r in (0.1, 0.49)
-              for t0bw in (1.0 + 1e-6, 2.5, 12.3) for db in range(-20, 1001, 170)]
+              for t0bw in (1.0 + 1e-6, 2.5, 12.3) for db in (*range(-20, 1001, 170), 3000)]
     for cfg, r, db, t0bw in cases:
         evals.append(0)
         analytic_outage_rtda2(cfg, r, 10.0 ** (db / 10.0), t0bw, conditioned=True)
-    assert max(evals[:9]) <= outage._RTDA2_NEWTON_CAP // 5, evals[:9]
-    assert max(evals) <= 9, evals
+    assert max(evals) <= 5, evals
 
 
-def test_rtda2_scale_panels_hold_the_curve_at_extreme_snr(unit_cfg, monkeypatch):
-    # At t0bw = 1 + 1e-6 (delta1 = 1/2) the relay-sum range spans 65-74
-    # e-folds at 1000-1200 dB; one 64-node rule over it read outage x snr^2.4
-    # 1.00, 0.82 and 0.52 there.  Panels of at most 32 e-folds stay within 2%
-    # of one 256-node rule, which reads 0.842-0.847.
-    def curve():
-        return [analytic_outage_rtda2(unit_cfg, 0.1, 10.0 ** (db / 10.0), 1.0 + 1e-6,
-                                      conditioned=True) for db in (1000, 1100, 1200)]
-
-    got = curve()
-    monkeypatch.setattr(outage, "_RTDA2_SCALE", 256)
-    monkeypatch.setattr(outage, "_RTDA2_PANEL_EFOLDS", 1e9)
-    np.testing.assert_allclose(got, curve(), rtol=0.02, atol=0)
+@pytest.mark.parametrize("t0bw", (1.0 + 1e-6, 2.0))
+def test_rtda2_reaches_its_volume_limit_at_extreme_snr(unit_cfg, t0bw):
+    # With unit links the outage tends to rho0^-3 T^2 / 4 (T = snr^0.2 at
+    # r = 0.1, rho0 = 2 snr / 3), so outage x snr^2.4 tends to 27/32; it is
+    # within 4e-8 of it from 400 dB, also at t0bw just above one period
+    got = [analytic_outage_rtda2(unit_cfg, 0.1, 10.0 ** (db / 10.0), t0bw, conditioned=True)
+           * 10.0 ** (0.24 * db) for db in (400, 800, 1000, 1100, 1200)]
+    np.testing.assert_allclose(got, 27.0 / 32.0, rtol=1e-7, atol=0)
 
 
 @pytest.mark.parametrize("t0bw", (2.5, 12.3))
 def test_rtda2_threshold_meets_the_target_when_r_underflows(monkeypatch, t0bw):
-    # At 3000 dB the relay sums are near 1e-250 in units of rho0, so y1 y2
-    # and (A - B)(A + B) underflow; with B and R from the rooted factors
-    # every node Newton moves ends on the root
-    solve = outage._rtda2_threshold
+    # At 3000 dB and r = 0.1 the outage, about rho0^-3 T^2, underflows to 0,
+    # and s runs up to ln T = 138: the level still meets the target at every
+    # node Newton moves.  The stop rule leaves a step of 1e-13 (1 + y) in
+    # ln y, and the slope is below (1 + sigma)/(1 + y + sigma), so the
+    # residual stays under 2e-13 (1e-13 measured)
+    solve = outage._rtda2_relay_level
     residuals = []
 
-    def checked(base, swing, phi, level, t0bw_, snr):
-        x = solve(base, swing, phi, level, t0bw_, snr)
-        a, b, ph = np.broadcast_arrays(base + x, swing, phi)
-        mean = _cos_window_means(a.ravel(), b.ravel(), ph.ravel(), math.pi * t0bw_)[0]
-        target = math.log2(level)
-        moved = x.ravel() > 0.0
-        residuals.append(np.max(np.abs(mean[moved] - target)) / abs(target))
-        assert np.all(mean[~moved] >= target)
-        return x
+    def checked(s, sigma, t0bw_, snr):
+        level = solve(s, sigma, t0bw_, snr)
+        h = math.pi * t0bw_
+        phi = (np.arange(outage._RTDA2_PHASE) + 0.5) * (math.pi / outage._RTDA2_PHASE)
+        ln_y, sig, ph = np.broadcast_arrays(-np.log(level) - s, sigma, phi[:, None, None])
+        mean = _cos_window_means(1.0 + np.exp(ln_y), sig, ph, h)[0]
+        moved = ln_y <= outage._RTDA2_JENSEN_KEEP
+        residuals.append(np.max(np.abs(mean * math.log(2.0) - ln_y - s)[moved]))
+        return level
 
-    monkeypatch.setattr(outage, "_rtda2_threshold", checked)
+    monkeypatch.setattr(outage, "_rtda2_relay_level", checked)
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         p = analytic_outage_rtda2(asym, 0.1, 1e300, t0bw, conditioned=True)
-    assert p == 0.0 and residuals[0] < 1e-14
+    assert p == 0.0 and residuals[0] < 2e-13
+
+
+@pytest.mark.parametrize("t0bw, rtol", [(2.0, 1e-8), (2.5, 1e-6)])
+def test_rtda2_node_refinement(monkeypatch, t0bw, rtol):
+    # Doubling every rule moves the value by at most 6.7e-9 (whole periods,
+    # worst at 200 dB) and 3e-7 (fractional t0bw, the phase rule) relative
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    points = [(r, db) for r in (0.1, 0.49) for db in (-20, 60, 200, 1000, 3000)]
+
+    def values():
+        return [analytic_outage_rtda2(asym, r, 10.0 ** (db / 10.0), t0bw, conditioned=True)
+                for r, db in points]
+
+    got = values()
+    for name in ("_RTDA2_DIRECT", "_RTDA2_SPLIT", "_RTDA2_PHASE"):
+        monkeypatch.setattr(outage, name, 2 * getattr(outage, name))
+    np.testing.assert_allclose(got, values(), rtol=rtol, atol=0)
+    assert all(v > 0.0 for v in got[:4] + got[5:])
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +462,17 @@ def test_mc_forced_set_conditional(unit_cfg):
 
 def test_rtda2_agrees_with_mc(unit_cfg):
     # forced-d2 repetition Monte Carlo against the conditioned oracle, on its
-    # closed-form (t0bw 2) and Newton (t0bw 2.5) branches
-    grid = [10.0 ** (db / 10.0) for db in (0, 10, 20)]
-    for t0bw in (2.0, 2.5):
-        curve = mc_outage(SchemeId.TDA_REPETITION, 0.25, grid, 2 ** 16, 44,
-                          ConditionalCase.D2, cfg=unit_cfg,
-                          delays=DelayConfig.from_t0bw(t0bw), force_set=True)
-        ana = [analytic_outage_rtda2(unit_cfg, 0.25, s, t0bw, conditioned=True) for s in grid]
-        zs = z_scores(curve, ana)
-        assert max(abs(z) for z in zs) <= 4.0, (t0bw, zs)
+    # closed-form (t0bw 2) and Newton (t0bw 2.5) branches; at -40 dB and
+    # r = 0.49 the outage is near 0.19 and the intervals near 1%
+    for r, dbs in ((0.25, (0, 10, 20)), (0.49, (-40,))):
+        grid = [10.0 ** (db / 10.0) for db in dbs]
+        for t0bw in (2.0, 2.5):
+            curve = mc_outage(SchemeId.TDA_REPETITION, r, grid, 2 ** 16, 44,
+                              ConditionalCase.D2, cfg=unit_cfg,
+                              delays=DelayConfig.from_t0bw(t0bw), force_set=True)
+            ana = [analytic_outage_rtda2(unit_cfg, r, s, t0bw, conditioned=True) for s in grid]
+            zs = z_scores(curve, ana)
+            assert max(abs(z) for z in zs) <= 4.0, (r, t0bw, zs)
 
 
 def test_mc_joint_cases_partition_overall(unit_cfg):
