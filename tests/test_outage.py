@@ -227,12 +227,17 @@ def _rtda2_by_bisection(cfg, r, snr, t0bw):
 
 def test_rtda2_matches_exact_bisection(unit_cfg):
     # The oracle against the opposite order of integration with both
-    # thresholds bisected: they differ by at most 3.8e-9
+    # thresholds bisected: they differ by at most 3.8e-9.  t0bw 2.0000001 is
+    # where the whole-period closed form hands over to Newton; at -40 and
+    # -60 dB the Newton nodes reach y = 1/N near 1e9, where the stop rule's
+    # leftover step of 1e-13 (1 + y) in ln y is largest
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
     for r, db, t0bw, cfg in ((0.25, 65, 2.5, unit_cfg), (0.2, 120, 2.5, unit_cfg),
-                             (0.25, 60, 1e6 + 0.5, unit_cfg), (0.25, 40, 1.7, asym),
+                             (0.25, 60, 1e6 + 0.5, unit_cfg),
+                             (0.25, 60, 2.0000001, unit_cfg), (0.25, 40, 1.7, asym),
                              (0.49, -20, 12.3, asym), (0.1, 20, 2.0, asym),
-                             (0.1, -40, 2.0, unit_cfg)):
+                             (0.1, -40, 2.0, unit_cfg), (0.25, -40, 2.5, unit_cfg),
+                             (0.25, -60, 2.5, unit_cfg)):
         snr = 10.0 ** (db / 10.0)
         got = analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=True)
         np.testing.assert_allclose(got, _rtda2_by_bisection(cfg, r, snr, t0bw),
