@@ -5,12 +5,12 @@ message in phase one) and on one fading realization.  rho0 is the
 normalized per-node snr.  All logarithms are base 2.
 
 The evaluators take arrays, one row per draw, and a single draw is a batch
-of one.  A LinkRecord holds the destination links of a batch with the
-snr-free terms the kernels read (squared gains, magnitudes, the relay phase
-difference), each computed once, so the Monte Carlo engine builds one per
-block and every snr point reads it.  record_mi is each scheme's one MI
-kernel: it takes a record and the relay memberships, and mi_batch is it on
-complex gains.  Rows with fewer than two relays have closed forms; on the
+of one.  A LinkRecord holds the destination links of a batch as four real
+arrays, the snr-free terms the kernels read (the squared gains and the
+relays' coherent sum), so the Monte Carlo engine builds one per block and
+every snr point reads it.  record_mi is each scheme's one MI kernel: it
+takes a record and the relay memberships, and mi_batch is it on complex
+gains.  Rows with fewer than two relays have closed forms; on the
 both-relays rows every scheme's MI is (direct + kernel)/2, a direct-link
 term plus a relay-pair term.  _both_relays is the one place per scheme for
 those rows: it returns the direct term with the kernel and its two bounds
@@ -105,22 +105,22 @@ def check_scheme(scheme, corr: CorrelationSet | None = None,
 
 
 class LinkRecord:
-    """The destination links of a batch of draws, one row per draw, with the
-    snr-free terms the MI kernels read.
+    """The destination links of a batch of draws, one row per draw, as the
+    four real arrays the MI kernels read.
 
     It is built from the squared direct gain g_sd and the complex relay
-    gains r1d, r2d.  Their squares g1, g2 are computed on construction; the
-    relay magnitudes r1, r2, the phase difference psi = arg r2d - arg r1d,
-    its cosine cos_psi and any other term(key, make) on first use, then kept.
-    rows(idx) is the record of a subset of the rows: it indexes the squared
-    gains and takes every other term from its parent, which computes it once
-    over all its rows.  Only a record built from gains holds r1d, r2d.
+    gains r1d, r2d, and holds g_sd, the squared relay gains g1 = |r1d|^2,
+    g2 = |r2d|^2 and their coherent sum coh = |r1d + r2d|^2.  The relays'
+    phase difference psi enters every kernel evenly, so the cross term
+    sqrt(g1 g2) cos psi = (coh - (g1 + g2))/2 carries all of it.
+    rows(idx) is the record of a subset of the rows.
     """
 
     def __init__(self, g_sd, r1d, r2d):
-        self.g_sd, self.r1d, self.r2d = (np.asarray(z) for z in (g_sd, r1d, r2d))
-        self.g1, self.g2 = np.abs(self.r1d) ** 2, np.abs(self.r2d) ** 2
-        self._parent, self._idx, self._terms = None, None, {}
+        r1d, r2d = np.asarray(r1d), np.asarray(r2d)
+        self.g_sd = np.asarray(g_sd)
+        self.g1, self.g2 = np.abs(r1d) ** 2, np.abs(r2d) ** 2
+        self.coh = np.abs(r1d + r2d) ** 2
 
     def rows(self, idx) -> "LinkRecord":
         """The record of rows idx, sorted distinct row indices (the record
@@ -128,33 +128,9 @@ class LinkRecord:
         if len(idx) == len(self.g_sd):
             return self
         sub = object.__new__(LinkRecord)
-        sub.r1d = sub.r2d = None
         sub.g_sd, sub.g1, sub.g2 = self.g_sd[idx], self.g1[idx], self.g2[idx]
-        sub._parent, sub._idx, sub._terms = self, idx, {}
+        sub.coh = self.coh[idx]
         return sub
-
-    def term(self, key, make):
-        """make(record) on the record built from gains, at these rows, cached under key."""
-        if key not in self._terms:
-            self._terms[key] = (make(self) if self._parent is None
-                                else self._parent.term(key, make)[self._idx])
-        return self._terms[key]
-
-    @property
-    def r1(self):
-        return self.term("r1", lambda s: np.abs(s.r1d))
-
-    @property
-    def r2(self):
-        return self.term("r2", lambda s: np.abs(s.r2d))
-
-    @property
-    def psi(self):
-        return self.term("psi", lambda s: np.angle(s.r2d) - np.angle(s.r1d))
-
-    @property
-    def cos_psi(self):
-        return self.term("cos_psi", lambda s: np.cos(s.psi))
 
 
 def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
@@ -296,18 +272,22 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
     MI is (direct + kernel())/2: a direct-link term and the relay-pair
     kernel, with lower() <= kernel() <= upper().  kernel, lower and upper
     are zero-argument callables, so a caller pays only for the parts it
-    runs; the snr-free parts are the record's terms, computed once per
-    record.  STC_SYNC has no pair kernel and is not taken here.
+    runs.  The relays' phase difference psi enters through the record's
+    cross term cross = (coh - (g1 + g2))/2 = sqrt(g1 g2) cos psi.  STC_SYNC
+    has no pair kernel and is not taken here.
 
     - TDA_INDEP/TDA_REPETITION average log2(A + B cos(u + psi)) over the
       delay window |u| <= h = pi t0 bw, with B = 2 rho0 sqrt(g1 g2); the
       repetition code puts rho0 g_sd into A, so its direct term is 0.  At
-      t0 bw = 0 the relays add coherently and lower, upper are None.
-      Otherwise the mean is at least _window_mean_lower, and Jensen with
-      the window mean of the cosine gives log2(A + B sin(h) cos(psi) / h)
-      above.
-    - TDA_LINMOD: the matched-filter pair term log2(1 + a + sqrt((1 + a)^2
-      - b^2)) - 1 lies between log2(1 + a) - 1 and log2(1 + a), as
+      t0 bw = 0 the relays add coherently, B cos psi = 2 rho0 cross, and
+      lower, upper are None.  Otherwise the mean is even in psi, so the
+      kernel reads |psi| = arccos(cross / sqrt(g1 g2)); it is at least
+      _window_mean_lower, and Jensen with the window mean of the cosine
+      gives log2(A + 2 rho0 cross sin(h) / h) above.
+    - TDA_LINMOD: a = rho0 (g1 + g2 + 2 rho12 cross) and
+      b = 2 rho0 rho21 sqrt(g1 g2).  The matched-filter pair term
+      log2(1 + a + sqrt((1 + a)^2 - b^2)) - 1 lies between
+      log2(1 + a) - 1 and log2(1 + a), as
       |rho12| + |rho21| <= 1 (Cauchy-Schwarz) gives |b| <= a.  Where the
       square passes the float range (rho0 g past about 1e154) the root is
       taken as sqrt(1 + a - b) sqrt(1 + a + b).
@@ -323,25 +303,30 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
       most the sum of the two single-stream rates.  For other pulses only
       q >= 1 bounds it below.
     """
-    gsd, g1, g2 = links.g_sd, links.g1, links.g2
+    gsd, g1, g2, coh = links.g_sd, links.g1, links.g2, links.coh
     if scheme in _DELAY_SCHEMES:
         rep = scheme == SchemeId.TDA_REPETITION
         direct = 0.0 if rep else np.log2(1.0 + rho0 * gsd)
         w = delays.t0bw
         if w == 0.0:  # no delay window: the relays add coherently
-            eff = links.term("coherent", lambda s: np.abs(s.r1d + s.r2d) ** 2)
-            return direct, lambda: np.log2(1.0 + rho0 * ((gsd + eff) if rep else eff)), None, None
-        a = 1.0 + rho0 * ((gsd + (g1 + g2)) if rep else (g1 + g2))
-        bc = 2.0 * rho0 * np.sqrt(g1 * g2)
+            return direct, lambda: np.log2(1.0 + rho0 * ((gsd + coh) if rep else coh)), None, None
+        nu = g1 + g2
+        a = 1.0 + rho0 * ((gsd + nu) if rep else nu)
+        root = np.sqrt(g1 * g2)
+        bc = 2.0 * rho0 * root
+        cross = 0.5 * (coh - nu)
         h = math.pi * w
-        return (direct, lambda: _cos_window_means(a, bc, links.psi, h)[0],
-                lambda: _window_mean_lower(a, bc, w),
-                lambda: np.log2(a + bc * (math.sin(h) / h) * links.cos_psi))
+
+        def kernel():  # where root = 0, bc = 0 and the mean does not read psi
+            psi = np.arccos(np.clip(cross / np.where(root == 0.0, 1.0, root), -1.0, 1.0))
+            return _cos_window_means(a, bc, psi, h)[0]
+
+        return (direct, kernel, lambda: _window_mean_lower(a, bc, w),
+                lambda: np.log2(a + 2.0 * rho0 * (math.sin(h) / h) * cross))
     if scheme == SchemeId.TDA_LINMOD:
-        rho12 = corr.rho12  # a / rho0 is snr-free
-        a = rho0 * links.term(("linmod_a", rho12),
-                              lambda s: s.g1 + s.g2 + 2.0 * rho12 * s.r1 * s.r2 * s.cos_psi)
-        bc = 2.0 * rho0 * corr.rho21 * links.r1 * links.r2
+        nu = g1 + g2
+        a = rho0 * (nu + corr.rho12 * (coh - nu))
+        bc = 2.0 * rho0 * corr.rho21 * np.sqrt(g1 * g2)
 
         def kernel():
             with np.errstate(over="ignore", invalid="ignore"):
@@ -381,7 +366,7 @@ def _window_mean_lower(A, B, w: float):
     each of the floor(w) whole periods averages exactly log2((A + R)/2),
     R = sqrt(A^2 - B^2), and the rest of the window is at least log2(A - B)."""
     whole = math.floor(w)
-    return (whole * np.log2(0.5 * (A + np.sqrt((A - B) * (A + B))))
+    return (whole * np.log2(0.5 * (A + np.sqrt(A - B) * np.sqrt(A + B)))
             + (w - whole) * np.log2(A - B)) / w
 
 
@@ -430,7 +415,7 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
                     - (1 - 12p) h^2/60 + (1 - 60p + 360p^2) h^4/2520)) / R.
     """
     A, B, psi = np.broadcast_arrays(A, B, psi)
-    r = np.sqrt((A - B) * (A + B))
+    r = np.sqrt(A - B) * np.sqrt(A + B)
     c = B / (A + r)
     e_x, two_x, cl_x = _window_phase(psi, h) if phase is None else phase
     alpha = np.angle(1.0 + c * e_x)
@@ -441,7 +426,7 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
     cl_diff = cl_x - cl[0] - cl[1]
     f = 0.5 * (cl_diff[0] + cl_diff[1]) - arg_sum * np.log(np.where(c == 0.0, 1.0, np.abs(c)))
     mean = (np.log(0.5 * (A + r)) - f / h) / _LN2
-    with np.errstate(divide="ignore"):  # A = B to rounding: R = 0 and the mean is inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # A = B to rounding: R = 0
         inv_mean = (1.0 - arg_sum / h) / r
     if h < _SHORT_WINDOW:
         near, at_psi, q, p = _short_window(A, B, psi, c, h)
@@ -449,8 +434,9 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
         poly = 1 / 3 - h2 * ((1 - 6 * p) / 60 - h2 * (1 - 30 * p + 120 * p * p) / 2520)
         mean = np.where(near, (np.log(at_psi) - (p * h2 * poly).real) / _LN2, mean)
         poly = 1 / 3 - h2 * ((1 - 12 * p) / 60 - h2 * (1 - 60 * p + 360 * p * p) / 2520)
-        inv_mean = np.where(near, 1.0 / at_psi + ((1.0 - 2.0 * q) * p * h2 * poly).real / r,
-                            inv_mean)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_mean = np.where(near, 1.0 / at_psi + ((1.0 - 2.0 * q) * p * h2 * poly).real / r,
+                                inv_mean)
     return mean, inv_mean
 
 

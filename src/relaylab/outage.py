@@ -149,8 +149,8 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
                block: tuple[int, int]) -> np.ndarray:
     """Outage-and-case counts for one (first trial, count) block at every grid snr.
 
-    The block's draws and their snr-free terms (one LinkRecord) are computed
-    once; every grid point reads them.
+    The block's draws are reduced once to one LinkRecord, the squared gains
+    and the relays' coherent sum; every grid point reads it.
     """
     first_trial, count = block
     g_sd, gsr1, gsr2, r1d, r2d = _draw_gains(cfg, seed, first_trial, count)

@@ -204,9 +204,11 @@ GOLDEN_ANALYTIC_BODIES = {
     "ASTC-srrc2-d2": (("--scheme", "ASTC", "--pulse", "srrc", "--span", "2", "--tau", "0.3",
                        "--cond", "d2"),
                       "f8684413aa4dee4377ab273809c5883c337e719980c8c8289f0ac787b1444ed8"),
+    # re-pinned when the window root became sqrt(A - B) sqrt(A + B): three
+    # of its nine values moved by 1 ulp
     "TDA_REPETITION-d2-t0bw2.5": (
         ("--scheme", "TDA_REPETITION", "--cond", "d2", "--t0bw", "2.5"),
-        "dbeda0cc96e2650280d0fe07b590697427748c0b28326044d0bad75936888ccd"),
+        "ebb07316400c164504ade9752e6d284a7f6f3ff49b2993df954cd9272308dcb5"),
     "TDA_REPETITION-d2-t0bw2": (
         ("--scheme", "TDA_REPETITION", "--cond", "d2", "--t0bw", "2"),
         "7d45451a6dff5e639770352f22c2c32f8ad8d1cdbbca496d490c35649b15700f"),
@@ -288,6 +290,20 @@ def test_rtda2_extreme_snr_prints_no_warning(args):
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "relaylab.cli", "simulate",
                            "--mode", "analytic", "--scheme", "TDA_REPETITION", "--cond", "d2",
                            *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(body_lines(proc.stdout)) == 1 + 1
+
+
+@pytest.mark.parametrize("scheme", ["TDA_INDEP", "TDA_REPETITION"])
+def test_delay_window_mc_at_3000_db_prints_no_warning(scheme):
+    # At 3000 dB rho0 g passes 1e154, where (A - B)(A + B) would overflow
+    # while each factor is finite; the window root takes them apart
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "relaylab.cli", "simulate",
+                           "--scheme", scheme, "--t0bw", "2.5", "--trials", "10000",
+                           "--snr-db", "3000", "--workers", "1"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert len(body_lines(proc.stdout)) == 1 + 1

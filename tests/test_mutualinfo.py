@@ -695,28 +695,29 @@ def _swap_cases():
 
 def test_mi_batch_relay_swap():
     # relabelling the relays (gain and membership together) changes no row,
-    # value or envelope bound; MIX_AF's no-relay rows are excluded: that
-    # fallback is bound to relay 1
+    # value or envelope bound, bit for bit except where ASTC's and MIX_AF's
+    # pair kernel orders its eigenvalues; MIX_AF's no-relay rows are
+    # excluded: that fallback is bound to relay 1
     rng = np.random.default_rng(11)
     n = 2000
     sd, r1d, r2d = ((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
                     * math.sqrt(s2) for s2 in (1.0, 3.0, 0.2))
     m1 = rng.random(n) < 0.6
     m2 = rng.random(n) < 0.4
-    # the link record swaps its relay terms and negates the phase difference,
-    # bit for bit its cosine too, on all rows and on a subset
+    # the link record swaps its squared relay gains and keeps their coherent
+    # sum, bit for bit, on all rows and on a subset
     idx = np.flatnonzero(m1)
     for a, b in ((_record(sd, r1d, r2d), _record(sd, r2d, r1d)),
                  (_record(sd, r1d, r2d).rows(idx), _record(sd, r2d, r1d).rows(idx))):
-        for x, y in ((a.g_sd, b.g_sd), (a.g1, b.g2), (a.g2, b.g1), (a.r1, b.r2),
-                     (a.r2, b.r1), (a.psi, -b.psi), (a.cos_psi, b.cos_psi)):
+        for x, y in ((a.g_sd, b.g_sd), (a.g1, b.g2), (a.g2, b.g1), (a.coh, b.coh)):
             np.testing.assert_array_equal(x, y)
     for scheme, kw in _swap_cases():
+        rtol = 1e-12 if scheme in (SchemeId.ASTC, SchemeId.MIX_AF) else 0.0
         for rho0 in (0.5, 20.0, 1e3):
             a = mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
             b = mi_batch(scheme, sd, r2d, r1d, m2, m1, rho0, **kw)
             keep = (m1 | m2) if scheme == SchemeId.MIX_AF else np.ones(n, dtype=bool)
-            np.testing.assert_allclose(a[keep], b[keep], rtol=1e-12, atol=0,
+            np.testing.assert_allclose(a[keep], b[keep], rtol=rtol, atol=0,
                                        err_msg=f"{scheme.value} {kw}")
             # the screened verdicts swap with them, at a rate splitting the rows
             rate = float(np.median(a))
@@ -728,7 +729,7 @@ def test_mi_batch_relay_swap():
             env_a = mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0, **kw)
             env_b = mi_envelope(scheme, sd, r2d, r1d, m2, m1, rho0, **kw)
             for x, y in zip(env_a[1:], env_b[1:]):
-                np.testing.assert_allclose(x[keep], y[keep], rtol=1e-12, atol=0,
+                np.testing.assert_allclose(x[keep], y[keep], rtol=rtol, atol=0,
                                            err_msg=f"{scheme.value} {kw} envelope")
 
 
@@ -974,7 +975,7 @@ def test_screen_keeps_the_overflow_edge():
         with pytest.raises(NumericError):
             record_mi(SchemeId.ASTC, links, m, m, rho0, corr=corr)
     # in the delay window a finite lower bound has A > B and A + B finite, so
-    # its upper bound is finite too; at 1e154 (A - B)(A + B) overflows on
+    # its upper bound is finite too; at 1e154 A^2 passes the float range on
     # some rows, at 1e300 on all
     rng = np.random.default_rng(67)
     sd, r1d, r2d = _screen_rows(rng, 400)
@@ -992,6 +993,22 @@ def test_screen_keeps_the_overflow_edge():
                     np.testing.assert_array_equal(
                         record_below(scheme, links, m, m, rho0, rate, delays=delays),
                         mi_batch(scheme, sd, r1d, r2d, m, m, rho0, delays=delays) < rate)
+
+
+@pytest.mark.parametrize("t0bw", (1e-6, 1e-3, 0.3, 1.0, 2.5))
+def test_window_kernel_at_extreme_snr_is_finite_and_quiet(t0bw):
+    # With equal, opposite and orthogonal unit relay gains, A - B rounds to 0
+    # from rho0 = 1e16 (R = 0, and the unread inverse mean is 0/0 or 1/0)
+    # and A^2 passes the float range past 1e154; the kernel stays finite and
+    # no floating-point warning escapes (the suite turns them into errors)
+    ones = np.ones(3, dtype=complex)
+    r2d = np.array([1.0, -1.0, 1j])
+    both = np.ones(3, dtype=bool)
+    delays = DelayConfig.from_t0bw(t0bw)
+    for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        for rho0 in (1e15, 1e16, 1e20, 1e100, 1e200):
+            value = mi_batch(scheme, ones, ones, r2d, both, both, rho0, delays=delays)
+            assert np.all(np.isfinite(value)), (scheme, rho0)
 
 
 @pytest.mark.parametrize("t0bw", (1e-6, 0.3, 1.7, 2.0, 2.5, 6.0))

@@ -400,7 +400,7 @@ def test_rtda2_reaches_its_volume_limit_at_extreme_snr(unit_cfg, t0bw):
 
 
 @pytest.mark.parametrize("t0bw", (2.5, 12.3))
-def test_rtda2_threshold_meets_the_target_when_r_underflows(monkeypatch, t0bw):
+def test_rtda2_relay_level_meets_the_target_at_3000_db(monkeypatch, t0bw):
     # At 3000 dB and r = 0.1 the outage, about rho0^-3 T^2, underflows to 0,
     # and s runs up to ln T = 138: the level still meets the target at every
     # node Newton moves.  The stop rule leaves a step of 1e-13 (1 + y) in
