@@ -7,7 +7,7 @@ normalized per-node snr.  All logarithms are base 2.
 The evaluators take arrays, one row per draw, and a single draw is a batch
 of one.  A LinkRecord holds the destination links of a batch as four real
 arrays, the snr-free terms the kernels read (the squared gains and the
-relays' coherent sum), so the Monte Carlo engine builds one per block and
+relays' coherent sum), so the Monte Carlo engine draws one per block and
 every snr point reads it.  record_mi is each scheme's one MI kernel: it
 takes a record and the relay memberships, and mi_batch is it on complex
 gains.  Rows with fewer than two relays have closed forms; on the
@@ -16,10 +16,11 @@ term plus a relay-pair term.  _both_relays is the one place per scheme for
 those rows: it returns the direct term with the kernel and its two bounds
 as callables, which record_mi, record_below and mi_envelope all read.  The
 Monte Carlo engine only needs record_mi(...) < rate.  record_below returns
-it with the lower bound on every both-relays row, the upper bound on the
-rows the lower bound does not clear, and the costly pair kernel, in one
-record_mi call, on the rows neither settles.  mi_envelope returns
-mi_batch's value with those same bounds.
+it for STC_SYNC and TDA_LINMOD by comparing a product of gain terms with
+4^rate, and for the other schemes with the lower bound on every
+both-relays row and the upper bound on the rows the lower bound does not
+clear; the rows either test leaves in doubt go through one record_mi call.
+mi_envelope returns mi_batch's value with the bounds.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,40 +106,42 @@ def check_scheme(scheme, corr: CorrelationSet | None = None,
     return scheme
 
 
-class LinkRecord:
+class LinkRecord(NamedTuple):
     """The destination links of a batch of draws, one row per draw, as the
-    four real arrays the MI kernels read.
-
-    It is built from the squared direct gain g_sd and the complex relay
-    gains r1d, r2d, and holds g_sd, the squared relay gains g1 = |r1d|^2,
-    g2 = |r2d|^2 and their coherent sum coh = |r1d + r2d|^2.  The relays'
-    phase difference psi enters every kernel evenly, so the cross term
-    sqrt(g1 g2) cos psi = (coh - (g1 + g2))/2 carries all of it.
-    rows(idx) is the record of a subset of the rows.
+    four real arrays the MI kernels read: the squared direct gain g_sd, the
+    squared relay gains g1, g2 and the relays' coherent sum coh, which is
+    |r1d + r2d|^2 = g1 + g2 + 2 sqrt(g1 g2) cos psi for relay gains r1d,
+    r2d with phase difference psi.  psi enters every kernel evenly, so the
+    cross term sqrt(g1 g2) cos psi = (coh - (g1 + g2))/2 carries all of it.
+    of_gains builds the record of complex relay gains; rows(idx) is the
+    record of a subset of the rows.
     """
 
-    def __init__(self, g_sd, r1d, r2d):
+    g_sd: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    coh: np.ndarray
+
+    @classmethod
+    def of_gains(cls, g_sd, r1d, r2d) -> "LinkRecord":
+        """The record of the squared direct gain g_sd and the complex relay gains r1d, r2d."""
         r1d, r2d = np.asarray(r1d), np.asarray(r2d)
-        self.g_sd = np.asarray(g_sd)
-        self.g1, self.g2 = np.abs(r1d) ** 2, np.abs(r2d) ** 2
-        self.coh = np.abs(r1d + r2d) ** 2
+        return cls(np.asarray(g_sd), np.abs(r1d) ** 2, np.abs(r2d) ** 2, np.abs(r1d + r2d) ** 2)
 
     def rows(self, idx) -> "LinkRecord":
         """The record of rows idx, sorted distinct row indices (the record
         itself when they are all its rows)."""
         if len(idx) == len(self.g_sd):
             return self
-        sub = object.__new__(LinkRecord)
-        sub.g_sd, sub.g1, sub.g2 = self.g_sd[idx], self.g1[idx], self.g2[idx]
-        sub.coh = self.coh[idx]
-        return sub
+        return LinkRecord(*(v[idx] for v in self))
 
 
 def mi_batch(scheme, sd, r1d, r2d, m1, m2, rho0: float,
              corr: CorrelationSet | None = None,
              delays: DelayConfig | None = None) -> np.ndarray:
     """record_mi on the complex destination-link gains sd, r1d, r2d."""
-    return record_mi(scheme, LinkRecord(np.abs(sd) ** 2, r1d, r2d), m1, m2, rho0, corr, delays)
+    links = LinkRecord.of_gains(np.abs(sd) ** 2, r1d, r2d)
+    return record_mi(scheme, links, m1, m2, rho0, corr, delays)
 
 
 def record_mi(scheme, links: LinkRecord, m1, m2, rho0: float,
@@ -188,7 +192,7 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     t0 bw = 0) get lower = upper = value.
     """
     scheme = check_scheme(scheme, corr, delays)
-    links = LinkRecord(np.abs(sd) ** 2, r1d, r2d)
+    links = LinkRecord.of_gains(np.abs(sd) ** 2, r1d, r2d)
     value = record_mi(scheme, links, m1, m2, rho0, corr, delays)
     lower = value.copy()
     upper = value.copy()
@@ -210,10 +214,11 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
 def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
                  corr: CorrelationSet | None = None,
                  delays: DelayConfig | None = None) -> np.ndarray:
-    """record_mi(...) < rate per row, running the both-relays kernel only
-    where its bounds leave the verdict in doubt.
+    """record_mi(...) < rate per row, running the logarithms and the costly
+    both-relays kernels only where a cheaper test leaves the verdict in doubt.
 
-    For the both-relays rows of ASTC, MIX_AF and the windowed delay schemes,
+    STC_SYNC and TDA_LINMOD decide in the gain domain (_product_below).  For
+    the both-relays rows of ASTC, MIX_AF and the windowed delay schemes,
     _both_relays's lower <= kernel <= upper bound the kernel term, and the
     row reaches the rate iff the kernel reaches need = 2 rate - direct.  Each
     test keeps a margin above the kernel's roundoff.  The lower bound runs
@@ -224,13 +229,14 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     goes through one record_mi call.  So the verdicts equal
     record_mi(...) < rate wherever record_mi returns.  Where it would raise,
     because the pair kernel's coefficients pass the float range, a row that
-    the lower bound clears gets the lower bound's verdict.  STC_SYNC and
-    TDA_LINMOD, whose kernels are closed forms, are not screened, nor are
-    the delay schemes at t0 bw = 0, whose bounds are None.
+    the lower bound clears gets the lower bound's verdict.  The delay
+    schemes at t0 bw = 0, whose bounds are None, are not screened.
     """
     scheme = check_scheme(scheme, corr, delays)
+    if scheme in (SchemeId.STC_SYNC, SchemeId.TDA_LINMOD):
+        return _product_below(scheme, links, m1, m2, rho0, rate, corr)
     both = m1 & m2
-    if scheme in (SchemeId.STC_SYNC, SchemeId.TDA_LINMOD) or not both.any():
+    if not both.any():
         return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
 
     b = np.nonzero(both)[0]
@@ -260,6 +266,36 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     return below
 
 
+def _product_below(scheme: SchemeId, links: LinkRecord, m1, m2, rho0: float, rate: float,
+                   corr: CorrelationSet | None) -> np.ndarray:
+    """record_mi(...) < rate for STC_SYNC and TDA_LINMOD, decided without a
+    logarithm where the margin allows.
+
+    Both MIs are half the log2 of a product, so MI < R iff P = (1 + rho0
+    g_sd) Q < T = 4^R, with Q = 1 + rho0 relay below two relays and Q half
+    the matched-filter argument (_linmod_terms) on TDA_LINMOD's both-relays
+    rows.  A row whose P lies within T 2^(+-2 slack), the margin of the
+    bound screens in bits of MI, or whose P is not finite (the product
+    passes the float range past rho0 g of about 1e154) goes through one
+    record_mi call; P's roundoff is a few ulps, far inside that margin.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = 1.0 + rho0 * (links.g1 * m1 + links.g2 * m2)
+        if scheme == SchemeId.TDA_LINMOD:
+            b = np.flatnonzero(m1 & m2)
+            if b.size:
+                q[b] = 0.5 * _linmod_terms(links.rows(b), rho0, corr)[1]()
+        p = (1.0 + rho0 * links.g_sd) * q
+        slack = 2.0 * _SCREEN_SLACK * (1.0 + rate)
+        low, high = np.exp2(2.0 * rate - slack), np.exp2(2.0 * rate + slack)
+    below = p < low
+    doubt = np.flatnonzero(~(below | ((p > high) & (p < np.inf))))
+    if doubt.size:
+        below[doubt] = record_mi(scheme, links.rows(doubt), m1[doubt], m2[doubt], rho0,
+                                 corr) < rate
+    return below
+
+
 # Margin of record_below's screens, in bits per bit: far above the kernels'
 # roundoff, which stays near 1e-14 bits but grows to about 4e-14/t0bw bits for
 # short delay windows, hence record_below's 1/t0bw.
@@ -284,13 +320,12 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
       kernel reads |psi| = arccos(cross / sqrt(g1 g2)); it is at least
       _window_mean_lower, and Jensen with the window mean of the cosine
       gives log2(A + 2 rho0 cross sin(h) / h) above.
-    - TDA_LINMOD: a = rho0 (g1 + g2 + 2 rho12 cross) and
-      b = 2 rho0 rho21 sqrt(g1 g2).  The matched-filter pair term
-      log2(1 + a + sqrt((1 + a)^2 - b^2)) - 1 lies between
-      log2(1 + a) - 1 and log2(1 + a), as
-      |rho12| + |rho21| <= 1 (Cauchy-Schwarz) gives |b| <= a.  Where the
-      square passes the float range (rho0 g past about 1e154) the root is
-      taken as sqrt(1 + a - b) sqrt(1 + a + b).
+    - TDA_LINMOD: the matched-filter pair term is log2 of the argument
+      1 + a + sqrt((1 + a)^2 - b^2), minus 1, with a = rho0 (g1 + g2 +
+      2 rho12 cross) and b = 2 rho0 rho21 sqrt(g1 g2); _linmod_terms holds
+      the argument, which record_below's gain-domain verdicts also read.
+      The term lies between log2(1 + a) - 1 and log2(1 + a), as
+      |rho12| + |rho21| <= 1 (Cauchy-Schwarz) gives |b| <= a.
     - ASTC/MIX_AF: the single-stream ISI rate of g_sd is the direct term
       and the kernel is _emaca_batch's mean log2 q(w),
       q = det(I + rho0 diag(g1, g2) T(w)).  Jensen gives mean log2 q <=
@@ -324,22 +359,9 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
         return (direct, kernel, lambda: _window_mean_lower(a, bc, w),
                 lambda: np.log2(a + 2.0 * rho0 * (math.sin(h) / h) * cross))
     if scheme == SchemeId.TDA_LINMOD:
-        nu = g1 + g2
-        a = rho0 * (nu + corr.rho12 * (coh - nu))
-        bc = 2.0 * rho0 * corr.rho21 * np.sqrt(g1 * g2)
-
-        def kernel():
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = (1.0 + a) ** 2 - bc * bc
-            root = np.sqrt(np.maximum(d, 0.0))
-            big = ~np.isfinite(d)
-            if big.any():
-                root = np.where(big, np.sqrt(np.maximum(1.0 + a - bc, 0.0)) * np.sqrt(1.0 + a + bc),
-                                root)
-            return np.log2(1.0 + a + root) - 1.0
-
-        return (np.log2(1.0 + rho0 * gsd), kernel, lambda: np.log2(1.0 + a) - 1.0,
-                lambda: np.log2(1.0 + a))
+        a, argument = _linmod_terms(links, rho0, corr)
+        return (np.log2(1.0 + rho0 * gsd), lambda: np.log2(argument()) - 1.0,
+                lambda: np.log2(1.0 + a) - 1.0, lambda: np.log2(1.0 + a))
     direct = _esd_from_gain(gsd, corr.a1, rho0)
     jensen = lambda: np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
     kernel = lambda: _emaca_batch(g1, g2, corr, rho0)
@@ -348,6 +370,29 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
     r0 = corr.r(0)  # t11 = r0 (1 + 2 (a1/r0) cos w): a single-stream rate of gain r0 g
     esd = lambda g: _esd_from_gain(r0 * g, corr.a1 / r0, rho0)
     return direct, kernel, lambda: esd(g1 + g2), lambda: np.minimum(jensen(), esd(g1) + esd(g2))
+
+
+def _linmod_terms(links: LinkRecord, rho0: float, corr: CorrelationSet):
+    """(a, argument) of the matched-filter pair term log2(argument()) - 1 on
+    a record of both-relays rows: a = rho0 (g1 + g2 + 2 rho12 cross) and
+    argument() = 1 + a + sqrt((1 + a)^2 - b^2), b = 2 rho0 rho21
+    sqrt(g1 g2).  Where the square passes the float range (rho0 g past
+    about 1e154) the root is taken as sqrt(1 + a - b) sqrt(1 + a + b)."""
+    nu = links.g1 + links.g2
+    a = rho0 * (nu + corr.rho12 * (links.coh - nu))
+
+    def argument():
+        bc = 2.0 * rho0 * corr.rho21 * np.sqrt(links.g1 * links.g2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (1.0 + a) ** 2 - bc * bc
+        root = np.sqrt(np.maximum(d, 0.0))
+        big = ~np.isfinite(d)
+        if big.any():
+            root = np.where(big, np.sqrt(np.maximum(1.0 + a - bc, 0.0)) * np.sqrt(1.0 + a + bc),
+                            root)
+        return 1.0 + a + root
+
+    return a, argument
 
 
 def closed_log_integral(a: float, b: float) -> float:

@@ -6,10 +6,13 @@ Pr[I < R, |D| = j] by default (those carry the per-row diversity slopes and
 sum to the overall outage); conditional probabilities are available either
 analytically or by forcing the decoding set in the simulator.
 
-Monte Carlo determinism: trials are grouped into fixed blocks of 32768 and
-the Philox counters of each block's two streams derive from its first trial
-index, so the draws for trial t depend only on (seed, t).  Workers split whole
-blocks and results merge by summation; worker count can never change the numbers.
+Monte Carlo draws: each trial takes its five squared link gains as
+exponentials and the relays' phase difference from one uniform, since the
+MI kernels read the two relay gains only through their squares and their
+coherent sum.  Trials are grouped into fixed blocks of 32768 and the Philox
+counters of each block's two streams derive from its first trial index, so
+the draws for trial t depend only on (seed, t).  Workers split whole blocks
+and results merge by summation; worker count can never change the numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
 _MIN_TRIALS, _MAX_TRIALS = 10 ** 4, 2 ** 34  # the cap lists 2^19 blocks, hours of work
-_COUNTER_STRIDE = 64  # Philox counters (4 words each) reserved per trial, which uses 7 variates
+_COUNTER_STRIDE = 64  # Philox counters (4 words each) reserved per trial, which uses 6 variates
 _LN2 = math.log(2.0)
 _WILSON_Z = 1.96        # two-sided 95% normal quantile of wilson_interval
 _FIT_REL_CI_MAX = 0.3   # slope_fit drops points whose interval is wider than this share
@@ -125,22 +128,38 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 
 def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
-    """(g_sd, g_sr1, g_sr2, r1d, r2d) for trials [first_trial, first_trial+count).
+    """(g_sr1, g_sr2, links) for trials [first_trial, first_trial+count): the
+    squared source-relay gains and the LinkRecord of the destination links.
 
-    sd, sr1 and sr2 come as squared gains, each sigma^2 Exp(1), since the
-    engine reads no phase of theirs; only r1d, r2d are complex normals.  The
-    two are trial-major Philox streams on one key, the normals' counter 2^128
-    up, from the first trial index times a stride above what a trial uses.
+    A CN(0, s^2) gain's squared magnitude is s^2 Exp(1), and the engine
+    reads no phase but the relays' difference psi, uniform and independent
+    of the magnitudes, and that only through cos psi.  So a trial draws the
+    five squared gains as exponentials and one uniform u for psi
+    (_coherent_sum).  The two are trial-major Philox streams on one key, the
+    uniforms' counter 2^128 up, from the first trial index times a stride
+    above what a trial uses.
     """
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     sigma2 = np.array([getattr(cfg, "sigma2_" + link) for link in LINKS])
-    exp, nrm = (np.random.Generator(np.random.Philox(
+    exp, uni = (np.random.Generator(np.random.Philox(
         key=key, counter=c + int(first_trial) * _COUNTER_STRIDE)) for c in (0, 2 ** 128))
-    g = exp.standard_exponential((count, 3))
-    g *= sigma2[:3]
-    z = nrm.standard_normal((count, 4))
-    z *= np.sqrt(0.5 * sigma2[[3, 3, 4, 4]])
-    return (*g.T, *z.view(np.complex128).T)
+    # one contiguous row per link: every snr point reads them again
+    g_sd, g_sr1, g_sr2, g1, g2 = np.multiply(exp.standard_exponential((count, 5)).T,
+                                             sigma2[:, None], order="C")
+    return g_sr1, g_sr2, LinkRecord(g_sd, g1, g2, _coherent_sum(g1, g2, uni.random(count)))
+
+
+def _coherent_sum(g1, g2, u):
+    """g1 + g2 + 2 sqrt(g1 g2) cos psi at psi = pi (1 - u), formed as
+    (sqrt g1 - sqrt g2)^2 + 4 sqrt(g1 g2) sin^2(pi u / 2): a sum of
+    non-negative terms, so it keeps its relative precision as psi -> pi,
+    where the plain sum cancels.  sin(pi u / 2) is 2t / (1 + t^2) with
+    t = tan(pi u / 4) in [0, 1) for u in [0, 1): numpy vectorises float64
+    tan on AVX-512 hosts, and not sin."""
+    s1, s2 = np.sqrt(g1), np.sqrt(g2)
+    t = np.tan((0.25 * math.pi) * u)
+    half = 2.0 * t / (1.0 + t * t)
+    return (s1 - s2) ** 2 + 4.0 * (s1 * s2) * (half * half)
 
 
 def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float, ...],
@@ -149,12 +168,11 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
                block: tuple[int, int]) -> np.ndarray:
     """Outage-and-case counts for one (first trial, count) block at every grid snr.
 
-    The block's draws are reduced once to one LinkRecord, the squared gains
-    and the relays' coherent sum; every grid point reads it.
+    The block's draws come as one LinkRecord, the squared gains and the
+    relays' coherent sum; every grid point reads it.
     """
     first_trial, count = block
-    g_sd, gsr1, gsr2, r1d, r2d = _draw_gains(cfg, seed, first_trial, count)
-    links = LinkRecord(g_sd, r1d, r2d)
+    gsr1, gsr2, links = _draw_gains(cfg, seed, first_trial, count)
     counts = np.zeros(len(snr), dtype=np.int64)
     case = None if cond == ConditionalCase.OVERALL else _CASE_SETS[cond][0]
     if force_set:

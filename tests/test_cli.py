@@ -135,33 +135,48 @@ def test_simulate_mc_deterministic_body(tmp_path, capsys):
 
 # sha256 of the outage-v1 body (column row plus data rows, joined by "\n") of
 # `simulate --trials 75536 --snr-db 0:30:10` (two full Monte Carlo blocks and
-# a partial one, seed 1, r 0.25), recorded when the engine first drew
-# exponential squared gains for sd, sr1, sr2 and complex normals only for
-# r1d, r2d; a change to the draws, the decoding sets or any MI kernel's float
+# a partial one, seed 1, r 0.25), recorded when the engine first drew all
+# five squared gains as exponentials and the relays' phase difference as one
+# uniform; a change to the draws, the decoding sets or any MI kernel's float
 # operations moves them
 GOLDEN_MC_BODIES = {
     "STC_SYNC": (("--scheme", "STC_SYNC"),
-                 "7b934769bcc0acb5e88faf5b3fb40bf609f6838535b46d220edf1eaa2751af49"),
+                 "4e71c56e4a1d3548b5e7789d4839964941afcc01b2ce11dc9c9665b29e52c04f"),
     "STC_SYNC-d2": (("--scheme", "STC_SYNC", "--cond", "d2", "--force-set", "true"),
-                    "5b05a2e92f178d8f8548823c749627e721154a4f30476e5d314e52604382f5fe"),
+                    "bc0a62e6b4a5df365ccf47908dc901afc6a3720ebdc853bb20aabbf519bb81d5"),
     "TDA_LINMOD-rect1": (("--scheme", "TDA_LINMOD", "--pulse", "rect", "--span", "1",
                           "--tau", "0.5"),
-                         "4a2f27e8d5c0a613ab25bde12c77d14d22863715ef1b536dc4f47b69156c8a43"),
+                         "0b543c27ff730258b6a4240e10b785a08747143e48f35b4d6171c48ed2a82184"),
     "ASTC-srrc2": (("--scheme", "ASTC", "--pulse", "srrc", "--span", "2", "--tau", "0.3"),
-                   "e690edace4ca8cf67230e3682687d07905ec5379b7d43eb746d6113f98249aaf"),
+                   "56bc4feccf04a02263a66a264fece83b1880717947b13719f8a6a9e9e324d9ac"),
     "MIX_AF-rect1": (("--scheme", "MIX_AF", "--pulse", "rect", "--span", "1", "--tau", "0.5"),
-                     "2c8207d018fb4038ed6402e1bdd0bb83b971a6af52688df3da81e4b95bd9622e"),
+                     "7034cbc3ee34c0abe1410550640416106b97e8db1608c1d37e651ad9915143be"),
     "TDA_INDEP-t0bw2.5": (("--scheme", "TDA_INDEP", "--t0bw", "2.5"),
-                          "407f603554b4ec593bb1a472e9ce70dc702d8a3c710fcc41e825b0c5803bf8a1"),
+                          "3a523d0541d6711a28ad7cbd6926500187e0c09dd5622bf0034fbfb8600255a4"),
     "TDA_INDEP-t0bw0": (("--scheme", "TDA_INDEP", "--t0bw", "0"),
-                        "26afe53c68e6ca09dfd667d09836c331e8460b4b3f376ae125abe458cee407cd"),
+                        "7df4928aacc742028352a36110663d99e90004de234e3e9a82974afc7bd2ae53"),
     "TDA_REPETITION-t0bw2.5": (("--scheme", "TDA_REPETITION", "--t0bw", "2.5"),
-                               "dc373146482282ed96e1366a821f2d19853e3cdd8c5e7aec26db502ed46334db"),
+                               "6d5625d82755755c8477e5a3c8cc8ad744589364ae0761ac76cf72c87ddea037"),
 }
 
-# the same bodies on the earlier all-normal sampler (conftest.normal_draw_gains),
-# recorded before the engine read one link record per block: the engine
-# downstream of the draws still reproduces them bit for bit
+# the same bodies on the earlier exponential-and-normal sampler
+# (conftest.exp_normal_draw_gains), recorded before the engine drew the relay
+# pair as two exponentials and a phase and before STC_SYNC and TDA_LINMOD
+# decided in the gain domain: the engine downstream of the draws still
+# reproduces them bit for bit
+EXP_NORMAL_SAMPLER_MC_BODIES = {
+    "STC_SYNC": "7b934769bcc0acb5e88faf5b3fb40bf609f6838535b46d220edf1eaa2751af49",
+    "STC_SYNC-d2": "5b05a2e92f178d8f8548823c749627e721154a4f30476e5d314e52604382f5fe",
+    "TDA_LINMOD-rect1": "4a2f27e8d5c0a613ab25bde12c77d14d22863715ef1b536dc4f47b69156c8a43",
+    "ASTC-srrc2": "e690edace4ca8cf67230e3682687d07905ec5379b7d43eb746d6113f98249aaf",
+    "MIX_AF-rect1": "2c8207d018fb4038ed6402e1bdd0bb83b971a6af52688df3da81e4b95bd9622e",
+    "TDA_INDEP-t0bw2.5": "407f603554b4ec593bb1a472e9ce70dc702d8a3c710fcc41e825b0c5803bf8a1",
+    "TDA_INDEP-t0bw0": "26afe53c68e6ca09dfd667d09836c331e8460b4b3f376ae125abe458cee407cd",
+    "TDA_REPETITION-t0bw2.5": "dc373146482282ed96e1366a821f2d19853e3cdd8c5e7aec26db502ed46334db",
+}
+
+# and on the first, all-normal sampler (conftest.normal_draw_gains), recorded
+# before the engine read one link record per block
 NORMAL_SAMPLER_MC_BODIES = {
     "STC_SYNC": "bb3b92ad17dbd8ec3599b8f5665d0de0f1779cb52f5bf1ca3003a9e7926e189f",
     "STC_SYNC-d2": "8ec15bf3f9a10c2251d7591ab9c515d6127e5fad0ad64d3e151e962dda1f0018",
@@ -191,6 +206,11 @@ def test_simulate_mc_bodies_match_pinned_hashes(capsys, args, digest):
 @pytest.mark.parametrize("case", NORMAL_SAMPLER_MC_BODIES)
 def test_simulate_mc_bodies_on_the_normal_sampler(capsys, normal_sampler, case):
     assert mc_body_digest(capsys, GOLDEN_MC_BODIES[case][0]) == NORMAL_SAMPLER_MC_BODIES[case]
+
+
+@pytest.mark.parametrize("case", EXP_NORMAL_SAMPLER_MC_BODIES)
+def test_simulate_mc_bodies_on_the_exp_normal_sampler(capsys, exp_normal_sampler, case):
+    assert mc_body_digest(capsys, GOLDEN_MC_BODIES[case][0]) == EXP_NORMAL_SAMPLER_MC_BODIES[case]
 
 
 # sha256 of the outage-v1 body of `simulate --mode analytic --r 0.25

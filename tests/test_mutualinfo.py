@@ -49,7 +49,7 @@ def gains2(f):
 
 def _record(sd, r1d, r2d):
     """The link record of complex destination gains, as mi_batch builds it."""
-    return LinkRecord(np.abs(sd) ** 2, r1d, r2d)
+    return LinkRecord.of_gains(np.abs(sd) ** 2, r1d, r2d)
 
 
 # ---------------------------------------------------------------------------

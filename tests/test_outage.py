@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,11 @@ from conftest import normal_draw_gains
 
 from relaylab.channel import (D_BOTH, NetworkConfig, RatePoint, decoding_set_probs,
                               relay_failure_prob)
-from relaylab import outage
+from relaylab import mutualinfo, outage
 from relaylab._quad import gl_nodes
 from relaylab.errors import ConfigError, NumericError
-from relaylab.mutualinfo import DelayConfig, SchemeId, _cos_window_means, record_mi
+from relaylab.mutualinfo import (DelayConfig, SchemeId, _cos_window_means, record_below,
+                                 record_mi)
 from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              analytic_outage_curve, analytic_outage_parallel3,
                              analytic_outage_rtda2, analytic_outage_stc, mc_outage, slope_fit,
@@ -21,6 +23,7 @@ from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              write_outage_csv)
 from relaylab.waveform import correlations, rectangular, srrc
 
+_LN2 = math.log(2.0)
 SNR_GRID = tuple(10.0 ** (db / 10.0) for db in (0, 5, 10, 15))
 
 
@@ -556,37 +559,82 @@ def test_mc_validation(unit_cfg):
 
 
 # ---------------------------------------------------------------------------
-# fading draws: exponential squared gains, complex normals for the relay pair
+# fading draws: five exponential squared gains and one relay phase per trial
 
 UNEQUAL_CFG = NetworkConfig(0.5, 1.0, 2.0, 3.0, 4.0)
+
+
+def draw_arrays(*args):
+    """_draw_gains(*args) as six arrays: g_sr1, g_sr2, then the record's
+    g_sd, g1, g2 and coh."""
+    g_sr1, g_sr2, links = outage._draw_gains(*args)
+    return (g_sr1, g_sr2, *links)
 
 
 def test_draws_are_row_prefixes_and_blocks_differ():
     # trial t's draws depend only on (seed, t): a shorter block is a row
     # prefix of a longer one from the same first trial, in every array
-    short = outage._draw_gains(UNEQUAL_CFG, 3, 32768, 1000)
-    long = outage._draw_gains(UNEQUAL_CFG, 3, 32768, 20000)
+    short = draw_arrays(UNEQUAL_CFG, 3, 32768, 1000)
+    long = draw_arrays(UNEQUAL_CFG, 3, 32768, 20000)
+    assert len(short) == 6
     for a, b in zip(short, long):
         np.testing.assert_array_equal(a, b[:1000])
     # and blocks at other first trials, or of another seed, share no value
-    for other in (outage._draw_gains(UNEQUAL_CFG, 3, 0, 1000),
-                  outage._draw_gains(UNEQUAL_CFG, 3, 65536, 1000),
-                  outage._draw_gains(UNEQUAL_CFG, 4, 32768, 1000)):
+    for other in (draw_arrays(UNEQUAL_CFG, 3, 0, 1000),
+                  draw_arrays(UNEQUAL_CFG, 3, 65536, 1000),
+                  draw_arrays(UNEQUAL_CFG, 4, 32768, 1000)):
         for a, b in zip(short, other):
             assert not np.any(np.isin(a, b))
 
 
 def test_squared_gains_follow_the_normal_sampler():
-    # each link's squared gain against |z|^2 of the all-normal oracle sampler,
-    # on an independent seed: two-sample Kolmogorov-Smirnov, rejected at p < 1e-6
+    # each squared gain and the relays' coherent sum against the all-normal
+    # oracle sampler's (its coh is |r1d + r2d|^2 of complex normals), on an
+    # independent seed: two-sample Kolmogorov-Smirnov, rejected at p < 1e-6;
+    # E coh = sigma2_r1d + sigma2_r2d
     n = 2 ** 17
-    g_sd, g_sr1, g_sr2, r1d, r2d = outage._draw_gains(UNEQUAL_CFG, 31, 0, n)
-    ref = normal_draw_gains(UNEQUAL_CFG, 32, 0, n)
-    ref = (*ref[:3], np.abs(ref[3]) ** 2, np.abs(ref[4]) ** 2)
-    for got, want, s2 in zip((g_sd, g_sr1, g_sr2, np.abs(r1d) ** 2, np.abs(r2d) ** 2), ref,
-                             (0.5, 1.0, 2.0, 3.0, 4.0)):
-        assert stats.ks_2samp(got, want).pvalue >= 1e-6, s2
-        assert np.mean(got) == pytest.approx(s2, rel=0.02)
+    got = draw_arrays(UNEQUAL_CFG, 31, 0, n)
+    g_sr1, g_sr2, links = normal_draw_gains(UNEQUAL_CFG, 32, 0, n)
+    want = (g_sr1, g_sr2, *links)
+    for name, a, b, mean in zip(("sr1", "sr2", "sd", "r1d", "r2d", "coh"), got, want,
+                                (1.0, 2.0, 0.5, 3.0, 4.0, 7.0)):
+        assert stats.ks_2samp(a, b).pvalue >= 1e-6, name
+        assert np.mean(a) == pytest.approx(mean, rel=0.02), name
+
+
+def test_coherent_sum_keeps_its_relative_precision():
+    # against mpmath at 50 digits: g1 + g2 + 2 sqrt(g1 g2) cos(pi (1 - u)) to a
+    # few ulps relative on random rows and on equal gains as psi -> pi
+    # (u = k 2^-53), where the plain sum cancels to nothing (measured 2.0e-15
+    # and 8.4e-16)
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(71)
+    n = 200
+    u = np.concatenate([np.arange(1, 101), np.logspace(2, 50, 100, base=2.0).round()]) * 2.0 ** -53
+    g = 3.0 * rng.exponential(size=n)
+    rows = [(g, g, u), (3.0 * rng.exponential(size=n), 4.0 * rng.exponential(size=n),
+                        rng.random(n))]
+    for g1, g2, u in rows:
+        got = outage._coherent_sum(g1, g2, u)
+        for a, b1, b2, v in zip(got, g1, g2, u):
+            b1, b2 = mpmath.mpf(b1), mpmath.mpf(b2)
+            want = b1 + b2 + 2 * mpmath.sqrt(b1 * b2) * mpmath.cos(mpmath.pi * (1 - mpmath.mpf(v)))
+            assert abs(a - want) <= 4e-15 * want, (a, b1, b2, v)
+
+
+def test_coherent_sum_lies_between_its_extremes():
+    # (sqrt g1 - sqrt g2)^2 <= coh <= (sqrt g1 + sqrt g2)^2 on every row, to
+    # rounding, for equal and unequal relay variances; the phase covers the
+    # half circle: coh comes within 1% of either end on a share near 6%
+    for cfg in (UNEQUAL_CFG, NetworkConfig(1.0, 1.0, 1.0, 1.0, 1.0)):
+        _, _, links = outage._draw_gains(cfg, 9, 0, 2 ** 16)
+        s1, s2 = np.sqrt(links.g1), np.sqrt(links.g2)
+        low, high = (s1 - s2) ** 2, (s1 + s2) ** 2
+        tol = 4.0 * np.finfo(float).eps * high
+        assert np.all(links.coh >= low - tol) and np.all(links.coh <= high + tol)
+        share = (links.coh - low) / (high - low)
+        for end in (share < 0.01, share > 0.99):
+            assert 0.055 < np.mean(end) < 0.075
 
 
 @pytest.mark.parametrize("scheme, kw", [
@@ -692,6 +740,64 @@ def test_screened_counts_across_workers(unit_cfg, monkeypatch, scheme, kw):
     monkeypatch.setattr(outage, "record_below", _kernel_verdicts)
     kernel = mc_outage(scheme, 0.45, grid, trials, 22, cfg=unit_cfg, **kw).outage
     assert runs == [kernel] * 3
+
+
+PRODUCT_DB = (-100, -40, 0, 10, 20, 30, 60, 200, 1000, 1540, 1600, 3000)
+
+
+def _product_q(scheme, links, m1, m2, rho0, corr):
+    # Q of P = (1 + rho0 g_sd) Q: 1 + rho0 relay, or half the matched-filter
+    # argument on TDA_LINMOD's both-relays rows
+    q = 1.0 + rho0 * (links.g1 * m1 + links.g2 * m2)
+    b = np.flatnonzero(m1 & m2)
+    if scheme == SchemeId.TDA_LINMOD and b.size:
+        q[b] = 0.5 * mutualinfo._linmod_terms(links.rows(b), rho0, corr)[1]()
+    return q
+
+
+@pytest.mark.parametrize("scheme, kw", [
+    pytest.param(SchemeId.STC_SYNC, {}, id="STC_SYNC"),
+    pytest.param(SchemeId.TDA_LINMOD, {"corr": correlations(rectangular(1, 64), 0.5)},
+                 id="TDA_LINMOD-rect1-tau0.5"),
+    pytest.param(SchemeId.TDA_LINMOD, {"corr": correlations(rectangular(1, 64), 0.3)},
+                 id="TDA_LINMOD-rect1-tau0.3")])
+def test_gain_domain_verdicts_equal_the_logarithms(scheme, kw):
+    # record_below decides STC_SYNC and TDA_LINMOD by P = (1 + rho0 g_sd) Q
+    # against T = 4^R; its verdicts equal record_mi(...) < rate at -100 to
+    # 3000 dB (past rho0 g of 1e154 P passes the float range), on drawn rows
+    # with the natural and every forced decoding set, and on rows whose
+    # direct gain is built so that P lands at T (1 + k eps) and at the
+    # margin's edges T 2^(+-2 slack) (1 + k eps), |k| <= 8
+    corr = kw.get("corr")
+    gsr1, gsr2, links = outage._draw_gains(UNEQUAL_CFG, 17, 0, 4096)
+    n = links.g_sd.size
+    eps = np.finfo(float).eps
+    k = np.resize(np.arange(-8, 9), n)
+    for db in PRODUCT_DB:
+        for r in (0.1, 0.25, 0.45):
+            pt = RatePoint(10.0 ** (db / 10.0), r, UNEQUAL_CFG.sigma2_sd)
+            rho0, rate = pt.rho0, pt.rate
+            sets = [(gsr1 >= pt.decode_threshold, gsr2 >= pt.decode_threshold)]
+            sets += [(np.full(n, a), np.full(n, b)) for a in (False, True) for b in (False, True)]
+            slack = 2.0 * mutualinfo._SCREEN_SLACK * (1.0 + rate)
+            for m1, m2 in sets:
+                msg = f"{db} dB, r {r}, sets {m1[:2]} {m2[:2]}"
+                np.testing.assert_array_equal(
+                    record_below(scheme, links, m1, m2, rho0, rate, **kw),
+                    record_mi(scheme, links, m1, m2, rho0, **kw) < rate, err_msg=msg)
+                # relay gains scaled so that Q stays below T^(1/4), then the
+                # direct gain that puts P at the target
+                nu = links.g1 + links.g2
+                s = np.expm1(0.5 * _LN2 * rate) / (2.0 * rho0 * np.where(nu > 0.0, nu, 1.0))
+                scaled = links._replace(g1=s * links.g1, g2=s * links.g2, coh=s * links.coh)
+                q = _product_q(scheme, scaled, m1, m2, rho0, corr)
+                for edge in (-slack, 0.0, slack):
+                    target = np.exp2(2.0 * rate + edge) * (1.0 + k * eps)
+                    built = scaled._replace(g_sd=(target / q - 1.0) / rho0)
+                    np.testing.assert_array_equal(
+                        record_below(scheme, built, m1, m2, rho0, rate, **kw),
+                        record_mi(scheme, built, m1, m2, rho0, **kw) < rate,
+                        err_msg=f"{msg}, edge {edge}")
 
 
 # ---------------------------------------------------------------------------
