@@ -607,7 +607,6 @@ def test_coherent_sum_keeps_its_relative_precision():
     # few ulps relative on random rows and on equal gains as psi -> pi
     # (u = k 2^-53), where the plain sum cancels to nothing (measured 2.0e-15
     # and 8.4e-16)
-    mpmath.mp.dps = 50
     rng = np.random.default_rng(71)
     n = 200
     u = np.concatenate([np.arange(1, 101), np.logspace(2, 50, 100, base=2.0).round()]) * 2.0 ** -53
@@ -617,9 +616,10 @@ def test_coherent_sum_keeps_its_relative_precision():
     for g1, g2, u in rows:
         got = outage._coherent_sum(g1, g2, u)
         for a, b1, b2, v in zip(got, g1, g2, u):
-            b1, b2 = mpmath.mpf(b1), mpmath.mpf(b2)
-            want = b1 + b2 + 2 * mpmath.sqrt(b1 * b2) * mpmath.cos(mpmath.pi * (1 - mpmath.mpf(v)))
-            assert abs(a - want) <= 4e-15 * want, (a, b1, b2, v)
+            with mpmath.workdps(50):
+                b1, b2, v = mpmath.mpf(b1), mpmath.mpf(b2), mpmath.mpf(v)
+                want = b1 + b2 + 2 * mpmath.sqrt(b1 * b2) * mpmath.cos(mpmath.pi * (1 - v))
+                assert abs(a - want) <= 4e-15 * want, (a, b1, b2, v)
 
 
 def test_coherent_sum_lies_between_its_extremes():
