@@ -20,7 +20,9 @@ it for STC_SYNC and TDA_LINMOD by comparing a product of gain terms with
 4^rate, and for the other schemes with the lower bound on every
 both-relays row and the upper bound on the rows the lower bound does not
 clear; the rows either test leaves in doubt go through one record_mi call.
-mi_envelope returns mi_batch's value with the bounds.
+_direct_cuts gives the engine, per snr point, the direct gain at and above
+which record_below is False on every row, from the same margin
+(_screen_slack).  mi_envelope returns mi_batch's value with the bounds.
 """
 
 from __future__ import annotations
@@ -158,18 +160,21 @@ def record_mi(scheme, links: LinkRecord, m1, m2, rho0: float,
     scheme = check_scheme(scheme, corr, delays)
     gsd, g1, g2 = links.g_sd, links.g1, links.g2
     relay = g1 * m1 + g2 * m2  # np.where(m, g, 0.0) for finite g >= 0
-    if scheme == SchemeId.TDA_REPETITION:
-        out = 0.5 * np.log2(1.0 + rho0 * (gsd + relay))
-    elif scheme == SchemeId.ASTC:
-        out = 0.5 * (_esd_from_gain(gsd, corr.a1, rho0) + _esd_from_gain(relay, corr.a1, rho0))
-    elif scheme == SchemeId.MIX_AF:
-        # A lone decoded relay forwards its own stream; the direct link and
-        # the relay that failed form the amplify-forward pair.  With no relay
-        # decoded the amplify-forward path is bound to relay 1 by index.
-        af = np.log2(1.0 + rho0 * (gsd + np.where(m1 & ~m2, g2, g1)))
-        out = 0.5 * (af + np.log2(1.0 + rho0 * relay))
-    else:  # STC_SYNC for every row, TDA_INDEP and TDA_LINMOD below two relays
-        out = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay)
+    # a gain term past the float range is inf, and so is its logarithm
+    with np.errstate(over="ignore"):
+        if scheme == SchemeId.TDA_REPETITION:
+            out = 0.5 * np.log2(1.0 + rho0 * (gsd + relay))
+        elif scheme == SchemeId.ASTC:
+            out = 0.5 * (_esd_from_gain(gsd, corr.a1, rho0)
+                         + _esd_from_gain(relay, corr.a1, rho0))
+        elif scheme == SchemeId.MIX_AF:
+            # A lone decoded relay forwards its own stream; the direct link and
+            # the relay that failed form the amplify-forward pair.  With no relay
+            # decoded the amplify-forward path is bound to relay 1 by index.
+            af = np.log2(1.0 + rho0 * (gsd + np.where(m1 & ~m2, g2, g1)))
+            out = 0.5 * (af + np.log2(1.0 + rho0 * relay))
+        else:  # STC_SYNC for every row, TDA_INDEP and TDA_LINMOD below two relays
+            out = 0.5 * np.log2(1.0 + rho0 * gsd) + 0.5 * np.log2(1.0 + rho0 * relay)
 
     both = m1 & m2
     if scheme == SchemeId.STC_SYNC or not both.any():
@@ -244,9 +249,7 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     direct, _, lower, _ = _both_relays(scheme, pair, rho0, corr, delays)
     if lower is None:
         return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
-    slack = _SCREEN_SLACK * (1.0 + rate)
-    if scheme in _DELAY_SCHEMES:
-        slack = slack * (1.0 + 1.0 / delays.t0bw)
+    slack = _screen_slack(scheme, rate, delays)
     with np.errstate(all="ignore"):  # a non-finite bound sends its row to the kernel
         lower = lower()
         need = np.broadcast_to(2.0 * rate - direct, b.shape)
@@ -286,7 +289,7 @@ def _product_below(scheme: SchemeId, links: LinkRecord, m1, m2, rho0: float, rat
             if b.size:
                 q[b] = 0.5 * _linmod_terms(links.rows(b), rho0, corr)[1]()
         p = (1.0 + rho0 * links.g_sd) * q
-        slack = 2.0 * _SCREEN_SLACK * (1.0 + rate)
+        slack = 2.0 * _screen_slack(scheme, rate, None)
         low, high = np.exp2(2.0 * rate - slack), np.exp2(2.0 * rate + slack)
     below = p < low
     doubt = np.flatnonzero(~(below | ((p > high) & (p < np.inf))))
@@ -298,8 +301,56 @@ def _product_below(scheme: SchemeId, links: LinkRecord, m1, m2, rho0: float, rat
 
 # Margin of record_below's screens, in bits per bit: far above the kernels'
 # roundoff, which stays near 1e-14 bits but grows to about 4e-14/t0bw bits for
-# short delay windows, hence record_below's 1/t0bw.
+# short delay windows, hence _screen_slack's 1/t0bw.
 _SCREEN_SLACK = 1e-9
+
+# The schemes whose MI is at least the direct link's 0.5 log2(1 + rho0 g_sd)
+# on every row (_direct_cuts)
+_FLOOR_SCHEMES = frozenset((SchemeId.STC_SYNC, SchemeId.TDA_LINMOD) + tuple(_DELAY_SCHEMES))
+
+
+def _screen_slack(scheme: SchemeId, rate: float, delays: DelayConfig | None) -> float:
+    """record_below's margin in bits at a rate: _SCREEN_SLACK (1 + rate),
+    times 1 + 1/t0bw for the delay schemes with a window (t0 bw > 0)."""
+    slack = _SCREEN_SLACK * (1.0 + rate)
+    if scheme in _DELAY_SCHEMES and delays.t0bw > 0.0:
+        slack *= 1.0 + 1.0 / delays.t0bw
+    return slack
+
+
+def _direct_cuts(scheme: SchemeId, points, delays: DelayConfig | None):
+    """Per (rho0, rate) point, the direct gain cut = (2^(2 rate + 2m) - 1)/rho0
+    at and above which record_below is False on every row of the scheme, or
+    None for ASTC and MIX_AF, whose direct term is the ISI rate of g_sd and
+    can fall below 0.5 log2(1 + rho0 g_sd).  The cut is inf where
+    2^(2 rate + 2m) passes the float range: it cuts no row.
+
+    Every row of the other four schemes has MI >= 0.5 log2(1 + rho0 g_sd):
+    below two relays the relay term 0.5 log2(1 + rho0 relay) is >= 0 (for
+    repetition rho0 relay adds to rho0 g_sd inside one logarithm); on the
+    both-relays rows the kernel is >= 0, since TDA_LINMOD's argument
+    1 + a + sqrt((1 + a)^2 - b^2) is >= 2 as |b| <= a, and the delay
+    window averages log2(A + B cos) with A - B = 1 + rho0 (sqrt g1 -
+    sqrt g2)^2 >= 1, plus rho0 g_sd for repetition, whose direct term is 0
+    and whose kernel is then >= log2(1 + rho0 g_sd).
+
+    The margin m is twice _screen_slack.  So a row above the cut has
+    P > T 2^(2 slack) in _product_below, and a windowed delay-scheme row
+    above it has a lower bound at least 2m above its need 2 rate - direct,
+    which clears it in record_below (the bound obeys the same floor as the
+    kernel).  Each such verdict is record_mi(...) < rate, and False, as it
+    is for every row the engine skips.
+    """
+    if scheme not in _FLOOR_SCHEMES:
+        return None
+    cuts = []
+    for rho0, rate in points:
+        margin = 2.0 * _screen_slack(scheme, rate, delays)
+        try:
+            cuts.append(math.expm1((2.0 * rate + 2.0 * margin) * _LN2) / rho0)
+        except OverflowError:
+            cuts.append(math.inf)
+    return cuts
 
 
 def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,

@@ -13,6 +13,12 @@ coherent sum.  Trials are grouped into fixed blocks of 32768 and the Philox
 counters of each block's two streams derive from its first trial index, so
 the draws for trial t depend only on (seed, t).  Workers split whole blocks
 and results merge by summation; worker count can never change the numbers.
+
+Every scheme but ASTC and MIX_AF has MI at least the direct link's
+0.5 log2(1 + rho0 g_sd), so at each snr point a trial whose direct gain
+reaches a cut a little above the decode threshold (4^R - 1)/rho0 is never
+in outage.  A block sorts its rows below the grid's loosest cut by direct
+gain once, and each point decides only the prefix below its own cut.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
                       RatePoint, decoding_set_probs, relay_failure_prob)
 from .errors import ConfigError, NumericError
 from .mutualinfo import (DelayConfig, LinkRecord, SchemeId, _cos_window_means,
-                         _window_phase, check_scheme, record_below)
+                         _direct_cuts, _window_phase, check_scheme, record_below)
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
@@ -169,22 +175,41 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
     """Outage-and-case counts for one (first trial, count) block at every grid snr.
 
     The block's draws come as one LinkRecord, the squared gains and the
-    relays' coherent sum; every grid point reads it.
+    relays' coherent sum.  Where the scheme's MI is at least the direct
+    link's (_direct_cuts: all but ASTC and MIX_AF), a trial whose direct gain
+    reaches a point's cut is not in outage there.  So the block keeps the
+    rows below the loosest cut of the grid, sorted once by direct gain, and
+    each point decides the prefix below its own cut, a view of those rows;
+    the cuts need not fall with snr.  ASTC and MIX_AF decide every row at
+    every point.  Verdicts are per row and the counts ignore row order, so
+    they equal the counts of deciding every row.
     """
     first_trial, count = block
     gsr1, gsr2, links = _draw_gains(cfg, seed, first_trial, count)
+    points = [RatePoint(s, r, cfg.sigma2_sd) for s in snr]
+    cuts = _direct_cuts(scheme, [(pt.rho0, pt.rate) for pt in points], delays)
+    if cuts is None:
+        cuts = [math.inf] * len(points)
+    else:
+        keep = np.flatnonzero(links.g_sd < max(cuts))
+        order = keep[np.argsort(links.g_sd[keep])]
+        gsr1, gsr2 = gsr1[order], gsr2[order]
+        links = LinkRecord(*(v[order] for v in links))  # rows() keeps a full-length index as is
     counts = np.zeros(len(snr), dtype=np.int64)
     case = None if cond == ConditionalCase.OVERALL else _CASE_SETS[cond][0]
     if force_set:
-        m1 = np.full(count, case.r1)
-        m2 = np.full(count, case.r2)
-    for i, s in enumerate(snr):
-        pt = RatePoint(s, r, cfg.sigma2_sd)
-        if not force_set:
+        m1_all = np.full(gsr1.size, case.r1)
+        m2_all = np.full(gsr1.size, case.r2)
+    for i, (pt, cut) in enumerate(zip(points, cuts)):
+        n = gsr1.size if cut == math.inf else int(np.searchsorted(links.g_sd, cut))
+        if force_set:
+            m1, m2 = m1_all[:n], m2_all[:n]
+        else:
             thr = pt.decode_threshold
-            m1 = gsr1 >= thr
-            m2 = gsr2 >= thr
-        below = record_below(scheme, links, m1, m2, pt.rho0, pt.rate, corr, delays)
+            m1 = gsr1[:n] >= thr
+            m2 = gsr2[:n] >= thr
+        below = record_below(scheme, LinkRecord(*(v[:n] for v in links)), m1, m2,
+                             pt.rho0, pt.rate, corr, delays)
         if case is not None and not force_set:
             below &= (m1.astype(np.int8) + m2.astype(np.int8)) == case.r1 + case.r2
         counts[i] = int(np.count_nonzero(below))

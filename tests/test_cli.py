@@ -213,6 +213,19 @@ def test_simulate_mc_bodies_on_the_exp_normal_sampler(capsys, exp_normal_sampler
     assert mc_body_digest(capsys, GOLDEN_MC_BODIES[case][0]) == EXP_NORMAL_SAMPLER_MC_BODIES[case]
 
 
+def test_simulate_where_the_direct_cut_passes_the_float_range(capsys):
+    # TDA_INDEP's 1/t0bw margin takes the direct-gain cut's 2^(2R + 2m) past
+    # the float range here: the cut keeps every row, rho0 g_sd overflows on
+    # some of them without a RuntimeWarning, and the body is the one recorded
+    # before the engine had the cut
+    rc, out, _ = run(capsys, "simulate", "--scheme", "TDA_INDEP", "--t0bw", "1e-6",
+                     "--r", "0.4999", "--sigma2-sd", "1e6", "--snr-db", "3020",
+                     "--trials", "10000", "--workers", "1")
+    assert rc == 0
+    assert body_lines(out)[1:] == ["TDA_INDEP,0.4999,overall,3020.0,0.7283,"
+                                   "0.7194947767758773,0.7369298831267743,10000,0"]
+
+
 # sha256 of the outage-v1 body of `simulate --mode analytic --r 0.25
 # --snr-db 40:80:5`: the four oracle curves of the benchmark's deep-analytic
 # workload and one forced single-relay curve, recorded before the oracles

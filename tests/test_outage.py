@@ -14,8 +14,8 @@ from relaylab.channel import (D_BOTH, NetworkConfig, RatePoint, decoding_set_pro
 from relaylab import mutualinfo, outage
 from relaylab._quad import gl_nodes
 from relaylab.errors import ConfigError, NumericError
-from relaylab.mutualinfo import (DelayConfig, SchemeId, _cos_window_means, record_below,
-                                 record_mi)
+from relaylab.mutualinfo import (DelayConfig, LinkRecord, SchemeId, _cos_window_means,
+                                 record_below, record_mi)
 from relaylab.outage import (ConditionalCase, OutageCurve, analytic_curve,
                              analytic_outage_curve, analytic_outage_parallel3,
                              analytic_outage_rtda2, analytic_outage_stc, mc_outage, slope_fit,
@@ -798,6 +798,120 @@ def test_gain_domain_verdicts_equal_the_logarithms(scheme, kw):
                         record_below(scheme, built, m1, m2, rho0, rate, **kw),
                         record_mi(scheme, built, m1, m2, rho0, **kw) < rate,
                         err_msg=f"{msg}, edge {edge}")
+
+
+# ---------------------------------------------------------------------------
+# direct-gain screen: each snr point decides only the rows below its cut
+
+
+def _unscreened_block(scheme, cfg, r, snr, seed, cond, force_set, corr, delays, block):
+    # the engine's block loop without the screen: every row at every snr point
+    first_trial, count = block
+    gsr1, gsr2, links = outage._draw_gains(cfg, seed, first_trial, count)
+    counts = np.zeros(len(snr), dtype=np.int64)
+    case = None if cond == ConditionalCase.OVERALL else outage._CASE_SETS[cond][0]
+    for i, s in enumerate(snr):
+        pt = RatePoint(s, r, cfg.sigma2_sd)
+        if force_set:
+            m1, m2 = np.full(count, case.r1), np.full(count, case.r2)
+        else:
+            m1, m2 = gsr1 >= pt.decode_threshold, gsr2 >= pt.decode_threshold
+        below = record_below(scheme, links, m1, m2, pt.rho0, pt.rate, corr, delays)
+        if case is not None and not force_set:
+            below &= (m1.astype(np.int8) + m2.astype(np.int8)) == case.r1 + case.r2
+        counts[i] = np.count_nonzero(below)
+    return counts
+
+
+CUT_DB = (-100, 0, 30, 400, 3000)
+CUT_GRID = tuple(10.0 ** (db / 10.0) for db in CUT_DB)
+CUT_CURVES = ((ConditionalCase.OVERALL, False), (ConditionalCase.D0, False),
+              (ConditionalCase.D1, False), (ConditionalCase.D2, False),
+              (ConditionalCase.D0, True), (ConditionalCase.D1, True), (ConditionalCase.D2, True))
+
+
+def _cut_cases():
+    rect1 = correlations(rectangular(1, 64), 0.5)
+    cases = [pytest.param(SchemeId.STC_SYNC, {}, id="STC_SYNC")]
+    for tau in (0.5, 0.3):
+        cases.append(pytest.param(SchemeId.TDA_LINMOD,
+                                  {"corr": correlations(rectangular(1, 64), tau)},
+                                  id=f"TDA_LINMOD-rect1-tau{tau}"))
+    for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
+        for t0bw in (0.0, 1e-6, 0.3, 2.5):
+            cases.append(pytest.param(scheme, {"delays": DelayConfig.from_t0bw(t0bw)},
+                                      id=f"{scheme.value}-t0bw{t0bw:g}"))
+    return cases
+
+
+@pytest.mark.parametrize("scheme, kw", _cut_cases() + [
+    pytest.param(SchemeId.ASTC, {"corr": correlations(srrc(0.5, 2, 64), 0.3)}, id="ASTC-srrc2"),
+    pytest.param(SchemeId.MIX_AF, {"corr": correlations(rectangular(1, 64), 0.5)},
+                 id="MIX_AF-rect1")])
+def test_screened_block_counts_equal_the_unscreened_loop(scheme, kw):
+    # _run_block decides each snr point on the rows below its direct-gain cut;
+    # the counts equal those of deciding every row, at -100 to 3000 dB, on a
+    # partial block for every r, link configuration and case (natural and
+    # forced), and on a full block for two curves.  ASTC and MIX_AF have no
+    # cut and decide every row.
+    corr, delays = kw.get("corr"), kw.get("delays")
+    floor = scheme not in (SchemeId.ASTC, SchemeId.MIX_AF)
+    assert (mutualinfo._direct_cuts(scheme, [(1.0, 0.25)], delays) is None) != floor
+    runs = [(cfg, r, cond, forced, (outage.BLOCK_TRIALS, 2500))
+            for cfg in (NetworkConfig(), UNEQUAL_CFG) for r in (0.01, 0.25, 0.49)
+            for cond, forced in CUT_CURVES]
+    runs += [(UNEQUAL_CFG, 0.25, cond, forced, (0, outage.BLOCK_TRIALS))
+             for cond, forced in CUT_CURVES[::6]]
+    for cfg, r, cond, forced, block in runs:
+        args = (scheme, cfg, r, CUT_GRID, 23, cond, forced, corr, delays, block)
+        np.testing.assert_array_equal(outage._run_block(*args), _unscreened_block(*args),
+                                      err_msg=f"{cfg}, r {r}, {cond.value}, forced {forced}, "
+                                              f"block {block}")
+
+
+@pytest.mark.parametrize("scheme, kw", _cut_cases())
+def test_rows_at_the_direct_cut_are_never_below(scheme, kw):
+    # rows whose direct gain is cut (1 + k eps), |k| <= 8, with drawn relay
+    # gains and with relay gains of 0 (the MI is then the direct floor alone,
+    # or the coherent window's log2(1 + rho0 g_sd)): under the natural and
+    # every forced decoding set record_below is False on every row at or above
+    # the cut, and equals record_mi(...) < rate on every row
+    delays = kw.get("delays")
+    gsr1, gsr2, links = outage._draw_gains(UNEQUAL_CFG, 19, 0, 2048)
+    n = links.g_sd.size
+    k = np.resize(np.arange(-8, 9), n)
+    eps = np.finfo(float).eps
+    zero = np.zeros(n)
+    for db in CUT_DB:
+        for r in (0.01, 0.25, 0.49):
+            pt = RatePoint(10.0 ** (db / 10.0), r, UNEQUAL_CFG.sigma2_sd)
+            rho0, rate = pt.rho0, pt.rate
+            (cut,) = mutualinfo._direct_cuts(scheme, [(rho0, rate)], delays)
+            assert 0.0 < cut < math.inf
+            g_sd = cut * (1.0 + k * eps)
+            sets = [(gsr1 >= pt.decode_threshold, gsr2 >= pt.decode_threshold)]
+            sets += [(np.full(n, a), np.full(n, b)) for a in (False, True) for b in (False, True)]
+            for built in (links._replace(g_sd=g_sd), LinkRecord(g_sd, zero, zero, zero)):
+                for m1, m2 in sets:
+                    msg = f"{db} dB, r {r}, sets {m1[:2]} {m2[:2]}, relay {built.g1[:2]}"
+                    below = record_below(scheme, built, m1, m2, rho0, rate, **kw)
+                    assert not below[g_sd >= cut].any(), msg
+                    np.testing.assert_array_equal(
+                        below, record_mi(scheme, built, m1, m2, rho0, **kw) < rate, err_msg=msg)
+
+
+def test_an_overflowing_cut_keeps_every_row():
+    # at the edge of the float range the delay window's 1/t0bw margin takes
+    # 2^(2 rate + 2m) past it: the cut is inf, the block keeps every row and
+    # its counts are the unscreened loop's
+    delays = DelayConfig.from_t0bw(1e-6)
+    cfg = NetworkConfig(sigma2_sd=1e6)
+    pt = RatePoint(1e302, 0.4999, cfg.sigma2_sd)
+    assert mutualinfo._direct_cuts(SchemeId.TDA_INDEP, [(pt.rho0, pt.rate)], delays) == [math.inf]
+    for snr in ((1e302,), (1e300, 1e302)):
+        args = (SchemeId.TDA_INDEP, cfg, 0.4999, snr, 5, ConditionalCase.OVERALL, False, None,
+                delays, (0, 4096))
+        np.testing.assert_array_equal(outage._run_block(*args), _unscreened_block(*args))
 
 
 # ---------------------------------------------------------------------------
