@@ -304,10 +304,6 @@ def _product_below(scheme: SchemeId, links: LinkRecord, m1, m2, rho0: float, rat
 # short delay windows, hence _screen_slack's 1/t0bw.
 _SCREEN_SLACK = 1e-9
 
-# The schemes whose MI is at least the direct link's 0.5 log2(1 + rho0 g_sd)
-# on every row (_direct_cuts)
-_FLOOR_SCHEMES = frozenset((SchemeId.STC_SYNC, SchemeId.TDA_LINMOD) + tuple(_DELAY_SCHEMES))
-
 
 def _screen_slack(scheme: SchemeId, rate: float, delays: DelayConfig | None) -> float:
     """record_below's margin in bits at a rate: _SCREEN_SLACK (1 + rate),
@@ -318,38 +314,55 @@ def _screen_slack(scheme: SchemeId, rate: float, delays: DelayConfig | None) -> 
     return slack
 
 
-def _direct_cuts(scheme: SchemeId, points, delays: DelayConfig | None):
-    """Per (rho0, rate) point, the direct gain cut = (2^(2 rate + 2m) - 1)/rho0
-    at and above which record_below is False on every row of the scheme, or
-    None for ASTC and MIX_AF, whose direct term is the ISI rate of g_sd and
-    can fall below 0.5 log2(1 + rho0 g_sd).  The cut is inf where
-    2^(2 rate + 2m) passes the float range: it cuts no row.
+def _direct_cuts(scheme: SchemeId, points, corr: CorrelationSet | None,
+                 delays: DelayConfig | None):
+    """Per (rho0, rate) point, the direct gain cut = s*/rho0 at and above
+    which record_below is False on every row of the scheme, where the
+    scheme's floor, a lower bound on 2 MI in rho0 g_sd alone, reaches
+    log2 y = 2 rate + 2m at s*.  The cut is inf where y passes the float
+    range: it cuts no row.
 
-    Every row of the other four schemes has MI >= 0.5 log2(1 + rho0 g_sd):
-    below two relays the relay term 0.5 log2(1 + rho0 relay) is >= 0 (for
-    repetition rho0 relay adds to rho0 g_sd inside one logarithm); on the
-    both-relays rows the kernel is >= 0, since TDA_LINMOD's argument
-    1 + a + sqrt((1 + a)^2 - b^2) is >= 2 as |b| <= a, and the delay
-    window averages log2(A + B cos) with A - B = 1 + rho0 (sqrt g1 -
-    sqrt g2)^2 >= 1, plus rho0 g_sd for repetition, whose direct term is 0
-    and whose kernel is then >= log2(1 + rho0 g_sd).
+    - STC_SYNC, TDA_LINMOD and the delay schemes: the floor is
+      log2(1 + rho0 g_sd), so s* = y - 1.  Below two relays the relay term
+      0.5 log2(1 + rho0 relay) is >= 0 (for repetition rho0 relay adds to
+      rho0 g_sd inside one logarithm); on the both-relays rows the kernel is
+      >= 0, since TDA_LINMOD's argument 1 + a + sqrt((1 + a)^2 - b^2) is
+      >= 2 as |b| <= a, and the delay window averages log2(A + B cos) with
+      A - B = 1 + rho0 (sqrt g1 - sqrt g2)^2 >= 1, plus rho0 g_sd for
+      repetition, whose direct term is 0 and whose kernel is then
+      >= log2(1 + rho0 g_sd).
+    - ASTC and MIX_AF: the floor is the ISI rate esd(rho0 g_sd)
+      (_esd_from_gain), which can fall below log2(1 + rho0 g_sd).  It is
+      increasing with esd(0) = 0, as |a1| < 1/2, and its exact inverse is
+      s* = 2 (y - 1)/(1 + sqrt(1 - 4 a1^2 + 4 a1^2/y)), written with y^2
+      divided out and its factor of y - 1 applied after the division by
+      rho0, so that nothing overflows before y or the cut does.  Below two
+      relays ASTC's relay term esd(rho0 relay) is >= 0, and MIX_AF's
+      amplify-forward term is >= log2(1 + rho0 g_sd) >= esd, its relay
+      term >= 0.  On the both-relays rows the direct term is esd(rho0 g_sd)
+      and the kernel mean log2 q is >= 0, as q = det(I + rho0 diag(g1, g2)
+      T(w)) >= 1; so is its lower bound in record_below, esd(g1 + g2) or 0.
 
     The margin m is twice _screen_slack.  So a row above the cut has
-    P > T 2^(2 slack) in _product_below, and a windowed delay-scheme row
-    above it has a lower bound at least 2m above its need 2 rate - direct,
-    which clears it in record_below (the bound obeys the same floor as the
-    kernel).  Each such verdict is record_mi(...) < rate, and False, as it
-    is for every row the engine skips.
+    P > T 2^(2 slack) in _product_below, and a both-relays row of a
+    bounded kernel above it has a lower bound at least 2m above its need
+    2 rate - direct, which clears it in record_below.  Each such verdict is
+    record_mi(...) < rate, and False, as it is for every row the engine skips.
     """
-    if scheme not in _FLOOR_SCHEMES:
-        return None
+    isi = scheme in (SchemeId.ASTC, SchemeId.MIX_AF)
     cuts = []
     for rho0, rate in points:
         margin = 2.0 * _screen_slack(scheme, rate, delays)
         try:
-            cuts.append(math.expm1((2.0 * rate + 2.0 * margin) * _LN2) / rho0)
+            y1 = math.expm1((2.0 * rate + 2.0 * margin) * _LN2)
         except OverflowError:
             cuts.append(math.inf)
+            continue
+        cut = y1 / rho0
+        if isi:
+            a2 = 4.0 * corr.a1 * corr.a1
+            cut *= 2.0 / (1.0 + math.sqrt(1.0 - a2 + a2 / (1.0 + y1)))
+        cuts.append(cut)
     return cuts
 
 
@@ -392,12 +405,13 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
     gsd, g1, g2, coh = links.g_sd, links.g1, links.g2, links.coh
     if scheme in _DELAY_SCHEMES:
         rep = scheme == SchemeId.TDA_REPETITION
-        direct = 0.0 if rep else np.log2(1.0 + rho0 * gsd)
         w = delays.t0bw
-        if w == 0.0:  # no delay window: the relays add coherently
-            return direct, lambda: np.log2(1.0 + rho0 * ((gsd + coh) if rep else coh)), None, None
-        nu = g1 + g2
-        a = 1.0 + rho0 * ((gsd + nu) if rep else nu)
+        with np.errstate(over="ignore"):  # rho0 g_sd past the float range: inf, as are its log and A
+            direct = 0.0 if rep else np.log2(1.0 + rho0 * gsd)
+            if w == 0.0:  # no delay window: the relays add coherently
+                return direct, lambda: np.log2(1.0 + rho0 * ((gsd + coh) if rep else coh)), None, None
+            nu = g1 + g2
+            a = 1.0 + rho0 * ((gsd + nu) if rep else nu)
         root = np.sqrt(g1 * g2)
         bc = 2.0 * rho0 * root
         cross = 0.5 * (coh - nu)
@@ -595,10 +609,13 @@ def _clausen2(t):
 
 
 def _esd_from_gain(g, a1: float, rho0: float):
-    """Vector form of the single-stream ISI rate; g is rho0-free squared gain."""
-    s = np.asarray(g, dtype=float) * rho0
-    x = 2.0 * a1 * s / (1.0 + s)
-    return np.log2(1.0 + s) + np.log2(1.0 + np.sqrt(np.maximum(1.0 - x * x, 0.0))) - 1.0
+    """Vector form of the single-stream ISI rate; g is rho0-free squared gain.
+    Where rho0 g passes the float range the rate is inf: x is inf/inf there,
+    and fmax keeps its NaN out of the bounded second term."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.asarray(g, dtype=float) * rho0
+        x = 2.0 * a1 * s / (1.0 + s)
+    return np.log2(1.0 + s) + np.log2(1.0 + np.sqrt(np.fmax(1.0 - x * x, 0.0))) - 1.0
 
 
 def i_esd(alpha_sd, a1, rho0):

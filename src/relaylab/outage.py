@@ -14,11 +14,12 @@ counters of each block's two streams derive from its first trial index, so
 the draws for trial t depend only on (seed, t).  Workers split whole blocks
 and results merge by summation; worker count can never change the numbers.
 
-Every scheme but ASTC and MIX_AF has MI at least the direct link's
-0.5 log2(1 + rho0 g_sd), so at each snr point a trial whose direct gain
-reaches a cut a little above the decode threshold (4^R - 1)/rho0 is never
-in outage.  A block sorts its rows below the grid's loosest cut by direct
-gain once, and each point decides only the prefix below its own cut.
+Every scheme's MI is at least a floor that grows with the direct gain
+alone: 0.5 log2(1 + rho0 g_sd), or the ISI rate 0.5 esd(rho0 g_sd) for
+ASTC and MIX_AF.  So at each snr point a trial whose direct gain reaches a
+cut a little above the floor's inverse at the rate is never in outage.  A
+block sorts its rows below the grid's loosest cut by direct gain once, and
+each point decides only the prefix below its own cut.
 """
 
 from __future__ import annotations
@@ -134,14 +135,16 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 
 def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
-    """(g_sr1, g_sr2, links) for trials [first_trial, first_trial+count): the
-    squared source-relay gains and the LinkRecord of the destination links.
+    """(g_sd, g_sr1, g_sr2, g1, g2, u) for trials [first_trial,
+    first_trial+count): the five squared gains in LINKS order and the
+    uniform u of the relays' phase difference.
 
     A CN(0, s^2) gain's squared magnitude is s^2 Exp(1), and the engine
     reads no phase but the relays' difference psi, uniform and independent
     of the magnitudes, and that only through cos psi.  So a trial draws the
-    five squared gains as exponentials and one uniform u for psi
-    (_coherent_sum).  The two are trial-major Philox streams on one key, the
+    five squared gains as exponentials and one uniform u for psi, from which
+    _coherent_sum(g1, g2, u) forms the coherent sum of the rows a block
+    keeps.  The two are trial-major Philox streams on one key, the
     uniforms' counter 2^128 up, from the first trial index times a stride
     above what a trial uses.
     """
@@ -150,9 +153,8 @@ def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
     exp, uni = (np.random.Generator(np.random.Philox(
         key=key, counter=c + int(first_trial) * _COUNTER_STRIDE)) for c in (0, 2 ** 128))
     # one contiguous row per link: every snr point reads them again
-    g_sd, g_sr1, g_sr2, g1, g2 = np.multiply(exp.standard_exponential((count, 5)).T,
-                                             sigma2[:, None], order="C")
-    return g_sr1, g_sr2, LinkRecord(g_sd, g1, g2, _coherent_sum(g1, g2, uni.random(count)))
+    gains = np.multiply(exp.standard_exponential((count, 5)).T, sigma2[:, None], order="C")
+    return (*gains, uni.random(count))
 
 
 def _coherent_sum(g1, g2, u):
@@ -174,34 +176,30 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
                block: tuple[int, int]) -> np.ndarray:
     """Outage-and-case counts for one (first trial, count) block at every grid snr.
 
-    The block's draws come as one LinkRecord, the squared gains and the
-    relays' coherent sum.  Where the scheme's MI is at least the direct
-    link's (_direct_cuts: all but ASTC and MIX_AF), a trial whose direct gain
-    reaches a point's cut is not in outage there.  So the block keeps the
-    rows below the loosest cut of the grid, sorted once by direct gain, and
-    each point decides the prefix below its own cut, a view of those rows;
-    the cuts need not fall with snr.  ASTC and MIX_AF decide every row at
-    every point.  Verdicts are per row and the counts ignore row order, so
-    they equal the counts of deciding every row.
+    Every scheme's MI is at least a floor in the direct gain
+    (_direct_cuts), so a trial whose direct gain reaches a point's cut is
+    not in outage there.  The block keeps the rows below the loosest cut of
+    the grid, sorted once by direct gain, forms the relays' coherent sum on
+    those rows only, and each point decides the prefix below its own cut, a
+    view of those rows; the cuts need not fall with snr.  Verdicts are per
+    row and the counts ignore row order, so they equal the counts of
+    deciding every row.
     """
     first_trial, count = block
-    gsr1, gsr2, links = _draw_gains(cfg, seed, first_trial, count)
+    g_sd, gsr1, gsr2, g1, g2, u = _draw_gains(cfg, seed, first_trial, count)
     points = [RatePoint(s, r, cfg.sigma2_sd) for s in snr]
-    cuts = _direct_cuts(scheme, [(pt.rho0, pt.rate) for pt in points], delays)
-    if cuts is None:
-        cuts = [math.inf] * len(points)
-    else:
-        keep = np.flatnonzero(links.g_sd < max(cuts))
-        order = keep[np.argsort(links.g_sd[keep])]
-        gsr1, gsr2 = gsr1[order], gsr2[order]
-        links = LinkRecord(*(v[order] for v in links))  # rows() keeps a full-length index as is
+    cuts = _direct_cuts(scheme, [(pt.rho0, pt.rate) for pt in points], corr, delays)
+    keep = np.flatnonzero(g_sd < max(cuts))
+    order = keep[np.argsort(g_sd[keep])]
+    g_sd, gsr1, gsr2, g1, g2, u = (v[order] for v in (g_sd, gsr1, gsr2, g1, g2, u))
+    links = LinkRecord(g_sd, g1, g2, _coherent_sum(g1, g2, u))
     counts = np.zeros(len(snr), dtype=np.int64)
     case = None if cond == ConditionalCase.OVERALL else _CASE_SETS[cond][0]
     if force_set:
-        m1_all = np.full(gsr1.size, case.r1)
-        m2_all = np.full(gsr1.size, case.r2)
+        m1_all = np.full(g_sd.size, case.r1)
+        m2_all = np.full(g_sd.size, case.r2)
     for i, (pt, cut) in enumerate(zip(points, cuts)):
-        n = gsr1.size if cut == math.inf else int(np.searchsorted(links.g_sd, cut))
+        n = int(np.searchsorted(g_sd, cut))
         if force_set:
             m1, m2 = m1_all[:n], m2_all[:n]
         else:

@@ -10,7 +10,6 @@ import pytest
 
 from relaylab import outage
 from relaylab.channel import LINKS, NetworkConfig
-from relaylab.mutualinfo import LinkRecord
 
 # Records appended by the acceptance tests: (criterion number, title, ok, detail).
 # The terminal summary prints one aggregated pass/fail line per criterion.
@@ -53,19 +52,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def normal_draw_gains(cfg, seed, first_trial, count):
     """The Monte Carlo engine's first sampler, kept as a test oracle: ten
     normals per trial on one Philox stream, viewed as the five complex gains,
-    with the squared magnitudes taken where the engine reads them."""
+    with the squared magnitudes taken where the engine reads them.  In place
+    of the phase uniform it returns the complex relay sum r1d + r2d, of
+    which complex_coherent_sum forms the coherent sum."""
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key, counter=int(first_trial) * 64))
     scales = np.sqrt(0.5 * np.array([getattr(cfg, "sigma2_" + link) for link in LINKS]))
     sd, sr1, sr2, r1d, r2d = (rng.standard_normal((count, 10)).view(np.complex128) * scales).T
-    return np.abs(sr1) ** 2, np.abs(sr2) ** 2, LinkRecord.of_gains(np.abs(sd) ** 2, r1d, r2d)
+    return (*(np.abs(z) ** 2 for z in (sd, sr1, sr2, r1d, r2d)), r1d + r2d)
 
 
 def exp_normal_draw_gains(cfg, seed, first_trial, count):
     """The Monte Carlo engine's second sampler, kept as a test oracle: the
     squared sd, sr1 and sr2 gains as sigma^2 Exp(1) on one Philox stream and
     the relay gains r1d, r2d as complex normals on a second, its counter
-    2^128 up."""
+    2^128 up; like normal_draw_gains it returns r1d + r2d last."""
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     sigma2 = np.array([getattr(cfg, "sigma2_" + link) for link in LINKS])
     exp, nrm = (np.random.Generator(np.random.Philox(key=key, counter=c + int(first_trial) * 64))
@@ -75,19 +76,27 @@ def exp_normal_draw_gains(cfg, seed, first_trial, count):
     z = nrm.standard_normal((count, 4))
     z *= np.sqrt(0.5 * sigma2[[3, 3, 4, 4]])
     r1d, r2d = z.view(np.complex128).T
-    return g[:, 1], g[:, 2], LinkRecord.of_gains(g[:, 0], r1d, r2d)
+    return g[:, 0], g[:, 1], g[:, 2], np.abs(r1d) ** 2, np.abs(r2d) ** 2, r1d + r2d
+
+
+def complex_coherent_sum(g1, g2, z):
+    """The older samplers' coherent sum |r1d + r2d|^2, of the complex relay
+    sum z = r1d + r2d they return in place of the phase uniform."""
+    return np.abs(z) ** 2
 
 
 @pytest.fixture
 def normal_sampler(monkeypatch):
     """Run the Monte Carlo engine on normal_draw_gains."""
     monkeypatch.setattr(outage, "_draw_gains", normal_draw_gains)
+    monkeypatch.setattr(outage, "_coherent_sum", complex_coherent_sum)
 
 
 @pytest.fixture
 def exp_normal_sampler(monkeypatch):
     """Run the Monte Carlo engine on exp_normal_draw_gains."""
     monkeypatch.setattr(outage, "_draw_gains", exp_normal_draw_gains)
+    monkeypatch.setattr(outage, "_coherent_sum", complex_coherent_sum)
 
 
 @pytest.fixture(scope="session")

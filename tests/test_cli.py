@@ -226,6 +226,43 @@ def test_simulate_where_the_direct_cut_passes_the_float_range(capsys):
                                    "0.7194947767758773,0.7369298831267743,10000,0"]
 
 
+# (scheme, snr dB, forced d2, body row) at the edge of the float range:
+# r 0.4999, sigma2_sd 1e6, 10^4 trials, SRRC span 2 at tau 0.3 for the ISI
+# schemes and t0 bw 1e-6 for TDA_INDEP.  Each row is the one recorded before
+# ASTC and MIX_AF had a direct-gain cut, but for their forced d2 runs at
+# 3020 dB, which then exited 3: rho0 g_sd overflowed on some rows, whose NaN
+# ISI rate sent them to the pair kernel, where rho0^2 g1 g2 overflows.
+# Those rows lie above the cut and never reach the kernel now, and the lower
+# bound clears every row left.
+FLOAT_EDGE_RUNS = [
+    ("ASTC", 3000, False, "0.7364,0.7276749367012164,0.7449435021992957,10000,0"),
+    ("ASTC", 3000, True, "0.0,0.0,0.0003,10000,1"),
+    ("ASTC", 3020, False, "0.7363,0.7275739243958989,0.7448445913071086,10000,0"),
+    ("ASTC", 3020, True, "0.0,0.0,0.0003,10000,1"),
+    ("MIX_AF", 3000, False, "0.7284,0.7195957439392596,0.7370288391608967,10000,0"),
+    ("MIX_AF", 3000, True, "0.0,0.0,0.0003,10000,1"),
+    ("MIX_AF", 3020, False, "0.7283,0.7194947767758773,0.7369298831267743,10000,0"),
+    ("MIX_AF", 3020, True, "0.0,0.0,0.0003,10000,1"),
+    ("TDA_INDEP", 3020, True, "0.0,0.0,0.0003,10000,1"),
+]
+
+
+@pytest.mark.parametrize("scheme, db, forced, row", FLOAT_EDGE_RUNS,
+                         ids=[f"{s}-{db}{'-d2' if f else ''}" for s, db, f, _ in FLOAT_EDGE_RUNS])
+def test_simulate_at_the_float_edge_exits_as_pinned(capsys, scheme, db, forced, row):
+    # rho0 g_sd passes the float range on some rows: no RuntimeWarning, exit
+    # 0 and the pinned body
+    args = (("--t0bw", "1e-6") if scheme == "TDA_INDEP" else
+            ("--pulse", "srrc", "--span", "2", "--tau", "0.3"))
+    if forced:
+        args += ("--cond", "d2", "--force-set", "true")
+    rc, out, _ = run(capsys, "simulate", "--scheme", scheme, *args, "--r", "0.4999",
+                     "--sigma2-sd", "1e6", "--snr-db", str(db), "--trials", "10000",
+                     "--workers", "1")
+    cond = "d2" if forced else "overall"
+    assert (rc, body_lines(out)[1:]) == (0, [f"{scheme},0.4999,{cond},{db}.0,{row}"])
+
+
 # sha256 of the outage-v1 body of `simulate --mode analytic --r 0.25
 # --snr-db 40:80:5`: the four oracle curves of the benchmark's deep-analytic
 # workload and one forced single-relay curve, recorded before the oracles

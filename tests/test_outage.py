@@ -1,5 +1,6 @@
 import io
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from conftest import normal_draw_gains
+from conftest import complex_coherent_sum, normal_draw_gains
 
 from relaylab.channel import (D_BOTH, NetworkConfig, RatePoint, decoding_set_probs,
                               relay_failure_prob)
@@ -564,25 +565,25 @@ def test_mc_validation(unit_cfg):
 UNEQUAL_CFG = NetworkConfig(0.5, 1.0, 2.0, 3.0, 4.0)
 
 
-def draw_arrays(*args):
-    """_draw_gains(*args) as six arrays: g_sr1, g_sr2, then the record's
-    g_sd, g1, g2 and coh."""
-    g_sr1, g_sr2, links = outage._draw_gains(*args)
-    return (g_sr1, g_sr2, *links)
+def draw_record(*args):
+    """_draw_gains(*args) as g_sr1, g_sr2 and the LinkRecord of every row,
+    its coherent sum formed by _coherent_sum."""
+    g_sd, g_sr1, g_sr2, g1, g2, u = outage._draw_gains(*args)
+    return g_sr1, g_sr2, LinkRecord(g_sd, g1, g2, outage._coherent_sum(g1, g2, u))
 
 
 def test_draws_are_row_prefixes_and_blocks_differ():
     # trial t's draws depend only on (seed, t): a shorter block is a row
     # prefix of a longer one from the same first trial, in every array
-    short = draw_arrays(UNEQUAL_CFG, 3, 32768, 1000)
-    long = draw_arrays(UNEQUAL_CFG, 3, 32768, 20000)
+    short = outage._draw_gains(UNEQUAL_CFG, 3, 32768, 1000)
+    long = outage._draw_gains(UNEQUAL_CFG, 3, 32768, 20000)
     assert len(short) == 6
     for a, b in zip(short, long):
         np.testing.assert_array_equal(a, b[:1000])
     # and blocks at other first trials, or of another seed, share no value
-    for other in (draw_arrays(UNEQUAL_CFG, 3, 0, 1000),
-                  draw_arrays(UNEQUAL_CFG, 3, 65536, 1000),
-                  draw_arrays(UNEQUAL_CFG, 4, 32768, 1000)):
+    for other in (outage._draw_gains(UNEQUAL_CFG, 3, 0, 1000),
+                  outage._draw_gains(UNEQUAL_CFG, 3, 65536, 1000),
+                  outage._draw_gains(UNEQUAL_CFG, 4, 32768, 1000)):
         for a, b in zip(short, other):
             assert not np.any(np.isin(a, b))
 
@@ -593,9 +594,10 @@ def test_squared_gains_follow_the_normal_sampler():
     # independent seed: two-sample Kolmogorov-Smirnov, rejected at p < 1e-6;
     # E coh = sigma2_r1d + sigma2_r2d
     n = 2 ** 17
-    got = draw_arrays(UNEQUAL_CFG, 31, 0, n)
-    g_sr1, g_sr2, links = normal_draw_gains(UNEQUAL_CFG, 32, 0, n)
-    want = (g_sr1, g_sr2, *links)
+    g_sr1, g_sr2, links = draw_record(UNEQUAL_CFG, 31, 0, n)
+    got = (g_sr1, g_sr2, *links)
+    g_sd, g_sr1, g_sr2, g1, g2, z = normal_draw_gains(UNEQUAL_CFG, 32, 0, n)
+    want = (g_sr1, g_sr2, g_sd, g1, g2, complex_coherent_sum(g1, g2, z))
     for name, a, b, mean in zip(("sr1", "sr2", "sd", "r1d", "r2d", "coh"), got, want,
                                 (1.0, 2.0, 0.5, 3.0, 4.0, 7.0)):
         assert stats.ks_2samp(a, b).pvalue >= 1e-6, name
@@ -627,7 +629,7 @@ def test_coherent_sum_lies_between_its_extremes():
     # rounding, for equal and unequal relay variances; the phase covers the
     # half circle: coh comes within 1% of either end on a share near 6%
     for cfg in (UNEQUAL_CFG, NetworkConfig(1.0, 1.0, 1.0, 1.0, 1.0)):
-        _, _, links = outage._draw_gains(cfg, 9, 0, 2 ** 16)
+        _, _, links = draw_record(cfg, 9, 0, 2 ** 16)
         s1, s2 = np.sqrt(links.g1), np.sqrt(links.g2)
         low, high = (s1 - s2) ** 2, (s1 + s2) ** 2
         tol = 4.0 * np.finfo(float).eps * high
@@ -643,13 +645,13 @@ def test_coherent_sum_lies_between_its_extremes():
                  id="TDA_LINMOD-rect1"),
     pytest.param(SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(2.5)},
                  id="TDA_INDEP-t0bw2.5")])
-def test_mc_counts_follow_the_normal_sampler(monkeypatch, scheme, kw):
+def test_mc_counts_follow_the_normal_sampler(request, scheme, kw):
     # the engine's counts on the two samplers, independent seeds, at 0:30:10 dB:
     # a two-sample binomial |z| <= 4.9 (two-sided p about 1e-6) at every point
     n = 2 ** 17
     grid = tuple(10.0 ** (db / 10.0) for db in (0, 10, 20, 30))
     got = mc_outage(scheme, 0.25, grid, n, 41, cfg=UNEQUAL_CFG, **kw).outage
-    monkeypatch.setattr(outage, "_draw_gains", normal_draw_gains)
+    request.getfixturevalue("normal_sampler")
     want = mc_outage(scheme, 0.25, grid, n, 42, cfg=UNEQUAL_CFG, **kw).outage
     for p1, p2 in zip(got, want):
         pool = 0.5 * (p1 + p2)
@@ -769,7 +771,7 @@ def test_gain_domain_verdicts_equal_the_logarithms(scheme, kw):
     # direct gain is built so that P lands at T (1 + k eps) and at the
     # margin's edges T 2^(+-2 slack) (1 + k eps), |k| <= 8
     corr = kw.get("corr")
-    gsr1, gsr2, links = outage._draw_gains(UNEQUAL_CFG, 17, 0, 4096)
+    gsr1, gsr2, links = draw_record(UNEQUAL_CFG, 17, 0, 4096)
     n = links.g_sd.size
     eps = np.finfo(float).eps
     k = np.resize(np.arange(-8, 9), n)
@@ -807,7 +809,7 @@ def test_gain_domain_verdicts_equal_the_logarithms(scheme, kw):
 def _unscreened_block(scheme, cfg, r, snr, seed, cond, force_set, corr, delays, block):
     # the engine's block loop without the screen: every row at every snr point
     first_trial, count = block
-    gsr1, gsr2, links = outage._draw_gains(cfg, seed, first_trial, count)
+    gsr1, gsr2, links = draw_record(cfg, seed, first_trial, count)
     counts = np.zeros(len(snr), dtype=np.int64)
     case = None if cond == ConditionalCase.OVERALL else outage._CASE_SETS[cond][0]
     for i, s in enumerate(snr):
@@ -841,22 +843,23 @@ def _cut_cases():
         for t0bw in (0.0, 1e-6, 0.3, 2.5):
             cases.append(pytest.param(scheme, {"delays": DelayConfig.from_t0bw(t0bw)},
                                       id=f"{scheme.value}-t0bw{t0bw:g}"))
+    # SRRC span 3 has r(2) != 0, so its kernel's lower bound is 0
+    for span in (2, 3):
+        cases.append(pytest.param(SchemeId.ASTC, {"corr": correlations(srrc(0.5, span, 64), 0.3)},
+                                  id=f"ASTC-srrc{span}"))
+    cases.append(pytest.param(SchemeId.MIX_AF, {"corr": rect1}, id="MIX_AF-rect1"))
     return cases
 
 
-@pytest.mark.parametrize("scheme, kw", _cut_cases() + [
-    pytest.param(SchemeId.ASTC, {"corr": correlations(srrc(0.5, 2, 64), 0.3)}, id="ASTC-srrc2"),
-    pytest.param(SchemeId.MIX_AF, {"corr": correlations(rectangular(1, 64), 0.5)},
-                 id="MIX_AF-rect1")])
+@pytest.mark.parametrize("scheme, kw", _cut_cases())
 def test_screened_block_counts_equal_the_unscreened_loop(scheme, kw):
     # _run_block decides each snr point on the rows below its direct-gain cut;
     # the counts equal those of deciding every row, at -100 to 3000 dB, on a
     # partial block for every r, link configuration and case (natural and
-    # forced), and on a full block for two curves.  ASTC and MIX_AF have no
-    # cut and decide every row.
+    # forced), and on a full block for two curves.  Every scheme has a cut.
     corr, delays = kw.get("corr"), kw.get("delays")
-    floor = scheme not in (SchemeId.ASTC, SchemeId.MIX_AF)
-    assert (mutualinfo._direct_cuts(scheme, [(1.0, 0.25)], delays) is None) != floor
+    (cut,) = mutualinfo._direct_cuts(scheme, [(1.0, 0.25)], corr, delays)
+    assert 0.0 < cut < math.inf
     runs = [(cfg, r, cond, forced, (outage.BLOCK_TRIALS, 2500))
             for cfg in (NetworkConfig(), UNEQUAL_CFG) for r in (0.01, 0.25, 0.49)
             for cond, forced in CUT_CURVES]
@@ -876,8 +879,8 @@ def test_rows_at_the_direct_cut_are_never_below(scheme, kw):
     # or the coherent window's log2(1 + rho0 g_sd)): under the natural and
     # every forced decoding set record_below is False on every row at or above
     # the cut, and equals record_mi(...) < rate on every row
-    delays = kw.get("delays")
-    gsr1, gsr2, links = outage._draw_gains(UNEQUAL_CFG, 19, 0, 2048)
+    corr, delays = kw.get("corr"), kw.get("delays")
+    gsr1, gsr2, links = draw_record(UNEQUAL_CFG, 19, 0, 2048)
     n = links.g_sd.size
     k = np.resize(np.arange(-8, 9), n)
     eps = np.finfo(float).eps
@@ -886,7 +889,7 @@ def test_rows_at_the_direct_cut_are_never_below(scheme, kw):
         for r in (0.01, 0.25, 0.49):
             pt = RatePoint(10.0 ** (db / 10.0), r, UNEQUAL_CFG.sigma2_sd)
             rho0, rate = pt.rho0, pt.rate
-            (cut,) = mutualinfo._direct_cuts(scheme, [(rho0, rate)], delays)
+            (cut,) = mutualinfo._direct_cuts(scheme, [(rho0, rate)], corr, delays)
             assert 0.0 < cut < math.inf
             g_sd = cut * (1.0 + k * eps)
             sets = [(gsr1 >= pt.decode_threshold, gsr2 >= pt.decode_threshold)]
@@ -896,8 +899,36 @@ def test_rows_at_the_direct_cut_are_never_below(scheme, kw):
                     msg = f"{db} dB, r {r}, sets {m1[:2]} {m2[:2]}, relay {built.g1[:2]}"
                     below = record_below(scheme, built, m1, m2, rho0, rate, **kw)
                     assert not below[g_sd >= cut].any(), msg
-                    np.testing.assert_array_equal(
-                        below, record_mi(scheme, built, m1, m2, rho0, **kw) < rate, err_msg=msg)
+                    try:
+                        want = record_mi(scheme, built, m1, m2, rho0, **kw) < rate
+                    except NumericError:
+                        # ASTC/MIX_AF at 3000 dB: rho0^2 g1 g2 passes the float range
+                        # in the pair kernel, which a row within 8 eps of the cut
+                        # never needs, as the margin keeps its MI above the rate
+                        want = np.zeros(n, dtype=bool)
+                    np.testing.assert_array_equal(below, want, err_msg=msg)
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.ASTC, SchemeId.MIX_AF])
+def test_isi_cut_inverts_the_isi_rate(scheme):
+    # ASTC's and MIX_AF's cut solves esd(rho0 cut) = 2 rate + 2m: to 4 ulps of
+    # max(1, 2 rate + 2m), esd's own roundoff (measured 2), at -100 to 3000 dB,
+    # r 0.01 to 0.49 and a1 in {0, +-0.3, +-0.49}; past the float range of
+    # 2^(2 rate + 2m) the cut is inf, never NaN
+    eps = np.finfo(float).eps
+    for a1 in (0.0, 0.3, -0.3, 0.49, -0.49):
+        corr = types.SimpleNamespace(a1=a1)  # the cut reads the pulse's a1 alone
+        for db in np.linspace(-100.0, 3000.0, 125):
+            for r in (0.01, 0.1, 0.25, 0.4, 0.49):
+                pt = RatePoint(10.0 ** (db / 10.0), r, UNEQUAL_CFG.sigma2_sd)
+                (cut,) = mutualinfo._direct_cuts(scheme, [(pt.rho0, pt.rate)], corr, None)
+                target = 2.0 * pt.rate + 4.0 * mutualinfo._screen_slack(scheme, pt.rate, None)
+                got = mutualinfo._esd_from_gain(np.array([cut]), a1, pt.rho0)[0]
+                assert abs(got - target) <= 4.0 * eps * max(1.0, target), (a1, db, r)
+        cuts = mutualinfo._direct_cuts(scheme, [(1e300, 511.9), (1e300, 512.0), (1.0, 0.0)],
+                                       corr, None)
+        assert cuts[0] < math.inf and cuts[1] == math.inf and cuts[2] > 0.0
+        assert not any(math.isnan(c) for c in cuts)
 
 
 def test_an_overflowing_cut_keeps_every_row():
@@ -907,7 +938,8 @@ def test_an_overflowing_cut_keeps_every_row():
     delays = DelayConfig.from_t0bw(1e-6)
     cfg = NetworkConfig(sigma2_sd=1e6)
     pt = RatePoint(1e302, 0.4999, cfg.sigma2_sd)
-    assert mutualinfo._direct_cuts(SchemeId.TDA_INDEP, [(pt.rho0, pt.rate)], delays) == [math.inf]
+    assert mutualinfo._direct_cuts(SchemeId.TDA_INDEP, [(pt.rho0, pt.rate)], None,
+                                   delays) == [math.inf]
     for snr in ((1e302,), (1e300, 1e302)):
         args = (SchemeId.TDA_INDEP, cfg, 0.4999, snr, 5, ConditionalCase.OVERALL, False, None,
                 delays, (0, 4096))
