@@ -119,66 +119,13 @@ def _as_fraction(vals: dict, key: str) -> Fraction:
         raise ConfigError(f"{key} must be a rational like 3/4, got {vals[key]!r}")
 
 
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "tradeoff": {
-        "k": "2",
-        "schemes": "stc,tda,rtda,ltda,astc,naf,ddf,maf",
-        "delta1": "3/4",
-        "r_step": "1/50",
-        "cross": "auto",
-        "out": "",
-    },
-    "simulate": {
-        "scheme": "STC_SYNC",
-        "mode": "mc",
-        "r": "0.25",
-        "snr_db": "0:15:5",
-        "trials": "100000",
-        "seed": "1",
-        "workers": "1",
-        "cond": "overall",
-        "force_set": "false",
-        "sigma2_sd": "1", "sigma2_sr1": "1", "sigma2_sr2": "1",
-        "sigma2_r1d": "1", "sigma2_r2d": "1",
-        "pulse": "rect", "rolloff": "0.5", "span": "1", "duty": "1.0",
-        "samples_per_symbol": "256", "waveform_file": "", "tau": "0.5",
-        "t0bw": "2.0",
-        "fit_window_db": "",
-        "out": "",
-    },
-    "waveform": {
-        "pulse": "srrc", "rolloff": "0.5", "span": "2", "duty": "1.0",
-        "samples_per_symbol": "256", "waveform_file": "", "tau": "0.3",
-        "pd_tol": "1e-6",
-        "out": "",
-    },
-    "toeplitz": {
-        "pulse": "srrc", "rolloff": "0.5", "span": "2", "duty": "1.0",
-        "samples_per_symbol": "256", "waveform_file": "", "tau": "0.3",
-        "n_list": "1,4,16,64,256",
-        "snr_db": "10",
-        "seed": "1",
-        "rel_tol": "0.05",
-        "out": "",
-    },
-    "compare-capacity": {
-        "pulse": "srrc", "rolloff": "0.5", "span": "1", "duty": "1.0",
-        "samples_per_symbol": "256", "waveform_file": "", "tau": "0.5",
-        "snr_db": "0:30:10",
-        "draws": "1000",
-        "seed": "1",
-        "out": "",
-    },
-}
-
-
 def _resolve(cmd: str, ns: argparse.Namespace) -> dict[str, str]:
-    """Defaults, then the config file, then flags.  Every command calls it
-    first, so an `out` path in a missing directory fails before any work."""
+    """Defaults, then the config file, then flags.  main calls it before the
+    command runs, so an `out` path in a missing directory fails before any
+    work."""
     vals = dict(_DEFAULTS[cmd])
-    cfg_path = getattr(ns, "config", None)
-    if cfg_path:
-        p = Path(cfg_path)
+    if ns.config:
+        p = Path(ns.config)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         cp = configparser.ConfigParser()
@@ -238,6 +185,10 @@ def _build_pulse(vals: dict):
     raise ConfigError(f"unknown pulse {vals['pulse']!r}; choose rect, srrc or file")
 
 
+def _corr(vals: dict):
+    return correlations(_build_pulse(vals), _as_float(vals, "tau"))
+
+
 def _network(vals: dict) -> NetworkConfig:
     return NetworkConfig(
         sigma2_sd=_as_float(vals, "sigma2_sd"),
@@ -252,8 +203,7 @@ def _network(vals: dict) -> NetworkConfig:
 # subcommands
 
 
-def _cmd_tradeoff(ns: argparse.Namespace) -> int:
-    vals = _resolve("tradeoff", ns)
+def _cmd_tradeoff(vals: dict) -> int:
     k = _as_int(vals, "k")
     delta1 = _as_fraction(vals, "delta1")
     step = _as_fraction(vals, "r_step")
@@ -305,8 +255,7 @@ def _cmd_tradeoff(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(ns: argparse.Namespace) -> int:
-    vals = _resolve("simulate", ns)
+def _cmd_simulate(vals: dict) -> int:
     scheme = _as_choice(vals, "scheme", SchemeId)
     cond = _as_choice(vals, "cond", ConditionalCase)
     mode = vals["mode"].strip().lower()
@@ -316,8 +265,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = _network(vals)
     force = _as_bool(vals, "force_set")
 
-    corr = (correlations(_build_pulse(vals), _as_float(vals, "tau"))
-            if scheme in _CORR_SCHEMES else None)
+    corr = _corr(vals) if scheme in _CORR_SCHEMES else None
     delays = DelayConfig.from_t0bw(_as_float(vals, "t0bw")) if scheme in _DELAY_SCHEMES else None
     window = None
     if vals["fit_window_db"]:
@@ -351,8 +299,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_waveform(ns: argparse.Namespace) -> int:
-    vals = _resolve("waveform", ns)
+def _cmd_waveform(vals: dict) -> int:
     w = _build_pulse(vals)
     tau = _as_float(vals, "tau")
     corr = correlations(w, tau)
@@ -381,10 +328,8 @@ def _cmd_waveform(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_toeplitz(ns: argparse.Namespace) -> int:
-    vals = _resolve("toeplitz", ns)
-    w = _build_pulse(vals)
-    corr = correlations(w, _as_float(vals, "tau"))
+def _cmd_toeplitz(vals: dict) -> int:
+    corr = _corr(vals)
     grid_db = _parse_grid_db(vals["snr_db"])
     if len(grid_db) != 1:
         raise ConfigError("toeplitz takes a single snr_db value")
@@ -403,10 +348,8 @@ def _cmd_toeplitz(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare_capacity(ns: argparse.Namespace) -> int:
-    vals = _resolve("compare-capacity", ns)
-    w = _build_pulse(vals)
-    corr = correlations(w, _as_float(vals, "tau"))
+def _cmd_compare_capacity(vals: dict) -> int:
+    corr = _corr(vals)
     grid_db = _parse_grid_db(vals["snr_db"])
     draws = _as_int(vals, "draws")
     if not 1 <= draws <= _MAX_DRAWS:
@@ -430,8 +373,70 @@ def _cmd_compare_capacity(ns: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser plumbing
+# the command line: one entry per subcommand in each table
 
+
+def _pulse_keys(pulse: str, span: str, tau: str) -> dict[str, str]:
+    """Defaults of the seven keys of a pulse pair: its shape, span and delay."""
+    return {"pulse": pulse, "rolloff": "0.5", "span": span, "duty": "1.0",
+            "samples_per_symbol": "256", "waveform_file": "", "tau": tau}
+
+
+_DEFAULTS: dict[str, dict[str, str]] = {
+    "tradeoff": {
+        "k": "2",
+        "schemes": "stc,tda,rtda,ltda,astc,naf,ddf,maf",
+        "delta1": "3/4",
+        "r_step": "1/50",
+        "cross": "auto",
+        "out": "",
+    },
+    "simulate": {
+        "scheme": "STC_SYNC",
+        "mode": "mc",
+        "r": "0.25",
+        "snr_db": "0:15:5",
+        "trials": "100000",
+        "seed": "1",
+        "workers": "1",
+        "cond": "overall",
+        "force_set": "false",
+        "sigma2_sd": "1", "sigma2_sr1": "1", "sigma2_sr2": "1",
+        "sigma2_r1d": "1", "sigma2_r2d": "1",
+        **_pulse_keys("rect", "1", "0.5"),
+        "t0bw": "2.0",
+        "fit_window_db": "",
+        "out": "",
+    },
+    "waveform": {
+        **_pulse_keys("srrc", "2", "0.3"),
+        "pd_tol": "1e-6",
+        "out": "",
+    },
+    "toeplitz": {
+        **_pulse_keys("srrc", "2", "0.3"),
+        "n_list": "1,4,16,64,256",
+        "snr_db": "10",
+        "seed": "1",
+        "rel_tol": "0.05",
+        "out": "",
+    },
+    "compare-capacity": {
+        **_pulse_keys("srrc", "1", "0.5"),
+        "snr_db": "0:30:10",
+        "draws": "1000",
+        "seed": "1",
+        "out": "",
+    },
+}
+
+_COMMANDS = {
+    "tradeoff": (_cmd_tradeoff, "emit diversity-multiplexing curves and crossings"),
+    "simulate": (_cmd_simulate, "Monte Carlo or analytic outage curves"),
+    "waveform": (_cmd_waveform, "correlation taps and spectral certification of a pulse"),
+    "toeplitz": (_cmd_toeplitz, "finite-block rates against the spectral limit"),
+    "compare-capacity": (_cmd_compare_capacity, "ISI-aware rate vs coherent-sum reference"),
+}
 
 _HELP_NOTES = {
     # argparse reads a value that starts with '-' and is not a plain number as an option
@@ -442,47 +447,32 @@ _HELP_NOTES = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, cmd: str) -> None:
-    p.add_argument("--config", help="INI file; section [%s] applies" % cmd)
-    for key in _DEFAULTS[cmd]:
-        flag = "--" + key.replace("_", "-")
-        note = _HELP_NOTES.get(key, "")
-        p.add_argument(flag, dest=key, default=None,
-                       help=f"{note}default: {_DEFAULTS[cmd][key]!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """A parser with one subcommand per _COMMANDS entry, taking --config and
+    one flag per key of its _DEFAULTS entry."""
     ap = argparse.ArgumentParser(
         prog="relaylab",
         description="Two-relay cooperative diversity lab: tradeoff curves, "
                     "outage simulation, waveform certification.")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    handlers = {
-        "tradeoff": _cmd_tradeoff,
-        "simulate": _cmd_simulate,
-        "waveform": _cmd_waveform,
-        "toeplitz": _cmd_toeplitz,
-        "compare-capacity": _cmd_compare_capacity,
-    }
-    helps = {
-        "tradeoff": "emit diversity-multiplexing curves and crossings",
-        "simulate": "Monte Carlo or analytic outage curves",
-        "waveform": "correlation taps and spectral certification of a pulse",
-        "toeplitz": "finite-block rates against the spectral limit",
-        "compare-capacity": "ISI-aware rate vs coherent-sum reference",
-    }
-    for cmd, fn in handlers.items():
-        p = sub.add_parser(cmd, help=helps[cmd])
-        _add_common(p, cmd)
-        p.set_defaults(func=fn)
+    for cmd, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_line)
+        p.add_argument("--config", help="INI file; section [%s] applies" % cmd)
+        for key, default in _DEFAULTS[cmd].items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           help=f"{_HELP_NOTES.get(key, '')}default: {default!r}")
     return ap
 
 
+# parse_args returns a fresh Namespace and leaves its parser as it was, so
+# one parser serves every main call in a process
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     try:
-        return ns.func(ns)
+        return _COMMANDS[ns.cmd][0](_resolve(ns.cmd, ns))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

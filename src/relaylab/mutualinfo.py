@@ -194,7 +194,8 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
 
     A row with a non-finite bound gets the vacuous -inf and +inf.  Rows with
     a closed form (STC_SYNC, fewer than two relays, the delay schemes at
-    t0 bw = 0) get lower = upper = value.
+    t0 bw = 0, whose closed form is its own bounds) get lower = upper =
+    value where it is finite.
     """
     scheme = check_scheme(scheme, corr, delays)
     links = LinkRecord.of_gains(np.abs(sd) ** 2, r1d, r2d)
@@ -207,8 +208,6 @@ def mi_envelope(scheme, sd, r1d, r2d, m1, m2, rho0: float,
     b = np.nonzero(both)[0]
     with np.errstate(all="ignore"):
         direct, _, low, high = _both_relays(scheme, links.rows(b), rho0, corr, delays)
-        if low is None:
-            return value, lower, upper
         low, high = low(), high()
         finite = np.isfinite(direct) & np.isfinite(low) & np.isfinite(high)
         lower[b] = np.where(finite, 0.5 * (direct + low), -np.inf)
@@ -234,21 +233,15 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     goes through one record_mi call.  So the verdicts equal
     record_mi(...) < rate wherever record_mi returns.  Where it would raise,
     because the pair kernel's coefficients pass the float range, a row that
-    the lower bound clears gets the lower bound's verdict.  The delay
-    schemes at t0 bw = 0, whose bounds are None, are not screened.
+    the lower bound clears gets the lower bound's verdict.
     """
     scheme = check_scheme(scheme, corr, delays)
     if scheme in (SchemeId.STC_SYNC, SchemeId.TDA_LINMOD):
         return _product_below(scheme, links, m1, m2, rho0, rate, corr)
     both = m1 & m2
-    if not both.any():
-        return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
-
     b = np.nonzero(both)[0]
     pair = links.rows(b)
     direct, _, lower, _ = _both_relays(scheme, pair, rho0, corr, delays)
-    if lower is None:
-        return record_mi(scheme, links, m1, m2, rho0, corr, delays) < rate
     slack = _screen_slack(scheme, rate, delays)
     with np.errstate(all="ignore"):  # a non-finite bound sends its row to the kernel
         lower = lower()
@@ -380,10 +373,10 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
       delay window |u| <= h = pi t0 bw, with B = 2 rho0 sqrt(g1 g2); the
       repetition code puts rho0 g_sd into A, so its direct term is 0.  At
       t0 bw = 0 the relays add coherently, B cos psi = 2 rho0 cross, and
-      lower, upper are None.  Otherwise the mean is even in psi, so the
-      kernel reads |psi| = arccos(cross / sqrt(g1 g2)); it is at least
-      _window_mean_lower, and Jensen with the window mean of the cosine
-      gives log2(A + 2 rho0 cross sin(h) / h) above.
+      that closed form is kernel, lower and upper.  Otherwise the mean is
+      even in psi, so the kernel reads |psi| = arccos(cross / sqrt(g1 g2));
+      it is at least _window_mean_lower, and Jensen with the window mean of
+      the cosine gives log2(A + 2 rho0 cross sin(h) / h) above.
     - TDA_LINMOD: the matched-filter pair term is log2 of the argument
       1 + a + sqrt((1 + a)^2 - b^2), minus 1, with a = rho0 (g1 + g2 +
       2 rho12 cross) and b = 2 rho0 rho21 sqrt(g1 g2); _linmod_terms holds
@@ -409,7 +402,8 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
         with np.errstate(over="ignore"):  # rho0 g_sd past the float range: inf, as are its log and A
             direct = 0.0 if rep else np.log2(1.0 + rho0 * gsd)
             if w == 0.0:  # no delay window: the relays add coherently
-                return direct, lambda: np.log2(1.0 + rho0 * ((gsd + coh) if rep else coh)), None, None
+                coherent = lambda: np.log2(1.0 + rho0 * ((gsd + coh) if rep else coh))
+                return direct, coherent, coherent, coherent
             nu = g1 + g2
             a = 1.0 + rho0 * ((gsd + nu) if rep else nu)
         root = np.sqrt(g1 * g2)
@@ -526,7 +520,8 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
     """
     A, B, psi = np.broadcast_arrays(A, B, psi)
     r = np.sqrt(A - B) * np.sqrt(A + B)
-    c = B / (A + r)
+    half = 0.5 * A + 0.5 * r  # (A + R)/2, finite where A + R would pass the float range
+    c = 0.5 * B / half
     e_x, two_x, cl_x = _window_phase(psi, h) if phase is None else phase
     alpha = np.angle(1.0 + c * e_x)
     del phase, e_x  # 2n complex: freed before the Clausen stack is allocated
@@ -535,7 +530,7 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
     arg_sum = alpha[0] + alpha[1]
     cl_diff = cl_x - cl[0] - cl[1]
     f = 0.5 * (cl_diff[0] + cl_diff[1]) - arg_sum * np.log(np.where(c == 0.0, 1.0, np.abs(c)))
-    mean = (np.log(0.5 * (A + r)) - f / h) / _LN2
+    mean = (np.log(half) - f / h) / _LN2
     with np.errstate(divide="ignore", invalid="ignore"):  # A = B to rounding: R = 0
         inv_mean = (1.0 - arg_sum / h) / r
     if h < _SHORT_WINDOW:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -420,19 +421,6 @@ def test_delay_runs_load_no_scipy_special():
     assert proc.stdout.split() == ["(0,", "0,", "0,", "0,", "0)", "False", "False", "True"]
 
 
-def test_mc_throughput_script_rows():
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "mc_throughput.py")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
-    proc = subprocess.run([sys.executable, script, "--trials", "10000"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    header, rows = parse_rows(proc.stdout)
-    assert header == ["scheme", "trials", "snr_points", "wall_s", "mtrial_snr_per_s"]
-    assert [r[0] for r in rows] == ["STC_SYNC", "TDA_LINMOD rect1", "ASTC srrc2",
-                                    "MIX_AF rect1", "TDA_INDEP t0bw2.5"]
-    assert all(r[1:3] == ["10000", "7"] and float(r[4]) > 0.0 for r in rows)
-
-
 def test_tradeoff_figure_script_rows(run_script):
     out, err = run_script("tradeoff_figure.py", "--points", "3")
     assert out.startswith("# schema=tradeoff_figure-v1\n")
@@ -635,6 +623,87 @@ def test_grid_parse_single_point(capsys):
     assert rc == 0
     _, rows = parse_rows(out)
     assert len(rows) == 1 and rows[0][3] == "10.0"
+
+
+# ---------------------------------------------------------------------------
+# the front door: one parser per process
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    # main parses with the parser built at import: two calls construct no
+    # ArgumentParser, subparsers included, and never call build_parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr("relaylab.cli.build_parser", refuse)
+    for _ in range(2):
+        rc, out, _ = run(capsys, "tradeoff", "--k", "2", "--schemes", "stc,maf")
+        assert rc == 0 and "crossing stc maf" in out
+    assert built == []
+
+
+# sha256 of each `--help` text at COLUMNS=80, recorded on Python 3.11 when
+# each subcommand still built its own parser on every main call
+HELP_DIGESTS = {
+    "": "16a203f1651fa2de88a8e51f17cd6fe755915947b1ea337ff99d1dff43b603d7",
+    "tradeoff": "db451a5460b94c8e5631cd799b1d81e7cd66c53b410c0939153c209a4799ffd3",
+    "simulate": "f5c9329fea49d31793f352ca8680d2e25d11784771e17f6c8b3f179b7d8acec0",
+    "waveform": "f1292114570203142b66a0d14acc5cd0e7816b1a2f8e04cd381664ecc4d297e8",
+    "toeplitz": "2ca2f5babea79a2be1a525f50865a92e829bfaf9499bf1077bb3e4d7e47b19fa",
+    "compare-capacity": "4b1114da3d4cad3bc8a78870c9ea1198d0f9080df0f1363f6fc342a46df3d251",
+}
+
+
+@pytest.mark.parametrize("cmd", HELP_DIGESTS, ids=lambda c: c or "relaylab")
+def test_help_matches_pinned_hash(capsys, monkeypatch, cmd):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"] if cmd else ["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[cmd]
+
+
+def _exit_code(argv):
+    """main(argv)'s return value, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_one_process_prints_what_each_command_prints_alone(capsys, monkeypatch):
+    # One parser serves a run of commands, a parse error and a --help exit
+    # among them, and leaves no trace from one to the next: each prints
+    # what a fresh process running it alone prints
+    argvs = (["tradeoff", "--k", "2"],
+             ["simulate", "--mode", "analytic", "--r", "0.1", "--snr-db", "40:60:10"],
+             ["simulate", "--bogus", "1"],
+             ["simulate", "--help"],
+             ["simulate", "--trials", "10000", "--snr-db", "0"])
+    monkeypatch.setenv("COLUMNS", "80")
+    together = []
+    for argv in argvs:
+        rc = _exit_code(argv)
+        out = capsys.readouterr()
+        together.append((rc, out.out, out.err))
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
+    alone = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "relaylab.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [t[0] for t in together] == [0, 0, 2, 0, 0]
+    assert together == alone
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,22 @@ def test_window_means_on_shared_phase_terms_are_bitwise_equal(t0bw):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("t0bw", (1e-6, 2.5))
+def test_window_means_where_a_plus_r_passes_the_float_range(t0bw):
+    # A = 0.9 of the float max with B <= A/9: A + B and R are finite, A + R
+    # is not.  The means take (A + R)/2 as A/2 + R/2, so no overflow warning
+    # escapes (an error in this suite) and the mean, near 1024 bits, matches
+    # the 40-digit sums
+    big = np.finfo(float).max
+    a = np.full(3, 0.9 * big)
+    b = np.array([0.0, 0.05, 0.1]) * big
+    psi = np.array([0.3, 1.0, 2.5])
+    h = math.pi * t0bw
+    got = _cos_window_means(a, b, psi, h)[0]
+    want = [_mp_window_means(*row, h)[0] for row in zip(a, b, psi)]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # repetition delay diversity
 
@@ -819,8 +835,9 @@ def test_isi_kernel_bounds_sandwich():
 
 @pytest.mark.parametrize("t0bw", (0.0, 1e-6, 0.3, 1.7, 2.0, 2.5, 6.0))
 def test_window_kernel_bounds_sandwich(t0bw):
-    # at t0 bw = 0 the relays add coherently, a closed form with no bounds:
-    # mi_envelope reports lower = upper = value, and record_below runs the kernel
+    # at t0 bw = 0 the relays add coherently, a closed form that is its own
+    # bounds: mi_envelope reports lower = upper = value, and record_below's
+    # verdicts are the kernel's
     rng = np.random.default_rng(43)
     delays = DelayConfig.from_t0bw(t0bw)
     for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION):
@@ -829,9 +846,9 @@ def test_window_kernel_bounds_sandwich(t0bw):
             sd, r1d, r2d = _screen_rows(rng, 2000)
             rate = 0.45 * math.log2(1.0 + rho0)
             links = _record(sd, r1d, r2d)
-            _, _, lower, upper = _both_relays(scheme, links, rho0, None, delays)
+            _, kernel, lower, upper = _both_relays(scheme, links, rho0, None, delays)
             if t0bw == 0.0:
-                assert lower is None and upper is None
+                assert np.array_equal(lower(), kernel()) and np.array_equal(upper(), kernel())
                 both = np.ones(sd.size, dtype=bool)
                 value, lower, upper = mi_envelope(scheme, sd, r1d, r2d, both, both, rho0,
                                                   delays=delays)
