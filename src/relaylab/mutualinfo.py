@@ -21,8 +21,9 @@ it for STC_SYNC and TDA_LINMOD by comparing a product of gain terms with
 both-relays row and the upper bound on the rows the lower bound does not
 clear; the rows either test leaves in doubt go through one record_mi call.
 _direct_cuts gives the engine, per snr point, the direct gain at and above
-which record_below is False on every row, from the same margin
-(_screen_slack).  mi_envelope returns mi_batch's value with the bounds.
+which record_below is False on every row: the inverse of one floor, with
+the same margin (_screen_slack).  mi_envelope returns mi_batch's value
+with the bounds.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def record_below(scheme, links: LinkRecord, m1, m2, rho0: float, rate: float,
     b = np.nonzero(both)[0]
     pair = links.rows(b)
     direct, _, lower, _ = _both_relays(scheme, pair, rho0, corr, delays)
-    slack = _screen_slack(scheme, rate, delays)
+    slack = _screen_slack(rate, delays)
     with np.errstate(all="ignore"):  # a non-finite bound sends its row to the kernel
         lower = lower()
         need = np.broadcast_to(2.0 * rate - direct, b.shape)
@@ -282,7 +283,7 @@ def _product_below(scheme: SchemeId, links: LinkRecord, m1, m2, rho0: float, rat
             if b.size:
                 q[b] = 0.5 * _linmod_terms(links.rows(b), rho0, corr)[1]()
         p = (1.0 + rho0 * links.g_sd) * q
-        slack = 2.0 * _screen_slack(scheme, rate, None)
+        slack = 2.0 * _screen_slack(rate, None)
         low, high = np.exp2(2.0 * rate - slack), np.exp2(2.0 * rate + slack)
     below = p < low
     doubt = np.flatnonzero(~(below | ((p > high) & (p < np.inf))))
@@ -298,43 +299,42 @@ def _product_below(scheme: SchemeId, links: LinkRecord, m1, m2, rho0: float, rat
 _SCREEN_SLACK = 1e-9
 
 
-def _screen_slack(scheme: SchemeId, rate: float, delays: DelayConfig | None) -> float:
+def _screen_slack(rate: float, delays: DelayConfig | None) -> float:
     """record_below's margin in bits at a rate: _SCREEN_SLACK (1 + rate),
-    times 1 + 1/t0bw for the delay schemes with a window (t0 bw > 0)."""
+    times 1 + 1/t0bw when delays has a window (t0 bw > 0)."""
     slack = _SCREEN_SLACK * (1.0 + rate)
-    if scheme in _DELAY_SCHEMES and delays.t0bw > 0.0:
+    if delays is not None and delays.t0bw > 0.0:
         slack *= 1.0 + 1.0 / delays.t0bw
     return slack
 
 
-def _direct_cuts(scheme: SchemeId, points, corr: CorrelationSet | None,
-                 delays: DelayConfig | None):
+def _direct_cuts(points, corr: CorrelationSet | None, delays: DelayConfig | None):
     """Per (rho0, rate) point, the direct gain cut = s*/rho0 at and above
-    which record_below is False on every row of the scheme, where the
-    scheme's floor, a lower bound on 2 MI in rho0 g_sd alone, reaches
-    log2 y = 2 rate + 2m at s*.  The cut is inf where y passes the float
-    range: it cuts no row.
+    which record_below is False on every row of a scheme given at most the
+    inputs corr and delays.  The cut is inf where y passes the float range.
 
-    - STC_SYNC, TDA_LINMOD and the delay schemes: the floor is
-      log2(1 + rho0 g_sd), so s* = y - 1.  Below two relays the relay term
-      0.5 log2(1 + rho0 relay) is >= 0 (for repetition rho0 relay adds to
-      rho0 g_sd inside one logarithm); on the both-relays rows the kernel is
-      >= 0, since TDA_LINMOD's argument 1 + a + sqrt((1 + a)^2 - b^2) is
-      >= 2 as |b| <= a, and the delay window averages log2(A + B cos) with
-      A - B = 1 + rho0 (sqrt g1 - sqrt g2)^2 >= 1, plus rho0 g_sd for
-      repetition, whose direct term is 0 and whose kernel is then
-      >= log2(1 + rho0 g_sd).
-    - ASTC and MIX_AF: the floor is the ISI rate esd(rho0 g_sd)
-      (_esd_from_gain), which can fall below log2(1 + rho0 g_sd).  It is
-      increasing with esd(0) = 0, as |a1| < 1/2, and its exact inverse is
-      s* = 2 (y - 1)/(1 + sqrt(1 - 4 a1^2 + 4 a1^2/y)), written with y^2
-      divided out and its factor of y - 1 applied after the division by
-      rho0, so that nothing overflows before y or the cut does.  Below two
-      relays ASTC's relay term esd(rho0 relay) is >= 0, and MIX_AF's
-      amplify-forward term is >= log2(1 + rho0 g_sd) >= esd, its relay
-      term >= 0.  On the both-relays rows the direct term is esd(rho0 g_sd)
-      and the kernel mean log2 q is >= 0, as q = det(I + rho0 diag(g1, g2)
-      T(w)) >= 1; so is its lower bound in record_below, esd(g1 + g2) or 0.
+    The one floor is 2 MI >= esd(rho0 g_sd; a) (_esd_from_gain), with
+    a = corr.a1, or 0 without a pulse: increasing from esd(0) = 0 as
+    |a| < 1/2, with exact inverse s* = 2 (y - 1)/(1 + sqrt(1 - 4a^2 +
+    4a^2/y)) at log2 y = 2 rate + 2m, written with y^2 divided out and
+    y - 1 applied after the division by rho0, so that nothing overflows
+    before y or the cut does.  At a = 0, which every span-1 pulse has
+    exactly (r(1)'s supports meet at one point), the factor is exactly 1.
+    Each scheme reaches it:
+    - esd(s; a) <= log2(1 + s), and the 2 MI of STC_SYNC, TDA_LINMOD and
+      the delay schemes is >= log2(1 + rho0 g_sd): below two relays the
+      relay term is >= 0 (or adds to rho0 g_sd inside repetition's one
+      logarithm); the both-relays kernel is >= 0, as TDA_LINMOD's argument
+      1 + a + sqrt((1 + a)^2 - b^2) is >= 2 for |b| <= a and the delay
+      window averages log2(A + B cos) with A - B = 1 + rho0 (sqrt g1 -
+      sqrt g2)^2 >= 1, plus rho0 g_sd for repetition, whose direct term is 0.
+    - ASTC and MIX_AF read the pulse's a1.  Below two relays ASTC's terms
+      are esd(rho0 g_sd) and esd(rho0 relay) >= 0; MIX_AF's amplify-forward
+      term is >= log2(1 + rho0 g_sd) >= esd, its relay term >= 0.  On the
+      both-relays rows the direct term is esd(rho0 g_sd), and the kernel
+      mean log2 q is >= 0, as q = det(I + rho0 diag(g1, g2) T(w)) >= 1; so
+      is its lower bound in record_below, esd(g1 + g2) or 0.
+    So an input the scheme does not read only loosens its cut.
 
     The margin m is twice _screen_slack.  So a row above the cut has
     P > T 2^(2 slack) in _product_below, and a both-relays row of a
@@ -342,20 +342,16 @@ def _direct_cuts(scheme: SchemeId, points, corr: CorrelationSet | None,
     2 rate - direct, which clears it in record_below.  Each such verdict is
     record_mi(...) < rate, and False, as it is for every row the engine skips.
     """
-    isi = scheme in (SchemeId.ASTC, SchemeId.MIX_AF)
+    a2 = 0.0 if corr is None else 4.0 * corr.a1 * corr.a1
     cuts = []
     for rho0, rate in points:
-        margin = 2.0 * _screen_slack(scheme, rate, delays)
+        margin = 2.0 * _screen_slack(rate, delays)
         try:
             y1 = math.expm1((2.0 * rate + 2.0 * margin) * _LN2)
         except OverflowError:
             cuts.append(math.inf)
             continue
-        cut = y1 / rho0
-        if isi:
-            a2 = 4.0 * corr.a1 * corr.a1
-            cut *= 2.0 / (1.0 + math.sqrt(1.0 - a2 + a2 / (1.0 + y1)))
-        cuts.append(cut)
+        cuts.append(y1 / rho0 * (2.0 / (1.0 + math.sqrt(1.0 - a2 + a2 / (1.0 + y1)))))
     return cuts
 
 

@@ -14,12 +14,11 @@ counters of each block's two streams derive from its first trial index, so
 the draws for trial t depend only on (seed, t).  Workers split whole blocks
 and results merge by summation; worker count can never change the numbers.
 
-Every scheme's MI is at least a floor that grows with the direct gain
-alone: 0.5 log2(1 + rho0 g_sd), or the ISI rate 0.5 esd(rho0 g_sd) for
-ASTC and MIX_AF.  So at each snr point a trial whose direct gain reaches a
-cut a little above the floor's inverse at the rate is never in outage.  A
-block sorts its rows below the grid's loosest cut by direct gain once, and
-each point decides only the prefix below its own cut.
+Every scheme's MI is at least one floor in the direct gain alone
+(mutualinfo._direct_cuts), so at each snr point a trial whose direct gain
+reaches that floor's cut is never in outage.  A block sorts its rows below
+the grid's loosest cut by direct gain once, and each point decides only
+the prefix below its own cut.
 """
 
 from __future__ import annotations
@@ -176,9 +175,8 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
                block: tuple[int, int]) -> np.ndarray:
     """Outage-and-case counts for one (first trial, count) block at every grid snr.
 
-    Every scheme's MI is at least a floor in the direct gain
-    (_direct_cuts), so a trial whose direct gain reaches a point's cut is
-    not in outage there.  The block keeps the rows below the loosest cut of
+    A trial whose direct gain reaches a point's cut (_direct_cuts) is not
+    in outage there.  The block keeps the rows below the loosest cut of
     the grid, sorted once by direct gain, forms the relays' coherent sum on
     those rows only, and each point decides the prefix below its own cut, a
     view of those rows; the cuts need not fall with snr.  Verdicts are per
@@ -188,7 +186,7 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
     first_trial, count = block
     g_sd, gsr1, gsr2, g1, g2, u = _draw_gains(cfg, seed, first_trial, count)
     points = [RatePoint(s, r, cfg.sigma2_sd) for s in snr]
-    cuts = _direct_cuts(scheme, [(pt.rho0, pt.rate) for pt in points], corr, delays)
+    cuts = _direct_cuts([(pt.rho0, pt.rate) for pt in points], corr, delays)
     keep = np.flatnonzero(g_sd < max(cuts))
     order = keep[np.argsort(g_sd[keep])]
     g_sd, gsr1, gsr2, g1, g2, u = (v[order] for v in (g_sd, gsr1, gsr2, g1, g2, u))
@@ -283,13 +281,9 @@ def two_exp_pdf(y, lam1: float, lam2: float):
     return c * (np.exp(-lam2 * y) - np.exp(-lam1 * y))
 
 
-def _cdf_exp(x, lam: float):
-    return -np.expm1(-lam * np.maximum(x, 0.0))
-
-
 def _exp_cdf_scaled(lam: float, rho0: float):
     """s -> Pr[1 + rho0 X < e^s] for X ~ Exp(lam)."""
-    return lambda s: _cdf_exp(np.expm1(s) / rho0, lam)
+    return lambda s: -np.expm1(-lam * np.maximum(np.expm1(s) / rho0, 0.0))
 
 
 def _product_pair_outage(inner_cdf, relay_density, log_t, rho0: float, nodes: int):
@@ -306,6 +300,14 @@ def _product_pair_outage(inner_cdf, relay_density, log_t, rho0: float, nodes: in
     u = log_t * x
     vals = inner_cdf(log_t - u) * relay_density(np.expm1(u) / rho0) * np.exp(u) / rho0
     return (vals @ w) * log_t[..., 0]
+
+
+def _oracle_point(cfg: NetworkConfig, r: float, snr: float):
+    """(pt, rho0, ln T, lam_sd, lam1, lam2) of an oracle at (r, snr): the
+    rate point, its per-node snr, the log of its target T = 4^R and the
+    rates of the three destination links."""
+    pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
+    return pt, pt.rho0, 2.0 * _LN2 * pt.rate, cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
 
 
 def _compose(p_out, cfg: NetworkConfig, pt: RatePoint, cond: ConditionalCase,
@@ -337,12 +339,7 @@ def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
     density.  Per-case results are joint probabilities unless conditioned.
     The forced single-relay case refers to relay 1.
     """
-    pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
-    rho0 = pt.rho0
-    log_t = 2.0 * _LN2 * pt.rate
-    lam_sd = cfg.lam("sd")
-    lam1 = cfg.lam("r1d")
-    lam2 = cfg.lam("r2d")
+    pt, rho0, log_t, lam_sd, lam1, lam2 = _oracle_point(cfg, r, snr)
     direct = _exp_cdf_scaled(lam_sd, rho0)
 
     def pair(density):
@@ -368,11 +365,7 @@ def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
     (multiplied by Pr[|D| = 2]).  It covers cond d2 only: ConfigError for
     any other case.
     """
-    pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
-    rho0 = pt.rho0
-    lam_sd = cfg.lam("sd")
-    lam1 = cfg.lam("r1d")
-    lam2 = cfg.lam("r2d")
+    pt, rho0, log_t, lam_sd, lam1, lam2 = _oracle_point(cfg, r, snr)
     direct = _exp_cdf_scaled(lam_sd, rho0)
 
     def pair(log_rem):
@@ -380,7 +373,7 @@ def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
                                     log_rem, rho0, _PARALLEL3_NODES)
 
     p = float(_product_pair_outage(pair, lambda y: lam2 * np.exp(-lam2 * y),
-                                   2.0 * _LN2 * pt.rate, rho0, _PARALLEL3_NODES))
+                                   log_t, rho0, _PARALLEL3_NODES))
     return _compose({D_BOTH: p}, cfg, pt, cond, conditioned)
 
 
@@ -404,14 +397,9 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     """
     if t0bw < 1.0:
         raise ConfigError("oracle needs t0*bw >= 1 (whole-period lower bound finite)")
-    pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
-    rho0 = pt.rho0
-    log_t = 2.0 * _LN2 * pt.rate
+    pt, rho0, log_t, lam_sd, lam1, lam2 = _oracle_point(cfg, r, snr)
     if log_t <= 0.0:
         return _compose({D_BOTH: 0.0}, cfg, pt, cond, conditioned)
-    lam_sd = cfg.lam("sd")
-    lam1 = cfg.lam("r1d")
-    lam2 = cfg.lam("r2d")
     u, u_w = gl_nodes(0.0, -math.expm1(-0.5 * log_t), _RTDA2_DIRECT)
     s, s_w = -2.0 * np.log1p(-u), 2.0 * u_w / (1.0 - u)  # u = 1 - e^(-s/2): s over [0, ln T]
     theta, theta_w = gl_nodes(0.0, 0.25 * math.pi, _RTDA2_SPLIT)

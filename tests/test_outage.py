@@ -858,7 +858,7 @@ def test_screened_block_counts_equal_the_unscreened_loop(scheme, kw):
     # partial block for every r, link configuration and case (natural and
     # forced), and on a full block for two curves.  Every scheme has a cut.
     corr, delays = kw.get("corr"), kw.get("delays")
-    (cut,) = mutualinfo._direct_cuts(scheme, [(1.0, 0.25)], corr, delays)
+    (cut,) = mutualinfo._direct_cuts([(1.0, 0.25)], corr, delays)
     assert 0.0 < cut < math.inf
     runs = [(cfg, r, cond, forced, (outage.BLOCK_TRIALS, 2500))
             for cfg in (NetworkConfig(), UNEQUAL_CFG) for r in (0.01, 0.25, 0.49)
@@ -889,7 +889,7 @@ def test_rows_at_the_direct_cut_are_never_below(scheme, kw):
         for r in (0.01, 0.25, 0.49):
             pt = RatePoint(10.0 ** (db / 10.0), r, UNEQUAL_CFG.sigma2_sd)
             rho0, rate = pt.rho0, pt.rate
-            (cut,) = mutualinfo._direct_cuts(scheme, [(rho0, rate)], corr, delays)
+            (cut,) = mutualinfo._direct_cuts([(rho0, rate)], corr, delays)
             assert 0.0 < cut < math.inf
             g_sd = cut * (1.0 + k * eps)
             sets = [(gsr1 >= pt.decode_threshold, gsr2 >= pt.decode_threshold)]
@@ -909,26 +909,93 @@ def test_rows_at_the_direct_cut_are_never_below(scheme, kw):
                     np.testing.assert_array_equal(below, want, err_msg=msg)
 
 
-@pytest.mark.parametrize("scheme", [SchemeId.ASTC, SchemeId.MIX_AF])
-def test_isi_cut_inverts_the_isi_rate(scheme):
-    # ASTC's and MIX_AF's cut solves esd(rho0 cut) = 2 rate + 2m: to 4 ulps of
+def test_isi_cut_inverts_the_isi_rate():
+    # the cut solves esd(rho0 cut; a1) = 2 rate + 2m: to 4 ulps of
     # max(1, 2 rate + 2m), esd's own roundoff (measured 2), at -100 to 3000 dB,
-    # r 0.01 to 0.49 and a1 in {0, +-0.3, +-0.49}; past the float range of
+    # r 0.01 to 0.49 and a1 in {0, +-0.3, +-0.49}; without a pulse it is
+    # expm1((2 rate + 2m) ln 2)/rho0 exactly; past the float range of
     # 2^(2 rate + 2m) the cut is inf, never NaN
     eps = np.finfo(float).eps
-    for a1 in (0.0, 0.3, -0.3, 0.49, -0.49):
-        corr = types.SimpleNamespace(a1=a1)  # the cut reads the pulse's a1 alone
+    for a1 in (None, 0.0, 0.3, -0.3, 0.49, -0.49):
+        corr = None if a1 is None else types.SimpleNamespace(a1=a1)  # the cut reads a1 alone
         for db in np.linspace(-100.0, 3000.0, 125):
             for r in (0.01, 0.1, 0.25, 0.4, 0.49):
                 pt = RatePoint(10.0 ** (db / 10.0), r, UNEQUAL_CFG.sigma2_sd)
-                (cut,) = mutualinfo._direct_cuts(scheme, [(pt.rho0, pt.rate)], corr, None)
-                target = 2.0 * pt.rate + 4.0 * mutualinfo._screen_slack(scheme, pt.rate, None)
+                (cut,) = mutualinfo._direct_cuts([(pt.rho0, pt.rate)], corr, None)
+                target = 2.0 * pt.rate + 4.0 * mutualinfo._screen_slack(pt.rate, None)
+                if corr is None:
+                    assert cut == math.expm1(target * _LN2) / pt.rho0, (db, r)
+                    continue
                 got = mutualinfo._esd_from_gain(np.array([cut]), a1, pt.rho0)[0]
                 assert abs(got - target) <= 4.0 * eps * max(1.0, target), (a1, db, r)
-        cuts = mutualinfo._direct_cuts(scheme, [(1e300, 511.9), (1e300, 512.0), (1.0, 0.0)],
-                                       corr, None)
+        cuts = mutualinfo._direct_cuts([(1e300, 511.9), (1e300, 512.0), (1.0, 0.0)], corr, None)
         assert cuts[0] < math.inf and cuts[1] == math.inf and cuts[2] > 0.0
         assert not any(math.isnan(c) for c in cuts)
+
+
+def _per_scheme_cut(scheme, rho0, rate, corr, delays):
+    # the cut as it was computed per scheme before the floor became one
+    # formula: the 1/t0bw margin for the delay schemes only, the ISI-rate
+    # factor for ASTC and MIX_AF only
+    slack = mutualinfo._SCREEN_SLACK * (1.0 + rate)
+    if scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION) and delays.t0bw > 0.0:
+        slack *= 1.0 + 1.0 / delays.t0bw
+    margin = 2.0 * slack
+    try:
+        y1 = math.expm1((2.0 * rate + 2.0 * margin) * _LN2)
+    except OverflowError:
+        return math.inf
+    cut = y1 / rho0
+    if scheme in (SchemeId.ASTC, SchemeId.MIX_AF):
+        a2 = 4.0 * corr.a1 * corr.a1
+        cut *= 2.0 / (1.0 + math.sqrt(1.0 - a2 + a2 / (1.0 + y1)))
+    return cut
+
+
+@pytest.mark.parametrize("scheme, kw", _cut_cases() + [
+    pytest.param(scheme, {"delays": DelayConfig.from_t0bw(2.0)}, id=f"{scheme.value}-t0bw2")
+    for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION)])
+def test_one_floor_cut_equals_the_per_scheme_cut(scheme, kw):
+    # on the inputs each scheme reads, the one-floor cut is the per-scheme
+    # cut bit for bit (every span-1 pulse has a1 = 0.0, whose ISI factor is
+    # exactly 1), at -100 to 3080 dB and r 0 to 0.4999, up to the inf past
+    # the float range
+    corr, delays = kw.get("corr"), kw.get("delays")
+    if corr is not None and corr.span == 1:
+        assert corr.a1 == 0.0
+    points = [(pt.rho0, pt.rate) for pt in (RatePoint(10.0 ** (db / 10.0), r)
+                                            for db in np.linspace(-100.0, 3080.0, 160)
+                                            for r in (0.0, 0.01, 0.25, 0.49, 0.4999))]
+    want = [_per_scheme_cut(scheme, rho0, rate, corr, delays) for rho0, rate in points]
+    assert mutualinfo._direct_cuts(points, corr, delays) == want
+
+
+@pytest.mark.parametrize("scheme, own, extra", [
+    pytest.param(SchemeId.STC_SYNC, {}, {"corr": correlations(srrc(0.5, 2, 64), 0.3)},
+                 id="STC_SYNC+srrc2"),
+    pytest.param(SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(2.5)},
+                 {"corr": correlations(srrc(0.5, 2, 64), 0.3)}, id="TDA_INDEP+srrc2"),
+    pytest.param(SchemeId.ASTC, {"corr": correlations(srrc(0.5, 2, 64), 0.3)},
+                 {"delays": DelayConfig.from_t0bw(1e-6)}, id="ASTC+t0bw1e-6"),
+    pytest.param(SchemeId.TDA_LINMOD, {"corr": correlations(rectangular(1, 64), 0.5)},
+                 {"delays": DelayConfig.from_t0bw(1e-6)}, id="TDA_LINMOD+t0bw1e-6")])
+def test_an_unread_input_loosens_the_cut_and_keeps_the_counts(scheme, own, extra):
+    # a pulse or delays the scheme does not read widen its cut (a looser
+    # floor, or a wider margin) and leave _run_block's counts as they are,
+    # for the natural and every forced decoding set
+    given = {**own, **extra}
+    points = [(pt.rho0, pt.rate) for pt in (RatePoint(s, 0.25) for s in CUT_GRID)]
+    tight = mutualinfo._direct_cuts(points, own.get("corr"), own.get("delays"))
+    loose = mutualinfo._direct_cuts(points, given.get("corr"), given.get("delays"))
+    assert all(a <= b for a, b in zip(tight, loose)) and tight != loose
+    for r in (0.01, 0.25, 0.49):
+        for cond, forced in CUT_CURVES:
+            def run(kw):
+                return outage._run_block(scheme, UNEQUAL_CFG, r, CUT_GRID, 29, cond, forced,
+                                         kw.get("corr"), kw.get("delays"),
+                                         (outage.BLOCK_TRIALS, 2500))
+            np.testing.assert_array_equal(run(given), run(own),
+                                          err_msg=f"r {r}, {cond.value}, forced {forced}")
 
 
 def test_an_overflowing_cut_keeps_every_row():
@@ -938,8 +1005,7 @@ def test_an_overflowing_cut_keeps_every_row():
     delays = DelayConfig.from_t0bw(1e-6)
     cfg = NetworkConfig(sigma2_sd=1e6)
     pt = RatePoint(1e302, 0.4999, cfg.sigma2_sd)
-    assert mutualinfo._direct_cuts(SchemeId.TDA_INDEP, [(pt.rho0, pt.rate)], None,
-                                   delays) == [math.inf]
+    assert mutualinfo._direct_cuts([(pt.rho0, pt.rate)], None, delays) == [math.inf]
     for snr in ((1e302,), (1e300, 1e302)):
         args = (SchemeId.TDA_INDEP, cfg, 0.4999, snr, 5, ConditionalCase.OVERALL, False, None,
                 delays, (0, 4096))
