@@ -909,13 +909,28 @@ def test_rows_at_the_direct_cut_are_never_below(scheme, kw):
                     np.testing.assert_array_equal(below, want, err_msg=msg)
 
 
-def test_isi_cut_inverts_the_isi_rate():
+@pytest.mark.parametrize("scheme", [SchemeId.ASTC, SchemeId.MIX_AF])
+def test_isi_cut_inverts_the_isi_rate(scheme):
     # the cut solves esd(rho0 cut; a1) = 2 rate + 2m: to 4 ulps of
     # max(1, 2 rate + 2m), esd's own roundoff (measured 2), at -100 to 3000 dB,
     # r 0.01 to 0.49 and a1 in {0, +-0.3, +-0.49}; without a pulse it is
     # expm1((2 rate + 2m) ln 2)/rho0 exactly; past the float range of
-    # 2^(2 rate + 2m) the cut is inf, never NaN
+    # 2^(2 rate + 2m) the cut is inf, never NaN.  The two schemes whose MI
+    # reads a1 reach the rate at the cut of an SRRC span-2 pulse (a1 != 0)
+    # with the relay gains 0, where their MI is the ISI floor alone
     eps = np.finfo(float).eps
+    corr = correlations(srrc(0.5, 2, 64), 0.3)
+    assert corr.a1 != 0.0
+    zero = np.zeros(1)
+    for db in np.linspace(-100.0, 300.0, 41):
+        for r in (0.01, 0.25, 0.49):
+            pt = RatePoint(10.0 ** (db / 10.0), r, UNEQUAL_CFG.sigma2_sd)
+            (cut,) = mutualinfo._direct_cuts([(pt.rho0, pt.rate)], corr, None)
+            built = LinkRecord(np.array([cut]), zero, zero, zero)
+            none = np.zeros(1, dtype=bool)
+            msg = (scheme, db, r)
+            assert record_mi(scheme, built, none, none, pt.rho0, corr=corr)[0] >= pt.rate, msg
+            assert not record_below(scheme, built, none, none, pt.rho0, pt.rate, corr=corr)[0], msg
     for a1 in (None, 0.0, 0.3, -0.3, 0.49, -0.49):
         corr = None if a1 is None else types.SimpleNamespace(a1=a1)  # the cut reads a1 alone
         for db in np.linspace(-100.0, 3000.0, 125):
