@@ -230,7 +230,8 @@ def _cmd_tradeoff(vals: dict) -> int:
         for r in sorted(g for g in grid if lo <= g <= hi):
             if low.open_right and r >= hi:
                 continue
-            rows.append([s, k, str(r), str(low.d(r)), str(high.d(r))])
+            d_low = low.d(r)
+            rows.append([s, k, str(r), str(d_low), str(d_low if high is low else high.d(r))])
 
     cross = vals["cross"].strip()
     pairs: list[tuple[str, str]] = []

@@ -409,7 +409,10 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
 
         def kernel():  # where root = 0, bc = 0 and the mean does not read psi
             psi = np.arccos(np.clip(cross / np.where(root == 0.0, 1.0, root), -1.0, 1.0))
-            return _cos_window_means(a, bc, psi, h)[0]
+            gap = (np.sqrt(g1) - np.sqrt(g2)) ** 2
+            with np.errstate(over="ignore"):  # as a: inf past the float range
+                a_minus_b = 1.0 + rho0 * ((gsd + gap) if rep else gap)
+            return _cos_window_means(a, bc, psi, h, a_minus_b=a_minus_b)[0]
 
         return (direct, kernel, lambda: _window_mean_lower(a, bc, w),
                 lambda: np.log2(a + 2.0 * rho0 * (math.sin(h) / h) * cross))
@@ -479,11 +482,14 @@ def _window_phase(psi, h: float):
     return np.exp(1j * x), two_x, _clausen2(two_x)
 
 
-def _cos_window_means(A, B, psi, h: float, phase=None):
+def _cos_window_means(A, B, psi, h: float, phase=None, a_minus_b=None):
     """Exact means of log2(A + B cos(u + psi)) and of its A-slope times ln 2,
     1 / (A + B cos(u + psi)), over u in [-h, h], for arrays with A > |B|, h > 0.
     phase is _window_phase(psi, h) at these rows, for a caller that meets few
     distinct psi; without it the rows' own psi terms are computed here.
+    a_minus_b is A - B in a form that does not cancel, for a caller that has
+    one (the delay kernel's gain form); R and the short-window centre value
+    read it in place of the float A - B.
 
     With R = sqrt(A^2 - B^2) and c = B / (A + R), |c| < 1 and
 
@@ -515,7 +521,8 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
                     - (1 - 12p) h^2/60 + (1 - 60p + 360p^2) h^4/2520)) / R.
     """
     A, B, psi = np.broadcast_arrays(A, B, psi)
-    r = np.sqrt(A - B) * np.sqrt(A + B)
+    a_minus_b = A - B if a_minus_b is None else a_minus_b
+    r = np.sqrt(a_minus_b) * np.sqrt(A + B)
     half = 0.5 * A + 0.5 * r  # (A + R)/2, finite where A + R would pass the float range
     c = 0.5 * B / half
     e_x, two_x, cl_x = _window_phase(psi, h) if phase is None else phase
@@ -530,7 +537,7 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
     with np.errstate(divide="ignore", invalid="ignore"):  # A = B to rounding: R = 0
         inv_mean = (1.0 - arg_sum / h) / r
     if h < _SHORT_WINDOW:
-        near, at_psi, q, p = _short_window(A, B, psi, c, h)
+        near, at_psi, q, p = _short_window(a_minus_b, B, psi, c, h)
         h2 = h * h
         poly = 1 / 3 - h2 * ((1 - 6 * p) / 60 - h2 * (1 - 30 * p + 120 * p * p) / 2520)
         mean = np.where(near, (np.log(at_psi) - (p * h2 * poly).real) / _LN2, mean)
@@ -547,13 +554,14 @@ def _cos_window_means(A, B, psi, h: float, phase=None):
 _SHORT_WINDOW = 5e-2
 
 
-def _short_window(A, B, psi, c, h: float):
+def _short_window(a_minus_b, B, psi, c, h: float):
     """(near, A + B cos psi, q, p) for the short-window expansions of the
-    window means: near marks the rows with h max(1, |q|) < _SHORT_WINDOW."""
+    window means, from A - B: near marks the rows with h max(1, |q|) <
+    _SHORT_WINDOW."""
     z = c * np.exp(1j * psi)
     q = z / (1.0 + z)
     near = h * np.maximum(1.0, np.abs(q)) < _SHORT_WINDOW
-    return near, (A - B) + 2.0 * B * np.cos(0.5 * psi) ** 2, q, q * (1.0 - q)
+    return near, a_minus_b + 2.0 * B * np.cos(0.5 * psi) ** 2, q, q * (1.0 - q)
 
 
 def _clausen2_coeffs(n: int):

@@ -298,6 +298,28 @@ def test_short_window_inverse_mean_matches_mpmath(t0bw):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("rho0", (1e8, 1e12, 1e16))
+def test_short_window_kernel_keeps_a_minus_b_from_the_gains(rho0):
+    # Near-opposite relay gains, r1d = 1 and r2d = -(1 - 1e-9), in a short
+    # window (t0bw 1e-6): A - B = 1 + rho0 (sqrt g1 - sqrt g2)^2 is near
+    # 1 + 1e-10, 1 + 1e-6 and 1.01, where the float A - B reads 1.0, 1.0 and
+    # 0.0.  From the gain form the MI is within 1.1e-10 bits of a 50-digit
+    # window mean (from the float A - B it was 7.2e-11, 2.9e-7 and 7.2e-3 low)
+    delays = DelayConfig.from_t0bw(1e-6)
+    r1d, r2d = np.array([1.0 + 0j]), np.array([-(1.0 - 1e-9) + 0j])
+    both = np.array([True])
+    got = float(mi_batch(SchemeId.TDA_INDEP, np.array([0j]), r1d, r2d, both, both, rho0,
+                         delays=delays)[0])
+    links = _record(np.array([0j]), r1d, r2d)
+    with mpmath.workdps(50):
+        g1, g2 = mpmath.mpf(float(links.g1[0])), mpmath.mpf(float(links.g2[0]))
+        a, b = 1 + rho0 * (g1 + g2), 2 * rho0 * mpmath.sqrt(g1 * g2)
+        h = mpmath.pi * mpmath.mpf(delays.t0bw)
+        kernel = mpmath.quad(lambda u: mpmath.log(a - b * mpmath.cos(u), 2), [-h, 0, h]) / (2 * h)
+        want = float(kernel / 2)  # (direct + kernel)/2 with no direct gain
+    assert abs(got - want) < 2e-10, (got, want)
+
+
 def test_clausen2_matches_mpmath():
     # A grid over several periods plus the points where the argument
     # reduction matters most: the zeros at multiples of pi (the slope

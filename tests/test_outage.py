@@ -232,9 +232,9 @@ def _rtda2_by_bisection(cfg, r, snr, t0bw):
 def test_rtda2_matches_exact_bisection(unit_cfg):
     # The oracle against the opposite order of integration with both
     # thresholds bisected: they differ by at most 3.8e-9.  t0bw 2.0000001 is
-    # where the whole-period closed form hands over to Newton; at -40 and
-    # -60 dB the Newton nodes reach y = 1/N near 1e9, where the stop rule's
-    # leftover step of 1e-13 (1 + y) in ln y is largest
+    # where the whole-period closed form hands over to the level rule; at
+    # -40 and -60 dB every level is below 1e-3 and takes the series of its
+    # window mean
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
     for r, db, t0bw, cfg in ((0.25, 65, 2.5, unit_cfg), (0.2, 120, 2.5, unit_cfg),
                              (0.25, 60, 1e6 + 0.5, unit_cfg),
@@ -306,21 +306,100 @@ def test_rtda2_active_set_equals_full_grid(unit_cfg, monkeypatch):
 
 def _rtda2_unfolded(cfg, r, snr, t0bw):
     # The oracle's integral on the whole split, theta on [0, pi/2]: its 16
-    # nodes and their mirrors pi/2 - theta, the threshold solved at each and
+    # nodes and their mirrors pi/2 - theta, the levels (whole periods) or the
+    # level nodes and their upper limits (fractional t0bw) taken at each, and
     # the relay-sum mass taken at each node's own split only.
+    pt = RatePoint(snr, r, cfg.sigma2_sd)
+    rho0, log_t = pt.rho0, 2.0 * math.log(2.0) * pt.rate
+    lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
+    half, half_w = gl_nodes(0.0, 0.25 * math.pi, outage._RTDA2_SPLIT)
+    theta = np.concatenate((half, 0.5 * math.pi - half))
+    sigma = np.sin(2.0 * theta)
+    if DelayConfig(t0bw).delta1 == 1.0:
+        u, u_w = gl_nodes(0.0, -math.expm1(-0.5 * log_t), outage._RTDA2_DIRECT)
+        s, s_w = (-2.0 * np.log1p(-u))[:, None], (2.0 * u_w / (1.0 - u))[:, None]
+        level = outage._rtda2_relay_level(s, sigma, t0bw, snr)
+    else:
+        s, s_w, level = outage._rtda2_level_nodes(log_t, sigma, t0bw, snr)
+    m = (4.0 ** pt.rate / rho0) * level
+    c = lam1 * np.sin(theta) ** 2 + lam2 * np.cos(theta) ** 2
+    mass = lam1 * lam2 * outage._gamma2_cdf(c * m) / (c * c)
+    dens = lam_sd * np.exp(-lam_sd * np.expm1(log_t - s) / rho0) * np.exp(log_t - s) / rho0
+    return float(np.sum(((s_w * dens * mass).mean(axis=0) * sigma)
+                        @ np.concatenate((half_w, half_w))))
+
+
+def _rtda2_s_rule(cfg, r, snr, t0bw, level=None):
+    # The oracle's former rule: the direct-gain deficit s is the outer
+    # variable, on the rule in u = 1 - e^(-s/2) over [0, 1 - T^(-1/2)], and
+    # every node solves its level, by _rtda2_relay_level's Newton method at
+    # a fractional t0bw (24 x 16 x 12 = 4608 nodes), or by level(s, sigma,
+    # t0bw, snr) when given.  Whole periods are the oracle's own arithmetic.
     pt = RatePoint(snr, r, cfg.sigma2_sd)
     rho0, log_t = pt.rho0, 2.0 * math.log(2.0) * pt.rate
     lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
     u, u_w = gl_nodes(0.0, -math.expm1(-0.5 * log_t), outage._RTDA2_DIRECT)
     s, s_w = -2.0 * np.log1p(-u), 2.0 * u_w / (1.0 - u)
-    half, half_w = gl_nodes(0.0, 0.25 * math.pi, outage._RTDA2_SPLIT)
-    theta = np.concatenate((half, 0.5 * math.pi - half))
+    theta, theta_w = gl_nodes(0.0, 0.25 * math.pi, outage._RTDA2_SPLIT)
     sigma = np.sin(2.0 * theta)
-    m = (4.0 ** pt.rate / rho0) * outage._rtda2_relay_level(s[:, None], sigma, t0bw, snr)
-    c = lam1 * np.sin(theta) ** 2 + lam2 * np.cos(theta) ** 2
-    mass = (lam1 * lam2 * outage._gamma2_cdf(c * m) / (c * c)).mean(axis=0)
+    q, p = np.sin(theta) ** 2, np.cos(theta) ** 2
+    cq, cp = lam1 * q + lam2 * p, lam1 * p + lam2 * q
+    solve = level or outage._rtda2_relay_level
+    m = (4.0 ** pt.rate / rho0) * solve(s[:, None], sigma, t0bw, snr)
+    g = outage._gamma2_cdf
+    mass = lam1 * lam2 * (g(cq * m) / (cq * cq) + g(cp * m) / (cp * cp))
     dens = lam_sd * np.exp(-lam_sd * np.expm1(log_t - s) / rho0) * np.exp(log_t - s) / rho0
-    return float(s_w @ (dens * ((mass * sigma) @ np.concatenate((half_w, half_w)))))
+    return float(s_w @ (dens * ((mass.mean(axis=0) * sigma) @ theta_w)))
+
+
+def _log1p_level(s, sigma, t0bw, snr):
+    # The level L = e^-s N with N solved by Newton's method on a 128-point
+    # Gauss-Legendre mean of log1p(N (1 + sigma cos(u + phi))) over the
+    # window: exact to rounding for the small N of low snr, where the window
+    # means' ln N + ln 2 mean cancels
+    x, w = np.polynomial.legendre.leggauss(128)
+    h = math.pi * t0bw
+    phi = (np.arange(outage._RTDA2_PHASE) + 0.5) * (math.pi / outage._RTDA2_PHASE)
+    c = 1.0 + sigma[..., None] * np.cos(h * x + phi[:, None, None, None])
+    n = np.expm1(s) / (1.0 + sigma * (math.sin(h) / h) * np.cos(phi)[:, None, None])
+    for _ in range(6):
+        nc = n[..., None] * c
+        n = n - (np.log1p(nc) @ w / 2.0 - s) / ((c / (1.0 + nc)) @ w / 2.0)
+    return np.exp(-s) * n
+
+
+def test_rtda2_level_rule_matches_the_s_rule(unit_cfg):
+    # The level rule against the s-rule it replaced, at a fractional t0bw:
+    # within 4.3e-10 relative from -60 to 3000 dB (1e-9 asserted) while the
+    # outage is a normal float, and at -100 dB, where the s-rule keeps every
+    # Jensen root.  From -90 to -70 dB the s-rule itself is off, by up to
+    # 8e-8 against _log1p_level (test_rtda2_low_snr_matches_a_log1p_level)
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    cases = [(asym if is_asym else unit_cfg, r, db, t0bw, 1e-9)
+             for is_asym, r, db, t0bw in RTDA2_FRACTIONAL_CASES]
+    cases += [(cfg, r, db, t0bw, 1e-9 if db < -90 or db > -70 else 2e-7)
+              for cfg in (unit_cfg, asym) for r in (0.1, 0.49) for t0bw in (1.0 + 1e-6, 2.5, 12.3)
+              for db in (-100, -90, -80, -70, *range(-60, 3001, 120))]
+    for cfg, r, db, t0bw, rtol in cases:
+        snr = 10.0 ** (db / 10.0)
+        got = analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=True)
+        np.testing.assert_allclose(got, _rtda2_s_rule(cfg, r, snr, t0bw), rtol=rtol,
+                                   atol=1e-300, err_msg=f"r={r} {db} dB t0bw={t0bw}")
+
+
+def test_rtda2_low_snr_matches_a_log1p_level():
+    # Below N = 1e-3 the level nodes and the upper limits take S(N)'s series:
+    # within 4.5e-16 of the s-rule on _log1p_level from -100 to -50 dB, where
+    # the s-rule on the window means is off by up to 8.3e-8
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    for r in (0.1, 0.49):
+        for t0bw in (1.0 + 1e-6, 2.5, 12.3):
+            for db in range(-100, -49, 10):
+                snr = 10.0 ** (db / 10.0)
+                got = analytic_outage_rtda2(asym, r, snr, t0bw, conditioned=True)
+                want = _rtda2_s_rule(asym, r, snr, t0bw, _log1p_level)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0,
+                                           err_msg=f"r={r} {db} dB t0bw={t0bw}")
 
 
 def test_rtda2_folded_split_matches_the_whole_rule(unit_cfg):
@@ -353,8 +432,9 @@ def test_rtda2_is_exactly_symmetric_under_a_relay_swap(t0bw):
 
 
 def test_rtda2_step_cap_reports_the_nodes_still_moving(unit_cfg, monkeypatch):
+    # Newton solves the upper limits only: one per (phase, split) line, 12 x 16
     monkeypatch.setattr(outage, "_RTDA2_NEWTON_CAP", 2)
-    with pytest.raises(NumericError, match=r"did not converge in 2 steps .*; \d+ of 4608 "
+    with pytest.raises(NumericError, match=r"did not converge in 2 steps .*; \d+ of 192 "
                                            r"nodes still moving, largest relative step \S+\)"):
         analytic_outage_rtda2(unit_cfg, 0.25, 1e6, 2.5)
 
@@ -370,11 +450,11 @@ def test_rtda2_whole_period_past_the_float_range_of_c_squared(unit_cfg):
 
 
 def test_rtda2_newton_steps_stay_well_under_the_cap(unit_cfg, monkeypatch):
-    # Window-mean evaluations per oracle call, one per Newton step.  The
-    # full sweep (-20..1000 dB every 10 dB, r 0.1 and 0.49, two configs,
-    # t0bw 1 + 1e-6, 2.5 and 12.3) takes at most 5, and so do this subset
-    # of it, the deep-analytic curve (t0bw 2.5, r 0.25, 40-80 dB) and
-    # 3000 dB
+    # Window-mean evaluations per oracle call: one per Newton step of the
+    # upper limits and one on the level nodes.  The full sweep (-20..1000 dB
+    # every 10 dB, r 0.1 and 0.49, two configs, t0bw 1 + 1e-6, 2.5 and 12.3)
+    # takes at most 6, and this subset of it, the deep-analytic curve (t0bw
+    # 2.5, r 0.25, 40-80 dB) and 3000 dB at most 5
     evals = []
     means = outage._cos_window_means
 
@@ -446,6 +526,34 @@ def test_rtda2_node_refinement(monkeypatch, t0bw, rtol):
         monkeypatch.setattr(outage, name, 2 * getattr(outage, name))
     np.testing.assert_allclose(got, values(), rtol=rtol, atol=0)
     assert all(v > 0.0 for v in got[:4] + got[5:])
+
+
+@pytest.mark.parametrize("t0bw", (2.5, 12.3))
+def test_rtda2_direct_rule_refinement(monkeypatch, t0bw):
+    # Four times the direct nodes alone moves the level rule by at most
+    # 6.6e-11 relative (the s-rule: 1.2e-10 at t0bw 2.5)
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    points = [(r, db) for r in (0.1, 0.49) for db in (-20, 60, 200, 1000, 3000)]
+
+    def values():
+        return [analytic_outage_rtda2(asym, r, 10.0 ** (db / 10.0), t0bw, conditioned=True)
+                for r, db in points]
+
+    got = values()
+    monkeypatch.setattr(outage, "_RTDA2_DIRECT", 4 * outage._RTDA2_DIRECT)
+    np.testing.assert_allclose(got, values(), rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("t0bw", (1.0 + 1e-6, 2.5))
+def test_rtda2_level_rule_at_3000_db_raises_no_float_error(unit_cfg, t0bw):
+    # At r = 0.49 and 3000 dB the levels reach N near 1e294, where
+    # (1 + N)^2 - sigma^2 N^2 would pass the float range: no float error is
+    # raised, and the value is the s-rule's
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = analytic_outage_rtda2(unit_cfg, 0.49, 1e300, t0bw, conditioned=True)
+    assert 0.0 < got < 1e-15
+    np.testing.assert_allclose(got, _rtda2_s_rule(unit_cfg, 0.49, 1e300, t0bw), rtol=1e-9,
+                               atol=0)
 
 
 # ---------------------------------------------------------------------------
