@@ -52,12 +52,12 @@ _FIT_REL_CI_MAX = 0.3   # slope_fit drops points whose interval is wider than th
 # Gauss-Legendre node counts of the oracles
 _STC_NODES = 240        # analytic_outage_stc, per product-pair integral
 _PARALLEL3_NODES = 120  # analytic_outage_parallel3, per nested level
-_RTDA2_DIRECT = 24      # analytic_outage_rtda2: direct-gain deficit, as 1 - e^(-s/2),
+_RTDA2_DIRECT = 24      # analytic_outage_rtda2: direct rule in s, as 1 - e^(-s/2),
 _RTDA2_SPLIT = 16       # split angle on [0, pi/4] (the split rule folded at q = 1/2),
 _RTDA2_PHASE = 12       # and relative relay phase, by midpoints (fractional t0*bw only)
-_RTDA2_JENSEN_KEEP = math.log(1e9)  # Jensen roots with N = 1/y below 1e-9 are kept
 
-_RTDA2_NEWTON_CAP = 50  # rtda2 step cap: 5 seen at -20..3000 dB, r 0.1-0.49, t0*bw 1+1e-6..12.3
+# rtda2 step cap: 4 steps seen at -150..3080 dB, r 0.1-0.4999, t0*bw 1+1e-6..1e6+0.5
+_RTDA2_NEWTON_CAP = 50
 # Below a level N of 1e-3 the window means' S(N) = ln N + ln 2 mean cancels; S(N) takes
 # its series in z = sigma N / (1 + N) there, whose first omitted term is under 3e-16 relative
 _RTDA2_SERIES_BELOW, _RTDA2_SERIES_TERMS = 1e-3, 5
@@ -389,51 +389,61 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     S(rho0 nu e^S / T) < S, where nu = g1 + g2 and S(N) = mean log(1 + N
     (1 + sigma cos(u + phi))) over the delay window, with sigma = 2 sqrt(q
     (1 - q)) for the split q = g1 / nu and the relay phase phi.  S(N) rises
-    with N, so that is nu < m = (T / rho0) e^-S N at the level N where
-    S(N) = S, and the relay sum's mass below m is exact: with c = lam1 q +
+    with N, so that is nu < m = (T / rho0) L at the level N where S(N) = S,
+    L = e^-S N, and the relay sum's mass below m is exact: with c = lam1 q +
     lam2 (1 - q), Pr[nu < m, q in dq] = lam1 lam2 G(c m) / c^2 dq
-    (_gamma2_cdf).  The direct gain is the outer variable, through S over
-    [0, ln T].  S(N) is the same at q and 1 - q, so the split rule, on
+    (_gamma2_cdf).  S(N) is the same at q and 1 - q, so the split rule, on
     q = sin^2(theta), is solved on theta < pi/4 and weighted by the mass at
     both splits.
 
-    Whole periods have the closed form S(N) = log((1 + N + R)/2), R^2 =
-    (1 + N)^2 - sigma^2 N^2: the rule runs over S = s by Gauss-Legendre in
-    u = 1 - e^(-s/2) on [0, 1 - T^(-1/2)], and _rtda2_relay_level gives
-    each node's level.  A fractional t0*bw adds a phase axis and integrates
-    over the level instead (_rtda2_level_nodes): each direct node maps to
-    the level whose whole-period mean is s, and the integrand takes its
-    fractional mean S(N) with the Jacobian S'(N) dN/ds.  So no node solves
-    for its level; only the upper limit of each (phase, split) line,
-    S(N_T) = ln T, is solved, by _rtda2_relay_level's Newton method
-    (NumericError if it does not converge).  Joint by default (multiplied
-    by Pr[|D| = 2]).  It covers cond d2 only: ConfigError for any other
-    case.
+    The outer variable is s, the whole-period mean at the level (S itself
+    at whole periods): _rtda2_level gives S, dS/ds and L at each node, and
+    each node is weighted by dS/ds.  Each (phase, split) line runs its
+    direct rule by Gauss-Legendre in u = 1 - e^(-s/2) on [0, 1 -
+    e^(-s_T/2)], where S(s_T) = ln T (_rtda2_upper_limits).  Joint by
+    default (multiplied by Pr[|D| = 2]).  It covers cond d2 only:
+    ConfigError for any other case.
     """
     if t0bw < 1.0:
         raise ConfigError("oracle needs t0*bw >= 1 (whole-period lower bound finite)")
     pt, rho0, log_t, lam_sd, lam1, lam2 = _oracle_point(cfg, r, snr)
     if log_t <= 0.0:
         return _compose({D_BOTH: 0.0}, cfg, pt, cond, conditioned)
+    t0bw = float(t0bw)
     theta, theta_w = gl_nodes(0.0, 0.25 * math.pi, _RTDA2_SPLIT)
     sigma = np.sin(2.0 * theta)                 # 2 sqrt(q (1 - q)), and dq = sigma dtheta
     q, p = np.sin(theta) ** 2, np.cos(theta) ** 2  # q and 1 - q
     cq, cp = lam1 * q + lam2 * p, lam1 * p + lam2 * q
-    whole = DelayConfig(t0bw).delta1 == 1.0
-    if whole:
-        u, u_w = gl_nodes(0.0, -math.expm1(-0.5 * log_t), _RTDA2_DIRECT)
-        s, s_w = -2.0 * np.log1p(-u), 2.0 * u_w / (1.0 - u)  # u = 1 - e^(-s/2): s over [0, ln T]
-        level = _rtda2_relay_level(s[:, None], sigma, float(t0bw), snr)
-    else:
-        s, s_w, level = _rtda2_level_nodes(log_t, sigma, float(t0bw), snr)
+    s_t = _rtda2_upper_limits(log_t, sigma, t0bw, snr)
+    u, u_w = (np.swapaxes(v, 1, 2) for v in gl_nodes(0.0, -np.expm1(-0.5 * s_t), _RTDA2_DIRECT))
+    s, s_w = -2.0 * np.log1p(-u), 2.0 * u_w / (1.0 - u)  # u = 1 - e^(-s/2)
+    mean, slope, level = _rtda2_level(s, sigma, t0bw)
     m = (4.0 ** pt.rate / rho0) * level
     mass = lam1 * lam2 * (_gamma2_cdf(cq * m) / (cq * cq) + _gamma2_cdf(cp * m) / (cp * cp))
-    dens = lam_sd * np.exp(-lam_sd * np.expm1(log_t - s) / rho0) * np.exp(log_t - s) / rho0
-    if whole:  # the direct factors do not depend on the split or the phase
-        p_out = float(s_w @ (dens * ((mass.mean(axis=0) * sigma) @ theta_w)))
-    else:
-        p_out = float(np.sum(((s_w * dens * mass).mean(axis=0) * sigma) @ theta_w))
+    dens = lam_sd * np.exp(-lam_sd * np.expm1(log_t - mean) / rho0) * np.exp(log_t - mean) / rho0
+    p_out = float(np.sum(((s_w * slope * dens * mass).mean(axis=0) * sigma) @ theta_w))
     return _compose({D_BOTH: p_out}, cfg, pt, cond, conditioned)
+
+
+def _rtda2_upper_limits(log_t: float, sigma, t0bw: float, snr: float):
+    """s_T with S(s_T) = ln T on each (phase, split) line, shaped (phase,
+    split, 1), by Newton's method on _rtda2_level from s = ln T, the root at
+    whole periods.  S need not be convex in s, so a line stops at its first
+    step under 1e-13 (1 + s), applied: the error left is of order that step
+    squared.  NumericError if a line has not stopped in _RTDA2_NEWTON_CAP
+    steps."""
+    s_t = np.full((1, sigma.size, 1), log_t)
+    for _ in range(_RTDA2_NEWTON_CAP):
+        mean, slope, _ = _rtda2_level(s_t, sigma[:, None], t0bw)
+        step = (log_t - mean) / slope
+        s_t = s_t + step
+        moving = ~(np.abs(step) <= 1e-13 * (1.0 + s_t))  # a NaN step keeps its line moving
+        if not moving.any():
+            return s_t
+    raise NumericError(f"rtda2 threshold: Newton did not converge in {_RTDA2_NEWTON_CAP} "
+                       f"steps (snr={snr}, t0bw={t0bw}; {np.count_nonzero(moving)} of "
+                       f"{moving.size} nodes still moving, largest relative step "
+                       f"{np.max(np.abs(step) / (1.0 + s_t)):.3g})")
 
 
 def _gamma2_cdf(u):
@@ -448,126 +458,52 @@ def _gamma2_cdf(u):
 _GAMMA2_TAYLOR = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(10))[::-1]
 
 
-def _rtda2_relay_level(s, sigma, t0bw: float, snr: float):
-    """The level L = e^-s N per node, where N solves mean log(1 + N (1 +
-    sigma cos(u + phi))) = s over |u| <= h = pi t0bw, on a leading phase axis:
-    the whole-period oracle's level at its direct nodes, and the upper limits
-    N_T = T L at s = ln T of a fractional t0*bw.
+def _rtda2_level(s, sigma, t0bw: float):
+    """(S, dS/ds, L) at the levels N whose whole-period mean is s, on the
+    (phase, direct, split) axes of s: S(N) = mean log(1 + N (1 + sigma
+    cos(u + phi))) over |u| <= h = pi t0bw and L = e^-S N.
 
-    Whole periods: the mean is log((1 + N + R)/2), R^2 = (1 + N)^2 -
-    N^2 sigma^2, so N = 2 expm1(s) / (1 + sqrt(1 + sigma^2 expm1(-s))), and
-    the phase axis has length 1.  Otherwise it holds _RTDA2_PHASE midpoints
-    on [0, pi] (the mean is even and 2 pi-periodic in phi), and Newton's
-    method runs on ln y, y = 1/N, for mean log(1 + y + sigma cos) - ln y = s.
-    That left side is decreasing and convex in y, with slope y mean 1/(1 + y
-    + sigma cos) - 1.  From Jensen's root y = (1 + sigma sinc(h) cos phi) /
-    expm1(s) the first step lands below the root and every later step
-    climbs; a node stops at its first later step that does not climb by
-    more than the residual's roundoff, which grows like eps y.  A node whose
-    Jensen root has N < 1e-9 keeps it, exact to O(N): there y times the
-    inverse mean can round to 1.  Each step runs the window means on the
-    nodes still moving only, with the phi-only terms computed once.
+    The whole-period mean is log((1 + N + R)/2), R^2 = (1 + N)^2 - sigma^2
+    N^2, so e^-s N = L~ = 2 (1 - e^-s) / (1 + sqrt(1 + sigma^2 expm1(-s))).
+    At whole periods S = s, dS/ds = 1, L = L~, and the phase axis has
+    length 1.  Otherwise the phase axis holds _RTDA2_PHASE midpoints on
+    [0, pi] (S is even and 2 pi-periodic in phi), and the levels are taken
+    as y = 1/N = e^-s / L~, as N passes the float range near 3080 dB.  The
+    window means give S = ln 2 mean - ln y, N S'(N) = 1 - y inv_mean and
+    L = 2^-mean, the means of log2(1 + y + sigma cos) and its inverse.
+    Below N = _RTDA2_SERIES_BELOW, where those cancel, S(N) = log1p(N) +
+    mean log(1 + z cos(u + phi)), z = sigma / (1 + y) < 1, by its series in
+    z, whose terms take the window means of cos^j, sums of sinc(k t0bw)
+    cos(k phi).  dS/ds = N S'(N) / (1 - 1/R), where 1 - 1/R = (1 + 2y -
+    sigma^2) / (R_y (R_y + y)), R_y = R / N.
     """
+    level = -2.0 * np.expm1(-s) / (1.0 + np.sqrt(1.0 + sigma * sigma * np.expm1(-s)))
     if DelayConfig(t0bw).delta1 == 1.0:
-        return (-2.0 * np.expm1(-s) / (1.0 + np.sqrt(1.0 + sigma * sigma * np.expm1(-s))))[None]
+        return s, 1.0, level
     h = math.pi * t0bw
     phi = (np.arange(_RTDA2_PHASE) + 0.5) * (math.pi / _RTDA2_PHASE)
-    t = np.log((1.0 + sigma * (math.sin(h) / h) * np.cos(phi)[:, None, None]) / np.expm1(s))
-    shape = t.shape
-    t = t.ravel()
-    phase = _window_phase(phi, h)
-    which = np.broadcast_to(np.arange(phi.size)[:, None, None], shape).ravel()
-    s, sigma = (np.broadcast_to(v, shape).ravel() for v in (s, sigma))
-    live = np.flatnonzero(t <= _RTDA2_JENSEN_KEEP)
-    for k in range(_RTDA2_NEWTON_CAP):
-        tl = t[live]
-        y = np.exp(tl)
-        mean, inv_mean = _cos_window_means(1.0 + y, sigma[live], phi[which[live]], h,
-                                           tuple(v[:, which[live]] for v in phase))
-        step = (mean * _LN2 - tl - s[live]) / (1.0 - y * inv_mean)
-        if k:
-            moving = ~(step <= 1e-13 * (1.0 + y))  # a NaN step keeps its node moving
-            live, tl, step = live[moving], tl[moving], step[moving]
-        if not live.size:
-            break
-        t[live] = tl + step
-    else:
-        raise NumericError(f"rtda2 threshold: Newton did not converge in {_RTDA2_NEWTON_CAP} "
-                           f"steps (snr={snr}, t0bw={t0bw}; {live.size} of {t.size} nodes "
-                           f"still moving, largest relative step {np.max(step):.3g})")
-    return np.exp(-(t + s)).reshape(shape)
-
-
-def _rtda2_level_nodes(log_t: float, sigma, t0bw: float, snr: float):
-    """(S, w, L) of the fractional-t0*bw oracle on its (phase, direct, split)
-    grid: the window mean S(N) = mean log(1 + N (1 + sigma cos(u + phi))),
-    |u| <= h = pi t0bw, at each node's level N, the node's weight in dS and
-    its level L = e^-S N.
-
-    Each (phase, split) line has its own direct rule, in u = 1 - e^(-s/2)
-    on [0, u_T].  A node maps to the level N whose whole-period mean is s,
-    N = 2 expm1(s) / (1 + sqrt(1 + sigma^2 expm1(-s))), so ds/dN = (R - 1)
-    / (N R) with R and d from _whole_period_terms, and its weight is
-    ds S'(N) dN/ds = ds S'(N) R (R + 1) / d.  u_T = 1 - e^(-s_T/2) at the
-    whole-period mean s_T of the line's upper limit N_T, S(N_T) = ln T,
-    which _rtda2_relay_level's Newton method solves on the 12 x 16 lines
-    only.  One call of the window means gives S = ln N + ln 2 mean and
-    S' = (1 - y inv_mean)/N, y = 1/N, with the means of log2(1 + y + sigma
-    cos) and its inverse; below N = _RTDA2_SERIES_BELOW, where those
-    cancel, S and S' come from _rtda2_series, and two of its Newton steps
-    refine N_T.
-    """
-    h = math.pi * t0bw
-    phi = (np.arange(_RTDA2_PHASE) + 0.5) * (math.pi / _RTDA2_PHASE)
-    # window means of cos(k (u + phi)), sinc(k t0bw) cos(k phi) (numpy's sinc
-    # is sin(pi x)/(pi x)), and of cos^j = 2^-j sum_l C(j, l) cos((j - 2l) .)
+    y = np.exp(-s) / level
+    wm, inv_mean = _cos_window_means(1.0 + y, sigma, phi[:, None, None], h,
+                                     tuple(v[..., None, None] for v in _window_phase(phi, h)))
+    # The series runs at y clipped to the threshold where the window means are
+    # taken.  Its window means of cos^j = 2^-j sum_l C(j, l) cos((j - 2l) .) come
+    # from those of cos(k (u + phi)), sinc(k t0bw) cos(k phi) (numpy's sinc is
+    # sin(pi x)/(pi x))
+    series = y > 1.0 / _RTDA2_SERIES_BELOW
+    ys = np.where(series, y, 1.0 / _RTDA2_SERIES_BELOW)
+    z = sigma / (1.0 + ys)
     k = np.arange(_RTDA2_SERIES_TERMS + 1)
     harm = (np.sinc(k * t0bw)[:, None] * np.cos(k[:, None] * phi))[:, :, None, None]
-    powers = [sum(math.comb(j, l) * harm[abs(j - 2 * l)] for l in range(j + 1)) / 2.0 ** j
-              for j in range(1, _RTDA2_SERIES_TERMS + 1)]
-    line = sigma[:, None]
-    n_t = math.exp(log_t) * _rtda2_relay_level(log_t, line, t0bw, snr)  # (phase, split, 1)
-    for _ in range(2):
-        mean, slope = _rtda2_series(n_t, line, powers)
-        n_t = np.where(n_t < _RTDA2_SERIES_BELOW, n_t - (mean - log_t) / slope, n_t)
-    r_t, d_t = _whole_period_terms(n_t, line)
-    top = -np.expm1(-0.5 * np.log1p(0.5 * n_t * (1.0 + d_t / (r_t + 1.0))))
-    u, u_w = (np.swapaxes(v, 1, 2) for v in gl_nodes(0.0, top, _RTDA2_DIRECT))
-    s, s_w = -2.0 * np.log1p(-u), 2.0 * u_w / (1.0 - u)
-    n = 2.0 * np.expm1(s) / (1.0 + np.sqrt(1.0 + sigma * sigma * np.expm1(-s)))
-    mean, slope = (_rtda2_series(n, sigma, powers) if n.min() < _RTDA2_SERIES_BELOW
-                   else (np.empty_like(n), np.empty_like(n)))
-    big = np.nonzero(n >= _RTDA2_SERIES_BELOW)
-    n_big = n[big]
-    y = 1.0 / n_big
-    wm, inv_mean = _cos_window_means(1.0 + y, sigma[big[2]], phi[big[0]], h,
-                                     tuple(v[:, big[0]] for v in _window_phase(phi, h)))
-    mean[big] = np.log(n_big) + _LN2 * wm
-    slope[big] = (1.0 - y * inv_mean) / n_big
-    r, d = _whole_period_terms(n, sigma)
-    return mean, s_w * (slope * (r + 1.0)) * (r / d), n * np.exp(-mean)
-
-
-def _whole_period_terms(n, sigma):
-    """(R, d) at level N: R = sqrt((1 + N)^2 - sigma^2 N^2) of the
-    whole-period mean log((1 + N + R)/2), formed as sqrt(1 + N (1 - sigma))
-    sqrt(1 + N (1 + sigma)) as the square passes the float range near
-    3000 dB, and d = (R^2 - 1)/N = 2 + N (1 - sigma^2), so that the mean is
-    log1p(N (1 + d / (R + 1)) / 2) without cancelling at small N."""
-    return (np.sqrt(1.0 + n * (1.0 - sigma)) * np.sqrt(1.0 + n * (1.0 + sigma)),
-            2.0 + n * ((1.0 - sigma) * (1.0 + sigma)))
-
-
-def _rtda2_series(n, sigma, powers):
-    """(S, S') at level N from S(N) = log1p(N) + mean log(1 + z cos(u + phi)),
-    z = sigma N / (1 + N) < 1, and log(1 + z c) = sum_j (-1)^(j+1) z^j c^j / j,
-    summed to j = len(powers) with the window means c_j of cos^j (powers)."""
-    z = sigma * n / (1.0 + n)
     ser = der = 0.0
-    for j in range(len(powers), 0, -1):
-        b = (-1) ** (j + 1) * powers[j - 1] / j
+    for j in range(_RTDA2_SERIES_TERMS, 0, -1):
+        b = (-1) ** (j + 1) * (sum(math.comb(j, l) * harm[abs(j - 2 * l)]
+                                   for l in range(j + 1)) / 2.0 ** j) / j
         ser, der = (ser + b) * z, der * z + j * b
-    return np.log1p(n) + ser, (1.0 + sigma / (1.0 + n) * der) / (1.0 + n)
+    mean = np.where(series, np.log1p(1.0 / ys) + ser, _LN2 * wm - np.log(y))
+    slope = np.where(series, (1.0 + ys * z * der) / (1.0 + ys), 1.0 - y * inv_mean)
+    r_y = np.sqrt(1.0 + y - sigma) * np.sqrt(1.0 + y + sigma)
+    slope = slope * (r_y * (r_y + y)) / ((1.0 - sigma) * (1.0 + sigma) + 2.0 * y)
+    return mean, slope, np.where(series, np.exp(-ser) / (1.0 + ys), np.exp2(-wm))
 
 
 def analytic_curve(oracle, snr_grid, scheme: str, r: float,

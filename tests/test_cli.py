@@ -275,14 +275,16 @@ GOLDEN_ANALYTIC_BODIES = {
     "ASTC-srrc2-d2": (("--scheme", "ASTC", "--pulse", "srrc", "--span", "2", "--tau", "0.3",
                        "--cond", "d2"),
                       "f8684413aa4dee4377ab273809c5883c337e719980c8c8289f0ac787b1444ed8"),
-    # re-pinned when the oracle's outer variable became the relay level N:
-    # all nine values moved, by 1.5e-14 (40 dB) to 6.9e-12 (80 dB) relative
+    # re-pinned when every t0bw took one rule over the level's whole-period
+    # mean: two values moved (40 and 55 dB), by 2.7e-16 relative at most
     "TDA_REPETITION-d2-t0bw2.5": (
         ("--scheme", "TDA_REPETITION", "--cond", "d2", "--t0bw", "2.5"),
-        "44b63ca2b1c8d57cda7eefa42e9646af0d684c50c13436d9e732a32673fa7dea"),
+        "68a51cd78c1901d6529679d9246c7d186f2725cadbb73f195b386a54d628c054"),
+    # re-pinned then too, as the final sums run per line: five values moved
+    # (40, 50, 60, 70 and 80 dB), by 2.7e-16 relative at most
     "TDA_REPETITION-d2-t0bw2": (
         ("--scheme", "TDA_REPETITION", "--cond", "d2", "--t0bw", "2"),
-        "7d45451a6dff5e639770352f22c2c32f8ad8d1cdbbca496d490c35649b15700f"),
+        "02ed54d9bc2f48dad2f099767b341030dabae99e6d14517f721cd965e24549a2"),
     "STC_SYNC-d1-forced": (("--scheme", "STC_SYNC", "--cond", "d1", "--force-set", "true"),
                            "a690508c227f457e586d1ef12219a2bb9fc7cd5955569071818ef2df3a113020"),
 }
@@ -354,10 +356,9 @@ def test_negative_snr_grid_needs_the_equals_form(capsys):
 def test_rtda2_extreme_snr_prints_no_warning(args):
     # At 2000-3000 dB (2T)^2, T^2 and T^(1/delta1) pass the float range and
     # T / rho0 is down to 1e-240.  At -100 dB, and at -40 dB with a weak
-    # direct link, ln T is near 5e-11, and at -150 dB near 5e-16: there the
-    # upper limits' levels are below 1e-9 and keep their Jensen roots, as a
-    # Newton step would divide by zero, and every level takes the series of
-    # its window mean.  Each runs without a warning.
+    # direct link, ln T is near 5e-11, and at -150 dB near 5e-16: there
+    # every level, the upper limits' included, takes the series of its
+    # window mean.  Each runs without a warning.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "relaylab.cli", "simulate",
                            "--mode", "analytic", "--scheme", "TDA_REPETITION", "--cond", "d2",

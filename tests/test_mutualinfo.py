@@ -394,8 +394,8 @@ def test_window_means_match_spence_and_mpmath(t0bw):
 
 @pytest.mark.parametrize("t0bw", (0.01, 1.0 + 1e-6, 2.5, 12.3, 1e6 + 0.5))
 def test_window_means_on_shared_phase_terms_are_bitwise_equal(t0bw):
-    # The rtda2 threshold computes the psi-only terms once per phase node and
-    # indexes them per row: the same float operations per row as the means'
+    # The rtda2 level rule computes the psi-only terms once per phase node and
+    # shares them across rows: the same float operations per row as the means'
     # own per-row terms, short windows (t0bw 0.01) and B = 0 rows included
     rng = np.random.default_rng(59)
     phases = rng.uniform(-math.pi, math.pi, 12)

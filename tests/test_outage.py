@@ -232,7 +232,7 @@ def _rtda2_by_bisection(cfg, r, snr, t0bw):
 def test_rtda2_matches_exact_bisection(unit_cfg):
     # The oracle against the opposite order of integration with both
     # thresholds bisected: they differ by at most 3.8e-9.  t0bw 2.0000001 is
-    # where the whole-period closed form hands over to the level rule; at
+    # where the whole-period identity hands over to the window means; at
     # -40 and -60 dB every level is below 1e-3 and takes the series of its
     # window mean
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
@@ -249,12 +249,17 @@ def test_rtda2_matches_exact_bisection(unit_cfg):
 
 
 def _rtda2_level_full_grid(s, sigma, t0bw, snr):
-    # outage._rtda2_relay_level without the active set: every Newton step
-    # evaluates the window means on the whole grid, each row's own phase terms
+    # The level L = e^-s N at a fractional t0bw, every node solving its own
+    # level by Newton's method in ln y, y = 1/N: mean log(1 + y + sigma cos)
+    # - ln y = s is decreasing and convex in ln y, so from Jensen's root every
+    # later step climbs, and a node stops at its first later step that does
+    # not climb by more than the residual's roundoff.  A Jensen root with N
+    # below 1e-9 is kept, exact to O(N).  The window means run on the whole
+    # grid at every step, each row with its own phase terms.
     h = math.pi * t0bw
     phi = ((np.arange(outage._RTDA2_PHASE) + 0.5) * (math.pi / outage._RTDA2_PHASE))[:, None, None]
     t = np.log((1.0 + sigma * (math.sin(h) / h) * np.cos(phi)) / np.expm1(s))
-    done = t > outage._RTDA2_JENSEN_KEEP
+    done = t > math.log(1e9)
     for k in range(outage._RTDA2_NEWTON_CAP):
         y = np.exp(t)
         mean, inv_mean = _cos_window_means(1.0 + y, sigma, phi, h)
@@ -270,11 +275,10 @@ def _rtda2_level_full_grid(s, sigma, t0bw, snr):
     return np.exp(-(t + s))
 
 
-def _rtda2_outcome(cfg, r, snr, t0bw, conditioned):
-    try:
-        return analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=conditioned)
-    except (NumericError, ArithmeticError) as exc:  # the two solves must fail alike
-        return type(exc)
+def _whole_period_level(s, sigma, t0bw, snr):
+    # N = 2 expm1(s) / (1 + sqrt(1 + sigma^2 expm1(-s))) inverts the
+    # whole-period mean log((1 + N + R)/2), R^2 = (1 + N)^2 - sigma^2 N^2
+    return (-2.0 * np.expm1(-s) / (1.0 + np.sqrt(1.0 + sigma * sigma * np.expm1(-s))))[None]
 
 
 # fractional t0bw from 1 + 1e-6 to 1e6 + 0.5, 0 to 3000 dB, both link configurations
@@ -285,56 +289,36 @@ RTDA2_FRACTIONAL_CASES = (
     (False, 0.4, 3000, 2.5), (True, 0.25, -100, 2.5))
 
 
-def test_rtda2_active_set_equals_full_grid(unit_cfg, monkeypatch):
-    # Same float operations per node in the same order: equal to the last bit
-    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
-    for is_asym, r, db, t0bw in RTDA2_FRACTIONAL_CASES:
-        cfg = asym if is_asym else unit_cfg
-        snr = 10.0 ** (db / 10.0)
-        got = _rtda2_outcome(cfg, r, snr, t0bw, True)
-        joint = _rtda2_outcome(cfg, r, snr, t0bw, False)
-        with monkeypatch.context() as m:
-            m.setattr(outage, "_rtda2_relay_level", _rtda2_level_full_grid)
-            want = _rtda2_outcome(cfg, r, snr, t0bw, True)
-        assert got == want, f"r={r} {db} dB t0bw={t0bw}"
-        if isinstance(want, float):
-            pt = RatePoint(snr, r, cfg.sigma2_sd)
-            assert joint == decoding_set_probs(cfg, pt)[D_BOTH] * want
-        else:
-            assert joint == want
-
-
 def _rtda2_unfolded(cfg, r, snr, t0bw):
     # The oracle's integral on the whole split, theta on [0, pi/2]: its 16
-    # nodes and their mirrors pi/2 - theta, the levels (whole periods) or the
-    # level nodes and their upper limits (fractional t0bw) taken at each, and
-    # the relay-sum mass taken at each node's own split only.
+    # nodes and their mirrors pi/2 - theta, the upper limits and the level
+    # nodes taken at each, and the relay-sum mass taken at each node's own
+    # split only.
     pt = RatePoint(snr, r, cfg.sigma2_sd)
     rho0, log_t = pt.rho0, 2.0 * math.log(2.0) * pt.rate
     lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
     half, half_w = gl_nodes(0.0, 0.25 * math.pi, outage._RTDA2_SPLIT)
     theta = np.concatenate((half, 0.5 * math.pi - half))
     sigma = np.sin(2.0 * theta)
-    if DelayConfig(t0bw).delta1 == 1.0:
-        u, u_w = gl_nodes(0.0, -math.expm1(-0.5 * log_t), outage._RTDA2_DIRECT)
-        s, s_w = (-2.0 * np.log1p(-u))[:, None], (2.0 * u_w / (1.0 - u))[:, None]
-        level = outage._rtda2_relay_level(s, sigma, t0bw, snr)
-    else:
-        s, s_w, level = outage._rtda2_level_nodes(log_t, sigma, t0bw, snr)
+    s_t = outage._rtda2_upper_limits(log_t, sigma, t0bw, snr)
+    u, u_w = (np.swapaxes(v, 1, 2)
+              for v in gl_nodes(0.0, -np.expm1(-0.5 * s_t), outage._RTDA2_DIRECT))
+    s, s_w = -2.0 * np.log1p(-u), 2.0 * u_w / (1.0 - u)
+    mean, slope, level = outage._rtda2_level(s, sigma, t0bw)
     m = (4.0 ** pt.rate / rho0) * level
     c = lam1 * np.sin(theta) ** 2 + lam2 * np.cos(theta) ** 2
     mass = lam1 * lam2 * outage._gamma2_cdf(c * m) / (c * c)
-    dens = lam_sd * np.exp(-lam_sd * np.expm1(log_t - s) / rho0) * np.exp(log_t - s) / rho0
-    return float(np.sum(((s_w * dens * mass).mean(axis=0) * sigma)
+    dens = lam_sd * np.exp(-lam_sd * np.expm1(log_t - mean) / rho0) * np.exp(log_t - mean) / rho0
+    return float(np.sum(((s_w * slope * dens * mass).mean(axis=0) * sigma)
                         @ np.concatenate((half_w, half_w))))
 
 
 def _rtda2_s_rule(cfg, r, snr, t0bw, level=None):
-    # The oracle's former rule: the direct-gain deficit s is the outer
-    # variable, on the rule in u = 1 - e^(-s/2) over [0, 1 - T^(-1/2)], and
-    # every node solves its level, by _rtda2_relay_level's Newton method at
-    # a fractional t0bw (24 x 16 x 12 = 4608 nodes), or by level(s, sigma,
-    # t0bw, snr) when given.  Whole periods are the oracle's own arithmetic.
+    # The rule on the direct-gain deficit s itself: one rule in
+    # u = 1 - e^(-s/2) over [0, 1 - T^(-1/2)] for every line, and every node
+    # solves its level S(N) = s, by the closed form at whole periods and by
+    # _rtda2_level_full_grid at a fractional t0bw (24 x 16 x 12 = 4608
+    # nodes), or by level(s, sigma, t0bw, snr) when given
     pt = RatePoint(snr, r, cfg.sigma2_sd)
     rho0, log_t = pt.rho0, 2.0 * math.log(2.0) * pt.rate
     lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
@@ -344,7 +328,8 @@ def _rtda2_s_rule(cfg, r, snr, t0bw, level=None):
     sigma = np.sin(2.0 * theta)
     q, p = np.sin(theta) ** 2, np.cos(theta) ** 2
     cq, cp = lam1 * q + lam2 * p, lam1 * p + lam2 * q
-    solve = level or outage._rtda2_relay_level
+    whole = DelayConfig(t0bw).delta1 == 1.0
+    solve = level or (_whole_period_level if whole else _rtda2_level_full_grid)
     m = (4.0 ** pt.rate / rho0) * solve(s[:, None], sigma, t0bw, snr)
     g = outage._gamma2_cdf
     mass = lam1 * lam2 * (g(cq * m) / (cq * cq) + g(cp * m) / (cp * cp))
@@ -369,12 +354,20 @@ def _log1p_level(s, sigma, t0bw, snr):
 
 
 def test_rtda2_level_rule_matches_the_s_rule(unit_cfg):
-    # The level rule against the s-rule it replaced, at a fractional t0bw:
-    # within 4.3e-10 relative from -60 to 3000 dB (1e-9 asserted) while the
-    # outage is a normal float, and at -100 dB, where the s-rule keeps every
-    # Jensen root.  From -90 to -70 dB the s-rule itself is off, by up to
-    # 8e-8 against _log1p_level (test_rtda2_low_snr_matches_a_log1p_level)
+    # The level rule against the s-rule, at a fractional t0bw: within 4.2e-10
+    # relative from -60 to 3000 dB (1e-9 asserted) while the outage is a
+    # normal float, and at -100 dB, where the s-rule keeps every Jensen root.
+    # From -90 to -70 dB the s-rule itself is off, by up to 8e-8 against
+    # _log1p_level (test_rtda2_low_snr_matches_a_log1p_level).  The joint
+    # value is Pr[|D| = 2] times the conditioned one, to the last bit
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    for is_asym, r, db, t0bw in RTDA2_FRACTIONAL_CASES:
+        cfg = asym if is_asym else unit_cfg
+        snr = 10.0 ** (db / 10.0)
+        got = analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=True)
+        pt = RatePoint(snr, r, cfg.sigma2_sd)
+        assert (analytic_outage_rtda2(cfg, r, snr, t0bw)
+                == decoding_set_probs(cfg, pt)[D_BOTH] * got), f"r={r} {db} dB t0bw={t0bw}"
     cases = [(asym if is_asym else unit_cfg, r, db, t0bw, 1e-9)
              for is_asym, r, db, t0bw in RTDA2_FRACTIONAL_CASES]
     cases += [(cfg, r, db, t0bw, 1e-9 if db < -90 or db > -70 else 2e-7)
@@ -387,9 +380,28 @@ def test_rtda2_level_rule_matches_the_s_rule(unit_cfg):
                                    atol=1e-300, err_msg=f"r={r} {db} dB t0bw={t0bw}")
 
 
+def test_rtda2_whole_periods_keep_the_s_rule_arithmetic(unit_cfg):
+    # At whole periods the level rule is the s-rule: S = s at every node, the
+    # closed-form level, and ln T, Newton's start, is each line's upper limit
+    # as it stands.  Only the order of the final sums differs: 3.8e-16
+    # relative at most from -100 to 3000 dB (1e-15 asserted)
+    asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    sigma = np.sin(2.0 * gl_nodes(0.0, 0.25 * math.pi, outage._RTDA2_SPLIT)[0])
+    for cfg in (unit_cfg, asym):
+        for r in (0.1, 0.25, 0.49):
+            for t0bw in (1.0, 2.0, 3.0):
+                for db in (-100, -60, -20, 0, 20, 60, 120, 200, 400, 1000, 2000, 3000):
+                    snr = 10.0 ** (db / 10.0)
+                    log_t = outage._oracle_point(cfg, r, snr)[2]
+                    assert np.all(outage._rtda2_upper_limits(log_t, sigma, t0bw, snr) == log_t)
+                    got = analytic_outage_rtda2(cfg, r, snr, t0bw, conditioned=True)
+                    np.testing.assert_allclose(got, _rtda2_s_rule(cfg, r, snr, t0bw), rtol=1e-15,
+                                               atol=1e-300, err_msg=f"r={r} {db} dB t0bw={t0bw}")
+
+
 def test_rtda2_low_snr_matches_a_log1p_level():
     # Below N = 1e-3 the level nodes and the upper limits take S(N)'s series:
-    # within 4.5e-16 of the s-rule on _log1p_level from -100 to -50 dB, where
+    # within 5.8e-16 of the s-rule on _log1p_level from -100 to -50 dB, where
     # the s-rule on the window means is off by up to 8.3e-8
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
     for r in (0.1, 0.49):
@@ -404,7 +416,7 @@ def test_rtda2_low_snr_matches_a_log1p_level():
 
 def test_rtda2_folded_split_matches_the_whole_rule(unit_cfg):
     # The threshold at the mirrored splits differs by rounding only (the
-    # mirrors' sin 2 theta are not exact float copies): 3.3e-16 relative at most
+    # mirrors' sin 2 theta are not exact float copies): 1.5e-16 relative at most
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
     cases = [(asym if is_asym else unit_cfg, r, db, t0bw)
              for is_asym, r, db, t0bw in RTDA2_FRACTIONAL_CASES]
@@ -451,10 +463,10 @@ def test_rtda2_whole_period_past_the_float_range_of_c_squared(unit_cfg):
 
 def test_rtda2_newton_steps_stay_well_under_the_cap(unit_cfg, monkeypatch):
     # Window-mean evaluations per oracle call: one per Newton step of the
-    # upper limits and one on the level nodes.  The full sweep (-20..1000 dB
-    # every 10 dB, r 0.1 and 0.49, two configs, t0bw 1 + 1e-6, 2.5 and 12.3)
-    # takes at most 6, and this subset of it, the deep-analytic curve (t0bw
-    # 2.5, r 0.25, 40-80 dB) and 3000 dB at most 5
+    # upper limits and one on the level nodes.  A sweep of -150..3080 dB
+    # (every 10 dB from -90 to 1000), r 0.1 to 0.4999, two configs and t0bw
+    # 1 + 1e-6 to 1e6 + 0.5 takes at most 5, as do this subset of it and the
+    # deep-analytic curve (t0bw 2.5, r 0.25, 40-80 dB)
     evals = []
     means = outage._cos_window_means
 
@@ -484,30 +496,20 @@ def test_rtda2_reaches_its_volume_limit_at_extreme_snr(unit_cfg, t0bw):
 
 
 @pytest.mark.parametrize("t0bw", (2.5, 12.3))
-def test_rtda2_relay_level_meets_the_target_at_3000_db(monkeypatch, t0bw):
+def test_rtda2_relay_level_meets_the_target_at_3000_db(t0bw):
     # At 3000 dB and r = 0.1 the outage, about rho0^-3 T^2, underflows to 0,
-    # and s runs up to ln T = 138: the level still meets the target at every
-    # node Newton moves.  The stop rule leaves a step of 1e-13 (1 + y) in
-    # ln y, and the slope is below (1 + sigma)/(1 + y + sigma), so the
-    # residual stays under 2e-13 (1e-13 measured)
-    solve = outage._rtda2_relay_level
-    residuals = []
-
-    def checked(s, sigma, t0bw_, snr):
-        level = solve(s, sigma, t0bw_, snr)
-        h = math.pi * t0bw_
-        phi = (np.arange(outage._RTDA2_PHASE) + 0.5) * (math.pi / outage._RTDA2_PHASE)
-        ln_y, sig, ph = np.broadcast_arrays(-np.log(level) - s, sigma, phi[:, None, None])
-        mean = _cos_window_means(1.0 + np.exp(ln_y), sig, ph, h)[0]
-        moved = ln_y <= outage._RTDA2_JENSEN_KEEP
-        residuals.append(np.max(np.abs(mean * math.log(2.0) - ln_y - s)[moved]))
-        return level
-
-    monkeypatch.setattr(outage, "_rtda2_relay_level", checked)
+    # and s runs up to ln T = 138: each line's upper limit still meets the
+    # target.  The last Newton step, under 1e-13 (1 + s), is applied, so the
+    # residual S(s_T) - ln T is of order that step squared plus the roundoff
+    # of S near 138, and stays under 2e-13 (0 measured)
     asym = NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0)
+    log_t = outage._oracle_point(asym, 0.1, 1e300)[2]
+    sigma = np.sin(2.0 * gl_nodes(0.0, 0.25 * math.pi, outage._RTDA2_SPLIT)[0])
     with np.errstate(divide="raise", over="raise", invalid="raise"):
+        s_t = outage._rtda2_upper_limits(log_t, sigma, t0bw, 1e300)
+        mean = outage._rtda2_level(s_t, sigma[:, None], t0bw)[0]
         p = analytic_outage_rtda2(asym, 0.1, 1e300, t0bw, conditioned=True)
-    assert p == 0.0 and residuals[0] < 2e-13
+    assert p == 0.0 and np.max(np.abs(mean - log_t)) < 2e-13
 
 
 @pytest.mark.parametrize("t0bw, rtol", [(2.0, 1e-8), (2.5, 1e-6)])
@@ -544,16 +546,20 @@ def test_rtda2_direct_rule_refinement(monkeypatch, t0bw):
     np.testing.assert_allclose(got, values(), rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("t0bw", (1.0 + 1e-6, 2.5))
+@pytest.mark.parametrize("t0bw", (1.0 + 1e-6, 2.5, 2.0, 12.3))
 def test_rtda2_level_rule_at_3000_db_raises_no_float_error(unit_cfg, t0bw):
     # At r = 0.49 and 3000 dB the levels reach N near 1e294, where
-    # (1 + N)^2 - sigma^2 N^2 would pass the float range: no float error is
-    # raised, and the value is the s-rule's
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        got = analytic_outage_rtda2(unit_cfg, 0.49, 1e300, t0bw, conditioned=True)
-    assert 0.0 < got < 1e-15
-    np.testing.assert_allclose(got, _rtda2_s_rule(unit_cfg, 0.49, 1e300, t0bw), rtol=1e-9,
-                               atol=0)
+    # (1 + N)^2 - sigma^2 N^2 would pass the float range; at r = 0.4999 and
+    # 3070-3080 dB the upper limits N_T, near T = 1e308, would pass it
+    # themselves, but the level rule forms y = 1/N, never N.  No float error
+    # is raised, and the value is the s-rule's
+    for r, db in ((0.49, 3000), (0.4999, 3070), (0.4999, 3080)):
+        snr = 10.0 ** (db / 10.0)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = analytic_outage_rtda2(unit_cfg, r, snr, t0bw, conditioned=True)
+        assert 0.0 < got < (1e-15 if r == 0.49 else 1.0)
+        np.testing.assert_allclose(got, _rtda2_s_rule(unit_cfg, r, snr, t0bw), rtol=1e-9,
+                                   atol=0, err_msg=f"r={r} {db} dB")
 
 
 # ---------------------------------------------------------------------------
