@@ -55,6 +55,8 @@ _PARALLEL3_NODES = 120  # analytic_outage_parallel3, per nested level
 _RTDA2_DIRECT = 24      # analytic_outage_rtda2: direct rule in s, as 1 - e^(-s/2),
 _RTDA2_SPLIT = 16       # split angle on [0, pi/4] (the split rule folded at q = 1/2),
 _RTDA2_PHASE = 12       # and relative relay phase, by midpoints (fractional t0*bw only)
+# Main-rule nodes an oracle call holds at once: a longer snr grid runs in chunks
+_ORACLE_NODES = 2 ** 16
 
 # rtda2 step cap: 4 steps seen at -150..3080 dB, r 0.1-0.4999, t0*bw 1+1e-6..1e6+0.5
 _RTDA2_NEWTON_CAP = 50
@@ -284,83 +286,116 @@ def two_exp_pdf(y, lam1: float, lam2: float):
     return c * (np.exp(-lam2 * y) - np.exp(-lam1 * y))
 
 
-def _exp_cdf_scaled(lam: float, rho0: float):
+def _exp_cdf_scaled(lam: float, rho0):
     """s -> Pr[1 + rho0 X < e^s] for X ~ Exp(lam)."""
     return lambda s: -np.expm1(-lam * np.maximum(np.expm1(s) / rho0, 0.0))
 
 
-def _product_pair_outage(inner_cdf, relay_density, log_t, rho0: float, nodes: int):
+def _product_pair_outage(inner_cdf, relay_density, log_t, rho0, nodes: int):
     """Pr[Z (1 + rho0 Y) < T] for Y ~ relay_density and an independent Z >= 1
-    with inner_cdf(s) = Pr[Z < e^s]; log_t = ln T may be an array.
+    with inner_cdf(s) = Pr[Z < e^s], at each ln T of log_t, an array whose
+    first axis is the snr grid's; rho0 broadcasts against log_t's axes and
+    the rule's.
 
     The rule runs over u = ln(1 + rho0 Y) on [0, ln T].  On the linear gain
     scale the integrand peaks within 1/rho0 of zero, and a Gauss-Legendre
     rule over [0, (T - 1)/rho0] misses that peak once T passes about 1e4,
-    underestimating outage.
+    underestimating outage.  Each point takes its own product with the
+    weights, the BLAS call of a grid of one, so its value does not depend
+    on the grid it is in.
     """
     log_t = np.asarray(log_t, dtype=float)[..., None]
     x, w = gl_nodes(0.0, 1.0, nodes)
     u = log_t * x
     vals = inner_cdf(log_t - u) * relay_density(np.expm1(u) / rho0) * np.exp(u) / rho0
-    return (vals @ w) * log_t[..., 0]
+    return np.array([v @ w for v in vals]) * log_t[..., 0]
 
 
 def _oracle_point(cfg: NetworkConfig, r: float, snr: float):
-    """(pt, rho0, ln T, lam_sd, lam1, lam2) of an oracle at (r, snr): the
-    rate point, its per-node snr, the log of its target T = 4^R and the
-    rates of the three destination links."""
+    """(pt, rho0, ln T) of an oracle at (r, snr): the rate point, its
+    per-node snr and the log of its target T = 4^R."""
     pt = RatePoint(float(snr), float(r), cfg.sigma2_sd)
-    return pt, pt.rho0, 2.0 * _LN2 * pt.rate, cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
+    return pt, pt.rho0, 2.0 * _LN2 * pt.rate
 
 
-def _compose(p_out, cfg: NetworkConfig, pt: RatePoint, cond: ConditionalCase,
-             conditioned: bool) -> float:
-    """One case's outage from p_out, Pr[out | D] for each decoding set D an
-    oracle covers: the forced set's value if conditioned, else the joint sum
-    of Pr[D] Pr[out | D] over the case's sets (overall: d0 + d1 + d2).
-    ConfigError for a set p_out lacks, or conditioned with the overall case.
+def _oracle_grid(p_out, chunk: int, sets, cfg: NetworkConfig, r: float, snr,
+                 cond: ConditionalCase, conditioned: bool):
+    """An oracle's outage at a scalar snr, as a float, or on a 1-D snr grid,
+    as an array: a scalar is a grid of one.
+
+    p_out(points, rho0, log_t) gives Pr[out | D] on a chunk of the grid for
+    each decoding set D in sets, one value per point; it takes the chunk's
+    _oracle_point terms, rho0 and ln T as arrays.  A chunk holds at most
+    chunk points, which an oracle sets from its main-rule nodes per point
+    and _ORACLE_NODES, so a long grid never holds every point's nodes at
+    once.  Each point's case is composed from its sets' values: the forced
+    set's value if conditioned, else the joint sum of Pr[D] Pr[out | D] over
+    the case's sets (overall: d0 + d1 + d2).  ConfigError, before any point
+    is evaluated, for a case the sets do not cover, conditioned with the
+    overall case, a grid of more than one axis or an invalid rate point.
     """
     cond = ConditionalCase(cond)
     _check_forced(cond, conditioned)
     cases = tuple(_CASE_SETS) if cond == ConditionalCase.OVERALL else (cond,)
-    if any(d not in p_out for c in cases for d in _CASE_SETS[c]):
-        covered = [c.value for c, sets in _CASE_SETS.items() if all(d in p_out for d in sets)]
+    if any(d not in sets for c in cases for d in _CASE_SETS[c]):
+        covered = [c.value for c, ds in _CASE_SETS.items() if all(d in sets for d in ds)]
         raise ConfigError(f"the analytic oracle covers cond={','.join(covered)} only")
-    if conditioned:
-        return p_out[_CASE_SETS[cond][0]]
-    probs = decoding_set_probs(cfg, pt)
-    return sum(sum(probs[d] * p_out[d] for d in _CASE_SETS[c]) for c in cases)
+    grid = np.asarray(snr, dtype=float)
+    if grid.ndim > 1:
+        raise ConfigError(f"snr must be a scalar or a 1-D grid, got shape {grid.shape}")
+    terms = [_oracle_point(cfg, r, s) for s in grid.ravel().tolist()]
+    vals = []
+    for lo in range(0, len(terms), chunk):
+        points, rho0, log_t = zip(*terms[lo:lo + chunk])
+        p = p_out(points, np.array(rho0), np.array(log_t))
+        for i, pt in enumerate(points):
+            if conditioned:
+                vals.append(float(p[_CASE_SETS[cond][0]][i]))
+                continue
+            probs = decoding_set_probs(cfg, pt)
+            vals.append(sum(sum(probs[d] * float(p[d][i]) for d in _CASE_SETS[c])
+                            for c in cases))
+    return vals[0] if grid.ndim == 0 else np.array(vals)
 
 
-def analytic_outage_stc(cfg: NetworkConfig, r: float, snr: float,
+def analytic_outage_stc(cfg: NetworkConfig, r: float, snr,
                         cond: ConditionalCase = ConditionalCase.OVERALL,
-                        conditioned: bool = False) -> float:
-    """Outage of the synchronous scheme by exact CDFs and 1-D quadrature.
+                        conditioned: bool = False):
+    """Outage of the synchronous scheme by exact CDFs and 1-D quadrature, at
+    a scalar snr (a float) or on a 1-D grid (an array), evaluated by
+    _oracle_grid in chunks of at most 273 points.
 
     The direct-only case is an exponential CDF evaluated exactly; one- and
     two-relay cases integrate the exact inner CDF against the relay-sum
     density.  Per-case results are joint probabilities unless conditioned.
     The forced single-relay case refers to relay 1.
     """
-    pt, rho0, log_t, lam_sd, lam1, lam2 = _oracle_point(cfg, r, snr)
-    direct = _exp_cdf_scaled(lam_sd, rho0)
+    lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
 
-    def pair(density):
-        return float(_product_pair_outage(direct, density, log_t, rho0, _STC_NODES))
+    def p_out(points, rho0, log_t):
+        direct = _exp_cdf_scaled(lam_sd, rho0[:, None])
 
-    p_out = {
-        D_NONE: relay_failure_prob(lam_sd, pt),  # Pr[0.5 log2(1 + rho0 g_sd) < R]: the decode rule
-        D_R1: pair(lambda y: lam1 * np.exp(-lam1 * y)),
-        D_R2: pair(lambda y: lam2 * np.exp(-lam2 * y)),
-        D_BOTH: pair(lambda y: two_exp_pdf(y, lam1, lam2)),
-    }
-    return _compose(p_out, cfg, pt, cond, conditioned)
+        def pair(density):
+            return _product_pair_outage(direct, density, log_t, rho0[:, None], _STC_NODES)
+
+        return {
+            # Pr[0.5 log2(1 + rho0 g_sd) < R]: the decode rule
+            D_NONE: [relay_failure_prob(lam_sd, pt) for pt in points],
+            D_R1: pair(lambda y: lam1 * np.exp(-lam1 * y)),
+            D_R2: pair(lambda y: lam2 * np.exp(-lam2 * y)),
+            D_BOTH: pair(lambda y: two_exp_pdf(y, lam1, lam2)),
+        }
+
+    return _oracle_grid(p_out, _ORACLE_NODES // _STC_NODES, (D_NONE, D_R1, D_R2, D_BOTH),
+                        cfg, r, snr, cond, conditioned)
 
 
-def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
+def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr,
                               conditioned: bool = False, *,
-                              cond: ConditionalCase = ConditionalCase.D2) -> float:
-    """Both-relays outage of the three-independent-path product-rate reference.
+                              cond: ConditionalCase = ConditionalCase.D2):
+    """Both-relays outage of the three-independent-path product-rate reference,
+    at a scalar snr (a float) or on a 1-D grid (an array), evaluated by
+    _oracle_grid one point at a time.
 
     Pr[(1+rho0 X)(1+rho0 Y1)(1+rho0 Y2) < (1+snr)^{2r}]: the slope reference
     for ISI-aware space-time decoding with both relays on (pulse-shape
@@ -368,22 +403,31 @@ def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr: float,
     (multiplied by Pr[|D| = 2]).  It covers cond d2 only: ConfigError for
     any other case.
     """
-    pt, rho0, log_t, lam_sd, lam1, lam2 = _oracle_point(cfg, r, snr)
-    direct = _exp_cdf_scaled(lam_sd, rho0)
+    lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
 
-    def pair(log_rem):
-        return _product_pair_outage(direct, lambda y: lam1 * np.exp(-lam1 * y),
-                                    log_rem, rho0, _PARALLEL3_NODES)
+    def p_out(points, rho0, log_t):
+        direct = _exp_cdf_scaled(lam_sd, rho0[:, None, None])
 
-    p = float(_product_pair_outage(pair, lambda y: lam2 * np.exp(-lam2 * y),
-                                   log_t, rho0, _PARALLEL3_NODES))
-    return _compose({D_BOTH: p}, cfg, pt, cond, conditioned)
+        def pair(log_rem):
+            return _product_pair_outage(direct, lambda y: lam1 * np.exp(-lam1 * y),
+                                        log_rem, rho0[:, None, None], _PARALLEL3_NODES)
+
+        return {D_BOTH: _product_pair_outage(pair, lambda y: lam2 * np.exp(-lam2 * y),
+                                             log_t, rho0[:, None], _PARALLEL3_NODES)}
+
+    # One point per chunk: a point's 120 x 120 nodes fill numpy's loops
+    # already, and a wider chunk only takes its temporaries past glibc's mmap
+    # threshold, where the process page-faults on them afresh at each call
+    return _oracle_grid(p_out, 1, (D_BOTH,), cfg, r, snr, cond, conditioned)
 
 
-def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
+def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr, t0bw: float,
                           conditioned: bool = False, *,
-                          cond: ConditionalCase = ConditionalCase.D2) -> float:
-    """Both-relays outage of the repetition delay-diversity scheme.
+                          cond: ConditionalCase = ConditionalCase.D2):
+    """Both-relays outage of the repetition delay-diversity scheme, at a
+    scalar snr (a float) or on a 1-D grid (an array), evaluated by
+    _oracle_grid in chunks of at most 14 points at a fractional t0bw
+    (12 x 24 x 16 nodes each) and 170 at whole periods (24 x 16).
 
     With 1 + rho0 g_sd = T e^-S (T = 4^R) the rate misses the target iff
     S(rho0 nu e^S / T) < S, where nu = g1 + g2 and S(N) = mean log(1 + N
@@ -400,59 +444,94 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr: float, t0bw: float,
     at whole periods): _rtda2_level gives S, dS/ds and L at each node, and
     each node is weighted by dS/ds.  Each (phase, split) line runs its
     direct rule by Gauss-Legendre in u = 1 - e^(-s/2) on [0, 1 -
-    e^(-s_T/2)], where S(s_T) = ln T (_rtda2_upper_limits).  Joint by
-    default (multiplied by Pr[|D| = 2]).  It covers cond d2 only:
-    ConfigError for any other case.
+    e^(-s_T/2)], where S(s_T) = ln T (_rtda2_upper_limits).  A chunk takes
+    one Newton solve for every point's upper limits and one _rtda2_level
+    call on every point's nodes.  Joint by default (multiplied by Pr[|D| =
+    2]).  It covers cond d2 only: ConfigError for any other case.
     """
     if t0bw < 1.0:
         raise ConfigError("oracle needs t0*bw >= 1 (whole-period lower bound finite)")
-    pt, rho0, log_t, lam_sd, lam1, lam2 = _oracle_point(cfg, r, snr)
-    if log_t <= 0.0:
-        return _compose({D_BOTH: 0.0}, cfg, pt, cond, conditioned)
     t0bw = float(t0bw)
+    phases = 1 if DelayConfig(t0bw).delta1 == 1.0 else _RTDA2_PHASE
+    return _oracle_grid(functools.partial(_rtda2_chunk, cfg, t0bw),
+                        _ORACLE_NODES // (phases * _RTDA2_DIRECT * _RTDA2_SPLIT), (D_BOTH,),
+                        cfg, r, snr, cond, conditioned)
+
+
+def _rtda2_chunk(cfg: NetworkConfig, t0bw: float, points, rho0, log_t):
+    """analytic_outage_rtda2's Pr[out | D2] on a chunk of rate points, whose
+    nodes carry a leading point axis.  A point with ln T <= 0 (r = 0, or 1 +
+    snr sigma2_sd = 1 in floats) is never in outage."""
+    lam_sd, lam1, lam2 = cfg.lam("sd"), cfg.lam("r1d"), cfg.lam("r2d")
+    p = np.zeros(len(points))
+    live = np.flatnonzero(log_t > 0.0)
+    if not live.size:
+        return {D_BOTH: p}
     theta, theta_w = gl_nodes(0.0, 0.25 * math.pi, _RTDA2_SPLIT)
     sigma = np.sin(2.0 * theta)                 # 2 sqrt(q (1 - q)), and dq = sigma dtheta
-    q, p = np.sin(theta) ** 2, np.cos(theta) ** 2  # q and 1 - q
-    cq, cp = lam1 * q + lam2 * p, lam1 * p + lam2 * q
-    s_t = _rtda2_upper_limits(log_t, sigma, t0bw, snr)
-    u, u_w = (np.swapaxes(v, 1, 2) for v in gl_nodes(0.0, -np.expm1(-0.5 * s_t), _RTDA2_DIRECT))
+    q, pq = np.sin(theta) ** 2, np.cos(theta) ** 2  # q and 1 - q
+    cq, cp = lam1 * q + lam2 * pq, lam1 * pq + lam2 * q
+    pts = [points[i] for i in live]
+    s_t = _rtda2_upper_limits(log_t[live], sigma, t0bw, [pt.snr for pt in pts])
+    u, u_w = (np.swapaxes(v, 2, 3) for v in gl_nodes(0.0, -np.expm1(-0.5 * s_t), _RTDA2_DIRECT))
     s, s_w = -2.0 * np.log1p(-u), 2.0 * u_w / (1.0 - u)  # u = 1 - e^(-s/2)
     mean, slope, level = _rtda2_level(s, sigma, t0bw)
-    m = (4.0 ** pt.rate / rho0) * level
+    m = np.array([4.0 ** pt.rate / pt.rho0 for pt in pts])[:, None, None, None] * level
     mass = lam1 * lam2 * (_gamma2_cdf(cq * m) / (cq * cq) + _gamma2_cdf(cp * m) / (cp * cp))
+    log_t, rho0 = log_t[live, None, None, None], rho0[live, None, None, None]
     dens = lam_sd * np.exp(-lam_sd * np.expm1(log_t - mean) / rho0) * np.exp(log_t - mean) / rho0
-    p_out = float(np.sum(((s_w * slope * dens * mass).mean(axis=0) * sigma) @ theta_w))
-    return _compose({D_BOTH: p_out}, cfg, pt, cond, conditioned)
+    # Each point's (direct, split) sums go to BLAS in the memory order a grid
+    # of one gives them: the window means' C order at a fractional t0bw, and
+    # the direct rule's, split-major, at whole periods
+    order = "F" if DelayConfig(t0bw).delta1 == 1.0 else "C"
+    p[live] = [np.sum(np.asarray(fi.mean(axis=0) * sigma, order=order) @ theta_w)
+               for fi in s_w * slope * dens * mass]
+    return {D_BOTH: p}
 
 
-def _rtda2_upper_limits(log_t: float, sigma, t0bw: float, snr: float):
-    """s_T with S(s_T) = ln T on each (phase, split) line, shaped (phase,
-    split, 1), by Newton's method on _rtda2_level from s = ln T, the root at
-    whole periods.  S need not be convex in s, so a line stops at its first
-    step under 1e-13 (1 + s), applied: the error left is of order that step
-    squared.  NumericError if a line has not stopped in _RTDA2_NEWTON_CAP
-    steps."""
-    s_t = np.full((1, sigma.size, 1), log_t)
+def _rtda2_upper_limits(log_t, sigma, t0bw: float, snr):
+    """s_T with S(s_T) = ln T on each (phase, split) line of each point,
+    shaped (point, phase, split, 1) for a 1-D log_t and snr and (phase,
+    split, 1) for scalars, by Newton's method on _rtda2_level from s = ln T,
+    the root at whole periods, where it is returned as it stands.  S need not be convex in s, so a line stops
+    at its first step under 1e-13 (1 + s), applied: the error left is of
+    order that step squared.  One solve runs every point's lines; a point's
+    lines all step until none of them moves and then freeze, so a point
+    takes the iterates of a grid of one.  NumericError, for the first point
+    still moving, if a line has not stopped in _RTDA2_NEWTON_CAP steps."""
+    whole = DelayConfig(t0bw).delta1 == 1.0
+    target = np.atleast_1d(log_t)[:, None, None, None]
+    s_t = np.full((target.shape[0], 1 if whole else _RTDA2_PHASE, sigma.size, 1), target)
+    if whole:
+        return s_t.reshape(np.shape(log_t) + s_t.shape[1:])
+    live = np.arange(target.shape[0])
+    s = s_t  # the lines of the points still moving
     for _ in range(_RTDA2_NEWTON_CAP):
-        mean, slope, _ = _rtda2_level(s_t, sigma[:, None], t0bw)
-        step = (log_t - mean) / slope
-        s_t = s_t + step
-        moving = ~(np.abs(step) <= 1e-13 * (1.0 + s_t))  # a NaN step keeps its line moving
-        if not moving.any():
-            return s_t
+        mean, slope, _ = _rtda2_level(s, sigma[:, None], t0bw)
+        step = (target - mean) / slope
+        s += step
+        s_t[live] = s
+        moving = ~(np.abs(step) <= 1e-13 * (1.0 + s))  # a NaN step keeps its line moving
+        still = moving.reshape(live.size, -1).any(axis=1)
+        if not still.any():
+            return s_t.reshape(np.shape(log_t) + s_t.shape[1:])
+        live, s, target, step, moving = (v[still] for v in (live, s, target, step, moving))
     raise NumericError(f"rtda2 threshold: Newton did not converge in {_RTDA2_NEWTON_CAP} "
-                       f"steps (snr={snr}, t0bw={t0bw}; {np.count_nonzero(moving)} of "
-                       f"{moving.size} nodes still moving, largest relative step "
-                       f"{np.max(np.abs(step) / (1.0 + s_t)):.3g})")
+                       f"steps (snr={float(np.atleast_1d(snr)[live[0]])}, t0bw={t0bw}; "
+                       f"{np.count_nonzero(moving[0])} of {moving[0].size} nodes still moving, "
+                       f"largest relative step {np.max(np.abs(step[0]) / (1.0 + s[0])):.3g})")
 
 
 def _gamma2_cdf(u):
     """G(u) = Pr[E1 + E2 < u] = 1 - e^-u (1 + u) for unit exponentials; below
     u = 0.1, where that cancels, u^2 times its Taylor series
-    sum_k (k + 1) (-u)^k / (k + 2)!."""
+    sum_k (k + 1) (-u)^k / (k + 2)!, taken at those nodes only."""
+    g = -np.expm1(-u) - u * np.exp(-u)
     small = u < 0.1
-    us = np.where(small, u, 0.0)
-    return np.where(small, us * us * np.polyval(_GAMMA2_TAYLOR, us), -np.expm1(-u) - u * np.exp(-u))
+    if small.any():
+        us = u[small]
+        g[small] = us * us * np.polyval(_GAMMA2_TAYLOR, us)
+    return g
 
 
 _GAMMA2_TAYLOR = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(10))[::-1]
@@ -460,8 +539,9 @@ _GAMMA2_TAYLOR = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in rang
 
 def _rtda2_level(s, sigma, t0bw: float):
     """(S, dS/ds, L) at the levels N whose whole-period mean is s, on the
-    (phase, direct, split) axes of s: S(N) = mean log(1 + N (1 + sigma
-    cos(u + phi))) over |u| <= h = pi t0bw and L = e^-S N.
+    (phase, direct, split) axes of s, behind a grid axis if s has one:
+    S(N) = mean log(1 + N (1 + sigma cos(u + phi))) over |u| <= h = pi t0bw
+    and L = e^-S N.
 
     The whole-period mean is log((1 + N + R)/2), R^2 = (1 + N)^2 - sigma^2
     N^2, so e^-s N = L~ = 2 (1 - e^-s) / (1 + sqrt(1 + sigma^2 expm1(-s))).
@@ -474,8 +554,9 @@ def _rtda2_level(s, sigma, t0bw: float):
     Below N = _RTDA2_SERIES_BELOW, where those cancel, S(N) = log1p(N) +
     mean log(1 + z cos(u + phi)), z = sigma / (1 + y) < 1, by its series in
     z, whose terms take the window means of cos^j, sums of sinc(k t0bw)
-    cos(k phi).  dS/ds = N S'(N) / (1 - 1/R), where 1 - 1/R = (1 + 2y -
-    sigma^2) / (R_y (R_y + y)), R_y = R / N.
+    cos(k phi); the series runs at those levels only.  dS/ds = N S'(N) /
+    (1 - 1/R), where 1 - 1/R = (1 + 2y - sigma^2) / (R_y (R_y + y)), R_y =
+    R / N.
     """
     level = -2.0 * np.expm1(-s) / (1.0 + np.sqrt(1.0 + sigma * sigma * np.expm1(-s)))
     if DelayConfig(t0bw).delta1 == 1.0:
@@ -483,35 +564,40 @@ def _rtda2_level(s, sigma, t0bw: float):
     h = math.pi * t0bw
     phi = (np.arange(_RTDA2_PHASE) + 0.5) * (math.pi / _RTDA2_PHASE)
     y = np.exp(-s) / level
-    wm, inv_mean = _cos_window_means(1.0 + y, sigma, phi[:, None, None], h,
-                                     tuple(v[..., None, None] for v in _window_phase(phi, h)))
-    # The series runs at y clipped to the threshold where the window means are
-    # taken.  Its window means of cos^j = 2^-j sum_l C(j, l) cos((j - 2l) .) come
-    # from those of cos(k (u + phi)), sinc(k t0bw) cos(k phi) (numpy's sinc is
-    # sin(pi x)/(pi x))
+    grid_axes = (1,) * (np.ndim(s) - 3)
+    wm, inv_mean = _cos_window_means(1.0 + y, sigma, phi[:, None, None], h, tuple(
+        v.reshape(2, *grid_axes, -1, 1, 1) for v in _window_phase(phi, h)))
+    mean, slope, level = _LN2 * wm - np.log(y), 1.0 - y * inv_mean, np.exp2(-wm)
     series = y > 1.0 / _RTDA2_SERIES_BELOW
-    ys = np.where(series, y, 1.0 / _RTDA2_SERIES_BELOW)
-    z = sigma / (1.0 + ys)
-    k = np.arange(_RTDA2_SERIES_TERMS + 1)
-    harm = (np.sinc(k * t0bw)[:, None] * np.cos(k[:, None] * phi))[:, :, None, None]
-    ser = der = 0.0
-    for j in range(_RTDA2_SERIES_TERMS, 0, -1):
-        b = (-1) ** (j + 1) * (sum(math.comb(j, l) * harm[abs(j - 2 * l)]
-                                   for l in range(j + 1)) / 2.0 ** j) / j
-        ser, der = (ser + b) * z, der * z + j * b
-    mean = np.where(series, np.log1p(1.0 / ys) + ser, _LN2 * wm - np.log(y))
-    slope = np.where(series, (1.0 + ys * z * der) / (1.0 + ys), 1.0 - y * inv_mean)
+    if series.any():
+        # The series' window means of cos^j = 2^-j sum_l C(j, l) cos((j - 2l) .)
+        # come from those of cos(k (u + phi)), sinc(k t0bw) cos(k phi) (numpy's
+        # sinc is sin(pi x)/(pi x))
+        ys = y[series]
+        z = np.broadcast_to(sigma, y.shape)[series] / (1.0 + ys)
+        k = np.arange(_RTDA2_SERIES_TERMS + 1)
+        harm = (np.sinc(k * t0bw)[:, None] * np.cos(k[:, None] * phi))[:, :, None, None]
+        ser = der = 0.0
+        for j in range(_RTDA2_SERIES_TERMS, 0, -1):
+            b = (-1) ** (j + 1) * (sum(math.comb(j, l) * harm[abs(j - 2 * l)]
+                                       for l in range(j + 1)) / 2.0 ** j) / j
+            b = np.broadcast_to(b, y.shape)[series]
+            ser, der = (ser + b) * z, der * z + j * b
+        mean[series] = np.log1p(1.0 / ys) + ser
+        slope[series] = (1.0 + ys * z * der) / (1.0 + ys)
+        level[series] = np.exp(-ser) / (1.0 + ys)
     r_y = np.sqrt(1.0 + y - sigma) * np.sqrt(1.0 + y + sigma)
     slope = slope * (r_y * (r_y + y)) / ((1.0 - sigma) * (1.0 + sigma) + 2.0 * y)
-    return mean, slope, np.where(series, np.exp(-ser) / (1.0 + ys), np.exp2(-wm))
+    return mean, slope, level
 
 
 def analytic_curve(oracle, snr_grid, scheme: str, r: float,
                    cond: ConditionalCase, conditioned: bool = False) -> OutageCurve:
-    """Wrap a pointwise oracle (snr -> probability) as an OutageCurve over a
-    grid checked as mc_outage checks it."""
+    """Wrap a grid oracle as an OutageCurve over a grid checked as mc_outage
+    checks it.  The oracle takes the whole grid as one 1-D array and returns
+    one probability per point, as the analytic_outage_* oracles do."""
     snr = _check_grid(snr_grid)
-    vals = tuple(float(oracle(s)) for s in snr)
+    vals = tuple(float(v) for v in oracle(np.array(snr)))
     return OutageCurve(scheme, float(r), ConditionalCase(cond), bool(conditioned),
                        snr, vals, vals, vals, 0, tuple(v == 0.0 for v in vals))
 

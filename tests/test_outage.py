@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import types
 
 import mpmath
@@ -560,6 +561,115 @@ def test_rtda2_level_rule_at_3000_db_raises_no_float_error(unit_cfg, t0bw):
         assert 0.0 < got < (1e-15 if r == 0.49 else 1.0)
         np.testing.assert_allclose(got, _rtda2_s_rule(unit_cfg, r, snr, t0bw), rtol=1e-9,
                                    atol=0, err_msg=f"r={r} {db} dB")
+
+
+# ---------------------------------------------------------------------------
+# Oracles on an snr grid
+
+# -150 to 3080 dB every 95 dB: 35 points from where ln T is of order 1e-16
+# to where the rtda2 upper limits pass 1e307 at r = 0.4999
+GRID_SNR = 10.0 ** (np.arange(-150.0, 3081.0, 95.0) / 10.0)
+GRID_CFGS = (NetworkConfig(1.0, 0.8, 1.3, 0.6, 2.0), NetworkConfig(0.5, 1.0, 2.0, 3.0, 4.0))
+GRID_R = (0.1, 0.25, 0.49, 0.4999)
+
+
+def _relay_swap(cfg):
+    return NetworkConfig(cfg.sigma2_sd, cfg.sigma2_sr2, cfg.sigma2_sr1, cfg.sigma2_r2d,
+                         cfg.sigma2_r1d)
+
+
+def _rtda2_nodes(t0bw):
+    phases = 1 if DelayConfig(t0bw).delta1 == 1.0 else outage._RTDA2_PHASE
+    return phases * outage._RTDA2_DIRECT * outage._RTDA2_SPLIT
+
+
+# (id, main-rule nodes per point, conditioned values, exact under a relay swap,
+#  oracle(cfg, r, snr, conditioned))
+GRID_ORACLES = [
+    *((f"stc-{c.value}", outage._STC_NODES, (False,) if c == ConditionalCase.OVERALL else
+       (False, True), False,
+       lambda cfg, r, s, forced, c=c: analytic_outage_stc(cfg, r, s, c, forced))
+      for c in ConditionalCase),
+    ("parallel3", outage._PARALLEL3_NODES ** 2, (False, True), False,
+     lambda cfg, r, s, forced: analytic_outage_parallel3(cfg, r, s, forced)),
+    *((f"rtda2-{t0bw!r}", _rtda2_nodes(t0bw), (False, True), True,
+       lambda cfg, r, s, forced, t0bw=t0bw: analytic_outage_rtda2(cfg, r, s, t0bw, forced))
+      for t0bw in (1.0, 1.0 + 1e-6, 2.0, 2.5, 3.0, 3.7, 12.3)),
+]
+
+
+@pytest.mark.parametrize("nodes, conditioned, swap_exact, oracle",
+                         [case[1:] for case in GRID_ORACLES], ids=[c[0] for c in GRID_ORACLES])
+def test_grid_oracle_equals_its_scalar_calls_bit_for_bit(monkeypatch, nodes, conditioned,
+                                                         swap_exact, oracle):
+    # A chunk holds ten points (parallel3 one), so the grid spans four
+    # chunks and its last holds five (numpy lays out the rtda2 level arrays
+    # differently from eight points up).  Values are compared with ==,
+    # joint and conditioned in turn over r.  The relay swap of an oracle
+    # exact under it (rtda2) must equal the unswapped grid; any other
+    # oracle's swap is one more configuration
+    monkeypatch.setattr(outage, "_ORACLE_NODES", 10 * nodes)
+    for cfg in GRID_CFGS:
+        for i, r in enumerate(GRID_R):
+            forced = conditioned[i % len(conditioned)]
+            for c in (cfg,) if swap_exact else (cfg, _relay_swap(cfg)):
+                got = oracle(c, r, GRID_SNR, forced)
+                assert type(got) is np.ndarray and got.shape == GRID_SNR.shape
+                want = [oracle(c, r, float(s), forced) for s in GRID_SNR]
+                assert all(type(v) is float for v in want)
+                assert got.tolist() == want, (c, r, forced)
+                assert oracle(c, r, GRID_SNR[-1:], forced).tolist() == want[-1:]
+            if swap_exact:
+                swapped = oracle(_relay_swap(cfg), r, GRID_SNR, forced)
+                assert swapped.tolist() == want, (cfg, r, forced)
+
+
+def test_analytic_curve_calls_its_oracle_once_per_grid(unit_cfg):
+    calls = []
+
+    def oracle(s):
+        calls.append(s)
+        return analytic_outage_stc(unit_cfg, 0.25, s)
+
+    curve = analytic_curve(oracle, SNR_GRID, "STC_SYNC", 0.25, ConditionalCase.OVERALL)
+    assert len(calls) == 1 and calls[0].tolist() == list(SNR_GRID)
+    assert curve.outage == tuple(analytic_outage_stc(unit_cfg, 0.25, s) for s in SNR_GRID)
+
+
+def test_grid_oracle_refusals(unit_cfg):
+    with pytest.raises(ConfigError, match="scalar or a 1-D grid"):
+        analytic_outage_stc(unit_cfg, 0.25, np.ones((2, 2)))
+    with pytest.raises(ConfigError, match="snr must be positive"):
+        analytic_outage_rtda2(unit_cfg, 0.25, np.array([10.0, -1.0]), 2.5)
+    assert analytic_outage_parallel3(unit_cfg, 0.25, np.array([])).shape == (0,)
+
+
+def test_rtda2_step_cap_names_the_first_point_still_moving(unit_cfg, monkeypatch):
+    # -150 and -100 dB stop within two steps; 60 dB is the first point still
+    # moving, and the grid reports it as its scalar call does
+    monkeypatch.setattr(outage, "_RTDA2_NEWTON_CAP", 2)
+    snr = 10.0 ** (np.array([-150.0, -100.0, 60.0, 80.0]) / 10.0)
+    with pytest.raises(NumericError) as scalar:
+        analytic_outage_rtda2(unit_cfg, 0.25, 1e6, 2.5)
+    with pytest.raises(NumericError, match=r"\(snr=1000000.0, t0bw=2.5; \d+ of 192 nodes") as grid:
+        analytic_outage_rtda2(unit_cfg, 0.25, snr, 2.5)
+    assert str(grid.value) == str(scalar.value)
+    analytic_outage_rtda2(unit_cfg, 0.25, snr[:2], 2.5)
+
+
+def test_rtda2_grid_memory_is_bounded_by_its_chunk(unit_cfg):
+    # 324 fractional points, 14 to a chunk: about 1.4 MB traced per point of
+    # a chunk (19 MB), where one call on every point would peak near 440 MB
+    snr = 10.0 ** (np.arange(-150.0, 3081.0, 10.0) / 10.0)
+    per_chunk = outage._ORACLE_NODES // _rtda2_nodes(2.5)
+    assert len(snr) > 20 * per_chunk
+    tracemalloc.start()
+    try:
+        analytic_outage_rtda2(unit_cfg, 0.25, snr, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6 * per_chunk, peak
 
 
 # ---------------------------------------------------------------------------
