@@ -326,9 +326,9 @@ def _oracle_grid(p_out, chunk: int, sets, cfg: NetworkConfig, r: float, snr,
     p_out(points, rho0, log_t) gives Pr[out | D] on a chunk of the grid for
     each decoding set D in sets, one value per point; it takes the chunk's
     _oracle_point terms, rho0 and ln T as arrays.  A chunk holds at most
-    chunk points, which an oracle sets from its main-rule nodes per point
+    chunk points: STC and rtda2 set it from their main-rule nodes per point
     and _ORACLE_NODES, so a long grid never holds every point's nodes at
-    once.  Each point's case is composed from its sets' values: the forced
+    once, and parallel3 sets it to 1.  Each point's case is composed from its sets' values: the forced
     set's value if conditioned, else the joint sum of Pr[D] Pr[out | D] over
     the case's sets (overall: d0 + d1 + d2).  ConfigError, before any point
     is evaluated, for a case the sets do not cover, conditioned with the
@@ -395,7 +395,7 @@ def analytic_outage_parallel3(cfg: NetworkConfig, r: float, snr,
                               cond: ConditionalCase = ConditionalCase.D2):
     """Both-relays outage of the three-independent-path product-rate reference,
     at a scalar snr (a float) or on a 1-D grid (an array), evaluated by
-    _oracle_grid one point at a time.
+    _oracle_grid one point at a time: _ORACLE_NODES does not apply to it.
 
     Pr[(1+rho0 X)(1+rho0 Y1)(1+rho0 Y2) < (1+snr)^{2r}]: the slope reference
     for ISI-aware space-time decoding with both relays on (pulse-shape
@@ -452,10 +452,15 @@ def analytic_outage_rtda2(cfg: NetworkConfig, r: float, snr, t0bw: float,
     if t0bw < 1.0:
         raise ConfigError("oracle needs t0*bw >= 1 (whole-period lower bound finite)")
     t0bw = float(t0bw)
-    phases = 1 if DelayConfig(t0bw).delta1 == 1.0 else _RTDA2_PHASE
     return _oracle_grid(functools.partial(_rtda2_chunk, cfg, t0bw),
-                        _ORACLE_NODES // (phases * _RTDA2_DIRECT * _RTDA2_SPLIT), (D_BOTH,),
-                        cfg, r, snr, cond, conditioned)
+                        _ORACLE_NODES // (_rtda2_phases(t0bw) * _RTDA2_DIRECT * _RTDA2_SPLIT),
+                        (D_BOTH,), cfg, r, snr, cond, conditioned)
+
+
+def _rtda2_phases(t0bw: float) -> int:
+    """Length of the rtda2 phase axis: 1 at whole periods, where S does not
+    depend on the relay phase, else _RTDA2_PHASE."""
+    return 1 if DelayConfig(t0bw).delta1 == 1.0 else _RTDA2_PHASE
 
 
 def _rtda2_chunk(cfg: NetworkConfig, t0bw: float, points, rho0, log_t):
@@ -483,7 +488,7 @@ def _rtda2_chunk(cfg: NetworkConfig, t0bw: float, points, rho0, log_t):
     # Each point's (direct, split) sums go to BLAS in the memory order a grid
     # of one gives them: the window means' C order at a fractional t0bw, and
     # the direct rule's, split-major, at whole periods
-    order = "F" if DelayConfig(t0bw).delta1 == 1.0 else "C"
+    order = "F" if _rtda2_phases(t0bw) == 1 else "C"
     p[live] = [np.sum(np.asarray(fi.mean(axis=0) * sigma, order=order) @ theta_w)
                for fi in s_w * slope * dens * mass]
     return {D_BOTH: p}
@@ -493,17 +498,14 @@ def _rtda2_upper_limits(log_t, sigma, t0bw: float, snr):
     """s_T with S(s_T) = ln T on each (phase, split) line of each point,
     shaped (point, phase, split, 1) for a 1-D log_t and snr and (phase,
     split, 1) for scalars, by Newton's method on _rtda2_level from s = ln T,
-    the root at whole periods, where it is returned as it stands.  S need not be convex in s, so a line stops
-    at its first step under 1e-13 (1 + s), applied: the error left is of
-    order that step squared.  One solve runs every point's lines; a point's
-    lines all step until none of them moves and then freeze, so a point
-    takes the iterates of a grid of one.  NumericError, for the first point
-    still moving, if a line has not stopped in _RTDA2_NEWTON_CAP steps."""
-    whole = DelayConfig(t0bw).delta1 == 1.0
+    the root at whole periods.  S need not be convex in s, so a line stops at
+    its first step under 1e-13 (1 + s), applied: the error left is of order
+    that step squared.  One solve runs every point's lines; a point's lines
+    all step until none of them moves and then freeze, so a point takes the
+    iterates of a grid of one.  NumericError, for the first point still
+    moving, if a line has not stopped in _RTDA2_NEWTON_CAP steps."""
     target = np.atleast_1d(log_t)[:, None, None, None]
-    s_t = np.full((target.shape[0], 1 if whole else _RTDA2_PHASE, sigma.size, 1), target)
-    if whole:
-        return s_t.reshape(np.shape(log_t) + s_t.shape[1:])
+    s_t = np.full((target.shape[0], _rtda2_phases(t0bw), sigma.size, 1), target)
     live = np.arange(target.shape[0])
     s = s_t  # the lines of the points still moving
     for _ in range(_RTDA2_NEWTON_CAP):
@@ -559,7 +561,7 @@ def _rtda2_level(s, sigma, t0bw: float):
     R / N.
     """
     level = -2.0 * np.expm1(-s) / (1.0 + np.sqrt(1.0 + sigma * sigma * np.expm1(-s)))
-    if DelayConfig(t0bw).delta1 == 1.0:
+    if _rtda2_phases(t0bw) == 1:
         return s, 1.0, level
     h = math.pi * t0bw
     phi = (np.arange(_RTDA2_PHASE) + 0.5) * (math.pi / _RTDA2_PHASE)

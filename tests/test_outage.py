@@ -329,7 +329,7 @@ def _rtda2_s_rule(cfg, r, snr, t0bw, level=None):
     sigma = np.sin(2.0 * theta)
     q, p = np.sin(theta) ** 2, np.cos(theta) ** 2
     cq, cp = lam1 * q + lam2 * p, lam1 * p + lam2 * q
-    whole = DelayConfig(t0bw).delta1 == 1.0
+    whole = outage._rtda2_phases(t0bw) == 1
     solve = level or (_whole_period_level if whole else _rtda2_level_full_grid)
     m = (4.0 ** pt.rate / rho0) * solve(s[:, None], sigma, t0bw, snr)
     g = outage._gamma2_cdf
@@ -579,18 +579,18 @@ def _relay_swap(cfg):
 
 
 def _rtda2_nodes(t0bw):
-    phases = 1 if DelayConfig(t0bw).delta1 == 1.0 else outage._RTDA2_PHASE
-    return phases * outage._RTDA2_DIRECT * outage._RTDA2_SPLIT
+    return outage._rtda2_phases(t0bw) * outage._RTDA2_DIRECT * outage._RTDA2_SPLIT
 
 
-# (id, main-rule nodes per point, conditioned values, exact under a relay swap,
+# (id, main-rule nodes per point, or None for parallel3, which runs point by
+#  point whatever the budget, conditioned values, exact under a relay swap,
 #  oracle(cfg, r, snr, conditioned))
 GRID_ORACLES = [
     *((f"stc-{c.value}", outage._STC_NODES, (False,) if c == ConditionalCase.OVERALL else
        (False, True), False,
        lambda cfg, r, s, forced, c=c: analytic_outage_stc(cfg, r, s, c, forced))
       for c in ConditionalCase),
-    ("parallel3", outage._PARALLEL3_NODES ** 2, (False, True), False,
+    ("parallel3", None, (False, True), False,
      lambda cfg, r, s, forced: analytic_outage_parallel3(cfg, r, s, forced)),
     *((f"rtda2-{t0bw!r}", _rtda2_nodes(t0bw), (False, True), True,
        lambda cfg, r, s, forced, t0bw=t0bw: analytic_outage_rtda2(cfg, r, s, t0bw, forced))
@@ -602,13 +602,14 @@ GRID_ORACLES = [
                          [case[1:] for case in GRID_ORACLES], ids=[c[0] for c in GRID_ORACLES])
 def test_grid_oracle_equals_its_scalar_calls_bit_for_bit(monkeypatch, nodes, conditioned,
                                                          swap_exact, oracle):
-    # A chunk holds ten points (parallel3 one), so the grid spans four
-    # chunks and its last holds five (numpy lays out the rtda2 level arrays
-    # differently from eight points up).  Values are compared with ==,
-    # joint and conditioned in turn over r.  The relay swap of an oracle
+    # A chunk holds ten points (parallel3 one, unpatched), so the grid spans
+    # four chunks and its last holds five (numpy lays out the rtda2 level
+    # arrays differently from eight points up).  Values are compared with
+    # ==, joint and conditioned in turn over r.  The relay swap of an oracle
     # exact under it (rtda2) must equal the unswapped grid; any other
     # oracle's swap is one more configuration
-    monkeypatch.setattr(outage, "_ORACLE_NODES", 10 * nodes)
+    if nodes is not None:
+        monkeypatch.setattr(outage, "_ORACLE_NODES", 10 * nodes)
     for cfg in GRID_CFGS:
         for i, r in enumerate(GRID_R):
             forced = conditioned[i % len(conditioned)]
