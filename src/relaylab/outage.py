@@ -597,7 +597,8 @@ def analytic_curve(oracle, snr_grid, scheme: str, r: float,
                    cond: ConditionalCase, conditioned: bool = False) -> OutageCurve:
     """Wrap a grid oracle as an OutageCurve over a grid checked as mc_outage
     checks it.  The oracle takes the whole grid as one 1-D array and returns
-    one probability per point, as the analytic_outage_* oracles do."""
+    one probability per point, as the analytic_outage_* oracles do (STC and
+    rtda2 in chunks bounded by _ORACLE_NODES, parallel3 point by point)."""
     snr = _check_grid(snr_grid)
     vals = tuple(float(v) for v in oracle(np.array(snr)))
     return OutageCurve(scheme, float(r), ConditionalCase(cond), bool(conditioned),
