@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from relaylab.outage import write_csv
-from relaylab.tradeoff import SCHEMES, band, crossings
+from relaylab.tradeoff import SCHEMES, band, crossings, table
 
 
 def main():
@@ -22,13 +22,16 @@ def main():
     ap.add_argument("--plot", default="", help="optional PNG path")
     args = ap.parse_args()
 
+    if args.points < 1:
+        ap.error("--points must be positive")
+
     rows = []
     for scheme in SCHEMES:
         low, high = band(scheme, 2, args.delta1)
         lo, hi = low.domain
-        for i in range(args.points):
-            r = lo + (hi - lo) * Fraction(i, args.points)
-            rows.append((scheme, float(r), float(low.d(r)), float(high.d(r))))
+        for r, d_low, d_high in table(low, high, (hi - lo) / args.points, args.points,
+                                      breakpoints=False):
+            rows.append((scheme, r[0] / r[1], d_low[0] / d_low[1], d_high[0] / d_high[1]))
 
     write_csv(args.out or sys.stdout, "tradeoff_figure-v1", vars(args),
               ("scheme", "r", "d_low", "d_high"), rows)

@@ -6,7 +6,8 @@ configuration as commented key=value lines at the top of its CSV output, and
 prints nothing nondeterministic.  dB-to-linear conversion happens here and
 nowhere deeper.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure, 1 when the
+reader of stdout closes it early (`relaylab tradeoff | head -5`), quietly.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +30,7 @@ from .mutualinfo import (_CORR_SCHEMES, _DELAY_SCHEMES, DelayConfig, SchemeId, _
 from .outage import (ConditionalCase, analytic_outage_curve, mc_outage, slope_fit,
                      write_csv, write_outage_csv)
 from .toeplitz import build_taps, convergence_study
-from .tradeoff import band, crossings
+from .tradeoff import band, crossings, fraction_text, table
 from .waveform import certify_pd, correlations, load_waveform, rectangular, srrc
 
 
@@ -225,13 +227,7 @@ def _cmd_tradeoff(vals: dict) -> int:
                               f"whose default list needs k=2") from None
         lo, hi = low.domain
         n = int(_grid_span(lo, hi, step, f"r_step {vals['r_step']}")) + 1
-        grid = {lo + step * i for i in range(n)}
-        grid |= set(low.breakpoints) | set(high.breakpoints)
-        for r in sorted(g for g in grid if lo <= g <= hi):
-            if low.open_right and r >= hi:
-                continue
-            d_low = low.d(r)
-            rows.append([s, k, str(r), str(d_low), str(d_low if high is low else high.d(r))])
+        rows += ([s, k, *map(fraction_text, row)] for row in table(low, high, step, n))
 
     cross = vals["cross"].strip()
     pairs: list[tuple[str, str]] = []
@@ -483,7 +479,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        rc = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send the rest of stdout, and the flush at exit,
+        # to devnull and exit 1, as the Python docs' note on SIGPIPE does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(rc)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
-"""Diversity-multiplexing tradeoff curves with exact rational arithmetic.
+"""Diversity-multiplexing tradeoff curves with exact rational values.
 
 Each curve is a piecewise ratio of affine functions of the multiplexing gain
-r, held as Fractions so breakpoints, evaluations at rational r, and curve
-crossings are exact.  Two-phase schemes live on [0, 1/2); the full-duplex
-reference protocols (naf, ddf) extend to [0, 1].
+r with integer coefficients.  Tables and crossings are computed in Python
+integers over one common denominator, so breakpoints, values at rational r
+and curve crossings are exact; a Fraction is built only where a caller
+receives one.  Two-phase schemes live on [0, 1/2); the full-duplex reference
+protocols (naf, ddf) extend to [0, 1].
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,17 +37,29 @@ def _coerce(r):
 
 @dataclass(frozen=True)
 class Piece:
-    """d(r) = (p0 + p1 r) / (q0 + q1 r) on [lo, hi]."""
+    """d(r) = (a0 + a1 r) / (b0 + b1 r) on [lo, hi], with integer a and b.
+
+    s is the coefficients' common denominator: a float r meets each of them
+    as the float a_i/s or b_i/s, so it rounds as the coefficient itself does.
+    """
 
     lo: Fraction
     hi: Fraction
-    p0: Fraction
-    p1: Fraction
-    q0: Fraction = _F(1)
-    q1: Fraction = _F(0)
+    a0: int
+    a1: int
+    b0: int = 1
+    b1: int = 0
+    s: int = 1
 
-    def at(self, r):
-        return (self.p0 + self.p1 * r) / (self.q0 + self.q1 * r)
+    def at(self, n: int, m: int) -> tuple[int, int]:
+        """d at r = n/m (m > 0), as a _lowest pair."""
+        return _lowest(self.a0 * m + self.a1 * n, self.b0 * m + self.b1 * n)
+
+
+def _lowest(n: int, m: int) -> tuple[int, int]:
+    """n/m (m != 0) as a pair in lowest terms with a positive denominator."""
+    g = math.gcd(n, m)
+    return (n // g, m // g) if m > 0 else (-n // g, -m // g)
 
 
 @dataclass(frozen=True)
@@ -60,26 +75,40 @@ class TradeoffCurve:
     def domain(self) -> tuple[Fraction, Fraction]:
         return self.pieces[0].lo, self.pieces[-1].hi
 
-    @property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        pts = {self.pieces[0].lo}
-        for p in self.pieces:
-            pts.add(p.hi)
-        return tuple(sorted(pts))
-
     def d(self, r):
-        """Diversity order at multiplexing gain r (exact for rational r)."""
+        """Diversity order at multiplexing gain r: a Fraction for rational r,
+        a float for float r."""
         rv = _coerce(r)
         lo, hi = self.domain
         if rv < lo or rv > hi or (self.open_right and rv >= hi):
             end = ")" if self.open_right else "]"
             raise ConfigError(
                 f"r={r!r} outside the domain [{lo}, {hi}{end} of scheme {self.scheme}")
-        return next(p.at(rv) for p in self.pieces if rv <= p.hi)
+        n, m = rv.as_integer_ratio()
+        p = _piece(self, n, m)
+        if isinstance(rv, float):
+            s = p.s
+            return (p.a0 / s + p.a1 / s * rv) / (p.b0 / s + p.b1 / s * rv)
+        return _F(*p.at(n, m))
 
 
-def _lin(lo, hi, c0, c1) -> Piece:
-    return Piece(_F(lo), _F(hi), _F(c0), _F(c1))
+def _ends(c: TradeoffCurve) -> tuple[Fraction, ...]:
+    """c's breakpoints, left to right: its left end, then each piece's right end."""
+    return (c.pieces[0].lo, *(p.hi for p in c.pieces))
+
+
+def _piece(c: TradeoffCurve, n: int, m: int) -> Piece:
+    """The first piece of c whose right end is at or past r = n/m (m > 0)."""
+    return next(p for p in c.pieces if n * p.hi.denominator <= p.hi.numerator * m)
+
+
+def _scaled(q: Fraction, den: int) -> int:
+    """q * den, for den a multiple of q's denominator."""
+    return q.numerator * (den // q.denominator)
+
+
+def _lin(lo, hi, *coefficients) -> Piece:
+    return Piece(_F(lo), _F(hi), *coefficients)
 
 
 def curve(scheme: str, k: int = 2) -> TradeoffCurve:
@@ -108,8 +137,8 @@ def curve(scheme: str, k: int = 2) -> TradeoffCurve:
         third = _F(1, k + 1)
         return TradeoffCurve(scheme, k, (
             _lin(0, third, k + 1, -(k + 1)),
-            Piece(third, _F(1, 2), _F(1 + k), _F(-(1 + 2 * k)), _F(1), _F(-1)),
-            Piece(_F(1, 2), _F(1), _F(1), _F(-1), _F(0), _F(1)),
+            _lin(third, _F(1, 2), 1 + k, -(1 + 2 * k), 1, -1),
+            _lin(_F(1, 2), 1, 1, -1, 0, 1),
         ), False)
     if scheme == "maf":
         if k == 1:
@@ -136,7 +165,8 @@ def rtda_band(k: int = 2, delta1=_F(1)) -> tuple[TradeoffCurve, TradeoffCurve]:
     d1 = _F(delta1)
     if not 0 < d1 <= 1:
         raise ConfigError(f"delta1 must lie in (0, 1], got {delta1!r}")
-    lower = TradeoffCurve("rtda", k, (_lin(0, _F(1, 2), 3, _F(-6, 1) / d1),), True)
+    n, m = d1.numerator, d1.denominator  # 3 - 6r/delta1 = (3n - 6m r)/n
+    lower = TradeoffCurve("rtda", k, (_lin(0, _F(1, 2), 3 * n, -6 * m, n, 0, n),), True)
     upper = TradeoffCurve("rtda", k, (_lin(0, _F(1, 2), 3, -6),), True)
     return lower, upper
 
@@ -148,6 +178,44 @@ def band(scheme: str, k: int = 2, delta1=_F(1)) -> tuple[TradeoffCurve, Tradeoff
         return rtda_band(k, delta1)
     c = curve(scheme, k)
     return c, c
+
+
+def fraction_text(q: tuple[int, int]) -> str:
+    """str(Fraction(n, m)) of a pair (n, m) in lowest terms with m > 0."""
+    n, m = q
+    return str(n) if m == 1 else f"{n}/{m}"
+
+
+def _values(c: TradeoffCurve, xs: list[int], den: int) -> list[tuple[int, int]]:
+    """Piece.at pairs of c at r = x/den for each x of the ascending xs."""
+    out: list[tuple[int, int]] = []
+    for p in c.pieces:  # each piece takes the xs left up to its right end
+        end = bisect.bisect_right(xs, _scaled(p.hi, den), len(out))
+        out += [p.at(x, den) for x in xs[len(out):end]]
+    return out
+
+
+def table(low: TradeoffCurve, high: TradeoffCurve, step: Fraction, n: int,
+          breakpoints: bool = True) -> list[tuple[tuple[int, int], ...]]:
+    """Rows (r, d_low, d_high) of the band (low, high) at r = lo + i*step
+    for i < n and, with breakpoints, at both curves' breakpoints; r ascends
+    within the domain, without an open right end.
+
+    Each value is a _lowest pair: fraction_text prints it as str(Fraction)
+    does, and n/m is float(Fraction).  With r = x/D over one common
+    denominator D, a piece's value is (a0 D + a1 x)/(b0 D + b1 x).
+    """
+    lo, hi = low.domain
+    ends = _ends(low) + _ends(high)
+    den = math.lcm(step.denominator, *(q.denominator for q in ends))
+    x0, top, dx = _scaled(lo, den), _scaled(hi, den), _scaled(step, den)
+    xs = set(range(x0, x0 + n * dx, dx))
+    if breakpoints:
+        xs.update(_scaled(q, den) for q in ends)
+    xs = sorted(x for x in xs if x < top or (x == top and not low.open_right))
+    d_low = _values(low, xs, den)
+    d_high = d_low if high is low else _values(high, xs, den)
+    return list(zip([_lowest(x, den) for x in xs], d_low, d_high))
 
 
 @dataclass(frozen=True)
@@ -165,55 +233,33 @@ class CrossingReport:
     coincident: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _piece_at(c: TradeoffCurve, r: Fraction) -> Piece:  # r in c's domain
-    return next(p for p in c.pieces if p.lo <= r <= p.hi)
-
-
-def _exact_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    pn, pd = x.numerator, x.denominator
-    rn, rd = math.isqrt(pn), math.isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return _F(rn, rd)
-    return None
-
-
 def crossings(scheme_a: str, scheme_b: str, k: int = 2) -> CrossingReport:
     """All equality points of two curves over their common domain.
 
-    Equality on a segment reduces to a quadratic with Fraction coefficients;
+    Equality on a segment reduces to a quadratic with integer coefficients;
     rational roots are reported exactly, irrational ones as floats flagged
     exact=False.  Segments where the curves agree identically are reported
-    as coincident spans instead of points.
+    as coincident spans instead of points.  Until the report is built, each
+    cut is an integer over one common denominator and each root a _lowest
+    pair.
     """
     ca = curve(scheme_a, k)
     cb = curve(scheme_b, k)
-    lo = max(ca.domain[0], cb.domain[0])
-    hi = min(ca.domain[1], cb.domain[1])
-    open_right = (ca.open_right and hi == ca.domain[1]) or \
-                 (cb.open_right and hi == cb.domain[1])
-    cuts = sorted({p for p in ca.breakpoints + cb.breakpoints if lo <= p <= hi}
-                  | {lo, hi})
-    points: list[CrossPoint] = []
-    spans: list[tuple[Fraction, Fraction]] = []
-
-    def admit(rv, exact: bool):  # rv in [lo, hi]; span points go after the loop
-        if open_right and rv >= hi:
-            return
-        for p in points:
-            if p.r == rv:
-                return
-        da = _piece_at(ca, rv).at(rv) if exact else ca.d(float(rv))
-        points.append(CrossPoint(rv, da, exact))
+    ends = _ends(ca) + _ends(cb)
+    den = math.lcm(*(q.denominator for q in ends))
+    (alo, ahi), (blo, bhi) = ((_scaled(q, den) for q in c.domain) for c in (ca, cb))
+    lo, hi = max(alo, blo), min(ahi, bhi)
+    open_right = (ca.open_right and hi == ahi) or (cb.open_right and hi == bhi)
+    # lo and hi are ends of one curve or the other
+    cuts = sorted({x for x in (_scaled(q, den) for q in ends) if lo <= x <= hi})
+    found: dict[tuple[int, int], bool] = {}  # root (n, m) -> exact
+    spans: list[tuple[int, int]] = []
 
     for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = (a + b) / 2
-        pa = _piece_at(ca, mid)
-        pb = _piece_at(cb, mid)
-        A = pa.p1 * pb.q1 - pb.p1 * pa.q1
-        B = pa.p0 * pb.q1 + pa.p1 * pb.q0 - pb.p0 * pa.q1 - pb.p1 * pa.q0
-        C = pa.p0 * pb.q0 - pb.p0 * pa.q0
+        pa, pb = _piece(ca, b, den), _piece(cb, b, den)
+        A = pa.a1 * pb.b1 - pb.a1 * pa.b1
+        B = pa.a0 * pb.b1 + pa.a1 * pb.b0 - pb.a0 * pa.b1 - pb.a1 * pa.b0
+        C = pa.a0 * pb.b0 - pb.a0 * pa.b0
         if A == 0 and B == 0:
             if C == 0:
                 if spans and spans[-1][1] == a:
@@ -221,26 +267,29 @@ def crossings(scheme_a: str, scheme_b: str, k: int = 2) -> CrossingReport:
                 else:
                     spans.append((a, b))
             continue
-        roots: list[tuple[object, bool]] = []
         if A == 0:
-            roots.append((-C / B, True))
+            roots = [(*_lowest(-C, B), True)]
+        elif (disc := B * B - 4 * A * C) < 0:
+            roots = []
+        elif (sq := math.isqrt(disc)) ** 2 == disc:  # a double root is admitted once
+            roots = [(*_lowest(-B + sq, 2 * A), True), (*_lowest(-B - sq, 2 * A), True)]
         else:
-            disc = B * B - 4 * A * C
-            if disc >= 0:
-                sq = _exact_sqrt(disc)
-                if sq is None:
-                    fs = math.sqrt(float(disc))
-                    roots.append(((-float(B) + fs) / (2.0 * float(A)), False))
-                    roots.append(((-float(B) - fs) / (2.0 * float(A)), False))
-                else:
-                    roots.append(((-B + sq) / (2 * A), True))
-                    if sq != 0:
-                        roots.append(((-B - sq) / (2 * A), True))
-        for rv, exact in roots:
-            if a <= rv <= b:
-                admit(rv, exact)
+            fs = math.sqrt(float(disc))
+            roots = [(*rv.as_integer_ratio(), False)
+                     for rv in ((-float(B) + fs) / (2.0 * float(A)),
+                                (-float(B) - fs) / (2.0 * float(A)))]
+        for n, m, exact in roots:
+            if (a * m <= n * den <= b * m and (n, m) not in found
+                    and not (open_right and n * den >= hi * m)):
+                found[n, m] = exact
 
-    points = [p for p in points
-              if not any(a <= p.r <= b for a, b in spans)]
-    points.sort(key=lambda p: float(p.r))
-    return CrossingReport(scheme_a, scheme_b, tuple(points), tuple(spans))
+    points = []
+    for (n, m), exact in sorted(found.items(), key=lambda q: q[0][0] / q[0][1]):
+        if any(a * m <= n * den <= b * m for a, b in spans):
+            continue
+        if exact:
+            points.append(CrossPoint(_F(n, m), _F(*_piece(ca, n, m).at(n, m)), True))
+        else:
+            points.append(CrossPoint(n / m, ca.d(n / m), False))
+    return CrossingReport(scheme_a, scheme_b, tuple(points),
+                          tuple((_F(a, den), _F(b, den)) for a, b in spans))

@@ -107,6 +107,24 @@ def test_tradeoff_rejects_bad_scheme(capsys):
     assert "config error" in err
 
 
+def test_entry_exits_quietly_when_stdout_closes_early():
+    # `relaylab tradeoff --r-step 1/5000 | head -5`: the reader closes the pipe
+    # with most of the output unwritten, which the entry point meets as
+    # BrokenPipeError; it exits 1 with nothing on stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relaylab.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", "import relaylab.cli as c; c.entry()",
+                             "tradeoff", "--k", "2", "--r-step", "1/5000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = [proc.stdout.readline() for _ in range(5)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head[0] == b"# schema=tradeoff-v1\n"
+    assert "Traceback" not in err
+    assert err == ""
+
+
 @pytest.mark.parametrize("pair", ["stc", "stc:zzz", "stc:rtda"])
 def test_tradeoff_bad_cross_pair_writes_nothing(capsys, tmp_path, pair):
     rc, out, err = run(capsys, "tradeoff", "--cross", pair)

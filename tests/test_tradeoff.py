@@ -1,11 +1,13 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relaylab import tradeoff
 from relaylab.errors import ConfigError
-from relaylab.tradeoff import (SCHEMES, CrossPoint, TradeoffCurve, band,
-                               crossings, curve, rtda_band)
+from relaylab.tradeoff import (SCHEMES, CrossPoint, Piece, TradeoffCurve, band,
+                               crossings, curve, fraction_text, rtda_band, table)
 
 
 def test_equal_family_curves():
@@ -158,3 +160,182 @@ def test_rtda_band_ordering(num, d_num):
     low, high = rtda_band(2, delta1)
     r = F(num, 200)  # inside [0, 1/2)
     assert low.d(r) <= high.d(r)
+
+
+# ---------------------------------------------------------------------------
+# the integer tables and crossings against Fraction arithmetic
+
+
+def _bands():
+    """(scheme, k, delta1) of every band with k in {1, 2, 3}; delta1 varies
+    for rtda, the only scheme that reads it."""
+    out = []
+    for k in (1, 2, 3):
+        for scheme in SCHEMES:
+            for delta1 in ((F(1), F(3, 4), F(2, 3), F(5, 7)) if scheme == "rtda" else (F(1),)):
+                try:
+                    band(scheme, k, delta1)
+                except ConfigError:
+                    continue
+                out.append((scheme, k, delta1))
+    return out
+
+
+def _fraction_at(c, r):
+    """c at rational r in Fractions: the first piece whose right end is at or
+    past r, (p0 + p1 r) / (q0 + q1 r) with each coefficient a Fraction."""
+    p = next(p for p in c.pieces if r <= p.hi)
+    p0, p1, q0, q1 = (F(v, p.s) for v in (p.a0, p.a1, p.b0, p.b1))
+    return (p0 + p1 * r) / (q0 + q1 * r)
+
+
+def _fraction_rows(low, high, grid):
+    return [(r, _fraction_at(low, r), _fraction_at(high, r)) for r in grid]
+
+
+def test_bands_cover_every_scheme_and_k():
+    assert len(_bands()) == 6 + (7 + 4) + 5
+
+
+@pytest.mark.parametrize("step", [F(1, 50), F(1, 20), F(1, 7), F(3, 100), F(1, 997)],
+                         ids=str)
+def test_table_equals_the_fraction_evaluation(step):
+    for scheme, k, delta1 in _bands():
+        low, high = band(scheme, k, delta1)
+        lo, hi = low.domain
+        n = int((hi - lo) / step) + 1
+        grid = {lo + step * i for i in range(n)}
+        for c in (low, high):
+            grid |= {c.pieces[0].lo, *(p.hi for p in c.pieces)}
+        want = _fraction_rows(low, high, sorted(
+            r for r in grid if lo <= r <= hi and not (low.open_right and r == hi)))
+        rows = table(low, high, step, n)
+        assert [tuple(F(*q) for q in row) for row in rows] == want, (scheme, k, delta1)
+        # the pairs are in lowest terms: they print as the Fractions do
+        assert [fraction_text(q) for row in rows for q in row] == \
+            [str(v) for row in want for v in row]
+
+
+@pytest.mark.parametrize("points", [1, 3, 200])
+def test_table_without_breakpoints_samples_the_figure_grid(points):
+    # scripts/tradeoff_figure.py: lo + i (hi - lo)/points for i < points, nothing else
+    for scheme, k, delta1 in _bands():
+        low, high = band(scheme, k, delta1)
+        lo, hi = low.domain
+        step = (hi - lo) / points
+        rows = table(low, high, step, points, breakpoints=False)
+        want = _fraction_rows(low, high, [lo + step * i for i in range(points)])
+        assert [tuple(F(*q) for q in row) for row in rows] == want
+
+
+# sha256 of repr() of the (k, scheme, str(delta1), r, d) list built below,
+# recorded while pieces held Fraction coefficients: a float r meets each
+# coefficient rounded once, as it did then
+GOLDEN_D_AT_FLOAT = "73664fb566e6cdbe77fd02a4e0ab0595083dde2ec1789e6769c94dc842309b9a"
+
+
+def test_d_at_float_r_is_unchanged():
+    rs = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 1 / 6, 1 / 3, 0.3, 0.35, 0.4, 0.45, 0.4999,
+          0.123456789, 0.5, 0.6, 0.7, 0.75, 0.9, 1.0]
+    vals = []
+    for scheme, k, delta1 in _bands():
+        for c in band(scheme, k, delta1):
+            for r in rs:
+                try:
+                    v = c.d(r)
+                except ConfigError:
+                    v = None
+                assert v is None or type(v) is float
+                vals.append((k, scheme, str(delta1), r, v))
+    assert hashlib.sha256(repr(vals).encode()).hexdigest() == GOLDEN_D_AT_FLOAT
+    lower = band("rtda", 2, F(5, 7))[0]
+    assert [lower.d(r) for r in (0.1, 1 / 3, 0.4999)] == [2.16, 0.20000000000000018, -1.19916]
+    assert [curve("ddf", 2).d(r) for r in (0.4, 0.45, 0.7)] == \
+        [1.6666666666666667, 1.3636363636363635, 0.42857142857142866]
+
+
+# every pair's report at k = 1, 2, 3 as the Fraction implementation gave it:
+# (points as (r, d, exact), coincident spans)
+CROSSINGS = {
+    (1, "stc", "tda"): ((), ((F(0), F(1, 2)),)),
+    (1, "stc", "astc"): ((), ((F(0), F(1, 2)),)),
+    (1, "stc", "naf"): (((F(0), F(2), True),), ()),
+    (1, "stc", "ddf"): (((F(0), F(2), True),), ()),
+    (1, "stc", "maf"): (((F(0), F(2), True),), ()),
+    (1, "tda", "astc"): ((), ((F(0), F(1, 2)),)),
+    (1, "tda", "naf"): (((F(0), F(2), True),), ()),
+    (1, "tda", "ddf"): (((F(0), F(2), True),), ()),
+    (1, "tda", "maf"): (((F(0), F(2), True),), ()),
+    (1, "astc", "naf"): (((F(0), F(2), True),), ()),
+    (1, "astc", "ddf"): (((F(0), F(2), True),), ()),
+    (1, "astc", "maf"): (((F(0), F(2), True),), ()),
+    (1, "naf", "ddf"): (((F(0), F(2), True), (F(1), F(0), True)), ()),
+    (1, "naf", "maf"): (((F(0), F(2), True), (F(1, 3), F(1), True)), ()),
+    (1, "ddf", "maf"): ((), ((F(0), F(1, 4)),)),
+    (2, "stc", "tda"): ((), ((F(0), F(1, 2)),)),
+    (2, "stc", "ltda"): ((), ((F(0), F(1, 2)),)),
+    (2, "stc", "astc"): ((), ((F(0), F(1, 2)),)),
+    (2, "stc", "naf"): (((F(0), F(3), True),), ()),
+    (2, "stc", "ddf"): (((F(0), F(3), True),), ()),
+    (2, "stc", "maf"): (((F(0), F(3), True),), ()),
+    (2, "tda", "ltda"): ((), ((F(0), F(1, 2)),)),
+    (2, "tda", "astc"): ((), ((F(0), F(1, 2)),)),
+    (2, "tda", "naf"): (((F(0), F(3), True),), ()),
+    (2, "tda", "ddf"): (((F(0), F(3), True),), ()),
+    (2, "tda", "maf"): (((F(0), F(3), True),), ()),
+    (2, "ltda", "astc"): ((), ((F(0), F(1, 2)),)),
+    (2, "ltda", "naf"): (((F(0), F(3), True),), ()),
+    (2, "ltda", "ddf"): (((F(0), F(3), True),), ()),
+    (2, "ltda", "maf"): (((F(0), F(3), True),), ()),
+    (2, "astc", "naf"): (((F(0), F(3), True),), ()),
+    (2, "astc", "ddf"): (((F(0), F(3), True),), ()),
+    (2, "astc", "maf"): (((F(0), F(3), True),), ()),
+    (2, "naf", "ddf"): (((F(0), F(3), True), (F(1), F(0), True)), ()),
+    (2, "naf", "maf"): (((F(0), F(3), True), (F(1, 3), F(4, 3), True)), ()),
+    (2, "ddf", "maf"): (((F(0), F(3), True), (F(1, 5), F(12, 5), True)), ()),
+    (3, "stc", "tda"): ((), ((F(0), F(1, 2)),)),
+    (3, "stc", "astc"): ((), ((F(0), F(1, 2)),)),
+    (3, "stc", "naf"): (((F(0), F(4), True),), ()),
+    (3, "stc", "ddf"): (((F(0), F(4), True),), ()),
+    (3, "tda", "astc"): ((), ((F(0), F(1, 2)),)),
+    (3, "tda", "naf"): (((F(0), F(4), True),), ()),
+    (3, "tda", "ddf"): (((F(0), F(4), True),), ()),
+    (3, "astc", "naf"): (((F(0), F(4), True),), ()),
+    (3, "astc", "ddf"): (((F(0), F(4), True),), ()),
+    (3, "naf", "ddf"): (((F(0), F(4), True), (F(1), F(0), True)), ()),
+}
+
+
+def test_crossing_reports_are_unchanged():
+    for (k, a, b), (points, spans) in CROSSINGS.items():
+        for x, y in ((a, b), (b, a)):
+            rep = crossings(x, y, k)
+            assert (rep.scheme_a, rep.scheme_b) == (x, y)
+            assert tuple((p.r, p.d, p.exact) for p in rep.points) == points, (k, x, y)
+            assert rep.coincident == spans, (k, x, y)
+            assert all(type(v) is F for p in rep.points for v in (p.r, p.d))
+            assert all(type(v) is F for span in rep.coincident for v in span)
+
+
+def test_irrational_crossings_are_floats(monkeypatch):
+    # No shipped pair crosses at an irrational r (none for k up to 29), so
+    # two made-up curves take that branch: (3 - 5r)/(1 - r) meets 2 - r at
+    # sqrt(2) - 1, and 2 - r, then 9/4 - 2r from r = 1/4, at about 0.4529.
+    # The values were recorded with Fraction coefficients.
+    made = {
+        "qa": TradeoffCurve("qa", 2, (Piece(F(0), F(1, 2), 3, -5, 1, -1),), True),
+        "qb": TradeoffCurve("qb", 2, (Piece(F(0), F(1, 2), 2, -1),), True),
+        "qc": TradeoffCurve("qc", 2, (Piece(F(0), F(1, 4), 2, -1),
+                                      Piece(F(1, 4), F(1), 9, -8, 4, 0, 4)), False),
+    }
+    monkeypatch.setattr(tradeoff, "curve", lambda scheme, k=2: made[scheme])
+    want = {
+        ("qa", "qb"): (0.41421356237309515, 1.5857864376269049),
+        ("qb", "qa"): (0.41421356237309515, 1.5857864376269049),
+        ("qa", "qc"): (0.4529344228724749, 1.3441311542550505),
+        ("qc", "qa"): (0.4529344228724749, 1.3441311542550503),
+    }
+    for (a, b), (r, d) in want.items():
+        rep = crossings(a, b)
+        assert rep.points == (CrossPoint(r, d, False),)
+        assert rep.coincident == ()
