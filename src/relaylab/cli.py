@@ -227,7 +227,10 @@ def _cmd_tradeoff(vals: dict) -> int:
                               f"whose default list needs k=2") from None
         lo, hi = low.domain
         n = int(_grid_span(lo, hi, step, f"r_step {vals['r_step']}")) + 1
-        rows += ([s, k, *map(fraction_text, row)] for row in table(low, high, step, n))
+        for r, d_low, d_high in table(low, high, step, n):
+            text = fraction_text(d_low)  # d_high is d_low when high is low
+            rows.append([s, k, fraction_text(r), text,
+                         text if d_high is d_low else fraction_text(d_high)])
 
     cross = vals["cross"].strip()
     pairs: list[tuple[str, str]] = []

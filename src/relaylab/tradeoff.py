@@ -4,8 +4,8 @@ Each curve is a piecewise ratio of affine functions of the multiplexing gain
 r with integer coefficients.  Tables and crossings are computed in Python
 integers over one common denominator, so breakpoints, values at rational r
 and curve crossings are exact; a Fraction is built only where a caller
-receives one.  Two-phase schemes live on [0, 1/2); the full-duplex reference
-protocols (naf, ddf) extend to [0, 1].
+receives one.  Every curve starts at r = 0: two-phase schemes live on
+[0, 1/2), and the full-duplex reference protocols (naf, ddf) extend to [0, 1].
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ def _coerce(r):
 
 @dataclass(frozen=True)
 class Piece:
-    """d(r) = (a0 + a1 r) / (b0 + b1 r) on [lo, hi], with integer a and b.
+    """d(r) = (a0 + a1 r) / (b0 + b1 r) with integer a and b, from the
+    previous piece's right end (or 0) to hi, a (numerator, denominator) pair.
 
     s is the coefficients' common denominator: a float r meets each of them
     as the float a_i/s or b_i/s, so it rounds as the coefficient itself does.
     """
 
-    lo: Fraction
-    hi: Fraction
+    hi: tuple[int, int]
     a0: int
     a1: int
     b0: int = 1
@@ -73,7 +73,7 @@ class TradeoffCurve:
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
-        return self.pieces[0].lo, self.pieces[-1].hi
+        return _F(0), _F(*self.pieces[-1].hi)
 
     def d(self, r):
         """Diversity order at multiplexing gain r: a Fraction for rational r,
@@ -92,23 +92,14 @@ class TradeoffCurve:
         return _F(*p.at(n, m))
 
 
-def _ends(c: TradeoffCurve) -> tuple[Fraction, ...]:
-    """c's breakpoints, left to right: its left end, then each piece's right end."""
-    return (c.pieces[0].lo, *(p.hi for p in c.pieces))
-
-
 def _piece(c: TradeoffCurve, n: int, m: int) -> Piece:
     """The first piece of c whose right end is at or past r = n/m (m > 0)."""
-    return next(p for p in c.pieces if n * p.hi.denominator <= p.hi.numerator * m)
+    return next(p for p in c.pieces if n * p.hi[1] <= p.hi[0] * m)
 
 
-def _scaled(q: Fraction, den: int) -> int:
-    """q * den, for den a multiple of q's denominator."""
-    return q.numerator * (den // q.denominator)
-
-
-def _lin(lo, hi, *coefficients) -> Piece:
-    return Piece(_F(lo), _F(hi), *coefficients)
+def _scaled(q: tuple[int, int], den: int) -> int:
+    """n/m * den of a pair q = (n, m), for den a multiple of m."""
+    return q[0] * (den // q[1])
 
 
 def curve(scheme: str, k: int = 2) -> TradeoffCurve:
@@ -127,30 +118,23 @@ def curve(scheme: str, k: int = 2) -> TradeoffCurve:
     if scheme in ("stc", "tda", "astc", "ltda"):
         if scheme == "ltda" and k != 2:
             raise ConfigError("the matched-filter analysis covers k=2 only")
-        return TradeoffCurve(scheme, k, (_lin(0, _F(1, 2), k + 1, -2 * (k + 1)),), True)
+        return TradeoffCurve(scheme, k, (Piece((1, 2), k + 1, -2 * (k + 1)),), True)
     if scheme == "naf":
         return TradeoffCurve(scheme, k, (
-            _lin(0, _F(1, 2), 1 + k, -(1 + 2 * k)),
-            _lin(_F(1, 2), 1, 1, -1),
+            Piece((1, 2), 1 + k, -(1 + 2 * k)),
+            Piece((1, 1), 1, -1),
         ), False)
     if scheme == "ddf":
-        third = _F(1, k + 1)
         return TradeoffCurve(scheme, k, (
-            _lin(0, third, k + 1, -(k + 1)),
-            _lin(third, _F(1, 2), 1 + k, -(1 + 2 * k), 1, -1),
-            _lin(_F(1, 2), 1, 1, -1, 0, 1),
+            Piece((1, k + 1), k + 1, -(k + 1)),
+            Piece((1, 2), 1 + k, -(1 + 2 * k), 1, -1),
+            Piece((1, 1), 1, -1, 0, 1),
         ), False)
     if scheme == "maf":
         if k == 1:
-            return TradeoffCurve(scheme, k, (
-                _lin(0, _F(1, 4), 2, -2),
-                _lin(_F(1, 4), _F(1, 2), 3, -6),
-            ), True)
+            return TradeoffCurve(scheme, k, (Piece((1, 4), 2, -2), Piece((1, 2), 3, -6)), True)
         if k == 2:
-            return TradeoffCurve(scheme, k, (
-                _lin(0, _F(1, 6), 3, -2),
-                _lin(_F(1, 6), _F(1, 2), 4, -8),
-            ), True)
+            return TradeoffCurve(scheme, k, (Piece((1, 6), 3, -2), Piece((1, 2), 4, -8)), True)
         raise ConfigError("mixed amplify-forward curve is known for k in {1, 2}")
 
 
@@ -166,8 +150,8 @@ def rtda_band(k: int = 2, delta1=_F(1)) -> tuple[TradeoffCurve, TradeoffCurve]:
     if not 0 < d1 <= 1:
         raise ConfigError(f"delta1 must lie in (0, 1], got {delta1!r}")
     n, m = d1.numerator, d1.denominator  # 3 - 6r/delta1 = (3n - 6m r)/n
-    lower = TradeoffCurve("rtda", k, (_lin(0, _F(1, 2), 3 * n, -6 * m, n, 0, n),), True)
-    upper = TradeoffCurve("rtda", k, (_lin(0, _F(1, 2), 3, -6),), True)
+    lower = TradeoffCurve("rtda", k, (Piece((1, 2), 3 * n, -6 * m, n, 0, n),), True)
+    upper = TradeoffCurve("rtda", k, (Piece((1, 2), 3, -6),), True)
     return lower, upper
 
 
@@ -197,21 +181,20 @@ def _values(c: TradeoffCurve, xs: list[int], den: int) -> list[tuple[int, int]]:
 
 def table(low: TradeoffCurve, high: TradeoffCurve, step: Fraction, n: int,
           breakpoints: bool = True) -> list[tuple[tuple[int, int], ...]]:
-    """Rows (r, d_low, d_high) of the band (low, high) at r = lo + i*step
-    for i < n and, with breakpoints, at both curves' breakpoints; r ascends
+    """Rows (r, d_low, d_high) of the band (low, high) at r = i*step for
+    i < n and, with breakpoints, at both curves' breakpoints; r ascends
     within the domain, without an open right end.
 
-    Each value is a _lowest pair: fraction_text prints it as str(Fraction)
-    does, and n/m is float(Fraction).  With r = x/D over one common
+    Each value is an integer pair (n, m) in lowest terms with m > 0:
+    fraction_text prints it as str(Fraction) does, and n/m is its float.  With r = x/D over one common
     denominator D, a piece's value is (a0 D + a1 x)/(b0 D + b1 x).
     """
-    lo, hi = low.domain
-    ends = _ends(low) + _ends(high)
-    den = math.lcm(step.denominator, *(q.denominator for q in ends))
-    x0, top, dx = _scaled(lo, den), _scaled(hi, den), _scaled(step, den)
-    xs = set(range(x0, x0 + n * dx, dx))
+    ends = [p.hi for c in (low, high) for p in c.pieces]  # the breakpoints after 0
+    den = math.lcm(step.denominator, *(q[1] for q in ends))
+    top, dx = _scaled(low.pieces[-1].hi, den), _scaled(step.as_integer_ratio(), den)
+    xs = set(range(0, n * dx, dx))
     if breakpoints:
-        xs.update(_scaled(q, den) for q in ends)
+        xs.update((0, *(_scaled(q, den) for q in ends)))
     xs = sorted(x for x in xs if x < top or (x == top and not low.open_right))
     d_low = _values(low, xs, den)
     d_high = d_low if high is low else _values(high, xs, den)
@@ -240,18 +223,17 @@ def crossings(scheme_a: str, scheme_b: str, k: int = 2) -> CrossingReport:
     rational roots are reported exactly, irrational ones as floats flagged
     exact=False.  Segments where the curves agree identically are reported
     as coincident spans instead of points.  Until the report is built, each
-    cut is an integer over one common denominator and each root a _lowest
-    pair.
+    cut is an integer over one common denominator and each root an integer
+    pair (n, m) in lowest terms with m > 0.
     """
     ca = curve(scheme_a, k)
     cb = curve(scheme_b, k)
-    ends = _ends(ca) + _ends(cb)
-    den = math.lcm(*(q.denominator for q in ends))
-    (alo, ahi), (blo, bhi) = ((_scaled(q, den) for q in c.domain) for c in (ca, cb))
-    lo, hi = max(alo, blo), min(ahi, bhi)
+    ends = [p.hi for c in (ca, cb) for p in c.pieces]
+    den = math.lcm(*(q[1] for q in ends))
+    ahi, bhi = _scaled(ca.pieces[-1].hi, den), _scaled(cb.pieces[-1].hi, den)
+    hi = min(ahi, bhi)
     open_right = (ca.open_right and hi == ahi) or (cb.open_right and hi == bhi)
-    # lo and hi are ends of one curve or the other
-    cuts = sorted({x for x in (_scaled(q, den) for q in ends) if lo <= x <= hi})
+    cuts = sorted({0, *(x for x in (_scaled(q, den) for q in ends) if x <= hi)})
     found: dict[tuple[int, int], bool] = {}  # root (n, m) -> exact
     spans: list[tuple[int, int]] = []
 

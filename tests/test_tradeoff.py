@@ -184,7 +184,7 @@ def _bands():
 def _fraction_at(c, r):
     """c at rational r in Fractions: the first piece whose right end is at or
     past r, (p0 + p1 r) / (q0 + q1 r) with each coefficient a Fraction."""
-    p = next(p for p in c.pieces if r <= p.hi)
+    p = next(p for p in c.pieces if r <= F(*p.hi))
     p0, p1, q0, q1 = (F(v, p.s) for v in (p.a0, p.a1, p.b0, p.b1))
     return (p0 + p1 * r) / (q0 + q1 * r)
 
@@ -206,7 +206,7 @@ def test_table_equals_the_fraction_evaluation(step):
         n = int((hi - lo) / step) + 1
         grid = {lo + step * i for i in range(n)}
         for c in (low, high):
-            grid |= {c.pieces[0].lo, *(p.hi for p in c.pieces)}
+            grid |= {F(0), *(F(*p.hi) for p in c.pieces)}
         want = _fraction_rows(low, high, sorted(
             r for r in grid if lo <= r <= hi and not (low.open_right and r == hi)))
         rows = table(low, high, step, n)
@@ -323,10 +323,9 @@ def test_irrational_crossings_are_floats(monkeypatch):
     # sqrt(2) - 1, and 2 - r, then 9/4 - 2r from r = 1/4, at about 0.4529.
     # The values were recorded with Fraction coefficients.
     made = {
-        "qa": TradeoffCurve("qa", 2, (Piece(F(0), F(1, 2), 3, -5, 1, -1),), True),
-        "qb": TradeoffCurve("qb", 2, (Piece(F(0), F(1, 2), 2, -1),), True),
-        "qc": TradeoffCurve("qc", 2, (Piece(F(0), F(1, 4), 2, -1),
-                                      Piece(F(1, 4), F(1), 9, -8, 4, 0, 4)), False),
+        "qa": TradeoffCurve("qa", 2, (Piece((1, 2), 3, -5, 1, -1),), True),
+        "qb": TradeoffCurve("qb", 2, (Piece((1, 2), 2, -1),), True),
+        "qc": TradeoffCurve("qc", 2, (Piece((1, 4), 2, -1), Piece((1, 1), 9, -8, 4, 0, 4)), False),
     }
     monkeypatch.setattr(tradeoff, "curve", lambda scheme, k=2: made[scheme])
     want = {
