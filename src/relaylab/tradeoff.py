@@ -52,7 +52,7 @@ class Piece:
     s: int = 1
 
     def at(self, n: int, m: int) -> tuple[int, int]:
-        """d at r = n/m (m > 0), as a _lowest pair."""
+        """d at r = n/m (m > 0), in lowest terms with a positive denominator."""
         return _lowest(self.a0 * m + self.a1 * n, self.b0 * m + self.b1 * n)
 
 
@@ -186,8 +186,9 @@ def table(low: TradeoffCurve, high: TradeoffCurve, step: Fraction, n: int,
     within the domain, without an open right end.
 
     Each value is an integer pair (n, m) in lowest terms with m > 0:
-    fraction_text prints it as str(Fraction) does, and n/m is its float.  With r = x/D over one common
-    denominator D, a piece's value is (a0 D + a1 x)/(b0 D + b1 x).
+    fraction_text prints it as str(Fraction) does, and n/m is its float.
+    With r = x/D over one common denominator D, a piece's value is
+    (a0 D + a1 x)/(b0 D + b1 x).
     """
     ends = [p.hi for c in (low, high) for p in c.pieces]  # the breakpoints after 0
     den = math.lcm(step.denominator, *(q[1] for q in ends))

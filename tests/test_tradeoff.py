@@ -193,13 +193,10 @@ def _fraction_rows(low, high, grid):
     return [(r, _fraction_at(low, r), _fraction_at(high, r)) for r in grid]
 
 
-def test_bands_cover_every_scheme_and_k():
-    assert len(_bands()) == 6 + (7 + 4) + 5
-
-
 @pytest.mark.parametrize("step", [F(1, 50), F(1, 20), F(1, 7), F(3, 100), F(1, 997)],
                          ids=str)
 def test_table_equals_the_fraction_evaluation(step):
+    assert len(_bands()) == 6 + (7 + 4) + 5  # k = 1, 2 (four rtda bands), 3
     for scheme, k, delta1 in _bands():
         low, high = band(scheme, k, delta1)
         lo, hi = low.domain
@@ -319,9 +316,9 @@ def test_crossing_reports_are_unchanged():
 
 def test_irrational_crossings_are_floats(monkeypatch):
     # No shipped pair crosses at an irrational r (none for k up to 29), so
-    # two made-up curves take that branch: (3 - 5r)/(1 - r) meets 2 - r at
-    # sqrt(2) - 1, and 2 - r, then 9/4 - 2r from r = 1/4, at about 0.4529.
-    # The values were recorded with Fraction coefficients.
+    # made-up curves take that branch: qa = (3 - 5r)/(1 - r) meets qb = 2 - r
+    # at sqrt(2) - 1, and meets qc (2 - r, then 9/4 - 2r from r = 1/4) near
+    # 0.4529.  The values were recorded with Fraction coefficients.
     made = {
         "qa": TradeoffCurve("qa", 2, (Piece((1, 2), 3, -5, 1, -1),), True),
         "qb": TradeoffCurve("qb", 2, (Piece((1, 2), 2, -1),), True),
