@@ -56,6 +56,8 @@ class SchemeId(str, enum.Enum):
 # the one input each scheme's kernel reads besides the gains; STC_SYNC reads neither
 _DELAY_SCHEMES = frozenset((SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION))
 _CORR_SCHEMES = frozenset((SchemeId.TDA_LINMOD, SchemeId.ASTC, SchemeId.MIX_AF))
+# the schemes whose MI reads the relays' phase difference, through LinkRecord.coh
+_PHASE_SCHEMES = frozenset((SchemeId.TDA_LINMOD, *_DELAY_SCHEMES))
 
 
 # _wrap_angle reduces the window angles 2 (pi t0bw +- psi) exactly while they
@@ -277,12 +279,18 @@ def _product_below(scheme: SchemeId, links: LinkRecord, m1, m2, rho0: float, rat
     record_mi call; P's roundoff is a few ulps, far inside that margin.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        q = 1.0 + rho0 * (links.g1 * m1 + links.g2 * m2)
+        # q = 1 + rho0 (g1 m1 + g2 m2) and p = (1 + rho0 g_sd) q, in place
+        q = links.g1 * m1
+        q += links.g2 * m2
+        q *= rho0
+        q += 1.0
         if scheme == SchemeId.TDA_LINMOD:
             b = np.flatnonzero(m1 & m2)
             if b.size:
                 q[b] = 0.5 * _linmod_terms(links.rows(b), rho0, corr)[1]()
-        p = (1.0 + rho0 * links.g_sd) * q
+        p = links.g_sd * rho0
+        p += 1.0
+        p *= q
         slack = 2.0 * _screen_slack(rate, None)
         low, high = np.exp2(2.0 * rate - slack), np.exp2(2.0 * rate + slack)
     below = p < low

@@ -16,9 +16,11 @@ and results merge by summation; worker count can never change the numbers.
 
 Every scheme's MI is at least one floor in the direct gain alone
 (mutualinfo._direct_cuts), so at each snr point a trial whose direct gain
-reaches that floor's cut is never in outage.  A block sorts its rows below
-the grid's loosest cut by direct gain once, and each point decides only
-the prefix below its own cut.
+reaches that floor's cut is never in outage.  A block keeps the rows below
+the grid's loosest cut, sorted by direct gain, gathers their five gains
+once and scales those rows only; each point decides only the prefix below
+its own cut.  The phase uniforms are drawn, gathered and formed into the
+coherent sum only for the schemes that read it (mutualinfo._PHASE_SCHEMES).
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from ._quad import gl_nodes
 from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
                       RatePoint, decoding_set_probs, relay_failure_prob)
 from .errors import ConfigError, NumericError
-from .mutualinfo import (DelayConfig, LinkRecord, SchemeId, _cos_window_means,
-                         _direct_cuts, _window_phase, check_scheme, record_below)
+from .mutualinfo import (_PHASE_SCHEMES, DelayConfig, LinkRecord, SchemeId,
+                         _cos_window_means, _direct_cuts, _window_phase, check_scheme,
+                         record_below)
 from .waveform import CorrelationSet
 
 BLOCK_TRIALS = 32768
@@ -139,26 +142,30 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 
 def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
-    """(g_sd, g_sr1, g_sr2, g1, g2, u) for trials [first_trial,
-    first_trial+count): the five squared gains in LINKS order and the
-    uniform u of the relays' phase difference.
+    """(e, sigma2, phase) for trials [first_trial, first_trial+count): e the
+    trial-major (count, 5) block of unit exponentials, one row per trial in
+    LINKS order, sigma2 the five link variances, so that e * sigma2 are the
+    squared gains, and phase() the uniforms u of the relays' phase
+    difference, one per trial.
 
     A CN(0, s^2) gain's squared magnitude is s^2 Exp(1), and the engine
     reads no phase but the relays' difference psi, uniform and independent
-    of the magnitudes, and that only through cos psi.  So a trial draws the
-    five squared gains as exponentials and one uniform u for psi, from which
-    _coherent_sum(g1, g2, u) forms the coherent sum of the rows a block
-    keeps.  The two are trial-major Philox streams on one key, the
-    uniforms' counter 2^128 up, from the first trial index times a stride
-    above what a trial uses.
+    of the magnitudes, and that only through cos psi, from which
+    _coherent_sum(g1, g2, u) forms the coherent sum.  The two are
+    trial-major Philox streams on one key, the uniforms' counter 2^128 up,
+    from the first trial index times a stride above what a trial uses.
+    Philox is counter-based, so a block that never calls phase() draws the
+    same gains.
     """
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     sigma2 = np.array([getattr(cfg, "sigma2_" + link) for link in LINKS])
-    exp, uni = (np.random.Generator(np.random.Philox(
-        key=key, counter=c + int(first_trial) * _COUNTER_STRIDE)) for c in (0, 2 ** 128))
-    # one contiguous row per link: every snr point reads them again
-    gains = np.multiply(exp.standard_exponential((count, 5)).T, sigma2[:, None], order="C")
-    return (*gains, uni.random(count))
+
+    def stream(c: int) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(
+            key=key, counter=c + int(first_trial) * _COUNTER_STRIDE))
+
+    return (stream(0).standard_exponential((count, 5)), sigma2,
+            lambda: stream(2 ** 128).random(count))
 
 
 def _coherent_sum(g1, g2, u):
@@ -181,21 +188,32 @@ def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float,
     """Outage-and-case counts for one (first trial, count) block at every grid snr.
 
     A trial whose direct gain reaches a point's cut (_direct_cuts) is not
-    in outage there.  The block keeps the rows below the loosest cut of
-    the grid, sorted once by direct gain, forms the relays' coherent sum on
-    those rows only, and each point decides the prefix below its own cut, a
-    view of those rows; the cuts need not fall with snr.  Verdicts are per
-    row and the counts ignore row order, so they equal the counts of
-    deciding every row.
+    in outage there.  The block reads the direct gain from column 0 of
+    _draw_gains's block and keeps the rows below the loosest cut of the
+    grid, sorted by direct gain.  It gathers those rows once, scales them
+    into one contiguous array per link, and forms the relays' coherent sum
+    on them only for a scheme in _PHASE_SCHEMES; every other scheme's
+    record holds NaN for it and the phase is never drawn.  Each point
+    decides the prefix below its own cut, a view of those arrays; the cuts
+    need not fall with snr.  Verdicts are per row and the counts ignore row
+    order, so they equal the counts of deciding every row.
     """
     first_trial, count = block
-    g_sd, gsr1, gsr2, g1, g2, u = _draw_gains(cfg, seed, first_trial, count)
     points = [RatePoint(s, r, cfg.sigma2_sd) for s in snr]
     cuts = _direct_cuts([(pt.rho0, pt.rate) for pt in points], corr, delays)
+    e, sigma2, phase = _draw_gains(cfg, seed, first_trial, count)
+    g_sd = e[:, 0] * sigma2[0]
     keep = np.flatnonzero(g_sd < max(cuts))
     order = keep[np.argsort(g_sd[keep])]
-    g_sd, gsr1, gsr2, g1, g2, u = (v[order] for v in (g_sd, gsr1, gsr2, g1, g2, u))
-    links = LinkRecord(g_sd, g1, g2, _coherent_sum(g1, g2, u))
+    # one row per link: every snr point reads them again
+    g_sd, gsr1, gsr2, g1, g2 = np.multiply(np.take(e, order, axis=0).T, sigma2[:, None],
+                                           order="C")
+    del e  # the whole block: freed before the points' temporaries are allocated
+    if scheme in _PHASE_SCHEMES:
+        coh = _coherent_sum(g1, g2, np.take(phase(), order))
+    else:
+        coh = np.broadcast_to(math.nan, g_sd.shape)
+    links = LinkRecord(g_sd, g1, g2, coh)
     counts = np.zeros(len(snr), dtype=np.int64)
     case = None if cond == ConditionalCase.OVERALL else _CASE_SETS[cond][0]
     if force_set:

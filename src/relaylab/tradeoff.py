@@ -142,7 +142,9 @@ def rtda_band(k: int = 2, delta1=_F(1)) -> tuple[TradeoffCurve, TradeoffCurve]:
     """Lower/upper tradeoff band of the repetition delay-diversity scheme.
 
     delta1 = floor(t0*bw)/ceil(t0*bw) in (0, 1]; the band collapses onto
-    3(1-2r) exactly when the delay spans a whole number of periods.
+    3(1-2r) exactly when the delay spans a whole number of periods.  A
+    diversity order is never negative: for delta1 < 1 the lower curve
+    3(1 - 2r/delta1) reaches 0 at r = delta1/2 and stays there up to 1/2.
     """
     if k != 2:
         raise ConfigError("the repetition-band analysis covers k=2 only")
@@ -150,7 +152,11 @@ def rtda_band(k: int = 2, delta1=_F(1)) -> tuple[TradeoffCurve, TradeoffCurve]:
     if not 0 < d1 <= 1:
         raise ConfigError(f"delta1 must lie in (0, 1], got {delta1!r}")
     n, m = d1.numerator, d1.denominator  # 3 - 6r/delta1 = (3n - 6m r)/n
-    lower = TradeoffCurve("rtda", k, (Piece((1, 2), 3 * n, -6 * m, n, 0, n),), True)
+    zero = _lowest(n, 2 * m)  # delta1/2
+    pieces = (Piece(zero, 3 * n, -6 * m, n, 0, n),)
+    if zero != (1, 2):
+        pieces += (Piece((1, 2), 0, 0),)
+    lower = TradeoffCurve("rtda", k, pieces, True)
     upper = TradeoffCurve("rtda", k, (Piece((1, 2), 3, -6),), True)
     return lower, upper
 

@@ -52,31 +52,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def normal_draw_gains(cfg, seed, first_trial, count):
     """The Monte Carlo engine's first sampler, kept as a test oracle: ten
     normals per trial on one Philox stream, viewed as the five complex gains,
-    with the squared magnitudes taken where the engine reads them.  In place
-    of the phase uniform it returns the complex relay sum r1d + r2d, of
-    which complex_coherent_sum forms the coherent sum."""
+    with the squared magnitudes taken where the engine reads them.  In the
+    engine's draw interface (e, sigma2, phase) its block e holds the squared
+    gains themselves, with sigma2 all ones, and in place of the phase
+    uniforms phase() returns the complex relay sum r1d + r2d, of which
+    complex_coherent_sum forms the coherent sum."""
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key, counter=int(first_trial) * 64))
     scales = np.sqrt(0.5 * np.array([getattr(cfg, "sigma2_" + link) for link in LINKS]))
-    sd, sr1, sr2, r1d, r2d = (rng.standard_normal((count, 10)).view(np.complex128) * scales).T
-    return (*(np.abs(z) ** 2 for z in (sd, sr1, sr2, r1d, r2d)), r1d + r2d)
+    z = rng.standard_normal((count, 10)).view(np.complex128) * scales
+    return np.abs(z) ** 2, np.ones(5), lambda: z[:, 3] + z[:, 4]
 
 
 def exp_normal_draw_gains(cfg, seed, first_trial, count):
     """The Monte Carlo engine's second sampler, kept as a test oracle: the
     squared sd, sr1 and sr2 gains as sigma^2 Exp(1) on one Philox stream and
     the relay gains r1d, r2d as complex normals on a second, its counter
-    2^128 up; like normal_draw_gains it returns r1d + r2d last."""
+    2^128 up; like normal_draw_gains it returns the squared gains with unit
+    sigma2 and, from phase(), r1d + r2d."""
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     sigma2 = np.array([getattr(cfg, "sigma2_" + link) for link in LINKS])
     exp, nrm = (np.random.Generator(np.random.Philox(key=key, counter=c + int(first_trial) * 64))
                 for c in (0, 2 ** 128))
-    g = exp.standard_exponential((count, 3))
-    g *= sigma2[:3]
+    g = np.empty((count, 5))
+    g[:, :3] = exp.standard_exponential((count, 3))
+    g[:, :3] *= sigma2[:3]
     z = nrm.standard_normal((count, 4))
     z *= np.sqrt(0.5 * sigma2[[3, 3, 4, 4]])
     r1d, r2d = z.view(np.complex128).T
-    return g[:, 0], g[:, 1], g[:, 2], np.abs(r1d) ** 2, np.abs(r2d) ** 2, r1d + r2d
+    g[:, 3], g[:, 4] = np.abs(r1d) ** 2, np.abs(r2d) ** 2
+    return g, np.ones(5), lambda: r1d + r2d
 
 
 def complex_coherent_sum(g1, g2, z):

@@ -59,9 +59,9 @@ def test_tradeoff_exact_rows_and_crossings(capsys):
 
 
 # sha256 of every line of `tradeoff --k 2` but the `#` header: the CSV body,
-# then the coincident and crossing lines; recorded before tradeoff.band
-# took over rtda's band and crossings' admit lost its redundant checks
-GOLDEN_TRADEOFF_K2 = "5dcc8f7e35d8f829a1d7c931de3753a0cba66625a2379505c010bdad7b098711"
+# then the coincident and crossing lines; re-pinned when rtda's lower band
+# was clipped at 0 (delta1 = 3/4: d_low 0 from the new breakpoint r = 3/8 on)
+GOLDEN_TRADEOFF_K2 = "51f33748b338d832c55d3b0f55fd5e6b981cfbd9966c766219e01f3f82b86a49"
 
 
 def test_tradeoff_k2_matches_pinned_hash(capsys):
@@ -70,6 +70,10 @@ def test_tradeoff_k2_matches_pinned_hash(capsys):
     lines = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
     assert lines[0] == "scheme,k,r,d_low,d_high"
     assert "crossing ddf maf: r=1/5 d=12/5 exact=True" in lines
+    assert "crossing naf maf: r=1/3 d=4/3 exact=True" in lines
+    rtda = [ln.split(",") for ln in lines if ln.startswith("rtda,")]
+    assert all(not d.startswith("-") for row in rtda for d in row[3:])
+    assert ["rtda", "2", "3/8", "0", "3/4"] in rtda
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_TRADEOFF_K2
 
 

@@ -129,6 +129,66 @@ def test_scheme_input_sets():
     assert check_scheme(SchemeId.STC_SYNC) == SchemeId.STC_SYNC
 
 
+def _phase_cases():
+    rect1 = correlations(rectangular(1, 64), 0.5)
+    srrc2 = correlations(srrc(0.5, 2, 64), 0.3)
+    cases = [pytest.param(SchemeId.STC_SYNC, {}, id="STC_SYNC"),
+             pytest.param(SchemeId.ASTC, {"corr": srrc2}, id="ASTC-srrc2"),
+             pytest.param(SchemeId.MIX_AF, {"corr": rect1}, id="MIX_AF-rect1"),
+             pytest.param(SchemeId.TDA_LINMOD, {"corr": rect1}, id="TDA_LINMOD-rect1")]
+    cases += [pytest.param(scheme, {"delays": DelayConfig.from_t0bw(t0bw)},
+                           id=f"{scheme.value}-t0bw{t0bw:g}")
+              for scheme in (SchemeId.TDA_INDEP, SchemeId.TDA_REPETITION)
+              for t0bw in (0.0, 0.3, 2.5)]
+    return cases
+
+
+def _verdicts(scheme, links, sets, rho0, rate, kw):
+    """record_below and record_mi (or NumericError, where the pair kernel's
+    coefficients pass the float range) on each decoding set of sets."""
+    out = []
+    for m1, m2 in sets:
+        out.append(record_below(scheme, links, m1, m2, rho0, rate, **kw))
+        try:
+            out.append(record_mi(scheme, links, m1, m2, rho0, **kw))
+        except NumericError:
+            out.append(NumericError)
+    return out
+
+
+@pytest.mark.parametrize("scheme, kw", _phase_cases())
+def test_only_the_phase_schemes_read_the_coherent_sum(scheme, kw):
+    # The Monte Carlo engine draws the relays' phase only for _PHASE_SCHEMES
+    # and hands the other schemes a NaN coherent sum.  On random records with
+    # both-relays rows, at -100 to 3000 dB, under a drawn and every forced
+    # decoding set: record_below and record_mi of STC_SYNC, ASTC and MIX_AF
+    # are the same with coh set to NaN, and every other scheme's record_mi
+    # moves when the phase does (psi to pi - psi, the cross term's sign)
+    rng = np.random.default_rng(83)
+    links = _record(*_screen_rows(rng, 400))
+    n = links.g_sd.size
+    nan = links._replace(coh=np.full(n, math.nan))
+    turned = links._replace(coh=2.0 * (links.g1 + links.g2) - links.coh)
+    drawn = rng.random((2, n)) < 0.7
+    sets = [tuple(drawn)] + [(np.full(n, a), np.full(n, b)) for a in (False, True)
+                             for b in (False, True)]
+    reads = scheme in mutualinfo._PHASE_SCHEMES
+    assert reads == (scheme not in (SchemeId.STC_SYNC, SchemeId.ASTC, SchemeId.MIX_AF))
+    moved = False
+    for db in (-100, 0, 10, 30, 400, 3000):
+        snr = 10.0 ** (db / 10.0)
+        rho0, rate = snr / 3.0, 0.25 * math.log2(1.0 + snr)
+        want = _verdicts(scheme, links, sets, rho0, rate, kw)
+        if not reads:
+            for got, w in zip(_verdicts(scheme, nan, sets, rho0, rate, kw), want):
+                np.testing.assert_array_equal(got, w, err_msg=f"{db} dB")
+            continue
+        with np.errstate(all="ignore"):
+            other = _verdicts(scheme, turned, sets, rho0, rate, kw)
+        moved |= any(not np.array_equal(a, b) for a, b in zip(other[1::2], want[1::2]))
+    assert moved or not reads
+
+
 # ---------------------------------------------------------------------------
 # independent-codebook delay diversity
 

@@ -793,24 +793,28 @@ UNEQUAL_CFG = NetworkConfig(0.5, 1.0, 2.0, 3.0, 4.0)
 def draw_record(*args):
     """_draw_gains(*args) as g_sr1, g_sr2 and the LinkRecord of every row,
     its coherent sum formed by _coherent_sum."""
-    g_sd, g_sr1, g_sr2, g1, g2, u = outage._draw_gains(*args)
-    return g_sr1, g_sr2, LinkRecord(g_sd, g1, g2, outage._coherent_sum(g1, g2, u))
+    e, sigma2, phase = outage._draw_gains(*args)
+    g_sd, g_sr1, g_sr2, g1, g2 = (e * sigma2).T
+    return g_sr1, g_sr2, LinkRecord(g_sd, g1, g2, outage._coherent_sum(g1, g2, phase()))
 
 
 def test_draws_are_row_prefixes_and_blocks_differ():
     # trial t's draws depend only on (seed, t): a shorter block is a row
-    # prefix of a longer one from the same first trial, in every array
+    # prefix of a longer one from the same first trial, in the gains and the
+    # phase uniforms alike
     short = outage._draw_gains(UNEQUAL_CFG, 3, 32768, 1000)
     long = outage._draw_gains(UNEQUAL_CFG, 3, 32768, 20000)
-    assert len(short) == 6
-    for a, b in zip(short, long):
-        np.testing.assert_array_equal(a, b[:1000])
+    np.testing.assert_array_equal(short[1], [0.5, 1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(short[0], long[0][:1000])
+    np.testing.assert_array_equal(short[2](), long[2]()[:1000])
+    # phase() draws the same uniforms at every call
+    np.testing.assert_array_equal(short[2](), short[2]())
     # and blocks at other first trials, or of another seed, share no value
     for other in (outage._draw_gains(UNEQUAL_CFG, 3, 0, 1000),
                   outage._draw_gains(UNEQUAL_CFG, 3, 65536, 1000),
                   outage._draw_gains(UNEQUAL_CFG, 4, 32768, 1000)):
-        for a, b in zip(short, other):
-            assert not np.any(np.isin(a, b))
+        assert not np.any(np.isin(short[0], other[0]))
+        assert not np.any(np.isin(short[2](), other[2]()))
 
 
 def test_squared_gains_follow_the_normal_sampler():
@@ -821,8 +825,9 @@ def test_squared_gains_follow_the_normal_sampler():
     n = 2 ** 17
     g_sr1, g_sr2, links = draw_record(UNEQUAL_CFG, 31, 0, n)
     got = (g_sr1, g_sr2, *links)
-    g_sd, g_sr1, g_sr2, g1, g2, z = normal_draw_gains(UNEQUAL_CFG, 32, 0, n)
-    want = (g_sr1, g_sr2, g_sd, g1, g2, complex_coherent_sum(g1, g2, z))
+    e, _, phase = normal_draw_gains(UNEQUAL_CFG, 32, 0, n)
+    g_sd, g_sr1, g_sr2, g1, g2 = e.T
+    want = (g_sr1, g_sr2, g_sd, g1, g2, complex_coherent_sum(g1, g2, phase()))
     for name, a, b, mean in zip(("sr1", "sr2", "sd", "r1d", "r2d", "coh"), got, want,
                                 (1.0, 2.0, 0.5, 3.0, 4.0, 7.0)):
         assert stats.ks_2samp(a, b).pvalue >= 1e-6, name
@@ -1095,6 +1100,39 @@ def test_screened_block_counts_equal_the_unscreened_loop(scheme, kw):
         np.testing.assert_array_equal(outage._run_block(*args), _unscreened_block(*args),
                                       err_msg=f"{cfg}, r {r}, {cond.value}, forced {forced}, "
                                               f"block {block}")
+
+
+WIDE_GRID = tuple(10.0 ** (db / 10.0) for db in range(-150, 3081, 10))
+
+
+@pytest.mark.parametrize("scheme, kw, r", [
+    pytest.param(SchemeId.STC_SYNC, {}, 0.25, id="STC_SYNC"),
+    pytest.param(SchemeId.TDA_LINMOD, {"corr": correlations(rectangular(1, 64), 0.5)}, 0.25,
+                 id="TDA_LINMOD-rect1"),
+    pytest.param(SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(2.5)}, 0.25,
+                 id="TDA_INDEP-t0bw2.5"),
+    pytest.param(SchemeId.STC_SYNC, {"delays": DelayConfig.from_t0bw(1e-6)}, 0.4999,
+                 id="STC_SYNC+t0bw1e-6-r0.4999")])
+def test_screened_block_counts_on_a_324_point_grid(scheme, kw, r):
+    # -150:3080:10 dB: more distinct cuts than a byte can number.  Delays
+    # the scheme does not read widen its cut by their 1/t0bw margin, and at
+    # t0bw 1e-6 and r 0.4999 that makes the cuts rise with snr past a few
+    # dB.  The ordered prefixes still give the unscreened counts, for the
+    # natural overall curve and the forced both-relays curve
+    corr, delays = kw.get("corr"), kw.get("delays")
+    cuts = mutualinfo._direct_cuts([(pt.rho0, pt.rate) for pt in (
+        RatePoint(s, r, UNEQUAL_CFG.sigma2_sd) for s in WIDE_GRID)], corr, delays)
+    assert len(WIDE_GRID) == 324 and len(set(cuts)) > 255
+    if delays is not None and delays.t0bw < 1e-3:
+        rises = [b > a for a, b in zip(cuts, cuts[1:])]
+        assert any(rises) and not all(rises)
+    for cond, forced in ((ConditionalCase.OVERALL, False), (ConditionalCase.D2, True)):
+        args = (scheme, UNEQUAL_CFG, r, WIDE_GRID, 37, cond, forced, corr, delays,
+                (outage.BLOCK_TRIALS, 2500))
+        got = outage._run_block(*args)
+        with np.errstate(all="ignore"):  # rows past the cut may leave the float range
+            want = _unscreened_block(*args)
+        np.testing.assert_array_equal(got, want, err_msg=f"{cond.value}, forced {forced}")
 
 
 @pytest.mark.parametrize("scheme, kw", _cut_cases())

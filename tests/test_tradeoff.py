@@ -152,6 +152,25 @@ def test_curves_non_increasing(scheme, num):
     assert c.d(r1) >= c.d(r2)
 
 
+@pytest.mark.parametrize("delta1", [F(1), F(3, 4), F(2, 3), F(5, 7)], ids=str)
+def test_rtda_band_is_never_negative(delta1):
+    # the lower curve 3(1 - 2r/delta1) is clipped at 0 from r = delta1/2 on:
+    # every value of the band is >= 0, on the table grid with its
+    # breakpoints and at float r, and the lower curve is 0 exactly from
+    # delta1/2 to its open end 1/2
+    low, high = rtda_band(2, delta1)
+    rows = table(low, high, F(1, 200), 100)
+    assert all(q[0] >= 0 for row in rows for q in row[1:])
+    assert [row[1][0] == 0 for row in rows] == [F(*row[0]) >= delta1 / 2 for row in rows]
+    assert all(c.d(r) >= 0.0 for c in (low, high)
+               for r in (i * 0.4999 / 96 for i in range(97)))
+    assert F(*low.pieces[0].hi) == min(delta1 / 2, F(1, 2))
+    assert low.domain == high.domain == (0, F(1, 2))
+    # the headline crossings stay where they were
+    assert [p.r for p in crossings("maf", "ddf", 2).points] == [F(0), F(1, 5)]
+    assert [p.r for p in crossings("maf", "naf", 2).points] == [F(0), F(1, 3)]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(num=st.integers(min_value=0, max_value=99),
        d_num=st.integers(min_value=1, max_value=12))
@@ -227,8 +246,10 @@ def test_table_without_breakpoints_samples_the_figure_grid(points):
 
 # sha256 of repr() of the (k, scheme, str(delta1), r, d) list built below,
 # recorded while pieces held Fraction coefficients: a float r meets each
-# coefficient rounded once, as it did then
-GOLDEN_D_AT_FLOAT = "73664fb566e6cdbe77fd02a4e0ab0595083dde2ec1789e6769c94dc842309b9a"
+# coefficient rounded once, as it did then.  Re-pinned when rtda's lower
+# band was clipped at 0: its ten negative values (r from 0.35 to 0.4999 at
+# delta1 3/4, 2/3 and 5/7) became 0.0 and no other value moved
+GOLDEN_D_AT_FLOAT = "f5611d55824173b8df85929657fbc11bb15cb2f43a8f64536f2f5237c470e0c4"
 
 
 def test_d_at_float_r_is_unchanged():
@@ -246,7 +267,7 @@ def test_d_at_float_r_is_unchanged():
                 vals.append((k, scheme, str(delta1), r, v))
     assert hashlib.sha256(repr(vals).encode()).hexdigest() == GOLDEN_D_AT_FLOAT
     lower = band("rtda", 2, F(5, 7))[0]
-    assert [lower.d(r) for r in (0.1, 1 / 3, 0.4999)] == [2.16, 0.20000000000000018, -1.19916]
+    assert [lower.d(r) for r in (0.1, 1 / 3, 0.4999)] == [2.16, 0.20000000000000018, 0.0]
     assert [curve("ddf", 2).d(r) for r in (0.4, 0.45, 0.7)] == \
         [1.6666666666666667, 1.3636363636363635, 0.42857142857142866]
 
