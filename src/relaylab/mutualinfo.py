@@ -40,6 +40,7 @@ from .errors import ConfigError, NumericError
 from .waveform import CorrelationSet
 
 _LN2 = math.log(2.0)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class SchemeId(str, enum.Enum):
@@ -403,15 +404,16 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
     if scheme in _DELAY_SCHEMES:
         rep = scheme == SchemeId.TDA_REPETITION
         w = delays.t0bw
-        with np.errstate(over="ignore"):  # rho0 g_sd past the float range: inf, as are its log and A
+        # rho0 g past the float range: inf, as are its log, A and B
+        with np.errstate(over="ignore"):
             direct = 0.0 if rep else np.log2(1.0 + rho0 * gsd)
             if w == 0.0:  # no delay window: the relays add coherently
-                coherent = lambda: np.log2(1.0 + rho0 * ((gsd + coh) if rep else coh))
-                return direct, coherent, coherent, coherent
+                coherent = np.log2(1.0 + rho0 * ((gsd + coh) if rep else coh))
+                return direct, lambda: coherent, lambda: coherent, lambda: coherent
             nu = g1 + g2
             a = 1.0 + rho0 * ((gsd + nu) if rep else nu)
-        root = np.sqrt(g1 * g2)
-        bc = 2.0 * rho0 * root
+            root = np.sqrt(g1 * g2)
+            bc = 2.0 * rho0 * root
         cross = 0.5 * (coh - nu)
         h = math.pi * w
 
@@ -426,7 +428,9 @@ def _both_relays(scheme: SchemeId, links: LinkRecord, rho0: float,
                 lambda: np.log2(a + 2.0 * rho0 * (math.sin(h) / h) * cross))
     if scheme == SchemeId.TDA_LINMOD:
         a, argument = _linmod_terms(links, rho0, corr)
-        return (np.log2(1.0 + rho0 * gsd), lambda: np.log2(argument()) - 1.0,
+        with np.errstate(over="ignore"):  # rho0 g_sd past the float range: inf, as is its log
+            direct = np.log2(1.0 + rho0 * gsd)
+        return (direct, lambda: np.log2(argument()) - 1.0,
                 lambda: np.log2(1.0 + a) - 1.0, lambda: np.log2(1.0 + a))
     direct = _esd_from_gain(gsd, corr.a1, rho0)
     jensen = lambda: np.log2(_det_coeffs(g1, g2, corr, rho0)[:, 0])
@@ -445,18 +449,19 @@ def _linmod_terms(links: LinkRecord, rho0: float, corr: CorrelationSet):
     sqrt(g1 g2).  Where the square passes the float range (rho0 g past
     about 1e154) the root is taken as sqrt(1 + a - b) sqrt(1 + a + b)."""
     nu = links.g1 + links.g2
-    a = rho0 * (nu + corr.rho12 * (links.coh - nu))
+    with np.errstate(over="ignore"):  # rho0 g past the float range: inf, as is the argument
+        a = rho0 * (nu + corr.rho12 * (links.coh - nu))
 
     def argument():
-        bc = 2.0 * rho0 * corr.rho21 * np.sqrt(links.g1 * links.g2)
         with np.errstate(over="ignore", invalid="ignore"):
+            bc = 2.0 * rho0 * corr.rho21 * np.sqrt(links.g1 * links.g2)
             d = (1.0 + a) ** 2 - bc * bc
-        root = np.sqrt(np.maximum(d, 0.0))
-        big = ~np.isfinite(d)
-        if big.any():
-            root = np.where(big, np.sqrt(np.maximum(1.0 + a - bc, 0.0)) * np.sqrt(1.0 + a + bc),
-                            root)
-        return 1.0 + a + root
+            root = np.sqrt(np.maximum(d, 0.0))
+            big = ~np.isfinite(d)
+            if big.any():
+                root = np.where(big, np.sqrt(np.maximum(1.0 + a - bc, 0.0))
+                                * np.sqrt(1.0 + a + bc), root)
+            return 1.0 + a + root
 
     return a, argument
 
@@ -530,9 +535,12 @@ def _cos_window_means(A, B, psi, h: float, phase=None, a_minus_b=None):
     """
     A, B, psi = np.broadcast_arrays(A, B, psi)
     a_minus_b = A - B if a_minus_b is None else a_minus_b
-    r = np.sqrt(a_minus_b) * np.sqrt(A + B)
+    with np.errstate(over="ignore"):  # R past the float range: inf
+        r = np.sqrt(a_minus_b) * np.sqrt(A + B)
     half = 0.5 * A + 0.5 * r  # (A + R)/2, finite where A + R would pass the float range
-    c = 0.5 * B / half
+    # Where B is inf so is (A + R)/2, and the means are inf and 0 whatever c is:
+    # c is 0 there, not inf/inf
+    c = 0.5 * np.fmin(B, _FLOAT_MAX) / half
     e_x, two_x, cl_x = _window_phase(psi, h) if phase is None else phase
     alpha = np.angle(1.0 + c * e_x)
     del phase, e_x  # 2n complex: freed before the Clausen stack is allocated
@@ -569,7 +577,9 @@ def _short_window(a_minus_b, B, psi, c, h: float):
     z = c * np.exp(1j * psi)
     q = z / (1.0 + z)
     near = h * np.maximum(1.0, np.abs(q)) < _SHORT_WINDOW
-    return near, a_minus_b + 2.0 * B * np.cos(0.5 * psi) ** 2, q, q * (1.0 - q)
+    with np.errstate(over="ignore"):  # A + B cos psi past the float range: inf
+        at_psi = a_minus_b + 2.0 * B * np.cos(0.5 * psi) ** 2
+    return near, at_psi, q, q * (1.0 - q)
 
 
 def _clausen2_coeffs(n: int):

@@ -11,8 +11,13 @@ exponentials and the relays' phase difference from one uniform, since the
 MI kernels read the two relay gains only through their squares and their
 coherent sum.  Trials are grouped into fixed blocks of 32768 and the Philox
 counters of each block's two streams derive from its first trial index, so
-the draws for trial t depend only on (seed, t).  Workers split whole blocks
-and results merge by summation; worker count can never change the numbers.
+the draws for trial t depend only on (seed, t).  Worker processes take
+contiguous shares of whole blocks and results merge by summation; worker
+count can never change the numbers.  Within a process one helper thread
+draws the next block, into the one of two reused buffers the current block
+does not read, while the current block is decided; numpy fills the draws
+with the GIL released, so one worker uses up to two cores.  A request of
+one block runs inline.
 
 Every scheme's MI is at least one floor in the direct gain alone
 (mutualinfo._direct_cuts), so at each snr point a trial whose direct gain
@@ -33,11 +38,12 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ._quad import gl_nodes
-from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, NetworkConfig,
+from .channel import (D_BOTH, D_NONE, D_R1, D_R2, LINKS, DecodingSet, NetworkConfig,
                       RatePoint, decoding_set_probs, relay_failure_prob)
 from .errors import ConfigError, NumericError
 from .mutualinfo import (_PHASE_SCHEMES, DelayConfig, LinkRecord, SchemeId,
@@ -141,12 +147,15 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 # Monte Carlo engine
 
 
-def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
+def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int, out=None):
     """(e, sigma2, phase) for trials [first_trial, first_trial+count): e the
     trial-major (count, 5) block of unit exponentials, one row per trial in
     LINKS order, sigma2 the five link variances, so that e * sigma2 are the
     squared gains, and phase() the uniforms u of the relays' phase
-    difference, one per trial.
+    difference, one per trial.  out, if given, is a pair of arrays with at
+    least count rows, of 5 columns and of one: e is drawn into the first's
+    rows and phase() into the second's, with the values numpy draws into
+    arrays of its own, as it fills both with one routine.
 
     A CN(0, s^2) gain's squared magnitude is s^2 Exp(1), and the engine
     reads no phase but the relays' difference psi, uniform and independent
@@ -155,17 +164,19 @@ def _draw_gains(cfg: NetworkConfig, seed: int, first_trial: int, count: int):
     trial-major Philox streams on one key, the uniforms' counter 2^128 up,
     from the first trial index times a stride above what a trial uses.
     Philox is counter-based, so a block that never calls phase() draws the
-    same gains.
+    same gains, and any block can be drawn before the ones ahead of it are
+    decided.
     """
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     sigma2 = np.array([getattr(cfg, "sigma2_" + link) for link in LINKS])
+    e_out, u_out = (None, None) if out is None else (a[:count] for a in out)
 
     def stream(c: int) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(
             key=key, counter=c + int(first_trial) * _COUNTER_STRIDE))
 
-    return (stream(0).standard_exponential((count, 5)), sigma2,
-            lambda: stream(2 ** 128).random(count))
+    return (stream(0).standard_exponential((count, 5), out=e_out), sigma2,
+            lambda: stream(2 ** 128).random(count, out=u_out))
 
 
 def _coherent_sum(g1, g2, u):
@@ -181,57 +192,114 @@ def _coherent_sum(g1, g2, u):
     return (s1 - s2) ** 2 + 4.0 * (s1 * s2) * (half * half)
 
 
-def _run_block(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float, ...],
-               seed: int, cond: ConditionalCase, force_set: bool,
-               corr: CorrelationSet | None, delays: DelayConfig | None,
-               block: tuple[int, int]) -> np.ndarray:
+class _Request(NamedTuple):
+    """What every block of one Monte Carlo request reads, built once by
+    _request: the draw's cfg and seed, the scheme and its inputs, each snr
+    point's (rho0, rate, decode threshold) and direct-gain cut, the case's
+    decoding set (None for the overall curve) and, when the set is forced,
+    its two membership masks over a whole block."""
+
+    scheme: SchemeId
+    cfg: NetworkConfig
+    seed: int
+    corr: CorrelationSet | None
+    delays: DelayConfig | None
+    points: tuple[tuple[float, float, float], ...]
+    cuts: tuple[float, ...]
+    case: DecodingSet | None
+    forced: tuple[np.ndarray, np.ndarray] | None
+
+
+def _request(scheme: SchemeId, cfg: NetworkConfig, r: float, snr: tuple[float, ...],
+             seed: int, cond: ConditionalCase, force_set: bool,
+             corr: CorrelationSet | None, delays: DelayConfig | None) -> _Request:
+    """The _Request of a checked Monte Carlo request."""
+    pts = [RatePoint(s, r, cfg.sigma2_sd) for s in snr]
+    points = tuple((pt.rho0, pt.rate, pt.decode_threshold) for pt in pts)
+    cuts = tuple(_direct_cuts([(rho0, rate) for rho0, rate, _ in points], corr, delays))
+    case = None if cond == ConditionalCase.OVERALL else _CASE_SETS[cond][0]
+    forced = ((np.full(BLOCK_TRIALS, case.r1), np.full(BLOCK_TRIALS, case.r2))
+              if force_set else None)
+    return _Request(scheme, cfg, int(seed), corr, delays, points, cuts, case, forced)
+
+
+def _run_block(req: _Request, block: tuple[int, int], drawn=None) -> np.ndarray:
     """Outage-and-case counts for one (first trial, count) block at every grid snr.
 
-    A trial whose direct gain reaches a point's cut (_direct_cuts) is not
-    in outage there.  The block reads the direct gain from column 0 of
-    _draw_gains's block and keeps the rows below the loosest cut of the
-    grid, sorted by direct gain.  It gathers those rows once, scales them
-    into one contiguous array per link, and forms the relays' coherent sum
-    on them only for a scheme in _PHASE_SCHEMES; every other scheme's
-    record holds NaN for it and the phase is never drawn.  Each point
-    decides the prefix below its own cut, a view of those arrays; the cuts
-    need not fall with snr.  Verdicts are per row and the counts ignore row
-    order, so they equal the counts of deciding every row.
+    drawn is the block's (e, sigma2, phase), drawn ahead by _draw_ahead;
+    without it the block calls _draw_gains itself.  A trial whose direct
+    gain reaches a point's cut (_direct_cuts) is not in outage there.  The
+    block reads the direct gain from column 0 of the draw and keeps the
+    rows below the loosest cut of the grid, sorted by direct gain.  It
+    gathers those rows once, scales them into one contiguous array per
+    link, and forms the relays' coherent sum on them only for a scheme in
+    _PHASE_SCHEMES; every other scheme's record holds NaN for it and the
+    phase is never drawn.  Each point decides the prefix below its own
+    cut, a view of those arrays; the cuts need not fall with snr.  Verdicts
+    are per row and the counts ignore row order, so they equal the counts
+    of deciding every row.
     """
-    first_trial, count = block
-    points = [RatePoint(s, r, cfg.sigma2_sd) for s in snr]
-    cuts = _direct_cuts([(pt.rho0, pt.rate) for pt in points], corr, delays)
-    e, sigma2, phase = _draw_gains(cfg, seed, first_trial, count)
+    e, sigma2, phase = drawn or _draw_gains(req.cfg, req.seed, *block)
     g_sd = e[:, 0] * sigma2[0]
-    keep = np.flatnonzero(g_sd < max(cuts))
+    keep = np.flatnonzero(g_sd < max(req.cuts))
     order = keep[np.argsort(g_sd[keep])]
     # one row per link: every snr point reads them again
     g_sd, gsr1, gsr2, g1, g2 = np.multiply(np.take(e, order, axis=0).T, sigma2[:, None],
                                            order="C")
-    del e  # the whole block: freed before the points' temporaries are allocated
-    if scheme in _PHASE_SCHEMES:
+    del e  # a block drawn here: freed before the points' temporaries are allocated
+    if req.scheme in _PHASE_SCHEMES:
         coh = _coherent_sum(g1, g2, np.take(phase(), order))
     else:
         coh = np.broadcast_to(math.nan, g_sd.shape)
     links = LinkRecord(g_sd, g1, g2, coh)
-    counts = np.zeros(len(snr), dtype=np.int64)
-    case = None if cond == ConditionalCase.OVERALL else _CASE_SETS[cond][0]
-    if force_set:
-        m1_all = np.full(g_sd.size, case.r1)
-        m2_all = np.full(g_sd.size, case.r2)
-    for i, (pt, cut) in enumerate(zip(points, cuts)):
+    counts = np.zeros(len(req.points), dtype=np.int64)
+    for i, ((rho0, rate, thr), cut) in enumerate(zip(req.points, req.cuts)):
         n = int(np.searchsorted(g_sd, cut))
-        if force_set:
-            m1, m2 = m1_all[:n], m2_all[:n]
+        if req.forced:
+            m1, m2 = (m[:n] for m in req.forced)
         else:
-            thr = pt.decode_threshold
             m1 = gsr1[:n] >= thr
             m2 = gsr2[:n] >= thr
-        below = record_below(scheme, LinkRecord(*(v[:n] for v in links)), m1, m2,
-                             pt.rho0, pt.rate, corr, delays)
-        if case is not None and not force_set:
-            below &= (m1.astype(np.int8) + m2.astype(np.int8)) == case.r1 + case.r2
+        below = record_below(req.scheme, LinkRecord(*(v[:n] for v in links)), m1, m2,
+                             rho0, rate, req.corr, req.delays)
+        if req.case is not None and not req.forced:
+            below &= (m1.astype(np.int8) + m2.astype(np.int8)) == req.case.r1 + req.case.r2
         counts[i] = int(np.count_nonzero(below))
+    return counts
+
+
+def _draw_ahead(req: _Request, block: tuple[int, int], out):
+    """A block's (e, sigma2, phase) for _run_block, drawn into out by
+    _draw_gains, looked up at each call; the phase uniforms are drawn here
+    too for a scheme in _PHASE_SCHEMES, and phase() returns them."""
+    e, sigma2, phase = _draw_gains(req.cfg, req.seed, *block, out=out)
+    if req.scheme in _PHASE_SCHEMES:
+        u = phase()
+        phase = lambda: u
+    return e, sigma2, phase
+
+
+def _run_blocks(req: _Request, share) -> np.ndarray:
+    """The counts of a share of (first trial, count) blocks, summed.
+
+    A share of one block runs inline.  Otherwise one helper thread keeps
+    the next block's draw in flight while this thread decides the current
+    one: numpy fills the draw with the GIL released.  The draws alternate
+    between two block-sized buffers, so the helper never writes the one
+    being decided and allocates nothing large.  The helper is joined
+    before the counts return or an exception leaves.
+    """
+    if len(share) == 1:
+        return _run_block(req, share[0])
+    buffers = [(np.empty((BLOCK_TRIALS, 5)), np.empty(BLOCK_TRIALS)) for _ in range(2)]
+    counts = np.zeros(len(req.points), dtype=np.int64)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(_draw_ahead, req, share[0], buffers[0])
+        for i, block in enumerate(share):
+            drawn = ahead.result()
+            if i + 1 < len(share):
+                ahead = helper.submit(_draw_ahead, req, share[i + 1], buffers[(i + 1) % 2])
+            counts += _run_block(req, block, drawn)
     return counts
 
 
@@ -249,6 +317,12 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     conditional analytic oracles.  Otherwise per-case curves are joint
     probabilities.  Results are exactly reproducible from (seed, trials) and
     independent of the worker count.
+
+    workers counts processes, never more than there are blocks.  Each takes
+    a contiguous share of the blocks through _run_blocks, which keeps its
+    next block's draw in flight on one helper thread, so workers=1 uses up
+    to two cores with the numbers unchanged.  No thread or process
+    outlives the call.
     """
     scheme = check_scheme(scheme, corr, delays)
     cond = ConditionalCase(cond)
@@ -260,17 +334,19 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
-    run = functools.partial(_run_block, scheme, cfg, float(r), snr, int(seed), cond,
-                            bool(force_set), corr, delays)
+    req = _request(scheme, cfg, float(r), snr, seed, cond, bool(force_set), corr, delays)
     blocks = [(first, min(BLOCK_TRIALS, trials - first))
               for first in range(0, trials, BLOCK_TRIALS)]
-    if workers == 1 or len(blocks) == 1:
-        parts = [run(block) for block in blocks]
+    run = functools.partial(_run_blocks, req)
+    # the pool forks all its workers at once: never more than there are blocks
+    pool_size = min(workers, len(blocks))
+    if pool_size == 1:
+        parts = [run(blocks)]
     else:
-        # the pool forks all its workers at once: never more than there are blocks
-        pool_size = min(workers, len(blocks))
+        shares = [blocks[k * len(blocks) // pool_size:(k + 1) * len(blocks) // pool_size]
+                  for k in range(pool_size)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(run, blocks, chunksize=1))
+            parts = list(pool.map(run, shares))
     counts = np.sum(parts, axis=0)
 
     outage, lo, hi, cens = [], [], [], []

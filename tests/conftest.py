@@ -49,14 +49,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-def normal_draw_gains(cfg, seed, first_trial, count):
+def normal_draw_gains(cfg, seed, first_trial, count, out=None):
     """The Monte Carlo engine's first sampler, kept as a test oracle: ten
     normals per trial on one Philox stream, viewed as the five complex gains,
     with the squared magnitudes taken where the engine reads them.  In the
     engine's draw interface (e, sigma2, phase) its block e holds the squared
     gains themselves, with sigma2 all ones, and in place of the phase
     uniforms phase() returns the complex relay sum r1d + r2d, of which
-    complex_coherent_sum forms the coherent sum."""
+    complex_coherent_sum forms the coherent sum.  It ignores the engine's
+    out buffers and draws into arrays of its own."""
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key, counter=int(first_trial) * 64))
     scales = np.sqrt(0.5 * np.array([getattr(cfg, "sigma2_" + link) for link in LINKS]))
@@ -64,12 +65,12 @@ def normal_draw_gains(cfg, seed, first_trial, count):
     return np.abs(z) ** 2, np.ones(5), lambda: z[:, 3] + z[:, 4]
 
 
-def exp_normal_draw_gains(cfg, seed, first_trial, count):
+def exp_normal_draw_gains(cfg, seed, first_trial, count, out=None):
     """The Monte Carlo engine's second sampler, kept as a test oracle: the
     squared sd, sr1 and sr2 gains as sigma^2 Exp(1) on one Philox stream and
     the relay gains r1d, r2d as complex normals on a second, its counter
     2^128 up; like normal_draw_gains it returns the squared gains with unit
-    sigma2 and, from phase(), r1d + r2d."""
+    sigma2 and, from phase(), r1d + r2d, and ignores out."""
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     sigma2 = np.array([getattr(cfg, "sigma2_" + link) for link in LINKS])
     exp, nrm = (np.random.Generator(np.random.Philox(key=key, counter=c + int(first_trial) * 64))

@@ -1,7 +1,9 @@
 import io
 import math
+import threading
 import tracemalloc
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -1036,6 +1038,12 @@ def test_gain_domain_verdicts_equal_the_logarithms(scheme, kw):
 # direct-gain screen: each snr point decides only the rows below its cut
 
 
+def run_block(scheme, cfg, r, snr, seed, cond, force_set, corr, delays, block):
+    # the engine's counts of one block of a request, drawn by the block itself
+    req = outage._request(scheme, cfg, r, snr, seed, cond, force_set, corr, delays)
+    return outage._run_block(req, block)
+
+
 def _unscreened_block(scheme, cfg, r, snr, seed, cond, force_set, corr, delays, block):
     # the engine's block loop without the screen: every row at every snr point
     first_trial, count = block
@@ -1097,7 +1105,7 @@ def test_screened_block_counts_equal_the_unscreened_loop(scheme, kw):
              for cond, forced in CUT_CURVES[::6]]
     for cfg, r, cond, forced, block in runs:
         args = (scheme, cfg, r, CUT_GRID, 23, cond, forced, corr, delays, block)
-        np.testing.assert_array_equal(outage._run_block(*args), _unscreened_block(*args),
+        np.testing.assert_array_equal(run_block(*args), _unscreened_block(*args),
                                       err_msg=f"{cfg}, r {r}, {cond.value}, forced {forced}, "
                                               f"block {block}")
 
@@ -1129,7 +1137,7 @@ def test_screened_block_counts_on_a_324_point_grid(scheme, kw, r):
     for cond, forced in ((ConditionalCase.OVERALL, False), (ConditionalCase.D2, True)):
         args = (scheme, UNEQUAL_CFG, r, WIDE_GRID, 37, cond, forced, corr, delays,
                 (outage.BLOCK_TRIALS, 2500))
-        got = outage._run_block(*args)
+        got = run_block(*args)
         with np.errstate(all="ignore"):  # rows past the cut may leave the float range
             want = _unscreened_block(*args)
         np.testing.assert_array_equal(got, want, err_msg=f"{cond.value}, forced {forced}")
@@ -1269,9 +1277,8 @@ def test_an_unread_input_loosens_the_cut_and_keeps_the_counts(scheme, own, extra
     for r in (0.01, 0.25, 0.49):
         for cond, forced in CUT_CURVES:
             def run(kw):
-                return outage._run_block(scheme, UNEQUAL_CFG, r, CUT_GRID, 29, cond, forced,
-                                         kw.get("corr"), kw.get("delays"),
-                                         (outage.BLOCK_TRIALS, 2500))
+                return run_block(scheme, UNEQUAL_CFG, r, CUT_GRID, 29, cond, forced,
+                                 kw.get("corr"), kw.get("delays"), (outage.BLOCK_TRIALS, 2500))
             np.testing.assert_array_equal(run(given), run(own),
                                           err_msg=f"r {r}, {cond.value}, forced {forced}")
 
@@ -1287,7 +1294,153 @@ def test_an_overflowing_cut_keeps_every_row():
     for snr in ((1e302,), (1e300, 1e302)):
         args = (SchemeId.TDA_INDEP, cfg, 0.4999, snr, 5, ConditionalCase.OVERALL, False, None,
                 delays, (0, 4096))
-        np.testing.assert_array_equal(outage._run_block(*args), _unscreened_block(*args))
+        np.testing.assert_array_equal(run_block(*args), _unscreened_block(*args))
+
+
+@pytest.mark.parametrize("scheme, kw", [
+    pytest.param(SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(1e-6)}, id="TDA_INDEP-t0bw1e-6"),
+    pytest.param(SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(0.0)}, id="TDA_INDEP-t0bw0"),
+    pytest.param(SchemeId.TDA_REPETITION, {"delays": DelayConfig.from_t0bw(1e-6)},
+                 id="TDA_REPETITION-t0bw1e-6"),
+    pytest.param(SchemeId.TDA_LINMOD, {"corr": correlations(rectangular(1, 64), 0.5),
+                                       "delays": DelayConfig.from_t0bw(1e-6)},
+                 id="TDA_LINMOD-rect1+t0bw1e-6")])
+@pytest.mark.parametrize("cfg", [NetworkConfig(), UNEQUAL_CFG], ids=["unit", "unequal"])
+def test_verdicts_past_the_float_range_are_quiet_and_unscreened(scheme, kw, cfg):
+    # at 3080 dB (rho0 about 6.7e307) rho0 g passes the float range on many
+    # rows: the direct terms, the delay window's A, B and R, TDA_LINMOD's a
+    # and its argument are inf there, with no RuntimeWarning, and every
+    # verdict equals record_mi(...) < rate, under the natural and every
+    # forced decoding set; the engine's block equals the unscreened loop
+    corr, delays = kw.get("corr"), kw.get("delays")
+    pt = RatePoint(1e308, 0.4999, cfg.sigma2_sd)
+    gsr1, gsr2, links = draw_record(cfg, 47, 0, 4096)
+    assert np.any(links.g1 + links.g2 > np.finfo(float).max / pt.rho0)
+    n = links.g_sd.size
+    sets = [(gsr1 >= pt.decode_threshold, gsr2 >= pt.decode_threshold)]
+    sets += [(np.full(n, a), np.full(n, b)) for a in (False, True) for b in (False, True)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for m1, m2 in sets:
+            np.testing.assert_array_equal(
+                record_below(scheme, links, m1, m2, pt.rho0, pt.rate, corr, delays),
+                record_mi(scheme, links, m1, m2, pt.rho0, corr, delays) < pt.rate,
+                err_msg=f"sets {m1[:2]} {m2[:2]}")
+        for cond, forced in ((ConditionalCase.OVERALL, False), (ConditionalCase.D2, True)):
+            args = (scheme, cfg, 0.4999, (1e308,), 47, cond, forced, corr, delays, (0, 4096))
+            np.testing.assert_array_equal(run_block(*args), _unscreened_block(*args))
+
+
+# ---------------------------------------------------------------------------
+# block pipeline: the next block's draw is in flight while a block is decided
+
+PIPE_TRIALS = 3 * outage.BLOCK_TRIALS + 1234  # three full blocks and a partial one
+PIPE_GRID = tuple(10.0 ** (db / 10.0) for db in (0, 10, 20, 30))
+RECT1 = {"corr": correlations(rectangular(1, 64), 0.5)}
+
+
+def _per_block_sum(scheme, kw, cond, forced, seed):
+    # the counts of the blocks of a PIPE_TRIALS request, each drawn by itself, summed
+    blocks = [(first, min(outage.BLOCK_TRIALS, PIPE_TRIALS - first))
+              for first in range(0, PIPE_TRIALS, outage.BLOCK_TRIALS)]
+    return sum(run_block(scheme, UNEQUAL_CFG, 0.25, PIPE_GRID, seed, cond, forced,
+                         kw.get("corr"), kw.get("delays"), block) for block in blocks)
+
+
+def _pipe_curve(scheme, kw, cond, forced, seed, workers=1):
+    return mc_outage(scheme, 0.25, PIPE_GRID, PIPE_TRIALS, seed, cond, cfg=UNEQUAL_CFG,
+                     force_set=forced, workers=workers, **kw)
+
+
+@pytest.mark.parametrize("scheme, kw, cond", [
+    pytest.param(SchemeId.STC_SYNC, {}, ConditionalCase.OVERALL, id="STC_SYNC"),
+    pytest.param(SchemeId.STC_SYNC, {}, ConditionalCase.D2, id="STC_SYNC-forced-d2"),
+    pytest.param(SchemeId.TDA_LINMOD, RECT1, ConditionalCase.OVERALL, id="TDA_LINMOD-rect1"),
+    pytest.param(SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(2.5)},
+                 ConditionalCase.OVERALL, id="TDA_INDEP-t0bw2.5")])
+def test_pipelined_counts_equal_the_per_block_sums(scheme, kw, cond):
+    # each block drawn ahead on the helper thread into one of two reused
+    # buffers, and the blocks split into contiguous shares across worker
+    # processes: the counts are those of each block drawn by itself, summed,
+    # at 1, 2 and 4 workers
+    forced = cond != ConditionalCase.OVERALL
+    want = _per_block_sum(scheme, kw, cond, forced, 43)
+    assert want.sum() > 0
+    for workers in (1, 2, 4):
+        got = _pipe_curve(scheme, kw, cond, forced, 43, workers).outage
+        assert got == tuple(int(k) / PIPE_TRIALS for k in want), workers
+
+
+@pytest.mark.parametrize("sampler", ["normal_sampler", "exp_normal_sampler"])
+def test_the_oracle_samplers_draw_on_the_helper_thread(request, monkeypatch, sampler):
+    # _draw_gains is looked up at each draw: an oracle sampler draws every
+    # block of a multi-block request, and its phase, on the helper thread,
+    # ignoring the buffers, and the counts are those of its blocks drawn by
+    # themselves
+    request.getfixturevalue(sampler)
+    draw, on_main = outage._draw_gains, []
+
+    def recorded(*args, **kwargs):
+        e, sigma2, phase = draw(*args, **kwargs)
+
+        def recorded_phase():
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return phase()
+
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return e, sigma2, recorded_phase
+
+    monkeypatch.setattr(outage, "_draw_gains", recorded)
+    curve = _pipe_curve(SchemeId.TDA_LINMOD, RECT1, ConditionalCase.OVERALL, False, 44)
+    assert on_main == [False] * 8
+    want = _per_block_sum(SchemeId.TDA_LINMOD, RECT1, ConditionalCase.OVERALL, False, 44)
+    assert on_main[8:] == [True] * 8
+    assert curve.outage == tuple(int(k) / PIPE_TRIALS for k in want)
+
+
+class _BlockFailure(Exception):
+    pass
+
+
+def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch):
+    # an exception in a block's decision or in a draw on the helper reaches
+    # the caller, and the helper is joined first, as it is after a run that
+    # completes
+    decide, draw = outage._run_block, outage._draw_gains
+
+    def failing_decide(req, block, drawn=None):
+        if block[0] == outage.BLOCK_TRIALS:
+            raise _BlockFailure("decide")
+        return decide(req, block, drawn)
+
+    def failing_draw(cfg, seed, first_trial, count, out=None):
+        if first_trial == 2 * outage.BLOCK_TRIALS:
+            raise _BlockFailure("draw")
+        return draw(cfg, seed, first_trial, count, out)
+
+    before = threading.active_count()
+    for name, fn in (("_run_block", failing_decide), ("_draw_gains", failing_draw)):
+        with monkeypatch.context() as patch:
+            patch.setattr(outage, name, fn)
+            with pytest.raises(_BlockFailure):
+                _pipe_curve(SchemeId.STC_SYNC, {}, ConditionalCase.OVERALL, False, 45)
+        assert threading.active_count() == before, name
+    _pipe_curve(SchemeId.STC_SYNC, {}, ConditionalCase.OVERALL, False, 45)
+    assert threading.active_count() == before
+
+
+def test_draws_into_buffers_equal_fresh_draws():
+    # a draw into the engine's buffers holds the values of a draw into
+    # arrays of numpy's own, for a full block and then a partial one
+    bufs = (np.empty((outage.BLOCK_TRIALS, 5)), np.empty(outage.BLOCK_TRIALS))
+    for block in ((0, outage.BLOCK_TRIALS), (outage.BLOCK_TRIALS, 1234)):
+        e, sigma2, phase = outage._draw_gains(UNEQUAL_CFG, 3, *block, out=bufs)
+        fresh = outage._draw_gains(UNEQUAL_CFG, 3, *block)
+        u = phase()
+        assert np.shares_memory(e, bufs[0]) and np.shares_memory(u, bufs[1])
+        np.testing.assert_array_equal(e, fresh[0])
+        np.testing.assert_array_equal(sigma2, fresh[1])
+        np.testing.assert_array_equal(u, fresh[2]())
 
 
 # ---------------------------------------------------------------------------
