@@ -17,7 +17,7 @@ count can never change the numbers.  Within a process one helper thread
 draws the next block, into the one of two reused buffers the current block
 does not read, while the current block is decided; numpy fills the draws
 with the GIL released, so one worker uses up to two cores.  A request of
-one block runs inline.
+one block runs inline, and so does the first block of a longer one.
 
 Every scheme's MI is at least one floor in the direct gain alone
 (mutualinfo._direct_cuts), so at each snr point a trial whose direct gain
@@ -284,21 +284,26 @@ def _run_blocks(req: _Request, share) -> np.ndarray:
 
     A share of one block runs inline.  Otherwise one helper thread keeps
     the next block's draw in flight while this thread decides the current
-    one: numpy fills the draw with the GIL released.  The draws alternate
-    between two block-sized buffers, so the helper never writes the one
-    being decided and allocates nothing large.  The helper is joined
-    before the counts return or an exception leaves.
+    one: numpy fills the draw with the GIL released.  The helper draws
+    into two block-sized buffers in turn, so it never writes the one being
+    decided and allocates nothing large.  The first block draws itself,
+    into an array it frees, as an inline block does: glibc's first free of
+    a block-sized mapping raises its mmap and trim thresholds, and until
+    then the blocks' larger temporaries are mapped and trimmed afresh (a
+    fresh 2^20-trial STC_SYNC process took 2.5x the page faults without
+    it).  The helper is joined before the counts return or an exception
+    leaves.
     """
     if len(share) == 1:
         return _run_block(req, share[0])
     buffers = [(np.empty((BLOCK_TRIALS, 5)), np.empty(BLOCK_TRIALS)) for _ in range(2)]
     counts = np.zeros(len(req.points), dtype=np.int64)
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(_draw_ahead, req, share[0], buffers[0])
+        ahead = None
         for i, block in enumerate(share):
-            drawn = ahead.result()
+            drawn = ahead and ahead.result()
             if i + 1 < len(share):
-                ahead = helper.submit(_draw_ahead, req, share[i + 1], buffers[(i + 1) % 2])
+                ahead = helper.submit(_draw_ahead, req, share[i + 1], buffers[i % 2])
             counts += _run_block(req, block, drawn)
     return counts
 

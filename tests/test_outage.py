@@ -1374,27 +1374,30 @@ def test_pipelined_counts_equal_the_per_block_sums(scheme, kw, cond):
 @pytest.mark.parametrize("sampler", ["normal_sampler", "exp_normal_sampler"])
 def test_the_oracle_samplers_draw_on_the_helper_thread(request, monkeypatch, sampler):
     # _draw_gains is looked up at each draw: an oracle sampler draws every
-    # block of a multi-block request, and its phase, on the helper thread,
-    # ignoring the buffers, and the counts are those of its blocks drawn by
-    # themselves
+    # block of a multi-block request but the first, and its phase, on the
+    # helper thread, ignoring the buffers, and the counts are those of its
+    # blocks drawn by themselves
     request.getfixturevalue(sampler)
-    draw, on_main = outage._draw_gains, []
+    draw, seen = outage._draw_gains, []
 
-    def recorded(*args, **kwargs):
-        e, sigma2, phase = draw(*args, **kwargs)
+    def recorded(cfg, seed, first_trial, count, out=None):
+        e, sigma2, phase = draw(cfg, seed, first_trial, count, out)
 
         def recorded_phase():
-            on_main.append(threading.current_thread() is threading.main_thread())
+            seen.append(("phase", first_trial // outage.BLOCK_TRIALS,
+                         threading.current_thread() is threading.main_thread()))
             return phase()
 
-        on_main.append(threading.current_thread() is threading.main_thread())
+        seen.append(("draw", first_trial // outage.BLOCK_TRIALS,
+                     threading.current_thread() is threading.main_thread()))
         return e, sigma2, recorded_phase
 
     monkeypatch.setattr(outage, "_draw_gains", recorded)
     curve = _pipe_curve(SchemeId.TDA_LINMOD, RECT1, ConditionalCase.OVERALL, False, 44)
-    assert on_main == [False] * 8
+    assert sorted(seen) == [(kind, i, i == 0) for kind in ("draw", "phase") for i in range(4)]
+    seen.clear()
     want = _per_block_sum(SchemeId.TDA_LINMOD, RECT1, ConditionalCase.OVERALL, False, 44)
-    assert on_main[8:] == [True] * 8
+    assert sorted(seen) == [(kind, i, True) for kind in ("draw", "phase") for i in range(4)]
     assert curve.outage == tuple(int(k) / PIPE_TRIALS for k in want)
 
 
