@@ -13,11 +13,12 @@ coherent sum.  Trials are grouped into fixed blocks of 32768 and the Philox
 counters of each block's two streams derive from its first trial index, so
 the draws for trial t depend only on (seed, t).  Worker processes take
 contiguous shares of whole blocks and results merge by summation; worker
-count can never change the numbers.  Within a process one helper thread
-draws the next block, into the one of two reused buffers the current block
-does not read, while the current block is decided; numpy fills the draws
-with the GIL released, so one worker uses up to two cores.  A request of
-one block runs inline, and so does the first block of a longer one.
+count can never change the numbers.  Where a CPU is free for it, one
+helper thread per process draws the next block, into the one of two
+reused buffers the current block does not read, while the current block
+is decided; numpy fills the draws with the GIL released, so one worker
+uses up to two cores.  A request of one block runs inline, and so does the
+first block of a longer one.
 
 Every scheme's MI is at least one floor in the direct gain alone
 (mutualinfo._direct_cuts), so at each snr point a trial whose direct gain
@@ -36,6 +37,7 @@ import enum
 import functools
 import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -279,23 +281,35 @@ def _draw_ahead(req: _Request, block: tuple[int, int], out):
     return e, sigma2, phase
 
 
-def _run_blocks(req: _Request, share) -> np.ndarray:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _run_blocks(req: _Request, share, threaded: bool) -> np.ndarray:
     """The counts of a share of (first trial, count) blocks, summed.
 
-    A share of one block runs inline.  Otherwise one helper thread keeps
-    the next block's draw in flight while this thread decides the current
-    one: numpy fills the draw with the GIL released.  The helper draws
-    into two block-sized buffers in turn, so it never writes the one being
-    decided and allocates nothing large.  The first block draws itself,
-    into an array it frees, as an inline block does: glibc's first free of
-    a block-sized mapping raises its mmap and trim thresholds, and until
-    then the blocks' larger temporaries are mapped and trimmed afresh (a
-    fresh 2^20-trial STC_SYNC process took 2.5x the page faults without
-    it).  The helper is joined before the counts return or an exception
-    leaves.
+    A share of one block, or one not threaded, runs its blocks inline.
+    Otherwise one helper thread keeps the next block's draw in flight
+    while this thread decides the current one: numpy fills the draw with
+    the GIL released.  On a core of its own the helper hides the draw;
+    sharing this thread's core it only adds hand-offs (3% on an STC_SYNC
+    curve pinned to one core), so mc_outage threads a share only where a
+    CPU is free for the helper.  The helper draws into two block-sized
+    buffers in turn, so it never writes the one being decided and
+    allocates nothing large.  The first block draws itself, into an array
+    it frees, as an inline block does: glibc's first free of a block-sized
+    mapping raises its mmap and trim thresholds, and until then the
+    blocks' larger temporaries are mapped and trimmed afresh (a fresh
+    2^20-trial STC_SYNC process took 2.5x the page faults without it).
+    The helper is joined before the counts return or an exception leaves.
     """
-    if len(share) == 1:
-        return _run_block(req, share[0])
+    if len(share) == 1 or not threaded:
+        return sum(_run_block(req, block) for block in share)
     buffers = [(np.empty((BLOCK_TRIALS, 5)), np.empty(BLOCK_TRIALS)) for _ in range(2)]
     counts = np.zeros(len(req.points), dtype=np.int64)
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
@@ -324,10 +338,11 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     independent of the worker count.
 
     workers counts processes, never more than there are blocks.  Each takes
-    a contiguous share of the blocks through _run_blocks, which keeps its
-    next block's draw in flight on one helper thread, so workers=1 uses up
-    to two cores with the numbers unchanged.  No thread or process
-    outlives the call.
+    a contiguous share of the blocks through _run_blocks.  Where the
+    process may run on more CPUs than there are workers, each worker keeps
+    its next block's draw in flight on one helper thread, so workers=1
+    uses up to two cores; the numbers are the same either way.  No thread
+    or process outlives the call.
     """
     scheme = check_scheme(scheme, corr, delays)
     cond = ConditionalCase(cond)
@@ -342,9 +357,9 @@ def mc_outage(scheme, r: float, snr_grid, trials: int, seed: int,
     req = _request(scheme, cfg, float(r), snr, seed, cond, bool(force_set), corr, delays)
     blocks = [(first, min(BLOCK_TRIALS, trials - first))
               for first in range(0, trials, BLOCK_TRIALS)]
-    run = functools.partial(_run_blocks, req)
     # the pool forks all its workers at once: never more than there are blocks
     pool_size = min(workers, len(blocks))
+    run = functools.partial(_run_blocks, req, threaded=_usable_cpus() > pool_size)
     if pool_size == 1:
         parts = [run(blocks)]
     else:

@@ -1339,6 +1339,13 @@ PIPE_GRID = tuple(10.0 ** (db / 10.0) for db in (0, 10, 20, 30))
 RECT1 = {"corr": correlations(rectangular(1, 64), 0.5)}
 
 
+@pytest.fixture
+def spare_cpus(monkeypatch):
+    # every process may run on more CPUs than there are workers: each share
+    # of two or more blocks is threaded, whatever the host
+    monkeypatch.setattr(outage, "_usable_cpus", lambda: 64)
+
+
 def _per_block_sum(scheme, kw, cond, forced, seed):
     # the counts of the blocks of a PIPE_TRIALS request, each drawn by itself, summed
     blocks = [(first, min(outage.BLOCK_TRIALS, PIPE_TRIALS - first))
@@ -1358,21 +1365,24 @@ def _pipe_curve(scheme, kw, cond, forced, seed, workers=1):
     pytest.param(SchemeId.TDA_LINMOD, RECT1, ConditionalCase.OVERALL, id="TDA_LINMOD-rect1"),
     pytest.param(SchemeId.TDA_INDEP, {"delays": DelayConfig.from_t0bw(2.5)},
                  ConditionalCase.OVERALL, id="TDA_INDEP-t0bw2.5")])
-def test_pipelined_counts_equal_the_per_block_sums(scheme, kw, cond):
+def test_pipelined_counts_equal_the_per_block_sums(monkeypatch, scheme, kw, cond):
     # each block drawn ahead on the helper thread into one of two reused
-    # buffers, and the blocks split into contiguous shares across worker
-    # processes: the counts are those of each block drawn by itself, summed,
-    # at 1, 2 and 4 workers
+    # buffers, or inline where no CPU is free for the helper, and the blocks
+    # split into contiguous shares across worker processes: the counts are
+    # those of each block drawn by itself, summed, at 1, 2 and 4 workers
     forced = cond != ConditionalCase.OVERALL
     want = _per_block_sum(scheme, kw, cond, forced, 43)
     assert want.sum() > 0
-    for workers in (1, 2, 4):
-        got = _pipe_curve(scheme, kw, cond, forced, 43, workers).outage
-        assert got == tuple(int(k) / PIPE_TRIALS for k in want), workers
+    for cpus in (1, 64):
+        monkeypatch.setattr(outage, "_usable_cpus", lambda: cpus)
+        for workers in (1, 2, 4):
+            got = _pipe_curve(scheme, kw, cond, forced, 43, workers).outage
+            assert got == tuple(int(k) / PIPE_TRIALS for k in want), (cpus, workers)
 
 
 @pytest.mark.parametrize("sampler", ["normal_sampler", "exp_normal_sampler"])
-def test_the_oracle_samplers_draw_on_the_helper_thread(request, monkeypatch, sampler):
+def test_the_oracle_samplers_draw_on_the_helper_thread(request, monkeypatch, spare_cpus,
+                                                       sampler):
     # _draw_gains is looked up at each draw: an oracle sampler draws every
     # block of a multi-block request but the first, and its phase, on the
     # helper thread, ignoring the buffers, and the counts are those of its
@@ -1401,11 +1411,29 @@ def test_the_oracle_samplers_draw_on_the_helper_thread(request, monkeypatch, sam
     assert curve.outage == tuple(int(k) / PIPE_TRIALS for k in want)
 
 
+def test_without_a_free_cpu_every_block_runs_inline(monkeypatch):
+    # a process with no more CPUs than workers starts no helper thread: every
+    # draw runs on the calling thread, and the counts are unchanged
+    monkeypatch.setattr(outage, "_usable_cpus", lambda: 1)
+    draw, on_main = outage._draw_gains, []
+
+    def recorded(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(outage, "_draw_gains", recorded)
+    before = threading.active_count()
+    curve = _pipe_curve(SchemeId.STC_SYNC, {}, ConditionalCase.OVERALL, False, 46)
+    assert on_main == [True] * 4 and threading.active_count() == before
+    want = _per_block_sum(SchemeId.STC_SYNC, {}, ConditionalCase.OVERALL, False, 46)
+    assert curve.outage == tuple(int(k) / PIPE_TRIALS for k in want)
+
+
 class _BlockFailure(Exception):
     pass
 
 
-def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch):
+def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch, spare_cpus):
     # an exception in a block's decision or in a draw on the helper reaches
     # the caller, and the helper is joined first, as it is after a run that
     # completes
