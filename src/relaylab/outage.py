@@ -297,15 +297,15 @@ def _run_blocks(req: _Request, share, threaded: bool) -> np.ndarray:
     Otherwise one helper thread keeps the next block's draw in flight
     while this thread decides the current one: numpy fills the draw with
     the GIL released.  On a core of its own the helper hides the draw;
-    sharing this thread's core it only adds hand-offs (3% on an STC_SYNC
-    curve pinned to one core), so mc_outage threads a share only where a
+    sharing this thread's core it only adds hand-offs (2-3% on STC_SYNC
+    curves pinned to one core), so mc_outage threads a share only where a
     CPU is free for the helper.  The helper draws into two block-sized
     buffers in turn, so it never writes the one being decided and
     allocates nothing large.  The first block draws itself, into an array
     it frees, as an inline block does: glibc's first free of a block-sized
     mapping raises its mmap and trim thresholds, and until then the
     blocks' larger temporaries are mapped and trimmed afresh (a fresh
-    2^20-trial STC_SYNC process took 2.5x the page faults without it).
+    2^20-trial STC_SYNC process took 2.6x the page faults without it).
     The helper is joined before the counts return or an exception leaves.
     """
     if len(share) == 1 or not threaded:
